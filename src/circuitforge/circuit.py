@@ -20,22 +20,34 @@ therefore reports depth 3.
 Circuits are built through CircuitBuilder, which canonicalizes as it goes:
 constants fold, identities drop, and (by default) structurally identical
 gates are shared. All transformations in this package return new circuits.
+
+Circuit.evaluate walks the gates once per point; evaluate_batches walks them
+once per batch of points held as numpy columns, and is what the identity
+tests and Schwartz-Zippel checks run on.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+
+import numpy as np
 
 from .errors import (
     ArityMismatch,
     CircuitSyntaxError,
     CyclicReference,
     DanglingReference,
+    DivisionByZero,
 )
-from .fields import Field, PrimeField, Rationals, same_field
+from .fields import Field, PrimeField, Rationals, same_field, sample_grid
 
 IN = "in"
 CONST = "const"
 ADD = "add"
 MUL = "mul"
+
+POINT_BATCH = 1 << 12   # largest batch of evaluate_points
+SZ_POINTS = 64          # seeded points behind a Schwartz-Zippel verdict
 
 
 class Circuit:
@@ -374,6 +386,13 @@ def substitute(circ: Circuit, bindings: dict, num_vars: int | None = None) -> Ci
     return builder.finish(outs)
 
 
+def fix_vars(circ: Circuit, values: dict) -> Circuit:
+    """circ with each variable in `values` replaced by its constant there."""
+    b = CircuitBuilder(circ.field, circ.num_vars)
+    bindings = {v: b.const(c) for v, c in values.items()}
+    return b.finish(b.import_circuit(circ, var_bindings=bindings))
+
+
 def remap_vars(circ: Circuit, var_map: dict, new_num_vars: int) -> Circuit:
     """Rename variables: var_map maps old indices to new indices."""
     builder = CircuitBuilder(circ.field, new_num_vars)
@@ -422,6 +441,77 @@ def is_formula(circ: Circuit) -> bool:
     return all(v <= 1 for v in fan_out.values())
 
 
+# -- batched evaluation -------------------------------------------------------
+
+def evaluate_batches(circ: Circuit, batches):
+    """Evaluate every output on successive batches of points.
+
+    `batches` yields (columns, size) pairs: columns[v] holds coordinate v
+    of the batch's `size` points, as field elements (a grid scan may pass
+    the integers 0..g-1 unreduced). Over a prime p < 2^31 the gate walk
+    runs on numpy int64 arrays, reducing after every operation so a product
+    of two residues stays below 2^62; over any other field it runs on numpy
+    object arrays of Python ints mod p or Fractions. Yields one list of
+    output arrays per batch, reduced mod p over prime fields.
+    Circuit.evaluate is the scalar reference.
+    """
+    p = circ.field.p if isinstance(circ.field, PrimeField) else None
+    dtype = np.int64 if p is not None and p < 1 << 31 else object
+    for columns, size in batches:
+        if len(columns) != circ.num_vars:
+            raise ArityMismatch(f"{len(columns)} columns for {circ.num_vars} variables")
+        vals = [None] * len(circ.gates)
+        for i, gate in enumerate(circ.gates):
+            op = gate[0]
+            if op == IN:
+                vals[i] = np.asarray(columns[gate[1]], dtype=dtype)
+            elif op == CONST:
+                vals[i] = np.full(size, gate[1], dtype=dtype)
+            else:
+                acc = vals[gate[1][0]]
+                for c in gate[1][1:]:
+                    acc = acc + vals[c] if op == ADD else acc * vals[c]
+                    if p is not None:
+                        acc %= p  # in place: acc is the fresh array just made
+                vals[i] = acc
+        yield [vals[o] % p if p is not None else vals[o] for o in circ.outputs]
+        # Drop the columns before the next batch makes its own, and keep
+        # this batch's values until then: equal-sized batches of a long scan
+        # then reuse each other's memory rather than map it afresh.
+        columns = None
+
+
+def evaluate_batch(circ: Circuit, columns, size: int) -> list:
+    """The output arrays of evaluate_batches for one batch."""
+    return next(evaluate_batches(circ, [(columns, size)]))
+
+
+def evaluate_points(circ: Circuit, points):
+    """Evaluate the first output on an iterable of points; yields (points of
+    the batch, array of their values). Batches double from one point up to
+    POINT_BATCH, so a scan that stops at an early witness draws few points."""
+    it = iter(points)
+    size = 1
+    while True:
+        batch = list(islice(it, size))
+        if not batch:
+            return
+        if any(len(pt) != circ.num_vars for pt in batch):
+            raise ArityMismatch(f"every point needs {circ.num_vars} coordinates")
+        cols = [[pt[v] for pt in batch] for v in range(circ.num_vars)]
+        yield batch, evaluate_batch(circ, cols, len(batch))[0]
+        size = min(2 * size, POINT_BATCH)
+
+
+def sz_is_zero(circ: Circuit, grid: int, seed: int, *names: str) -> bool:
+    """Schwartz-Zippel test: True when the first output vanishes on all
+    SZ_POINTS points of {0..grid-1}^n drawn by sample_grid(seed, *names)."""
+    nv = circ.num_vars
+    coords = sample_grid(circ.field, grid, SZ_POINTS * nv, seed, *names)
+    values = evaluate_batch(circ, [coords[v::nv] for v in range(nv)], SZ_POINTS)[0]
+    return not (values != 0).any()
+
+
 # -- text format -------------------------------------------------------------
 #
 #   field rationals          | field prime <p>
@@ -434,13 +524,63 @@ def is_formula(circ: Circuit) -> bool:
 #
 # Gate indices must be strictly increasing. Blank lines and '#' comments are
 # ignored. Round-trips are semantically identical (same polynomial); the
-# builder canonicalizes structure on parse.
+# builder canonicalizes structure on parse. Dense polynomials (.poly) and
+# hard-polynomial tables (.table) share the two header lines, tables with
+# `m <n>` in place of `nvars <n>`.
+
+
+def field_line(field: Field) -> str:
+    """The header line naming `field`."""
+    if field.kind == "rationals":
+        return "field rationals"
+    return f"field prime {field.p}"
+
+
+def parse_header(text: str, count_key: str = "nvars"):
+    """Read the header shared by the text formats.
+
+    The first two content lines must be the field line and `<count_key> <n>`;
+    neither may appear again. Returns (field, n, body), body being the
+    remaining (line number, line) pairs with comments stripped.
+    """
+    lines = [(no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1)]
+    lines = [(no, line) for no, line in lines if line]
+    eof = (len(text.splitlines()) + 1, "")
+    (field_no, field_text), (count_no, count_text) = (lines + [eof, eof])[:2]
+    for line_no, key, parts in ((field_no, "field", field_text.split()),
+                                (count_no, count_key, count_text.split())):
+        if parts[:1] != [key]:
+            raise CircuitSyntaxError(line_no, f"expected the '{key}' header line")
+    parts = field_text.split()
+    try:
+        if parts[1:] == ["rationals"]:
+            field = Rationals()
+        elif len(parts) == 3 and parts[1] == "prime":
+            field = PrimeField(int(parts[2]))
+        else:
+            raise ValueError("use 'field rationals' or 'field prime <p>'")
+    except ValueError as e:
+        raise CircuitSyntaxError(field_no, f"bad field line ({e})") from None
+    parts = count_text.split()
+    if len(parts) != 2 or not parts[1].isdecimal():
+        raise CircuitSyntaxError(count_no, f"bad {count_key} line {count_text!r}")
+    for line_no, line in lines[2:]:
+        if line.split()[0] in ("field", count_key):
+            raise CircuitSyntaxError(line_no, f"duplicate {line.split()[0]} line")
+    return field, int(parts[1]), lines[2:]
+
+
+def parse_value(field: Field, token: str, line_no: int):
+    """A field element written in a text file."""
+    try:
+        return field.parse(token)
+    except (ValueError, ZeroDivisionError, DivisionByZero):
+        raise CircuitSyntaxError(line_no, f"bad constant {token!r}") from None
 
 
 def parse_circuit(text: str) -> Circuit:
-    field = None
-    num_vars = None
-    builder = None
+    field, num_vars, body = parse_header(text)
+    builder = CircuitBuilder(field, num_vars)
     names = {}  # file gate index -> builder gate id
     last_index = -1
     outputs = []
@@ -448,37 +588,8 @@ def parse_circuit(text: str) -> Circuit:
     def fail(line_no, msg):
         raise CircuitSyntaxError(line_no, msg)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in body:
         parts = line.split()
-        if parts[0] == "field":
-            if field is not None:
-                fail(line_no, "duplicate field line")
-            if parts[1:] == ["rationals"]:
-                field = Rationals()
-            elif len(parts) == 3 and parts[1] == "prime":
-                try:
-                    field = PrimeField(int(parts[2]))
-                except ValueError as e:
-                    fail(line_no, str(e))
-            else:
-                fail(line_no, f"bad field line {line!r}")
-            continue
-        if parts[0] == "nvars":
-            if field is None:
-                fail(line_no, "nvars before field")
-            if num_vars is not None:
-                fail(line_no, "duplicate nvars line")
-            try:
-                num_vars = int(parts[1])
-            except (IndexError, ValueError):
-                fail(line_no, "bad nvars line")
-            if num_vars < 0:
-                fail(line_no, "nvars must be >= 0")
-            builder = CircuitBuilder(field, num_vars)
-            continue
         if parts[0] == "output":
             if len(parts) != 2 or not parts[1].startswith("g"):
                 fail(line_no, "bad output line")
@@ -488,8 +599,6 @@ def parse_circuit(text: str) -> Circuit:
             outputs.append(names[idx])
             continue
         # gate definition: g<k> = <op> ...
-        if builder is None:
-            fail(line_no, "gate before field/nvars header")
         if len(parts) < 3 or parts[1] != "=" or not parts[0].startswith("g"):
             fail(line_no, f"bad gate line {line!r}")
         idx = _gate_index(parts[0], line_no)
@@ -509,11 +618,7 @@ def parse_circuit(text: str) -> Circuit:
         elif op == "const":
             if len(args) != 1:
                 fail(line_no, "const needs one value")
-            try:
-                value = field.parse(args[0])
-            except (ValueError, ZeroDivisionError):
-                fail(line_no, f"bad constant {args[0]!r}")
-            gid = builder.const(value)
+            gid = builder.const(parse_value(field, args[0], line_no))
         elif op in ("add", "mul"):
             if len(args) < 2:
                 fail(line_no, f"{op} needs fan-in >= 2")
@@ -533,8 +638,6 @@ def parse_circuit(text: str) -> Circuit:
         names[idx] = gid
         last_index = idx
 
-    if field is None or num_vars is None:
-        raise CircuitSyntaxError(0, "missing field/nvars header")
     if not outputs:
         raise CircuitSyntaxError(0, "no output line")
     return builder.finish(outputs)
@@ -551,12 +654,7 @@ def _gate_index(token: str, line_no: int) -> int:
 
 def emit_circuit(circ: Circuit) -> str:
     field = circ.field
-    lines = []
-    if field.kind == "rationals":
-        lines.append("field rationals")
-    else:
-        lines.append(f"field prime {field.p}")
-    lines.append(f"nvars {circ.num_vars}")
+    lines = [field_line(field), f"nvars {circ.num_vars}"]
     for i, gate in enumerate(circ.gates):
         op = gate[0]
         if op == IN:

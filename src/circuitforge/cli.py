@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import errors as E
-from .circuit import Circuit, emit_circuit, parse_circuit
+from .circuit import emit_circuit, parse_circuit
 from .dense import ExpansionBudget, emit_poly, expand
 from .designs import Design, nw_design
 from .expsum import ExpSumPoly, exp_sum_eval, exp_sum_expand, factor_vnp
@@ -74,19 +74,11 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _metrics_json(circ: Circuit) -> dict:
-    return circ.metrics()
-
-
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("FORGE_SEED")
     return int(env) if env else 0
-
-
-def _budget(args) -> ExpansionBudget:
-    return ExpansionBudget(max_terms=args.budget_terms, max_degree=args.budget_degree)
 
 
 def _parse_point(field, text):
@@ -120,20 +112,20 @@ def _emit_esum(e: ExpSumPoly) -> str:
 def _core_homog(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
     out = homogenize(circ, params["k"])
-    return {"out": emit_circuit(out).encode()}, {"metrics": _metrics_json(out)}
+    return {"out": emit_circuit(out).encode()}, {"metrics": out.metrics()}
 
 
 def _core_coeffs(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
     coeffs = extract_y_coeffs(circ, params["y"], params["dmax"])
     outs = {f"coeff{j}": emit_circuit(c).encode() for j, c in enumerate(coeffs)}
-    return outs, {"metrics": [_metrics_json(c) for c in coeffs]}
+    return outs, {"metrics": [c.metrics() for c in coeffs]}
 
 
 def _core_deriv(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
     out = hasse_derivative_circuit(circ, params["y"], params["j"])
-    return {"out": emit_circuit(out).encode()}, {"metrics": _metrics_json(out)}
+    return {"out": emit_circuit(out).encode()}, {"metrics": out.metrics()}
 
 
 def _core_monic(params, inputs):
@@ -144,7 +136,7 @@ def _core_monic(params, inputs):
         "shift": [fld.format(a) for a in form.shift],
         "leading_unit": fld.format(form.leading_unit),
         "y_var": form.y_var + 1,
-        "metrics": _metrics_json(form.circuit),
+        "metrics": form.circuit.metrics(),
     }
     return {"out": emit_circuit(form.circuit).encode()}, data
 
@@ -157,7 +149,7 @@ def _core_genset(params, inputs):
     data = {
         "orders": [j for j, _ in gens.members],
         "count": len(gens.members),
-        "metrics": [_metrics_json(c) for _, c in gens.members],
+        "metrics": [c.metrics() for _, c in gens.members],
     }
     return outs, data
 
@@ -592,8 +584,6 @@ def _dispatch(args) -> int:
         sys.stdout.write(outs["out"].decode())
     else:
         print(json.dumps(cert["data"], sort_keys=True, default=str))
-    if args.command == "pit" and cert["data"].get("status") not in ("nonzero", "zero"):
-        return 0
     return 0
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import ADD, CONST, IN, Circuit, CircuitBuilder
-from .errors import BudgetExceeded, ZeroDivisor, ZeroPolynomial
+from .circuit import ADD, CONST, IN, Circuit, CircuitBuilder, field_line, parse_header, parse_value
+from .errors import BudgetExceeded, CircuitSyntaxError, ZeroDivisor, ZeroPolynomial
 from .fields import Field, PrimeField, Rationals, same_field
 
 
@@ -129,19 +129,13 @@ class DensePoly:
 
     def __mul__(self, other):
         self._like(other)
-        return _mul(self, other)
+        return DensePoly(self.field, self.n, _product_terms(self.field, self.terms, other.terms))
 
     def scale(self, value):
         field = self.field
         if value == field.zero:
             return DensePoly.zero(field, self.n)
         return DensePoly(field, self.n, {e: field.mul(c, value) for e, c in self.terms.items()})
-
-    def pow(self, k: int):
-        result = DensePoly.const(self.field, self.n, self.field.one)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def evaluate(self, point):
         field = self.field
@@ -169,26 +163,26 @@ class DensePoly:
         return DensePoly(self.field, new_n, terms)
 
 
-def _mul(a: DensePoly, b: DensePoly, budget: ExpansionBudget | None = None) -> DensePoly:
-    field = a.field
+def _product_terms(field: Field, a: dict, b: dict, max_terms: int | None = None) -> dict:
+    """Term map of the product of two term maps. With max_terms, raises
+    BudgetExceeded as soon as the partial product holds more terms."""
     zero = field.zero
-    mul = field.mul
-    add = field.add
-    if len(a.terms) > len(b.terms):
+    fadd = field.add
+    fmul = field.mul
+    if len(a) > len(b):
         a, b = b, a
-    out = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
+    prod: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            c = mul(ca, cb)
-            s = add(out.get(e, zero), c)
+            s = fadd(prod.get(e, zero), fmul(ca, cb))
             if s == zero:
-                out.pop(e, None)
+                prod.pop(e, None)
             else:
-                out[e] = s
-        if budget is not None and len(out) > budget.max_terms:
-            raise BudgetExceeded("terms", f"product exceeded {budget.max_terms} terms")
-    return DensePoly(field, a.n, out)
+                prod[e] = s
+        if max_terms is not None and len(prod) > max_terms:
+            raise BudgetExceeded("terms", f"over {max_terms} terms")
+    return prod
 
 
 def expand(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET) -> DensePoly:
@@ -204,7 +198,6 @@ def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET) -> l
     n = circ.num_vars
     zero = field.zero
     fadd = field.add
-    fmul = field.mul
     zero_e = (0,) * n
     values: dict = {}
     fdeg: dict = {}
@@ -235,21 +228,7 @@ def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET) -> l
             kids = sorted(gate[1], key=lambda c: len(values[c]))
             out = values[kids[0]]
             for c in kids[1:]:
-                nxt = values[c]
-                if len(out) > len(nxt):
-                    out, nxt = nxt, out
-                prod: dict = {}
-                for ea, ca in out.items():
-                    for eb, cb in nxt.items():
-                        e = tuple(x + y for x, y in zip(ea, eb))
-                        s = fadd(prod.get(e, zero), fmul(ca, cb))
-                        if s == zero:
-                            prod.pop(e, None)
-                        else:
-                            prod[e] = s
-                    if len(prod) > budget.max_terms:
-                        raise BudgetExceeded("terms", f"over {budget.max_terms} terms")
-                out = prod
+                out = _product_terms(field, out, values[c], budget.max_terms)
             values[i] = out
             fdeg[i] = sum(fdeg[c] for c in gate[1])
         if len(values[i]) > budget.max_terms:
@@ -313,15 +292,6 @@ def homog_component_dense(p: DensePoly, k: int) -> DensePoly:
 
 def truncate_dense(p: DensePoly, d: int) -> DensePoly:
     return DensePoly(p.field, p.n, {e: c for e, c in p.terms.items() if sum(e) <= d})
-
-
-def homog_component_in_vars(p: DensePoly, k: int, vars_subset) -> DensePoly:
-    vs = set(vars_subset)
-    return DensePoly(
-        p.field,
-        p.n,
-        {e: c for e, c in p.terms.items() if sum(x for i, x in enumerate(e) if i in vs) == k},
-    )
 
 
 def substitute_var_dense(p: DensePoly, var: int, q: DensePoly) -> DensePoly:
@@ -655,12 +625,7 @@ def univariate_roots(p: DensePoly):
 
 def emit_poly(p: DensePoly) -> str:
     field = p.field
-    lines = []
-    if field.kind == "rationals":
-        lines.append("field rationals")
-    else:
-        lines.append(f"field prime {field.p}")
-    lines.append(f"nvars {p.n}")
+    lines = [field_line(field), f"nvars {p.n}"]
     for e in sorted(p.terms):
         exps = " ".join(str(x) for x in e)
         lines.append(f"{field.format(p.terms[e])} : {exps}".rstrip())
@@ -668,25 +633,17 @@ def emit_poly(p: DensePoly) -> str:
 
 
 def parse_poly(text: str) -> DensePoly:
-    field = None
-    n = None
+    field, n, body = parse_header(text)
     terms = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "field":
-            field = Rationals() if parts[1] == "rationals" else PrimeField(int(parts[2]))
-            continue
-        if parts[0] == "nvars":
-            n = int(parts[1])
-            continue
+    for line_no, line in body:
         coeff_text, _, exps_text = line.partition(":")
-        e = tuple(int(x) for x in exps_text.split())
+        try:
+            e = tuple(int(x) for x in exps_text.split())
+        except ValueError:
+            raise CircuitSyntaxError(line_no, f"bad exponents {exps_text.strip()!r}") from None
         if len(e) != n:
-            raise ValueError(f"term with {len(e)} exponents in {n}-variable polynomial")
-        terms[e] = field.parse(coeff_text.strip())
-    if field is None or n is None:
-        raise ValueError("missing field/nvars header")
+            raise CircuitSyntaxError(
+                line_no, f"term with {len(e)} exponents in {n}-variable polynomial"
+            )
+        terms[e] = parse_value(field, coeff_text.strip(), line_no)
     return DensePoly(field, n, terms)

@@ -25,6 +25,8 @@ import math
 from .circuit import (
     Circuit,
     CircuitBuilder,
+    const_circuit,
+    evaluate_points,
     input_circuit,
     is_formula,
     remap_vars,
@@ -49,6 +51,7 @@ from .transforms import (
     hasse_derivative_circuit,
     homog_component_interp,
     homogenize_upto,
+    shear,
     translate,
     truncate_deg,
 )
@@ -152,12 +155,14 @@ def exp_sum_eval(E: ExpSumPoly, point) -> object:
         raise BudgetExceeded("terms", f"2^{E.m} auxiliary assignments")
     E = E.canonical()
     field = E.field
+    cube = (
+        tuple(point) + tuple(field.one if mask >> j & 1 else field.zero for j in range(E.m))
+        for mask in range(1 << E.m)
+    )
     acc = field.zero
-    for mask in range(1 << E.m):
-        full = list(point) + [
-            field.one if mask >> j & 1 else field.zero for j in range(E.m)
-        ]
-        acc = field.add(acc, E.verifier.evaluate1(full))
+    for _, values in evaluate_points(E.verifier, cube):
+        for value in values.tolist():
+            acc = field.add(acc, value)
     return acc
 
 
@@ -337,8 +342,7 @@ def leaf_substitute(B: Circuit, bindings: dict) -> ExpSumPoly:
                 raise ValueError(f"leaf x{gate[1] + 1} has no binding")
             return canon[gate[1]]
         if op == "const":
-            bb = CircuitBuilder(field, nx)
-            return plain_expsum(bb.finish(bb.const(gate[1])))
+            return plain_expsum(const_circuit(field, gate[1], nx))
         parts = [rec(c) for c in gate[1]]
         return _combine(parts, "add" if op == "add" else "mul")
 
@@ -382,20 +386,6 @@ def homog_x_upto(E: ExpSumPoly, d: int) -> ExpSumPoly:
 
 
 # -- the factor pipeline ---------------------------------------------------------------
-
-def _sub_x_shift(E: ExpSumPoly, coeffs: dict, z: int) -> ExpSumPoly:
-    """verifier with x_i -> x_i + coeffs[i] * z for the given x-variables."""
-    E = E.canonical()
-    field = E.field
-    b = CircuitBuilder(field, E.verifier.num_vars)
-    zgate = b.inp(z)
-    bindings = {}
-    for xi, ai in coeffs.items():
-        if ai != field.zero:
-            bindings[xi] = b.add(b.inp(xi), b.mul(b.const(ai), zgate))
-    out = b.import_circuit(E.verifier, var_bindings=bindings)
-    return ExpSumPoly(b.finish(out), E.aux)
-
 
 def _translate_x(E: ExpSumPoly, shift: dict) -> ExpSumPoly:
     E = E.canonical()
@@ -444,7 +434,7 @@ def factor_vnp(
 
     # monic change of variables, leading-unit normalization
     shift_coeffs = dict(zip(x_others, fr.monic.shift))
-    e1 = _sub_x_shift(E, shift_coeffs, z)
+    e1 = ExpSumPoly(shear(E.verifier, z, shift_coeffs), E.aux)
     e1 = scale_expsum(e1, field.inv(fr.monic.leading_unit))
     # multiplicity level
     if fr.deriv_level > 0:
@@ -466,7 +456,7 @@ def factor_vnp(
             if w != zero_e:
                 parts.append(b.mul(b.const(w), b.import_circuit(rows[i].verifier)[0]))
         dj = b.finish(b.add(*parts) if parts else b.const(zero_e))
-        dj_at = substitute(dj, {z: _const_circ(field, zero_e, dj.num_vars, alpha)})
+        dj_at = substitute(dj, {z: const_circuit(field, alpha, dj.num_vars)})
         x_all = list(range(nx))
         upto = truncate_deg(dj_at, d, scale_vars=x_all)
         h0 = homog_component_interp(dj_at, 0, scale_vars=x_all)
@@ -505,7 +495,7 @@ def factor_vnp(
     undo_shift = {xi: field.neg(ci) for xi, ci in zip(x_others, fr.bundle.shift)}
     out = _translate_x(composed, undo_shift)
     undo_monic = {xi: field.neg(ai) for xi, ai in zip(x_others, fr.monic.shift)}
-    out = _sub_x_shift(out, undo_monic, z)
+    out = ExpSumPoly(shear(out.verifier, z, undo_monic), out.aux)
 
     out_dense = exp_sum_expand(out, budget)
     unit = _leading_y_unit(out_dense, z)
@@ -518,7 +508,3 @@ def factor_vnp(
         raise AssertionError("exp-sum factor disagrees with the circuit factor")
     return out, fr
 
-
-def _const_circ(field, zero, num_vars, value):
-    b = CircuitBuilder(field, num_vars)
-    return b.finish(b.const(value))

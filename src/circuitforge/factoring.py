@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .circuit import Circuit, CircuitBuilder
+from .circuit import Circuit, CircuitBuilder, const_circuit, fix_vars, formal_degree_in
 from .dense import (
     DEFAULT_BUDGET,
     DensePoly,
@@ -89,7 +89,9 @@ class FactorResult:
 def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None, trials: int = SHIFT_TRIALS):
     """Search shifts c of the x-variables maximizing the count of distinct
     simple base-field roots of P(c, y); returns (c, roots). P should be
-    monic in y (up to a unit) so no roots escape to infinity."""
+    monic in y (up to a unit) so no roots escape to infinity. The first
+    candidate with as many simple roots as the formal y-degree of P ends the
+    search: no slice has more roots, and ties keep the earlier candidate."""
     fld = P.field
     nv = P.num_vars
     x_vars = [i for i in range(nv) if i != y]
@@ -99,17 +101,17 @@ def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None, trials
     for _ in range(trials):
         candidates.append(tuple(fld.embed(rng.randrange(bound)) for _ in x_vars))
 
+    most = formal_degree_in(P, y)
     best = None
     for c in candidates:
-        point_bindings = dict(zip(x_vars, c))
-        b = CircuitBuilder(fld, nv)
-        bindings = {i: b.const(point_bindings[i]) for i in x_vars}
-        univ = expand(b.finish(b.import_circuit(P, var_bindings=bindings)))
+        univ = expand(fix_vars(P, dict(zip(x_vars, c))))
         if univ.is_zero():
             continue
         simple = [root for root, mult in univariate_roots(univ) if mult == 1]
         if best is None or len(simple) > len(best[1]):
             best = (c, simple)
+            if len(simple) == most:
+                break
     if best is None or not best[1]:
         raise NoSimpleRoots("no shift produced a simple base-field root")
     return best
@@ -136,8 +138,7 @@ def approx_roots(
             source_dense = None
     for alpha in alphas:
         if d == 0:
-            b = CircuitBuilder(fld, P.num_vars)
-            q = b.finish(b.const(alpha))
+            q = const_circuit(fld, alpha, P.num_vars)
             state = None
         else:
             state = build_A_recurrence(P, alpha, d, y, budget=budget)

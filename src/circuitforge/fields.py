@@ -11,6 +11,7 @@ There is no floating point anywhere in this package.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import BoundExceedsField, DivisionByZero, MixedFieldConfig
@@ -43,20 +44,6 @@ class Field:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def arith(self, a, b, op: str):
-        """Dispatch form of +, -, *, / used by the CLI and tests."""
-        self.check(a)
-        self.check(b)
-        if op == "add":
-            return self.add(a, b)
-        if op == "sub":
-            return self.sub(a, b)
-        if op == "mul":
-            return self.mul(a, b)
-        if op == "div":
-            return self.div(a, b)
-        raise ValueError(f"unknown op {op!r}")
 
     def min_degree_capacity(self) -> int | None:
         """Largest total degree D this field is declared safe for, i.e. the
@@ -162,13 +149,8 @@ class PrimeField(Field):
         return v
 
     def min_degree_capacity(self) -> int:
-        # largest D with 2*D*D < p
-        d = int((self.p // 2) ** 0.5)
-        while 2 * (d + 1) * (d + 1) < self.p:
-            d += 1
-        while d > 0 and 2 * d * d >= self.p:
-            d -= 1
-        return d
+        # 2*D*D < p  <=>  D*D <= (p - 1) // 2
+        return math.isqrt((self.p - 1) // 2)
 
     def parse(self, text: str):
         if "/" in text:
@@ -193,10 +175,6 @@ def same_field(a: Field, b: Field) -> Field:
     if a != b:
         raise MixedFieldConfig(f"mixed field configs: {a!r} vs {b!r}")
     return a
-
-
-def field_arith(field: Field, a, b, op: str):
-    return field.arith(a, b, op)
 
 
 def assert_degree_capacity(field: Field, max_degree: int) -> None:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .circuit import Circuit, CircuitBuilder, drop_unused_vars, substitute
+from .circuit import Circuit, CircuitBuilder, const_circuit, drop_unused_vars, fix_vars, substitute
+from .circuit import sz_is_zero
 from .dense import (
     DEFAULT_BUDGET,
     ExpansionBudget,
@@ -33,7 +34,6 @@ from .errors import (
     ResidualNonzero,
     ZeroDelta,
 )
-from .fields import sample_grid
 from .seeding import stream
 from .transforms import (
     GeneratorSet,
@@ -100,11 +100,7 @@ def reduce_multiplicity(P: Circuit, alpha, y: int):
     """
     fld = P.field
     nv = P.num_vars
-    zeros = [fld.zero] * nv
-    b = CircuitBuilder(fld, nv)
-    bindings = {i: b.const(fld.zero) for i in range(nv) if i != y}
-    at_origin = b.finish(b.import_circuit(P, var_bindings=bindings))
-    p_univ = expand(at_origin)
+    p_univ = expand(fix_vars(P, {i: fld.zero for i in range(nv) if i != y}))
     if p_univ.is_zero():
         raise AllDerivativesVanish("P(0, y) is identically zero; translate the origin first")
     if p_univ.evaluate(_point_at(fld, nv, y, alpha)) != fld.zero:
@@ -198,9 +194,8 @@ def compose_root(state: LiftState, k: int | None = None) -> Circuit:
     bindings = {pos: circ for pos, (_, circ) in enumerate(state.gens.members)}
     if not bindings:
         # constant root: A_k is a constant circuit
-        b = CircuitBuilder(a_k.field, state.gens.num_vars)
         val = a_k.evaluate1([a_k.field.zero] * a_k.num_vars)
-        return b.finish(b.const(val))
+        return const_circuit(a_k.field, val, state.gens.num_vars)
     composed = substitute(pruned, bindings, num_vars=state.gens.num_vars)
     bound = max(1, k * state.gens.d)
     return truncate_deg(composed, k, deg_bound=bound)
@@ -249,9 +244,7 @@ def lift_root(
         Pc = P if all(ci == fld.zero for ci in c) else translate(P, full_shift)
         chain = [_stage("input", P), _stage("translated", Pc)]
 
-        b = CircuitBuilder(fld, nv)
-        bindings = {i: b.const(fld.zero) for i in x_vars}
-        p_univ = expand(b.finish(b.import_circuit(Pc, var_bindings=bindings)), budget)
+        p_univ = expand(fix_vars(Pc, {i: fld.zero for i in x_vars}), budget)
         if p_univ.is_zero():
             continue
         roots = univariate_roots(p_univ)
@@ -301,17 +294,10 @@ def lift_root(
 
 def _residual_check(P: Circuit, y: int, f_cand: Circuit, seed: int, budget) -> str | None:
     """Certify P(x, f) = 0; returns 'oracle', 'sz', or None on failure."""
-    fld = P.field
     residual = substitute(P, {y: f_cand}, num_vars=P.num_vars)
     try:
         return "oracle" if expand(residual, budget).is_zero() else None
     except BudgetExceeded:
         pass
     grid = 2 * max(1, residual.formal_degree())
-    pts = sample_grid(fld, grid, 64 * residual.num_vars, seed, "lift-root", "residual-sz")
-    nv = residual.num_vars
-    for t in range(64):
-        point = pts[t * nv : (t + 1) * nv]
-        if residual.evaluate1(point) != fld.zero:
-            return None
-    return "sz"
+    return "sz" if sz_is_zero(residual, grid, seed, "lift-root", "residual-sz") else None

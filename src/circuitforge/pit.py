@@ -8,24 +8,33 @@ guards against |T|^l enumerations, so a 'zero' verdict is certain only when
 the stream was exhausted and the result says which case happened.
 
 pit_sz runs Schwartz-Zippel on the grid {0..d}^n, either with seeded random
-points or exhaustively; exhaustive mode is definitive and uses a vectorized
-scan when the field allows it. hybrid_locate walks the hybrid chain of the
-composition argument and returns the switch index together with a fixing
-assignment that keeps the last nonzero hybrid alive.
+points or exhaustively; exhaustive mode is definitive. hybrid_locate walks
+the hybrid chain of the composition argument and returns the switch index
+together with a fixing assignment that keeps the last nonzero hybrid alive.
+
+Every test here evaluates circuits in batches through circuit.evaluate_batches:
+hitting points and random points in batches of POINT_BATCH, exhaustive grids
+in batches of GRID_BATCH points whose coordinate columns numpy computes from
+the scan index. All scans run in lexicographic order, last coordinate
+fastest, and report the first nonzero point as the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .circuit import ADD, CONST, IN, Circuit, CircuitBuilder, drop_unused_vars
+import numpy as np
+
+from .circuit import IN, Circuit, CircuitBuilder, drop_unused_vars, field_line, fix_vars
+from .circuit import evaluate_batches, evaluate_points, parse_header, parse_value
 from .dense import DEFAULT_BUDGET, expand
 from .designs import Design
-from .errors import ArityMismatch, FieldTooSmall, PreconditionFailed
-from .fields import Field, PrimeField, Rationals
+from .errors import ArityMismatch, CircuitSyntaxError, FieldTooSmall, PreconditionFailed
+from .fields import Field, PrimeField
 from .seeding import stream
 
 EXHAUSTIVE_POINT_BUDGET = 2_000_000
+GRID_BATCH = 1 << 15
 
 
 class ExplicitPoly:
@@ -70,12 +79,7 @@ class ExplicitPoly:
 
     def emit_table(self) -> str:
         field = self.field
-        lines = []
-        if field.kind == "rationals":
-            lines.append("field rationals")
-        else:
-            lines.append(f"field prime {field.p}")
-        lines.append(f"m {self.m}")
+        lines = [field_line(field), f"m {self.m}"]
         for mask, c in enumerate(self.coeffs):
             if c != field.zero:
                 lines.append(f"{mask} {field.format(c)}")
@@ -83,22 +87,18 @@ class ExplicitPoly:
 
     @classmethod
     def parse_table(cls, text: str):
-        field = None
-        m = None
+        """Header (field line, `m <m>`), then `<mask> <coefficient>` lines;
+        masks not listed have coefficient zero."""
+        field, m, body = parse_header(text, "m")
         entries = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line_no, line in body:
             parts = line.split()
-            if parts[0] == "field":
-                field = Rationals() if parts[1] == "rationals" else PrimeField(int(parts[2]))
-            elif parts[0] == "m":
-                m = int(parts[1])
-            else:
-                entries[int(parts[0])] = field.parse(parts[1])
-        if field is None or m is None:
-            raise ValueError("missing field/m header in table")
+            mask = int(parts[0]) if len(parts) == 2 and parts[0].isdecimal() else -1
+            if not 0 <= mask < 1 << m:
+                raise CircuitSyntaxError(
+                    line_no, f"expected '<mask> <coefficient>' with mask in 0..{(1 << m) - 1}"
+                )
+            entries[mask] = parse_value(field, parts[1], line_no)
         coeffs = [entries.get(mask, field.zero) for mask in range(1 << m)]
         return cls(field, m, coeffs)
 
@@ -159,12 +159,7 @@ class HittingSet:
 
     def prefix(self, count: int) -> list:
         """The first `count` points, cached across calls."""
-        count = min(count, self.total_points)
-        if len(self._prefix) < count:
-            gen = self._raw_points(skip=len(self._prefix))
-            while len(self._prefix) < count:
-                self._prefix.append(next(gen))
-        return self._prefix[:count]
+        return list(self.points(limit=count))
 
     def points(self, limit: int | None = None):
         """Yield hitting points in lexicographic y-order (y = 0 first)."""
@@ -208,172 +203,56 @@ def pit_hitset(circ: Circuit, hitset: HittingSet, limit: int | None = None) -> P
         raise ArityMismatch(
             f"circuit has {circ.num_vars} variables, design provides {hitset.design.n}"
         )
-    field = circ.field
-    if (
-        limit is not None
-        and isinstance(field, PrimeField)
-        and field.p < (1 << 31)
-        and limit <= 1 << 22
-    ):
-        try:
-            return _pit_hitset_vectorized(circ, hitset, limit)
-        except ImportError:
-            pass
-    zero = field.zero
-    checked = 0
-    for point in hitset.points(limit=limit):
-        checked += 1
-        if circ.evaluate1(list(point)) != zero:
-            return PitResult("nonzero", point, checked, False, "hitset")
+    checked, witness = _first_witness(circ, hitset.points(limit=limit))
+    if witness is not None:
+        return PitResult("nonzero", witness, checked, False, "hitset")
     exhausted = limit is None or checked < limit or checked == hitset.total_points
     return PitResult("zero", None, checked, exhausted, "hitset")
 
 
-def _pit_hitset_vectorized(circ: Circuit, hitset: HittingSet, limit: int) -> PitResult:
-    """Same verdict/witness as the streaming scan, batched with numpy."""
-    import numpy as np
-
-    p = circ.field.p
-    pts = hitset.prefix(limit)
-    total = len(pts)
-    prog, outputs = _compile_program(circ)
-    out = outputs[0]
-    batch = 1 << 12
-    start = 0
-    while start < total:
-        stop = min(start + batch, total)
-        cols = np.array(pts[start:stop], dtype=np.int64).T % p
-        vals = [None] * len(prog)
-        for i, gate in enumerate(prog):
-            op = gate[0]
-            if op == IN:
-                vals[i] = cols[gate[1]]
-            elif op == CONST:
-                vals[i] = np.full(stop - start, gate[1] % p, dtype=np.int64)
-            elif op == ADD:
-                acc = vals[gate[1][0]]
-                for c in gate[1][1:]:
-                    acc = (acc + vals[c]) % p
-                vals[i] = acc
-            else:
-                acc = vals[gate[1][0]]
-                for c in gate[1][1:]:
-                    acc = (acc * vals[c]) % p
-                vals[i] = acc
-        nz = vals[out] % p != 0
-        if nz.any():
-            k = int(np.argmax(nz))
-            return PitResult("nonzero", pts[start + k], start + k + 1, False, "hitset")
-        start = stop
-    exhausted = total == hitset.total_points or total < limit
-    return PitResult("zero", None, total, exhausted, "hitset")
+def _first_witness(circ: Circuit, points):
+    """(1-based position, point) of the first point where circ is nonzero,
+    or (number of points, None) when it vanishes on all of them."""
+    checked = 0
+    for batch, values in evaluate_points(circ, points):
+        nonzero = np.flatnonzero(values != 0)
+        if nonzero.size:
+            k = int(nonzero[0])
+            return checked + k + 1, batch[k]
+        checked += len(batch)
+    return checked, None
 
 
 # -- grid scans -------------------------------------------------------------------
 
-def _compile_program(circ: Circuit):
-    """Flatten gates into (op, payload) instructions over a value array."""
-    prog = []
-    for gate in circ.gates:
-        prog.append(gate)
-    return prog, list(circ.outputs)
-
-
-def _grid_scan_prime_numpy(circ: Circuit, grid_size: int, want_count: bool):
-    """Vectorized exhaustive scan over {0..grid_size-1}^n for small prime
-    fields. Returns (zero_count, first_witness_or_None)."""
-    import numpy as np
-
-    p = circ.field.p
+def _grid_scan(circ: Circuit, grid_size: int, want_count: bool):
+    """Scan {0..grid_size-1}^n in lexicographic order, GRID_BATCH points a
+    batch. Returns (zero count, 0-based index of the first nonzero point or
+    None); without want_count the scan stops at that point, and the count
+    covers only the batches scanned."""
     n = circ.num_vars
     total = grid_size**n
-    prog, outputs = _compile_program(circ)
-    out = outputs[0]
-    batch = 1 << 15
+
+    def batches():
+        for start in range(0, total, GRID_BATCH):
+            idx = np.arange(start, min(start + GRID_BATCH, total), dtype=np.int64)
+            yield [(idx // grid_size ** (n - 1 - v)) % grid_size for v in range(n)], len(idx)
+
     zero_count = 0
-    witness = None
-    start = 0
-    while start < total:
-        stop = min(start + batch, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        cols = []
-        for v in range(n):
-            divisor = grid_size ** (n - 1 - v)
-            cols.append(((idx // divisor) % grid_size).astype(np.int64))
-        vals = [None] * len(prog)
-        for i, gate in enumerate(prog):
-            op = gate[0]
-            if op == IN:
-                vals[i] = cols[gate[1]]
-            elif op == CONST:
-                vals[i] = np.full(stop - start, gate[1] % p, dtype=np.int64)
-            elif op == ADD:
-                acc = vals[gate[1][0]]
-                for c in gate[1][1:]:
-                    acc = (acc + vals[c]) % p
-                vals[i] = acc
-            else:
-                acc = vals[gate[1][0]]
-                for c in gate[1][1:]:
-                    acc = (acc * vals[c]) % p
-                vals[i] = acc
-        res = vals[out] % p
-        zeros = res == 0
+    first = None
+    for k, values in enumerate(evaluate_batches(circ, batches())):
+        zeros = values[0] == 0
         zero_count += int(zeros.sum())
-        if witness is None and not zeros.all():
-            k = int(np.argmax(~zeros))
-            gi = start + k
-            point = []
-            for v in range(n):
-                divisor = grid_size ** (n - 1 - v)
-                point.append((gi // divisor) % grid_size)
-            witness = tuple(circ.field.embed(x) for x in point)
+        if first is None and not zeros.all():
+            first = k * GRID_BATCH + int(np.argmax(~zeros))
             if not want_count:
-                return zero_count, witness
-        start = stop
-    return zero_count, witness
-
-
-def _grid_scan_python(circ: Circuit, grid_size: int, want_count: bool):
-    field = circ.field
-    n = circ.num_vars
-    values = [field.embed(v) for v in range(grid_size)]
-    idx = [0] * n
-    zero_count = 0
-    witness = None
-    while True:
-        point = [values[i] for i in idx]
-        if circ.evaluate1(point) == field.zero:
-            zero_count += 1
-        elif witness is None:
-            witness = tuple(point)
-            if not want_count:
-                return zero_count, witness
-        pos = n - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < grid_size:
                 break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return zero_count, witness
-
-
-def _grid_scan(circ: Circuit, grid_size: int, want_count: bool):
-    field = circ.field
-    if isinstance(field, PrimeField) and field.p < (1 << 31):
-        try:
-            return _grid_scan_prime_numpy(circ, grid_size, want_count)
-        except ImportError:
-            pass
-    return _grid_scan_python(circ, grid_size, want_count)
+    return zero_count, first
 
 
 def exhaustive_zero_count(circ: Circuit, grid_size: int) -> int:
     """|{a in S^n : C(a) = 0}| for S = {0..grid_size-1} embedded."""
-    count, _ = _grid_scan(circ, grid_size, want_count=True)
-    return count
+    return _grid_scan(circ, grid_size, want_count=True)[0]
 
 
 def pit_sz(
@@ -387,7 +266,8 @@ def pit_sz(
 
     Exhaustive mode scans all (d+1)^n points and is definitive; it is the
     default whenever the grid fits the point budget. Random mode samples
-    seeded points and can only answer probably-zero.
+    seeded points and can only answer probably-zero. A nonzero verdict
+    reports the witness's 1-based position in the scan as points_checked.
     """
     field = circ.field
     n = circ.num_vars
@@ -398,15 +278,16 @@ def pit_sz(
     if exhaustive is None:
         exhaustive = total <= EXHAUSTIVE_POINT_BUDGET
     if exhaustive:
-        _, witness = _grid_scan(circ, grid, want_count=False)
-        if witness is None:
+        _, first = _grid_scan(circ, grid, want_count=False)
+        if first is None:
             return PitResult("zero", None, total, True, "exhaustive")
-        return PitResult("nonzero", witness, total, True, "exhaustive")
+        witness = tuple(field.embed(first // grid ** (n - 1 - v) % grid) for v in range(n))
+        return PitResult("nonzero", witness, first + 1, True, "exhaustive")
     rng = stream(seed, "pit-sz")
-    for t in range(trials):
-        point = [field.embed(rng.randrange(grid)) for _ in range(n)]
-        if circ.evaluate1(point) != field.zero:
-            return PitResult("nonzero", tuple(point), t + 1, False, "random")
+    points = [tuple(field.embed(rng.randrange(grid)) for _ in range(n)) for _ in range(trials)]
+    checked, witness = _first_witness(circ, points)
+    if witness is not None:
+        return PitResult("nonzero", witness, checked, False, "random")
     return PitResult("probably-zero", None, trials, False, "random")
 
 
@@ -453,16 +334,14 @@ def _active_vars(circ: Circuit) -> list:
 def _is_zero_exhaustive(circ: Circuit, deg_bound: int) -> bool:
     """Definitive zero test: exhaustive SZ over the active variables."""
     active = _active_vars(circ)
-    if not active:
-        return circ.evaluate1([circ.field.zero] * circ.num_vars) == circ.field.zero
     small = drop_unused_vars(circ, active)
     grid = deg_bound + 1
     if grid**len(active) > EXHAUSTIVE_POINT_BUDGET:
         raise PreconditionFailed(
             f"exhaustive zero test needs {grid ** len(active)} points; desk scale exceeded"
         )
-    _, witness = _grid_scan(small, grid, want_count=False)
-    return witness is None
+    _, first = _grid_scan(small, grid, want_count=False)
+    return first is None
 
 
 def hybrid_locate(q: Circuit, hard: ExplicitPoly, design: Design, seed: int = 0) -> HybridWitness:
@@ -504,10 +383,7 @@ def hybrid_locate(q: Circuit, hard: ExplicitPoly, design: Design, seed: int = 0)
     for v in to_fix:
         found = None
         for val in range(deg_bound + 1):
-            b = CircuitBuilder(field, cur.num_vars)
-            fixed = b.finish(
-                b.import_circuit(cur, var_bindings={v: b.const(field.embed(val))})
-            )
+            fixed = fix_vars(cur, {v: field.embed(val)})
             if not _is_zero_exhaustive(fixed, deg_bound):
                 found = (field.embed(val), fixed)
                 break

@@ -39,14 +39,6 @@ class Rng:
         """Uniform integer in [a, b] inclusive."""
         return a + self.randrange(b - a + 1)
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
-    def shuffle(self, seq):
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
-
 
 def stream(seed: int, *names: str) -> Rng:
     """Derive an independent substream from a session seed and stage names."""

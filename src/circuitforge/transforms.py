@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .circuit import ADD, Circuit, CircuitBuilder, drop_unused_vars, formal_degree_in
+from .circuit import const_circuit, evaluate_batch, sz_is_zero
 from .dense import DEFAULT_BUDGET, ExpansionBudget, expand_outputs
 from .errors import ArityMismatch, BudgetExceeded, FieldTooSmall, SearchExhausted
-from .fields import PrimeField, sample_grid
+from .fields import PrimeField
 from .seeding import stream
 
 # documented constants for the size envelopes asserted by the suite
@@ -245,8 +246,7 @@ def homog_component_interp(
     bound = circ.formal_degree() if deg_bound is None else deg_bound
     fld = circ.field
     if k > bound:
-        b = CircuitBuilder(fld, circ.num_vars)
-        return b.finish(b.const(fld.zero))
+        return const_circuit(fld, fld.zero, circ.num_vars)
     vars_to_scale = list(range(circ.num_vars)) if scale_vars is None else list(scale_vars)
     scaled = _scaled_copy(circ, vars_to_scale)
     b, rows = _interp_engine(scaled, circ.num_vars, bound)
@@ -273,8 +273,7 @@ def hasse_derivative_circuit(
     fld = circ.field
     dmax = formal_degree_in(circ, y) if deg_y_bound is None else deg_y_bound
     if j > dmax:
-        b = CircuitBuilder(fld, circ.num_vars)
-        return b.finish(b.const(fld.zero))
+        return const_circuit(fld, fld.zero, circ.num_vars)
     b, rows = _interp_engine(circ, y, dmax)
     row = rows[0]
     memo: dict = {}
@@ -333,12 +332,12 @@ def _top_component_value(circ: Circuit, point, r: int):
     evaluation point (field values only, no circuit growth)."""
     fld = circ.field
     weights = _vandermonde_inverse(fld, r)
+    columns = [[fld.mul(fld.embed(t), v) for t in range(r + 1)] for v in point]
+    values = evaluate_batch(circ, columns, r + 1)[0].tolist()
     acc = fld.zero
-    for t in range(r + 1):
-        tt = fld.embed(t)
-        scaled_point = [fld.mul(tt, v) for v in point]
-        if weights[r][t] != fld.zero:
-            acc = fld.add(acc, fld.mul(weights[r][t], circ.evaluate1(scaled_point)))
+    for w, value in zip(weights[r], values):
+        if w != fld.zero:
+            acc = fld.add(acc, fld.mul(w, value))
     return acc
 
 
@@ -378,11 +377,7 @@ def make_monic(circ: Circuit, r: int, seed: int, y_var: int | None = None) -> Mo
         if lead == fld.zero:
             continue
         b = CircuitBuilder(fld, nv)
-        ygate = b.inp(y_var)
-        bindings = {}
-        for xi, ai in zip(x_vars, a):
-            if ai != fld.zero:
-                bindings[xi] = b.add(b.inp(xi), b.mul(b.const(ai), ygate))
+        bindings = _shear_bindings(b, y_var, dict(zip(x_vars, a)))
         out = b.import_circuit(work, var_bindings=bindings)[0]
         out = b.mul(b.const(fld.inv(lead)), out)
         return MonicForm(
@@ -399,16 +394,20 @@ def make_monic(circ: Circuit, r: int, seed: int, y_var: int | None = None) -> Mo
 
 def undo_monic_shift(circ: Circuit, form: MonicForm) -> Circuit:
     """Apply the inverse change of variables x_i -> x_i - a_i * y."""
-    fld = circ.field
-    b = CircuitBuilder(fld, circ.num_vars)
-    ygate = b.inp(form.y_var)
-    bindings = {}
     x_vars = [i for i in range(form.circuit.num_vars) if i != form.y_var]
-    for xi, ai in zip(x_vars, form.shift):
-        if ai != fld.zero:
-            bindings[xi] = b.add(b.inp(xi), b.mul(b.const(fld.neg(ai)), ygate))
-    outs = b.import_circuit(circ, var_bindings=bindings)
-    return b.finish(outs)
+    return shear(circ, form.y_var, {xi: circ.field.neg(ai) for xi, ai in zip(x_vars, form.shift)})
+
+
+def shear(circ: Circuit, y: int, coeffs: dict) -> Circuit:
+    """Circuit computing circ with x_i -> x_i + coeffs[i] * y."""
+    b = CircuitBuilder(circ.field, circ.num_vars)
+    return b.finish(b.import_circuit(circ, var_bindings=_shear_bindings(b, y, coeffs)))
+
+
+def _shear_bindings(b: CircuitBuilder, y: int, coeffs: dict) -> dict:
+    ygate = b.inp(y)
+    zero = b.field.zero
+    return {x: b.add(b.inp(x), b.mul(b.const(c), ygate)) for x, c in coeffs.items() if c != zero}
 
 
 # -- generator sets -----------------------------------------------------------------
@@ -429,12 +428,6 @@ class GeneratorSet:
     num_vars: int
     members: list = dc_field(default_factory=list)
     deriv_constants: list = dc_field(default_factory=list)  # H_0 per order j
-
-    def member_for_order(self, j: int):
-        for jj, circ in self.members:
-            if jj == j:
-                return circ
-        return None
 
     def z_index(self, j: int) -> int | None:
         for pos, (jj, _) in enumerate(self.members):
@@ -509,7 +502,7 @@ def generator_set(
         if denses is not None:
             if denses[j].is_zero():
                 continue
-        elif _is_zero_candidate_sz(cand, d, sz_seed, j):
+        elif sz_is_zero(cand, 2 * max(d, 1), sz_seed, "genset-sz", str(j)):
             continue
         members.append((j, cand))
     return GeneratorSet(
@@ -521,12 +514,3 @@ def generator_set(
         deriv_constants=list(h0),
     )
 
-
-def _is_zero_candidate_sz(cand, d, sz_seed, j) -> bool:
-    grid = 2 * max(d, 1)
-    points = sample_grid(cand.field, grid, 64 * cand.num_vars, sz_seed, "genset-sz", str(j))
-    for t in range(64):
-        point = points[t * cand.num_vars : (t + 1) * cand.num_vars]
-        if cand.evaluate1(point) != cand.field.zero:
-            return False
-    return True

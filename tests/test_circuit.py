@@ -5,12 +5,15 @@ import pytest
 from circuitforge import (
     CircuitBuilder,
     DensePoly,
+    ExplicitPoly,
+    PrimeField,
     emit_circuit,
     expand,
     parse_circuit,
     substitute,
 )
-from circuitforge.circuit import drop_unused_vars, is_formula, remap_vars
+from circuitforge.circuit import drop_unused_vars, evaluate_batch, is_formula, remap_vars
+from circuitforge.dense import parse_poly
 from circuitforge.errors import (
     ArityMismatch,
     CircuitSyntaxError,
@@ -18,7 +21,7 @@ from circuitforge.errors import (
     DanglingReference,
 )
 
-from conftest import oracle_equal, random_circuit, rng_for
+from conftest import BIG_PRIME, SMALL_PRIME, oracle_equal, random_circuit, rng_for
 
 
 def _example_circuit(field):
@@ -200,3 +203,56 @@ def test_is_formula(QQ):
     x2 = b2.inp(0)
     shared = b2.finish(b2.mul(x2, x2))
     assert not is_formula(shared)
+
+
+def _batch_matches_scalar(circ, rng, count=25):
+    field = circ.field
+    points = [[field.embed(rng.randint(-50, 50)) for _ in range(circ.num_vars)]
+              for _ in range(count)]
+    cols = [[pt[v] for pt in points] for v in range(circ.num_vars)]
+    batched = [out.tolist() for out in evaluate_batch(circ, cols, count)]
+    scalar = [circ.evaluate(pt) for pt in points]
+    assert batched == [list(vals) for vals in zip(*scalar)]
+
+
+def test_evaluate_batch_matches_evaluate(QQ):
+    for field in (QQ, PrimeField(SMALL_PRIME), PrimeField(BIG_PRIME)):
+        rng = rng_for("eval-batch", field.kind == "prime" and field.p)
+        for k in range(15):
+            _batch_matches_scalar(random_circuit(field, rng, 3, size_limit=30), rng)
+
+
+def test_evaluate_batch_multi_output_and_no_variables(QQ):
+    for field in (QQ, PrimeField(SMALL_PRIME), PrimeField(BIG_PRIME)):
+        rng = rng_for("eval-batch-shapes", field.kind == "prime" and field.p)
+        b = CircuitBuilder(field, 2)
+        x1, x2 = b.inp(0), b.inp(1)
+        prod = b.mul(x1, x2, x2)
+        multi = b.finish([b.add(prod, b.const(field.embed(7))), x1, prod, b.const(field.embed(-3))])
+        _batch_matches_scalar(multi, rng)
+        b0 = CircuitBuilder(field, 0)
+        c = b0.const(field.embed(-5))
+        _batch_matches_scalar(b0.finish([b0.add(b0.mul(c, c), c), c]), rng, count=4)
+
+
+HEADER_CASES = [
+    # (parser, text, line of the error)
+    (parse_circuit, "g1 = input x1\noutput g1\n", 1),
+    (parse_circuit, "field rationals\nnvars 1\ng1 = input x1\nnvars 1\noutput g1\n", 4),
+    (parse_circuit, "# comment\n\nfield reals\nnvars 1\ng1 = input x1\noutput g1\n", 3),
+    (parse_poly, "1 : 1\n", 1),
+    (parse_poly, "field rationals\nnvars 1\n1 : 1\nfield rationals\n", 4),
+    (parse_poly, "field prime 1\nnvars 1\n1 : 1\n", 1),
+    (parse_poly, "field rationals\nnvars 2\n\n1 : 1\n", 4),  # wrong exponent count
+    (ExplicitPoly.parse_table, "0 5\n7 3\n", 1),
+    (ExplicitPoly.parse_table, "field prime 101\nm 2\n0 5\nm 2\n", 4),
+    (ExplicitPoly.parse_table, "field prime x\nm 2\n0 5\n", 1),
+    (ExplicitPoly.parse_table, "field prime 101\nm 2\n0 5\n4 1\n", 4),  # mask out of range
+]
+
+
+@pytest.mark.parametrize("parse, text, line_no", HEADER_CASES)
+def test_text_formats_report_line_numbers(parse, text, line_no):
+    with pytest.raises(CircuitSyntaxError) as info:
+        parse(text)
+    assert info.value.line_no == line_no

@@ -159,6 +159,21 @@ def test_hitset_command_writes_points(tmp_path):
     assert lines[0] == "5,5,5,5"  # first point is the all-f(0) point
 
 
+def test_headerless_table_is_a_usage_error(tmp_path, capsys):
+    design = str(tmp_path / "design.json")
+    assert main(["design", "-n", "4", "-m", "3", "-o", design]) == 0
+    table = _write(tmp_path, "hard.table", "0 5\n7 3\n")
+    circ = _write(tmp_path, "c.circ",
+                  "field prime 1000003\nnvars 4\ng1 = input x1\noutput g1\n")
+    capsys.readouterr()
+    for argv in (["hitset", "--hard", table, "--design", design, "-D", "2", "-d", "3"],
+                 ["pit", "--mode", "hitset", circ, "--hard", table, "--design", design,
+                  "-D", "2", "-d", "3"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "CircuitSyntaxError: line 1" in err and "Traceback" not in err
+
+
 def test_vnp_sum_command(tmp_path, capsys):
     esum = _write(tmp_path, "e.esum",
                   "aux y2\nfield rationals\nnvars 2\ng1 = input x1\ng2 = input x2\n"

@@ -203,3 +203,12 @@ def test_hybrid_locate_precondition_failures():
     alive = b2.finish(b2.add(b2.inp(0), b2.inp(1)))  # composition stays nonzero
     with pytest.raises(PreconditionFailed):
         hybrid_locate(alive, tab, design, seed=0)
+
+
+def test_pit_sz_exhaustive_counts_points_up_to_the_witness():
+    F = PrimeField(SMALL_PRIME)
+    b = CircuitBuilder(F, 8)
+    c = b.finish(b.add(b.inp(0), b.const(F.one)))
+    res = pit_sz(c, 4, exhaustive=True)
+    assert res.status == "nonzero" and res.witness == (F.zero,) * 8
+    assert res.points_checked == 1

@@ -51,6 +51,23 @@ def test_separating_shift_planted_full_split(QQ):
         assert len(roots) == 3
 
 
+def test_separating_shift_stops_at_a_full_split(QQ, monkeypatch):
+    from circuitforge import factoring
+
+    calls = []
+
+    def counting_expand(*args, **kwargs):
+        calls.append(1)
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(factoring, "expand", counting_expand)
+    P, _ = plant_linear_product(QQ, rng_for("sep-shift-stop"), 2, 2,
+                                [Fraction(-2), Fraction(1), Fraction(4)])
+    c, roots = separating_shift(P, y=2, seed=0)
+    assert all(v == QQ.zero for v in c) and len(roots) == 3
+    assert len(calls) == 1
+
+
 def test_approx_roots_example(QQ):
     # P = (y - x1)(y - 2), alphas [0, 2], d = 1 -> q = [x1, 2]
     b = CircuitBuilder(QQ, 2)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from circuitforge import PrimeField, Rationals, field_arith, sample_grid
+from circuitforge import PrimeField, Rationals, sample_grid
 from circuitforge.errors import BoundExceedsField, DivisionByZero, MixedFieldConfig
 from circuitforge.fields import assert_degree_capacity
 
@@ -10,7 +10,7 @@ from conftest import rng_for
 
 
 def test_rational_add_example(QQ):
-    assert field_arith(QQ, Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
+    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
 
 
 def test_sub_self_is_zero(QQ, Fp):
@@ -24,7 +24,7 @@ def test_sub_self_is_zero(QQ, Fp):
 
 def test_prime_division_example():
     F7 = PrimeField(7)
-    q = field_arith(F7, 3, 4, "div")
+    q = F7.div(3, 4)
     assert q == 6
     # brute-force check: 4 * q == 3 mod 7
     assert (4 * q) % 7 == 3
@@ -61,9 +61,9 @@ def test_division_by_zero(QQ, Fp):
 
 def test_mixed_field_config(QQ, Fp):
     with pytest.raises(MixedFieldConfig):
-        QQ.arith(Fraction(1), 3, "add")  # int is not a rational element
+        QQ.check(3)  # int is not a rational element
     with pytest.raises(MixedFieldConfig):
-        Fp.arith(1, Fraction(1, 2), "mul")
+        Fp.check(Fraction(1, 2))
 
 
 def test_sample_grid_one_point(QQ):
@@ -91,3 +91,21 @@ def test_degree_capacity_rule():
     with pytest.raises(BoundExceedsField):
         assert_degree_capacity(F101, 8)  # 2*64 = 128 > 101
     assert_degree_capacity(Rationals(), 10**9)  # unbounded
+
+
+def _capacity_by_search(p):
+    d = 0
+    while 2 * (d + 1) ** 2 < p:
+        d += 1
+    return d
+
+
+def test_degree_capacity_exact_for_huge_modulus():
+    p = 2**1279 - 1
+    d = PrimeField(p).min_degree_capacity()
+    assert 2 * d * d < p <= 2 * (d + 1) ** 2
+
+
+def test_degree_capacity_matches_search_on_small_moduli():
+    for p in range(3, 4001, 2):
+        assert PrimeField(p).min_degree_capacity() == _capacity_by_search(p)
