@@ -44,6 +44,7 @@ USAGE_ERRORS = (
     E.ParameterViolation,
     E.BoundExceedsField,
     E.FieldTooSmall,
+    E.BadCertificate,
     ValueError,
 )
 VERIFY_ERRORS = (
@@ -82,7 +83,15 @@ def _seed(args) -> int:
 
 
 def _parse_point(field, text):
-    return [field.parse(p.strip()) for p in text.split(",")]
+    point = []
+    for k, token in enumerate(text.split(","), 1):
+        try:
+            point.append(field.parse(token.strip()))
+        except (ValueError, ZeroDivisionError, E.DivisionByZero):
+            raise E.ParameterViolation(
+                f"point coordinate {k}: bad field element {token.strip()!r}"
+            ) from None
+    return point
 
 
 def _parse_esum(text: str) -> ExpSumPoly:
@@ -306,26 +315,48 @@ def _run_with_cert(command, params, input_paths, output_paths, cert_path):
     return cert, outs
 
 
+class _CertSection(dict):
+    """One section of a certificate; a key it lacks is a BadCertificate."""
+
+    def __init__(self, name: str, items):
+        super().__init__(items)
+        self.name = name
+
+    def __missing__(self, key):
+        raise E.BadCertificate(f"certificate {self.name} lack {key!r}")
+
+
+def _cert_entry(record, key, kind, where):
+    if not isinstance(record, dict) or key not in record:
+        raise E.BadCertificate(f"{where} has no {key!r}")
+    if not isinstance(record[key], kind):
+        raise E.BadCertificate(f"{where}: {key!r} has the wrong type")
+    return record[key]
+
+
 def verify_certificate(cert_path: str) -> dict:
     """Re-check hashes and replay the recorded command deterministically."""
     cert = json.loads(_read(cert_path).decode())
-    command = cert["command"]
+    command = _cert_entry(cert, "command", str, "certificate")
     if command not in CORES:
         raise E.MissingArtifact(f"unknown command {command!r} in certificate")
-    inputs = {}
-    for role, rec in cert["inputs"].items():
-        body = _read(rec["path"])
-        if _sha256(body) != rec["sha256"]:
-            raise E.HashMismatch(f"input {rec['path']} does not match its recorded hash")
+    params = _CertSection("params", _cert_entry(cert, "params", dict, "certificate"))
+    inputs = _CertSection("inputs", {})
+    for role, rec in _cert_entry(cert, "inputs", dict, "certificate").items():
+        path = _cert_entry(rec, "path", str, f"input {role!r}")
+        body = _read(path)
+        if _sha256(body) != _cert_entry(rec, "sha256", str, f"input {role!r}"):
+            raise E.HashMismatch(f"input {path} does not match its recorded hash")
         inputs[role] = body
-    for role, rec in cert["outputs"].items():
-        if rec["path"]:
-            body = _read(rec["path"])
-            if _sha256(body) != rec["sha256"]:
-                raise E.HashMismatch(f"output {rec['path']} does not match its recorded hash")
-    outs, _data = CORES[command](cert["params"], inputs)
+    outputs = _CertSection("outputs", _cert_entry(cert, "outputs", dict, "certificate"))
+    for role, rec in outputs.items():
+        path = _cert_entry(rec, "path", (str, type(None)), f"output {role!r}")
+        want = _cert_entry(rec, "sha256", str, f"output {role!r}")
+        if path and _sha256(_read(path)) != want:
+            raise E.HashMismatch(f"output {path} does not match its recorded hash")
+    outs, _data = CORES[command](params, inputs)
     for role, body in outs.items():
-        want = cert["outputs"][role]["sha256"]
+        want = outputs[role]["sha256"]
         if _sha256(body) != want:
             return {"result": "fail", "reason": f"replay of {role} diverged"}
     return {"result": "pass", "command": command, "outputs": sorted(outs)}

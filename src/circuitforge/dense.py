@@ -8,12 +8,32 @@ derivatives, homogeneous components, and base-field roots of univariates.
 
 The oracle deliberately does not factor: the pipeline under test is the
 factorizer, the oracle only multiplies, divides and compares.
+
+Expansion and DensePoly products run on one packed integer kernel
+(`_product_terms`); DensePoly keeps its tuple keys outside it.
+
+- Monomials. The exponent vector (e_0, ..., e_{n-1}) becomes the int
+  sum(e_j << w*j), w bits per variable with w = D.bit_length(), where D is
+  the circuit's formal degree (for a product of two DensePolys, the sum of
+  their total degrees). An ADD gate's formal degree is the max of its
+  children's and a MUL gate's their sum, so no reachable gate has a formal
+  degree above D, and no exponent it carries exceeds its formal degree.
+  Every exponent is therefore at most D < 2^w: a field never overflows
+  into the next, and multiplying two monomials is adding their keys.
+- Coefficients. Over F_p they are residues mod p. Over Q each gate holds
+  integer numerators over one common denominator, divided through by one
+  gcd per gate; Fractions are built only at the outputs. The inner loops
+  call no Field method.
+- Order. A sum that reaches zero leaves the map at once, as in a
+  term-by-term field walk, so every map has the same key order as one; the
+  per-row partial-product budget check depends on that order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .circuit import ADD, CONST, IN, Circuit, CircuitBuilder, field_line, parse_header, parse_value
 from .errors import BudgetExceeded, CircuitSyntaxError, ZeroDivisor, ZeroPolynomial
@@ -129,7 +149,14 @@ class DensePoly:
 
     def __mul__(self, other):
         self._like(other)
-        return DensePoly(self.field, self.n, _product_terms(self.field, self.terms, other.terms))
+        n = self.n
+        p = _modulus(self.field)
+        # no product exponent exceeds the sum of the total degrees
+        w = (max(self.total_degree(), 0) + max(other.total_degree(), 0)).bit_length()
+        a, den_a = _to_ints(self.terms, w, p)
+        b, den_b = _to_ints(other.terms, w, p)
+        prod = _product_terms(a, b, p)
+        return DensePoly(self.field, n, _from_ints(prod, den_a * den_b, n, w, p))
 
     def scale(self, value):
         field = self.field
@@ -163,23 +190,76 @@ class DensePoly:
         return DensePoly(self.field, new_n, terms)
 
 
-def _product_terms(field: Field, a: dict, b: dict, max_terms: int | None = None) -> dict:
-    """Term map of the product of two term maps. With max_terms, raises
-    BudgetExceeded as soon as the partial product holds more terms."""
-    zero = field.zero
-    fadd = field.add
-    fmul = field.mul
+# -- packed integer kernel (see the module docstring) ------------------------------
+# A packed term map has int keys and int coefficients: residues in [0, p)
+# over F_p; over Q, numerators over a common denominator kept beside the map.
+
+def _pack(e, w: int) -> int:
+    key = 0
+    for x in reversed(e):
+        key = key << w | x
+    return key
+
+
+def _unpack(key: int, n: int, w: int) -> tuple:
+    mask = (1 << w) - 1
+    return tuple([key >> w * j & mask for j in range(n)])
+
+
+def _modulus(field: Field):
+    """p over F_p; None over Q, whose coefficients are integer numerators."""
+    return field.p if isinstance(field, PrimeField) else None
+
+
+def _to_ints(terms: dict, w: int, p) -> tuple:
+    """(packed term map, denominator) of a tuple-key term map."""
+    if p is not None:
+        return {_pack(e, w): c for e, c in terms.items()}, 1
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {_pack(e, w): c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _from_ints(terms: dict, den: int, n: int, w: int, p) -> dict:
+    """Tuple-key term map with field coefficients of a packed term map."""
+    if p is not None:
+        return {_unpack(k, n, w): c for k, c in terms.items()}
+    return {_unpack(k, n, w): Fraction(c, den) for k, c in terms.items()}
+
+
+def _add_into(out: dict, terms: dict, scale: int, p) -> None:
+    """out += scale * terms, in place; zero sums leave out as they occur."""
+    get = out.get
+    for k, v in terms.items():
+        s = get(k, 0) + v * scale
+        if p is not None:
+            s %= p
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+
+
+def _product_terms(a: dict, b: dict, p, max_terms: int | None = None) -> dict:
+    """Packed term map of the product of two packed term maps: keys add,
+    coefficients multiply (mod p when p is given). Zero sums leave the map
+    as they occur, so its key order is that of a term-by-term field walk.
+    With max_terms, raises BudgetExceeded as soon as a row of the smaller
+    operand leaves the partial product with more terms."""
     if len(a) > len(b):
         a, b = b, a
     prod: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = fadd(prod.get(e, zero), fmul(ca, cb))
-            if s == zero:
-                prod.pop(e, None)
+    get = prod.get
+    b_items = list(b.items())
+    for ka, ca in a.items():
+        for kb, cb in b_items:
+            k = ka + kb
+            s = get(k, 0) + ca * cb
+            if p is not None:
+                s %= p
+            if s:
+                prod[k] = s
             else:
-                prod[e] = s
+                del prod[k]
         if max_terms is not None and len(prod) > max_terms:
             raise BudgetExceeded("terms", f"over {max_terms} terms")
     return prod
@@ -196,50 +276,64 @@ def expand(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET) -> DensePoly
 def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET) -> list:
     field = circ.field
     n = circ.num_vars
-    zero = field.zero
-    fadd = field.add
-    zero_e = (0,) * n
-    values: dict = {}
-    fdeg: dict = {}
-    for i in circ.reachable():
-        gate = circ.gates[i]
-        op = gate[0]
+    p = _modulus(field)
+    gates = circ.gates
+    order = circ.reachable()
+    fdeg: dict = {}  # formal degree: bounds every exponent a gate carries
+    for i in order:
+        op, arg = gates[i]
         if op == IN:
-            e = [0] * n
-            e[gate[1]] = 1
-            values[i] = {tuple(e): field.one}
             fdeg[i] = 1
         elif op == CONST:
-            values[i] = {zero_e: gate[1]} if gate[1] != zero else {}
             fdeg[i] = 0
         elif op == ADD:
-            kids = sorted(gate[1], key=lambda c: len(values[c]), reverse=True)
-            out = dict(values[kids[0]])
-            for c in kids[1:]:
-                for e, v in values[c].items():
-                    s = fadd(out.get(e, zero), v)
-                    if s == zero:
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
-            values[i] = out
-            fdeg[i] = max(fdeg[c] for c in gate[1])
+            fdeg[i] = max(fdeg[c] for c in arg)
         else:
-            kids = sorted(gate[1], key=lambda c: len(values[c]))
-            out = values[kids[0]]
+            fdeg[i] = sum(fdeg[c] for c in arg)
+    w = max(fdeg[o] for o in circ.outputs).bit_length()
+    max_terms = budget.max_terms
+    values: dict = {}  # gate -> packed term map
+    dens: dict = {}    # gate -> denominator of its numerators (1 over F_p)
+    for i in order:
+        op, arg = gates[i]
+        if op == IN:
+            values[i] = {1 << (w * arg): 1}
+            dens[i] = 1
+            continue
+        if op == CONST:
+            values[i] = {0: arg.numerator} if arg else {}
+            dens[i] = arg.denominator
+            continue
+        if op == ADD:
+            kids = sorted(arg, key=lambda c: len(values[c]), reverse=True)
+            den = math.lcm(*(dens[c] for c in kids))
+            first = values[kids[0]]
+            scale = den // dens[kids[0]]
+            out = dict(first) if scale == 1 else {k: v * scale for k, v in first.items()}
             for c in kids[1:]:
-                out = _product_terms(field, out, values[c], budget.max_terms)
-            values[i] = out
-            fdeg[i] = sum(fdeg[c] for c in gate[1])
-        if len(values[i]) > budget.max_terms:
-            raise BudgetExceeded("terms", f"{len(values[i])} > {budget.max_terms}")
+                _add_into(out, values[c], den // dens[c], p)
+        else:
+            kids = sorted(arg, key=lambda c: len(values[c]))
+            out = values[kids[0]]
+            den = dens[kids[0]]
+            for c in kids[1:]:
+                out = _product_terms(out, values[c], p, max_terms)
+                den *= dens[c]
+        if len(out) > max_terms:
+            raise BudgetExceeded("terms", f"{len(out)} > {max_terms}")
+        if den != 1:
+            g = math.gcd(den, *out.values())
+            if g != 1:
+                out = {k: v // g for k, v in out.items()}
+                den //= g
+        values[i] = out
+        dens[i] = den
         if fdeg[i] > budget.max_degree:
             # the formal bound over-approximates; check the actual degree
-            actual = max((sum(e) for e in values[i]), default=-1)
+            actual = max((sum(_unpack(k, n, w)) for k in out), default=-1)
             if actual > budget.max_degree:
                 raise BudgetExceeded("degree", f"{actual} > {budget.max_degree}")
-            fdeg[i] = actual
-    return [DensePoly(field, n, values[o]) for o in circ.outputs]
+    return [DensePoly(field, n, _from_ints(values[o], dens[o], n, w, p)) for o in circ.outputs]
 
 
 def circuit_from_dense(p: DensePoly) -> Circuit:
@@ -549,8 +643,6 @@ def _rational_roots(field: Rationals, coeffs):
         content = math.gcd(content, c)
     ints = [c // content for c in ints]
     lead, trail = abs(ints[-1]), abs(ints[0])
-    from fractions import Fraction
-
     roots = []
     for num in _int_divisors(trail):
         for den in _int_divisors(lead):

@@ -50,7 +50,8 @@ class CyclicReference(ForgeError):
 # --- dense oracle errors ---
 
 class BudgetExceeded(ForgeError):
-    """Expansion budget exceeded; `kind` is 'terms' or 'degree'."""
+    """A work budget was exceeded; `kind` is 'terms', 'degree' or 'points'
+    (the points of an exhaustive grid scan)."""
 
     def __init__(self, kind, detail=""):
         super().__init__(f"budget exceeded ({kind}) {detail}".rstrip())
@@ -136,3 +137,7 @@ class MissingArtifact(ForgeError):
 
 class HashMismatch(ForgeError):
     pass
+
+
+class BadCertificate(ForgeError):
+    """A certificate lacks a field, or a field has the wrong type."""

@@ -29,7 +29,9 @@ from .circuit import IN, Circuit, CircuitBuilder, drop_unused_vars, field_line, 
 from .circuit import evaluate_batches, evaluate_points, parse_header, parse_value
 from .dense import DEFAULT_BUDGET, expand
 from .designs import Design
-from .errors import ArityMismatch, CircuitSyntaxError, FieldTooSmall, PreconditionFailed
+from .errors import (
+    ArityMismatch, BudgetExceeded, CircuitSyntaxError, FieldTooSmall, PreconditionFailed,
+)
 from .fields import Field, PrimeField
 from .seeding import stream
 
@@ -229,9 +231,14 @@ def _grid_scan(circ: Circuit, grid_size: int, want_count: bool):
     """Scan {0..grid_size-1}^n in lexicographic order, GRID_BATCH points a
     batch. Returns (zero count, 0-based index of the first nonzero point or
     None); without want_count the scan stops at that point, and the count
-    covers only the batches scanned."""
+    covers only the batches scanned. A grid over EXHAUSTIVE_POINT_BUDGET
+    points raises BudgetExceeded before any point is evaluated."""
     n = circ.num_vars
     total = grid_size**n
+    if total > EXHAUSTIVE_POINT_BUDGET:
+        raise BudgetExceeded(
+            "points", f"{grid_size}^{n} grid points > {EXHAUSTIVE_POINT_BUDGET}"
+        )
 
     def batches():
         for start in range(0, total, GRID_BATCH):

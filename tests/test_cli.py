@@ -244,6 +244,38 @@ def test_budget_exit_code(tmp_path):
     assert main(["--budget-degree", "16", "expand", src]) == 3
 
 
+def test_bad_point_is_a_usage_error(tmp_path, capsys):
+    qq = _write(tmp_path, "p.circ", LIFT_INPUT)
+    fp = _write(tmp_path, "q.circ", "field prime 101\nnvars 2\ng1 = input x1\noutput g1\n")
+    for path, point in ((qq, "1/0,2"), (qq, "1,x,3"), (fp, "1/0,2")):
+        assert main(["eval", path, "--point", point]) == 2
+        assert "ParameterViolation" in capsys.readouterr().err
+
+
+def test_malformed_certificate_is_a_usage_error(tmp_path, capsys):
+    cases = (
+        ({"command": "homog"}, "'params'"),
+        ({"command": "homog", "params": {}, "inputs": {}, "outputs": {}}, "'in'"),
+        ({"command": "homog", "params": {}, "inputs": {"in": {"sha256": "0"}}, "outputs": {}},
+         "'path'"),
+        ([], "'command'"),
+    )
+    for body, key in cases:
+        cert = _write(tmp_path, "cert.json", json.dumps(body))
+        assert main(["verify", cert]) == 2
+        err = capsys.readouterr().err
+        assert "BadCertificate" in err and key in err
+
+
+def test_oversized_exhaustive_pit_is_a_budget_error(tmp_path, capsys):
+    lines = ["field prime 1000003", "nvars 8"]
+    lines += [f"g{i} = input x{i}" for i in range(1, 9)]
+    lines += ["g9 = mul " + " ".join(f"g{i}" for i in range(1, 9)), "output g9"]
+    circ = _write(tmp_path, "q.circ", "\n".join(lines) + "\n")
+    assert main(["pit", "--mode", "exhaustive", circ, "-d", "1000"]) == 3
+    assert "budget exceeded (points)" in capsys.readouterr().err
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     src = _write(tmp_path, "p.circ", LIFT_INPUT)
     monkeypatch.setenv("FORGE_SEED", "42")

@@ -7,6 +7,7 @@ from circuitforge import (
     DensePoly,
     ExpansionBudget,
     PrimeField,
+    Rationals,
     divides,
     expand,
     hasse_derivative_dense,
@@ -15,16 +16,18 @@ from circuitforge import (
     truncate_dense,
     univariate_roots,
 )
+from circuitforge.circuit import ADD, CONST, IN
 from circuitforge.dense import (
     circuit_from_dense,
     emit_poly,
+    expand_outputs,
     parse_poly,
     substitute_var_dense,
     translate_dense,
 )
 from circuitforge.errors import BudgetExceeded, ZeroDivisor, ZeroPolynomial
 
-from conftest import random_circuit, random_sparse_poly, rng_for
+from conftest import BIG_PRIME, SMALL_PRIME, random_circuit, random_sparse_poly, rng_for
 
 
 def test_expand_square_of_sum(QQ):
@@ -70,6 +73,139 @@ def test_budget_exceeded_terms_and_degree(QQ):
     with pytest.raises(BudgetExceeded) as e2:
         expand(b2.finish(p), ExpansionBudget(max_terms=50, max_degree=64))
     assert e2.value.kind == "terms"
+
+
+# -- the packed kernel against a tuple-key gate walk ----------------------------
+
+def _accumulate(field, terms, e, c):
+    s = field.add(terms.get(e, field.zero), c)
+    if s == field.zero:
+        terms.pop(e, None)
+    else:
+        terms[e] = s
+
+
+def _walk_product(field, a, b):
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            _accumulate(field, out, tuple(x + y for x, y in zip(ea, eb)), field.mul(ca, cb))
+    return out
+
+
+def _walk_expand(circ):
+    """Term maps of every output by a term-by-term field walk with tuple
+    keys, taking children in the kernel's order."""
+    field, n = circ.field, circ.num_vars
+    vals = {}
+    for i in circ.reachable():
+        op, arg = circ.gates[i]
+        if op == IN:
+            vals[i] = {tuple(int(j == arg) for j in range(n)): field.one}
+        elif op == CONST:
+            vals[i] = {(0,) * n: arg} if arg != field.zero else {}
+        elif op == ADD:
+            kids = sorted(arg, key=lambda c: len(vals[c]), reverse=True)
+            out = dict(vals[kids[0]])
+            for c in kids[1:]:
+                for e, v in vals[c].items():
+                    _accumulate(field, out, e, v)
+            vals[i] = out
+        else:
+            kids = sorted(arg, key=lambda c: len(vals[c]))
+            out = vals[kids[0]]
+            for c in kids[1:]:
+                out = _walk_product(field, out, vals[c])
+            vals[i] = out
+    return [vals[o] for o in circ.outputs]
+
+
+def _assert_same_terms(got, want, field):
+    assert list(got.items()) == list(want.items())  # same terms, same key order
+    kind = Fraction if isinstance(field, Rationals) else int
+    assert all(type(c) is kind for c in got.values())
+
+
+KERNEL_FIELDS = (Rationals(), PrimeField(SMALL_PRIME), PrimeField(BIG_PRIME))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["QQ", "F_small", "F_62bit"])
+def test_kernel_matches_tuple_walk(field):
+    rng = rng_for("kernel-walk", 0 if isinstance(field, Rationals) else field.p)
+    for k in range(16):
+        c = random_circuit(field, rng, k % 4, size_limit=30, degree_limit=8)
+        (got,), (want,) = expand_outputs(c), _walk_expand(c)
+        _assert_same_terms(got.terms, want, field)
+    # in (1 + x + y)(xy - y - x), row by row, the xy term cancels, then comes back
+    a = _poly(field, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    q = _poly(field, 2, {(1, 1): 1, (0, 1): -1, (1, 0): -1})
+    want = _walk_product(field, a.terms, q.terms)
+    assert list(want)[-1] == (1, 1)
+    _assert_same_terms((a * q).terms, want, field)
+    # several outputs over shared gates, and a product of two expansions
+    b = CircuitBuilder(field, 3)
+    outs = [b.import_circuit(random_circuit(field, rng, 3, size_limit=20, degree_limit=5))[0]
+            for _ in range(3)]
+    outs.append(b.mul(outs[0], outs[1]))
+    multi = b.finish(outs)
+    got, want = expand_outputs(multi), _walk_expand(multi)
+    assert len(got) == 4
+    for g, wt in zip(got, want):
+        _assert_same_terms(g.terms, wt, field)
+    _assert_same_terms((got[0] * got[2]).terms, _walk_product(field, want[0], want[2]), field)
+    # no variables at all
+    b0 = CircuitBuilder(field, 0)
+    k3, k4 = b0.const(field.embed(3)), b0.const(field.embed(-4))
+    zero_var = b0.finish([b0.add(k3, k4), b0.const(field.zero)])
+    got = expand_outputs(zero_var)
+    assert [g.terms for g in got] == [{(): field.embed(-1)}, {}]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["QQ", "F_small", "F_62bit"])
+def test_kernel_width_edges(field):
+    one = field.one
+    for k in range(6):
+        # formal degree exactly 2^k: the top exponent fills its field
+        b = CircuitBuilder(field, 2)
+        x, y = b.inp(0), b.inp(1)
+        xp, yp = x, y
+        for _ in range(k):
+            xp, yp = b.mul(xp, xp), b.mul(yp, yp)
+        c = b.finish(b.add(xp, yp, b.mul(x, y) if k else b.const(one)))
+        assert c.formal_degree() == 1 << k
+        d = 1 << k
+        want = {(d, 0): one, (0, d): one, (1, 1) if k else (0, 0): one}
+        assert expand(c).terms == want
+        assert (expand(c) * expand(c)).terms == _walk_product(field, want, want)
+    # formal degree 4 above a true degree 2: ((x^2 + 1) - x^2) * x^2
+    b = CircuitBuilder(field, 1)
+    x2 = b.mul(b.inp(0), b.inp(0))
+    c = b.finish(b.mul(b.sub(b.add(x2, b.const(one)), x2), x2))
+    assert c.formal_degree() == 4
+    assert expand(c, ExpansionBudget(max_degree=3)).terms == {(2,): one}
+    with pytest.raises(BudgetExceeded) as e:
+        expand(c, ExpansionBudget(max_degree=1))
+    assert e.value.kind == "degree"
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(SMALL_PRIME)], ids=["QQ", "F_small"])
+def test_partial_product_budget(field):
+    # (x+y+z)(x^2+y^2+z^2-xy-yz-zx) = x^3+y^3+z^3-3xyz: the first two rows of
+    # the product hold 7 terms, the factors 3 and 6, the result 4
+    b = CircuitBuilder(field, 3)
+    x, y, z = b.inp(0), b.inp(1), b.inp(2)
+    s = b.add(x, y, z)
+    q = b.sub(b.add(b.mul(x, x), b.mul(y, y), b.mul(z, z)),
+              b.add(b.mul(x, y), b.mul(y, z), b.mul(z, x)))
+    c = b.finish(b.mul(s, q))
+    with pytest.raises(BudgetExceeded) as e:
+        expand(c, ExpansionBudget(max_terms=6))
+    assert e.value.kind == "terms"
+    cube = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -3}
+    want = {e: field.embed(v) for e, v in cube.items()}
+    assert expand(c, ExpansionBudget(max_terms=7)).terms == want
 
 
 def _poly(field, n, entries):

@@ -12,8 +12,8 @@ from circuitforge import (
     pit_sz,
 )
 from circuitforge.designs import DESIGN_ELL_FACTOR, SmallGF
-from circuitforge.errors import ArityMismatch, ParameterViolation, PreconditionFailed
-from circuitforge.pit import exhaustive_zero_count
+from circuitforge.errors import ArityMismatch, BudgetExceeded, ParameterViolation, PreconditionFailed
+from circuitforge.pit import EXHAUSTIVE_POINT_BUDGET, exhaustive_zero_count
 
 from conftest import SMALL_PRIME, random_circuit, rng_for
 
@@ -138,6 +138,20 @@ def test_pit_sz_exhaustive_detects_identity():
     ))
     res = pit_sz(c, 2, exhaustive=True)
     assert res.status == "zero" and res.exhausted
+
+
+def test_exhaustive_scan_over_point_budget_is_refused():
+    # 1001^8 points: refused before the scan, whose grid index would overflow int64
+    F = PrimeField(SMALL_PRIME)
+    b = CircuitBuilder(F, 8)
+    c = b.finish(b.mul(*(b.inp(i) for i in range(8))))
+    assert 1001**8 > EXHAUSTIVE_POINT_BUDGET >= 5**8
+    for scan in (lambda: pit_sz(c, 1000, exhaustive=True),
+                 lambda: exhaustive_zero_count(c, 1001)):
+        with pytest.raises(BudgetExceeded) as e:
+            scan()
+        assert e.value.kind == "points"
+    assert pit_sz(c, 4, exhaustive=True).status == "nonzero"  # 5^8 points fit
 
 
 def test_pit_sz_exhaustive_matches_oracle(QQ, Fp):
