@@ -45,6 +45,10 @@ USAGE_ERRORS = (
     E.BoundExceedsField,
     E.FieldTooSmall,
     E.BadCertificate,
+    E.DivisionByZero,
+    E.CharacteristicDividesPower,
+    E.ShapeError,
+    E.NotAFormula,
     ValueError,
 )
 VERIFY_ERRORS = (

@@ -36,7 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import ADD, CONST, IN, Circuit, CircuitBuilder, field_line, parse_header, parse_value
-from .errors import BudgetExceeded, CircuitSyntaxError, ZeroDivisor, ZeroPolynomial
+from .errors import (
+    BudgetExceeded,
+    CircuitSyntaxError,
+    SearchExhausted,
+    ZeroDivisor,
+    ZeroPolynomial,
+)
 from .fields import Field, PrimeField, Rationals, same_field
 
 
@@ -51,6 +57,12 @@ class ExpansionBudget:
 
 
 DEFAULT_BUDGET = ExpansionBudget()
+
+# shifts tried per factor by the equal-degree split of _linear_roots_prime;
+# each splits a product of distinct linear factors with probability about
+# 1/2, and tier-1 plus one round of every perfbench workload never needed
+# more than 9
+SPLIT_SHIFT_LIMIT = 64
 
 
 class DensePoly:
@@ -426,36 +438,50 @@ def translate_dense(p: DensePoly, shift) -> DensePoly:
 
 # -- exact division -------------------------------------------------------------
 
-def _lex_key(e, main_var):
-    if main_var is None:
-        return e
-    return (e[main_var],) + tuple(x for i, x in enumerate(e) if i != main_var)
-
-
-def _leading(p: DensePoly, main_var):
-    return max(p.terms, key=lambda e: _lex_key(e, main_var))
-
-
 def _try_divide(p: DensePoly, f: DensePoly, main_var) -> DensePoly | None:
-    """Exact quotient p/f under lex order, or None if f does not divide p."""
+    """Exact quotient p/f under lex order (main_var greatest), or None if f
+    does not divide p.
+
+    Runs on packed keys whose variables are reordered so that integer order
+    is the lex order; values stay field elements. f is packed once. With a
+    single divisor and a monomial order, exact divisibility means the
+    leading term is always cancellable, and every quotient term has degree
+    at most deg p - deg f; the first failure of either certifies
+    non-divisibility. Every key therefore has degree <= deg p, which fixes
+    the width.
+    """
     field = p.field
-    lt_f = _leading(f, main_var)
-    lc_f = f.terms[lt_f]
-    quo = DensePoly.zero(field, p.n)
-    rem = p
-    # With a single divisor and a monomial order, exact divisibility means
-    # the leading term is always cancellable; the first failure certifies
-    # non-divisibility.
-    while not rem.is_zero():
-        lt = _leading(rem, main_var)
-        diff = tuple(a - b for a, b in zip(lt, lt_f))
-        if any(d < 0 for d in diff):
+    n = p.n
+    room = p.total_degree() - f.total_degree()
+    if room < 0:
+        return None
+    w = max(1, p.total_degree()).bit_length()
+    order = [i for i in reversed(range(n)) if i != main_var]
+    if main_var is not None:
+        order.append(main_var)
+    mod = _modulus(field)
+    fp = {_pack([e[i] for i in order], w): c for e, c in f.terms.items()}
+    rem = {_pack([e[i] for i in order], w): c for e, c in p.terms.items()}
+    lt_f = max(fp)
+    lt_f_exps = _unpack(lt_f, n, w)
+    inv_lc = field.inv(fp[lt_f])
+    quo = {}
+    while rem:
+        lt = max(rem)
+        diff = [a - b for a, b in zip(_unpack(lt, n, w), lt_f_exps)]
+        if min(diff) < 0 or sum(diff) > room:
             return None
-        c = field.div(rem.terms[lt], lc_f)
-        t = DensePoly.monomial(field, p.n, diff, c)
-        quo = quo + t
-        rem = rem - t * f
-    return quo
+        c = field.mul(rem[lt], inv_lc)
+        shift = lt - lt_f
+        quo[shift] = c
+        _add_into(rem, {k + shift: v for k, v in fp.items()}, field.neg(c), mod)
+    terms = {}
+    for k, c in quo.items():
+        e = [0] * n
+        for i, x in zip(order, _unpack(k, n, w)):
+            e[i] = x
+        terms[tuple(e)] = c
+    return DensePoly(field, n, terms)
 
 
 def divides(f: DensePoly, p: DensePoly, main_var: int | None = None) -> int:
@@ -606,17 +632,19 @@ def _linear_roots_prime(field: PrimeField, g):
         if len(u) == 2:
             roots.append(field.neg(field.mul(u[0], field.inv(u[1]))))
             continue
-        split = None
-        a = 0
         # deterministic sequence of shifts; each splits with probability
         # about 1/2 for a random shift, so small a suffice in practice
-        while split is None:
-            a += 1
+        for a in range(1, SPLIT_SHIFT_LIMIT + 1):
             t = _upowmod(field, [field.embed(a), field.one], (field.p - 1) // 2, u)
             t = _usub(field, t, [field.one])
-            h = _ugcd(field, t, u)
-            if 0 < len(h) - 1 < len(u) - 1:
-                split = h
+            split = _ugcd(field, t, u)
+            if 0 < len(split) - 1 < len(u) - 1:
+                break
+        else:
+            raise SearchExhausted(
+                f"no shift in 1..{SPLIT_SHIFT_LIMIT} splits a degree-{len(u) - 1} factor "
+                f"over F_{field.p}; is it a product of distinct linear factors?"
+            )
         v, _ = _udivmod(field, u, split)
         stack.append(split)
         stack.append(v)

@@ -36,7 +36,9 @@ from .dense import (
     DEFAULT_BUDGET,
     DensePoly,
     ExpansionBudget,
+    circuit_from_dense,
     expand,
+    truncate_dense,
 )
 from .errors import (
     BudgetExceeded,
@@ -425,8 +427,6 @@ def factor_vnp(
     if not 0 <= z < nx:
         raise ValueError("z must be one of the x-variables")
 
-    from .dense import circuit_from_dense
-
     p_circ = circuit_from_dense(p_dense)
     fr = extract_factor(p_circ, z, d, subset=subset, seed=seed, budget=budget)
     r = p_dense.total_degree()
@@ -464,23 +464,24 @@ def factor_vnp(
         out = b2.sub(b2.import_circuit(upto)[0], b2.import_circuit(h0)[0])
         return ExpSumPoly(b2.finish(out), e3.aux)
 
-    # combining circuit over (y, generator variables), truncated to |S|
+    # combining circuit B over (y, generator variables): the sum of
+    # monomials of H_<=|S|[prod (y - A_i)]. No monomial of the product has
+    # lower degree than its factors, so H_<=|S|[A_i] is all of A_i that
+    # reaches it; with no members A_i is a constant over one unused variable.
     states = [fr.bundle.states[i] for i in fr.subset]
     alphas = [fr.bundle.alphas[i] for i in fr.subset]
     dS = len(fr.subset)
     widths = [len(st.gens.members) for st in states]
-    b = CircuitBuilder(field, 1 + sum(widths))
-    parts = []
+    nb = 1 + sum(widths)
+    y_dense = DensePoly.variable(field, nb, 0)
+    b_dense = DensePoly.const(field, nb, field.one)
     offset = 1
     for st, w in zip(states, widths):
-        pruned = homogenize_upto(st.A[-1], d)
-        bindings = {j: b.inp(offset + j) for j in range(w)}
-        a_id = b.import_circuit(pruned, var_bindings=bindings)[0]
-        parts.append(b.sub(b.inp(0), a_id))
+        a_low = expand(homogenize_upto(st.A[-1], dS), budget)
+        a_moved = a_low.with_vars(nb, {j: offset + j for j in range(w)})
+        b_dense = b_dense * (y_dense - a_moved)
         offset += w
-    prod = b.mul(*parts) if len(parts) > 1 else parts[0]
-    b_circ = truncate_deg(b.finish(prod), dS, deg_bound=max(1, dS * max(1, d)))
-    b_formula = circuit_to_formula(b_circ)
+    b_formula = circuit_to_formula(circuit_from_dense(truncate_dense(b_dense, dS)))
 
     bindings = {0: plain_expsum(input_circuit(field, z, nx))}
     offset = 1

@@ -8,9 +8,9 @@ The engine has three layers:
     at most 10*d^2 wires per step (hard law, checked on every build).
   - lift_root: the end-to-end pipeline; finds a translation making some
     base-field value a simple root of P(0, y), reduces multiplicity, runs
-    the recurrence, composes with the generators, truncates to degree d,
-    translates back, and certifies the residual P(x, f) = 0 against the
-    dense oracle (Schwartz-Zippel above budget).
+    the recurrence, builds H_{<=d}[A_d(g)] from the degree components of
+    the generators, translates back, and certifies the residual
+    P(x, f) = 0 against the dense oracle (Schwartz-Zippel above budget).
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ from .transforms import (
 )
 
 A_STEP_WIRE_LAW = 10  # size(A_i) - size(A_{i-1}) <= 10 * d^2, so size(A_d) <= 10 * d^3
+# size(root) <= 10 * (d + 1) * size(P) for a degree-d root of P; the suite
+# asserts it with depth(root) <= depth(P) + 3 on the criterion-1 family,
+# whose largest ratio size(root) / ((d + 1) * size(P)) is 6.95, at d = 1
+ROOT_SIZE_FACTOR = 10
 TRANSLATE_TRIALS = 32
 
 
@@ -183,22 +187,53 @@ def build_A_recurrence(
 
 def compose_root(state: LiftState, k: int | None = None) -> Circuit:
     """H_{<=k}[A_k(g_0..g_d)] as a circuit over P's variable space (the y
-    slot comes back unused). k defaults to the full lift order d."""
+    slot comes back unused). k defaults to the full lift order d.
+
+    Every generator has a zero constant term, so only the monomials
+    c_e * z^e of A_k with |e| <= k reach degree <= k, and the degree-i part
+    of a product of m generators is a sum over the compositions of i into
+    m positive parts. The root is emitted as
+        sum_e c_e * sum_{|e| <= i <= k} sum_{compositions} prod_t H_{i_t}[g_{j_t}],
+    flat products of the generator components under one sum, with nothing
+    truncated after the fact (depth at most depth(P) + 3 on the
+    criterion-1 family).
+    """
     d = state.d
     if k is None:
         k = d
     if not 1 <= k <= d:
         raise ValueError(f"truncation order {k} outside 1..{d}")
     a_k = state.A[k - 1]
-    pruned = homogenize_upto(a_k, k)
-    bindings = {pos: circ for pos, (_, circ) in enumerate(state.gens.members)}
-    if not bindings:
+    gens = state.gens
+    fld = a_k.field
+    if not gens.members:
         # constant root: A_k is a constant circuit
-        val = a_k.evaluate1([a_k.field.zero] * a_k.num_vars)
-        return const_circuit(a_k.field, val, state.gens.num_vars)
-    composed = substitute(pruned, bindings, num_vars=state.gens.num_vars)
-    bound = max(1, k * state.gens.d)
-    return truncate_deg(composed, k, deg_bound=bound)
+        val = a_k.evaluate1([fld.zero] * a_k.num_vars)
+        return const_circuit(fld, val, gens.num_vars)
+    a_low = expand(homogenize_upto(a_k, k))
+    b = CircuitBuilder(fld, gens.num_vars)
+    comp = b.import_circuit(gens.components)
+    terms = []
+    for e in sorted(a_low.terms):
+        js = [pos for pos, mult in enumerate(e) for _ in range(mult)]
+        parts = [
+            b.mul(*(comp[j * d + it - 1] for j, it in zip(js, split)))
+            for i in range(len(js), k + 1)
+            for split in _compositions(i, len(js))
+        ]
+        terms.append(b.mul(b.const(a_low.terms[e]), b.add(*parts)))
+    return b.finish(b.add(*terms) if terms else b.const(fld.zero))
+
+
+def _compositions(i: int, m: int):
+    """Ordered m-tuples of positive integers summing to i (() when m = 0)."""
+    if m == 0:
+        if i == 0:
+            yield ()
+        return
+    for first in range(1, i - m + 2):
+        for rest in _compositions(i - first, m - 1):
+            yield (first,) + rest
 
 
 def _stage(name: str, circ: Circuit) -> tuple:
@@ -218,10 +253,10 @@ def lift_root(
 
     Searches translations of the origin until P(0, y) acquires a base-field
     root (alpha pins the root and skips the search), reduces multiplicity,
-    runs the A recurrence, composes and truncates, translates back, and
-    certifies the residual. The certificate records per-stage metrics and
-    whether the residual check ran on the dense oracle or fell back to
-    Schwartz-Zippel points.
+    runs the A recurrence, composes it with the generator components,
+    translates back, and certifies the residual. The certificate records
+    per-stage metrics and whether the residual check ran on the dense
+    oracle or fell back to Schwartz-Zippel points.
     """
     fld = P.field
     nv = P.num_vars

@@ -419,7 +419,10 @@ class GeneratorSet:
     members holds (derivative order j, circuit) pairs; every member is
     H_{<=d} of the order-j Hasse derivative of P at y = alpha, minus its
     constant term. Member circuits live in P's variable space with the
-    y slot unused.
+    y slot unused. components is one multi-output circuit over the same
+    space holding the homogeneous parts of the members: output
+    pos * d + (i - 1) computes H_i of members[pos], for i in 1..d (None
+    when there are no members).
     """
 
     alpha: object
@@ -428,6 +431,7 @@ class GeneratorSet:
     num_vars: int
     members: list = dc_field(default_factory=list)
     deriv_constants: list = dc_field(default_factory=list)  # H_0 per order j
+    components: Circuit | None = None
 
     def z_index(self, j: int) -> int | None:
         for pos, (jj, _) in enumerate(self.members):
@@ -497,14 +501,24 @@ def generator_set(
             if zero_test == "oracle":
                 raise
     members = []
+    comp_ids = []
+    zero = b2.const(fld.zero)
     for j, cand_full in enumerate(_split_outputs(multi)):
         cand = drop_unused_vars(cand_full, list(range(nv)))
         if denses is not None:
             if denses[j].is_zero():
                 continue
+            # a component the oracle shows to vanish is emitted as 0
+            live = {sum(e) for e in denses[j].terms}
         elif sz_is_zero(cand, 2 * max(d, 1), sz_seed, "genset-sz", str(j)):
             continue
+        else:
+            live = range(1, min(d, dbound) + 1)
         members.append((j, cand))
+        comp_ids += [rows2[j][i] if i in live else zero for i in range(1, d + 1)]
+    components = None
+    if members:
+        components = drop_unused_vars(b2.finish(comp_ids), list(range(nv)))
     return GeneratorSet(
         alpha=alpha,
         d=d,
@@ -512,5 +526,6 @@ def generator_set(
         num_vars=nv,
         members=members,
         deriv_constants=list(h0),
+        components=components,
     )
 

@@ -221,7 +221,7 @@ output g14
     src = _write(tmp_path, "p.circ", text)
     root = str(tmp_path / "root.circ")
     cert = str(tmp_path / "cert.json")
-    rc = main(["--budget-terms", "8", "lift-root", "-y", "3", "-d", "3",
+    rc = main(["--budget-terms", "4", "lift-root", "-y", "3", "-d", "3",
                src, "-o", root, "--cert", cert])
     assert rc == 0
     data = json.loads((tmp_path / "cert.json").read_text())
@@ -283,3 +283,32 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert main(["lift-root", "-y", "3", "-d", "2", src,
                  "-o", str(tmp_path / "r.circ"), "--cert", cert]) == 0
     assert json.loads((tmp_path / "cert.json").read_text())["params"]["seed"] == 42
+
+
+def _forge_error_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _forge_error_classes(sub)
+
+
+def test_every_forge_error_maps_to_one_exit_code(tmp_path, monkeypatch, capsys):
+    from circuitforge import cli, errors
+
+    groups = {3: (errors.BudgetExceeded,), 1: cli.VERIFY_ERRORS, 2: cli.USAGE_ERRORS}
+    path = _write(tmp_path, "p.circ", LIFT_INPUT)
+    classes = list(_forge_error_classes(errors.ForgeError))
+    for cls in (errors.DivisionByZero, errors.CharacteristicDividesPower,
+                errors.ShapeError, errors.NotAFormula):
+        assert cls in classes
+    for cls in classes:
+        codes = [code for code, group in groups.items() if issubclass(cls, group)]
+        assert len(codes) == 1, f"{cls.__name__} maps to exit codes {codes}"
+        exc = cls.__new__(cls)
+        Exception.__init__(exc, "probe")
+
+        def boom(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "_dispatch", boom)
+        assert main(["metrics", path]) == codes[0], cls.__name__
+    assert "Traceback" not in capsys.readouterr().err

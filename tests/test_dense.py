@@ -18,6 +18,9 @@ from circuitforge import (
 )
 from circuitforge.circuit import ADD, CONST, IN
 from circuitforge.dense import (
+    SPLIT_SHIFT_LIMIT,
+    _linear_roots_prime,
+    _try_divide,
     circuit_from_dense,
     emit_poly,
     expand_outputs,
@@ -25,7 +28,7 @@ from circuitforge.dense import (
     substitute_var_dense,
     translate_dense,
 )
-from circuitforge.errors import BudgetExceeded, ZeroDivisor, ZeroPolynomial
+from circuitforge.errors import BudgetExceeded, SearchExhausted, ZeroDivisor, ZeroPolynomial
 
 from conftest import BIG_PRIME, SMALL_PRIME, random_circuit, random_sparse_poly, rng_for
 
@@ -246,6 +249,37 @@ def test_divides_random_planted_multiplicity(QQ, Fp):
             one_off = P + DensePoly.const(field, 2, field.one)
             if not f.is_zero() and f.total_degree() >= 1:
                 assert divides(f, one_off) == 0
+
+
+def test_try_divide_quotients_every_order(QQ, Fp):
+    # the packed division returns the exact quotient under every lex order
+    for field, name in ((QQ, "qq"), (Fp, "fp")):
+        rng = rng_for("try-divide-" + name)
+        for _ in range(20):
+            f = random_sparse_poly(field, rng, 3, 2, 3)
+            g = random_sparse_poly(field, rng, 3, 3, 4)
+            if f.total_degree() < 1 or g.is_zero():
+                continue
+            for main_var in (None, 0, 2):
+                assert _try_divide(f * g, f, main_var) == g
+                assert _try_divide(f * g + DensePoly.const(field, 3, field.one), f, main_var) is None
+
+
+def test_divides_stops_when_quotient_degree_overflows(QQ):
+    # lex x > y: x^4 / (x + y^3) would cancel into ever higher y-powers;
+    # its first quotient term x^3 already has degree above deg p - deg f
+    f = _poly(QQ, 2, {(1, 0): 1, (0, 3): 1})
+    p = _poly(QQ, 2, {(4, 0): 1})
+    assert _try_divide(p, f, None) is None
+    assert divides(f, p) == 0
+    assert divides(f, f * f * p) == 2
+
+
+def test_linear_root_split_is_bounded():
+    # y^2 + 1 is irreducible over F_7: no shift ever splits it
+    with pytest.raises(SearchExhausted, match=str(SPLIT_SHIFT_LIMIT)):
+        _linear_roots_prime(PrimeField(7), [1, 0, 1])
+    assert sorted(_linear_roots_prime(PrimeField(7), [6, 0, 1])) == [1, 6]
 
 
 def test_divides_errors(QQ):

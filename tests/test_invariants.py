@@ -18,6 +18,7 @@ from circuitforge import (
 from circuitforge.dense import translate_dense
 from circuitforge.designs import Design
 from circuitforge.errors import MixedFieldConfig
+from circuitforge.lifting import ROOT_SIZE_FACTOR
 from circuitforge.expsum import ExpSumPoly, coeff_exp_sums, exp_sum_expand
 
 from conftest import random_circuit, rng_for
@@ -101,6 +102,61 @@ def test_lift_root_depth_envelope(QQ, Fp):
         cert = lift_root(P, y=2, d=d, seed=i, alpha=alpha)
         assert cert.root.depth() <= P.depth() + 2 * d + 2
         assert expand(cert.root) == f
+
+
+def test_lift_root_depth_and_size_laws():
+    # Roots are composition sums of the generator components: the paper's
+    # depth Delta + 3 and ROOT_SIZE_FACTOR * (d + 1) * size(P) wires, on
+    # every instance of the criterion-1 family.
+    from test_acceptance import FP62, QQ, SESSION_SEED, _plant_root_instance, _rng
+
+    qq_degs = [1] * 12 + [2] * 14 + [3] * 14 + [4] * 6 + [5] * 4
+    fp_degs = [1] * 6 + [2] * 10 + [3] * 10 + [4] * 12 + [5] * 12
+    plans = [(QQ, "qq", i, d) for i, d in enumerate(qq_degs)]
+    plans += [(FP62, "fp62", i, d) for i, d in enumerate(fp_degs)]
+    for field, tag, i, d in plans:
+        rng = _rng("c1", tag, str(i))
+        n = 1 + (i % 3)
+        shape = "multi" if i % 10 in (3, 7, 9) else "yfree"
+        P, f, alpha = _plant_root_instance(field, rng, n, d, shape)
+        cert = lift_root(P, y=n, d=d, seed=SESSION_SEED + i, alpha=alpha)
+        assert cert.root.depth() <= P.depth() + 3, (tag, i)
+        assert cert.root.size() <= ROOT_SIZE_FACTOR * (d + 1) * P.size(), (tag, i)
+
+
+def test_factor_vnp_combining_circuit_has_depth_two(QQ, monkeypatch):
+    # B is the sum of monomials of H_<=|S|[prod (y - A_i)], so its formula
+    # is linear in it; the second case has roots with no generators
+    from circuitforge import expsum
+
+    seen = []
+    real = expsum.circuit_to_formula
+
+    def spy(circ, *args, **kwargs):
+        seen.append(circ)
+        return real(circ, *args, **kwargs)
+
+    monkeypatch.setattr(expsum, "circuit_to_formula", spy)
+    b = CircuitBuilder(QQ, 2)
+    x1, y = b.inp(0), b.inp(1)
+    cases = [
+        b.finish(b.mul(
+            b.sub(y, x1),
+            b.sub(y, b.add(b.const(Fraction(1)), x1)),
+            b.sub(y, b.const(Fraction(5))),
+        )),
+        b.finish(b.mul(
+            b.sub(y, b.const(Fraction(1))),
+            b.sub(y, b.const(Fraction(4))),
+            b.add(b.mul(y, y, y), b.mul(b.const(Fraction(-1)), x1, x1, x1), b.const(Fraction(-2))),
+        )),
+    ]
+    for ver in cases:
+        out, fr = expsum.factor_vnp(expsum.plain_expsum(ver), 2, subset=(0, 1), seed=0)
+        assert exp_sum_expand(out) == expand(fr.factor)
+        assert expand(fr.factor).degree_in(1) == 2
+        assert seen[-1].depth() <= 2
+    assert [len(fr.bundle.states[i].gens.members) for i in fr.subset] == [0, 0]
 
 
 def test_degenerate_single_variable_hitting_set(Fp):
