@@ -20,6 +20,9 @@ therefore reports depth 3.
 Circuits are built through CircuitBuilder, which canonicalizes as it goes:
 constants fold, identities drop, and (by default) structurally identical
 gates are shared. All transformations in this package return new circuits.
+A circuit finished by a sharing builder is marked canonical: its gates are
+already fixed points of that canonicalization, so importing or renaming it
+onto distinct inputs copies the gates instead of rebuilding them.
 
 Circuit.evaluate walks the gates once per point; evaluate_batches walks them
 once per batch of points held as numpy columns, and is what the identity
@@ -39,7 +42,7 @@ from .errors import (
     DanglingReference,
     DivisionByZero,
 )
-from .fields import Field, PrimeField, Rationals, same_field, sample_grid
+from .fields import Field, PrimeField, Rationals, is_prime, same_field, sample_grid
 
 IN = "in"
 CONST = "const"
@@ -51,7 +54,7 @@ SZ_POINTS = 64          # seeded points behind a Schwartz-Zippel verdict
 
 
 class Circuit:
-    __slots__ = ("field", "num_vars", "gates", "outputs", "_metrics")
+    __slots__ = ("field", "num_vars", "gates", "outputs", "_metrics", "_canonical")
 
     def __init__(self, field: Field, num_vars: int, gates, outputs):
         self.field = field
@@ -59,6 +62,8 @@ class Circuit:
         self.gates = tuple(gates)
         self.outputs = tuple(outputs)
         self._metrics = None
+        # set by CircuitBuilder.finish on a sharing builder, never by callers
+        self._canonical = False
         if not self.outputs:
             raise ValueError("circuit needs at least one output")
 
@@ -305,12 +310,26 @@ class CircuitBuilder:
         var_bindings maps the imported circuit's variable indices to gate ids
         in this builder; unbound variables pass through as inputs with the
         same index. Returns the gate ids of the imported outputs.
+
+        A canonical circuit whose variables land on distinct input gates is
+        copied gate for gate into a sharing builder: re-canonicalizing it
+        would rebuild exactly the same gates.
         """
         same_field(self.field, circ.field)
         var_bindings = var_bindings or {}
+        reach = circ.reachable()
+        gates = circ.gates
         mapping = {}
-        for i in circ.reachable():
-            gate = circ.gates[i]
+
+        def rename(v):
+            if v not in var_bindings:
+                return v
+            g = self._gates[var_bindings[v]]
+            return g[1] if g[0] == IN else None
+
+        copy = self.share and circ._canonical and _injective(circ, reach, rename)
+        for i in reach:
+            gate = gates[i]
             op = gate[0]
             if op == IN:
                 if gate[1] in var_bindings:
@@ -319,6 +338,8 @@ class CircuitBuilder:
                     mapping[i] = self.inp(gate[1])
             elif op == CONST:
                 mapping[i] = self.const(gate[1])
+            elif copy:
+                mapping[i] = self._emit((op, tuple(sorted(mapping[c] for c in gate[1]))))
             elif op == ADD:
                 mapping[i] = self.add(*(mapping[c] for c in gate[1]))
             else:
@@ -347,7 +368,16 @@ class CircuitBuilder:
                 gates.append((g[0], tuple(remap[c] for c in g[1])))
             else:
                 gates.append(g)
-        return Circuit(self.field, self.num_vars, gates, [remap[o] for o in outputs])
+        circ = Circuit(self.field, self.num_vars, gates, [remap[o] for o in outputs])
+        circ._canonical = self.share
+        return circ
+
+
+def _injective(circ: Circuit, reach, rename) -> bool:
+    """True when `rename` sends the variables of circ's reachable inputs
+    to distinct input variables (None marks a variable sent elsewhere)."""
+    new = [rename(circ.gates[i][1]) for i in reach if circ.gates[i][0] == IN]
+    return None not in new and len(set(new)) == len(new)
 
 
 # -- convenience constructors ----------------------------------------------
@@ -395,20 +425,54 @@ def fix_vars(circ: Circuit, values: dict) -> Circuit:
 
 def remap_vars(circ: Circuit, var_map: dict, new_num_vars: int) -> Circuit:
     """Rename variables: var_map maps old indices to new indices."""
-    builder = CircuitBuilder(circ.field, new_num_vars)
-    bindings = {old: builder.inp(new) for old, new in var_map.items()}
-    outs = builder.import_circuit(circ, var_bindings=bindings)
-    return builder.finish(outs)
+    return _remap(circ, circ.reachable(), var_map, new_num_vars)
 
 
 def drop_unused_vars(circ: Circuit, keep_vars: list) -> Circuit:
     """Project onto keep_vars (which must cover every referenced input)."""
     mapping = {old: new for new, old in enumerate(keep_vars)}
-    for i in circ.reachable():
+    reach = circ.reachable()
+    for i in reach:
         gate = circ.gates[i]
         if gate[0] == IN and gate[1] not in mapping:
             raise ArityMismatch(f"variable x{gate[1] + 1} is still referenced")
-    return remap_vars(circ, mapping, len(keep_vars))
+    return _remap(circ, reach, mapping, len(keep_vars))
+
+
+def _remap(circ: Circuit, reach, var_map: dict, num_vars: int) -> Circuit:
+    """remap_vars, given circ's reachable gates. A canonical circuit renamed
+    onto distinct inputs is projected with no builder, its gates in the
+    order a re-import writes them: first the reachable inputs var_map
+    binds, in var_map's order, then the other reachable gates in source
+    order."""
+
+    def rename(v):
+        new = var_map.get(v, v)
+        return new if 0 <= new < num_vars else None
+
+    if not (circ._canonical and all(0 <= new < num_vars for new in var_map.values())
+            and _injective(circ, reach, rename)):
+        builder = CircuitBuilder(circ.field, num_vars)
+        bindings = {old: builder.inp(new) for old, new in var_map.items()}
+        return builder.finish(builder.import_circuit(circ, var_bindings=bindings))
+    gates = circ.gates
+    rank = {old: r for r, old in enumerate(var_map)}
+    bound = sorted((i for i in reach if gates[i][0] == IN and gates[i][1] in rank),
+                   key=lambda i: rank[gates[i][1]])
+    order = bound + [i for i in reach if not (gates[i][0] == IN and gates[i][1] in rank)]
+    remap = {old: new for new, old in enumerate(order)}
+    out = []
+    for old in order:
+        gate = gates[old]
+        if gate[0] == IN:
+            out.append((IN, rename(gate[1])))
+        elif gate[0] == CONST:
+            out.append(gate)
+        else:
+            out.append((gate[0], tuple(sorted(remap[c] for c in gate[1]))))
+    proj = Circuit(circ.field, num_vars, out, [remap[o] for o in circ.outputs])
+    proj._canonical = True
+    return proj
 
 
 def formal_degree_in(circ: Circuit, var: int) -> int:
@@ -557,6 +621,8 @@ def parse_header(text: str, count_key: str = "nvars"):
             field = Rationals()
         elif len(parts) == 3 and parts[1] == "prime":
             field = PrimeField(int(parts[2]))
+            if not is_prime(field.p):
+                raise ValueError(f"modulus {field.p} is not prime")
         else:
             raise ValueError("use 'field rationals' or 'field prime <p>'")
     except ValueError as e:

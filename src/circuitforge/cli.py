@@ -8,7 +8,7 @@ artifact hashes bit for bit (after checking that the files on disk still
 match the certificate).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exceeded.
+exceeded, 4 internal invariant violated (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -499,12 +499,14 @@ def _build_parser():
 def _session_field(args):
     if args.field is None:
         return None
-    from .fields import PrimeField, Rationals, assert_degree_capacity
+    from .fields import PrimeField, Rationals, assert_degree_capacity, is_prime
 
     if args.field == "rationals":
         return Rationals()
     if args.field.startswith("prime:"):
         fld = PrimeField(int(args.field.split(":", 1)[1]))
+        if not is_prime(fld.p):
+            raise E.ParameterViolation(f"--field modulus {fld.p} is not prime")
         assert_degree_capacity(fld, args.budget_degree)
         return fld
     raise ValueError(f"bad --field {args.field!r} (use 'rationals' or 'prime:<p>')")
@@ -630,6 +632,9 @@ def main(argv=None) -> int:
     except E.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except E.InvariantViolated as exc:
+        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        return 4
     except VERIFY_ERRORS as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ParameterViolation
+from .errors import InvariantViolated, ParameterViolation
 
 DESIGN_ELL_FACTOR = 4  # l = q^2 <= 4 * m^2 by Bertrand's postulate
 
@@ -95,7 +95,7 @@ class SmallGF:
             cand = cand + [1]  # monic degree-k polynomial
             if self._irreducible(cand):
                 return cand
-        raise AssertionError("no irreducible polynomial found")  # impossible
+        raise InvariantViolated("no irreducible polynomial found")  # impossible
 
     def _irreducible(self, f: list) -> bool:
         p = self.p
@@ -164,17 +164,17 @@ class Design:
     def check(self) -> None:
         log_n = self.n.bit_length() - 1  # floor(log2 n)
         if self.ell > DESIGN_ELL_FACTOR * self.m * self.m:
-            raise AssertionError(f"universe {self.ell} exceeds {DESIGN_ELL_FACTOR}*m^2")
+            raise InvariantViolated(f"universe {self.ell} exceeds {DESIGN_ELL_FACTOR}*m^2")
         for i, s in enumerate(self.sets):
             if len(s) != self.m:
-                raise AssertionError(f"|S_{i + 1}| = {len(s)} != m")
+                raise InvariantViolated(f"|S_{i + 1}| = {len(s)} != m")
             if any(not 0 <= e < self.ell for e in s):
-                raise AssertionError(f"S_{i + 1} leaves the universe")
+                raise InvariantViolated(f"S_{i + 1} leaves the universe")
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 inter = len(self.sets[i] & self.sets[j])
                 if inter > log_n:
-                    raise AssertionError(
+                    raise InvariantViolated(
                         f"|S_{i + 1} ∩ S_{j + 1}| = {inter} > floor(log2 n) = {log_n}"
                     )
 

@@ -9,6 +9,10 @@ class ForgeError(Exception):
     """Base class for all workbench errors."""
 
 
+class InvariantViolated(ForgeError):
+    """An internal law or cross-check failed: a bug, not bad input."""
+
+
 # --- field errors ---
 
 class DivisionByZero(ForgeError):

@@ -27,6 +27,7 @@ from .circuit import (
     CircuitBuilder,
     const_circuit,
     evaluate_points,
+    fix_vars,
     input_circuit,
     is_formula,
     remap_vars,
@@ -43,6 +44,7 @@ from .dense import (
 from .errors import (
     BudgetExceeded,
     CharacteristicDividesPower,
+    InvariantViolated,
     NotAFormula,
     ShapeError,
     ZeroPolynomial,
@@ -240,7 +242,7 @@ def selector_R(s_prime: int, field: Field | None = None) -> Circuit:
     out = b.add(*blocks) if len(blocks) > 1 else blocks[0]
     circ = b.finish(out)
     if not is_formula(circ):
-        raise AssertionError("selector construction lost its tree shape")
+        raise InvariantViolated("selector construction lost its tree shape")
     return circ
 
 
@@ -459,7 +461,7 @@ def factor_vnp(
         dj_at = substitute(dj, {z: const_circuit(field, alpha, dj.num_vars)})
         x_all = list(range(nx))
         upto = truncate_deg(dj_at, d, scale_vars=x_all)
-        h0 = homog_component_interp(dj_at, 0, scale_vars=x_all)
+        h0 = fix_vars(dj_at, {x: zero_e for x in x_all})
         b2 = CircuitBuilder(field, dj_at.num_vars)
         out = b2.sub(b2.import_circuit(upto)[0], b2.import_circuit(h0)[0])
         return ExpSumPoly(b2.finish(out), e3.aux)
@@ -506,6 +508,6 @@ def factor_vnp(
 
     target = expand(fr.factor, budget)
     if out_dense != target:
-        raise AssertionError("exp-sum factor disagrees with the circuit factor")
+        raise InvariantViolated("exp-sum factor disagrees with the circuit factor")
     return out, fr
 

@@ -37,6 +37,7 @@ from .dense import (
 )
 from .errors import (
     BudgetExceeded,
+    InvariantViolated,
     NoFactorFound,
     NoSimpleRoots,
     NotASimpleRoot,
@@ -325,7 +326,7 @@ def extract_factor(
                 factor_circ = b.finish(out)
             check = divides(expand(factor_circ, budget), P_dense, main_var=y)
             if check != mult:
-                raise AssertionError("circuit factor disagrees with its dense screen")
+                raise InvariantViolated("circuit factor disagrees with its dense screen")
             chain.append(_stage("factor", factor_circ))
             return FactorResult(
                 factor=factor_circ,

@@ -110,7 +110,8 @@ class Rationals(Field):
 
 class PrimeField(Field):
     """Z/pZ for an odd prime p. The caller is responsible for choosing p
-    prime; sessions additionally enforce p > 2*D_max**2 so that every
+    prime (the text formats and the CLI refuse a modulus `is_prime`
+    rejects); sessions additionally enforce p > 2*D_max**2 so that every
     binomial coefficient and interpolation determinant the pipeline divides
     by is a unit."""
 
@@ -169,6 +170,37 @@ class PrimeField(Field):
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster 2015); above it, passing all 13 makes n a strong
+# probable prime.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality: exact below MR_EXACT_BELOW (about
+    3.3 * 10**24), a strong probable-prime test to MR_BASES above it."""
+    if n < 2:
+        return False
+    for a in MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def same_field(a: Field, b: Field) -> Field:

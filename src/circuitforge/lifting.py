@@ -29,6 +29,7 @@ from .dense import (
 from .errors import (
     AllDerivativesVanish,
     BudgetExceeded,
+    InvariantViolated,
     NoRationalRoot,
     NotASimpleRoot,
     ResidualNonzero,
@@ -179,7 +180,7 @@ def build_A_recurrence(
     law = A_STEP_WIRE_LAW * d * d
     for i, added in enumerate(deltas, start=1):
         if added > law:
-            raise AssertionError(
+            raise InvariantViolated(
                 f"A recurrence wire law violated at step {i}: {added} > {law}"
             )
     return LiftState(alpha=alpha, delta=delta, gens=gens, A=A_circs, i=d, wire_deltas=deltas)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .circuit import IN, Circuit, CircuitBuilder, drop_unused_vars, field_line, fix_vars
+from .circuit import IN, Circuit, CircuitBuilder, drop_unused_vars, fix_vars
 from .circuit import evaluate_batches, evaluate_points, parse_header, parse_value
 from .dense import DEFAULT_BUDGET, expand
 from .designs import Design
@@ -78,14 +78,6 @@ class ExplicitPoly:
         rng = stream(seed, "hard-table")
         coeffs = [field.embed(1 + rng.randrange(bound - 1)) for _ in range(1 << m)]
         return cls(field, m, coeffs)
-
-    def emit_table(self) -> str:
-        field = self.field
-        lines = [field_line(field), f"m {self.m}"]
-        for mask, c in enumerate(self.coeffs):
-            if c != field.zero:
-                lines.append(f"{mask} {field.format(c)}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def parse_table(cls, text: str):

@@ -97,8 +97,12 @@ def _interp_engine(circ: Circuit, var: int, dmax: int):
 
 
 def _split_outputs(multi: Circuit) -> list:
-    """One single-output view per output, sharing the same gate array."""
-    return [Circuit(multi.field, multi.num_vars, multi.gates, [o]) for o in multi.outputs]
+    """One single-output view per output, sharing the same gate array (and
+    the canonical mark, which holds for any subset of the outputs)."""
+    views = [Circuit(multi.field, multi.num_vars, multi.gates, [o]) for o in multi.outputs]
+    for view in views:
+        view._canonical = multi._canonical
+    return views
 
 
 def _mul_into_adds(b: CircuitBuilder, gid: int, factors: tuple, memo: dict) -> int:

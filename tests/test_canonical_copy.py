@@ -1,0 +1,162 @@
+"""Circuits a sharing builder finished are copied, not re-canonicalized.
+
+The copy paths of import_circuit, remap_vars and drop_unused_vars must
+write exactly the gates the canonicalizing path writes for an unmarked
+copy of the same circuit.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from circuitforge import Circuit, CircuitBuilder, PrimeField, Rationals
+from circuitforge.circuit import drop_unused_vars, parse_circuit, remap_vars
+from circuitforge.errors import ArityMismatch
+from circuitforge.transforms import _split_outputs
+
+FIELDS = (Rationals(), PrimeField(1_000_003))
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def builder_circuits(draw):
+    """A multi-output circuit from a sharing builder (outputs may share
+    sub-circuits), with the field and variable count it was built over."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    b = CircuitBuilder(field, n)
+    pool = [b.inp(v) for v in range(n)]
+    pool.append(b.const(field.embed(draw(st.integers(-3, 3)))))
+    for _ in range(draw(st.integers(1, 14))):
+        op = draw(st.integers(0, 4))
+        args = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        c = field.embed(draw(st.integers(-3, 3)))
+        if op == 0:
+            pool.append(b.add(*args))
+        elif op == 1:
+            pool.append(b.mul(*args))
+        elif op == 2:
+            pool.append(b.scale(c, args[0]))
+        elif op == 3:
+            pool.append(b.add(args[0], b.const(c)))
+        else:
+            pool.append(b.sub(args[0], args[-1]))
+    outs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    circ = b.finish(outs)
+    if draw(st.booleans()) and len(circ.outputs) > 1:
+        circ = draw(st.sampled_from(_split_outputs(circ)))
+    return circ
+
+
+def unmarked(circ):
+    return Circuit(circ.field, circ.num_vars, circ.gates, circ.outputs)
+
+
+def counting_builder(field, n, share):
+    """A builder that counts its add/mul calls."""
+    b = CircuitBuilder(field, n, share)
+    b.calls = 0
+    add, mul = b.add, b.mul
+
+    def counted(fn):
+        def call(*children):
+            b.calls += 1
+            return fn(*children)
+        return call
+
+    b.add, b.mul = counted(add), counted(mul)
+    return b
+
+
+def same(a, b):
+    assert (a.num_vars, a.gates, a.outputs, a._canonical) == \
+        (b.num_vars, b.gates, b.outputs, b._canonical)
+
+
+def renaming(draw, n, extra):
+    """An injective map of a subset of 0..n-1 into 0..n+extra-1 that avoids
+    the variables left unbound, as a dict in a drawn order."""
+    bound = draw(st.lists(st.integers(0, n - 1), unique=True))
+    free = [v for v in range(n + extra) if v not in set(range(n)) - set(bound)]
+    targets = draw(st.permutations(free))[: len(bound)]
+    return dict(zip(bound, targets))
+
+
+@SETTINGS
+@given(builder_circuits(), st.data())
+def test_import_copies_what_canonicalization_writes(circ, data):
+    field, n = circ.field, circ.num_vars
+    assert circ._canonical
+    extra = data.draw(st.integers(0, 2))
+    var_map = renaming(data.draw, n, extra)
+    prefill = data.draw(st.sampled_from([None] + _split_outputs(circ)))
+    share = data.draw(st.booleans())
+    results = []
+    for src in (circ, unmarked(circ)):
+        b = counting_builder(field, n + extra, share)
+        if prefill is not None:
+            b.import_circuit(unmarked(prefill))
+            b.add(b.inp(n + extra - 1), b.const(field.one))
+        b.calls = 0
+        ids = b.import_circuit(src, {v: b.inp(w) for v, w in var_map.items()})
+        results.append((ids, list(b._gates), b.calls))
+    (ids, gates, calls), (slow_ids, slow_gates, slow_calls) = results
+    assert (ids, gates) == (slow_ids, slow_gates)
+    assert calls == 0 if share else calls == slow_calls
+    assert slow_calls > 0 or all(circ.gates[i][0] in ("in", "const") for i in circ.reachable())
+
+
+@SETTINGS
+@given(builder_circuits(), st.data())
+def test_remap_and_drop_project_what_reimport_writes(circ, data):
+    n = circ.num_vars
+    extra = data.draw(st.integers(0, 2))
+    var_map = renaming(data.draw, n, extra)
+    same(remap_vars(circ, var_map, n + extra), remap_vars(unmarked(circ), var_map, n + extra))
+
+    used = sorted({circ.gates[i][1] for i in circ.reachable() if circ.gates[i][0] == "in"})
+    keep = data.draw(st.permutations(used + list(range(n, n + extra))))
+    same(drop_unused_vars(circ, keep), drop_unused_vars(unmarked(circ), keep))
+    if used:
+        short = [v for v in keep if v != used[0]]
+        for src in (circ, unmarked(circ)):
+            with pytest.raises(ArityMismatch):
+                drop_unused_vars(src, short)
+
+
+def _x0_plus_x1(field):
+    b = CircuitBuilder(field, 2)
+    return b.finish(b.add(b.inp(0), b.inp(1)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "Fp"])
+def test_non_injective_binding_is_canonicalized(field):
+    circ = _x0_plus_x1(field)
+    b = CircuitBuilder(field, 2)
+    out = b.import_circuit(circ, {0: b.inp(1)})[0]
+    two_x1 = b.finish(b.scale(field.embed(2), b.inp(1)))
+    same(b.finish(out), two_x1)
+    same(remap_vars(circ, {0: 1}, 2), two_x1)
+
+
+def test_hand_built_duplicates_are_merged():
+    field = Rationals()
+    two = field.embed(2)
+    gates = [("in", 0), ("const", two), ("const", two), ("add", (0, 1)), ("add", (0, 2)),
+             ("mul", (3, 4))]
+    circ = Circuit(field, 1, gates, [5])
+    assert not circ._canonical
+    b = CircuitBuilder(field, 1)
+    got = b.finish(b.import_circuit(circ))
+    assert got.gates == (("in", 0), ("const", two), ("add", (0, 1)), ("mul", (2, 2)))
+    same(remap_vars(circ, {0: 0}, 1), got)
+    same(drop_unused_vars(circ, [0]), got)
+
+
+def test_only_sharing_builders_mark():
+    field = Rationals()
+    b = CircuitBuilder(field, 1, share=False)
+    assert not b.finish(b.add(b.inp(0), b.inp(0)))._canonical
+    assert parse_circuit("field rationals\nnvars 1\ng1 = input x1\noutput g1\n")._canonical
+    assert not unmarked(_x0_plus_x1(field))._canonical

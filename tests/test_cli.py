@@ -294,7 +294,8 @@ def _forge_error_classes(cls):
 def test_every_forge_error_maps_to_one_exit_code(tmp_path, monkeypatch, capsys):
     from circuitforge import cli, errors
 
-    groups = {3: (errors.BudgetExceeded,), 1: cli.VERIFY_ERRORS, 2: cli.USAGE_ERRORS}
+    groups = {3: (errors.BudgetExceeded,), 4: (errors.InvariantViolated,),
+              1: cli.VERIFY_ERRORS, 2: cli.USAGE_ERRORS}
     path = _write(tmp_path, "p.circ", LIFT_INPUT)
     classes = list(_forge_error_classes(errors.ForgeError))
     for cls in (errors.DivisionByZero, errors.CharacteristicDividesPower,
@@ -312,3 +313,22 @@ def test_every_forge_error_maps_to_one_exit_code(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_dispatch", boom)
         assert main(["metrics", path]) == codes[0], cls.__name__
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_composite_modulus_in_a_file_is_a_usage_error(tmp_path, capsys):
+    body = "nvars 2\ng1 = input x1\ng2 = input x2\ng3 = mul g1 g2\noutput g3\n"
+    for p, argv in ((15, ["expand"]), (9, ["lift-root", "-y", "2", "-d", "1"]),
+                    (9, ["factor", "-y", "2", "-d", "1"])):
+        path = _write(tmp_path, "c.circ", f"# composite\nfield prime {p}\n" + body)
+        assert main(argv + [path]) == 2
+        err = capsys.readouterr().err
+        assert "CircuitSyntaxError" in err and "line 2" in err and f"{p} is not prime" in err
+        assert "Traceback" not in err
+
+
+def test_composite_session_modulus_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "p.circ", LIFT_INPUT)
+    for p in (15, 1_000_001, 4_611_686_018_427_387_849):
+        assert main(["--field", f"prime:{p}", "eval", path, "--point", "1,2,3"]) == 2
+        err = capsys.readouterr().err
+        assert "ParameterViolation" in err and "Traceback" not in err

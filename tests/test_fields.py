@@ -109,3 +109,23 @@ def test_degree_capacity_exact_for_huge_modulus():
 def test_degree_capacity_matches_search_on_small_moduli():
     for p in range(3, 4001, 2):
         assert PrimeField(p).min_degree_capacity() == _capacity_by_search(p)
+
+
+def test_is_prime_matches_sympy():
+    import sympy
+
+    from circuitforge.fields import MR_EXACT_BELOW, SIXTY_TWO_BIT_PRIME, is_prime
+
+    assert [n for n in range(-2, 20_000) if is_prime(n) != sympy.isprime(n)] == []
+    rng = rng_for("is-prime")
+    for bits in (31, 62, 80):
+        for _ in range(300):
+            n = (rng.next_u64() << 64 | rng.next_u64()) >> (128 - bits) | 1
+            assert is_prime(n) == sympy.isprime(n), n
+    # strong pseudoprimes to the first 7 and 12 prime bases
+    for n in (3_215_031_751, 318_665_857_834_031_151_167_461):
+        assert not is_prime(n)
+    assert is_prime(SIXTY_TWO_BIT_PRIME) and is_prime(2**127 - 1) and is_prime(2**521 - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+    # the smallest composite passing all 13 bases is where exactness ends
+    assert MR_EXACT_BELOW == 1_287_836_182_261 * 2_575_672_364_521
