@@ -2,11 +2,11 @@
 
 Pipeline: make P monic in y, walk multiplicity levels through Hasse
 y-derivatives, find a separating shift giving distinct simple base-field
-roots of the univariate slice, lift every root, and combine a subset as
-H_{<=|S|}[prod (y - q_i)]. Candidate subsets are screened densely and the
-accepted one is rebuilt as a circuit, un-shifted back to the original
-coordinates, and certified by exact divisibility against P - never by
-sampling, so a non-factor can never be mislabeled.
+roots of the univariate slice, lift the roots a candidate subset S needs,
+and combine them as H_{<=|S|}[prod (y - q_i)]. Candidate subsets are
+screened densely and the accepted one is rebuilt as a circuit, un-shifted
+back to the original coordinates, and certified by exact divisibility
+against P - never by sampling, so a non-factor can never be mislabeled.
 
 Only factors genuinely involving y are reported: a candidate whose
 un-shifted form loses all y-dependence is rejected, and a polynomial free
@@ -41,6 +41,7 @@ from .errors import (
     NoFactorFound,
     NoSimpleRoots,
     NotASimpleRoot,
+    ParameterViolation,
     ZeroPolynomial,
 )
 from .lifting import _stage, build_A_recurrence, compose_root
@@ -63,7 +64,8 @@ class RootBundle:
 
     Each q_i is the unique degree-<=d polynomial with q_i(0) = alpha_i and
     H_{<=d}[source(x, q_i)] = 0; circuits live in source's variable space
-    with the y slot unused.
+    with the y slot unused. Roots are lifted on demand by `lift`: until
+    then slot i of approx, states and approx_dense holds None.
     """
 
     shift: tuple
@@ -71,9 +73,33 @@ class RootBundle:
     d: int
     y_var: int
     source: Circuit
-    approx: list = dc_field(default_factory=list)
-    states: list = dc_field(default_factory=list)
-    approx_dense: list = dc_field(default_factory=list)
+    approx: list = dc_field(init=False)
+    states: list = dc_field(init=False)
+    approx_dense: list = dc_field(init=False)
+
+    def __post_init__(self):
+        self.approx = [None] * len(self.alphas)
+        self.states = [None] * len(self.alphas)
+        self.approx_dense = [None] * len(self.alphas)
+
+    def lift(self, indices, budget: ExpansionBudget = DEFAULT_BUDGET) -> None:
+        """Lift each alpha_i with i in indices that is not lifted yet.
+        d = 0 degenerates to constants."""
+        P = self.source
+        fld = P.field
+        for i in indices:
+            if self.approx[i] is not None:
+                continue
+            alpha = self.alphas[i]
+            if self.d == 0:
+                q, state = const_circuit(fld, alpha, P.num_vars), None
+            else:
+                state = build_A_recurrence(P, alpha, self.d, self.y_var, budget=budget)
+                q = compose_root(state)
+            q_dense = expand(q, budget)
+            if q_dense.evaluate([fld.zero] * P.num_vars) != alpha:
+                raise NotASimpleRoot(f"lift from alpha={alpha!r} lost its constant term")
+            self.approx[i], self.states[i], self.approx_dense[i] = q, state, q_dense
 
 
 @dataclass
@@ -129,7 +155,6 @@ def approx_roots(
 ) -> RootBundle:
     """Lift every alpha_i (a simple root of P(0, y)) to its unique
     approximate root of degree <= d. d = 0 degenerates to constants."""
-    fld = P.field
     bundle = RootBundle(shift=tuple(shift), alphas=list(alphas), d=d, y_var=y, source=P)
     source_dense = None
     if verify:
@@ -137,21 +162,10 @@ def approx_roots(
             source_dense = expand(P, budget)
         except BudgetExceeded:
             source_dense = None
-    for alpha in alphas:
-        if d == 0:
-            q = const_circuit(fld, alpha, P.num_vars)
-            state = None
-        else:
-            state = build_A_recurrence(P, alpha, d, y, budget=budget)
-            q = compose_root(state)
-        bundle.approx.append(q)
-        bundle.states.append(state)
-        q_dense = expand(q, budget)
-        bundle.approx_dense.append(q_dense)
-        zeros = [fld.zero] * P.num_vars
-        if q_dense.evaluate(zeros) != alpha:
-            raise NotASimpleRoot(f"lift from alpha={alpha!r} lost its constant term")
-        if verify and source_dense is not None:
+    for i, alpha in enumerate(alphas):
+        bundle.lift((i,), budget)
+        if source_dense is not None:
+            q_dense = bundle.approx_dense[i]
             residual = truncate_dense(substitute_var_dense(source_dense, y, q_dense), d)
             if not residual.is_zero():
                 raise NotASimpleRoot(
@@ -174,10 +188,7 @@ def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     for i in subset:
         q_id = b.import_circuit(bundle.approx[i])[0]
         parts.append(b.sub(b.inp(bundle.y_var), q_id))
-        if i < len(bundle.approx_dense) and bundle.approx_dense[i] is not None:
-            bound += max(1, bundle.approx_dense[i].total_degree())
-        else:
-            bound += max(1, bundle.d)
+        bound += max(1, bundle.approx_dense[i].total_degree())
     prod = b.mul(*parts) if len(parts) > 1 else parts[0]
     raw = b.finish(prod)
     return truncate_deg(raw, d, deg_bound=max(1, bound))
@@ -253,9 +264,12 @@ def extract_factor(
     subset=None enumerates candidate root subsets by increasing size and
     accepts the first one whose combination exactly divides P; an explicit
     subset (0-based indices into the simple-root list, which is sorted)
-    combines exactly those roots. The returned factor is expressed in the
-    original coordinates and, when its leading y-coefficient is a constant,
-    normalized monic.
+    combines exactly those roots, and an index outside that list is a
+    ParameterViolation. A root is lifted when the first subset containing
+    it is screened, so only the roots of screened subsets are ever lifted;
+    a root that fails to lift ends its multiplicity level. The returned
+    factor is expressed in the original coordinates and, when its leading
+    y-coefficient is a constant, normalized monic.
     """
     P.output()
     fld = P.field
@@ -293,20 +307,24 @@ def extract_factor(
             c, alphas = separating_shift(Pk, y, seed, r=r - level)
         except NoSimpleRoots:
             continue
+        if subset is not None and not all(0 <= i < len(alphas) for i in subset):
+            raise ParameterViolation(
+                f"the subset names a root outside the {len(alphas)} simple roots "
+                "of the slice"
+            )
         full_shift = [fld.zero] * Pk.num_vars
         for xi, ci in zip(x_vars, c):
             full_shift[xi] = ci
         Pk_s = Pk if all(v == fld.zero for v in c) else translate(Pk, full_shift)
-        try:
-            # the subset screening and the final exact-divisibility check
-            # certify candidates; the per-root residual re-check is skipped
-            bundle = approx_roots(Pk_s, alphas, d, y, shift=c, budget=budget, verify=False)
-        except NotASimpleRoot:
-            continue
-
+        # roots are lifted when a subset first needs them; the subset
+        # screening and the final exact-divisibility check certify
+        # candidates, so no per-root residual check runs
+        bundle = RootBundle(shift=c, alphas=alphas, d=d, y_var=y, source=Pk_s)
         for S in _subset_iter(len(alphas), d, given=subset):
-            if any(not 0 <= i < len(alphas) for i in S):
-                raise ValueError(f"subset {S} out of range for {len(alphas)} roots")
+            try:
+                bundle.lift(S, budget)
+            except NotASimpleRoot:
+                break
             dS = len(S)
             cand = _combine_dense(bundle, S, dS)
             cand_orig = _unshift_dense(cand, c, x_vars, monic)

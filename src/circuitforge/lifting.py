@@ -32,6 +32,7 @@ from .errors import (
     InvariantViolated,
     NoRationalRoot,
     NotASimpleRoot,
+    ParameterViolation,
     ResidualNonzero,
     ZeroDelta,
 )
@@ -109,7 +110,7 @@ def reduce_multiplicity(P: Circuit, alpha, y: int):
     if p_univ.is_zero():
         raise AllDerivativesVanish("P(0, y) is identically zero; translate the origin first")
     if p_univ.evaluate(_point_at(fld, nv, y, alpha)) != fld.zero:
-        raise ValueError("alpha is not a root of P(0, y)")
+        raise ParameterViolation(f"alpha={alpha!r} is not a root of P(0, y)")
     for m in range(1, p_univ.degree_in(y) + 1):
         dm = hasse_derivative_dense(p_univ, y, m)
         if dm.evaluate(_point_at(fld, nv, y, alpha)) != fld.zero:

@@ -28,10 +28,15 @@ class Rng:
         """Uniform integer in [0, n)."""
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
-        # rejection sampling to avoid modulo bias
-        limit = _MASK64 - (_MASK64 + 1) % n
+        # rejection sampling to avoid modulo bias, over one 64-bit word for
+        # n <= 2^64 and enough whole words to cover n above that
+        words = 1 if n <= _MASK64 + 1 else -(-n.bit_length() // 64)
+        span = 1 << (64 * words)
+        limit = span - 1 - span % n
         while True:
-            u = self.next_u64()
+            u = 0
+            for _ in range(words):
+                u = (u << 64) | self.next_u64()
             if u <= limit:
                 return u % n
 

@@ -508,10 +508,10 @@ def generator_set(
     comp_ids = []
     zero = b2.const(fld.zero)
     for j, cand_full in enumerate(_split_outputs(multi)):
+        if denses is not None and denses[j].is_zero():
+            continue  # dropped before it is projected
         cand = drop_unused_vars(cand_full, list(range(nv)))
         if denses is not None:
-            if denses[j].is_zero():
-                continue
             # a component the oracle shows to vanish is emitted as 0
             live = {sum(e) for e in denses[j].terms}
         elif sz_is_zero(cand, 2 * max(d, 1), sz_seed, "genset-sz", str(j)):

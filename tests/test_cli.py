@@ -121,6 +121,32 @@ output g13
     assert main(["verify", cert]) == 0
 
 
+def test_factor_subset_out_of_range_is_a_usage_error(tmp_path, capsys):
+    # (y - x1)(y - 1 - x2)(y - 7) with y = x3: three simple roots
+    text = """field rationals
+nvars 3
+g1 = input x1
+g2 = input x2
+g3 = input x3
+g4 = const -1
+g5 = mul g4 g1
+g6 = add g3 g5
+g7 = const 1
+g8 = add g7 g2
+g9 = mul g4 g8
+g10 = add g3 g9
+g11 = const -7
+g12 = add g3 g11
+g13 = mul g6 g10 g12
+output g13
+"""
+    src = _write(tmp_path, "f.circ", text)
+    assert main(["factor", "-y", "3", "-d", "2", "--subset", "1,9", src]) == 2
+    err = capsys.readouterr().err
+    assert "ParameterViolation" in err and "3 simple roots" in err
+    assert "Traceback" not in err
+
+
 def test_design_and_pit_commands(tmp_path, capsys):
     design = str(tmp_path / "design.json")
     assert main(["design", "-n", "4", "-m", "3", "-o", design]) == 0

@@ -8,13 +8,14 @@ from circuitforge import (
     approx_roots,
     combine_roots,
     divides,
+    emit_circuit,
     expand,
     extract_factor,
     separating_shift,
     truncate_dense,
 )
 from circuitforge.dense import substitute_var_dense
-from circuitforge.errors import NoFactorFound, NoSimpleRoots
+from circuitforge.errors import NoFactorFound, NoSimpleRoots, ParameterViolation
 
 from conftest import plant_linear_product, rng_for
 
@@ -221,3 +222,59 @@ def test_extract_factor_search_finds_certified_factor(QQ):
     res = extract_factor(P, y=2, d=3, seed=0)
     assert res.multiplicity >= 1
     assert divides(expand(res.factor), expand(P), main_var=2) == res.multiplicity
+
+
+def _count_lifts(monkeypatch):
+    """Record the alpha of every root extract_factor lifts."""
+    from circuitforge import factoring
+
+    lifted = []
+    real = factoring.build_A_recurrence
+
+    def counting(P, alpha, *args, **kwargs):
+        lifted.append(alpha)
+        return real(P, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(factoring, "build_A_recurrence", counting)
+    return lifted
+
+
+def _four_linear_factors(QQ):
+    consts = [Fraction(-3), Fraction(0), Fraction(2), Fraction(5)]
+    P, _ = plant_linear_product(QQ, rng_for("lazy-lift"), 2, 2, consts)
+    return P
+
+
+def test_given_subset_lifts_only_its_roots(QQ, monkeypatch):
+    lifted = _count_lifts(monkeypatch)
+    P = _four_linear_factors(QQ)
+    for S in [(1,), (0, 2), (0, 1, 3)]:
+        lifted.clear()
+        res = extract_factor(P, y=2, d=len(S), subset=S, seed=0)
+        assert lifted == [res.bundle.alphas[i] for i in S]
+        assert [i for i, q in enumerate(res.bundle.approx) if q is not None] == list(S)
+        assert divides(expand(res.factor), expand(P), main_var=2) == 1
+
+
+def test_subset_search_on_linear_factors_lifts_one_root(QQ, monkeypatch):
+    lifted = _count_lifts(monkeypatch)
+    res = extract_factor(_four_linear_factors(QQ), y=2, d=3, seed=0)
+    assert res.subset == (0,)
+    assert len(lifted) == 1 and len(res.bundle.alphas) == 4
+
+
+def test_lazy_roots_emit_the_bytes_of_approx_roots(QQ):
+    P = _four_linear_factors(QQ)
+    res = extract_factor(P, y=2, d=2, subset=(1, 3), seed=0)
+    lazy = res.bundle
+    full = approx_roots(lazy.source, lazy.alphas, lazy.d, lazy.y_var, shift=lazy.shift)
+    for i in res.subset:
+        assert emit_circuit(full.approx[i]) == emit_circuit(lazy.approx[i])
+        assert full.approx_dense[i] == lazy.approx_dense[i]
+
+
+def test_out_of_range_subset_is_refused_before_lifting(QQ, monkeypatch):
+    lifted = _count_lifts(monkeypatch)
+    with pytest.raises(ParameterViolation, match="4 simple roots"):
+        extract_factor(_four_linear_factors(QQ), y=2, d=2, subset=(0, 4), seed=0)
+    assert lifted == []

@@ -17,6 +17,7 @@ from circuitforge.errors import (
     AllDerivativesVanish,
     NoRationalRoot,
     NotASimpleRoot,
+    ParameterViolation,
     ResidualNonzero,
     ZeroDelta,
 )
@@ -171,6 +172,12 @@ def test_reduce_multiplicity_all_vanish(QQ):
     P = b.finish(b.mul(b.inp(1), b.inp(0)))  # y * x1: P(0, y) == 0
     with pytest.raises(AllDerivativesVanish):
         reduce_multiplicity(P, Fraction(0), y=1)
+
+
+def test_reduce_multiplicity_rejects_a_non_root(QQ):
+    P = _y2_minus_1px_squared(QQ)
+    with pytest.raises(ParameterViolation, match="not a root"):
+        reduce_multiplicity(P, Fraction(2), y=1)
 
 
 def test_lift_root_spec_example(QQ):
