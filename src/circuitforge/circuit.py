@@ -475,14 +475,17 @@ def _remap(circ: Circuit, reach, var_map: dict, num_vars: int) -> Circuit:
     return proj
 
 
-def formal_degree_in(circ: Circuit, var: int) -> int:
-    """Formal degree with respect to one variable (sound deg_var bound)."""
+def formal_degree_in(circ: Circuit, var) -> int:
+    """Formal degree in one variable index or a collection of them, the
+    other inputs counting as degree 0: a sound bound on the true degree in
+    those variables. Over all variables it equals circ.formal_degree()."""
+    chosen = {var} if isinstance(var, int) else set(var)
     deg = {}
     for i in circ.reachable():
         gate = circ.gates[i]
         op = gate[0]
         if op == IN:
-            deg[i] = 1 if gate[1] == var else 0
+            deg[i] = 1 if gate[1] in chosen else 0
         elif op == CONST:
             deg[i] = 0
         elif op == ADD:
@@ -590,7 +593,10 @@ def sz_is_zero(circ: Circuit, grid: int, seed: int, *names: str) -> bool:
 # ignored. Round-trips are semantically identical (same polynomial); the
 # builder canonicalizes structure on parse. Dense polynomials (.poly) and
 # hard-polynomial tables (.table) share the two header lines, tables with
-# `m <n>` in place of `nvars <n>`.
+# `m <n>` in place of `nvars <n>`. The count is at most HEADER_COUNT_LIMIT:
+# every stage past the parser allocates per variable.
+
+HEADER_COUNT_LIMIT = 4096
 
 
 def field_line(field: Field) -> str:
@@ -630,6 +636,10 @@ def parse_header(text: str, count_key: str = "nvars"):
     parts = count_text.split()
     if len(parts) != 2 or not parts[1].isdecimal():
         raise CircuitSyntaxError(count_no, f"bad {count_key} line {count_text!r}")
+    if int(parts[1]) > HEADER_COUNT_LIMIT:
+        raise CircuitSyntaxError(
+            count_no, f"{count_key} {parts[1]} is above the limit of {HEADER_COUNT_LIMIT}"
+        )
     for line_no, line in lines[2:]:
         if line.split()[0] in ("field", count_key):
             raise CircuitSyntaxError(line_no, f"duplicate {line.split()[0]} line")

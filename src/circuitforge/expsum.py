@@ -28,6 +28,7 @@ from .circuit import (
     const_circuit,
     evaluate_points,
     fix_vars,
+    formal_degree_in,
     input_circuit,
     is_formula,
     remap_vars,
@@ -46,6 +47,7 @@ from .errors import (
     CharacteristicDividesPower,
     InvariantViolated,
     NotAFormula,
+    ParameterViolation,
     ShapeError,
     ZeroPolynomial,
 )
@@ -360,7 +362,7 @@ def coeff_exp_sums(E: ExpSumPoly, z: int, dmax: int) -> list:
     polynomial (z must be an x-variable; the auxiliaries ride along)."""
     E = E.canonical()
     if not 0 <= z < E.nx:
-        raise ValueError("z must be one of the x-variables")
+        raise ParameterViolation(f"z must be one of the {E.nx} x-variables, got index {z}")
     from .transforms import extract_y_coeffs
 
     rows = extract_y_coeffs(E.verifier, z, dmax)
@@ -371,7 +373,7 @@ def hasse_exp_sum(E: ExpSumPoly, z: int, j: int, deg_bound: int | None = None) -
     """Exp-sum of the order-j Hasse z-derivative of the represented poly."""
     E = E.canonical()
     if not 0 <= z < E.nx:
-        raise ValueError("z must be one of the x-variables")
+        raise ParameterViolation(f"z must be one of the {E.nx} x-variables, got index {z}")
     ver = hasse_derivative_circuit(E.verifier, z, j, deg_y_bound=deg_bound)
     return ExpSumPoly(ver, E.aux)
 
@@ -427,7 +429,7 @@ def factor_vnp(
         raise ZeroPolynomial("cannot factor the zero polynomial")
     z = nx - 1 if z_var is None else z_var
     if not 0 <= z < nx:
-        raise ValueError("z must be one of the x-variables")
+        raise ParameterViolation(f"z must be one of the {E.nx} x-variables, got index {z}")
 
     p_circ = circuit_from_dense(p_dense)
     fr = extract_factor(p_circ, z, d, subset=subset, seed=seed, budget=budget)
@@ -446,7 +448,7 @@ def factor_vnp(
     e3 = _translate_x(e1, dict(zip(x_others, fr.bundle.shift)))
 
     # generator exp-sums, sharing one coefficient extraction
-    dmax_z = e3.verifier.formal_degree()
+    dmax_z = formal_degree_in(e3.verifier, z)
     rows = coeff_exp_sums(e3, z, dmax_z)
     zero_e = field.zero
 

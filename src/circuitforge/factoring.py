@@ -151,17 +151,18 @@ def approx_roots(
     y: int,
     shift: tuple = (),
     budget: ExpansionBudget = DEFAULT_BUDGET,
-    verify: bool = True,
 ) -> RootBundle:
     """Lift every alpha_i (a simple root of P(0, y)) to its unique
-    approximate root of degree <= d. d = 0 degenerates to constants."""
+    approximate root of degree <= d. d = 0 degenerates to constants.
+
+    Each lifted root is checked on the oracle, H_<=d[P(x, q_i)] = 0, and a
+    root that fails raises NotASimpleRoot; the check is skipped when P
+    itself does not expand within budget."""
     bundle = RootBundle(shift=tuple(shift), alphas=list(alphas), d=d, y_var=y, source=P)
-    source_dense = None
-    if verify:
-        try:
-            source_dense = expand(P, budget)
-        except BudgetExceeded:
-            source_dense = None
+    try:
+        source_dense = expand(P, budget)
+    except BudgetExceeded:
+        source_dense = None
     for i, alpha in enumerate(alphas):
         bundle.lift((i,), budget)
         if source_dense is not None:

@@ -23,7 +23,13 @@ from dataclasses import dataclass, field as dc_field
 from .circuit import ADD, Circuit, CircuitBuilder, drop_unused_vars, formal_degree_in
 from .circuit import const_circuit, evaluate_batch, sz_is_zero
 from .dense import DEFAULT_BUDGET, ExpansionBudget, expand_outputs
-from .errors import ArityMismatch, BudgetExceeded, FieldTooSmall, SearchExhausted
+from .errors import (
+    ArityMismatch,
+    BudgetExceeded,
+    FieldTooSmall,
+    ParameterViolation,
+    SearchExhausted,
+)
 from .fields import PrimeField
 from .seeding import stream
 
@@ -167,7 +173,7 @@ def homogenize(circ: Circuit, k: int) -> Circuit:
     output has formal degree at most k.
     """
     if k < 0:
-        raise ValueError("component index must be >= 0")
+        raise ParameterViolation(f"component index must be >= 0, got {k}")
     b = CircuitBuilder(circ.field, circ.num_vars)
     comps = _strassen_components(b, circ, k)
     return b.finish(comps[k])
@@ -176,7 +182,7 @@ def homogenize(circ: Circuit, k: int) -> Circuit:
 def homogenize_upto(circ: Circuit, d: int) -> Circuit:
     """Circuit computing H_{<=d}[circ] (sum of split components)."""
     if d < 0:
-        raise ValueError("degree must be >= 0")
+        raise ParameterViolation(f"degree must be >= 0, got {d}")
     b = CircuitBuilder(circ.field, circ.num_vars)
     comps = _strassen_components(b, circ, d)
     return b.finish(b.add(*comps))
@@ -216,19 +222,20 @@ def truncate_deg(
 ) -> Circuit:
     """Circuit computing H_{<=d}[circ] via scaling-variable interpolation.
 
-    deg_bound must be >= the true degree of circ in the scaled variables
-    (defaults to the formal degree, which is always sound). When the degree
-    cannot exceed d the circuit is returned unchanged. scale_vars restricts
-    which variables count toward the degree (used by the exponential-sum
-    module to keep auxiliary variables untouched).
+    scale_vars restricts which variables count toward the degree (the
+    exponential-sum module passes the x-variables, so auxiliary variables
+    stay untouched); None means all of them. deg_bound must be >= the true
+    degree of circ in the scaled variables and defaults to the formal
+    degree in them, which is always sound. When that degree cannot exceed
+    d the circuit is returned unchanged.
     """
     if d < 0:
-        raise ValueError("degree must be >= 0")
+        raise ParameterViolation(f"degree must be >= 0, got {d}")
     circ.output()
-    bound = circ.formal_degree() if deg_bound is None else deg_bound
+    vars_to_scale = list(range(circ.num_vars)) if scale_vars is None else list(scale_vars)
+    bound = formal_degree_in(circ, vars_to_scale) if deg_bound is None else deg_bound
     if bound <= d:
         return circ
-    vars_to_scale = list(range(circ.num_vars)) if scale_vars is None else list(scale_vars)
     scaled = _scaled_copy(circ, vars_to_scale)
     t = circ.num_vars
     b, rows = _interp_engine(scaled, t, bound)
@@ -243,15 +250,19 @@ def homog_component_interp(
     deg_bound: int | None = None,
     scale_vars=None,
 ) -> Circuit:
-    """H_k[circ] via scaling interpolation (depth-preserving Strassen twin)."""
+    """H_k[circ] via scaling interpolation (depth-preserving Strassen twin).
+
+    scale_vars and deg_bound mean what they mean for truncate_deg; when k
+    exceeds the bound the result is the constant 0.
+    """
     if k < 0:
-        raise ValueError("component index must be >= 0")
+        raise ParameterViolation(f"component index must be >= 0, got {k}")
     circ.output()
-    bound = circ.formal_degree() if deg_bound is None else deg_bound
+    vars_to_scale = list(range(circ.num_vars)) if scale_vars is None else list(scale_vars)
+    bound = formal_degree_in(circ, vars_to_scale) if deg_bound is None else deg_bound
     fld = circ.field
     if k > bound:
         return const_circuit(fld, fld.zero, circ.num_vars)
-    vars_to_scale = list(range(circ.num_vars)) if scale_vars is None else list(scale_vars)
     scaled = _scaled_copy(circ, vars_to_scale)
     b, rows = _interp_engine(scaled, circ.num_vars, bound)
     multi = b.finish(rows[0][k])
@@ -270,7 +281,7 @@ def hasse_derivative_circuit(
     each top sum so depth does not grow.
     """
     if j < 0:
-        raise ValueError("derivative order must be >= 0")
+        raise ParameterViolation(f"derivative order must be >= 0, got {j}")
     if j == 0:
         return circ
     circ.output()
@@ -466,7 +477,7 @@ def generator_set(
     false drop is what the point count makes improbable.
     """
     if d < 1:
-        raise ValueError("generator sets need d >= 1")
+        raise ParameterViolation(f"generator sets need d >= 1, got {d}")
     P.output()
     fld = P.field
     dmax_y = formal_degree_in(P, y) if deg_y_bound is None else deg_y_bound

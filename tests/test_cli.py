@@ -1,4 +1,10 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from circuitforge.cli import main
 
@@ -358,3 +364,140 @@ def test_composite_session_modulus_is_a_usage_error(tmp_path, capsys):
         assert main(["--field", f"prime:{p}", "eval", path, "--point", "1,2,3"]) == 2
         err = capsys.readouterr().err
         assert "ParameterViolation" in err and "Traceback" not in err
+
+
+def test_huge_variable_count_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "p.circ", LIFT_INPUT.replace("nvars 3", "nvars 99999999999"))
+    assert main(["metrics", path]) == 2
+    err = capsys.readouterr().err
+    assert "CircuitSyntaxError: line 2" in err and "above the limit" in err
+
+
+def test_homog_negative_k_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "p.circ", LIFT_INPUT)
+    assert main(["homog", "-k", "-1", path]) == 2
+    err = capsys.readouterr().err
+    assert "ParameterViolation" in err and "Traceback" not in err
+
+
+# -- bounded fuzzing: mutated input files through the in-process CLI ---------------
+
+FUZZ_ESUM = """aux y3
+field rationals
+nvars 3
+g1 = input x1
+g2 = input x2
+g3 = input x3
+g4 = const -1
+g5 = mul g4 g1
+g6 = add g2 g5
+g7 = const -2
+g8 = add g2 g7
+g9 = mul g6 g8 g3
+output g9
+"""  # (x2 - x1)(x2 - 2) * y3 with one auxiliary
+FUZZ_POLY = """field rationals
+nvars 3
+2 0 0 : -1
+0 1 1 : 1/2
+0 0 2 : 1
+"""
+FUZZ_TABLE = """field prime 1000003
+m 3
+0 1
+1 2
+5 6
+7 8
+"""
+FUZZ_TOKENS = ("g0", "g99", "x0", "x9", "y1", "0", "-1", "1/0", "3/2", "99999999999",
+               "input", "const", "add", "mul", "output", "nvars", "field", "prime",
+               "rationals", "aux", ":", "=", "", '"', "{", "}", "null", "[]")
+FUZZ_COMMANDS = (  # argv before the input path, and the kind of file it reads
+    (["metrics"], "circ"),
+    (["expand"], "circ"),
+    (["homog", "-k", "2"], "circ"),
+    (["genset", "--alpha", "3", "-d", "2", "-y", "3"], "circ"),
+    (["lift-root", "-y", "3", "-d", "2"], "circ"),
+    (["factor", "-y", "3", "-d", "2"], "circ"),
+    (["vnp-sum", "--expand"], "esum"),
+    (["vnp-factor", "-d", "1"], "esum"),
+    (["verify"], "cert"),
+)
+FUZZ_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+def _word_class(word):
+    """Words of one class can stand in for each other and keep a line
+    parseable: gate ids, variable names, numbers, operations."""
+    for cls, pattern in (("gate", r"g\d+"), ("var", r"[xy]\d+"), ("num", r"-?\d+(/\d+)?,?"),
+                         ("op", r"input|const|add|mul")):
+        if re.fullmatch(pattern, word):
+            return cls
+    return word
+
+
+@st.composite
+def _mutated_lines(draw, text):
+    lines = text.splitlines()
+    # the fixture's own words keep many mutants parseable, so they get past
+    # the parsers into the commands; the extra tokens break them
+    tokens = sorted(set(text.split())) + list(FUZZ_TOKENS)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("drop", "copy", "swap", "cut", "insert", "replace")))
+        i = draw(st.integers(0, max(0, len(lines) - 1)))
+        if not lines:
+            lines = [draw(st.sampled_from(FUZZ_TOKENS))]
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "cut":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            words = lines[i].split(" ")
+            k = draw(st.integers(0, len(words) - 1))
+            if kind == "replace":
+                same = [t for t in tokens if _word_class(t) == _word_class(words[k])] or tokens
+                words[k] = draw(st.sampled_from(same))
+            else:
+                words.insert(k, draw(st.sampled_from(tokens)))
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_survives_mutated_inputs(tmp_path, monkeypatch):
+    """Every mutated input ends in a documented exit code, never an
+    uncaught exception. A command mostly reads mutants of the kind of file
+    it expects; the other kinds must fail to parse cleanly."""
+    # relative paths keep the certificate's text, and so the drawn
+    # mutations, the same from run to run
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "orig.circ", LIFT_INPUT)
+    with redirect_stdout(io.StringIO()):
+        assert main(["--seed", "5", "lift-root", "-y", "3", "-d", "2", "orig.circ",
+                     "-o", "root.circ", "--cert", "orig.cert"]) == 0
+    fixtures = {"circ": LIFT_INPUT, "esum": FUZZ_ESUM, "poly": FUZZ_POLY,
+                "table": FUZZ_TABLE, "cert": (tmp_path / "orig.cert").read_text()}
+
+    @st.composite
+    def cases(draw):
+        argv, own = draw(st.sampled_from(FUZZ_COMMANDS))
+        kind = draw(st.sampled_from([own] * 4 + sorted(fixtures)))
+        return argv, kind, draw(_mutated_lines(fixtures[kind]))
+
+    @FUZZ_SETTINGS
+    @given(cases())
+    def run(case):
+        argv, kind, text = case
+        _write(tmp_path, f"mutated.{kind}", text)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(argv + [f"mutated.{kind}"])
+        assert rc in (0, 1, 2, 3, 4), (argv, kind, text, rc)
+        assert "Traceback" not in err.getvalue()
+
+    run()

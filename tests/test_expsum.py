@@ -14,7 +14,8 @@ from circuitforge import (
     sum_compose,
     valiant_step,
 )
-from circuitforge.circuit import input_circuit, is_formula
+from circuitforge import transforms
+from circuitforge.circuit import formal_degree_in, input_circuit, is_formula
 from circuitforge.errors import NotAFormula, ShapeError
 from circuitforge.expsum import (
     ExpSumPoly,
@@ -316,3 +317,46 @@ def test_factor_vnp_planted_quadratic(QQ):
     want = expand(fr.factor)
     assert exp_sum_expand(out) == want
     assert want.degree_in(1) == 2
+
+
+def _planted_aux_cubic(field):
+    """(y - x1)(y - 1 - x1)(y - 5) a1^2 a2 + (a1 - a2)(a1 + a2) x1 y^2 over
+    x1, y, a1, a2: the second term sums to 0 over the cube, so E represents
+    (y - x1)(y - 1 - x1)(y - 5) with auxiliary degree 3."""
+    b = CircuitBuilder(field, 4)
+    x1, y, a1, a2 = (b.inp(i) for i in range(4))
+    one, five = b.const(field.one), b.const(field.embed(5))
+    cubic = b.mul(b.sub(y, x1), b.sub(y, b.add(one, x1)), b.sub(y, five))
+    ver = b.finish(b.add(b.mul(cubic, a1, a1, a2),
+                         b.mul(b.sub(a1, a2), b.add(a1, a2), x1, y, y)))
+    return ExpSumPoly(ver, (2, 3))
+
+
+def test_factor_vnp_interpolates_by_x_degree(QQ, monkeypatch):
+    calls = []
+    real = transforms._interp_engine
+
+    def spy(circ, var, dmax):
+        calls.append((circ, var, dmax))
+        return real(circ, var, dmax)
+
+    monkeypatch.setattr(transforms, "_interp_engine", spy)
+    for field in (QQ, PrimeField(1_000_003)):
+        calls.clear()
+        e = _planted_aux_cubic(field)
+        assert formal_degree_in(e.verifier, e.aux) == 3
+        out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
+        y = DensePoly.variable(field, 2, 1)
+        x1 = DensePoly.variable(field, 2, 0)
+        one = DensePoly.const(field, 2, field.one)
+        want = (y - x1) * (y - one - x1)
+        assert exp_sum_expand(out) == expand(fr.factor) == want
+        # the verifier-level interpolations (every circuit carrying E's
+        # auxiliaries) take as many nodes as the degree in the variables
+        # they interpolate over: the z-degree for the coefficient rows, the
+        # x-degree (the degree in the scaling variable) for truncations
+        verifier_level = [c for c in calls if c[0].num_vars >= e.nx + e.m]
+        assert any(var == 1 for _, var, _ in verifier_level)
+        assert any(var == c.num_vars - 1 for c, var, _ in verifier_level)
+        for circ, var, dmax in verifier_level:
+            assert dmax == formal_degree_in(circ, var)

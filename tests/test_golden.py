@@ -1,11 +1,12 @@
-"""Golden outputs: the sha256 of what the factor and lift-root commands write.
+"""Golden outputs: the sha256 of what the factor, lift-root and vnp-factor
+commands write.
 
 Each entry hashes the emitted circuit and the certificate `data` that the
 command core produces for one criterion-7 instance (given subset and subset
-search) or one criterion-1 instance. A change that must keep outputs
-byte-identical keeps every hash. A change that alters bytes on purpose
-re-pins them: `PYTHONPATH=src python tests/test_golden.py` prints the table
-to paste over GOLDEN, and the change says why the bytes moved.
+search), one criterion-1 instance or one exp-sum with auxiliary blocks. A
+change that must keep outputs byte-identical keeps every hash. A change
+that alters bytes on purpose re-pins them: `PYTHONPATH=src python tests/test_golden.py` prints the tables
+to paste over GOLDEN and VNP_GOLDEN, and the change says why the bytes moved.
 """
 
 import hashlib
@@ -15,9 +16,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from circuitforge import emit_circuit  # noqa: E402
-from circuitforge.cli import _core_factor, _core_lift_root  # noqa: E402
+from circuitforge import CircuitBuilder, emit_circuit  # noqa: E402
+from circuitforge.cli import (  # noqa: E402
+    _core_factor,
+    _core_lift_root,
+    _core_vnp_factor,
+    _emit_esum,
+)
 from circuitforge.dense import DEFAULT_BUDGET  # noqa: E402
+from circuitforge.expsum import ExpSumPoly  # noqa: E402
 
 from test_acceptance import (  # noqa: E402
     FP62,
@@ -75,6 +82,18 @@ GOLDEN = {
     "c1/fp62/27": "4c990ab5dbed896365130425e23d36bc4ffe77a992bbab77b38d88d4b7c0372a",
 }
 
+# vnp-factor: (name, field, factor degree, given subset or None for search).
+# The verifiers carry auxiliary blocks that sum to the plain product.
+VNP_CASES = (("qq/d1", QQ, 1, None), ("qq/d2", QQ, 2, [0, 1]),
+             ("fp62/d1", FP62, 1, None), ("fp62/d2", FP62, 2, [0, 1]))
+
+VNP_GOLDEN = {
+    "vnp/qq/d1": "f7edee18e5badaf24f49db9f09696539e3b570a59fb8abf7de02e825ed24eb62",
+    "vnp/qq/d2": "b5f740572247cc2c706db248e32827deed1abe9479920911041fef4e86ac62f6",
+    "vnp/fp62/d1": "8245db4e49c4749d009cab2c8436139ab6c5f3289493b8b6e0419734234816ce",
+    "vnp/fp62/d2": "0dcd7b1f011bd37e7654aee4bc2a4ee39302d7dfed2f53221c118ee619028975",
+}
+
 
 def _digest(outs, data) -> str:
     h = hashlib.sha256(outs["out"])
@@ -111,6 +130,36 @@ def outputs() -> dict:
     return got
 
 
+def _vnp_input(field, degree):
+    """Exp-sum text over x1, z and two auxiliaries a1, a2. Degree 1:
+    (z - x1 - 2)(z - 3) a1 a2 + (a1 - a2) x1 z. Degree 2:
+    (z - x1)(z - 1 - x1)(z - 5) a1^2 a2 + (a1 - a2)(a1 + a2) x1 z^2. The
+    second terms sum to 0 over the cube."""
+    b = CircuitBuilder(field, 4)
+    x1, z, a1, a2 = (b.inp(i) for i in range(4))
+
+    def c(v):
+        return b.const(field.embed(v))
+
+    if degree == 1:
+        planted = b.mul(b.sub(z, b.add(x1, c(2))), b.sub(z, c(3)), a1, a2)
+        zero_sum = b.mul(b.sub(a1, a2), x1, z)
+    else:
+        cubic = b.mul(b.sub(z, x1), b.sub(z, b.add(c(1), x1)), b.sub(z, c(5)))
+        planted = b.mul(cubic, a1, a1, a2)
+        zero_sum = b.mul(b.sub(a1, a2), b.add(a1, a2), x1, z, z)
+    return _emit_esum(ExpSumPoly(b.finish(b.add(planted, zero_sum)), (2, 3)))
+
+
+def vnp_outputs() -> dict:
+    got = {}
+    for name, field, degree, subset in VNP_CASES:
+        params = dict(BUDGET, d=degree, subset=subset, seed=SESSION_SEED)
+        inputs = {"in": _vnp_input(field, degree).encode()}
+        got[f"vnp/{name}"] = _digest(*_core_vnp_factor(params, inputs))
+    return got
+
+
 def test_outputs_match_golden_hashes():
     got = outputs()
     changed = sorted(k for k in GOLDEN if got.get(k) != GOLDEN[k])
@@ -118,8 +167,16 @@ def test_outputs_match_golden_hashes():
     assert not changed, f"output bytes changed for {changed}"
 
 
+def test_vnp_factor_outputs_match_golden_hashes():
+    got = vnp_outputs()
+    changed = sorted(k for k in VNP_GOLDEN if got.get(k) != VNP_GOLDEN[k])
+    assert set(got) == set(VNP_GOLDEN)
+    assert not changed, f"output bytes changed for {changed}"
+
+
 if __name__ == "__main__":
-    print("GOLDEN = {")
-    for key, value in outputs().items():
-        print(f'    "{key}": "{value}",')
-    print("}")
+    for name, table in (("GOLDEN", outputs()), ("VNP_GOLDEN", vnp_outputs())):
+        print(f"{name} = {{")
+        for key, value in table.items():
+            print(f'    "{key}": "{value}",')
+        print("}")

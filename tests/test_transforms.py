@@ -19,7 +19,12 @@ from circuitforge import (
     truncate_deg,
 )
 from circuitforge.errors import ArityMismatch, FieldTooSmall, SearchExhausted
-from circuitforge.transforms import GENSET_SIZE_FACTOR, HOMOGENIZE_SIZE_FACTOR
+from circuitforge.circuit import formal_degree_in
+from circuitforge.transforms import (
+    GENSET_SIZE_FACTOR,
+    HOMOGENIZE_SIZE_FACTOR,
+    homog_component_interp,
+)
 
 from conftest import oracle_equal, plant_linear_product, random_circuit, rng_for
 
@@ -251,3 +256,69 @@ def test_generator_set_laws(QQ, Fp):
                 assert dense.total_degree() <= d
                 r = max(1, P.formal_degree())
                 assert member.size() <= GENSET_SIZE_FACTOR * max(1, P.size()) * r**5
+
+
+# -- interpolation bounds in a subset of the variables ---------------------------
+
+def _filter_x_degree(poly, xs, keep):
+    """The terms of a DensePoly whose degree in the variables xs passes keep."""
+    return DensePoly(poly.field, poly.n, {
+        e: c for e, c in poly.terms.items() if keep(sum(e[i] for i in xs))
+    })
+
+
+def test_formal_degree_in_a_set_of_variables(QQ, Fp):
+    # (x1 + x3) * x2 * x3^2 + x1^2: formal degree 4
+    b = CircuitBuilder(QQ, 3)
+    x1, x2, x3 = b.inp(0), b.inp(1), b.inp(2)
+    c = b.finish(b.add(b.mul(b.add(x1, x3), x2, b.mul(x3, x3)), b.mul(x1, x1)))
+    assert c.formal_degree() == 4
+    for chosen, want in ((0, 2), ([0], 2), ([1], 1), ([2], 3), ([0, 1], 2),
+                         ([1, 2], 4), ([0, 2], 3), ((), 0), (range(3), 4)):
+        assert formal_degree_in(c, chosen) == want, chosen
+    for field, name in ((QQ, "qq"), (Fp, "fp")):
+        rng = rng_for("fdeg-in-" + name)
+        for t in range(10):
+            c = random_circuit(field, rng, 4, size_limit=20, degree_limit=6)
+            assert formal_degree_in(c, range(4)) == c.formal_degree()
+            assert formal_degree_in(c, {0, 1}) <= c.formal_degree()
+
+
+def _x_then_aux_circuit(QQ):
+    # x1 * y1^3 + x1 * x2 * y2 + y1^2 * y2^2 over x1, x2, y1, y2: degree in
+    # x is 2, formal degree 4
+    b = CircuitBuilder(QQ, 4)
+    x1, x2, y1, y2 = (b.inp(i) for i in range(4))
+    return b.finish(b.add(b.mul(x1, b.power(y1, 3)), b.mul(x1, x2, y2),
+                          b.mul(y1, y1, y2, y2)))
+
+
+def test_truncate_deg_by_scaled_degree_returns_input(QQ):
+    c = _x_then_aux_circuit(QQ)
+    assert formal_degree_in(c, [0, 1]) == 2 and c.formal_degree() == 4
+    assert truncate_deg(c, 2, scale_vars=[0, 1]) is c
+    assert truncate_deg(c, 3, scale_vars=[0, 1]) is c
+    low = truncate_deg(c, 1, scale_vars=[0, 1])
+    assert expand(low) == _filter_x_degree(expand(c), [0, 1], lambda k: k <= 1)
+
+
+def test_homog_component_above_scaled_degree_is_zero(QQ):
+    c = _x_then_aux_circuit(QQ)
+    for k in (3, 4):
+        out = homog_component_interp(c, k, scale_vars=[0, 1])
+        assert out.metrics()["size"] == 0 and expand(out).is_zero()
+        assert out.num_vars == c.num_vars
+
+
+def test_scaled_interpolation_matches_dense_filter(QQ, Fp):
+    xs = [0, 1]
+    for field, name in ((QQ, "qq"), (Fp, "fp")):
+        rng = rng_for("scaled-interp-" + name)
+        for t in range(10):
+            c = random_circuit(field, rng, 4, size_limit=22, degree_limit=6)
+            dense = expand(c)
+            for d in range(4):
+                got = expand(truncate_deg(c, d, scale_vars=xs))
+                assert got == _filter_x_degree(dense, xs, lambda k: k <= d)
+                got = expand(homog_component_interp(c, d, scale_vars=xs))
+                assert got == _filter_x_degree(dense, xs, lambda k: k == d)
