@@ -150,17 +150,15 @@ def _compute_metrics(circ: Circuit) -> dict:
     # "leaf" (variable), "const", "add", "mul"
     eop = {}
     dep = {}
-    fdeg = {}
     for i in reach:
         gate = gates[i]
         op = gate[0]
         if op == IN:
-            eop[i], dep[i], fdeg[i] = "leaf", 0, 1
+            eop[i], dep[i] = "leaf", 0
         elif op == CONST:
-            eop[i], dep[i], fdeg[i] = "const", 0, 0
+            eop[i], dep[i] = "const", 0
         elif op == ADD:
             wires += len(gate[1])
-            fdeg[i] = max(fdeg[c] for c in gate[1])
             live = [c for c in gate[1] if eop[c] != "const"]
             if not live:
                 eop[i], dep[i] = "const", 0
@@ -169,7 +167,6 @@ def _compute_metrics(circ: Circuit) -> dict:
                 dep[i] = max(dep[c] + (0 if eop[c] == "add" else 1) for c in live)
         else:
             wires += len(gate[1])
-            fdeg[i] = sum(fdeg[c] for c in gate[1])
             live = [c for c in gate[1] if eop[c] != "const"]
             if not live:
                 eop[i], dep[i] = "const", 0
@@ -187,12 +184,38 @@ def _compute_metrics(circ: Circuit) -> dict:
         elif eop[o] == "leaf" and gates[o][0] != IN:
             d += 1  # scalar multiple of a variable: one weighted sum layer
         depth = max(depth, d)
+    fdeg = _gate_degrees(circ, reach)
     return {
         "size": wires,
         "gates": len(reach),
         "depth": depth,
         "formal_degree": max(fdeg[o] for o in circ.outputs),
     }
+
+
+def _gate_degrees(circ: Circuit, order, chosen=None) -> dict:
+    """Formal degree of each gate in `order` (ascending, closed under
+    children): an input counts 1 when chosen is None or holds its variable,
+    else 0; an addition takes the max of its children, a product the sum."""
+    gates = circ.gates
+    deg = {}
+    for i in order:
+        op, arg = gates[i]
+        if op == IN:
+            deg[i] = 1 if chosen is None or arg in chosen else 0
+        elif op == CONST:
+            deg[i] = 0
+        elif op == ADD:
+            deg[i] = max(deg[c] for c in arg)
+        else:
+            deg[i] = sum(deg[c] for c in arg)
+    return deg
+
+
+def _check_var(circ: Circuit, var: int) -> None:
+    """Refuse a variable index outside 0..num_vars-1."""
+    if not 0 <= var < circ.num_vars:
+        raise ArityMismatch(f"variable x{var + 1} out of range (nvars={circ.num_vars})")
 
 
 class CircuitBuilder:
@@ -408,8 +431,7 @@ def substitute(circ: Circuit, bindings: dict, num_vars: int | None = None) -> Ci
     builder = CircuitBuilder(circ.field, num_vars)
     var_map = {}
     for var, b_circ in bindings.items():
-        if not 0 <= var < circ.num_vars:
-            raise ArityMismatch(f"binding for x{var + 1} outside circuit arity")
+        _check_var(circ, var)
         b_circ.output()  # single-output contract
         var_map[var] = builder.import_circuit(b_circ)[0]
     outs = builder.import_circuit(circ, var_bindings=var_map)
@@ -480,18 +502,7 @@ def formal_degree_in(circ: Circuit, var) -> int:
     other inputs counting as degree 0: a sound bound on the true degree in
     those variables. Over all variables it equals circ.formal_degree()."""
     chosen = {var} if isinstance(var, int) else set(var)
-    deg = {}
-    for i in circ.reachable():
-        gate = circ.gates[i]
-        op = gate[0]
-        if op == IN:
-            deg[i] = 1 if gate[1] in chosen else 0
-        elif op == CONST:
-            deg[i] = 0
-        elif op == ADD:
-            deg[i] = max(deg[c] for c in gate[1])
-        else:
-            deg[i] = sum(deg[c] for c in gate[1])
+    deg = _gate_degrees(circ, circ.reachable(), chosen)
     return max(deg[o] for o in circ.outputs)
 
 

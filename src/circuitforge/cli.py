@@ -157,7 +157,8 @@ def _core_monic(params, inputs):
 def _core_genset(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
     fld = circ.field
-    gens = generator_set(circ, params["y"], fld.parse(params["alpha"]), params["d"])
+    budget = ExpansionBudget(params["budget_terms"], params["budget_degree"])
+    gens = generator_set(circ, params["y"], fld.parse(params["alpha"]), params["d"], budget=budget)
     outs = {f"g{j}": emit_circuit(c).encode() for j, c in gens.members}
     data = {
         "orders": [j for j, _ in gens.members],
@@ -514,9 +515,7 @@ def _session_field(args):
 
 def _check_session_field(session, circ):
     if session is not None and circ.field != session:
-        from .errors import MixedFieldConfig
-
-        raise MixedFieldConfig(
+        raise E.MixedFieldConfig(
             f"input field {circ.field!r} does not match session field {session!r}"
         )
     return circ
@@ -578,11 +577,13 @@ def _dispatch(args) -> int:
     elif args.command == "deriv":
         params.update(y=args.y - 1, j=args.j)
     elif args.command == "monic":
-        params.update(r=args.r, y=(args.y - 1) if args.y else None)
+        params.update(r=args.r, y=None if args.y is None else args.y - 1)
     elif args.command == "genset":
         params.update(alpha=args.alpha, d=args.d, y=args.y - 1)
         if args.output:
-            output_paths = {f"g{j}": f"{args.output}.g{j}.circ" for j in range(args.d + 1)}
+            # member orders run to d, and a d above the degree budget is refused
+            orders = range(min(args.d, bd) + 1)
+            output_paths = {f"g{j}": f"{args.output}.g{j}.circ" for j in orders}
     elif args.command == "lift-root":
         params.update(y=args.y - 1, d=args.d, alpha=args.alpha)
     elif args.command == "factor":

@@ -35,7 +35,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuit import ADD, CONST, IN, Circuit, CircuitBuilder, field_line, parse_header, parse_value
+from .circuit import ADD, CONST, IN, Circuit, CircuitBuilder, _gate_degrees, field_line
+from .circuit import parse_header, parse_value
 from .errors import (
     BudgetExceeded,
     CircuitSyntaxError,
@@ -291,17 +292,7 @@ def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET) -> l
     p = _modulus(field)
     gates = circ.gates
     order = circ.reachable()
-    fdeg: dict = {}  # formal degree: bounds every exponent a gate carries
-    for i in order:
-        op, arg = gates[i]
-        if op == IN:
-            fdeg[i] = 1
-        elif op == CONST:
-            fdeg[i] = 0
-        elif op == ADD:
-            fdeg[i] = max(fdeg[c] for c in arg)
-        else:
-            fdeg[i] = sum(fdeg[c] for c in arg)
+    fdeg = _gate_degrees(circ, order)  # bounds every exponent a gate carries
     w = max(fdeg[o] for o in circ.outputs).bit_length()
     max_terms = budget.max_terms
     values: dict = {}  # gate -> packed term map

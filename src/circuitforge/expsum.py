@@ -25,6 +25,7 @@ import math
 from .circuit import (
     Circuit,
     CircuitBuilder,
+    _check_var,
     const_circuit,
     evaluate_points,
     fix_vars,
@@ -80,8 +81,7 @@ class ExpSumPoly:
         if len(set(aux)) != len(aux):
             raise ValueError("duplicate auxiliary variables")
         for a in aux:
-            if not 0 <= a < self.verifier.num_vars:
-                raise ValueError(f"auxiliary variable {a} out of range")
+            _check_var(self.verifier, a)
         self.aux = aux
 
     @property
@@ -304,7 +304,7 @@ def valiant_step(blocks: list) -> ExpSumPoly:
 
 # -- formula composition ------------------------------------------------------------
 
-def circuit_to_formula(circ: Circuit, max_nodes: int = FORMULA_EXPANSION_NODE_CAP) -> Circuit:
+def circuit_to_formula(circ: Circuit) -> Circuit:
     """Brute-force duplication of shared gates into a tree (desk scale)."""
     circ.output()
     b = CircuitBuilder(circ.field, circ.num_vars, share=False)
@@ -313,8 +313,10 @@ def circuit_to_formula(circ: Circuit, max_nodes: int = FORMULA_EXPANSION_NODE_CA
     def rec(i: int) -> int:
         nonlocal count
         count += 1
-        if count > max_nodes:
-            raise BudgetExceeded("terms", f"formula expansion above {max_nodes} nodes")
+        if count > FORMULA_EXPANSION_NODE_CAP:
+            raise BudgetExceeded(
+                "terms", f"formula expansion above {FORMULA_EXPANSION_NODE_CAP} nodes"
+            )
         gate = circ.gates[i]
         op = gate[0]
         if op == "in":
@@ -369,12 +371,12 @@ def coeff_exp_sums(E: ExpSumPoly, z: int, dmax: int) -> list:
     return [ExpSumPoly(r, E.aux) for r in rows]
 
 
-def hasse_exp_sum(E: ExpSumPoly, z: int, j: int, deg_bound: int | None = None) -> ExpSumPoly:
+def hasse_exp_sum(E: ExpSumPoly, z: int, j: int) -> ExpSumPoly:
     """Exp-sum of the order-j Hasse z-derivative of the represented poly."""
     E = E.canonical()
     if not 0 <= z < E.nx:
         raise ParameterViolation(f"z must be one of the {E.nx} x-variables, got index {z}")
-    ver = hasse_derivative_circuit(E.verifier, z, j, deg_y_bound=deg_bound)
+    ver = hasse_derivative_circuit(E.verifier, z, j)
     return ExpSumPoly(ver, E.aux)
 
 

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .circuit import Circuit, CircuitBuilder, const_circuit, fix_vars, formal_degree_in
+from .circuit import Circuit, CircuitBuilder, _check_var, const_circuit, fix_vars, formal_degree_in
 from .dense import (
     DEFAULT_BUDGET,
     DensePoly,
@@ -44,10 +44,11 @@ from .errors import (
     ParameterViolation,
     ZeroPolynomial,
 )
+from .fields import _shift_candidates
 from .lifting import _stage, build_A_recurrence, compose_root
-from .seeding import stream
 from .transforms import (
     MonicForm,
+    _check_lift_degree,
     hasse_derivative_circuit,
     make_monic,
     translate,
@@ -113,7 +114,7 @@ class FactorResult:
     metrics_chain: list
 
 
-def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None, trials: int = SHIFT_TRIALS):
+def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None):
     """Search shifts c of the x-variables maximizing the count of distinct
     simple base-field roots of P(c, y); returns (c, roots). P should be
     monic in y (up to a unit) so no roots escape to infinity. The first
@@ -123,14 +124,9 @@ def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None, trials
     nv = P.num_vars
     x_vars = [i for i in range(nv) if i != y]
     bound = 2 * max(1, r if r is not None else P.formal_degree()) ** 2 + 1
-    rng = stream(seed, "separating-shift")
-    candidates = [tuple(fld.zero for _ in x_vars)]
-    for _ in range(trials):
-        candidates.append(tuple(fld.embed(rng.randrange(bound)) for _ in x_vars))
-
     most = formal_degree_in(P, y)
     best = None
-    for c in candidates:
+    for c in _shift_candidates(fld, len(x_vars), bound, SHIFT_TRIALS, seed, "separating-shift"):
         univ = expand(fix_vars(P, dict(zip(x_vars, c))))
         if univ.is_zero():
             continue
@@ -270,14 +266,15 @@ def extract_factor(
     it is screened, so only the roots of screened subsets are ever lifted;
     a root that fails to lift ends its multiplicity level. The returned
     factor is expressed in the original coordinates and, when its leading
-    y-coefficient is a constant, normalized monic.
+    y-coefficient is a constant, normalized monic. A d above the budget's
+    degree bound is refused before any work.
     """
     P.output()
+    _check_var(P, y)
+    _check_lift_degree(d, budget)
     fld = P.field
     nv = P.num_vars
     x_vars = [i for i in range(nv) if i != y]
-    if d < 1:
-        raise ValueError("factor degree bound must be >= 1")
 
     P_dense = expand(P, budget)
     if P_dense.is_zero():

@@ -228,3 +228,13 @@ def sample_grid(field: Field, bound: int, count: int, seed: int, *names: str):
         raise BoundExceedsField(f"grid bound {bound} exceeds field size {field.p}")
     rng = stream(seed, "sample_grid", *names)
     return [field.embed(rng.randrange(bound)) for _ in range(count)]
+
+
+def _shift_candidates(field: Field, n: int, bound: int, count: int, seed: int, *names: str):
+    """The all-zero n-tuple, then `count` n-tuples over {0..bound-1} drawn
+    lazily from stream(seed, *names): the shift search order of the lift,
+    monic and separating-shift stages."""
+    yield (field.zero,) * n
+    rng = stream(seed, *names)
+    for _ in range(count):
+        yield tuple(field.embed(rng.randrange(bound)) for _ in range(n))

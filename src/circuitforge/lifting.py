@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .circuit import Circuit, CircuitBuilder, const_circuit, drop_unused_vars, fix_vars, substitute
-from .circuit import sz_is_zero
+from .circuit import Circuit, CircuitBuilder, _check_var, const_circuit, drop_unused_vars
+from .circuit import fix_vars, substitute, sz_is_zero
 from .dense import (
     DEFAULT_BUDGET,
     ExpansionBudget,
@@ -36,9 +36,10 @@ from .errors import (
     ResidualNonzero,
     ZeroDelta,
 )
-from .seeding import stream
+from .fields import _shift_candidates
 from .transforms import (
     GeneratorSet,
+    _check_lift_degree,
     generator_set,
     hasse_derivative_circuit,
     homogenize_upto,
@@ -131,8 +132,6 @@ def build_A_recurrence(
     alpha,
     d: int,
     y: int,
-    deg_y_bound: int | None = None,
-    deg_bound: int | None = None,
     budget: ExpansionBudget = DEFAULT_BUDGET,
 ) -> LiftState:
     """Construct A_1..A_d over the generator variables.
@@ -144,9 +143,7 @@ def build_A_recurrence(
     fld = P.field
     if P.evaluate1(_point_at(fld, P.num_vars, y, alpha)) != fld.zero:
         raise NotASimpleRoot(f"alpha={alpha!r} is not a root of P(0, y)")
-    gens = generator_set(
-        P, y, alpha, d, deg_y_bound=deg_y_bound, deg_bound=deg_bound, budget=budget
-    )
+    gens = generator_set(P, y, alpha, d, budget=budget)
     consts = gens.deriv_constants  # c_j = (d^j P / dy^j)(0, alpha)
     delta = consts[1]
     if delta == fld.zero:
@@ -258,20 +255,18 @@ def lift_root(
     runs the A recurrence, composes it with the generator components,
     translates back, and certifies the residual. The certificate records
     per-stage metrics and whether the residual check ran on the dense
-    oracle or fell back to Schwartz-Zippel points.
+    oracle or fell back to Schwartz-Zippel points. A d above the budget's
+    degree bound is refused before any work.
     """
+    _check_var(P, y)
+    _check_lift_degree(d, budget)
     fld = P.field
     nv = P.num_vars
     x_vars = [i for i in range(nv) if i != y]
-    if d < 1:
-        raise ValueError("lift degree must be >= 1")
 
-    grid = 2 * max(1, P.formal_degree()) * max(1, d) + 1
-    rng = stream(seed, "lift-root", "translate")
-    shifts = [tuple(fld.zero for _ in x_vars)]
-    if alpha is None:
-        for _ in range(TRANSLATE_TRIALS):
-            shifts.append(tuple(fld.embed(rng.randrange(grid)) for _ in x_vars))
+    grid = 2 * max(1, P.formal_degree()) * d + 1
+    trials = TRANSLATE_TRIALS if alpha is None else 0
+    shifts = _shift_candidates(fld, len(x_vars), grid, trials, seed, "lift-root", "translate")
 
     saw_candidate = False
     for c in shifts:

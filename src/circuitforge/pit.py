@@ -343,7 +343,7 @@ def _is_zero_exhaustive(circ: Circuit, deg_bound: int) -> bool:
     return first is None
 
 
-def hybrid_locate(q: Circuit, hard: ExplicitPoly, design: Design, seed: int = 0) -> HybridWitness:
+def hybrid_locate(q: Circuit, hard: ExplicitPoly, design: Design) -> HybridWitness:
     """Find i with Q_i != 0 and Q_{i+1} == 0 in the hybrid chain, plus an
     assignment fixing the variables outside (x_{i+1}, y|_{S_{i+1}}) that
     keeps Q_i nonzero.

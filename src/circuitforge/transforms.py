@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .circuit import ADD, Circuit, CircuitBuilder, drop_unused_vars, formal_degree_in
+from .circuit import ADD, Circuit, CircuitBuilder, _check_var, drop_unused_vars, formal_degree_in
 from .circuit import const_circuit, evaluate_batch, sz_is_zero
 from .dense import DEFAULT_BUDGET, ExpansionBudget, expand_outputs
 from .errors import (
@@ -30,8 +30,7 @@ from .errors import (
     ParameterViolation,
     SearchExhausted,
 )
-from .fields import PrimeField
-from .seeding import stream
+from .fields import PrimeField, _shift_candidates
 
 # documented constants for the size envelopes asserted by the suite
 HOMOGENIZE_SIZE_FACTOR = 12      # size(H_k[C]) <= 12 * k^2 * size(C) + 12 * (k + 1)
@@ -170,10 +169,14 @@ def homogenize(circ: Circuit, k: int) -> Circuit:
     """Circuit computing H_k[circ] by degree-indexed gate splitting.
 
     Size is at most HOMOGENIZE_SIZE_FACTOR * k^2 * size + same * (k+1); the
-    output has formal degree at most k.
+    output has formal degree at most k. Above the formal degree of circ the
+    result is the constant 0, without splitting.
     """
     if k < 0:
         raise ParameterViolation(f"component index must be >= 0, got {k}")
+    circ.output()
+    if k > circ.formal_degree():
+        return const_circuit(circ.field, circ.field.zero, circ.num_vars)
     b = CircuitBuilder(circ.field, circ.num_vars)
     comps = _strassen_components(b, circ, k)
     return b.finish(comps[k])
@@ -198,8 +201,7 @@ def extract_y_coeffs(circ: Circuit, y: int, dmax: int) -> list:
     is at most (dmax+1) * size + O(dmax^2).
     """
     circ.output()
-    if not 0 <= y < circ.num_vars:
-        raise ArityMismatch(f"variable x{y + 1} out of range")
+    _check_var(circ, y)
     b, rows = _interp_engine(circ, y, dmax)
     multi = b.finish(rows[0])
     return _split_outputs(multi)
@@ -244,22 +246,17 @@ def truncate_deg(
     return drop_unused_vars(multi, list(range(circ.num_vars)))
 
 
-def homog_component_interp(
-    circ: Circuit,
-    k: int,
-    deg_bound: int | None = None,
-    scale_vars=None,
-) -> Circuit:
+def homog_component_interp(circ: Circuit, k: int, scale_vars=None) -> Circuit:
     """H_k[circ] via scaling interpolation (depth-preserving Strassen twin).
 
-    scale_vars and deg_bound mean what they mean for truncate_deg; when k
-    exceeds the bound the result is the constant 0.
+    scale_vars means what it means for truncate_deg; when k exceeds the
+    formal degree in those variables the result is the constant 0.
     """
     if k < 0:
         raise ParameterViolation(f"component index must be >= 0, got {k}")
     circ.output()
     vars_to_scale = list(range(circ.num_vars)) if scale_vars is None else list(scale_vars)
-    bound = formal_degree_in(circ, vars_to_scale) if deg_bound is None else deg_bound
+    bound = formal_degree_in(circ, vars_to_scale)
     fld = circ.field
     if k > bound:
         return const_circuit(fld, fld.zero, circ.num_vars)
@@ -271,22 +268,21 @@ def homog_component_interp(
 
 # -- Hasse derivative ----------------------------------------------------------
 
-def hasse_derivative_circuit(
-    circ: Circuit, y: int, j: int, deg_y_bound: int | None = None
-) -> Circuit:
+def hasse_derivative_circuit(circ: Circuit, y: int, j: int) -> Circuit:
     """Circuit for the order-j Hasse derivative with respect to y.
 
     Assembles sum_{i>=j} C(i,j) * C_i(x) * y^(i-j) from the interpolated
     coefficients; the power of y is pushed into the product layer below
     each top sum so depth does not grow.
     """
+    _check_var(circ, y)
     if j < 0:
         raise ParameterViolation(f"derivative order must be >= 0, got {j}")
     if j == 0:
         return circ
     circ.output()
     fld = circ.field
-    dmax = formal_degree_in(circ, y) if deg_y_bound is None else deg_y_bound
+    dmax = formal_degree_in(circ, y)
     if j > dmax:
         return const_circuit(fld, fld.zero, circ.num_vars)
     b, rows = _interp_engine(circ, y, dmax)
@@ -371,19 +367,13 @@ def make_monic(circ: Circuit, r: int, seed: int, y_var: int | None = None) -> Mo
         y_var = circ.num_vars
         work = Circuit(fld, nv, circ.gates, circ.outputs)
     else:
+        _check_var(circ, y_var)
         nv = circ.num_vars
         work = circ
     x_vars = [i for i in range(nv) if i != y_var]
 
-    rng = stream(seed, "make-monic")
     trials = MAKE_MONIC_TRIALS_PER_DEGREE * (r + 1)
-    tried_zero = False
-    for _ in range(trials):
-        if not tried_zero:
-            a = [fld.zero] * len(x_vars)
-            tried_zero = True
-        else:
-            a = [fld.embed(rng.randrange(r + 1)) for _ in x_vars]
+    for a in _shift_candidates(fld, len(x_vars), r + 1, trials - 1, seed, "make-monic"):
         point = [fld.zero] * nv
         point[y_var] = fld.one
         for xi, ai in zip(x_vars, a):
@@ -397,7 +387,7 @@ def make_monic(circ: Circuit, r: int, seed: int, y_var: int | None = None) -> Mo
         out = b.mul(b.const(fld.inv(lead)), out)
         return MonicForm(
             circuit=b.finish(out),
-            shift=tuple(a),
+            shift=a,
             leading_unit=lead,
             y_var=y_var,
             degree=r,
@@ -426,6 +416,15 @@ def _shear_bindings(b: CircuitBuilder, y: int, coeffs: dict) -> dict:
 
 
 # -- generator sets -----------------------------------------------------------------
+
+def _check_lift_degree(d: int, budget: ExpansionBudget) -> None:
+    """Refuse a lift or factor degree below 1 or above the budget's degree
+    bound, before any work is done."""
+    if d < 1:
+        raise ParameterViolation(f"degree must be >= 1, got {d}")
+    if d > budget.max_degree:
+        raise BudgetExceeded("degree", f"d = {d} > {budget.max_degree}")
+
 
 @dataclass
 class GeneratorSet:
@@ -460,28 +459,24 @@ def generator_set(
     y: int,
     alpha,
     d: int,
-    deg_y_bound: int | None = None,
-    deg_bound: int | None = None,
     budget: ExpansionBudget = DEFAULT_BUDGET,
-    zero_test: str = "auto",
-    sz_seed: int = 0,
 ) -> GeneratorSet:
     """Build G_y(P, alpha, d): for each order j in 0..d, truncate the Hasse
     derivative at y = alpha to degree d, subtract its constant term, and
     keep the members that are not identically zero.
 
     Zero testing goes through the dense oracle within budget; above budget
-    it falls back to Schwartz-Zippel on 64 seeded points over a grid of
-    size 2*max(d,1) (zero_test='oracle' propagates BudgetExceeded instead,
-    'sz' skips the oracle entirely). A false keep is harmless downstream; a
-    false drop is what the point count makes improbable.
+    it falls back to Schwartz-Zippel on 64 points over a grid of size 2*d,
+    drawn on seed 0. A false keep is harmless downstream; a false drop is
+    what the point count makes improbable. A d above the budget's degree
+    bound is refused before any work.
     """
-    if d < 1:
-        raise ParameterViolation(f"generator sets need d >= 1, got {d}")
     P.output()
+    _check_var(P, y)
+    _check_lift_degree(d, budget)
     fld = P.field
-    dmax_y = formal_degree_in(P, y) if deg_y_bound is None else deg_y_bound
-    dbound = P.formal_degree() if deg_bound is None else deg_bound
+    dmax_y = formal_degree_in(P, y)
+    dbound = P.formal_degree()
 
     # shared interpolation of P's y-coefficients, then each derivative at
     # y = alpha is just a linear combination (the y powers fold into alpha)
@@ -508,13 +503,10 @@ def generator_set(
         member_ids.append(b2.add(trunc, b2.const(fld.neg(h0[k]))))
     multi = b2.finish(member_ids)
 
-    denses = None
-    if zero_test in ("auto", "oracle"):
-        try:
-            denses = expand_outputs(multi, budget)  # one pass over shared gates
-        except BudgetExceeded:
-            if zero_test == "oracle":
-                raise
+    try:
+        denses = expand_outputs(multi, budget)  # one pass over shared gates
+    except BudgetExceeded:
+        denses = None
     members = []
     comp_ids = []
     zero = b2.const(fld.zero)
@@ -525,7 +517,7 @@ def generator_set(
         if denses is not None:
             # a component the oracle shows to vanish is emitted as 0
             live = {sum(e) for e in denses[j].terms}
-        elif sz_is_zero(cand, 2 * max(d, 1), sz_seed, "genset-sz", str(j)):
+        elif sz_is_zero(cand, 2 * d, 0, "genset-sz", str(j)):
             continue
         else:
             live = range(1, min(d, dbound) + 1)

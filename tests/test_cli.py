@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import HealthCheck, given, settings
@@ -378,6 +379,56 @@ def test_homog_negative_k_is_a_usage_error(tmp_path, capsys):
     assert main(["homog", "-k", "-1", path]) == 2
     err = capsys.readouterr().err
     assert "ParameterViolation" in err and "Traceback" not in err
+
+
+def test_out_of_range_y_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "p.circ", LIFT_INPUT)  # 3 variables
+    for y in ("0", "4"):
+        for argv in (["factor", "-y", y, "-d", "2"],
+                     ["monic", "-r", "2", "-y", y],
+                     ["lift-root", "-y", y, "-d", "2"],
+                     ["deriv", "-y", y, "-j", "1"],
+                     ["genset", "--alpha", "3", "-d", "2", "-y", y]):
+            assert main(argv + [path]) == 2, argv
+            err = capsys.readouterr().err
+            assert "ArityMismatch" in err and "Traceback" not in err, argv
+
+
+HUGE = "99999999999"
+
+
+def test_degree_above_the_budget_is_refused_before_the_work(tmp_path, capsys):
+    path = _write(tmp_path, "p.circ", LIFT_INPUT)
+    esum = _write(tmp_path, "e.esum", FUZZ_ESUM)
+    out = str(tmp_path / "out")
+    for argv in (["lift-root", "-y", "3", "-d", HUGE, path],
+                 ["factor", "-y", "3", "-d", HUGE, path],
+                 ["genset", "--alpha", "3", "-d", HUGE, "-y", "3", path, "-o", out],
+                 ["vnp-factor", "-d", HUGE, esum]):
+        start = time.perf_counter()
+        assert main(argv) == 3, argv
+        assert time.perf_counter() - start < 5, argv
+        err = capsys.readouterr().err
+        assert "budget exceeded (degree)" in err and "Traceback" not in err, argv
+
+
+def test_homog_above_the_formal_degree_is_zero(tmp_path, capsys):
+    path = _write(tmp_path, "p.circ", LIFT_INPUT)
+    assert main(["homog", "-k", HUGE, path]) == 0
+    assert capsys.readouterr().out == "field rationals\nnvars 3\ng0 = const 0\noutput g0\n"
+
+
+def test_verify_refuses_a_certificate_degree_above_the_budget(tmp_path, capsys):
+    src = _write(tmp_path, "p.circ", LIFT_INPUT)
+    cert = tmp_path / "cert.json"
+    assert main(["factor", "-y", "3", "-d", "1", src, "-o", str(tmp_path / "f.circ"),
+                 "--cert", str(cert)]) == 0
+    body = json.loads(cert.read_text())
+    body["params"]["d"] = int(HUGE)
+    cert.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 3
+    assert "budget exceeded (degree)" in capsys.readouterr().err
 
 
 # -- bounded fuzzing: mutated input files through the in-process CLI ---------------

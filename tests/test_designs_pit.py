@@ -184,7 +184,7 @@ def test_hybrid_locate_constant_table():
     tab = ExplicitPoly(F, 2, [c5, F.zero, F.zero, F.zero])
     b = CircuitBuilder(F, 2)
     q = b.finish(b.sub(b.inp(0), b.inp(1)))
-    wit = hybrid_locate(q, tab, design, seed=0)
+    wit = hybrid_locate(q, tab, design)
     assert wit.index == 1
     assert all(0 <= v < 101 for v in wit.assignment.values())
 
@@ -196,7 +196,7 @@ def test_hybrid_locate_postconditions():
     tab = ExplicitPoly(F, 2, [c5, F.zero, F.zero, F.zero])
     b = CircuitBuilder(F, 2)
     q = b.finish(b.sub(b.inp(0), b.inp(1)))
-    wit = hybrid_locate(q, tab, design, seed=0)
+    wit = hybrid_locate(q, tab, design)
     from circuitforge.pit import _hybrid_circuit, _is_zero_exhaustive
 
     qi = _hybrid_circuit(q, tab, design, wit.index)
@@ -212,11 +212,11 @@ def test_hybrid_locate_precondition_failures():
     b = CircuitBuilder(F, 2)
     zero = b.finish(b.sub(b.inp(0), b.inp(0)))
     with pytest.raises(PreconditionFailed):
-        hybrid_locate(zero, tab, design, seed=0)
+        hybrid_locate(zero, tab, design)
     b2 = CircuitBuilder(F, 2)
     alive = b2.finish(b2.add(b2.inp(0), b2.inp(1)))  # composition stays nonzero
     with pytest.raises(PreconditionFailed):
-        hybrid_locate(alive, tab, design, seed=0)
+        hybrid_locate(alive, tab, design)
 
 
 def test_pit_sz_exhaustive_counts_points_up_to_the_witness():

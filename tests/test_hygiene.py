@@ -1,0 +1,59 @@
+"""Source hygiene: every import a module makes is used, and every
+module-level private function is referenced from some module of the
+package, so deletions leave no stranded helpers or imports behind."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "circuitforge"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+
+
+def _referenced(node) -> set:
+    """Names read under node: bare names, attribute names, and names
+    imported from another module of the package."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom) and sub.level:
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = TREES[path.name]
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_function_is_referenced(path):
+    for fn in TREES[path.name].body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                and not fn.name.startswith("__")):
+            continue
+        # references from anywhere in the package except the function itself
+        refs = set()
+        for tree in TREES.values():
+            for top in tree.body:
+                if top is not fn:
+                    refs |= _referenced(top)
+        assert fn.name in refs, f"{path.name}: {fn.name} is defined but never referenced"

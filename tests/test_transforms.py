@@ -18,8 +18,10 @@ from circuitforge import (
     truncate_dense,
     truncate_deg,
 )
+from circuitforge import transforms
 from circuitforge.errors import ArityMismatch, FieldTooSmall, SearchExhausted
-from circuitforge.circuit import formal_degree_in
+from circuitforge.circuit import formal_degree_in, sz_is_zero
+from circuitforge.dense import ExpansionBudget, expand_outputs
 from circuitforge.transforms import (
     GENSET_SIZE_FACTOR,
     HOMOGENIZE_SIZE_FACTOR,
@@ -256,6 +258,33 @@ def test_generator_set_laws(QQ, Fp):
                 assert dense.total_degree() <= d
                 r = max(1, P.formal_degree())
                 assert member.size() <= GENSET_SIZE_FACTOR * max(1, P.size()) * r**5
+
+
+def test_generator_set_schwartz_zippel_fallback_keeps_the_oracle_result(QQ, Fp, monkeypatch):
+    # a one-term budget overflows the oracle, so every candidate member is
+    # kept or dropped by the Schwartz-Zippel check instead
+    sz_calls = []
+
+    def counting_sz(*args):
+        sz_calls.append(args)
+        return sz_is_zero(*args)
+
+    monkeypatch.setattr(transforms, "sz_is_zero", counting_sz)
+    for field, name in ((QQ, "qq"), (Fp, "fp")):
+        rng = rng_for("genset-sz-" + name)
+        for t in range(3):
+            consts = [field.embed(c) for c in (1 + t, -2, 3 + 2 * t)]
+            P, _ = plant_linear_product(field, rng, 2, 2, consts)
+            d = 2 + t % 2
+            oracle = generator_set(P, 2, consts[0], d)
+            before = len(sz_calls)
+            sz = generator_set(P, 2, consts[0], d, budget=ExpansionBudget(max_terms=1))
+            assert len(sz_calls) > before
+            assert [j for j, _ in sz.members] == [j for j, _ in oracle.members]
+            assert sz.deriv_constants == oracle.deriv_constants
+            for (_, m_sz), (_, m_or) in zip(sz.members, oracle.members):
+                assert oracle_equal(m_sz, m_or)
+            assert expand_outputs(sz.components) == expand_outputs(oracle.components)
 
 
 # -- interpolation bounds in a subset of the variables ---------------------------
