@@ -124,12 +124,17 @@ def _emit_esum(e: ExpSumPoly) -> str:
 
 def _core_homog(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
-    out = homogenize(circ, params["k"])
+    k, bound = params["k"], params["budget_degree"]
+    if bound < k <= circ.formal_degree():  # above the formal degree H_k is 0
+        raise E.BudgetExceeded("degree", f"k = {k} > {bound}")
+    out = homogenize(circ, k)
     return {"out": emit_circuit(out).encode()}, {"metrics": out.metrics()}
 
 
 def _core_coeffs(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
+    if params["dmax"] > params["budget_degree"]:
+        raise E.BudgetExceeded("degree", f"dmax = {params['dmax']} > {params['budget_degree']}")
     coeffs = extract_y_coeffs(circ, params["y"], params["dmax"])
     outs = {f"coeff{j}": emit_circuit(c).encode() for j, c in enumerate(coeffs)}
     return outs, {"metrics": [c.metrics() for c in coeffs]}
@@ -571,9 +576,9 @@ def _dispatch(args) -> int:
     elif args.command == "coeffs":
         params.update(y=args.y - 1, dmax=args.dmax)
         if args.output:
-            output_paths = {
-                f"coeff{j}": f"{args.output}.{j}.circ" for j in range(args.dmax + 1)
-            }
+            # a dmax above the degree budget is refused, as genset's d is
+            orders = range(min(args.dmax, bd) + 1)
+            output_paths = {f"coeff{j}": f"{args.output}.{j}.circ" for j in orders}
     elif args.command == "deriv":
         params.update(y=args.y - 1, j=args.j)
     elif args.command == "monic":

@@ -44,7 +44,7 @@ from .errors import (
     ZeroDivisor,
     ZeroPolynomial,
 )
-from .fields import Field, PrimeField, Rationals, same_field
+from .fields import Field, PrimeField, is_prime, same_field
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,11 @@ DEFAULT_BUDGET = ExpansionBudget()
 # 1/2, and tier-1 plus one round of every perfbench workload never needed
 # more than 9
 SPLIT_SHIFT_LIMIT = 64
+
+# rational roots are Hensel-lifted from a prime >= _ROOT_PRIME_START; a part
+# rules out the finitely many primes that divide its lead or discriminant
+_ROOT_PRIME_START = 2**13
+_ROOT_PRIME_TRIES = 32
 
 
 class DensePoly:
@@ -642,48 +647,63 @@ def _linear_roots_prime(field: PrimeField, g):
     return roots
 
 
-def _int_divisors(n: int):
-    from sympy import factorint  # deferred: import cost only on the char-0 path
+def _ueval(coeffs, x):
+    """Horner value of a coefficient list at x, in plain Python arithmetic."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
-    divs = [1]
-    for prime, exp in factorint(n).items():
-        divs = [d * prime**e for d in divs for e in range(exp + 1)]
-    return divs
 
+def _squarefree_roots(field: Field, f):
+    """Base-field roots of a squarefree coefficient list.
 
-def _rational_roots(field: Rationals, coeffs):
-    """All rational roots of an integer-content-reduced coefficient list."""
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-    ints = [c // content for c in ints]
-    lead, trail = abs(ints[-1]), abs(ints[0])
+    F_p: split gcd(f, y^p - y) into linear factors. Q: clear denominators;
+    take the first prime p >= _ROOT_PRIME_START above the degree that keeps
+    the lead a unit and the part squarefree; find the roots mod p, and
+    Newton-lift each to p^k > 2|lead * trail|. A root b/c has c | lead and
+    b | trail, so lead * b/c is the symmetric residue of lead * root; each
+    candidate is kept only if it is an exact root.
+    """
+    if isinstance(field, PrimeField):
+        t = _upowmod(field, [field.zero, field.one], field.p, f)
+        t = _usub(field, t, [field.zero, field.one])
+        return _linear_roots_prime(field, _ugcd(field, t, f))
+    den = math.lcm(*(c.denominator for c in f))
+    ints = [c.numerator * (den // c.denominator) for c in f]
+    q = max(_ROOT_PRIME_START, len(ints))
+    for _ in range(_ROOT_PRIME_TRIES):
+        while not is_prime(q):
+            q += 1
+        small = PrimeField(q)
+        u = [small.embed(c) for c in ints]
+        if u[-1] and len(_ugcd(small, u, _uderiv(small, u))) == 1:
+            break
+        q += 1
+    else:
+        raise SearchExhausted(f"no prime among {_ROOT_PRIME_TRIES} tried suits a "
+                              f"degree-{len(ints) - 1} part for lifting")
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    lead = ints[-1]
     roots = []
-    for num in _int_divisors(trail):
-        for den in _int_divisors(lead):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
+    for r in _squarefree_roots(small, u):
+        m = q
+        while m <= 2 * abs(lead * ints[0]):
+            m *= m
+            r = (r - _ueval(ints, r) * pow(_ueval(deriv, r), -1, m)) % m
+        s = lead * r % m
+        cand = Fraction(s - m if 2 * s > m else s, lead)
+        if _ueval(ints, cand) == 0:
+            roots.append(cand)
     return roots
 
 
 def univariate_roots(p: DensePoly):
     """All base-field roots of a univariate polynomial, with multiplicities.
 
-    Rationals: rational-root enumeration over divisors of the leading and
-    trailing coefficients. Prime fields: squarefree decomposition, then
-    gcd with y^p - y by modular exponentiation, then equal-degree splitting
-    restricted to linear factors. Roots come back sorted.
+    One path for both fields: Yun's squarefree decomposition, then the roots
+    of each part by `_squarefree_roots` (over Q Hensel-lifted from a small
+    prime; no integer is factored). Roots come back sorted.
     """
     if p.is_zero():
         raise ZeroPolynomial("root finding on the zero polynomial")
@@ -695,37 +715,11 @@ def univariate_roots(p: DensePoly):
     coeffs = [field.zero] * (p.degree_in(var) + 1)
     for e, c in p.terms.items():
         coeffs[e[var]] = c
-    coeffs = _unorm(field, coeffs)
-
-    out = []
-    shift = 0
-    while coeffs and coeffs[0] == field.zero:
-        coeffs = coeffs[1:]
-        shift += 1
-    if shift:
-        out.append((field.zero, shift))
-    if len(coeffs) <= 1:
-        return sorted(out)
-
-    if isinstance(field, PrimeField):
-        for factor, mult in _yun_squarefree(field, coeffs):
-            t = _upowmod(field, [field.zero, field.one], field.p, factor)
-            t = _usub(field, t, [field.zero, field.one])
-            g = _ugcd(field, t, factor)
-            for r in _linear_roots_prime(field, g):
-                out.append((r, mult))
-    else:
-        for r in _rational_roots(field, coeffs):
-            mult = 0
-            cur = coeffs
-            while True:
-                q, rem = _udivmod(field, cur, [field.neg(r), field.one])
-                if rem:
-                    break
-                mult += 1
-                cur = q
-            if mult:
-                out.append((r, mult))
+    shift = next(i for i, c in enumerate(coeffs) if c != field.zero)
+    out = [(field.zero, shift)] if shift else []
+    if len(coeffs) > shift + 1:
+        for factor, mult in _yun_squarefree(field, coeffs[shift:]):
+            out.extend((r, mult) for r in _squarefree_roots(field, factor))
     return sorted(out)
 
 

@@ -400,11 +400,17 @@ HUGE = "99999999999"
 def test_degree_above_the_budget_is_refused_before_the_work(tmp_path, capsys):
     path = _write(tmp_path, "p.circ", LIFT_INPUT)
     esum = _write(tmp_path, "e.esum", FUZZ_ESUM)
+    # x1 squared 30 times: formal degree 2^30
+    squares = "".join(f"g{i + 1} = mul g{i} g{i}\n" for i in range(1, 31))
+    tower = _write(tmp_path, "t.circ",
+                   f"field rationals\nnvars 1\ng1 = input x1\n{squares}output g31\n")
     out = str(tmp_path / "out")
     for argv in (["lift-root", "-y", "3", "-d", HUGE, path],
                  ["factor", "-y", "3", "-d", HUGE, path],
                  ["genset", "--alpha", "3", "-d", HUGE, "-y", "3", path, "-o", out],
-                 ["vnp-factor", "-d", HUGE, esum]):
+                 ["vnp-factor", "-d", HUGE, esum],
+                 ["coeffs", "-y", "3", "-d", HUGE, path, "-o", out],
+                 ["homog", "-k", "1000000", tower]):
         start = time.perf_counter()
         assert main(argv) == 3, argv
         assert time.perf_counter() - start < 5, argv

@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,9 +18,11 @@ from circuitforge import (
     truncate_dense,
     univariate_roots,
 )
+from circuitforge import dense
 from circuitforge.circuit import ADD, CONST, IN
 from circuitforge.dense import (
     SPLIT_SHIFT_LIMIT,
+    _ROOT_PRIME_START,
     _linear_roots_prime,
     _try_divide,
     circuit_from_dense,
@@ -29,6 +33,7 @@ from circuitforge.dense import (
     translate_dense,
 )
 from circuitforge.errors import BudgetExceeded, SearchExhausted, ZeroDivisor, ZeroPolynomial
+from circuitforge.fields import is_prime
 
 from conftest import BIG_PRIME, SMALL_PRIME, random_circuit, random_sparse_poly, rng_for
 
@@ -380,6 +385,71 @@ def test_univariate_roots_prime_field_multiplicities():
 def test_univariate_roots_zero_poly(QQ):
     with pytest.raises(ZeroPolynomial):
         univariate_roots(DensePoly.zero(QQ, 1))
+
+
+def _from_roots(field, planted, tail):
+    """tail * prod (c*y - b)^m over the planted (b, c, m)."""
+    y = DensePoly.variable(field, 1, 0)
+    out = tail
+    for b, c, m in planted:
+        for _ in range(m):
+            out = out * (y.scale(field.embed(c)) - DensePoly.const(field, 1, field.embed(b)))
+    return out
+
+
+def _next_prime(n):
+    return next(q for q in itertools.count(n) if is_prime(q))
+
+
+def test_univariate_roots_match_sympy_over_rationals(QQ):
+    import sympy
+
+    rng = rng_for("roots-q-sweep")
+    for _ in range(12):
+        planted = [(rng.randint(-2**64, 2**64), rng.randint(1, 2**64), rng.randint(1, 3))
+                   for _ in range(rng.randint(1, 3))]
+        # y^2 + k with k > 0 has no real root, so it is irreducible over Q
+        quadratic = _poly(QQ, 1, {(2,): 1, (0,): rng.randint(1, 2**64)})
+        p = _from_roots(QQ, planted, quadratic)
+        ref = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                          for c in reversed([p.coeff((k,)) for k in range(p.total_degree() + 1)])],
+                         sympy.Symbol("y"), domain="QQ")
+        want = sorted((Fraction(int(r.p), int(r.q)), m)
+                      for r, m in sympy.roots(ref, filter="Q").items())
+        assert univariate_roots(p) == want
+        assert sum(m for _, m in want) == sum(m for _, _, m in planted)
+
+
+@pytest.mark.parametrize("bits", [61, 150, 223])
+def test_univariate_roots_of_large_rationals_are_fast(QQ, bits):
+    # (y - 1)(y - N); the largest N is a product of a 100- and a 123-bit prime
+    big = {61: 2**61 - 1, 150: (2**61 - 1) * (2**89 - 1),
+           223: _next_prime(3 << 98) * _next_prime(3 << 121)}[bits]
+    assert big.bit_length() == bits
+    p = _from_roots(QQ, [(1, 1, 1), (big, 1, 1)], DensePoly.const(QQ, 1, QQ.one))
+    start = time.perf_counter()
+    assert univariate_roots(p) == [(Fraction(1), 1), (Fraction(big), 1)]
+    assert time.perf_counter() - start < 1
+
+
+def test_rational_roots_skip_unsuitable_primes(QQ, monkeypatch):
+    p0 = _next_prime(_ROOT_PRIME_START)  # the first prime tried
+    one = DensePoly.const(QQ, 1, QQ.one)
+    # p0 divides the leading coefficient p0 of (p0*y - 1)(y - 2)
+    lead_divisible = _from_roots(QQ, [(1, p0, 1), (2, 1, 1)], one)
+    # the roots 1 and 1 + p0 meet mod p0, so the part is not squarefree there
+    congruent = _from_roots(QQ, [(1, 1, 1), (1 + p0, 1, 1)], one)
+    assert univariate_roots(lead_divisible) == [(Fraction(1, p0), 1), (Fraction(2), 1)]
+    assert univariate_roots(congruent) == [(Fraction(1), 1), (Fraction(1 + p0), 1)]
+    monkeypatch.setattr(dense, "_ROOT_PRIME_TRIES", 1)  # p0 alone is refused
+    for p in (lead_divisible, congruent):
+        with pytest.raises(SearchExhausted):
+            univariate_roots(p)
+    assert univariate_roots(_from_roots(QQ, [(2, 1, 1), (3, 1, 1)], one)) == [
+        (Fraction(2), 1), (Fraction(3), 1)]
+    monkeypatch.setattr(dense, "_ROOT_PRIME_TRIES", 0)
+    with pytest.raises(SearchExhausted):
+        univariate_roots(_from_roots(QQ, [(2, 1, 1)], one))
 
 
 def test_poly_text_roundtrip(QQ, Fp):

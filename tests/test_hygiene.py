@@ -1,10 +1,12 @@
 """Source hygiene: every import a module makes is used, and every
 module-level private function is referenced from some module of the
-package, so deletions leave no stranded helpers or imports behind."""
+package, so deletions leave no stranded helpers or imports behind. The
+runtime depends on the standard library and numpy only."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "circuitforge"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+RUNTIME_DEPENDENCIES = {"numpy", "circuitforge"}
 
 
 def _referenced(node) -> set:
@@ -57,3 +60,21 @@ def test_every_private_function_is_referenced(path):
                 if top is not fn:
                     refs |= _referenced(top)
         assert fn.name in refs, f"{path.name}: {fn.name} is defined but never referenced"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_numpy(path):
+    """Deferred imports inside functions count too."""
+    roots = {}
+    for node in ast.walk(TREES[path.name]):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            roots.setdefault(name.split(".")[0], node.lineno)
+    foreign = sorted(f"{name} (line {line})" for name, line in roots.items()
+                     if name not in sys.stdlib_module_names | RUNTIME_DEPENDENCIES)
+    assert not foreign, f"{path.name} imports outside the runtime dependencies: {foreign}"
