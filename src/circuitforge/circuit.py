@@ -661,7 +661,7 @@ def parse_value(field: Field, token: str, line_no: int):
     """A field element written in a text file."""
     try:
         return field.parse(token)
-    except (ValueError, ZeroDivisionError, DivisionByZero):
+    except (ValueError, DivisionByZero):
         raise CircuitSyntaxError(line_no, f"bad constant {token!r}") from None
 
 

@@ -21,7 +21,7 @@ import sys
 
 from . import errors as E
 from .circuit import emit_circuit, parse_circuit
-from .dense import ExpansionBudget, emit_poly, expand
+from .dense import DEFAULT_BUDGET, ExpansionBudget, emit_poly, expand
 from .designs import Design, nw_design
 from .expsum import ExpSumPoly, exp_sum_eval, exp_sum_expand, factor_vnp
 from .factoring import extract_factor
@@ -34,39 +34,6 @@ from .transforms import (
     homogenize,
     make_monic,
 )
-
-USAGE_ERRORS = (
-    E.CircuitSyntaxError,
-    E.DanglingReference,
-    E.CyclicReference,
-    E.ArityMismatch,
-    E.MixedFieldConfig,
-    E.ParameterViolation,
-    E.BoundExceedsField,
-    E.FieldTooSmall,
-    E.BadCertificate,
-    E.DivisionByZero,
-    E.CharacteristicDividesPower,
-    E.ShapeError,
-    E.NotAFormula,
-    ValueError,
-)
-VERIFY_ERRORS = (
-    E.ResidualNonzero,
-    E.NoRationalRoot,
-    E.NoFactorFound,
-    E.NoSimpleRoots,
-    E.NotASimpleRoot,
-    E.AllDerivativesVanish,
-    E.SearchExhausted,
-    E.ZeroPolynomial,
-    E.ZeroDivisor,
-    E.ZeroDelta,
-    E.PreconditionFailed,
-    E.MissingArtifact,
-    E.HashMismatch,
-)
-
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -86,16 +53,16 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
+def _parse_element(field, token, what):
+    try:
+        return field.parse(token.strip())
+    except (ValueError, E.DivisionByZero):
+        raise E.ParameterViolation(f"{what}: bad field element {token.strip()!r}") from None
+
+
 def _parse_point(field, text):
-    point = []
-    for k, token in enumerate(text.split(","), 1):
-        try:
-            point.append(field.parse(token.strip()))
-        except (ValueError, ZeroDivisionError, E.DivisionByZero):
-            raise E.ParameterViolation(
-                f"point coordinate {k}: bad field element {token.strip()!r}"
-            ) from None
-    return point
+    return [_parse_element(field, token, f"point coordinate {k}")
+            for k, token in enumerate(text.split(","), 1)]
 
 
 def _parse_esum(text: str) -> ExpSumPoly:
@@ -122,19 +89,23 @@ def _emit_esum(e: ExpSumPoly) -> str:
 # Each core maps (params, input bytes by role) to (output bytes by role,
 # data for the certificate). Commands and `verify` replay share the cores.
 
+def _check_degree(params, name):
+    """Refuse a degree parameter above the degree budget, before any work."""
+    if params[name] > params["budget_degree"]:
+        raise E.BudgetExceeded("degree", f"{name} = {params[name]} > {params['budget_degree']}")
+
+
 def _core_homog(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
-    k, bound = params["k"], params["budget_degree"]
-    if bound < k <= circ.formal_degree():  # above the formal degree H_k is 0
-        raise E.BudgetExceeded("degree", f"k = {k} > {bound}")
-    out = homogenize(circ, k)
+    if params["k"] <= circ.formal_degree():  # above the formal degree H_k is 0
+        _check_degree(params, "k")
+    out = homogenize(circ, params["k"])
     return {"out": emit_circuit(out).encode()}, {"metrics": out.metrics()}
 
 
 def _core_coeffs(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
-    if params["dmax"] > params["budget_degree"]:
-        raise E.BudgetExceeded("degree", f"dmax = {params['dmax']} > {params['budget_degree']}")
+    _check_degree(params, "dmax")
     coeffs = extract_y_coeffs(circ, params["y"], params["dmax"])
     outs = {f"coeff{j}": emit_circuit(c).encode() for j, c in enumerate(coeffs)}
     return outs, {"metrics": [c.metrics() for c in coeffs]}
@@ -148,6 +119,7 @@ def _core_deriv(params, inputs):
 
 def _core_monic(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
+    _check_degree(params, "r")
     form = make_monic(circ, params["r"], params["seed"], y_var=params.get("y"))
     fld = circ.field
     data = {
@@ -163,7 +135,8 @@ def _core_genset(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
     fld = circ.field
     budget = ExpansionBudget(params["budget_terms"], params["budget_degree"])
-    gens = generator_set(circ, params["y"], fld.parse(params["alpha"]), params["d"], budget=budget)
+    alpha = _parse_element(fld, params["alpha"], "--alpha")
+    gens = generator_set(circ, params["y"], alpha, params["d"], budget=budget)
     outs = {f"g{j}": emit_circuit(c).encode() for j, c in gens.members}
     data = {
         "orders": [j for j, _ in gens.members],
@@ -176,7 +149,9 @@ def _core_genset(params, inputs):
 def _core_lift_root(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
     fld = circ.field
-    alpha = fld.parse(params["alpha"]) if params.get("alpha") is not None else None
+    alpha = params.get("alpha")
+    if alpha is not None:
+        alpha = _parse_element(fld, alpha, "--alpha")
     budget = ExpansionBudget(params["budget_terms"], params["budget_degree"])
     cert = lift_root(circ, params["y"], params["d"], params["seed"], alpha=alpha, budget=budget)
     data = {
@@ -392,6 +367,15 @@ def _globals_parser(suppress: bool):
     return g
 
 
+def one_based_index(text: str) -> int:
+    """A 1-based index on the command line, as the 0-based one the cores take."""
+    return int(text) - 1
+
+
+def one_based_indices(text: str) -> list:
+    return [one_based_index(token) for token in text.split(",")]
+
+
 def _build_parser():
     shared = _globals_parser(suppress=True)
     p = argparse.ArgumentParser(
@@ -405,64 +389,74 @@ def _build_parser():
 
     sub = _Sub()
 
-    def common_io(sp, cert=True):
-        sp.add_argument("input")
-        sp.add_argument("-o", "--output", default=None)
-        if cert:
-            sp.add_argument("--cert", default=None)
+    def certified(sp, *params, inputs=None, fanout=None, output_required=False):
+        """Declare a command that writes a certificate. `params` names the
+        arguments the certificate records; `inputs` maps each input role to
+        the argument holding its path (by default the positional input). A
+        `fanout` of (bounding parameter, role, path) makes -o stand for one
+        output per order j up to that parameter, its role and path formatted
+        with j and out (the -o value)."""
+        if inputs is None:
+            inputs = {"in": "input"}
+            sp.add_argument("input")
+        sp.add_argument("-o", "--output", required=output_required)
+        sp.add_argument("--cert", default=None)
+        sp.set_defaults(params=params, inputs=inputs, fanout=fanout)
 
     sp = sub.add_parser("eval", help="evaluate a circuit at a point")
     sp.add_argument("input")
     sp.add_argument("--point", required=True)
 
     sp = sub.add_parser("expand", help="dense-expand a circuit")
-    common_io(sp, cert=False)
+    sp.add_argument("input")
+    sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("metrics", help="size/depth/formal-degree JSON")
     sp.add_argument("input")
 
     sp = sub.add_parser("homog", help="homogeneous component H_k")
     sp.add_argument("-k", type=int, required=True)
-    common_io(sp)
+    certified(sp, "k")
 
     sp = sub.add_parser("coeffs", help="y-coefficient circuits by interpolation")
-    sp.add_argument("-y", type=int, required=True, help="1-based y variable index")
+    sp.add_argument("-y", type=one_based_index, required=True, help="1-based y variable index")
     sp.add_argument("-d", "--dmax", type=int, required=True)
-    common_io(sp)
+    certified(sp, "y", "dmax", fanout=("dmax", "coeff{j}", "{out}.{j}.circ"))
 
     sp = sub.add_parser("deriv", help="Hasse derivative circuit")
-    sp.add_argument("-y", type=int, required=True)
+    sp.add_argument("-y", type=one_based_index, required=True)
     sp.add_argument("-j", type=int, required=True)
-    common_io(sp)
+    certified(sp, "y", "j")
 
     sp = sub.add_parser("monic", help="monic normal form in y")
     sp.add_argument("-r", type=int, required=True, help="exact total degree")
-    sp.add_argument("-y", type=int, default=None, help="1-based y (appended when absent)")
-    common_io(sp)
+    sp.add_argument("-y", type=one_based_index, default=None,
+                    help="1-based y (appended when absent)")
+    certified(sp, "r", "y")
 
     sp = sub.add_parser("genset", help="generator set G_y(P, alpha, d)")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("-d", type=int, required=True)
-    sp.add_argument("-y", type=int, required=True)
-    common_io(sp)
+    sp.add_argument("-y", type=one_based_index, required=True)
+    certified(sp, "alpha", "d", "y", fanout=("d", "g{j}", "{out}.g{j}.circ"))
 
     sp = sub.add_parser("lift-root", help="Hensel-lift a root circuit")
-    sp.add_argument("-y", type=int, required=True)
+    sp.add_argument("-y", type=one_based_index, required=True)
     sp.add_argument("-d", type=int, required=True)
     sp.add_argument("--alpha", default=None)
-    common_io(sp)
+    certified(sp, "y", "d", "alpha")
 
     sp = sub.add_parser("factor", help="extract a factor circuit")
-    sp.add_argument("-y", type=int, required=True)
+    sp.add_argument("-y", type=one_based_index, required=True)
     sp.add_argument("-d", type=int, required=True)
-    sp.add_argument("--subset", default=None, help="1-based root indices, comma separated")
-    common_io(sp)
+    sp.add_argument("--subset", type=one_based_indices, default=argparse.SUPPRESS,
+                    help="1-based root indices, comma separated")
+    certified(sp, "y", "d", "subset")
 
     sp = sub.add_parser("design", help="Nisan-Wigderson design")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("-o", "--output", required=True)
-    sp.add_argument("--cert", default=None)
+    certified(sp, "n", "m", inputs={}, output_required=True)
 
     sp = sub.add_parser("hitset", help="stream hitting-set points")
     sp.add_argument("--hard", required=True)
@@ -470,32 +464,27 @@ def _build_parser():
     sp.add_argument("-D", type=int, required=True, help="circuit degree bound")
     sp.add_argument("-d", type=int, required=True, help="hard polynomial degree")
     sp.add_argument("--limit", type=int, default=1024)
-    sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--cert", default=None)
+    certified(sp, "D", "d", "limit", inputs={"hard": "hard", "design": "design"})
 
     sp = sub.add_parser("pit", help="polynomial identity test")
     sp.add_argument("--mode", choices=["hitset", "sz", "exhaustive"], required=True)
-    sp.add_argument("input")
     sp.add_argument("--hard", default=None)
     sp.add_argument("--design", default=None)
     sp.add_argument("-D", type=int, default=None)
     sp.add_argument("-d", type=int, default=None)
     sp.add_argument("--limit", type=int, default=1024)
     sp.add_argument("--trials", type=int, default=64)
-    sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--cert", default=None)
+    certified(sp, "mode", "D", "d", "limit", "trials")
 
     sp = sub.add_parser("vnp-sum", help="expand or evaluate an exponential sum")
-    sp.add_argument("input")
     sp.add_argument("--expand", action="store_true")
     sp.add_argument("--eval", dest="eval_point", default=None)
-    sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--cert", default=None)
+    certified(sp, "eval_point")
 
     sp = sub.add_parser("vnp-factor", help="factor an exponential sum")
     sp.add_argument("-d", type=int, required=True)
-    sp.add_argument("--subset", default=None)
-    common_io(sp)
+    sp.add_argument("--subset", type=one_based_indices, default=argparse.SUPPRESS)
+    certified(sp, "d", "subset")
 
     sp = sub.add_parser("verify", help="re-check a certificate")
     sp.add_argument("cert")
@@ -530,9 +519,9 @@ def _dispatch(args) -> int:
     if getattr(args, "json", None) is None:
         args.json = False
     if args.budget_terms is None:
-        args.budget_terms = 200_000
+        args.budget_terms = DEFAULT_BUDGET.max_terms
     if args.budget_degree is None:
-        args.budget_degree = 64
+        args.budget_degree = DEFAULT_BUDGET.max_degree
     seed = _seed(args)
     bt, bd = args.budget_terms, args.budget_degree
     session = _session_field(args)
@@ -563,66 +552,30 @@ def _dispatch(args) -> int:
         print(json.dumps(report, sort_keys=True))
         return 0 if report["result"] == "pass" else 1
 
-    params: dict = {"seed": seed, "budget_terms": bt, "budget_degree": bd}
-    input_paths = {"in": args.input} if hasattr(args, "input") else {}
+    params = {"seed": seed, "budget_terms": bt, "budget_degree": bd}
+    params.update((name, getattr(args, name)) for name in args.params if hasattr(args, name))
+    input_paths = {role: getattr(args, name) for role, name in args.inputs.items()}
     if session is not None and "in" in input_paths and args.command != "vnp-sum":
         _check_session_field(session, parse_circuit(_read(args.input).decode()))
+    if args.command == "pit":
+        if args.mode == "hitset":
+            needs = {"--hard": args.hard, "--design": args.design, "-D": args.D, "-d": args.d}
+            input_paths.update(hard=args.hard, design=args.design)
+        else:
+            needs = {"-d": args.d}
+        missing = [flag for flag, value in needs.items() if value in (None, "")]
+        if missing:
+            raise E.ParameterViolation(f"pit --mode {args.mode} needs {', '.join(missing)}")
     output_paths = {}
-    if getattr(args, "output", None):
+    if args.output and args.fanout:
+        # a bound above the degree budget is refused before any output is written
+        bound, role, path = args.fanout
+        orders = range(min(params[bound], bd) + 1)
+        output_paths = {role.format(j=j): path.format(out=args.output, j=j) for j in orders}
+    elif args.output:
         output_paths["out"] = args.output
 
-    if args.command == "homog":
-        params["k"] = args.k
-    elif args.command == "coeffs":
-        params.update(y=args.y - 1, dmax=args.dmax)
-        if args.output:
-            # a dmax above the degree budget is refused, as genset's d is
-            orders = range(min(args.dmax, bd) + 1)
-            output_paths = {f"coeff{j}": f"{args.output}.{j}.circ" for j in orders}
-    elif args.command == "deriv":
-        params.update(y=args.y - 1, j=args.j)
-    elif args.command == "monic":
-        params.update(r=args.r, y=None if args.y is None else args.y - 1)
-    elif args.command == "genset":
-        params.update(alpha=args.alpha, d=args.d, y=args.y - 1)
-        if args.output:
-            # member orders run to d, and a d above the degree budget is refused
-            orders = range(min(args.d, bd) + 1)
-            output_paths = {f"g{j}": f"{args.output}.g{j}.circ" for j in orders}
-    elif args.command == "lift-root":
-        params.update(y=args.y - 1, d=args.d, alpha=args.alpha)
-    elif args.command == "factor":
-        params.update(y=args.y - 1, d=args.d)
-        if args.subset:
-            params["subset"] = [int(s) - 1 for s in args.subset.split(",")]
-    elif args.command == "design":
-        params.update(n=args.n, m=args.m)
-        input_paths = {}
-    elif args.command == "hitset":
-        params.update(D=args.D, d=args.d, limit=args.limit)
-        input_paths = {"hard": args.hard, "design": args.design}
-    elif args.command == "pit":
-        params.update(
-            mode=args.mode, D=args.D, d=args.d, limit=args.limit, trials=args.trials
-        )
-        if args.mode == "hitset":
-            if not args.hard or not args.design:
-                raise ValueError("pit --mode hitset needs --hard and --design")
-            input_paths.update(hard=args.hard, design=args.design)
-        elif args.d is None:
-            raise ValueError("pit --mode sz/exhaustive needs -d (degree bound)")
-    elif args.command == "vnp-sum":
-        params["eval_point"] = args.eval_point
-    elif args.command == "vnp-factor":
-        params["d"] = args.d
-        if args.subset:
-            params["subset"] = [int(s) - 1 for s in args.subset.split(",")]
-    else:
-        raise ValueError(f"unhandled command {args.command}")
-
-    cert, outs = _run_with_cert(
-        args.command, params, input_paths, output_paths, getattr(args, "cert", None)
-    )
+    cert, outs = _run_with_cert(args.command, params, input_paths, output_paths, args.cert)
     if "out" in outs and "out" not in output_paths:
         sys.stdout.write(outs["out"].decode())
     else:
@@ -635,18 +588,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except E.BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except E.InvariantViolated as exc:
-        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return 4
-    except VERIFY_ERRORS as exc:
-        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return 1
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return 2
+    except (E.ForgeError, ValueError) as exc:
+        # a bare ValueError is bad input (exit 2) until every such site
+        # raises a typed error
+        name = "" if isinstance(exc, E.BudgetExceeded) else f"{type(exc).__name__}: "
+        print(f"error: {name}{exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

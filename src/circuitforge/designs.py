@@ -161,20 +161,24 @@ class Design:
     ell: int
     sets: list  # n frozensets of universe indices in [0, ell)
 
-    def check(self) -> None:
+    def check(self, error=InvariantViolated) -> None:
+        """Raise `error` unless the design laws hold: a bug in a design that
+        nw_design built, bad input in one read from a file."""
         log_n = self.n.bit_length() - 1  # floor(log2 n)
+        if len(self.sets) != self.n:
+            raise error(f"{len(self.sets)} sets, n = {self.n}")
         if self.ell > DESIGN_ELL_FACTOR * self.m * self.m:
-            raise InvariantViolated(f"universe {self.ell} exceeds {DESIGN_ELL_FACTOR}*m^2")
+            raise error(f"universe {self.ell} exceeds {DESIGN_ELL_FACTOR}*m^2")
         for i, s in enumerate(self.sets):
             if len(s) != self.m:
-                raise InvariantViolated(f"|S_{i + 1}| = {len(s)} != m")
+                raise error(f"|S_{i + 1}| = {len(s)} != m")
             if any(not 0 <= e < self.ell for e in s):
-                raise InvariantViolated(f"S_{i + 1} leaves the universe")
+                raise error(f"S_{i + 1} leaves the universe")
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 inter = len(self.sets[i] & self.sets[j])
                 if inter > log_n:
-                    raise InvariantViolated(
+                    raise error(
                         f"|S_{i + 1} ∩ S_{j + 1}| = {inter} > floor(log2 n) = {log_n}"
                     )
 
@@ -194,15 +198,21 @@ class Design:
 
     @classmethod
     def from_json(cls, text: str) -> "Design":
+        """A design as to_json writes it; any other shape, or a set that
+        breaks a design law, is a ParameterViolation."""
         data = json.loads(text)
-        return cls(
-            n=data["n"],
-            m=data["m"],
-            q=data["q"],
-            dprime=data["dprime"],
-            ell=data["ell"],
-            sets=[frozenset(s) for s in data["sets"]],
-        )
+        keys = ("n", "m", "q", "dprime", "ell")
+        if not (isinstance(data, dict) and all(type(data.get(k)) is int for k in keys)
+                and isinstance(data.get("sets"), list)
+                and all(isinstance(s, list) and all(type(e) is int for e in s)
+                        for s in data["sets"])):
+            raise ParameterViolation(
+                "a design file is a JSON object with integer n, m, q, dprime and ell, "
+                "and sets as lists of integers"
+            )
+        design = cls(**{k: data[k] for k in keys}, sets=[frozenset(s) for s in data["sets"]])
+        design.check(ParameterViolation)
+        return design
 
 
 def nw_design(n: int, m: int) -> Design:

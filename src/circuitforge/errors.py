@@ -1,7 +1,9 @@
 """Exception types shared across the workbench.
 
-Every error raised on a contract violation derives from ForgeError so the
-CLI can map failures to exit codes in one place.
+Every error raised on a contract violation derives from ForgeError, and from
+exactly one of four bases whose `exit_code` is the forge exit code:
+UsageError (2, bad input), VerificationFailure (1, a claim did not verify),
+BudgetExceeded (3) and InvariantViolated (4, a bug, not bad input).
 """
 
 
@@ -9,139 +11,155 @@ class ForgeError(Exception):
     """Base class for all workbench errors."""
 
 
-class InvariantViolated(ForgeError):
-    """An internal law or cross-check failed: a bug, not bad input."""
+class UsageError(ForgeError):
+    """The input, an argument or a certificate is malformed."""
+
+    exit_code = 2
 
 
-# --- field errors ---
+class VerificationFailure(ForgeError):
+    """A claim did not verify, or a search for what it needs found nothing."""
 
-class DivisionByZero(ForgeError):
-    pass
+    exit_code = 1
 
-
-class MixedFieldConfig(ForgeError):
-    """Operands belong to different field configurations."""
-
-
-class BoundExceedsField(ForgeError):
-    """Requested sampling grid does not fit inside the field."""
-
-
-class FieldTooSmall(ForgeError):
-    """Interpolation needs more distinct field elements than the field has."""
-
-
-# --- circuit errors ---
-
-class ArityMismatch(ForgeError):
-    pass
-
-
-class CircuitSyntaxError(ForgeError):
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-class DanglingReference(ForgeError):
-    pass
-
-
-class CyclicReference(ForgeError):
-    pass
-
-
-# --- dense oracle errors ---
 
 class BudgetExceeded(ForgeError):
     """A work budget was exceeded; `kind` is 'terms', 'degree' or 'points'
     (the points of an exhaustive grid scan)."""
+
+    exit_code = 3
 
     def __init__(self, kind, detail=""):
         super().__init__(f"budget exceeded ({kind}) {detail}".rstrip())
         self.kind = kind
 
 
-class ZeroDivisor(ForgeError):
+class InvariantViolated(ForgeError):
+    """An internal law or cross-check failed: a bug, not bad input."""
+
+    exit_code = 4
+
+
+# --- field errors ---
+
+class DivisionByZero(UsageError):
     pass
 
 
-class ZeroPolynomial(ForgeError):
+class MixedFieldConfig(UsageError):
+    """Operands belong to different field configurations."""
+
+
+class BoundExceedsField(UsageError):
+    """Requested sampling grid does not fit inside the field."""
+
+
+class FieldTooSmall(UsageError):
+    """Interpolation needs more distinct field elements than the field has."""
+
+
+# --- circuit errors ---
+
+class ArityMismatch(UsageError):
+    pass
+
+
+class CircuitSyntaxError(UsageError):
+    def __init__(self, line_no, message):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
+class DanglingReference(UsageError):
+    pass
+
+
+class CyclicReference(UsageError):
+    pass
+
+
+# --- dense oracle errors ---
+
+class ZeroDivisor(VerificationFailure):
+    pass
+
+
+class ZeroPolynomial(VerificationFailure):
     pass
 
 
 # --- transform errors ---
 
-class SearchExhausted(ForgeError):
+class SearchExhausted(VerificationFailure):
     """Seeded random search ran out of trials; for correct inputs this
     signals a misdeclared degree, not bad luck."""
 
 
 # --- lifting errors ---
 
-class ZeroDelta(ForgeError):
+class ZeroDelta(VerificationFailure):
     pass
 
 
-class NotASimpleRoot(ForgeError):
+class NotASimpleRoot(VerificationFailure):
     pass
 
 
-class AllDerivativesVanish(ForgeError):
+class AllDerivativesVanish(VerificationFailure):
     pass
 
 
-class NoRationalRoot(ForgeError):
+class NoRationalRoot(VerificationFailure):
     pass
 
 
-class ResidualNonzero(ForgeError):
+class ResidualNonzero(VerificationFailure):
     pass
 
 
 # --- factorizer errors ---
 
-class NoSimpleRoots(ForgeError):
+class NoSimpleRoots(VerificationFailure):
     pass
 
 
-class NoFactorFound(ForgeError):
+class NoFactorFound(VerificationFailure):
     pass
 
 
 # --- PIT errors ---
 
-class ParameterViolation(ForgeError):
+class ParameterViolation(UsageError):
     pass
 
 
-class PreconditionFailed(ForgeError):
+class PreconditionFailed(VerificationFailure):
     pass
 
 
 # --- exponential-sum errors ---
 
-class CharacteristicDividesPower(ForgeError):
+class CharacteristicDividesPower(UsageError):
     pass
 
 
-class ShapeError(ForgeError):
+class ShapeError(UsageError):
     pass
 
 
-class NotAFormula(ForgeError):
+class NotAFormula(UsageError):
     pass
 
 
 # --- certificate errors ---
 
-class MissingArtifact(ForgeError):
+class MissingArtifact(VerificationFailure):
     pass
 
 
-class HashMismatch(ForgeError):
+class HashMismatch(VerificationFailure):
     pass
 
 
-class BadCertificate(ForgeError):
+class BadCertificate(UsageError):
     """A certificate lacks a field, or a field has the wrong type."""

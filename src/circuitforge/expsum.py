@@ -410,7 +410,6 @@ def factor_vnp(
     subset=None,
     seed: int = 0,
     budget: ExpansionBudget = DEFAULT_BUDGET,
-    z_var: int | None = None,
 ):
     """Factor of degree <= d of the represented polynomial, as an exp-sum.
 
@@ -429,9 +428,9 @@ def factor_vnp(
     p_dense = exp_sum_expand(E, budget)
     if p_dense.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    z = nx - 1 if z_var is None else z_var
-    if not 0 <= z < nx:
-        raise ParameterViolation(f"z must be one of the {E.nx} x-variables, got index {z}")
+    z = nx - 1
+    if z < 0:
+        raise ParameterViolation("z must be an x-variable, and there is none")
 
     p_circ = circuit_from_dense(p_dense)
     fr = extract_factor(p_circ, z, d, subset=subset, seed=seed, budget=budget)

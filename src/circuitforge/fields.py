@@ -51,7 +51,11 @@ class Field:
         return None
 
     def parse(self, text: str):
-        raise NotImplementedError
+        """An integer or `num/den`; a zero denominator is a DivisionByZero."""
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return self.div(self.embed(int(num)), self.embed(int(den)))
+        return self.embed(int(text))
 
     def format(self, v) -> str:
         raise NotImplementedError
@@ -86,12 +90,6 @@ class Rationals(Field):
         if not isinstance(v, Fraction):
             raise MixedFieldConfig(f"{v!r} is not a rational field element")
         return v
-
-    def parse(self, text: str):
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
 
     def format(self, v) -> str:
         if v.denominator == 1:
@@ -152,12 +150,6 @@ class PrimeField(Field):
     def min_degree_capacity(self) -> int:
         # 2*D*D < p  <=>  D*D <= (p - 1) // 2
         return math.isqrt((self.p - 1) // 2)
-
-    def parse(self, text: str):
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.div(self.embed(int(num)), self.embed(int(den)))
-        return self.embed(int(text))
 
     def format(self, v) -> str:
         return str(v)

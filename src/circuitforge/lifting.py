@@ -63,7 +63,6 @@ class LiftState:
     delta: object
     gens: GeneratorSet
     A: list  # A[i-1] computes A_i over the generator variables
-    i: int
     wire_deltas: list = dc_field(default_factory=list)
 
     @property
@@ -181,7 +180,7 @@ def build_A_recurrence(
             raise InvariantViolated(
                 f"A recurrence wire law violated at step {i}: {added} > {law}"
             )
-    return LiftState(alpha=alpha, delta=delta, gens=gens, A=A_circs, i=d, wire_deltas=deltas)
+    return LiftState(alpha=alpha, delta=delta, gens=gens, A=A_circs, wire_deltas=deltas)
 
 
 def compose_root(state: LiftState, k: int | None = None) -> Circuit:

@@ -25,12 +25,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .circuit import IN, Circuit, CircuitBuilder, drop_unused_vars, fix_vars
+from .circuit import IN, Circuit, CircuitBuilder, drop_unused_vars, fix_vars, formal_degree_in
 from .circuit import evaluate_batches, evaluate_points, parse_header, parse_value
 from .dense import DEFAULT_BUDGET, expand
 from .designs import Design
 from .errors import (
-    ArityMismatch, BudgetExceeded, CircuitSyntaxError, FieldTooSmall, PreconditionFailed,
+    ArityMismatch, BudgetExceeded, CircuitSyntaxError, FieldTooSmall, ParameterViolation,
+    PreconditionFailed,
 )
 from .fields import Field, PrimeField
 from .seeding import stream
@@ -107,6 +108,8 @@ class HittingSet:
     d: int
 
     def __post_init__(self):
+        if self.D < 1 or self.d < 0:
+            raise ParameterViolation(f"need D >= 1 and d >= 0, got D={self.D}, d={self.d}")
         if self.hard.m != self.design.m:
             raise ArityMismatch(
                 f"table has m={self.hard.m}, design wants m={self.design.m}"
@@ -126,8 +129,7 @@ class HittingSet:
     def _raw_points(self, skip: int):
         field = self.hard.field
         ell = self.design.ell
-        t_vals = [field.embed(v) for v in range(self.t_size)]
-        y = [0] * ell  # indices into t_vals, last coordinate fastest
+        y = [0] * ell  # grid values, last coordinate fastest
         if skip:
             rem = skip
             for pos in range(ell - 1, -1, -1):
@@ -135,18 +137,18 @@ class HittingSet:
                 rem //= self.t_size
             if rem:
                 return
+        assignment = [field.embed(v) for v in y]  # y embedded, kept in step with y
         while True:
-            assignment = [t_vals[i] for i in y]
             yield tuple(
                 self.hard.evaluate([assignment[e] for e in window])
                 for window in self.windows
             )
             pos = ell - 1
             while pos >= 0:
-                y[pos] += 1
-                if y[pos] < self.t_size:
+                y[pos] = (y[pos] + 1) % self.t_size
+                assignment[pos] = field.embed(y[pos])
+                if y[pos]:
                     break
-                y[pos] = 0
                 pos -= 1
             if pos < 0:
                 return
@@ -157,6 +159,8 @@ class HittingSet:
 
     def points(self, limit: int | None = None):
         """Yield hitting points in lexicographic y-order (y = 0 first)."""
+        if limit is not None and limit < 0:
+            raise ParameterViolation(f"limit must be >= 0, got {limit}")
         yield from self._prefix[: limit if limit is not None else len(self._prefix)]
         emitted = len(self._prefix) if limit is None else min(limit, len(self._prefix))
         if limit is not None and emitted >= limit:
@@ -226,6 +230,8 @@ def _grid_scan(circ: Circuit, grid_size: int, want_count: bool):
     covers only the batches scanned. A grid over EXHAUSTIVE_POINT_BUDGET
     points raises BudgetExceeded before any point is evaluated."""
     n = circ.num_vars
+    if grid_size < 1:
+        raise ParameterViolation(f"grid size must be >= 1, got {grid_size}")
     total = grid_size**n
     if total > EXHAUSTIVE_POINT_BUDGET:
         raise BudgetExceeded(
@@ -263,13 +269,20 @@ def pit_sz(
 ) -> PitResult:
     """Schwartz-Zippel test on the grid {0..d}^n, d >= deg(C).
 
-    Exhaustive mode scans all (d+1)^n points and is definitive; it is the
-    default whenever the grid fits the point budget. Random mode samples
-    seeded points and can only answer probably-zero. A nonzero verdict
-    reports the witness's 1-based position in the scan as points_checked.
+    Exhaustive mode scans all (d+1)^n points and is definitive, because d
+    bounds the degree in every variable (a d below some variable's formal
+    degree is refused); it is the default whenever the grid fits the point
+    budget. Random mode samples seeded points and can only answer
+    probably-zero. A nonzero verdict reports the witness's 1-based position
+    in the scan as points_checked.
     """
     field = circ.field
     n = circ.num_vars
+    # the total degree bounds every variable's, and one walk finds it
+    if d < formal_degree_in(circ, range(n)):
+        top = max((formal_degree_in(circ, v) for v in range(n)), default=0)
+        if d < top:
+            raise ParameterViolation(f"d = {d} is below a variable's formal degree {top}")
     grid = d + 1
     if isinstance(field, PrimeField) and field.p < grid:
         raise FieldTooSmall(f"grid {grid} exceeds field size {field.p}")

@@ -361,6 +361,8 @@ def make_monic(circ: Circuit, r: int, seed: int, y_var: int | None = None) -> Mo
     after 16*(r+1) trials signals a misdeclared degree.
     """
     circ.output()
+    if r < 0:
+        raise ParameterViolation(f"degree r must be >= 0, got {r}")
     fld = circ.field
     if y_var is None:
         nv = circ.num_vars + 1

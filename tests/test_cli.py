@@ -324,19 +324,34 @@ def _forge_error_classes(cls):
         yield from _forge_error_classes(sub)
 
 
+# the forge exit code of every concrete error class: 1 a claim did not
+# verify, 2 bad input, 3 over budget, 4 a bug
+EXIT_CODES = {
+    "ResidualNonzero": 1, "NoRationalRoot": 1, "NoFactorFound": 1, "NoSimpleRoots": 1,
+    "NotASimpleRoot": 1, "AllDerivativesVanish": 1, "SearchExhausted": 1,
+    "ZeroPolynomial": 1, "ZeroDivisor": 1, "ZeroDelta": 1, "PreconditionFailed": 1,
+    "MissingArtifact": 1, "HashMismatch": 1,
+    "CircuitSyntaxError": 2, "DanglingReference": 2, "CyclicReference": 2,
+    "ArityMismatch": 2, "MixedFieldConfig": 2, "ParameterViolation": 2,
+    "BoundExceedsField": 2, "FieldTooSmall": 2, "BadCertificate": 2, "DivisionByZero": 2,
+    "CharacteristicDividesPower": 2, "ShapeError": 2, "NotAFormula": 2,
+    "BudgetExceeded": 3,
+    "InvariantViolated": 4,
+}
+
+
 def test_every_forge_error_maps_to_one_exit_code(tmp_path, monkeypatch, capsys):
     from circuitforge import cli, errors
 
-    groups = {3: (errors.BudgetExceeded,), 4: (errors.InvariantViolated,),
-              1: cli.VERIFY_ERRORS, 2: cli.USAGE_ERRORS}
+    bases = (errors.VerificationFailure, errors.UsageError, errors.BudgetExceeded,
+             errors.InvariantViolated)
     path = _write(tmp_path, "p.circ", LIFT_INPUT)
-    classes = list(_forge_error_classes(errors.ForgeError))
-    for cls in (errors.DivisionByZero, errors.CharacteristicDividesPower,
-                errors.ShapeError, errors.NotAFormula):
-        assert cls in classes
-    for cls in classes:
-        codes = [code for code, group in groups.items() if issubclass(cls, group)]
-        assert len(codes) == 1, f"{cls.__name__} maps to exit codes {codes}"
+    concrete = [cls for cls in _forge_error_classes(errors.ForgeError)
+                if cls not in (errors.VerificationFailure, errors.UsageError)]
+    assert sorted(cls.__name__ for cls in concrete) == sorted(EXIT_CODES)
+    for cls in concrete:
+        assert sum(issubclass(cls, base) for base in bases) == 1, cls.__name__
+        assert cls.exit_code == EXIT_CODES[cls.__name__], cls.__name__
         exc = cls.__new__(cls)
         Exception.__init__(exc, "probe")
 
@@ -344,8 +359,9 @@ def test_every_forge_error_maps_to_one_exit_code(tmp_path, monkeypatch, capsys):
             raise exc
 
         monkeypatch.setattr(cli, "_dispatch", boom)
-        assert main(["metrics", path]) == codes[0], cls.__name__
-    assert "Traceback" not in capsys.readouterr().err
+        assert main(["metrics", path]) == cls.exit_code, cls.__name__
+        want = "error: probe" if cls is errors.BudgetExceeded else f"error: {cls.__name__}: probe"
+        assert capsys.readouterr().err == want + "\n", cls.__name__
 
 
 def test_composite_modulus_in_a_file_is_a_usage_error(tmp_path, capsys):
@@ -437,6 +453,61 @@ def test_verify_refuses_a_certificate_degree_above_the_budget(tmp_path, capsys):
     assert "budget exceeded (degree)" in capsys.readouterr().err
 
 
+def test_bad_inputs_end_in_their_documented_code(tmp_path, capsys):
+    """Inputs that once ended in a Python traceback with exit 1, which reads
+    like a failed verification."""
+    for name, text in (("p.circ", LIFT_INPUT), ("hard.table", FUZZ_TABLE),
+                       ("xy.circ", "field prime 101\nnvars 2\ng1 = input x1\ng2 = input x2\n"
+                                   "g3 = mul g1 g2\noutput g3\n"),
+                       ("c.circ", "field prime 1000003\nnvars 4\ng1 = input x1\noutput g1\n"),
+                       ("notobj.json", "[1, 2]\n"), ("nokey.json", '{"n": 4, "m": 3}\n')):
+        _write(tmp_path, name, text)
+    p, xy, c = (str(tmp_path / n) for n in ("p.circ", "xy.circ", "c.circ"))
+    design = str(tmp_path / "design.json")
+    assert main(["design", "-n", "4", "-m", "3", "-o", design]) == 0
+    outside = json.loads((tmp_path / "design.json").read_text())
+    outside["sets"][2] = [0, 3, 99]
+    _write(tmp_path, "outside.json", json.dumps(outside))
+    table = str(tmp_path / "hard.table")
+    hitset = ["hitset", "--hard", table, "-D", "2", "-d", "3", "--design"]
+    pit = ["pit", "--mode", "hitset", c, "--hard", table, "--design", design]
+    cases = (
+        (["genset", "--alpha", "1/0", "-d", "2", "-y", "3", p], 2, "ParameterViolation: --alpha"),
+        (["lift-root", "--alpha", "1/0", "-d", "2", "-y", "3", p], 2, "ParameterViolation"),
+        (pit + ["-d", "3"], 2, "needs -D"),
+        (pit + ["-D", "2"], 2, "needs -d"),
+        (["monic", "-r", "-1", "-y", "3", p], 2, "ParameterViolation"),
+        (["monic", "-r", "65", "-y", "3", p], 3, "budget exceeded (degree) r = 65 > 64"),
+        (hitset + [str(tmp_path / "outside.json")], 2, "leaves the universe"),
+        (hitset + [str(tmp_path / "notobj.json")], 2, "ParameterViolation"),
+        (hitset + [str(tmp_path / "nokey.json")], 2, "ParameterViolation"),
+        (["hitset", "--hard", table, "--design", design, "-D", "-5", "-d", "2"], 2, "D >= 1"),
+        (["hitset", "--hard", table, "--design", design, "-D", "2", "-d", "-1"], 2, "d >= 0"),
+        (hitset + [design, "--limit", "-1"], 2, "limit must be >= 0"),
+        (["pit", "--mode", "exhaustive", xy, "-d", "-1"], 2, "formal degree 1"),
+        (["pit", "--mode", "exhaustive", xy, "-d", "0"], 2, "formal degree 1"),
+    )
+    capsys.readouterr()
+    for argv, code, text in cases:
+        start = time.perf_counter()
+        assert main(argv) == code, argv
+        assert time.perf_counter() - start < 5, argv
+        out, err = capsys.readouterr()
+        assert text in err and "Traceback" not in err, (argv, err)
+        assert '"status": "zero"' not in out, argv
+
+
+def test_hitset_over_a_huge_grid_streams_its_first_points(tmp_path, capsys):
+    design = str(tmp_path / "design.json")
+    assert main(["design", "-n", "4", "-m", "3", "-o", design]) == 0
+    table = _write(tmp_path, "hard.table", FUZZ_TABLE.replace("1000003", "4611686018427387847"))
+    start = time.perf_counter()
+    assert main(["hitset", "--hard", table, "--design", design, "-D", "1000000",
+                 "-d", "1000000", "--limit", "3"]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.splitlines()[-3:] == ["1,1,1,1"] * 3
+
+
 # -- bounded fuzzing: mutated input files through the in-process CLI ---------------
 
 FUZZ_ESUM = """aux y3
@@ -479,6 +550,9 @@ FUZZ_COMMANDS = (  # argv before the input path, and the kind of file it reads
     (["vnp-sum", "--expand"], "esum"),
     (["vnp-factor", "-d", "1"], "esum"),
     (["verify"], "cert"),
+    # the mutated file is the last option's value
+    (["hitset", "--design", "orig.design", "-D", "2", "-d", "3", "--hard"], "table"),
+    (["hitset", "--hard", "orig.table", "-D", "2", "-d", "3", "--design"], "design"),
 )
 FUZZ_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None,
                          suppress_health_check=[HealthCheck.too_slow])
@@ -537,8 +611,11 @@ def test_cli_survives_mutated_inputs(tmp_path, monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert main(["--seed", "5", "lift-root", "-y", "3", "-d", "2", "orig.circ",
                      "-o", "root.circ", "--cert", "orig.cert"]) == 0
+        assert main(["design", "-n", "4", "-m", "3", "-o", "orig.design"]) == 0
+    _write(tmp_path, "orig.table", FUZZ_TABLE)
     fixtures = {"circ": LIFT_INPUT, "esum": FUZZ_ESUM, "poly": FUZZ_POLY,
-                "table": FUZZ_TABLE, "cert": (tmp_path / "orig.cert").read_text()}
+                "table": FUZZ_TABLE, "cert": (tmp_path / "orig.cert").read_text(),
+                "design": (tmp_path / "orig.design").read_text()}
 
     @st.composite
     def cases(draw):

@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import pytest
 
 from circuitforge import (
@@ -11,7 +14,8 @@ from circuitforge import (
     pit_hitset,
     pit_sz,
 )
-from circuitforge.designs import DESIGN_ELL_FACTOR, SmallGF
+from circuitforge.designs import DESIGN_ELL_FACTOR, Design, SmallGF
+from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge.errors import ArityMismatch, BudgetExceeded, ParameterViolation, PreconditionFailed
 from circuitforge.pit import EXHAUSTIVE_POINT_BUDGET, exhaustive_zero_count
 
@@ -87,6 +91,66 @@ def test_hitting_set_table_design_mismatch():
     F = PrimeField(SMALL_PRIME)
     with pytest.raises(ArityMismatch):
         HittingSet(_random_table(F, 4, 0), nw_design(4, 3), D=2, d=3)
+
+
+def test_hitting_set_refuses_bad_degrees_and_limits():
+    F = PrimeField(SMALL_PRIME)
+    tab = _random_table(F, 3, 3)
+    design = nw_design(4, 3)
+    for D, d in ((0, 3), (-5, 2), (2, -1)):
+        with pytest.raises(ParameterViolation):
+            HittingSet(tab, design, D=D, d=d)
+    hs = HittingSet(tab, design, D=2, d=3)
+    hs.prefix(3)
+    with pytest.raises(ParameterViolation):
+        list(hs.points(limit=-1))
+    assert hs.prefix(0) == [] and len(hs.prefix(5)) == 5
+
+
+def test_hitting_set_skips_to_a_later_point_without_listing_the_grid():
+    # |T| = 10^12 + 1: the coordinates are embedded as the scan reaches them
+    F = PrimeField(SIXTY_TWO_BIT_PRIME)
+    tab = ExplicitPoly(F, 3, [F.embed(v) for v in range(1, 9)])
+    hs = HittingSet(tab, nw_design(4, 3), D=10**6, d=10**6)
+    first = hs.prefix(3)
+    later = list(itertools.islice(hs._raw_points(skip=hs.t_size - 1), 2))
+    assert len(first) == 3 and len(later) == 2
+    y = [0] * 8 + [F.embed(10**12)]  # skip t_size - 1: the last coordinate at its top
+    assert later[0] == tuple(tab.evaluate([y[e] for e in w]) for w in hs.windows)
+
+
+def test_design_file_of_the_wrong_shape_is_a_parameter_violation():
+    text = nw_design(4, 3).to_json()
+    assert Design.from_json(text) == nw_design(4, 3)
+    data = json.loads(text)
+    bad = ([1, 2], {"n": 4, "m": 3}, dict(data, n=True), dict(data, sets=[[0, 4, "8"]]),
+           dict(data, sets=data["sets"][:3]), dict(data, sets=[[0, 4, 99]] + data["sets"][1:]),
+           dict(data, ell=10**12), dict(data, sets=[[0, 4, 8]] * 4))
+    for body in bad:
+        with pytest.raises(ParameterViolation):
+            Design.from_json(json.dumps(body))
+
+
+def test_pit_sz_refuses_a_grid_below_a_variable_degree():
+    # x1 * x2: degree 1 in each variable, so {0}^2 or an empty grid cannot decide it
+    F = PrimeField(101)
+    b = CircuitBuilder(F, 2)
+    c = b.finish(b.mul(b.inp(0), b.inp(1)))
+    for d in (-1, 0):
+        for exhaustive in (True, False):
+            with pytest.raises(ParameterViolation):
+                pit_sz(c, d, exhaustive=exhaustive)
+    assert pit_sz(c, 1, exhaustive=True).status == "nonzero"
+    # x1^3 + x2 has total degree 3 but degree 3 only in x1: d = 2 is refused
+    b = CircuitBuilder(F, 2)
+    x1 = b.inp(0)
+    c = b.finish(b.add(b.mul(x1, x1, x1), b.inp(1)))
+    with pytest.raises(ParameterViolation):
+        pit_sz(c, 2, exhaustive=True)
+    assert pit_sz(c, 3, exhaustive=True).status == "nonzero"
+    for size in (0, -3):
+        with pytest.raises(ParameterViolation):
+            exhaustive_zero_count(c, size)
 
 
 def test_pit_hitset_zero_and_nonzero():

@@ -57,6 +57,10 @@ def test_division_by_zero(QQ, Fp):
         QQ.div(QQ.one, QQ.zero)
     with pytest.raises(DivisionByZero):
         Fp.inv(0)
+    for field in (QQ, Fp):  # both fields parse a zero denominator alike
+        with pytest.raises(DivisionByZero):
+            field.parse("1/0")
+    assert QQ.parse("-3/6") == QQ.div(QQ.embed(-1), QQ.embed(2))
 
 
 def test_mixed_field_config(QQ, Fp):
