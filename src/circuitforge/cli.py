@@ -326,6 +326,20 @@ def verify_certificate(cert_path: str) -> dict:
     if command not in CORES:
         raise E.MissingArtifact(f"unknown command {command!r} in certificate")
     params = _CertSection("params", _cert_entry(cert, "params", dict, "certificate"))
+    # a recorded parameter must have the JSON type its argument produces from
+    # a sample token, and one of its choices; None passes for an optional
+    # argument defaulting to None
+    for action in _build_parser().get_default("subcommands")[command]._actions:
+        value = params.get(action.dest)
+        optional = action.default is None and not action.required
+        if action.dest not in params or value is None and optional:
+            continue
+        want = (action.type or str)("1")
+        if (type(value) is not type(want) or action.choices and value not in action.choices
+                or type(want) is list and any(type(x) is not type(want[0]) for x in value)):
+            raise E.BadCertificate(
+                f"certificate params: {action.dest!r} = {value!r} is not a value its "
+                f"argument produces")
     inputs = _CertSection("inputs", {})
     for role, rec in _cert_entry(cert, "inputs", dict, "certificate").items():
         path = _cert_entry(rec, "path", str, f"input {role!r}")
@@ -389,19 +403,21 @@ def _build_parser():
 
     sub = _Sub()
 
-    def certified(sp, *params, inputs=None, fanout=None, output_required=False):
+    def certified(sp, *params, inputs=None, fanout=None, output_required=False,
+                  parse_input=parse_circuit):
         """Declare a command that writes a certificate. `params` names the
         arguments the certificate records; `inputs` maps each input role to
         the argument holding its path (by default the positional input). A
         `fanout` of (bounding parameter, role, path) makes -o stand for one
         output per order j up to that parameter, its role and path formatted
-        with j and out (the -o value)."""
+        with j and out (the -o value). `parse_input` reads the positional
+        input's text into an object whose field the --field guard checks."""
         if inputs is None:
             inputs = {"in": "input"}
             sp.add_argument("input")
         sp.add_argument("-o", "--output", required=output_required)
         sp.add_argument("--cert", default=None)
-        sp.set_defaults(params=params, inputs=inputs, fanout=fanout)
+        sp.set_defaults(params=params, inputs=inputs, fanout=fanout, parse_input=parse_input)
 
     sp = sub.add_parser("eval", help="evaluate a circuit at a point")
     sp.add_argument("input")
@@ -479,15 +495,16 @@ def _build_parser():
     sp = sub.add_parser("vnp-sum", help="expand or evaluate an exponential sum")
     sp.add_argument("--expand", action="store_true")
     sp.add_argument("--eval", dest="eval_point", default=None)
-    certified(sp, "eval_point")
+    certified(sp, "eval_point", parse_input=_parse_esum)
 
     sp = sub.add_parser("vnp-factor", help="factor an exponential sum")
     sp.add_argument("-d", type=int, required=True)
     sp.add_argument("--subset", type=one_based_indices, default=argparse.SUPPRESS)
-    certified(sp, "d", "subset")
+    certified(sp, "d", "subset", parse_input=_parse_esum)
 
     sp = sub.add_parser("verify", help="re-check a certificate")
     sp.add_argument("cert")
+    p.set_defaults(subcommands=sub_registry.choices)
     return p
 
 
@@ -507,12 +524,12 @@ def _session_field(args):
     raise ValueError(f"bad --field {args.field!r} (use 'rationals' or 'prime:<p>')")
 
 
-def _check_session_field(session, circ):
-    if session is not None and circ.field != session:
+def _check_session_field(session, parsed):
+    if session is not None and parsed.field != session:
         raise E.MixedFieldConfig(
-            f"input field {circ.field!r} does not match session field {session!r}"
+            f"input field {parsed.field!r} does not match session field {session!r}"
         )
-    return circ
+    return parsed
 
 
 def _dispatch(args) -> int:
@@ -555,8 +572,8 @@ def _dispatch(args) -> int:
     params = {"seed": seed, "budget_terms": bt, "budget_degree": bd}
     params.update((name, getattr(args, name)) for name in args.params if hasattr(args, name))
     input_paths = {role: getattr(args, name) for role, name in args.inputs.items()}
-    if session is not None and "in" in input_paths and args.command != "vnp-sum":
-        _check_session_field(session, parse_circuit(_read(args.input).decode()))
+    if session is not None and "in" in input_paths:
+        _check_session_field(session, args.parse_input(_read(args.input).decode()))
     if args.command == "pit":
         if args.mode == "hitset":
             needs = {"--hard": args.hard, "--design": args.design, "-D": args.D, "-d": args.d}

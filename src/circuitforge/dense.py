@@ -20,26 +20,38 @@ Expansion and DensePoly products run on one packed integer kernel
   degree above D, and no exponent it carries exceeds its formal degree.
   Every exponent is therefore at most D < 2^w: a field never overflows
   into the next, and multiplying two monomials is adding their keys.
+- Total degree and cap. An expansion key has one more slot above the n
+  variable slots, holding its total degree << w*n; packing is additive, so
+  products keep it exact. Being the top slot, it makes a degree bound one
+  comparison: `expand_outputs(cap=c)` drops each input and product key of
+  degree above c, and since exponents are non-negative no dropped monomial
+  could come back, so each output is exactly H_<=c; a capped call
+  certifies claims about H_<=c only. Kept exponents are at most c, so w
+  comes from min(D, c): a product that carries out of a slot has degree
+  above c and is dropped.
 - Coefficients. Over F_p they are residues mod p. Over Q each gate holds
   integer numerators over one common denominator, divided through by one
   gcd per gate; Fractions are built only at the outputs. The inner loops
   call no Field method.
 - Order. A sum that reaches zero leaves the map at once, as in a
-  term-by-term field walk, so every map has the same key order as one; the
-  per-row partial-product budget check depends on that order.
+  term-by-term field walk, so every uncapped map has the same key order as
+  one; the per-row partial-product budget check depends on that order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import ADD, CONST, IN, Circuit, CircuitBuilder, _gate_degrees, field_line
 from .circuit import parse_header, parse_value
 from .errors import (
+    ArityMismatch,
     BudgetExceeded,
     CircuitSyntaxError,
+    ParameterViolation,
     SearchExhausted,
     ZeroDivisor,
     ZeroPolynomial,
@@ -54,7 +66,7 @@ class ExpansionBudget:
 
     def __post_init__(self):
         if self.max_terms <= 0 or self.max_degree <= 0:
-            raise ValueError("budget bounds must be positive")
+            raise ParameterViolation("budget bounds must be positive")
 
 
 DEFAULT_BUDGET = ExpansionBudget()
@@ -144,7 +156,7 @@ class DensePoly:
     def _like(self, other):
         same_field(self.field, other.field)
         if self.n != other.n:
-            raise ValueError(f"variable count mismatch: {self.n} vs {other.n}")
+            raise ArityMismatch(f"variable count mismatch: {self.n} vs {other.n}")
 
     def __add__(self, other):
         self._like(other)
@@ -185,7 +197,7 @@ class DensePoly:
     def evaluate(self, point):
         field = self.field
         if len(point) != self.n:
-            raise ValueError("point arity mismatch")
+            raise ArityMismatch("point arity mismatch")
         acc = field.zero
         for e, c in self.terms.items():
             v = c
@@ -257,19 +269,22 @@ def _add_into(out: dict, terms: dict, scale: int, p) -> None:
             del out[k]
 
 
-def _product_terms(a: dict, b: dict, p, max_terms: int | None = None) -> dict:
+def _product_terms(a: dict, b: dict, p, max_terms=None, bound=None) -> dict:
     """Packed term map of the product of two packed term maps: keys add,
     coefficients multiply (mod p when p is given). Zero sums leave the map
     as they occur, so its key order is that of a term-by-term field walk.
-    With max_terms, raises BudgetExceeded as soon as a row of the smaller
-    operand leaves the partial product with more terms."""
+    With bound, keys >= bound never enter it: each row walks b in key order
+    up to the bound. With max_terms, raises BudgetExceeded as soon as a row
+    of the smaller operand leaves the partial product with more terms."""
     if len(a) > len(b):
         a, b = b, a
     prod: dict = {}
     get = prod.get
-    b_items = list(b.items())
+    b_items = list(b.items()) if bound is None else sorted(b.items())
+    b_keys = None if bound is None else [kb for kb, _ in b_items]
     for ka, ca in a.items():
-        for kb, cb in b_items:
+        row = b_items if bound is None else b_items[:bisect_left(b_keys, bound - ka)]
+        for kb, cb in row:
             k = ka + kb
             s = get(k, 0) + ca * cb
             if p is not None:
@@ -283,29 +298,34 @@ def _product_terms(a: dict, b: dict, p, max_terms: int | None = None) -> dict:
     return prod
 
 
-def expand(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET) -> DensePoly:
-    """Exact polynomial computed by a single-output circuit."""
-    out = expand_outputs(circ, budget)
+def expand(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=None) -> DensePoly:
+    """Exact polynomial computed by a single-output circuit; H_<=cap of it with cap."""
+    out = expand_outputs(circ, budget, cap)
     if len(out) != 1:
-        raise ValueError("expand needs a single-output circuit")
+        raise ArityMismatch("expand needs a single-output circuit")
     return out[0]
 
 
-def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET) -> list:
+def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=None) -> list:
     field = circ.field
     n = circ.num_vars
     p = _modulus(field)
     gates = circ.gates
     order = circ.reachable()
     fdeg = _gate_degrees(circ, order)  # bounds every exponent a gate carries
-    w = max(fdeg[o] for o in circ.outputs).bit_length()
+    if cap is not None and cap < 0:
+        raise ParameterViolation(f"degree cap must be >= 0, got {cap}")
+    top = max(fdeg[o] for o in circ.outputs)
+    w = max(1, (top if cap is None else min(top, cap)).bit_length())
+    shift = w * n  # the total-degree slot
+    bound = None if cap is None else (cap + 1) << shift  # least key of degree > cap
     max_terms = budget.max_terms
     values: dict = {}  # gate -> packed term map
     dens: dict = {}    # gate -> denominator of its numerators (1 over F_p)
     for i in order:
         op, arg = gates[i]
-        if op == IN:
-            values[i] = {1 << (w * arg): 1}
+        if op == IN:  # degree 1, above a cap of 0
+            values[i] = {} if cap == 0 else {(1 << w * arg) | (1 << shift): 1}
             dens[i] = 1
             continue
         if op == CONST:
@@ -325,7 +345,7 @@ def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET) -> l
             out = values[kids[0]]
             den = dens[kids[0]]
             for c in kids[1:]:
-                out = _product_terms(out, values[c], p, max_terms)
+                out = _product_terms(out, values[c], p, max_terms, bound)
                 den *= dens[c]
         if len(out) > max_terms:
             raise BudgetExceeded("terms", f"{len(out)} > {max_terms}")
@@ -336,9 +356,9 @@ def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET) -> l
                 den //= g
         values[i] = out
         dens[i] = den
-        if fdeg[i] > budget.max_degree:
-            # the formal bound over-approximates; check the actual degree
-            actual = max((sum(_unpack(k, n, w)) for k in out), default=-1)
+        if fdeg[i] > budget.max_degree and out:
+            # the formal bound over-approximates; the top key has the actual degree
+            actual = max(out) >> shift
             if actual > budget.max_degree:
                 raise BudgetExceeded("degree", f"{actual} > {budget.max_degree}")
     return [DensePoly(field, n, _from_ints(values[o], dens[o], n, w, p)) for o in circ.outputs]
@@ -364,7 +384,7 @@ def circuit_from_dense(p: DensePoly) -> Circuit:
 def hasse_derivative_dense(p: DensePoly, var: int, k: int) -> DensePoly:
     """Coefficient of z^k in p with `var` shifted by z (Hasse derivative)."""
     if k < 0:
-        raise ValueError("derivative order must be >= 0")
+        raise ParameterViolation(f"derivative order must be >= 0, got {k}")
     if k == 0:
         return p
     field = p.field
@@ -388,7 +408,7 @@ def hasse_derivative_dense(p: DensePoly, var: int, k: int) -> DensePoly:
 
 def homog_component_dense(p: DensePoly, k: int) -> DensePoly:
     if k < 0:
-        raise ValueError("component index must be >= 0")
+        raise ParameterViolation(f"component index must be >= 0, got {k}")
     return DensePoly(p.field, p.n, {e: c for e, c in p.terms.items() if sum(e) == k})
 
 
@@ -400,7 +420,7 @@ def substitute_var_dense(p: DensePoly, var: int, q: DensePoly) -> DensePoly:
     """Compose: replace `var` by the polynomial q (Horner in var)."""
     same_field(p.field, q.field)
     if p.n != q.n:
-        raise ValueError("variable space mismatch")
+        raise ArityMismatch(f"variable space mismatch: {p.n} vs {q.n}")
     field = p.field
     d = p.degree_in(var)
     if d <= 0:
@@ -709,7 +729,7 @@ def univariate_roots(p: DensePoly):
         raise ZeroPolynomial("root finding on the zero polynomial")
     active = sorted({i for e in p.terms for i, x in enumerate(e) if x})
     if len(active) > 1:
-        raise ValueError("univariate_roots needs a univariate polynomial")
+        raise ParameterViolation("univariate_roots needs a univariate polynomial")
     var = active[0] if active else 0
     field = p.field
     coeffs = [field.zero] * (p.degree_in(var) + 1)

@@ -57,7 +57,6 @@ from .fields import Field, Rationals, same_field
 from .transforms import (
     hasse_derivative_circuit,
     homog_component_interp,
-    homogenize_upto,
     shear,
     translate,
     truncate_deg,
@@ -482,7 +481,7 @@ def factor_vnp(
     b_dense = DensePoly.const(field, nb, field.one)
     offset = 1
     for st, w in zip(states, widths):
-        a_low = expand(homogenize_upto(st.A[-1], dS), budget)
+        a_low = expand(st.A[-1], budget, cap=dS)
         a_moved = a_low.with_vars(nb, {j: offset + j for j in range(w)})
         b_dense = b_dense * (y_dense - a_moved)
         offset += w

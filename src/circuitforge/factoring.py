@@ -36,7 +36,6 @@ from .dense import (
     univariate_roots,
 )
 from .errors import (
-    BudgetExceeded,
     InvariantViolated,
     NoFactorFound,
     NoSimpleRoots,
@@ -138,37 +137,6 @@ def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None):
     if best is None or not best[1]:
         raise NoSimpleRoots("no shift produced a simple base-field root")
     return best
-
-
-def approx_roots(
-    P: Circuit,
-    alphas: list,
-    d: int,
-    y: int,
-    shift: tuple = (),
-    budget: ExpansionBudget = DEFAULT_BUDGET,
-) -> RootBundle:
-    """Lift every alpha_i (a simple root of P(0, y)) to its unique
-    approximate root of degree <= d. d = 0 degenerates to constants.
-
-    Each lifted root is checked on the oracle, H_<=d[P(x, q_i)] = 0, and a
-    root that fails raises NotASimpleRoot; the check is skipped when P
-    itself does not expand within budget."""
-    bundle = RootBundle(shift=tuple(shift), alphas=list(alphas), d=d, y_var=y, source=P)
-    try:
-        source_dense = expand(P, budget)
-    except BudgetExceeded:
-        source_dense = None
-    for i, alpha in enumerate(alphas):
-        bundle.lift((i,), budget)
-        if source_dense is not None:
-            q_dense = bundle.approx_dense[i]
-            residual = truncate_dense(substitute_var_dense(source_dense, y, q_dense), d)
-            if not residual.is_zero():
-                raise NotASimpleRoot(
-                    f"H_<={d}[P(x, q)] != 0 for alpha={alpha!r}; root not liftable"
-                )
-    return bundle
 
 
 def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:

@@ -42,7 +42,6 @@ from .transforms import (
     _check_lift_degree,
     generator_set,
     hasse_derivative_circuit,
-    homogenize_upto,
     translate,
     truncate_deg,
 )
@@ -200,7 +199,7 @@ def compose_root(state: LiftState, k: int | None = None) -> Circuit:
     if k is None:
         k = d
     if not 1 <= k <= d:
-        raise ValueError(f"truncation order {k} outside 1..{d}")
+        raise ParameterViolation(f"truncation order {k} outside 1..{d}")
     a_k = state.A[k - 1]
     gens = state.gens
     fld = a_k.field
@@ -208,7 +207,7 @@ def compose_root(state: LiftState, k: int | None = None) -> Circuit:
         # constant root: A_k is a constant circuit
         val = a_k.evaluate1([fld.zero] * a_k.num_vars)
         return const_circuit(fld, val, gens.num_vars)
-    a_low = expand(homogenize_upto(a_k, k))
+    a_low = expand(a_k, cap=k)
     b = CircuitBuilder(fld, gens.num_vars)
     comp = b.import_circuit(gens.components)
     terms = []

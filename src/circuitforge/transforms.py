@@ -137,9 +137,21 @@ def _mul_into_adds(b: CircuitBuilder, gid: int, factors: tuple, memo: dict) -> i
 
 # -- homogeneous components ---------------------------------------------------
 
-def _strassen_components(b: CircuitBuilder, circ: Circuit, k: int) -> list:
-    """Gate ids of the degree-0..k homogeneous components of circ's output."""
+def homogenize(circ: Circuit, k: int) -> Circuit:
+    """Circuit computing H_k[circ] by degree-indexed gate splitting: each
+    gate becomes its components of degree 0..k (Strassen).
+
+    Size is at most HOMOGENIZE_SIZE_FACTOR * k^2 * size + same * (k+1); the
+    output has formal degree at most k. Above the formal degree of circ the
+    result is the constant 0, without splitting.
+    """
+    if k < 0:
+        raise ParameterViolation(f"component index must be >= 0, got {k}")
     fld = circ.field
+    out = circ.output()
+    if k > circ.formal_degree():
+        return const_circuit(fld, fld.zero, circ.num_vars)
+    b = CircuitBuilder(fld, circ.num_vars)
     zero = b.const(fld.zero)
     comp: dict = {}
     for i in circ.reachable():
@@ -162,33 +174,7 @@ def _strassen_components(b: CircuitBuilder, circ: Circuit, k: int) -> list:
                     for j in range(k + 1)
                 ]
             comp[i] = cur
-    return comp[circ.output()]
-
-
-def homogenize(circ: Circuit, k: int) -> Circuit:
-    """Circuit computing H_k[circ] by degree-indexed gate splitting.
-
-    Size is at most HOMOGENIZE_SIZE_FACTOR * k^2 * size + same * (k+1); the
-    output has formal degree at most k. Above the formal degree of circ the
-    result is the constant 0, without splitting.
-    """
-    if k < 0:
-        raise ParameterViolation(f"component index must be >= 0, got {k}")
-    circ.output()
-    if k > circ.formal_degree():
-        return const_circuit(circ.field, circ.field.zero, circ.num_vars)
-    b = CircuitBuilder(circ.field, circ.num_vars)
-    comps = _strassen_components(b, circ, k)
-    return b.finish(comps[k])
-
-
-def homogenize_upto(circ: Circuit, d: int) -> Circuit:
-    """Circuit computing H_{<=d}[circ] (sum of split components)."""
-    if d < 0:
-        raise ParameterViolation(f"degree must be >= 0, got {d}")
-    b = CircuitBuilder(circ.field, circ.num_vars)
-    comps = _strassen_components(b, circ, d)
-    return b.finish(b.add(*comps))
+    return b.finish(comp[out][k])
 
 
 # -- coefficient extraction ----------------------------------------------------

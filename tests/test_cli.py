@@ -453,6 +453,47 @@ def test_verify_refuses_a_certificate_degree_above_the_budget(tmp_path, capsys):
     assert "budget exceeded (degree)" in capsys.readouterr().err
 
 
+def test_verify_refuses_params_of_the_wrong_type(tmp_path, capsys):
+    src = _write(tmp_path, "p.circ", LIFT_INPUT)
+    pit = _write(tmp_path, "c.circ", "field prime 101\nnvars 1\ng1 = input x1\noutput g1\n")
+    lift, sz = tmp_path / "lift.json", tmp_path / "sz.json"
+    assert main(["lift-root", "-y", "3", "-d", "2", src, "-o", str(tmp_path / "r.circ"),
+                 "--cert", str(lift)]) == 0
+    assert main(["pit", "--mode", "sz", pit, "-d", "1", "--cert", str(sz)]) == 0
+    for cert, key, value in ((lift, "alpha", 3), (lift, "d", "2"), (lift, "y", None),
+                             (lift, "seed", True), (sz, "mode", "bogus"), (sz, "D", "2")):
+        body = json.loads(cert.read_text())
+        body["params"][key] = value
+        edited = _write(tmp_path, "edited.json", json.dumps(body))
+        capsys.readouterr()
+        assert main(["verify", edited]) == 2, key
+        err = capsys.readouterr().err
+        assert f"BadCertificate: certificate params: {key!r}" in err and "Traceback" not in err
+
+
+def test_every_certified_command_verifies(tmp_path, monkeypatch):
+    """The params type check passes every certificate the commands write."""
+    from test_cli_golden import FILES, INVOCATIONS
+
+    monkeypatch.chdir(tmp_path)
+    for name, text in FILES.items():
+        _write(tmp_path, name, text)
+    for k, (name, argv) in enumerate(INVOCATIONS.items()):
+        cert = f"cert{k}.json"
+        with redirect_stdout(io.StringIO()):
+            assert main(argv + ["--cert", cert]) == 0, name
+            assert main(["verify", cert]) == 0, name
+
+
+def test_field_guard_reads_exp_sum_inputs(tmp_path, capsys):
+    esum = _write(tmp_path, "e.esum", FUZZ_ESUM)
+    assert main(["--field", "rationals", "vnp-factor", "-d", "1", esum]) == 0
+    capsys.readouterr()
+    assert main(["--field", "prime:1000003", "vnp-sum", "--expand", esum]) == 2
+    err = capsys.readouterr().err
+    assert "MixedFieldConfig" in err and "Traceback" not in err
+
+
 def test_bad_inputs_end_in_their_documented_code(tmp_path, capsys):
     """Inputs that once ended in a Python traceback with exit 1, which reads
     like a failed verification."""
@@ -486,6 +527,7 @@ def test_bad_inputs_end_in_their_documented_code(tmp_path, capsys):
         (hitset + [design, "--limit", "-1"], 2, "limit must be >= 0"),
         (["pit", "--mode", "exhaustive", xy, "-d", "-1"], 2, "formal degree 1"),
         (["pit", "--mode", "exhaustive", xy, "-d", "0"], 2, "formal degree 1"),
+        (["--budget-terms", "0", "expand", p], 2, "ParameterViolation: budget bounds"),
     )
     capsys.readouterr()
     for argv, code, text in cases:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -32,7 +33,14 @@ from circuitforge.dense import (
     substitute_var_dense,
     translate_dense,
 )
-from circuitforge.errors import BudgetExceeded, SearchExhausted, ZeroDivisor, ZeroPolynomial
+from circuitforge.errors import (
+    ArityMismatch,
+    BudgetExceeded,
+    ParameterViolation,
+    SearchExhausted,
+    ZeroDivisor,
+    ZeroPolynomial,
+)
 from circuitforge.fields import is_prime
 
 from conftest import BIG_PRIME, SMALL_PRIME, random_circuit, random_sparse_poly, rng_for
@@ -196,6 +204,79 @@ def test_kernel_width_edges(field):
     with pytest.raises(BudgetExceeded) as e:
         expand(c, ExpansionBudget(max_degree=1))
     assert e.value.kind == "degree"
+
+
+CAP_FIELDS = (Rationals(), PrimeField(101), PrimeField(BIG_PRIME))
+
+
+@pytest.mark.parametrize("field", CAP_FIELDS, ids=["QQ", "F_101", "F_62bit"])
+def test_capped_expansion_is_the_truncation(field):
+    rng = rng_for("capped-walk", 0 if isinstance(field, Rationals) else field.p)
+    for k in range(16):
+        c = random_circuit(field, rng, 1 + k % 4, size_limit=30, degree_limit=8)
+        full = expand(c)
+        D = c.formal_degree()
+        for cap in sorted({0, 1, max(D - 1, 0), D, D + 3}):
+            assert expand(c, cap=cap) == truncate_dense(full, cap), (k, cap)
+    # width edges: formal degree 2^k capped just below, at and above half of it
+    one = field.one
+    for k in range(1, 6):
+        b = CircuitBuilder(field, 2)
+        x, y = b.inp(0), b.inp(1)
+        s = b.add(x, y, b.const(one))
+        p = s
+        for _ in range(k):
+            p = b.mul(p, p)
+        c = b.finish(p)
+        full = expand(c)
+        d = 1 << k
+        for cap in {d // 2 - 1, d // 2, d // 2 + 1, d - 1}:
+            assert expand(c, cap=cap) == truncate_dense(full, cap), (k, cap)
+    # several outputs over shared gates
+    b = CircuitBuilder(field, 3)
+    outs = [b.import_circuit(random_circuit(field, rng, 3, size_limit=20, degree_limit=5))[0]
+            for _ in range(3)]
+    outs.append(b.mul(outs[0], outs[1]))
+    multi = b.finish(outs)
+    for cap in (0, 2, 5):
+        got = expand_outputs(multi, cap=cap)
+        assert got == [truncate_dense(g, cap) for g in expand_outputs(multi)]
+
+
+def test_capped_expansion_stays_under_the_degree_budget(QQ):
+    # (1 + x)^16 has degree 16 > 8: refused in full, H_<=8 returned capped
+    b = CircuitBuilder(QQ, 1)
+    p = b.add(b.inp(0), b.const(QQ.one))
+    for _ in range(4):
+        p = b.mul(p, p)
+    c = b.finish(p)
+    budget = ExpansionBudget(max_terms=100, max_degree=8)
+    with pytest.raises(BudgetExceeded) as e:
+        expand(c, budget)
+    assert e.value.kind == "degree"
+    got = expand(c, budget, cap=8)
+    assert got.terms == {(j,): Fraction(math.comb(16, j)) for j in range(9)}
+    with pytest.raises(ParameterViolation):
+        expand(c, cap=-1)
+
+
+def test_bad_arguments_raise_typed_errors(QQ):
+    b = CircuitBuilder(QQ, 2)
+    x, y = b.inp(0), b.inp(1)
+    two = b.finish([x, b.mul(x, y)])
+    p = DensePoly.variable(QQ, 2, 0)
+    q = DensePoly.variable(QQ, 3, 0)
+    arity = (lambda: expand(two), lambda: p.evaluate([1]), lambda: p + q,
+             lambda: substitute_var_dense(p, 0, q))
+    for call in arity:
+        with pytest.raises(ArityMismatch):
+            call()
+    params = (lambda: ExpansionBudget(max_terms=0), lambda: ExpansionBudget(max_degree=-1),
+              lambda: hasse_derivative_dense(p, 0, -1), lambda: homog_component_dense(p, -1),
+              lambda: univariate_roots(p * DensePoly.variable(QQ, 2, 1)))
+    for call in params:
+        with pytest.raises(ParameterViolation):
+            call()
 
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(SMALL_PRIME)], ids=["QQ", "F_small"])

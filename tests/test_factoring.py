@@ -5,7 +5,7 @@ import pytest
 from circuitforge import (
     CircuitBuilder,
     DensePoly,
-    approx_roots,
+    RootBundle,
     combine_roots,
     divides,
     emit_circuit,
@@ -69,12 +69,19 @@ def test_separating_shift_stops_at_a_full_split(QQ, monkeypatch):
     assert len(calls) == 1
 
 
+def _lifted(P, alphas, d, y):
+    """A bundle with every alpha lifted to its degree-d approximate root."""
+    bundle = RootBundle((), list(alphas), d, y, P)
+    bundle.lift(range(len(alphas)))
+    return bundle
+
+
 def test_approx_roots_example(QQ):
     # P = (y - x1)(y - 2), alphas [0, 2], d = 1 -> q = [x1, 2]
     b = CircuitBuilder(QQ, 2)
     x, y = b.inp(0), b.inp(1)
     P = b.finish(b.mul(b.sub(y, x), b.sub(y, b.const(Fraction(2)))))
-    bundle = approx_roots(P, [Fraction(0), Fraction(2)], 1, y=1)
+    bundle = _lifted(P, [Fraction(0), Fraction(2)], 1, y=1)
     assert expand(bundle.approx[0]) == DensePoly.variable(QQ, 2, 0)
     assert expand(bundle.approx[1]) == DensePoly.const(QQ, 2, Fraction(2))
 
@@ -83,7 +90,7 @@ def test_approx_roots_degree_zero(QQ):
     b = CircuitBuilder(QQ, 2)
     x, y = b.inp(0), b.inp(1)
     P = b.finish(b.mul(b.sub(y, x), b.sub(y, b.const(Fraction(2)))))
-    bundle = approx_roots(P, [Fraction(0), Fraction(2)], 0, y=1)
+    bundle = _lifted(P, [Fraction(0), Fraction(2)], 0, y=1)
     assert expand(bundle.approx[0]).is_zero()
     assert expand(bundle.approx[1]) == DensePoly.const(QQ, 2, Fraction(2))
 
@@ -92,7 +99,7 @@ def test_approx_roots_three_roots_truncated_residual(QQ):
     rng = rng_for("approx-three")
     consts = [Fraction(0), Fraction(1), Fraction(7)]
     P, _ = plant_linear_product(QQ, rng, 2, 2, consts)
-    bundle = approx_roots(P, consts, 3, y=2)
+    bundle = _lifted(P, consts, 3, y=2)
     dense = expand(P)
     for q in bundle.approx:
         res = substitute_var_dense(dense, 2, expand(q))
@@ -103,7 +110,7 @@ def test_combine_roots_singleton(QQ):
     b = CircuitBuilder(QQ, 2)
     x, y = b.inp(0), b.inp(1)
     P = b.finish(b.mul(b.sub(y, x), b.sub(y, b.const(Fraction(2)))))
-    bundle = approx_roots(P, [Fraction(0)], 1, y=1)
+    bundle = _lifted(P, [Fraction(0)], 1, y=1)
     out = combine_roots(bundle, [0], 1)
     assert expand(out) == DensePoly(QQ, 2, {(0, 1): Fraction(1), (1, 0): Fraction(-1)})
 
@@ -118,7 +125,7 @@ def test_combine_roots_pair_example(QQ):
         b.sub(y, b.add(b.const(Fraction(1)), x2)),
         b.sub(y, b.const(Fraction(7))),
     ))
-    bundle = approx_roots(P, [Fraction(0), Fraction(1), Fraction(7)], 2, y=2)
+    bundle = _lifted(P, [Fraction(0), Fraction(1), Fraction(7)], 2, y=2)
     out = expand(combine_roots(bundle, [0, 1], 2))
     assert out == DensePoly(QQ, 3, {
         (0, 0, 2): Fraction(1),
@@ -131,7 +138,7 @@ def test_combine_full_subset_reconstructs_P(QQ):
     rng = rng_for("combine-full")
     consts = [Fraction(-1), Fraction(2), Fraction(5)]
     P, forms = plant_linear_product(QQ, rng, 2, 2, consts)
-    bundle = approx_roots(P, consts, 3, y=2)
+    bundle = _lifted(P, consts, 3, y=2)
     out = expand(combine_roots(bundle, [0, 1, 2], 3))
     assert out == expand(P)
 
@@ -263,11 +270,12 @@ def test_subset_search_on_linear_factors_lifts_one_root(QQ, monkeypatch):
     assert len(lifted) == 1 and len(res.bundle.alphas) == 4
 
 
-def test_lazy_roots_emit_the_bytes_of_approx_roots(QQ):
+def test_lazy_roots_emit_the_bytes_of_eager_roots(QQ):
     P = _four_linear_factors(QQ)
     res = extract_factor(P, y=2, d=2, subset=(1, 3), seed=0)
     lazy = res.bundle
-    full = approx_roots(lazy.source, lazy.alphas, lazy.d, lazy.y_var, shift=lazy.shift)
+    full = RootBundle(lazy.shift, lazy.alphas, lazy.d, lazy.y_var, lazy.source)
+    full.lift(range(len(full.alphas)))
     for i in res.subset:
         assert emit_circuit(full.approx[i]) == emit_circuit(lazy.approx[i])
         assert full.approx_dense[i] == lazy.approx_dense[i]

@@ -1,7 +1,8 @@
 """Source hygiene: every import a module makes is used, and every
 module-level private function is referenced from some module of the
 package, so deletions leave no stranded helpers or imports behind. The
-runtime depends on the standard library and numpy only."""
+runtime depends on the standard library and numpy only, and the count of
+bare `raise ValueError` sites can only go down."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "circuitforge"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
 RUNTIME_DEPENDENCIES = {"numpy", "circuitforge"}
+# bare ValueErrors left to type (ROADMAP item 6); lower it as sites are typed
+BARE_VALUE_ERRORS = 16
 
 
 def _referenced(node) -> set:
@@ -78,3 +81,16 @@ def test_imports_only_the_standard_library_and_numpy(path):
     foreign = sorted(f"{name} (line {line})" for name, line in roots.items()
                      if name not in sys.stdlib_module_names | RUNTIME_DEPENDENCIES)
     assert not foreign, f"{path.name} imports outside the runtime dependencies: {foreign}"
+
+
+def test_bare_value_errors_only_go_down():
+    """Bad input raises a typed ForgeError with its exit code; a broken
+    internal state raises InvariantViolated."""
+    sites = []
+    for name, tree in sorted(TREES.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    sites.append(f"{name}:{node.lineno}")
+    assert len(sites) <= BARE_VALUE_ERRORS, sites

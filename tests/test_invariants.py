@@ -9,7 +9,7 @@ from circuitforge import (
     CircuitBuilder,
     ExplicitPoly,
     HittingSet,
-    approx_roots,
+    RootBundle,
     expand,
     lift_root,
     substitute,
@@ -73,14 +73,15 @@ def test_substitute_mixed_field_config(QQ, Fp):
         substitute(c, {0: other})
 
 
-def test_approx_roots_is_deterministic(QQ):
+def test_root_bundle_lift_is_deterministic(QQ):
     # bundle uniqueness: byte-identical dense expansions across runs
     b = CircuitBuilder(QQ, 2)
     x, y = b.inp(0), b.inp(1)
     P = b.finish(b.mul(b.sub(y, x), b.sub(y, b.const(Fraction(4)))))
     runs = []
     for _ in range(2):
-        bundle = approx_roots(P, [Fraction(0), Fraction(4)], 2, y=1)
+        bundle = RootBundle((), [Fraction(0), Fraction(4)], 2, 1, P)
+        bundle.lift((0, 1))
         runs.append([sorted(expand(q).terms.items()) for q in bundle.approx])
     assert runs[0] == runs[1]
 

@@ -244,6 +244,9 @@ def test_uniqueness_across_seeds_and_orders(QQ):
     full = expand(compose_root(state))
     for k in range(1, state.d + 1):
         assert expand(compose_root(state, k)) == truncate_dense(full, k)
+    for k in (0, state.d + 1):
+        with pytest.raises(ParameterViolation):
+            compose_root(state, k)
 
 
 def test_residual_truncation_identity(QQ):
