@@ -475,7 +475,7 @@ def factor_vnp(
     states = [fr.bundle.states[i] for i in fr.subset]
     alphas = [fr.bundle.alphas[i] for i in fr.subset]
     dS = len(fr.subset)
-    widths = [len(st.gens.members) for st in states]
+    widths = [len(st.gens.orders) for st in states]
     nb = 1 + sum(widths)
     y_dense = DensePoly.variable(field, nb, 0)
     b_dense = DensePoly.const(field, nb, field.one)
@@ -490,7 +490,7 @@ def factor_vnp(
     bindings = {0: plain_expsum(input_circuit(field, z, nx))}
     offset = 1
     for st, alpha, w in zip(states, alphas, widths):
-        for j, (order, _) in enumerate(st.gens.members):
+        for j, order in enumerate(st.gens.orders):
             bindings[offset + j] = member_expsum(alpha, order)
         offset += w
     composed = leaf_substitute(b_formula, bindings)

@@ -144,7 +144,7 @@ def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     total (x, y)-degree."""
     subset = tuple(subset)
     if not subset:
-        raise ValueError("subset must be nonempty")
+        raise ParameterViolation("subset must be nonempty")
     fld = bundle.source.field
     nv = bundle.source.num_vars
     b = CircuitBuilder(fld, nv)

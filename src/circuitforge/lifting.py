@@ -149,7 +149,7 @@ def build_A_recurrence(
             f"alpha={alpha!r} is a multiple root of P(0, y); reduce multiplicity first"
         )
 
-    t = len(gens.members)
+    t = len(gens.orders)
     b = CircuitBuilder(fld, max(t, 1))
     ell = []
     for j in range(d + 1):
@@ -203,7 +203,7 @@ def compose_root(state: LiftState, k: int | None = None) -> Circuit:
     a_k = state.A[k - 1]
     gens = state.gens
     fld = a_k.field
-    if not gens.members:
+    if not gens.orders:
         # constant root: A_k is a constant circuit
         val = a_k.evaluate1([fld.zero] * a_k.num_vars)
         return const_circuit(fld, val, gens.num_vars)

@@ -273,7 +273,8 @@ def pit_sz(
     bounds the degree in every variable (a d below some variable's formal
     degree is refused); it is the default whenever the grid fits the point
     budget. Random mode samples seeded points and can only answer
-    probably-zero. A nonzero verdict reports the witness's 1-based position
+    probably-zero, and needs trials >= 1 (exhaustive mode ignores trials).
+    A nonzero verdict reports the witness's 1-based position
     in the scan as points_checked.
     """
     field = circ.field
@@ -295,6 +296,8 @@ def pit_sz(
             return PitResult("zero", None, total, True, "exhaustive")
         witness = tuple(field.embed(first // grid ** (n - 1 - v) % grid) for v in range(n))
         return PitResult("nonzero", witness, first + 1, True, "exhaustive")
+    if trials < 1:
+        raise ParameterViolation(f"random mode needs trials >= 1, got {trials}")
     rng = stream(seed, "pit-sz")
     points = [tuple(field.embed(rng.randrange(grid)) for _ in range(n)) for _ in range(trials)]
     checked, witness = _first_witness(circ, points)

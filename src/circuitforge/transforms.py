@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .circuit import ADD, Circuit, CircuitBuilder, _check_var, drop_unused_vars, formal_degree_in
-from .circuit import const_circuit, evaluate_batch, sz_is_zero
+from .circuit import CONST, const_circuit, evaluate_batch, sz_is_zero
 from .dense import DEFAULT_BUDGET, ExpansionBudget, expand_outputs
 from .errors import (
     ArityMismatch,
@@ -75,11 +76,12 @@ def _vandermonde_inverse(fld, dmax: int):
     return winv
 
 
-def _interp_engine(circ: Circuit, var: int, dmax: int):
+def _interp_engine(circ: Circuit, var: int, dmax: int, upto: int | None = None):
     """Shared-copy interpolation: one builder holding dmax+1 substituted
-    copies of `circ` plus, per output k and exponent j, the weighted
-    combination computing the y^j coefficient. Returns (builder, rows)
-    with rows[k][j] a gate id."""
+    copies of `circ` plus, per output k and exponent j <= upto (default
+    dmax), the weighted combination computing the y^j coefficient. Returns
+    (builder, rows) with rows[k][j] a gate id; what the caller finishes is
+    byte for byte what a build of every row gives."""
     fld = circ.field
     weights = _vandermonde_inverse(fld, dmax)
     b = CircuitBuilder(fld, circ.num_vars)
@@ -90,13 +92,27 @@ def _interp_engine(circ: Circuit, var: int, dmax: int):
     rows = []
     for k in range(len(circ.outputs)):
         row = []
-        for j in range(dmax + 1):
+        for j in range(dmax + 1 if upto is None else upto + 1):
             parts = [
                 b.mul(b.const(weights[j][a]), tops[a][k])
                 for a in range(dmax + 1)
                 if weights[j][a] != fld.zero
             ]
             row.append(b.add(*parts) if parts else b.const(fld.zero))
+        for j in range(len(row), dmax + 1):
+            # a row past upto is not built, but the constants it would hold
+            # are (a weight times a constant copy folds to one): finish
+            # keeps gates in creation order, so a constant that the caller
+            # or a later output's row makes must already exist here, as in
+            # a build of every row. No later gate reuses its other gates.
+            folded = []
+            for a in range(dmax + 1):
+                if weights[j][a] != fld.zero:
+                    w = b.const(weights[j][a])
+                    if b._gate(tops[a][k])[0] == CONST:
+                        folded.append(b.mul(w, tops[a][k]))
+            if folded:
+                b.add(*folded)
         rows.append(row)
     return b, rows
 
@@ -226,8 +242,8 @@ def truncate_deg(
         return circ
     scaled = _scaled_copy(circ, vars_to_scale)
     t = circ.num_vars
-    b, rows = _interp_engine(scaled, t, bound)
-    total = b.add(*rows[0][: d + 1])
+    b, rows = _interp_engine(scaled, t, bound, upto=d)
+    total = b.add(*rows[0])
     multi = b.finish(total)
     return drop_unused_vars(multi, list(range(circ.num_vars)))
 
@@ -247,7 +263,7 @@ def homog_component_interp(circ: Circuit, k: int, scale_vars=None) -> Circuit:
     if k > bound:
         return const_circuit(fld, fld.zero, circ.num_vars)
     scaled = _scaled_copy(circ, vars_to_scale)
-    b, rows = _interp_engine(scaled, circ.num_vars, bound)
+    b, rows = _interp_engine(scaled, circ.num_vars, bound, upto=k)
     multi = b.finish(rows[0][k])
     return drop_unused_vars(multi, list(range(circ.num_vars)))
 
@@ -418,28 +434,34 @@ def _check_lift_degree(d: int, budget: ExpansionBudget) -> None:
 class GeneratorSet:
     """The nonzero polynomials of G_y(P, alpha, d).
 
-    members holds (derivative order j, circuit) pairs; every member is
-    H_{<=d} of the order-j Hasse derivative of P at y = alpha, minus its
-    constant term. Member circuits live in P's variable space with the
-    y slot unused. components is one multi-output circuit over the same
-    space holding the homogeneous parts of the members: output
-    pos * d + (i - 1) computes H_i of members[pos], for i in 1..d (None
-    when there are no members).
+    orders lists the derivative orders j of the members, ascending; the
+    member of order j is H_{<=d} of the order-j Hasse derivative of P at
+    y = alpha, minus its constant term. members holds the (j, circuit)
+    pairs in P's variable space with the y slot unused; it is projected
+    from views (the member outputs of the shared extraction circuit) when
+    first read, then cached, so the lift and factor paths, which read only
+    orders and components, never project it. components is one multi-output
+    circuit over the same space holding the homogeneous parts of the
+    members: output pos * d + (i - 1) computes H_i of the member of order
+    orders[pos], for i in 1..d (None when there are no members).
     """
 
     alpha: object
     d: int
     y_var: int
     num_vars: int
-    members: list = dc_field(default_factory=list)
+    orders: list = dc_field(default_factory=list)
     deriv_constants: list = dc_field(default_factory=list)  # H_0 per order j
     components: Circuit | None = None
+    views: list = dc_field(default_factory=list, repr=False)
+
+    @cached_property
+    def members(self) -> list:
+        keep = list(range(self.num_vars))
+        return [(j, drop_unused_vars(v, keep)) for j, v in zip(self.orders, self.views)]
 
     def z_index(self, j: int) -> int | None:
-        for pos, (jj, _) in enumerate(self.members):
-            if jj == j:
-                return pos
-        return None
+        return self.orders.index(j) if j in self.orders else None
 
 
 def generator_set(
@@ -453,8 +475,10 @@ def generator_set(
     derivative at y = alpha to degree d, subtract its constant term, and
     keep the members that are not identically zero.
 
-    Zero testing goes through the dense oracle within budget; above budget
-    it falls back to Schwartz-Zippel on 64 points over a grid of size 2*d,
+    The zero test is one capped expansion of the d + 1 derivatives at
+    alpha, each kept to H_{<=d}, which also tells which homogeneous
+    components vanish. Only when that expansion overflows the budget does
+    it fall back to Schwartz-Zippel on 64 points over a grid of size 2*d,
     drawn on seed 0. A false keep is harmless downstream; a false drop is
     what the point count makes improbable. A d above the budget's degree
     bound is refused before any work.
@@ -484,43 +508,40 @@ def generator_set(
     # one scaled extraction truncates every derivative to degree <= d
     nv = derivs.num_vars
     scaled = _scaled_copy(derivs, list(range(nv)))
-    b2, rows2 = _interp_engine(scaled, nv, dbound)
-    member_ids = []
-    for k in range(d + 1):
-        trunc = b2.add(*rows2[k][: min(d, dbound) + 1])
-        member_ids.append(b2.add(trunc, b2.const(fld.neg(h0[k]))))
+    b2, rows2 = _interp_engine(scaled, nv, dbound, upto=min(d, dbound))
+    member_ids = [b2.add(b2.add(*rows2[k]), b2.const(fld.neg(h0[k]))) for k in range(d + 1)]
     multi = b2.finish(member_ids)
 
-    try:
-        denses = expand_outputs(multi, budget)  # one pass over shared gates
+    try:  # H_{<=d} of each derivative: member j is denses[j] less its constant term
+        denses = expand_outputs(derivs, budget, cap=d)
     except BudgetExceeded:
         denses = None
-    members = []
-    comp_ids = []
+    orders, views, comp_ids = [], [], []
     zero = b2.const(fld.zero)
-    for j, cand_full in enumerate(_split_outputs(multi)):
-        if denses is not None and denses[j].is_zero():
-            continue  # dropped before it is projected
-        cand = drop_unused_vars(cand_full, list(range(nv)))
+    keep = list(range(nv))
+    for j, view in enumerate(_split_outputs(multi)):
         if denses is not None:
             # a component the oracle shows to vanish is emitted as 0
-            live = {sum(e) for e in denses[j].terms}
-        elif sz_is_zero(cand, 2 * d, 0, "genset-sz", str(j)):
+            live = {sum(e) for e in denses[j].terms} - {0}
+            if not live:
+                continue
+        elif sz_is_zero(drop_unused_vars(view, keep), 2 * d, 0, "genset-sz", str(j)):
             continue
         else:
             live = range(1, min(d, dbound) + 1)
-        members.append((j, cand))
+        orders.append(j)
+        views.append(view)
         comp_ids += [rows2[j][i] if i in live else zero for i in range(1, d + 1)]
     components = None
-    if members:
-        components = drop_unused_vars(b2.finish(comp_ids), list(range(nv)))
+    if orders:
+        components = drop_unused_vars(b2.finish(comp_ids), keep)
     return GeneratorSet(
         alpha=alpha,
         d=d,
         y_var=y,
         num_vars=nv,
-        members=members,
+        orders=orders,
         deriv_constants=list(h0),
         components=components,
+        views=views,
     )
-

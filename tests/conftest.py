@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from circuitforge import CircuitBuilder, DensePoly, PrimeField, Rationals, expand
+from circuitforge import CircuitBuilder, DensePoly, PrimeField, Rationals, expand, lifting
 from circuitforge.seeding import Rng, stream
 
 SMALL_PRIME = 1_000_003
@@ -110,6 +110,18 @@ def dense_product(forms, y, nv):
     for f in forms:
         acc = acc * (yv - f)
     return acc
+
+
+def record_generator_sets(monkeypatch) -> list:
+    """Every GeneratorSet the lift builds from here on, in build order."""
+    real, built = lifting.generator_set, []
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(lifting, "generator_set", spy)
+    return built
 
 
 def oracle_equal(c1, c2) -> bool:

@@ -527,6 +527,8 @@ def test_bad_inputs_end_in_their_documented_code(tmp_path, capsys):
         (hitset + [design, "--limit", "-1"], 2, "limit must be >= 0"),
         (["pit", "--mode", "exhaustive", xy, "-d", "-1"], 2, "formal degree 1"),
         (["pit", "--mode", "exhaustive", xy, "-d", "0"], 2, "formal degree 1"),
+        (["pit", "--mode", "sz", xy, "-d", "2", "--trials", "0"], 2, "trials >= 1"),
+        (["pit", "--mode", "sz", xy, "-d", "2", "--trials", "-5"], 2, "trials >= 1"),
         (["--budget-terms", "0", "expand", p], 2, "ParameterViolation: budget bounds"),
     )
     capsys.readouterr()

@@ -14,6 +14,7 @@ from circuitforge import (
     pit_hitset,
     pit_sz,
 )
+from circuitforge import pit
 from circuitforge.designs import DESIGN_ELL_FACTOR, Design, SmallGF
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge.errors import ArityMismatch, BudgetExceeded, ParameterViolation, PreconditionFailed
@@ -180,6 +181,19 @@ def test_pit_hitset_agrees_with_exhaustive_sz():
         truth = pit_sz(c, 4, exhaustive=True)
         got = pit_hitset(c, hs, limit=4000)
         assert got.status == truth.status
+
+
+def test_pit_sz_random_mode_refuses_trials_below_one(monkeypatch):
+    # x1 * x2: zero trials would be a probably-zero verdict with no evidence
+    F = PrimeField(SMALL_PRIME)
+    b = CircuitBuilder(F, 2)
+    c = b.finish(b.mul(b.inp(0), b.inp(1)))
+    assert pit_sz(c, 2, trials=1, seed=0, exhaustive=False).points_checked == 1
+    monkeypatch.setattr(pit, "stream", lambda *a: pytest.fail("a point was drawn"))
+    for trials in (0, -5):
+        with pytest.raises(ParameterViolation):
+            pit_sz(c, 2, trials=trials, exhaustive=False)
+        assert pit_sz(c, 2, trials=trials, exhaustive=True).status == "nonzero"
 
 
 def test_pit_sz_hand_count_example():

@@ -336,9 +336,9 @@ def test_factor_vnp_interpolates_by_x_degree(QQ, monkeypatch):
     calls = []
     real = transforms._interp_engine
 
-    def spy(circ, var, dmax):
+    def spy(circ, var, dmax, upto=None):
         calls.append((circ, var, dmax))
-        return real(circ, var, dmax)
+        return real(circ, var, dmax, upto=upto)
 
     monkeypatch.setattr(transforms, "_interp_engine", spy)
     for field in (QQ, PrimeField(1_000_003)):

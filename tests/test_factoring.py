@@ -17,7 +17,7 @@ from circuitforge import (
 from circuitforge.dense import substitute_var_dense
 from circuitforge.errors import NoFactorFound, NoSimpleRoots, ParameterViolation
 
-from conftest import plant_linear_product, rng_for
+from conftest import plant_linear_product, record_generator_sets, rng_for
 
 
 def test_separating_shift_zero_already_works(QQ):
@@ -113,6 +113,8 @@ def test_combine_roots_singleton(QQ):
     bundle = _lifted(P, [Fraction(0)], 1, y=1)
     out = combine_roots(bundle, [0], 1)
     assert expand(out) == DensePoly(QQ, 2, {(0, 1): Fraction(1), (1, 0): Fraction(-1)})
+    with pytest.raises(ParameterViolation):
+        combine_roots(bundle, [], 1)
 
 
 def test_combine_roots_pair_example(QQ):
@@ -160,6 +162,16 @@ def test_extract_factor_given_subset(QQ):
     })
     assert expand(res.factor) == want
     assert res.multiplicity == 1
+
+
+def test_extract_factor_never_projects_generator_set_members(QQ, monkeypatch):
+    built = record_generator_sets(monkeypatch)
+    rng = rng_for("extract-no-members")
+    P, _ = plant_linear_product(QQ, rng, 2, 2, [Fraction(-1), Fraction(2), Fraction(5)])
+    for subset in ((0, 1), None):
+        res = extract_factor(P, y=2, d=2, subset=subset, seed=0)
+        assert all(res.bundle.states[i].gens in built for i in res.subset)
+    assert built and all("members" not in gens.__dict__ for gens in built)
 
 
 def test_extract_factor_linear_identity(QQ):

@@ -23,7 +23,7 @@ from circuitforge.errors import (
 )
 from circuitforge.lifting import A_STEP_WIRE_LAW, compose_root
 
-from conftest import plant_linear_product, random_sparse_poly, rng_for
+from conftest import plant_linear_product, random_sparse_poly, record_generator_sets, rng_for
 
 
 def _y2_minus_1px_squared(QQ):
@@ -192,6 +192,15 @@ def test_lift_root_spec_example(QQ):
     })
     assert cert.alpha == Fraction(1)
     assert cert.residual_mode == "oracle"
+
+
+def test_lift_root_never_projects_generator_set_members(QQ, monkeypatch):
+    built = record_generator_sets(monkeypatch)
+    rng = rng_for("lift-no-members")
+    P, _ = plant_linear_product(QQ, rng, 2, 2, [Fraction(1), Fraction(-2), Fraction(3)])
+    cert = lift_root(P, y=2, d=3, seed=0)
+    assert cert.state.gens in built
+    assert all("members" not in gens.__dict__ for gens in built)
 
 
 def test_lift_root_identity_case(QQ):

@@ -6,6 +6,7 @@ from circuitforge import (
     CircuitBuilder,
     DensePoly,
     PrimeField,
+    emit_circuit,
     expand,
     extract_y_coeffs,
     generator_set,
@@ -19,9 +20,10 @@ from circuitforge import (
     truncate_deg,
 )
 from circuitforge import transforms
-from circuitforge.errors import ArityMismatch, FieldTooSmall, SearchExhausted
+from circuitforge.errors import ArityMismatch, BudgetExceeded, FieldTooSmall, SearchExhausted
+from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge.circuit import formal_degree_in, sz_is_zero
-from circuitforge.dense import ExpansionBudget, expand_outputs
+from circuitforge.dense import ExpansionBudget, expand_outputs, substitute_var_dense
 from circuitforge.transforms import (
     GENSET_SIZE_FACTOR,
     HOMOGENIZE_SIZE_FACTOR,
@@ -285,6 +287,83 @@ def test_generator_set_schwartz_zippel_fallback_keeps_the_oracle_result(QQ, Fp, 
             for (_, m_sz), (_, m_or) in zip(sz.members, oracle.members):
                 assert oracle_equal(m_sz, m_or)
             assert expand_outputs(sz.components) == expand_outputs(oracle.components)
+
+
+def _reference_members(P, y, alpha, d):
+    """H_{<=d} of each order-j Hasse derivative of P at y = alpha, j = 0..d,
+    by the dense oracle alone."""
+    dense = expand(P)
+    at = DensePoly.const(P.field, P.num_vars, alpha)
+    return [truncate_dense(substitute_var_dense(hasse_derivative_dense(dense, y, j), y, at), d)
+            for j in range(d + 1)]
+
+
+def test_generator_set_zero_test_matches_the_dense_reference(QQ):
+    for field, name in ((QQ, "qq"), (PrimeField(101), "f101"),
+                        (PrimeField(SIXTY_TWO_BIT_PRIME), "f62")):
+        rng = rng_for("genset-reference-" + name)
+        for t in range(15):
+            P = random_circuit(field, rng, 3, size_limit=24, degree_limit=6)
+            y, d = rng.randrange(3), 1 + t % 3
+            alpha = field.embed(rng.randint(-3, 3))
+            gens = generator_set(P, y, alpha, d)
+            refs = _reference_members(P, y, alpha, d)
+            lows = [ref - DensePoly.const(field, 3, ref.constant_term()) for ref in refs]
+            assert gens.orders == [j for j, low in enumerate(lows) if not low.is_zero()]
+            assert gens.deriv_constants == [ref.constant_term() for ref in refs]
+            comps = expand_outputs(gens.components) if gens.orders else []
+            for pos, j in enumerate(gens.orders):
+                for i in range(1, d + 1):
+                    assert comps[pos * d + i - 1] == homog_component_dense(refs[j], i)
+            assert [(j, expand(m)) for j, m in gens.members] == [(j, lows[j]) for j in gens.orders]
+
+
+def test_generator_set_over_the_full_expansion_budget_still_uses_the_oracle(QQ, monkeypatch):
+    # (y - x1)(y - 2)(1 + x1 + x2)^6 has far more than 30 terms; its
+    # derivatives at y = 2 kept to degree 2 have at most 6 each
+    b = CircuitBuilder(QQ, 3)
+    x1, x2, y = b.inp(0), b.inp(1), b.inp(2)
+    s = b.add(b.const(QQ.one), x1, x2)
+    P = b.finish(b.mul(b.sub(y, x1), b.sub(y, b.const(Fraction(2))), *([s] * 6)))
+    budget = ExpansionBudget(max_terms=30)
+    with pytest.raises(BudgetExceeded):
+        expand(P, budget)
+    monkeypatch.setattr(transforms, "sz_is_zero", lambda *a: pytest.fail("SZ fallback ran"))
+    small = generator_set(P, 2, Fraction(2), 2, budget=budget)
+    full = generator_set(P, 2, Fraction(2), 2)
+    assert small.orders == full.orders == [1, 2]
+    assert emit_circuit(small.components) == emit_circuit(full.components)
+
+
+def _every_row(real):
+    """An _interp_engine that builds every row and hands back the ones asked for."""
+    def engine(circ, var, dmax, upto=None):
+        b, rows = real(circ, var, dmax)
+        return b, [row[: len(row) if upto is None else upto + 1] for row in rows]
+    return engine
+
+
+def test_kept_rows_emit_the_bytes_of_a_build_of_every_row(QQ, monkeypatch):
+    cases = []
+    for field, name in ((QQ, "qq"), (PrimeField(101), "f101"),
+                        (PrimeField(SIXTY_TWO_BIT_PRIME), "f62")):
+        rng = rng_for("kept-rows-" + name)
+        for t in range(40):
+            P = random_circuit(field, rng, 3, size_limit=24, degree_limit=6)
+            cases.append((P, rng.randrange(3), field.embed(rng.randint(-3, 3)), 1 + t % 3))
+
+    def emitted():
+        out = []
+        for P, y, alpha, d in cases:
+            gens = generator_set(P, y, alpha, d)
+            out += [emit_circuit(truncate_deg(P, d)), emit_circuit(homog_component_interp(P, d))]
+            out += [emit_circuit(m) for _, m in gens.members]
+            out.append(gens.components and emit_circuit(gens.components))
+        return out
+
+    kept = emitted()
+    monkeypatch.setattr(transforms, "_interp_engine", _every_row(transforms._interp_engine))
+    assert emitted() == kept
 
 
 # -- interpolation bounds in a subset of the variables ---------------------------
