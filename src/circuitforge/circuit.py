@@ -41,6 +41,7 @@ from .errors import (
     CyclicReference,
     DanglingReference,
     DivisionByZero,
+    InvariantViolated,
 )
 from .fields import Field, PrimeField, Rationals, is_prime, same_field, sample_grid
 
@@ -65,13 +66,13 @@ class Circuit:
         # set by CircuitBuilder.finish on a sharing builder, never by callers
         self._canonical = False
         if not self.outputs:
-            raise ValueError("circuit needs at least one output")
+            raise InvariantViolated("circuit needs at least one output")
 
     # -- basic structure ---------------------------------------------------
 
     def output(self) -> int:
         if len(self.outputs) != 1:
-            raise ValueError("operation requires a single-output circuit")
+            raise ArityMismatch("operation requires a single-output circuit")
         return self.outputs[0]
 
     def reachable(self):
@@ -633,17 +634,17 @@ def parse_header(text: str, count_key: str = "nvars"):
         if parts[:1] != [key]:
             raise CircuitSyntaxError(line_no, f"expected the '{key}' header line")
     parts = field_text.split()
+    why = "use 'field rationals' or 'field prime <p>'"
     try:
         if parts[1:] == ["rationals"]:
-            field = Rationals()
+            field, why = Rationals(), None
         elif len(parts) == 3 and parts[1] == "prime":
             field = PrimeField(int(parts[2]))
-            if not is_prime(field.p):
-                raise ValueError(f"modulus {field.p} is not prime")
-        else:
-            raise ValueError("use 'field rationals' or 'field prime <p>'")
-    except ValueError as e:
-        raise CircuitSyntaxError(field_no, f"bad field line ({e})") from None
+            why = None if is_prime(field.p) else f"modulus {field.p} is not prime"
+    except ValueError as e:  # no integer modulus, or one PrimeField refuses
+        why = e
+    if why:
+        raise CircuitSyntaxError(field_no, f"bad field line ({why})")
     parts = count_text.split()
     if len(parts) != 2 or not parts[1].isdecimal():
         raise CircuitSyntaxError(count_no, f"bad {count_key} line {count_text!r}")

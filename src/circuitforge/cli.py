@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import errors as E
-from .circuit import emit_circuit, parse_circuit
+from .circuit import emit_circuit, parse_circuit, substitute
 from .dense import DEFAULT_BUDGET, ExpansionBudget, emit_poly, expand
 from .designs import Design, nw_design
 from .expsum import ExpSumPoly, exp_sum_eval, exp_sum_expand, factor_vnp
@@ -107,7 +107,8 @@ def _core_coeffs(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
     _check_degree(params, "dmax")
     coeffs = extract_y_coeffs(circ, params["y"], params["dmax"])
-    outs = {f"coeff{j}": emit_circuit(c).encode() for j, c in enumerate(coeffs)}
+    # the coefficients share one gate array; a copy holds each one's own gates
+    outs = {f"coeff{j}": emit_circuit(substitute(c, {})).encode() for j, c in enumerate(coeffs)}
     return outs, {"metrics": [c.metrics() for c in coeffs]}
 
 

@@ -18,11 +18,12 @@ Two conventions keep the stated depth bounds true:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .circuit import ADD, Circuit, CircuitBuilder, _check_var, drop_unused_vars, formal_degree_in
-from .circuit import CONST, const_circuit, evaluate_batch, sz_is_zero
+from .circuit import CONST, const_circuit, evaluate_batch, substitute, sz_is_zero
 from .dense import DEFAULT_BUDGET, ExpansionBudget, expand_outputs
 from .errors import (
     ArityMismatch,
@@ -76,19 +77,25 @@ def _vandermonde_inverse(fld, dmax: int):
     return winv
 
 
-def _interp_engine(circ: Circuit, var: int, dmax: int, upto: int | None = None):
+def _interp_engine(circ: Circuit, over, dmax: int, upto: int | None = None):
     """Shared-copy interpolation: one builder holding dmax+1 substituted
     copies of `circ` plus, per output k and exponent j <= upto (default
-    dmax), the weighted combination computing the y^j coefficient. Returns
-    (builder, rows) with rows[k][j] a gate id; what the caller finishes is
-    byte for byte what a build of every row gives."""
+    dmax), the weighted combination computing the y^j coefficient. `over` is
+    y, set to a in copy a, or a list of variables, each bound to a * x_i
+    there (in the list's order, before the import), which makes the y^j
+    coefficient the degree-j part in them. Returns (builder, rows),
+    rows[k][j] a gate id, finishing byte for byte as a build of every row."""
     fld = circ.field
     weights = _vandermonde_inverse(fld, dmax)
     b = CircuitBuilder(fld, circ.num_vars)
+    scaled = not isinstance(over, int)
+    if scaled and not circ._canonical:
+        circ = substitute(circ, {})  # a sharing rebuild: bytes do not depend on how circ shares
     tops = []
     for a in range(dmax + 1):
-        outs = b.import_circuit(circ, var_bindings={var: b.const(fld.embed(a))})
-        tops.append(outs)
+        node = b.const(fld.embed(a))
+        bindings = {i: b.mul(node, b.inp(i)) for i in over} if scaled else {over: node}
+        tops.append(b.import_circuit(circ, var_bindings=bindings))
     rows = []
     for k in range(len(circ.outputs)):
         row = []
@@ -205,17 +212,7 @@ def extract_y_coeffs(circ: Circuit, y: int, dmax: int) -> list:
     circ.output()
     _check_var(circ, y)
     b, rows = _interp_engine(circ, y, dmax)
-    multi = b.finish(rows[0])
-    return _split_outputs(multi)
-
-
-def _scaled_copy(circ: Circuit, scale_vars) -> Circuit:
-    """circ with x_i -> t * x_i for i in scale_vars; t is appended last."""
-    nv = circ.num_vars
-    b = CircuitBuilder(circ.field, nv + 1)
-    t = b.inp(nv)
-    bindings = {i: b.mul(t, b.inp(i)) for i in scale_vars}
-    return b.finish(b.import_circuit(circ, var_bindings=bindings))
+    return _split_outputs(b.finish(rows[0]))
 
 
 def truncate_deg(
@@ -240,12 +237,9 @@ def truncate_deg(
     bound = formal_degree_in(circ, vars_to_scale) if deg_bound is None else deg_bound
     if bound <= d:
         return circ
-    scaled = _scaled_copy(circ, vars_to_scale)
-    t = circ.num_vars
-    b, rows = _interp_engine(scaled, t, bound, upto=d)
-    total = b.add(*rows[0])
-    multi = b.finish(total)
-    return drop_unused_vars(multi, list(range(circ.num_vars)))
+    b, rows = _interp_engine(circ, vars_to_scale, bound, upto=d)
+    # the projection onto the same variables lists the inputs first
+    return drop_unused_vars(b.finish(b.add(*rows[0])), list(range(circ.num_vars)))
 
 
 def homog_component_interp(circ: Circuit, k: int, scale_vars=None) -> Circuit:
@@ -262,10 +256,8 @@ def homog_component_interp(circ: Circuit, k: int, scale_vars=None) -> Circuit:
     fld = circ.field
     if k > bound:
         return const_circuit(fld, fld.zero, circ.num_vars)
-    scaled = _scaled_copy(circ, vars_to_scale)
-    b, rows = _interp_engine(scaled, circ.num_vars, bound, upto=k)
-    multi = b.finish(rows[0][k])
-    return drop_unused_vars(multi, list(range(circ.num_vars)))
+    b, rows = _interp_engine(circ, vars_to_scale, bound, upto=k)
+    return drop_unused_vars(b.finish(rows[0][k]), list(range(circ.num_vars)))
 
 
 # -- Hasse derivative ----------------------------------------------------------
@@ -438,9 +430,9 @@ class GeneratorSet:
     member of order j is H_{<=d} of the order-j Hasse derivative of P at
     y = alpha, minus its constant term. members holds the (j, circuit)
     pairs in P's variable space with the y slot unused; it is projected
-    from views (the member outputs of the shared extraction circuit) when
-    first read, then cached, so the lift and factor paths, which read only
-    orders and components, never project it. components is one multi-output
+    from views() (the unprojected member of every order, finished on the
+    first call) when first read, so the lift and factor paths, which read
+    only orders and components, never build it. components is one multi-output
     circuit over the same space holding the homogeneous parts of the
     members: output pos * d + (i - 1) computes H_i of the member of order
     orders[pos], for i in 1..d (None when there are no members).
@@ -453,12 +445,12 @@ class GeneratorSet:
     orders: list = dc_field(default_factory=list)
     deriv_constants: list = dc_field(default_factory=list)  # H_0 per order j
     components: Circuit | None = None
-    views: list = dc_field(default_factory=list, repr=False)
+    views: Callable | None = dc_field(default=None, repr=False)
 
     @cached_property
     def members(self) -> list:
-        keep = list(range(self.num_vars))
-        return [(j, drop_unused_vars(v, keep)) for j, v in zip(self.orders, self.views)]
+        keep, views = list(range(self.num_vars)), self.views()
+        return [(j, drop_unused_vars(views[j], keep)) for j in self.orders]
 
     def z_index(self, j: int) -> int | None:
         return self.orders.index(j) if j in self.orders else None
@@ -475,6 +467,10 @@ def generator_set(
     derivative at y = alpha to degree d, subtract its constant term, and
     keep the members that are not identically zero.
 
+    The truncation interpolates over a scaling of every variable on the
+    derivatives' own formal degree + 1 nodes (they no longer read y).
+    Members are finished only when read.
+
     The zero test is one capped expansion of the d + 1 derivatives at
     alpha, each kept to H_{<=d}, which also tells which homogeneous
     components vanish. Only when that expansion overflows the budget does
@@ -488,7 +484,6 @@ def generator_set(
     _check_lift_degree(d, budget)
     fld = P.field
     dmax_y = formal_degree_in(P, y)
-    dbound = P.formal_degree()
 
     # shared interpolation of P's y-coefficients, then each derivative at
     # y = alpha is just a linear combination (the y powers fold into alpha)
@@ -505,36 +500,36 @@ def generator_set(
     derivs = b.finish(deriv_ids)
     h0 = derivs.evaluate([fld.zero] * derivs.num_vars)
 
-    # one scaled extraction truncates every derivative to degree <= d
+    # one extraction over a scaling of every variable truncates them all
     nv = derivs.num_vars
-    scaled = _scaled_copy(derivs, list(range(nv)))
-    b2, rows2 = _interp_engine(scaled, nv, dbound, upto=min(d, dbound))
-    member_ids = [b2.add(b2.add(*rows2[k]), b2.const(fld.neg(h0[k]))) for k in range(d + 1)]
-    multi = b2.finish(member_ids)
+    dbound = derivs.formal_degree()
+    b2, rows2 = _interp_engine(derivs, list(range(nv)), dbound, upto=min(d, dbound))
+
+    @cache
+    def views():  # member j is output j, unprojected, of one circuit for every order
+        ids = [b2.add(b2.add(*rows2[k]), b2.const(fld.neg(h0[k]))) for k in range(d + 1)]
+        return _split_outputs(b2.finish(ids))
 
     try:  # H_{<=d} of each derivative: member j is denses[j] less its constant term
         denses = expand_outputs(derivs, budget, cap=d)
     except BudgetExceeded:
         denses = None
-    orders, views, comp_ids = [], [], []
+    orders, comp_ids = [], []
     zero = b2.const(fld.zero)
     keep = list(range(nv))
-    for j, view in enumerate(_split_outputs(multi)):
+    for j in range(d + 1):
         if denses is not None:
             # a component the oracle shows to vanish is emitted as 0
             live = {sum(e) for e in denses[j].terms} - {0}
             if not live:
                 continue
-        elif sz_is_zero(drop_unused_vars(view, keep), 2 * d, 0, "genset-sz", str(j)):
+        elif sz_is_zero(drop_unused_vars(views()[j], keep), 2 * d, 0, "genset-sz", str(j)):
             continue
         else:
             live = range(1, min(d, dbound) + 1)
         orders.append(j)
-        views.append(view)
         comp_ids += [rows2[j][i] if i in live else zero for i in range(1, d + 1)]
-    components = None
-    if orders:
-        components = drop_unused_vars(b2.finish(comp_ids), keep)
+    components = drop_unused_vars(b2.finish(comp_ids), keep) if orders else None
     return GeneratorSet(
         alpha=alpha,
         d=d,

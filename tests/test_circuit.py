@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from circuitforge import (
+    Circuit,
     CircuitBuilder,
     DensePoly,
     ExplicitPoly,
@@ -19,6 +20,7 @@ from circuitforge.errors import (
     CircuitSyntaxError,
     CyclicReference,
     DanglingReference,
+    InvariantViolated,
 )
 
 from conftest import BIG_PRIME, SMALL_PRIME, oracle_equal, random_circuit, rng_for
@@ -57,6 +59,15 @@ def test_evaluate_matches_dense_oracle(QQ, Fp):
 def test_evaluate_arity_mismatch(QQ):
     with pytest.raises(ArityMismatch):
         _example_circuit(QQ).evaluate([Fraction(1)])
+
+
+def test_output_counts_raise_typed_errors(QQ):
+    b = CircuitBuilder(QQ, 2)
+    two = b.finish([b.inp(0), b.inp(1)])
+    with pytest.raises(ArityMismatch, match="single-output"):
+        two.output()
+    with pytest.raises(InvariantViolated, match="at least one output"):
+        Circuit(QQ, 2, two.gates, [])
 
 
 def test_metrics_single_input(QQ):

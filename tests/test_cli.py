@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from circuitforge import DensePoly, Rationals, expand, parse_circuit
 from circuitforge.cli import main
 
 LIFT_INPUT = """field rationals
@@ -440,6 +441,22 @@ def test_homog_above_the_formal_degree_is_zero(tmp_path, capsys):
     assert capsys.readouterr().out == "field rationals\nnvars 3\ng0 = const 0\noutput g0\n"
 
 
+def test_coeffs_files_hold_only_their_own_gates(tmp_path, capsys):
+    # x1 * x2^2 + x1 with y = x2: the coefficients are x1, 0 and x1
+    text = ("field rationals\nnvars 2\ng1 = input x1\ng2 = input x2\n"
+            "g3 = mul g1 g2 g2\ng4 = add g3 g1\noutput g4\n")
+    path = _write(tmp_path, "q.circ", text)
+    assert main(["coeffs", "-y", "2", "-d", "2", path, "-o", str(tmp_path / "out")]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    x1 = DensePoly.variable(Rationals(), 2, 0)
+    want = [x1, DensePoly.zero(Rationals(), 2), x1]
+    for j, coeff in enumerate(want):
+        body = (tmp_path / f"out.{j}.circ").read_text()
+        assert len(re.findall(r"^g\d+ = ", body, re.M)) == metrics[j]["gates"], j
+        assert expand(parse_circuit(body)) == coeff, j
+    assert metrics[0]["gates"] == 1
+
+
 def test_verify_refuses_a_certificate_degree_above_the_budget(tmp_path, capsys):
     src = _write(tmp_path, "p.circ", LIFT_INPUT)
     cert = tmp_path / "cert.json"
@@ -501,9 +518,14 @@ def test_bad_inputs_end_in_their_documented_code(tmp_path, capsys):
                        ("xy.circ", "field prime 101\nnvars 2\ng1 = input x1\ng2 = input x2\n"
                                    "g3 = mul g1 g2\noutput g3\n"),
                        ("c.circ", "field prime 1000003\nnvars 4\ng1 = input x1\noutput g1\n"),
+                       ("two.circ", "field rationals\nnvars 2\ng1 = input x1\ng2 = input x2\n"
+                                    "output g1\noutput g2\n"),
+                       ("f91.circ", "field prime 91\nnvars 1\ng1 = input x1\noutput g1\n"),
+                       ("fc.circ", "field complex\nnvars 1\ng1 = input x1\noutput g1\n"),
                        ("notobj.json", "[1, 2]\n"), ("nokey.json", '{"n": 4, "m": 3}\n')):
         _write(tmp_path, name, text)
-    p, xy, c = (str(tmp_path / n) for n in ("p.circ", "xy.circ", "c.circ"))
+    p, xy, c, two, f91, fc = (str(tmp_path / n) for n in (
+        "p.circ", "xy.circ", "c.circ", "two.circ", "f91.circ", "fc.circ"))
     design = str(tmp_path / "design.json")
     assert main(["design", "-n", "4", "-m", "3", "-o", design]) == 0
     outside = json.loads((tmp_path / "design.json").read_text())
@@ -530,6 +552,10 @@ def test_bad_inputs_end_in_their_documented_code(tmp_path, capsys):
         (["pit", "--mode", "sz", xy, "-d", "2", "--trials", "0"], 2, "trials >= 1"),
         (["pit", "--mode", "sz", xy, "-d", "2", "--trials", "-5"], 2, "trials >= 1"),
         (["--budget-terms", "0", "expand", p], 2, "ParameterViolation: budget bounds"),
+        (["homog", "-k", "1", two], 2, "ArityMismatch: operation requires a single-output"),
+        (["lift-root", "-y", "2", "-d", "1", two], 2, "ArityMismatch"),
+        (["homog", "-k", "1", f91], 2, "CircuitSyntaxError: line 1: bad field line (modulus 91"),
+        (["homog", "-k", "1", fc], 2, "CircuitSyntaxError: line 1: bad field line (use"),
     )
     capsys.readouterr()
     for argv, code, text in cases:

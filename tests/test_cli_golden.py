@@ -74,16 +74,16 @@ INVOCATIONS = {
 
 CERT_GOLDEN = {
     "homog": "2421f9d131efe5ac259f7c1f899cb53faf9092fc813687d103f2415fc09e2a3b",
-    "coeffs": "18d3f121144912dc577c23479cae1752ca10aaed6e17835a2dd3cf6f917ee22d",
-    "coeffs/stdout": "d167d9182282389769d957c159256fdbb85d7524f1e9f2e072ddd65145374846",
+    "coeffs": "51c5533f8cb8b70b0a24ffcd350e9f0d13aa1e03fcdd698ef9b4bfed863fbdea",
+    "coeffs/stdout": "f3889f2c17fea34e97bf14a8d45bad9a5ccfba7aa0c2ea9f831da611f71fae91",
     "deriv": "a4fa82a7b425d2d5e838e550c70a8be5157e0e47739c3173d77e0d3a5c02f51f",
     "monic": "8b200da8c84fa230755075e167d4ea1711d18ab536a10977007ee9a2a43db9a5",
     "monic/appended-y": "4944b2aa63dcc54a675f8ed2eafd2982acae9462bb6575a0caef45236e8a34ab",
-    "genset": "dd21c57bebab86e8eff9390dba6e79faa4dafc5d5039d754cd969d6fd3549770",
-    "lift-root": "14d407c442c6313cc94788edf466c4f956d202367db7118a37a1733d6f413b34",
+    "genset": "201468e2284af46398a32b1e140f7e89fa0edde3673455710274b5430ea2e6e8",
+    "lift-root": "ec143f78e1496282ffb081b9dfb517ce941480316ca0399c7f46f1ac768c2bbd",
     "lift-root/alpha": "869581120e325175dc3839489e817db44ef521eadccf63ec0a3dc02cd1b344cc",
-    "factor/search": "ed78f412401405d6947389c0e97578ffaf3d25d8e75c333f8375676dcbc3f82a",
-    "factor/given": "6e20ed5daee5fddba45f18ca987ecda5b3a4f85a68f4b0b4e5ee91d79b24e61a",
+    "factor/search": "80fc6581119689e637809707fa78d802d85ec17b22d84a455ca0e57709df3380",
+    "factor/given": "d87667c3cebf00576afcf23efddb7b175fc8cdc911048af1a6c4c15da35642a7",
     "design": "285754c69a9bc4bbc53d0d9919c332ff3c0d45b2eee3ab781634da16a9945113",
     "hitset": "6c5641b0dfa94c8221bcd5432a45b5d142f3322dcba5e37447fafbd683346b69",
     "pit/hitset": "e3e068a3ce99a3aa3f14f4ae3e56e9279832fb08262efaddb6b78ed1b7ae3c3e",

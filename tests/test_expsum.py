@@ -336,9 +336,9 @@ def test_factor_vnp_interpolates_by_x_degree(QQ, monkeypatch):
     calls = []
     real = transforms._interp_engine
 
-    def spy(circ, var, dmax, upto=None):
-        calls.append((circ, var, dmax))
-        return real(circ, var, dmax, upto=upto)
+    def spy(circ, over, dmax, upto=None):
+        calls.append((circ, over, dmax))
+        return real(circ, over, dmax, upto=upto)
 
     monkeypatch.setattr(transforms, "_interp_engine", spy)
     for field in (QQ, PrimeField(1_000_003)):
@@ -352,11 +352,12 @@ def test_factor_vnp_interpolates_by_x_degree(QQ, monkeypatch):
         want = (y - x1) * (y - one - x1)
         assert exp_sum_expand(out) == expand(fr.factor) == want
         # the verifier-level interpolations (every circuit carrying E's
-        # auxiliaries) take as many nodes as the degree in the variables
-        # they interpolate over: the z-degree for the coefficient rows, the
-        # x-degree (the degree in the scaling variable) for truncations
+        # auxiliaries) take as many nodes as the degree in what they
+        # interpolate over: the z-degree for the coefficient rows, the
+        # x-degree (a scaling of the x-variables, auxiliaries untouched)
+        # for truncations
         verifier_level = [c for c in calls if c[0].num_vars >= e.nx + e.m]
-        assert any(var == 1 for _, var, _ in verifier_level)
-        assert any(var == c.num_vars - 1 for c, var, _ in verifier_level)
-        for circ, var, dmax in verifier_level:
-            assert dmax == formal_degree_in(circ, var)
+        assert any(over == 1 for _, over, _ in verifier_level)
+        assert any(over == [0, 1] for _, over, _ in verifier_level)
+        for circ, over, dmax in verifier_level:
+            assert dmax == formal_degree_in(circ, over)

@@ -68,18 +68,18 @@ GOLDEN = {
     "c7/90/search": "b915bc480f223290f459d6fdc368b30cf73d8e66edad6d390386850630d06239",
     "c7/91/given": "d37ce4b248768bb1bbfc5d6df09225dea38b9144d8c69cb85956552426c2fe24",
     "c7/91/search": "2360dd5f9b33e77f0b2a42b1bcb372356fd6cf611e3d0b2401de6a2087aa2d93",
-    "c7/97/given": "b0862d5d125a637cd6a8510e35f9cfb8972307e91a5cf9ab12d417d2659a3b04",
-    "c7/97/search": "de40a7f7b676d9c036484053948583187748012752057966e9c5675e829e827a",
+    "c7/97/given": "e8761e696040f31b7d0bf02c9465e794ade993f441a0bad882658d513e3371c4",
+    "c7/97/search": "11ff227785cb2c6c3e08b88e3207fd992cca6d98fea2f0d40838bc2112a6e22b",
     "c1/qq/0": "46843300f52929cb2c9344071724a672cb31e0f4668704707ea2e29a8781b6c9",
-    "c1/qq/3": "7cacc862d4d7d7be195cdd23d691b5310b06f7dc2e07dd8986ceb33690508a48",
-    "c1/qq/13": "2be7d8777d672f5df8ac75450d531e034070c80230e3a2e69c3cb701d71a3520",
-    "c1/qq/19": "0877aca2da37e32400e2af681cf76825842acfe521c1637a3fdcef8b81257121",
-    "c1/qq/27": "97195ae31ea05dec6997c9dc19c3b6ef92865d454cc9a39e7d2f7b8e0d822cf1",
+    "c1/qq/3": "800401f7057225fd1c35a43706c64375e33a7cd3c9507db25cfb992f58f83fc6",
+    "c1/qq/13": "04a2923dbebc461430a073acecd4506faef4e7de55caa9eb3a2a7a65dd338767",
+    "c1/qq/19": "fbef14da132aa745ff1f7804f9abee42517d6b78b8ccca0ce9628e8f4ddbf605",
+    "c1/qq/27": "c8798f442657cf1ea3fe77a8e957939fb14f891f713f7a4949b29d6c563cbefb",
     "c1/fp62/1": "67049849969bf8862e09ce31d74518039f4342b12f7bf5dc93d7c9ccd144e5a1",
-    "c1/fp62/7": "d838c08f1f0497456ec5375aa8d0e69bde9bf724329028521b4e14b7a656e59d",
-    "c1/fp62/9": "9449aed8e96fc529750cecaf63e12a642710c5855687d470a0f43a5b25264504",
-    "c1/fp62/17": "a01773c32ec9a96b01f7b550e5b4614a40dd41c44306463b2e75ceafad752a98",
-    "c1/fp62/27": "4c990ab5dbed896365130425e23d36bc4ffe77a992bbab77b38d88d4b7c0372a",
+    "c1/fp62/7": "b3426430267a94c34cd8700e53cf5595afe8ad6a5765e9cab4fcfa92a4d93829",
+    "c1/fp62/9": "e08fced19a8deb6bfacc66cecef0cd0265255fffe37786ec353cf2015c998179",
+    "c1/fp62/17": "481dbf5e995de9fd3573f7c8966aea05d50755615b993264420f59a78fe10da0",
+    "c1/fp62/27": "2fef9ad690ce04799533dcfdd983d03fcde072d4cdee0ec469533542f05d92ca",
 }
 
 # vnp-factor: (name, field, factor degree, given subset or None for search).

@@ -24,6 +24,7 @@ from circuitforge.errors import ArityMismatch, BudgetExceeded, FieldTooSmall, Se
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge.circuit import formal_degree_in, sz_is_zero
 from circuitforge.dense import ExpansionBudget, expand_outputs, substitute_var_dense
+from circuitforge.expsum import circuit_to_formula
 from circuitforge.transforms import (
     GENSET_SIZE_FACTOR,
     HOMOGENIZE_SIZE_FACTOR,
@@ -364,6 +365,95 @@ def test_kept_rows_emit_the_bytes_of_a_build_of_every_row(QQ, monkeypatch):
     kept = emitted()
     monkeypatch.setattr(transforms, "_interp_engine", _every_row(transforms._interp_engine))
     assert emitted() == kept
+
+
+# -- interpolation over a scaling, with no scaled copy ----------------------------
+
+def _scaled_copy(circ, scale_vars):
+    """circ with x_i -> t * x_i for i in scale_vars; t is appended last."""
+    nv = circ.num_vars
+    b = CircuitBuilder(circ.field, nv + 1)
+    t = b.inp(nv)
+    bindings = {i: b.mul(t, b.inp(i)) for i in scale_vars}
+    return b.finish(b.import_circuit(circ, var_bindings=bindings))
+
+
+def _scaled_copy_engine(real):
+    """An _interp_engine that interpolates over a scaling by a scaled copy
+    of the circuit, then over its scaling variable t."""
+    def engine(circ, over, dmax, upto=None):
+        if isinstance(over, int):
+            return real(circ, over, dmax, upto)
+        return real(_scaled_copy(circ, over), circ.num_vars, dmax, upto)
+    return engine
+
+
+def _duplicate_children(field):
+    """(x1 + x1' + x2)(x1 + x2) from a builder that does not share, x1 and
+    x1' being two input gates of x1: no sharing builder makes that sum."""
+    b = CircuitBuilder(field, 2, share=False)
+    x1, x1_again, x2 = b.inp(0), b.inp(0), b.inp(1)
+    return b.finish(b.mul(b.add(x1, x1_again, x2), b.add(x1, x2)))
+
+
+def test_direct_scaling_emits_the_bytes_of_a_scaled_copy(QQ, monkeypatch):
+    cases = []
+    for field, name in ((QQ, "qq"), (PrimeField(101), "f101"),
+                        (PrimeField(SIXTY_TWO_BIT_PRIME), "f62")):
+        rng = rng_for("direct-scaling-" + name)
+        for t in range(30):
+            P = random_circuit(field, rng, 4, size_limit=24, degree_limit=6)
+            if t % 5 == 4:
+                P = circuit_to_formula(P)  # a tree, from a builder that does not share
+            # a subset of the variables in a random order
+            over = sorted(range(4), key=lambda v: rng.randrange(1 << 20))[: 1 + rng.randrange(4)]
+            alpha = field.embed(rng.randint(-3, 3))
+            cases.append((P, over, t % 4, rng.randrange(4), alpha))
+        cases.append((_duplicate_children(field), [1, 0], 1, 1, field.one))
+
+    def emitted():
+        out = []
+        for P, over, d, y, alpha in cases:
+            out.append(emit_circuit(truncate_deg(P, d, scale_vars=over)))
+            out.append(emit_circuit(homog_component_interp(P, d, scale_vars=over)))
+            dmax = formal_degree_in(P, over)
+            b, rows = transforms._interp_engine(P, over, dmax, upto=min(d, dmax))
+            multi = b.finish([g for row in rows for g in row])
+            out.append((multi.gates, multi.outputs))
+            gens = generator_set(P, y, alpha, 1 + d % 3)
+            out.append(gens.components and emit_circuit(gens.components))
+            out += [emit_circuit(m) for _, m in gens.members]
+        return out
+
+    direct = emitted()
+    monkeypatch.setattr(transforms, "_interp_engine",
+                        _scaled_copy_engine(transforms._interp_engine))
+    assert emitted() == direct
+
+
+def test_generator_set_interpolates_on_the_derivatives_degree(QQ, monkeypatch):
+    calls = []
+    real = transforms._interp_engine
+
+    def spy(circ, over, dmax, upto=None):
+        calls.append((circ, over, dmax))
+        return real(circ, over, dmax, upto)
+
+    monkeypatch.setattr(transforms, "_interp_engine", spy)
+    # (y - 1)(y + 2)(1 + x1 + x1 x2) with y = x3: the y factors count in
+    # P's formal degree, not in that of its derivatives at y = alpha
+    b = CircuitBuilder(QQ, 3)
+    x1, x2, y = b.inp(0), b.inp(1), b.inp(2)
+    g = b.add(b.const(QQ.one), x1, b.mul(x1, x2))
+    P = b.finish(b.mul(b.sub(y, b.const(QQ.one)), b.add(y, b.const(Fraction(2))), g))
+    gens = generator_set(P, 2, Fraction(1), 2)
+    (first, y_var, _), (derivs, over, dmax) = calls
+    assert first is P and y_var == 2 and over == [0, 1, 2]
+    assert dmax + 1 == derivs.formal_degree() + 1 == P.formal_degree() + 1 - 2
+    refs = _reference_members(P, 2, Fraction(1), 2)
+    lows = [ref - DensePoly.const(QQ, 3, ref.constant_term()) for ref in refs]
+    assert gens.orders == [j for j, low in enumerate(lows) if not low.is_zero()] == [1, 2]
+    assert [(j, expand(m)) for j, m in gens.members] == [(j, lows[j]) for j in gens.orders]
 
 
 # -- interpolation bounds in a subset of the variables ---------------------------
