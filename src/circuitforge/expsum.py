@@ -41,7 +41,6 @@ from .dense import (
     ExpansionBudget,
     circuit_from_dense,
     expand,
-    truncate_dense,
 )
 from .errors import (
     BudgetExceeded,
@@ -52,7 +51,7 @@ from .errors import (
     ShapeError,
     ZeroPolynomial,
 )
-from .factoring import _leading_y_unit, extract_factor
+from .factoring import _leading_y_unit, combiner_dense, extract_factor
 from .fields import Field, Rationals, same_field
 from .transforms import (
     hasse_derivative_circuit,
@@ -78,7 +77,7 @@ class ExpSumPoly:
         self.verifier.output()
         aux = tuple(self.aux)
         if len(set(aux)) != len(aux):
-            raise ValueError("duplicate auxiliary variables")
+            raise ParameterViolation("duplicate auxiliary variables")
         for a in aux:
             _check_var(self.verifier, a)
         self.aux = aux
@@ -108,7 +107,7 @@ class ExpSumPoly:
         nx = self.nx
         target = nx if nx_target is None else nx_target
         if target < nx:
-            raise ValueError("cannot shrink the x-block")
+            raise ParameterViolation("cannot shrink the x-block")
         if self.is_canonical() and target == nx:
             return self
         mapping = {}
@@ -225,7 +224,7 @@ def selector_R(s_prime: int, field: Field | None = None) -> Circuit:
     where exactly one block is all-ones and the rest are all-zeros, else 0.
     Tree-shaped by construction; size <= SELECTOR_SIZE_FACTOR * s'^2."""
     if s_prime < 1:
-        raise ValueError("need s' >= 1")
+        raise ParameterViolation("need s' >= 1")
     if field is None:
         field = Rationals()
     b = CircuitBuilder(field, 5 * s_prime, share=False)
@@ -346,7 +345,7 @@ def leaf_substitute(B: Circuit, bindings: dict) -> ExpSumPoly:
         op = gate[0]
         if op == "in":
             if gate[1] not in canon:
-                raise ValueError(f"leaf x{gate[1] + 1} has no binding")
+                raise ParameterViolation(f"leaf x{gate[1] + 1} has no binding")
             return canon[gate[1]]
         if op == "const":
             return plain_expsum(const_circuit(field, gate[1], nx))
@@ -468,31 +467,16 @@ def factor_vnp(
         out = b2.sub(b2.import_circuit(upto)[0], b2.import_circuit(h0)[0])
         return ExpSumPoly(b2.finish(out), e3.aux)
 
-    # combining circuit B over (y, generator variables): the sum of
-    # monomials of H_<=|S|[prod (y - A_i)]. No monomial of the product has
-    # lower degree than its factors, so H_<=|S|[A_i] is all of A_i that
-    # reaches it; with no members A_i is a constant over one unused variable.
-    states = [fr.bundle.states[i] for i in fr.subset]
-    alphas = [fr.bundle.alphas[i] for i in fr.subset]
+    # combining circuit B over (y, generator variables), bound leaf by leaf
+    # to z and the members' exp-sums in combiner_dense's variable order
     dS = len(fr.subset)
-    widths = [len(st.gens.orders) for st in states]
-    nb = 1 + sum(widths)
-    y_dense = DensePoly.variable(field, nb, 0)
-    b_dense = DensePoly.const(field, nb, field.one)
-    offset = 1
-    for st, w in zip(states, widths):
-        a_low = expand(st.A[-1], budget, cap=dS)
-        a_moved = a_low.with_vars(nb, {j: offset + j for j in range(w)})
-        b_dense = b_dense * (y_dense - a_moved)
-        offset += w
-    b_formula = circuit_to_formula(circuit_from_dense(truncate_dense(b_dense, dS)))
-
+    b_formula = circuit_to_formula(
+        circuit_from_dense(combiner_dense(fr.bundle, fr.subset, dS))
+    )
     bindings = {0: plain_expsum(input_circuit(field, z, nx))}
-    offset = 1
-    for st, alpha, w in zip(states, alphas, widths):
-        for j, order in enumerate(st.gens.orders):
-            bindings[offset + j] = member_expsum(alpha, order)
-        offset += w
+    for i in fr.subset:
+        for order in fr.bundle.states[i].gens.orders:
+            bindings[len(bindings)] = member_expsum(fr.bundle.alphas[i], order)
     composed = leaf_substitute(b_formula, bindings)
     composed = homog_x_upto(composed, dS)
 

@@ -4,8 +4,9 @@ Pipeline: make P monic in y, walk multiplicity levels through Hasse
 y-derivatives, find a separating shift giving distinct simple base-field
 roots of the univariate slice, lift the roots a candidate subset S needs,
 and combine them as H_{<=|S|}[prod (y - q_i)]. Candidate subsets are
-screened densely and the accepted one is rebuilt as a circuit, un-shifted
-back to the original coordinates, and certified by exact divisibility
+screened densely; the accepted one is emitted as a flat composition sum of
+the roots' generator components (depth(P) + 2 on criterion 7), un-shifted
+back to the original coordinates and certified by exact divisibility
 against P - never by sampling, so a non-factor can never be mislabeled.
 
 Only factors genuinely involving y are reported: a candidate whose
@@ -23,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .circuit import Circuit, CircuitBuilder, _check_var, const_circuit, fix_vars, formal_degree_in
+from .circuit import Circuit, CircuitBuilder, _check_var, fix_vars, formal_degree_in
 from .dense import (
     DEFAULT_BUDGET,
     DensePoly,
@@ -44,18 +45,21 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import _shift_candidates
-from .lifting import _stage, build_A_recurrence, compose_root
+from .lifting import _stage, build_A_recurrence, composition_sum
 from .transforms import (
     MonicForm,
     _check_lift_degree,
     hasse_derivative_circuit,
     make_monic,
     translate,
-    truncate_deg,
     undo_monic_shift,
 )
 
 SHIFT_TRIALS = 32
+# depth(factor) <= depth(P) + 2 and size(factor) <= 8 * d^2 * size(P), asserted on
+# criterion 7: largest depth excess 2, size ratios 6.16 / 21.14 / 40.86 at d = 1 / 2 / 3
+FACTOR_DEPTH_SLACK = 2
+FACTOR_SIZE_FACTOR = 8
 
 
 @dataclass
@@ -63,9 +67,9 @@ class RootBundle:
     """Approximate roots q_i of a (shifted, monic) polynomial.
 
     Each q_i is the unique degree-<=d polynomial with q_i(0) = alpha_i and
-    H_{<=d}[source(x, q_i)] = 0; circuits live in source's variable space
-    with the y slot unused. Roots are lifted on demand by `lift`: until
-    then slot i of approx, states and approx_dense holds None.
+    H_{<=d}[source(x, q_i)] = 0, kept dense in source's variable space with
+    the y slot unused. Roots are lifted on demand by `lift`: until then
+    slot i of states and approx_dense holds None.
     """
 
     shift: tuple
@@ -73,12 +77,10 @@ class RootBundle:
     d: int
     y_var: int
     source: Circuit
-    approx: list = dc_field(init=False)
     states: list = dc_field(init=False)
     approx_dense: list = dc_field(init=False)
 
     def __post_init__(self):
-        self.approx = [None] * len(self.alphas)
         self.states = [None] * len(self.alphas)
         self.approx_dense = [None] * len(self.alphas)
 
@@ -88,18 +90,17 @@ class RootBundle:
         P = self.source
         fld = P.field
         for i in indices:
-            if self.approx[i] is not None:
+            if self.approx_dense[i] is not None:
                 continue
             alpha = self.alphas[i]
             if self.d == 0:
-                q, state = const_circuit(fld, alpha, P.num_vars), None
+                state, q_dense = None, DensePoly.const(fld, P.num_vars, alpha)
             else:
                 state = build_A_recurrence(P, alpha, self.d, self.y_var, budget=budget)
-                q = compose_root(state)
-            q_dense = expand(q, budget)
+                q_dense = state.root_dense(budget)
             if q_dense.evaluate([fld.zero] * P.num_vars) != alpha:
                 raise NotASimpleRoot(f"lift from alpha={alpha!r} lost its constant term")
-            self.approx[i], self.states[i], self.approx_dense[i] = q, state, q_dense
+            self.states[i], self.approx_dense[i] = state, q_dense
 
 
 @dataclass
@@ -139,24 +140,46 @@ def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None):
     return best
 
 
+def combiner_dense(bundle: RootBundle, subset, k: int) -> DensePoly:
+    """B = H_{<=k}[prod_{i in subset} (y - H_{<=k}[A_i])] over y, then each
+    lifted root's generator variables in subset order; a d = 0 root is
+    alpha_i. No monomial of the product has lower degree than its factors,
+    so H_{<=k}[A_i] is all of A_i that reaches B."""
+    if any(bundle.approx_dense[i] is None for i in subset):
+        raise ParameterViolation(f"roots {subset} are not all lifted")
+    fld = bundle.source.field
+    states = [bundle.states[i] for i in subset]
+    nb = 1 + sum(len(st.gens.orders) for st in states if st is not None)
+    acc, offset = DensePoly.const(fld, nb, fld.one), 1
+    for i, st in zip(subset, states):
+        a_low = DensePoly.const(fld, nb, bundle.alphas[i])
+        if st is not None:
+            w = len(st.gens.orders)
+            a_low = expand(st.A[-1], cap=k).with_vars(nb, {j: offset + j for j in range(w)})
+            offset += w
+        acc = truncate_dense(acc * (DensePoly.variable(fld, nb, 0) - a_low), k)
+    return acc
+
+
 def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     """Circuit for H_{<=d}[prod_{i in subset} (y - q_i)], truncation over
-    total (x, y)-degree."""
+    total (x, y)-degree: `combiner_dense` emitted by `composition_sum` over
+    y and every root's generator components, nothing interpolated. The
+    roots must be lifted, and d may not exceed the lift order bundle.d,
+    above which no component exists."""
     subset = tuple(subset)
     if not subset:
         raise ParameterViolation("subset must be nonempty")
-    fld = bundle.source.field
-    nv = bundle.source.num_vars
-    b = CircuitBuilder(fld, nv)
-    parts = []
-    bound = 0
+    if not 0 <= d <= bundle.d:
+        raise ParameterViolation(f"truncation order {d} outside 0..{bundle.d}")
+    B = combiner_dense(bundle, subset, d)
+    b = CircuitBuilder(bundle.source.field, bundle.source.num_vars)
+    comp = []
     for i in subset:
-        q_id = b.import_circuit(bundle.approx[i])[0]
-        parts.append(b.sub(b.inp(bundle.y_var), q_id))
-        bound += max(1, bundle.approx_dense[i].total_degree())
-    prod = b.mul(*parts) if len(parts) > 1 else parts[0]
-    raw = b.finish(prod)
-    return truncate_deg(raw, d, deg_bound=max(1, bound))
+        st = bundle.states[i]
+        if st is not None and st.gens.orders:
+            comp += b.import_circuit(st.gens.components)
+    return b.finish(composition_sum(b, B, [b.inp(bundle.y_var)], comp, bundle.d, d))
 
 
 def _combine_dense(bundle: RootBundle, subset, d: int) -> DensePoly:
@@ -229,17 +252,19 @@ def extract_factor(
     subset=None enumerates candidate root subsets by increasing size and
     accepts the first one whose combination exactly divides P; an explicit
     subset (0-based indices into the simple-root list, which is sorted)
-    combines exactly those roots, and an index outside that list is a
-    ParameterViolation. A root is lifted when the first subset containing
-    it is screened, so only the roots of screened subsets are ever lifted;
-    a root that fails to lift ends its multiplicity level. The returned
-    factor is expressed in the original coordinates and, when its leading
-    y-coefficient is a constant, normalized monic. A d above the budget's
-    degree bound is refused before any work.
+    combines exactly those roots; an index outside that list, a repeated index
+    or more than d indices is a ParameterViolation. A root is lifted when the
+    first subset containing it is screened, so only the roots of screened
+    subsets are ever lifted; a root that fails to lift ends its multiplicity
+    level. The returned factor is expressed in the original coordinates and,
+    when its leading y-coefficient is a constant, normalized monic. A d above
+    the budget's degree bound is refused before any work.
     """
     P.output()
     _check_var(P, y)
     _check_lift_degree(d, budget)
+    if subset is not None and not 0 < len(set(subset)) == len(subset) <= d:
+        raise ParameterViolation(f"a given subset names 1..{d} distinct roots, got {subset}")
     fld = P.field
     nv = P.num_vars
     x_vars = [i for i in range(nv) if i != y]

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .circuit import Circuit, CircuitBuilder, _check_var, const_circuit, drop_unused_vars
+from .circuit import Circuit, CircuitBuilder, _check_var, drop_unused_vars
 from .circuit import fix_vars, substitute, sz_is_zero
 from .dense import (
     DEFAULT_BUDGET,
+    DensePoly,
     ExpansionBudget,
     expand,
     hasse_derivative_dense,
@@ -67,6 +68,15 @@ class LiftState:
     @property
     def d(self) -> int:
         return self.gens.d
+
+    def root_dense(self, budget: ExpansionBudget = DEFAULT_BUDGET) -> DensePoly:
+        """expand(compose_root(self)) without building the root: A_d on the
+        generators, each the sum of its components, expanded capped at d."""
+        d, gens, a_d = self.d, self.gens, self.A[-1]
+        b = CircuitBuilder(a_d.field, gens.num_vars)
+        comp = b.import_circuit(gens.components) if gens.orders else []
+        g = {j: b.add(*comp[j * d:(j + 1) * d]) for j in range(len(gens.orders))}
+        return expand(b.finish(b.import_circuit(a_d, g)[0]), budget, cap=d)
 
 
 @dataclass
@@ -184,42 +194,44 @@ def build_A_recurrence(
 
 def compose_root(state: LiftState, k: int | None = None) -> Circuit:
     """H_{<=k}[A_k(g_0..g_d)] as a circuit over P's variable space (the y
-    slot comes back unused). k defaults to the full lift order d.
-
-    Every generator has a zero constant term, so only the monomials
-    c_e * z^e of A_k with |e| <= k reach degree <= k, and the degree-i part
-    of a product of m generators is a sum over the compositions of i into
-    m positive parts. The root is emitted as
-        sum_e c_e * sum_{|e| <= i <= k} sum_{compositions} prod_t H_{i_t}[g_{j_t}],
-    flat products of the generator components under one sum, with nothing
-    truncated after the fact (depth at most depth(P) + 3 on the
-    criterion-1 family).
+    slot comes back unused). k defaults to the full lift order d; the root
+    is the `composition_sum` of A_k (depth at most depth(P) + 3 on the
+    criterion-1 family). With no generators A_k is a constant.
     """
     d = state.d
     if k is None:
         k = d
     if not 1 <= k <= d:
         raise ParameterViolation(f"truncation order {k} outside 1..{d}")
-    a_k = state.A[k - 1]
-    gens = state.gens
-    fld = a_k.field
-    if not gens.orders:
-        # constant root: A_k is a constant circuit
-        val = a_k.evaluate1([fld.zero] * a_k.num_vars)
-        return const_circuit(fld, val, gens.num_vars)
+    a_k, gens = state.A[k - 1], state.gens
+    b = CircuitBuilder(a_k.field, gens.num_vars)
+    comp = b.import_circuit(gens.components) if gens.orders else []
     a_low = expand(a_k, cap=k)
-    b = CircuitBuilder(fld, gens.num_vars)
-    comp = b.import_circuit(gens.components)
+    return b.finish(composition_sum(b, a_low, [], comp, d, k))
+
+
+def composition_sum(b: CircuitBuilder, poly, plain: list, comp: list, d: int, k: int) -> int:
+    """Gate for H_{<=k}[poly(plain, g)], flat under one sum (k <= d).
+
+    The dense poly's first len(plain) variables are the degree-1 gates in
+    plain (y); variable len(plain) + j is generator g_j, whose degree-i part
+    is comp[j * d + i - 1]. Generators have no constant term, so a monomial
+    c * y^a * z^e is emitted, with nothing truncated after the fact, as c
+    times the sum, over |e| <= i <= k - a and the compositions of i into
+    |e| positive parts, of y^a * prod_t H_{i_t}[g_{j_t}].
+    """
+    n_plain = len(plain)
     terms = []
-    for e in sorted(a_low.terms):
-        js = [pos for pos, mult in enumerate(e) for _ in range(mult)]
+    for e in sorted(poly.terms):
+        ys = [plain[v] for v in range(n_plain) for _ in range(e[v])]
+        js = [pos for pos, mult in enumerate(e[n_plain:]) for _ in range(mult)]
         parts = [
-            b.mul(*(comp[j * d + it - 1] for j, it in zip(js, split)))
-            for i in range(len(js), k + 1)
+            b.mul(*ys, *(comp[j * d + it - 1] for j, it in zip(js, split)))
+            for i in range(len(js), k - len(ys) + 1)
             for split in _compositions(i, len(js))
         ]
-        terms.append(b.mul(b.const(a_low.terms[e]), b.add(*parts)))
-    return b.finish(b.add(*terms) if terms else b.const(fld.zero))
+        terms.append(b.mul(b.const(poly.terms[e]), b.add(*parts)))
+    return b.add(*terms)
 
 
 def _compositions(i: int, m: int):

@@ -215,26 +215,20 @@ def extract_y_coeffs(circ: Circuit, y: int, dmax: int) -> list:
     return _split_outputs(b.finish(rows[0]))
 
 
-def truncate_deg(
-    circ: Circuit,
-    d: int,
-    deg_bound: int | None = None,
-    scale_vars=None,
-) -> Circuit:
+def truncate_deg(circ: Circuit, d: int, scale_vars=None) -> Circuit:
     """Circuit computing H_{<=d}[circ] via scaling-variable interpolation.
 
     scale_vars restricts which variables count toward the degree (the
     exponential-sum module passes the x-variables, so auxiliary variables
-    stay untouched); None means all of them. deg_bound must be >= the true
-    degree of circ in the scaled variables and defaults to the formal
-    degree in them, which is always sound. When that degree cannot exceed
-    d the circuit is returned unchanged.
+    stay untouched); None means all of them. The interpolation runs on the
+    formal degree in them, and when that cannot exceed d the circuit is
+    returned unchanged.
     """
     if d < 0:
         raise ParameterViolation(f"degree must be >= 0, got {d}")
     circ.output()
     vars_to_scale = list(range(circ.num_vars)) if scale_vars is None else list(scale_vars)
-    bound = formal_degree_in(circ, vars_to_scale) if deg_bound is None else deg_bound
+    bound = formal_degree_in(circ, vars_to_scale)
     if bound <= d:
         return circ
     b, rows = _interp_engine(circ, vars_to_scale, bound, upto=d)

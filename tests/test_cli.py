@@ -153,6 +153,13 @@ output g13
     err = capsys.readouterr().err
     assert "ParameterViolation" in err and "3 simple roots" in err
     assert "Traceback" not in err
+    # more roots than the degree bound, or a repeated root, names no factor
+    # of degree <= d
+    for d, subset in (("1", "1,2"), ("2", "1,1")):
+        assert main(["factor", "-y", "3", "-d", d, "--subset", subset, src]) == 2
+        err = capsys.readouterr().err
+        assert "ParameterViolation" in err and "distinct roots" in err
+        assert "Traceback" not in err
 
 
 def test_design_and_pit_commands(tmp_path, capsys):

@@ -82,8 +82,8 @@ CERT_GOLDEN = {
     "genset": "201468e2284af46398a32b1e140f7e89fa0edde3673455710274b5430ea2e6e8",
     "lift-root": "ec143f78e1496282ffb081b9dfb517ce941480316ca0399c7f46f1ac768c2bbd",
     "lift-root/alpha": "869581120e325175dc3839489e817db44ef521eadccf63ec0a3dc02cd1b344cc",
-    "factor/search": "80fc6581119689e637809707fa78d802d85ec17b22d84a455ca0e57709df3380",
-    "factor/given": "d87667c3cebf00576afcf23efddb7b175fc8cdc911048af1a6c4c15da35642a7",
+    "factor/search": "9a27cbefc3f3706a9ddbc353e768c957978b83dc6a366a309cd01d25ff02910a",
+    "factor/given": "f79c135241bc02a46e5546d1a87d7413b54b814792d7bff70a4ac21d94dd3af4",
     "design": "285754c69a9bc4bbc53d0d9919c332ff3c0d45b2eee3ab781634da16a9945113",
     "hitset": "6c5641b0dfa94c8221bcd5432a45b5d142f3322dcba5e37447fafbd683346b69",
     "pit/hitset": "e3e068a3ce99a3aa3f14f4ae3e56e9279832fb08262efaddb6b78ed1b7ae3c3e",

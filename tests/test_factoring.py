@@ -16,6 +16,7 @@ from circuitforge import (
 )
 from circuitforge.dense import substitute_var_dense
 from circuitforge.errors import NoFactorFound, NoSimpleRoots, ParameterViolation
+from circuitforge.lifting import compose_root
 
 from conftest import plant_linear_product, record_generator_sets, rng_for
 
@@ -82,8 +83,8 @@ def test_approx_roots_example(QQ):
     x, y = b.inp(0), b.inp(1)
     P = b.finish(b.mul(b.sub(y, x), b.sub(y, b.const(Fraction(2)))))
     bundle = _lifted(P, [Fraction(0), Fraction(2)], 1, y=1)
-    assert expand(bundle.approx[0]) == DensePoly.variable(QQ, 2, 0)
-    assert expand(bundle.approx[1]) == DensePoly.const(QQ, 2, Fraction(2))
+    assert bundle.approx_dense[0] == DensePoly.variable(QQ, 2, 0)
+    assert bundle.approx_dense[1] == DensePoly.const(QQ, 2, Fraction(2))
 
 
 def test_approx_roots_degree_zero(QQ):
@@ -91,8 +92,12 @@ def test_approx_roots_degree_zero(QQ):
     x, y = b.inp(0), b.inp(1)
     P = b.finish(b.mul(b.sub(y, x), b.sub(y, b.const(Fraction(2)))))
     bundle = _lifted(P, [Fraction(0), Fraction(2)], 0, y=1)
-    assert expand(bundle.approx[0]).is_zero()
-    assert expand(bundle.approx[1]) == DensePoly.const(QQ, 2, Fraction(2))
+    assert bundle.approx_dense[0].is_zero()
+    assert bundle.approx_dense[1] == DensePoly.const(QQ, 2, Fraction(2))
+    # constant roots have no generators: H_<=0[y - 2] is the constant -2
+    assert bundle.states == [None, None]
+    assert expand(combine_roots(bundle, [1], 0)) == DensePoly.const(QQ, 2, Fraction(-2))
+    assert expand(combine_roots(bundle, [0, 1], 0)).is_zero()
 
 
 def test_approx_roots_three_roots_truncated_residual(QQ):
@@ -101,8 +106,10 @@ def test_approx_roots_three_roots_truncated_residual(QQ):
     P, _ = plant_linear_product(QQ, rng, 2, 2, consts)
     bundle = _lifted(P, consts, 3, y=2)
     dense = expand(P)
-    for q in bundle.approx:
-        res = substitute_var_dense(dense, 2, expand(q))
+    for q, state in zip(bundle.approx_dense, bundle.states):
+        # the dense root is the expansion of the root circuit lift_root emits
+        assert expand(compose_root(state)) == q
+        res = substitute_var_dense(dense, 2, q)
         assert truncate_dense(res, 3).is_zero()
 
 
@@ -115,6 +122,28 @@ def test_combine_roots_singleton(QQ):
     assert expand(out) == DensePoly(QQ, 2, {(0, 1): Fraction(1), (1, 0): Fraction(-1)})
     with pytest.raises(ParameterViolation):
         combine_roots(bundle, [], 1)
+    # the generator components stop at the lift order 1
+    with pytest.raises(ParameterViolation, match="outside 0..1"):
+        combine_roots(bundle, [0], 2)
+    # a root that was never lifted has no generator components to combine
+    with pytest.raises(ParameterViolation, match="not all lifted"):
+        combine_roots(RootBundle((), [Fraction(0)], 1, 1, P), [0], 1)
+
+
+def test_extract_factor_refuses_an_impossible_subset(QQ):
+    # (y - x1)(y - 1 - x2)(y - 7): two roots make no factor of degree <= 1,
+    # and a repeated root is no subset of the simple roots
+    b = CircuitBuilder(QQ, 3)
+    x1, x2, y = b.inp(0), b.inp(1), b.inp(2)
+    P = b.finish(b.mul(
+        b.sub(y, x1),
+        b.sub(y, b.add(b.const(Fraction(1)), x2)),
+        b.sub(y, b.const(Fraction(7))),
+    ))
+    for d, subset in ((1, (0, 1)), (2, (0, 0)), (1, (0, 0)), (2, ())):
+        with pytest.raises(ParameterViolation, match="distinct roots"):
+            extract_factor(P, y=2, d=d, subset=subset)
+    assert expand(extract_factor(P, y=2, d=1, subset=(0,)).factor).total_degree() == 1
 
 
 def test_combine_roots_pair_example(QQ):
@@ -271,7 +300,7 @@ def test_given_subset_lifts_only_its_roots(QQ, monkeypatch):
         lifted.clear()
         res = extract_factor(P, y=2, d=len(S), subset=S, seed=0)
         assert lifted == [res.bundle.alphas[i] for i in S]
-        assert [i for i, q in enumerate(res.bundle.approx) if q is not None] == list(S)
+        assert [i for i, q in enumerate(res.bundle.approx_dense) if q is not None] == list(S)
         assert divides(expand(res.factor), expand(P), main_var=2) == 1
 
 
@@ -289,7 +318,7 @@ def test_lazy_roots_emit_the_bytes_of_eager_roots(QQ):
     full = RootBundle(lazy.shift, lazy.alphas, lazy.d, lazy.y_var, lazy.source)
     full.lift(range(len(full.alphas)))
     for i in res.subset:
-        assert emit_circuit(full.approx[i]) == emit_circuit(lazy.approx[i])
+        assert emit_circuit(compose_root(full.states[i])) == emit_circuit(compose_root(lazy.states[i]))
         assert full.approx_dense[i] == lazy.approx_dense[i]
 
 

@@ -46,30 +46,30 @@ ROOT_CASES = (("qq", 0, 1), ("qq", 3, 1), ("qq", 13, 2), ("qq", 19, 2), ("qq", 2
 BUDGET = {"budget_terms": DEFAULT_BUDGET.max_terms, "budget_degree": DEFAULT_BUDGET.max_degree}
 
 GOLDEN = {
-    "c7/0/given": "b19fad8b6ddbca2691d57af886ce1fe2ad0f2a8ea98331377747833eaee29cd3",
-    "c7/0/search": "1eef65b6df6c8ccb799da5748617debc3d154ee8eb3861f3a99116b445020f17",
-    "c7/1/given": "a3a0818b6ba2d0880d63068e3ec30ed6c2d33d121eef303738fc1bcdeb355ab6",
-    "c7/1/search": "ef5dccc9fcf89f1bdc4a77377867a1e4910a3e214670321b9363172d07c20ada",
-    "c7/2/given": "73c3f7bf44d93606e7672f547c89c8b9346317165fffdd4e2f7c6632b614671f",
-    "c7/2/search": "789f20d65e61f3bed7fefe1a8b1658abfced5854af08790daecf1e66da12d527",
-    "c7/3/given": "2ced99ba428e3168dc672ecd7deeb274a01d5aeba6389c6963f5e579b4f8295a",
-    "c7/3/search": "2ced99ba428e3168dc672ecd7deeb274a01d5aeba6389c6963f5e579b4f8295a",
-    "c7/40/given": "f96cefebac0b41e1e4ed92bc852402c1847c25356b764842110b587973c7493a",
-    "c7/40/search": "654ab5803ce4742c6239c6667df70140889e4ecf54423bf20850969e77472239",
-    "c7/41/given": "794d13ae5d6751e559dcae5d68a830b441bf6221e448cb19676108fcf19678a4",
-    "c7/41/search": "2e795d153d23475257e8a8599240e0cc4654c87bffa006d9cef6c2bcd39d424c",
-    "c7/42/given": "4c759f19775ada29584f2964e603f826f914f80bf85bd5f45b83b73d4f933fbc",
-    "c7/42/search": "1401c6de9d0e9f8086e496a75bceb07754c39764ef5c45a4b742b0095413d1f3",
-    "c7/75/given": "708868d9f907b90a9c5946958294cde42d5cf7fa542e5a9508813e2e6068ddbb",
-    "c7/75/search": "0d5ea6d7e27972ad8bc0aa2a4b63fe0056b07e69b71a1b0069a43fcbbb1fdc4c",
-    "c7/76/given": "a97c79de7013671c681213cf706519953a3bf3a4e3154451bd6f5076d9902b52",
-    "c7/76/search": "9aa428953a4f8cd6a91b735ee2c1ef22643b58c644e1fb29a45f6428eb655fa8",
-    "c7/90/given": "0b38fe99e70adbcc2093b3a2d794a06a14e7f286e83e10be181f764e2fae4687",
-    "c7/90/search": "b915bc480f223290f459d6fdc368b30cf73d8e66edad6d390386850630d06239",
-    "c7/91/given": "d37ce4b248768bb1bbfc5d6df09225dea38b9144d8c69cb85956552426c2fe24",
-    "c7/91/search": "2360dd5f9b33e77f0b2a42b1bcb372356fd6cf611e3d0b2401de6a2087aa2d93",
-    "c7/97/given": "e8761e696040f31b7d0bf02c9465e794ade993f441a0bad882658d513e3371c4",
-    "c7/97/search": "11ff227785cb2c6c3e08b88e3207fd992cca6d98fea2f0d40838bc2112a6e22b",
+    "c7/0/given": "90e73996529be82a6e03677217849ed22161a5fdda8adc940955993f4c25fb4b",
+    "c7/0/search": "0eec483b43bd391bf84b27a6f90ab824c4b11751e7a7440689af5d590838529a",
+    "c7/1/given": "328ddae0e6fd13a6eb9f76752a4627faf2a9496c0f6d2003ad25ea1b673486bb",
+    "c7/1/search": "7014be9bf8af232ba6ebc6cb98bbac88bedb82edec8f0532b5761a0a347f5acd",
+    "c7/2/given": "7e387fe718b0b8004bda9103cace1d35f3ee7f7717c3193bc908d9787e590b80",
+    "c7/2/search": "aaa31a33fe0045d241c4540200c2952b6a989118316e2726f456bb1578d45e73",
+    "c7/3/given": "aee45950618ad658af8fe5389130df9f9d4a1545871e704bf5bd0bb8d97cda53",
+    "c7/3/search": "aee45950618ad658af8fe5389130df9f9d4a1545871e704bf5bd0bb8d97cda53",
+    "c7/40/given": "d9e012b69c7521577170491935a086f735ab057b24145c43d1be85d708baa04e",
+    "c7/40/search": "ce60fd13b8cf176a5d99bdf7833b2060e253b48da7024e7023fa3fa43120a786",
+    "c7/41/given": "12f4296318c4551ba36544c127f1ce9f3b9a5be5be4f0b5dc9aca6c15f56eb46",
+    "c7/41/search": "32cf8d2f6c8997d79244fb499c3fd23863278aa4f5d28a98b40d2ca4f854eaa1",
+    "c7/42/given": "002646668d429eada226c5c988e619993fa858b07963f549a34300c5d01b0c79",
+    "c7/42/search": "b59599af63190f397a741f5631dffd4dd335a03999f30e3d5036a1f4c1153a5b",
+    "c7/75/given": "ae2940807b683519956302ba7a413fae97f00176c78b10e6dc91d1884e95a746",
+    "c7/75/search": "84a0cf3ad398b93f17606d317b030c28959690f35599e3a06607c19086a2febb",
+    "c7/76/given": "b3e01c68d78767e70c77aa0f368fdc64c695f92697e07d937fd9bb975c94c3ff",
+    "c7/76/search": "f54df7afbb0930493d69c343abf22669f0a29ff5e1219001998239ea0ef92e90",
+    "c7/90/given": "a9870b34c331d78b301cb4bdcbd96605f938c2f89d42380796c77976b0f1920b",
+    "c7/90/search": "0084f7c311e234a14246ed040b16f8c34e7bff5755abd10f825354f285e51394",
+    "c7/91/given": "da2eac24ca17d47fcd1bc0ce323f4e654dab371fd769af5b051da1f0e4c16596",
+    "c7/91/search": "3229422b8768fd83845bccb2ddd4f1222674cac4928f01281a73c6a7af32813d",
+    "c7/97/given": "7902bc4f5c68be69e71c5c29fbf90a304d62fc1c7f4feed26ad861f1e2b1fd45",
+    "c7/97/search": "e3c8e77887416392c3e601d2720e75c2d9b7bc6459101c9567500baa3c79e9f0",
     "c1/qq/0": "46843300f52929cb2c9344071724a672cb31e0f4668704707ea2e29a8781b6c9",
     "c1/qq/3": "800401f7057225fd1c35a43706c64375e33a7cd3c9507db25cfb992f58f83fc6",
     "c1/qq/13": "04a2923dbebc461430a073acecd4506faef4e7de55caa9eb3a2a7a65dd338767",

@@ -18,6 +18,7 @@ from circuitforge import (
 from circuitforge.dense import translate_dense
 from circuitforge.designs import Design
 from circuitforge.errors import MixedFieldConfig
+from circuitforge.factoring import FACTOR_DEPTH_SLACK, FACTOR_SIZE_FACTOR
 from circuitforge.lifting import ROOT_SIZE_FACTOR
 from circuitforge.expsum import ExpSumPoly, coeff_exp_sums, exp_sum_expand
 
@@ -82,7 +83,7 @@ def test_root_bundle_lift_is_deterministic(QQ):
     for _ in range(2):
         bundle = RootBundle((), [Fraction(0), Fraction(4)], 2, 1, P)
         bundle.lift((0, 1))
-        runs.append([sorted(expand(q).terms.items()) for q in bundle.approx])
+        runs.append([sorted(q.terms.items()) for q in bundle.approx_dense])
     assert runs[0] == runs[1]
 
 
@@ -125,9 +126,23 @@ def test_lift_root_depth_and_size_laws():
         assert cert.root.size() <= ROOT_SIZE_FACTOR * (d + 1) * P.size(), (tag, i)
 
 
+def test_factor_depth_and_size_laws():
+    # Factors are composition sums of their roots' generator components:
+    # depth(P) + FACTOR_DEPTH_SLACK and FACTOR_SIZE_FACTOR * d^2 * size(P)
+    # wires, given subset and subset search, on the criterion-7 family.
+    from test_acceptance import _criterion_07_runs
+
+    for i, (kf, _, P, _, _, res, res2) in enumerate(_criterion_07_runs()):
+        for factor in (res.factor, res2.factor):
+            assert factor.depth() <= P.depth() + FACTOR_DEPTH_SLACK, i
+            assert factor.size() <= FACTOR_SIZE_FACTOR * kf * kf * P.size(), i
+
+
 def test_factor_vnp_combining_circuit_has_depth_two(QQ, monkeypatch):
-    # B is the sum of monomials of H_<=|S|[prod (y - A_i)], so its formula
-    # is linear in it; the second case has roots with no generators
+    # B is factoring.combiner_dense, the sum of monomials of
+    # H_<=|S|[prod (y - A_i)] that the circuit factor emits as a composition
+    # sum of the roots' generator components; its formula is linear in it.
+    # The second case has roots with no generators
     from circuitforge import expsum
 
     seen = []
