@@ -42,6 +42,7 @@ from .errors import (
     DanglingReference,
     DivisionByZero,
     InvariantViolated,
+    ParameterViolation,
 )
 from .fields import Field, PrimeField, Rationals, is_prime, same_field, sample_grid
 
@@ -641,7 +642,7 @@ def parse_header(text: str, count_key: str = "nvars"):
         elif len(parts) == 3 and parts[1] == "prime":
             field = PrimeField(int(parts[2]))
             why = None if is_prime(field.p) else f"modulus {field.p} is not prime"
-    except ValueError as e:  # no integer modulus, or one PrimeField refuses
+    except (ValueError, ParameterViolation) as e:  # no integer modulus, or one PrimeField refuses
         why = e
     if why:
         raise CircuitSyntaxError(field_no, f"bad field line ({why})")

@@ -516,13 +516,13 @@ def _session_field(args):
 
     if args.field == "rationals":
         return Rationals()
-    if args.field.startswith("prime:"):
-        fld = PrimeField(int(args.field.split(":", 1)[1]))
+    if args.field.startswith("prime:") and args.field[6:].isdecimal():
+        fld = PrimeField(int(args.field[6:]))
         if not is_prime(fld.p):
             raise E.ParameterViolation(f"--field modulus {fld.p} is not prime")
         assert_degree_capacity(fld, args.budget_degree)
         return fld
-    raise ValueError(f"bad --field {args.field!r} (use 'rationals' or 'prime:<p>')")
+    raise E.ParameterViolation(f"bad --field {args.field!r} (use 'rationals' or 'prime:<p>')")
 
 
 def _check_session_field(session, parsed):
@@ -607,8 +607,8 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (E.ForgeError, ValueError) as exc:
-        # a bare ValueError is bad input (exit 2) until every such site
-        # raises a typed error
+        # Python's own ValueErrors are bad input too (exit 2): a non-JSON
+        # certificate, a binary input file, a non-numeric FORGE_SEED
         name = "" if isinstance(exc, E.BudgetExceeded) else f"{type(exc).__name__}: "
         print(f"error: {name}{exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)

@@ -9,8 +9,9 @@ derivatives, homogeneous components, and base-field roots of univariates.
 The oracle deliberately does not factor: the pipeline under test is the
 factorizer, the oracle only multiplies, divides and compares.
 
-Expansion and DensePoly products run on one packed integer kernel
-(`_product_terms`); DensePoly keeps its tuple keys outside it.
+Expansion, composition (`compose`) and DensePoly products run on one
+packed integer kernel (`_product_terms`); DensePoly keeps its tuple keys
+outside it.
 
 - Monomials. The exponent vector (e_0, ..., e_{n-1}) becomes the int
   sum(e_j << w*j), w bits per variable with w = D.bit_length(), where D is
@@ -23,12 +24,12 @@ Expansion and DensePoly products run on one packed integer kernel
 - Total degree and cap. An expansion key has one more slot above the n
   variable slots, holding its total degree << w*n; packing is additive, so
   products keep it exact. Being the top slot, it makes a degree bound one
-  comparison: `expand_outputs(cap=c)` drops each input and product key of
-  degree above c, and since exponents are non-negative no dropped monomial
-  could come back, so each output is exactly H_<=c; a capped call
-  certifies claims about H_<=c only. Kept exponents are at most c, so w
-  comes from min(D, c): a product that carries out of a slot has degree
-  above c and is dropped.
+  comparison: `expand_outputs(cap=c)` and `compose(cap=c)` drop each input
+  and product key of degree above c, and since exponents are non-negative
+  no dropped monomial could come back, so each output is exactly H_<=c; a
+  capped call certifies claims about H_<=c only. Kept exponents are at
+  most c, so w comes from min(D, c): a product that carries out of a slot
+  has degree above c and is dropped.
 - Coefficients. Over F_p they are residues mod p. Over Q each gate holds
   integer numerators over one common denominator, divided through by one
   gcd per gate; Fractions are built only at the outputs. The inner loops
@@ -416,40 +417,44 @@ def truncate_dense(p: DensePoly, d: int) -> DensePoly:
     return DensePoly(p.field, p.n, {e: c for e, c in p.terms.items() if sum(e) <= d})
 
 
-def substitute_var_dense(p: DensePoly, var: int, q: DensePoly) -> DensePoly:
-    """Compose: replace `var` by the polynomial q (Horner in var)."""
-    same_field(p.field, q.field)
-    if p.n != q.n:
-        raise ArityMismatch(f"variable space mismatch: {p.n} vs {q.n}")
-    field = p.field
-    d = p.degree_in(var)
-    if d <= 0:
-        return p
-    layers = [DensePoly.zero(field, p.n) for _ in range(d + 1)]
+def compose(p: DensePoly, values, cap=None, budget: ExpansionBudget = DEFAULT_BUDGET) -> DensePoly:
+    """p with variable j replaced by values[j], DensePolys over one variable
+    space; H_<=cap of the result with cap. Each power of a value is built
+    once on the packed kernel, every product drops its keys above cap, and
+    a partial result over budget.max_terms terms raises BudgetExceeded."""
+    m = values[0].n if values else 0
+    if len(values) != p.n or any(v.n != m for v in values):
+        raise ArityMismatch(f"compose needs {p.n} values over one variable space")
+    for v in values:
+        same_field(p.field, v.field)
+    if cap is not None and cap < 0:
+        raise ParameterViolation(f"degree cap must be >= 0, got {cap}")
+    mod, max_terms = _modulus(p.field), budget.max_terms
+    degs = [max(v.total_degree(), 0) for v in values]
+    top = max((sum(x * g for x, g in zip(e, degs)) for e in p.terms), default=0)
+    top = top if cap is None else min(top, cap)  # no kept key has a larger degree
+    w = max(1, top.bit_length())
+    bound = None if cap is None else (cap + 1) << w * m  # least key of degree > cap
+    pows, dens = [], []  # pows[j][k] is values[j]^k packed, over dens[j]^k
+    for j, v in enumerate(values):
+        kept = {e + (sum(e),): c for e, c in v.terms.items() if sum(e) <= top}
+        base, den = _to_ints(kept, w, mod)
+        pows.append([{0: 1}])
+        for _ in range(p.degree_in(j)):
+            pows[j].append(_product_terms(pows[j][-1], base, mod, max_terms, bound))
+        dens.append(den)
+    scale = {e: c.denominator * math.prod(d**x for d, x in zip(dens, e))
+             for e, c in p.terms.items()}
+    den = math.lcm(*scale.values())
+    out: dict = {}
     for e, c in p.terms.items():
-        ne = list(e)
-        k = ne[var]
-        ne[var] = 0
-        layers[k] = layers[k] + DensePoly.monomial(field, p.n, ne, c)
-    acc = layers[d]
-    for k in range(d - 1, -1, -1):
-        acc = acc * q + layers[k]
-    return acc
-
-
-def translate_dense(p: DensePoly, shift) -> DensePoly:
-    """p(x + shift), exact."""
-    field = p.field
-    out = p
-    for var, cval in enumerate(shift):
-        if cval == field.zero:
-            continue
-        q = DensePoly(field, p.n, {
-            tuple(1 if i == var else 0 for i in range(p.n)): field.one,
-            (0,) * p.n: cval,
-        })
-        out = substitute_var_dense(out, var, q)
-    return out
+        acc, *rest = sorted((pows[j][x] for j, x in enumerate(e) if x), key=len) or [{0: 1}]
+        for part in rest:
+            acc = _product_terms(acc, part, mod, max_terms, bound)
+        _add_into(out, acc, c.numerator * (den // scale[e]), mod)
+        if len(out) > max_terms:
+            raise BudgetExceeded("terms", f"{len(out)} > {max_terms}")
+    return DensePoly(p.field, m, _from_ints(out, den, m, w, mod))
 
 
 # -- exact division -------------------------------------------------------------

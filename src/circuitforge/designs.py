@@ -52,7 +52,7 @@ class SmallGF:
     def __init__(self, q: int):
         pk = _is_prime_power(q)
         if pk is None:
-            raise ValueError(f"{q} is not a prime power")
+            raise ParameterViolation(f"{q} is not a prime power")
         self.q = q
         self.p, self.k = pk
         if self.k == 1:

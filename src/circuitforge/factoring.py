@@ -29,10 +29,9 @@ from .dense import (
     DEFAULT_BUDGET,
     DensePoly,
     ExpansionBudget,
+    compose,
     divides,
     expand,
-    substitute_var_dense,
-    translate_dense,
     truncate_dense,
     univariate_roots,
 )
@@ -68,8 +67,9 @@ class RootBundle:
 
     Each q_i is the unique degree-<=d polynomial with q_i(0) = alpha_i and
     H_{<=d}[source(x, q_i)] = 0, kept dense in source's variable space with
-    the y slot unused. Roots are lifted on demand by `lift`: until then
-    slot i of states and approx_dense holds None.
+    the y slot unused (`LiftState.root_dense`: no root circuit is built).
+    Roots are lifted on demand by `lift`: until then slot i of states and
+    approx_dense holds None. A lift over budget raises BudgetExceeded.
     """
 
     shift: tuple
@@ -193,30 +193,6 @@ def _combine_dense(bundle: RootBundle, subset, d: int) -> DensePoly:
     return truncate_dense(acc, d)
 
 
-def _unshift_dense(p: DensePoly, shift_x, x_vars, monic: MonicForm) -> DensePoly:
-    """Undo the separating shift, then the monic change of variables."""
-    fld = p.field
-    full = [fld.zero] * p.n
-    for xi, ci in zip(x_vars, shift_x):
-        full[xi] = fld.neg(ci)
-    out = translate_dense(p, full)
-    y = monic.y_var
-    for xi, ai in zip(x_vars, monic.shift):
-        if ai != fld.zero:
-            sub = DensePoly(fld, p.n, {
-                _unit_exp(p.n, xi): fld.one,
-                _unit_exp(p.n, y): fld.neg(ai),
-            })
-            out = substitute_var_dense(out, xi, sub)
-    return out
-
-
-def _unit_exp(n, i):
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
-
-
 def _leading_y_unit(p: DensePoly, y: int):
     """Leading y-coefficient if it is a nonzero field constant, else None."""
     dy = p.degree_in(y)
@@ -307,6 +283,10 @@ def extract_factor(
         for xi, ci in zip(x_vars, c):
             full_shift[xi] = ci
         Pk_s = Pk if all(v == fld.zero for v in c) else translate(Pk, full_shift)
+        # x_i -> x_i - a_i * y - c_i undoes the shift, then the monic change of variables
+        unshift = [DensePoly.variable(fld, nv, v) for v in range(nv)]
+        for xi, ci, ai in zip(x_vars, c, monic.shift):
+            unshift[xi] = unshift[xi] - unshift[y].scale(ai) - DensePoly.const(fld, nv, ci)
         # roots are lifted when a subset first needs them; the subset
         # screening and the final exact-divisibility check certify
         # candidates, so no per-root residual check runs
@@ -317,8 +297,7 @@ def extract_factor(
             except NotASimpleRoot:
                 break
             dS = len(S)
-            cand = _combine_dense(bundle, S, dS)
-            cand_orig = _unshift_dense(cand, c, x_vars, monic)
+            cand_orig = compose(_combine_dense(bundle, S, dS), unshift)
             if cand_orig.degree_in(y) < 1:
                 continue
             mult = divides(cand_orig, P_dense, main_var=y)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BoundExceedsField, DivisionByZero, MixedFieldConfig
+from .errors import BoundExceedsField, DivisionByZero, MixedFieldConfig, ParameterViolation
 from .seeding import stream
 
 # 2**62 - 57, used by the acceptance suite as the "sufficiently large" prime.
@@ -117,7 +117,7 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         if p < 3:
-            raise ValueError("modulus must be an odd prime >= 3")
+            raise ParameterViolation("modulus must be an odd prime >= 3")
         self.p = p
         self.zero = 0
         self.one = 1 % p
@@ -215,7 +215,7 @@ def sample_grid(field: Field, bound: int, count: int, seed: int, *names: str):
     """`count` deterministic pseudo-random elements of {0..bound-1} embedded
     in the field. Same seed (and stream names) => same list."""
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise ParameterViolation("bound must be >= 1")
     if isinstance(field, PrimeField) and bound > field.p:
         raise BoundExceedsField(f"grid bound {bound} exceeds field size {field.p}")
     rng = stream(seed, "sample_grid", *names)

@@ -23,6 +23,7 @@ from .dense import (
     DEFAULT_BUDGET,
     DensePoly,
     ExpansionBudget,
+    compose,
     expand,
     hasse_derivative_dense,
     univariate_roots,
@@ -70,13 +71,16 @@ class LiftState:
         return self.gens.d
 
     def root_dense(self, budget: ExpansionBudget = DEFAULT_BUDGET) -> DensePoly:
-        """expand(compose_root(self)) without building the root: A_d on the
-        generators, each the sum of its components, expanded capped at d."""
+        """expand(compose_root(self)), with no circuit built: H_{<=d}[A_d]
+        composed, capped at d, with the generator set's dense members."""
         d, gens, a_d = self.d, self.gens, self.A[-1]
-        b = CircuitBuilder(a_d.field, gens.num_vars)
-        comp = b.import_circuit(gens.components) if gens.orders else []
-        g = {j: b.add(*comp[j * d:(j + 1) * d]) for j in range(len(gens.orders))}
-        return expand(b.finish(b.import_circuit(a_d, g)[0]), budget, cap=d)
+        if gens.derivs_dense is None:  # its zero test overflowed the budget
+            raise BudgetExceeded("terms", "the generator members did not expand within budget")
+        fld, nv = a_d.field, gens.num_vars
+        lows = [gens.derivs_dense[j].terms for j in gens.orders]
+        members = [DensePoly(fld, nv, {e: c for e, c in low.items() if any(e)}) for low in lows]
+        members += [DensePoly.zero(fld, nv)] * (a_d.num_vars - len(members))  # A has max(t, 1) vars
+        return compose(expand(a_d, cap=d), members, cap=d, budget=budget)
 
 
 @dataclass

@@ -50,9 +50,9 @@ class ExplicitPoly:
 
     def __init__(self, field: Field, m: int, coeffs: list):
         if m > 24:
-            raise ValueError("explicit tables are desk scale (m <= 24)")
+            raise ParameterViolation("explicit tables are desk scale (m <= 24)")
         if len(coeffs) != 1 << m:
-            raise ValueError(f"table needs {1 << m} coefficients, got {len(coeffs)}")
+            raise ParameterViolation(f"table needs {1 << m} coefficients, got {len(coeffs)}")
         self.field = field
         self.m = m
         self.coeffs = list(coeffs)

@@ -8,6 +8,8 @@ implemented here so reproducibility does not depend on stdlib internals.
 
 import hashlib
 
+from .errors import ParameterViolation
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -27,7 +29,7 @@ class Rng:
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n <= 0:
-            raise ValueError("randrange needs n >= 1")
+            raise ParameterViolation("randrange needs n >= 1")
         # rejection sampling to avoid modulo bias, over one 64-bit word for
         # n <= 2^64 and enough whole words to cover n above that
         words = 1 if n <= _MASK64 + 1 else -(-n.bit_length() // 64)

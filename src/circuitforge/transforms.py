@@ -430,6 +430,9 @@ class GeneratorSet:
     circuit over the same space holding the homogeneous parts of the
     members: output pos * d + (i - 1) computes H_i of the member of order
     orders[pos], for i in 1..d (None when there are no members).
+    derivs_dense[j] is H_{<=d} of the order-j derivative at alpha, j = 0..d,
+    as the zero test expanded it (the dense member of order j, plus its
+    constant term); None when Schwartz-Zippel ran instead.
     """
 
     alpha: object
@@ -439,6 +442,7 @@ class GeneratorSet:
     orders: list = dc_field(default_factory=list)
     deriv_constants: list = dc_field(default_factory=list)  # H_0 per order j
     components: Circuit | None = None
+    derivs_dense: list | None = dc_field(default=None, repr=False)
     views: Callable | None = dc_field(default=None, repr=False)
 
     @cached_property
@@ -467,7 +471,7 @@ def generator_set(
 
     The zero test is one capped expansion of the d + 1 derivatives at
     alpha, each kept to H_{<=d}, which also tells which homogeneous
-    components vanish. Only when that expansion overflows the budget does
+    components vanish (kept as derivs_dense). Only when it overflows does
     it fall back to Schwartz-Zippel on 64 points over a grid of size 2*d,
     drawn on seed 0. A false keep is harmless downstream; a false drop is
     what the point count makes improbable. A d above the budget's degree
@@ -532,5 +536,6 @@ def generator_set(
         orders=orders,
         deriv_constants=list(h0),
         components=components,
+        derivs_dense=denses,
         views=views,
     )

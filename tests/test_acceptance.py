@@ -39,7 +39,7 @@ from circuitforge import (
     valiant_step,
 )
 from circuitforge.circuit import is_formula
-from circuitforge.dense import circuit_from_dense, substitute_var_dense
+from circuitforge.dense import circuit_from_dense, compose
 from circuitforge.designs import DESIGN_ELL_FACTOR
 from circuitforge.expsum import (
     ExpSumPoly,
@@ -237,8 +237,9 @@ def test_criterion_04_taylor_hasse_identity():
         # dense Taylor identity in two variables (y = 0, z = 1)
         p = random_sparse_poly(field, rng, 1, 6, 4)
         p2 = p.with_vars(2)
-        shifted = substitute_var_dense(
-            p2, 0, DensePoly(field, 2, {(1, 0): field.one, (0, 1): field.one})
+        shifted = compose(
+            p2, [DensePoly(field, 2, {(1, 0): field.one, (0, 1): field.one}),
+                 DensePoly.variable(field, 2, 1)]
         )
         total = DensePoly.zero(field, 2)
         for k in range(p.degree_in(0) + 1):

@@ -259,6 +259,7 @@ HEADER_CASES = [
     (ExplicitPoly.parse_table, "field prime 101\nm 2\n0 5\nm 2\n", 4),
     (ExplicitPoly.parse_table, "field prime x\nm 2\n0 5\n", 1),
     (ExplicitPoly.parse_table, "field prime 101\nm 2\n0 5\n4 1\n", 4),  # mask out of range
+    (parse_circuit, "field prime 2\nnvars 1\ng1 = input x1\noutput g1\n", 1),  # PrimeField refuses
 ]
 
 

@@ -529,10 +529,16 @@ def test_bad_inputs_end_in_their_documented_code(tmp_path, capsys):
                                     "output g1\noutput g2\n"),
                        ("f91.circ", "field prime 91\nnvars 1\ng1 = input x1\noutput g1\n"),
                        ("fc.circ", "field complex\nnvars 1\ng1 = input x1\noutput g1\n"),
+                       # (y - x1 x2 x3)(y - 2) with y = x4
+                       ("cubic.circ", "field rationals\nnvars 4\ng1 = input x1\ng2 = input x2\n"
+                                      "g3 = input x3\ng4 = input x4\ng5 = mul g1 g2 g3\n"
+                                      "g6 = const -1\ng7 = mul g6 g5\ng8 = add g4 g7\n"
+                                      "g9 = const -2\ng10 = add g4 g9\ng11 = mul g8 g10\n"
+                                      "output g11\n"),
                        ("notobj.json", "[1, 2]\n"), ("nokey.json", '{"n": 4, "m": 3}\n')):
         _write(tmp_path, name, text)
-    p, xy, c, two, f91, fc = (str(tmp_path / n) for n in (
-        "p.circ", "xy.circ", "c.circ", "two.circ", "f91.circ", "fc.circ"))
+    p, xy, c, two, f91, fc, cubic = (str(tmp_path / n) for n in (
+        "p.circ", "xy.circ", "c.circ", "two.circ", "f91.circ", "fc.circ", "cubic.circ"))
     design = str(tmp_path / "design.json")
     assert main(["design", "-n", "4", "-m", "3", "-o", design]) == 0
     outside = json.loads((tmp_path / "design.json").read_text())
@@ -559,10 +565,17 @@ def test_bad_inputs_end_in_their_documented_code(tmp_path, capsys):
         (["pit", "--mode", "sz", xy, "-d", "2", "--trials", "0"], 2, "trials >= 1"),
         (["pit", "--mode", "sz", xy, "-d", "2", "--trials", "-5"], 2, "trials >= 1"),
         (["--budget-terms", "0", "expand", p], 2, "ParameterViolation: budget bounds"),
+        (["--field", "bogus", "expand", p], 2, "ParameterViolation: bad --field 'bogus'"),
+        (["--field", "prime:abc", "expand", p], 2, "ParameterViolation: bad --field 'prime:abc'"),
+        (["--field", "prime:2", "expand", p], 2, "ParameterViolation: modulus must be an odd"),
         (["homog", "-k", "1", two], 2, "ArityMismatch: operation requires a single-output"),
         (["lift-root", "-y", "2", "-d", "1", two], 2, "ArityMismatch"),
         (["homog", "-k", "1", f91], 2, "CircuitSyntaxError: line 1: bad field line (modulus 91"),
         (["homog", "-k", "1", fc], 2, "CircuitSyntaxError: line 1: bad field line (use"),
+        # P expands in 4 terms, but after the monic shear and the separating
+        # shift the generator set's capped zero test does not fit in 6 (with
+        # 8 it factors), so the root's dense form is over budget too
+        (["--budget-terms", "6", "factor", "-y", "4", "-d", "3", cubic], 3, "generator members"),
     )
     capsys.readouterr()
     for argv, code, text in cases:

@@ -27,15 +27,15 @@ from circuitforge.dense import (
     _linear_roots_prime,
     _try_divide,
     circuit_from_dense,
+    compose,
     emit_poly,
     expand_outputs,
     parse_poly,
-    substitute_var_dense,
-    translate_dense,
 )
 from circuitforge.errors import (
     ArityMismatch,
     BudgetExceeded,
+    MixedFieldConfig,
     ParameterViolation,
     SearchExhausted,
     ZeroDivisor,
@@ -67,7 +67,7 @@ def test_expand_substitute_commutes(QQ):
         c = random_circuit(QQ, rng, 2, size_limit=16, degree_limit=4)
         d = random_circuit(QQ, rng, 2, size_limit=10, degree_limit=2)
         lhs = expand(substitute(c, {0: d}))
-        rhs = substitute_var_dense(expand(c), 0, expand(d))
+        rhs = compose(expand(c), [expand(d), DensePoly.variable(QQ, 2, 1)])
         assert lhs == rhs
 
 
@@ -267,7 +267,7 @@ def test_bad_arguments_raise_typed_errors(QQ):
     p = DensePoly.variable(QQ, 2, 0)
     q = DensePoly.variable(QQ, 3, 0)
     arity = (lambda: expand(two), lambda: p.evaluate([1]), lambda: p + q,
-             lambda: substitute_var_dense(p, 0, q))
+             lambda: compose(p, [q, DensePoly.variable(QQ, 2, 1)]))
     for call in arity:
         with pytest.raises(ArityMismatch):
             call()
@@ -389,10 +389,10 @@ def test_taylor_identity_dense(QQ, Fp):
         rng = rng_for("taylor-" + name)
         for k in range(40):
             p = random_sparse_poly(field, rng, 2, 6, 5)  # vars y=0, aux x=1
-            shifted = substitute_var_dense(
-                p.with_vars(3), 0,
+            shifted = compose(p.with_vars(3), [
                 DensePoly(field, 3, {(1, 0, 0): field.one, (0, 0, 1): field.one}),
-            )  # y -> y + z with z = var 2
+                DensePoly.variable(field, 3, 1), DensePoly.variable(field, 3, 2),
+            ])  # y -> y + z with z = var 2
             total = DensePoly.zero(field, 3)
             for j in range(p.degree_in(0) + 1):
                 dj = hasse_derivative_dense(p, 0, j).with_vars(3)
@@ -413,14 +413,57 @@ def test_homog_and_truncate(QQ):
     assert homog_component_dense(homog, 1).is_zero()
 
 
-def test_translate_dense_matches_substitution(QQ):
+def test_compose_translation_matches_substitution(QQ):
     rng = rng_for("translate-dense")
     p = random_sparse_poly(QQ, rng, 2, 4, 5)
     shift = [Fraction(1), Fraction(-2)]
-    moved = translate_dense(p, shift)
+    moved = compose(p, [DensePoly.variable(QQ, 2, v) + DensePoly.const(QQ, 2, c)
+                        for v, c in enumerate(shift)])
     for _ in range(10):
         pt = [QQ.embed(rng.randint(-3, 3)) for _ in range(2)]
         assert moved.evaluate(pt) == p.evaluate([pt[0] + shift[0], pt[1] + shift[1]])
+
+
+def test_compose_agrees_with_evaluation_and_truncation(QQ):
+    """compose(p, vals) evaluates to p at the values' evaluations, and its
+    capped form is the truncation of the uncapped one, over Q and F_p."""
+    for field, name in ((QQ, "qq"), (PrimeField(SMALL_PRIME), "small"),
+                        (PrimeField(BIG_PRIME), "big")):
+        rng = rng_for("compose-property-" + name)
+        for k in range(25):
+            n, m = 1 + k % 3, 1 + rng.randrange(3)
+            p = random_sparse_poly(field, rng, n, 4, 6)
+            third = field.inv(field.embed(3))  # denominators over Q
+            vals = [random_sparse_poly(field, rng, m, 3, 4).scale(third) for _ in range(n)]
+            if k % 5 == 0:
+                vals[0] = DensePoly.zero(field, m)
+            full = compose(p, vals)
+            for _ in range(3):
+                pt = [field.embed(rng.randint(-5, 5)) for _ in range(m)]
+                assert full.evaluate(pt) == p.evaluate([v.evaluate(pt) for v in vals])
+            for cap in range(max(full.total_degree(), 0) + 2):
+                assert compose(p, vals, cap=cap) == truncate_dense(full, cap)
+
+
+def test_compose_refusals(QQ, Fp):
+    p = DensePoly.variable(QQ, 2, 0) * DensePoly.variable(QQ, 2, 1)
+    x = DensePoly.variable(QQ, 2, 0)
+    with pytest.raises(ArityMismatch):
+        compose(p, [x])  # one value for two variables
+    with pytest.raises(ArityMismatch):
+        compose(p, [x, DensePoly.variable(QQ, 3, 0)])  # two variable spaces
+    with pytest.raises(MixedFieldConfig):
+        compose(p, [x, DensePoly.variable(Fp, 2, 1)])
+    with pytest.raises(ParameterViolation):
+        compose(p, [x, x], cap=-1)
+    # (x1 + ... + x6)^2 has 21 terms: a partial product of 21 overflows 20
+    s = sum((DensePoly.variable(QQ, 6, v) for v in range(1, 6)), DensePoly.variable(QQ, 6, 0))
+    sq = DensePoly.monomial(QQ, 1, (2,), QQ.one)
+    with pytest.raises(BudgetExceeded) as e:
+        compose(sq, [s], budget=ExpansionBudget(max_terms=20))
+    assert e.value.kind == "terms"
+    assert len(compose(sq, [s], budget=ExpansionBudget(max_terms=21)).terms) == 21
+    assert compose(sq, [s], cap=1, budget=ExpansionBudget(max_terms=20)).is_zero()
 
 
 def test_univariate_roots_planted(QQ):

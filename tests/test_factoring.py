@@ -14,8 +14,8 @@ from circuitforge import (
     separating_shift,
     truncate_dense,
 )
-from circuitforge.dense import substitute_var_dense
-from circuitforge.errors import NoFactorFound, NoSimpleRoots, ParameterViolation
+from circuitforge.dense import ExpansionBudget, compose
+from circuitforge.errors import BudgetExceeded, NoFactorFound, NoSimpleRoots, ParameterViolation
 from circuitforge.lifting import compose_root
 
 from conftest import plant_linear_product, record_generator_sets, rng_for
@@ -77,6 +77,24 @@ def _lifted(P, alphas, d, y):
     return bundle
 
 
+def test_over_budget_roots_stay_typed(QQ, monkeypatch):
+    # a one-term budget overflows the generator set's capped zero test, which
+    # falls back to Schwartz-Zippel and keeps no dense members; the root's
+    # lift is then over budget too (exit 3), and the bundle stays unlifted
+    gens = record_generator_sets(monkeypatch)
+    b = CircuitBuilder(QQ, 2)
+    x, y = b.inp(0), b.inp(1)
+    P = b.finish(b.mul(b.sub(y, x), b.sub(y, b.const(Fraction(2)))))
+    bundle = RootBundle((), [Fraction(0), Fraction(2)], 2, 1, P)
+    with pytest.raises(BudgetExceeded) as e:
+        bundle.lift((0,), ExpansionBudget(max_terms=1))
+    assert e.value.kind == "terms" and e.value.exit_code == 3
+    assert [g.derivs_dense for g in gens] == [None] and gens[0].orders
+    assert bundle.states == [None, None] and bundle.approx_dense == [None, None]
+    bundle.lift((0,))
+    assert bundle.approx_dense[0] == DensePoly.variable(QQ, 2, 0)
+
+
 def test_approx_roots_example(QQ):
     # P = (y - x1)(y - 2), alphas [0, 2], d = 1 -> q = [x1, 2]
     b = CircuitBuilder(QQ, 2)
@@ -109,7 +127,7 @@ def test_approx_roots_three_roots_truncated_residual(QQ):
     for q, state in zip(bundle.approx_dense, bundle.states):
         # the dense root is the expansion of the root circuit lift_root emits
         assert expand(compose_root(state)) == q
-        res = substitute_var_dense(dense, 2, q)
+        res = compose(dense, [DensePoly.variable(QQ, 3, 0), DensePoly.variable(QQ, 3, 1), q])
         assert truncate_dense(res, 3).is_zero()
 
 

@@ -1,8 +1,9 @@
 """Source hygiene: every import a module makes is used, and every
 module-level private function is referenced from some module of the
 package, so deletions leave no stranded helpers or imports behind. The
-runtime depends on the standard library and numpy only, and the count of
-bare `raise ValueError` sites can only go down."""
+runtime depends on the standard library and numpy only, the count of bare
+`raise ValueError` sites can only go down, and every name the benchmark's
+tracer looks up still exists."""
 
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "circuitforge"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
 RUNTIME_DEPENDENCIES = {"numpy", "circuitforge"}
-# bare ValueErrors left to type (ROADMAP item 6); lower it as sites are typed
-BARE_VALUE_ERRORS = 7
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
+# bare ValueErrors left to type (ROADMAP item 6): every site is typed
+BARE_VALUE_ERRORS = 0
 
 
 def _referenced(node) -> set:
@@ -94,3 +96,26 @@ def test_bare_value_errors_only_go_down():
                 if isinstance(exc, ast.Name) and exc.id == "ValueError":
                     sites.append(f"{name}:{node.lineno}")
     assert len(sites) <= BARE_VALUE_ERRORS, sites
+
+
+def test_names_the_tracer_looks_up_exist():
+    """perfbench/tracing.py fetches these functions and methods with getattr,
+    so deleting one crashes every traced run; its tables are read as
+    literals, without importing it."""
+    tables = {}
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("PRIVATE_SPANS", "SPAN_METHODS", "COUNT_METHODS"):
+                tables[node.targets[0].id] = ast.literal_eval(node.value)
+    assert len(tables) == 3, sorted(tables)
+    missing = []
+    for layer, names in tables.pop("PRIVATE_SPANS").items():
+        defined = {fn.name for fn in TREES[f"{layer}.py"].body if isinstance(fn, ast.FunctionDef)}
+        missing += [f"{layer}.{n}" for n in names if n not in defined]
+    for table in tables.values():
+        for (layer, cls), names in table.items():
+            defined = {fn.name for c in TREES[f"{layer}.py"].body
+                       if isinstance(c, ast.ClassDef) and c.name == cls
+                       for fn in c.body if isinstance(fn, ast.FunctionDef)}
+            missing += [f"{layer}.{cls}.{n}" for n in names if n not in defined]
+    assert not missing, f"perfbench/tracing.py looks up names src/ no longer defines: {missing}"

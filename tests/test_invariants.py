@@ -7,6 +7,7 @@ import pytest
 
 from circuitforge import (
     CircuitBuilder,
+    DensePoly,
     ExplicitPoly,
     HittingSet,
     RootBundle,
@@ -15,7 +16,7 @@ from circuitforge import (
     substitute,
     translate,
 )
-from circuitforge.dense import translate_dense
+from circuitforge.dense import compose
 from circuitforge.designs import Design
 from circuitforge.errors import MixedFieldConfig
 from circuitforge.factoring import FACTOR_DEPTH_SLACK, FACTOR_SIZE_FACTOR
@@ -62,7 +63,9 @@ def test_translate_circuit_matches_dense_translation(QQ, Fp):
         for _ in range(10):
             c = random_circuit(field, rng, 3, size_limit=20, degree_limit=5)
             shift = [field.embed(rng.randint(-3, 3)) for _ in range(3)]
-            assert expand(translate(c, shift)) == translate_dense(expand(c), shift)
+            moved = [DensePoly.variable(field, 3, v) + DensePoly.const(field, 3, s)
+                     for v, s in enumerate(shift)]
+            assert expand(translate(c, shift)) == compose(expand(c), moved)
 
 
 def test_substitute_mixed_field_config(QQ, Fp):

@@ -12,7 +12,7 @@ from circuitforge import (
     reduce_multiplicity,
     truncate_dense,
 )
-from circuitforge.dense import circuit_from_dense, substitute_var_dense
+from circuitforge.dense import circuit_from_dense, compose
 from circuitforge.errors import (
     AllDerivativesVanish,
     NoRationalRoot,
@@ -266,5 +266,6 @@ def test_residual_truncation_identity(QQ):
     P = b.finish(b.mul(b.sub(y, f), b.sub(y, b.const(Fraction(4)))))
     cert = lift_root(P, y=2, d=2, seed=0)
     root3 = expand(cert.root).with_vars(3)
-    residual = substitute_var_dense(expand(P), 2, root3)
+    x1, x2 = DensePoly.variable(QQ, 3, 0), DensePoly.variable(QQ, 3, 1)
+    residual = compose(expand(P), [x1, x2, root3])
     assert truncate_dense(residual, 2).is_zero()

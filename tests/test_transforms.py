@@ -23,7 +23,7 @@ from circuitforge import transforms
 from circuitforge.errors import ArityMismatch, BudgetExceeded, FieldTooSmall, SearchExhausted
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge.circuit import formal_degree_in, sz_is_zero
-from circuitforge.dense import ExpansionBudget, expand_outputs, substitute_var_dense
+from circuitforge.dense import ExpansionBudget, compose, expand_outputs
 from circuitforge.expsum import circuit_to_formula
 from circuitforge.transforms import (
     GENSET_SIZE_FACTOR,
@@ -295,7 +295,8 @@ def _reference_members(P, y, alpha, d):
     by the dense oracle alone."""
     dense = expand(P)
     at = DensePoly.const(P.field, P.num_vars, alpha)
-    return [truncate_dense(substitute_var_dense(hasse_derivative_dense(dense, y, j), y, at), d)
+    vals = [at if v == y else DensePoly.variable(P.field, P.num_vars, v) for v in range(P.num_vars)]
+    return [truncate_dense(compose(hasse_derivative_dense(dense, y, j), vals), d)
             for j in range(d + 1)]
 
 
