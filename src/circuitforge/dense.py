@@ -533,117 +533,101 @@ def divides(f: DensePoly, p: DensePoly, main_var: int | None = None) -> int:
 
 # -- univariate machinery ---------------------------------------------------------
 # Coefficient-list form: u[k] is the coefficient of y^k, no trailing zeros,
-# [] is the zero polynomial.
+# [] is the zero polynomial. Native numbers, no Field method: ints in [0, p)
+# over F_p, reduced once per coefficient written; Fractions over Q (p None).
 
-def _unorm(field, u):
-    while u and u[-1] == field.zero:
+def _unorm(u):
+    while u and not u[-1]:
         u.pop()
     return u
 
 
-def _uadd(field, a, b):
-    n = max(len(a), len(b))
-    out = [field.zero] * n
-    for i, c in enumerate(a):
-        out[i] = c
+def _usub(a, b, p):
+    out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = field.add(out[i], c)
-    return _unorm(field, out)
+        out[i] = (out[i] - c) % p if p else out[i] - c
+    return _unorm(out)
 
 
-def _uscale(field, a, v):
-    if v == field.zero:
-        return []
-    return [field.mul(c, v) for c in a]
-
-
-def _usub(field, a, b):
-    return _uadd(field, a, _uscale(field, b, field.neg(field.one)))
-
-
-def _umul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == field.zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return _unorm(field, out)
-
-
-def _udivmod(field, a, b):
-    if not b:
-        raise ZeroDivisor("univariate division by zero")
+def _udivmod(a, b, p):
+    """Quotient and remainder of a by the nonzero b."""
     a = list(a)
-    inv_lead = field.inv(b[-1])
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = field.mul(a[-1], inv_lead)
-        k = len(a) - len(b)
+    n = len(b) - 1
+    inv = pow(b[-1], -1, p) if p else 1 / Fraction(b[-1])
+    q = [0] * max(0, len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + n] * inv % p if p else a[k + n] * inv
         q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] = field.sub(a[k + i], field.mul(c, bc))
-        _unorm(field, a)
-        if not a:
-            break
-    return _unorm(field, q), a
+        if c:
+            for i in range(n):
+                s = a[k + i] - c * b[i]
+                a[k + i] = s % p if p else s
+    return _unorm(q), _unorm(a[:n])
 
 
-def _umonic(field, a):
-    if not a:
-        return a
-    return _uscale(field, a, field.inv(a[-1]))
+def _umonic(a, p):
+    inv = pow(a[-1], -1, p) if p else 1 / Fraction(a[-1])
+    return [c * inv % p for c in a] if p else [c * inv for c in a]
 
 
-def _ugcd(field, a, b):
-    a, b = list(a), list(b)
+def _ugcd(a, b, p):
     while b:
-        _, r = _udivmod(field, a, b)
-        a, b = b, r
-    return _umonic(field, a)
+        a, b = b, _udivmod(a, b, p)[1]
+    return _umonic(a, p)
 
 
-def _uderiv(field, a):
-    return _unorm(field, [field.mul(field.embed(i), c) for i, c in enumerate(a)][1:] or [])
+def _uderiv(a, p):
+    return _unorm([i * c % p if p else i * c for i, c in enumerate(a)][1:])
 
 
-def _upowmod(field, base, e, mod):
-    result = [field.one]
-    base = _udivmod(field, base, mod)[1]
-    while e:
-        if e & 1:
-            result = _udivmod(field, _umul(field, result, base), mod)[1]
-        base = _udivmod(field, _umul(field, base, base), mod)[1]
-        e >>= 1
-    return result
+def _ulinpow(a, e, u, p):
+    """(y + a)^e mod the monic u of degree n >= 1 over F_p, left to right: each
+    step squares (schoolbook) and reduces by y^n = -(u_0 + ... + u_{n-1} y^{n-1});
+    a set bit multiplies by y + a, one shift and one reduction, O(n)."""
+    n = len(u) - 1
+    neg = [-c % p for c in u[:-1]]
+    r = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        s = [0] * (2 * n - 1)
+        for i, ri in enumerate(r):
+            if ri:
+                for j, rj in enumerate(r, i):
+                    s[j] += ri * rj
+        for k in range(2 * n - 2, n - 1, -1):
+            c = s[k] % p
+            if c:
+                for i, m in enumerate(neg, k - n):
+                    s[i] += c * m
+        r = [c % p for c in s[:n]]
+        if bit == "1":
+            top = r[-1]
+            r = [(lo + a * c + top * m) % p for lo, c, m in zip([0] + r, r, neg)]
+    return _unorm(r)
 
 
-def _yun_squarefree(field, a):
+def _yun_squarefree(a, p):
     """Squarefree decomposition a = prod f_i^i (char 0 or char > deg a)."""
-    a = _umonic(field, a)
-    da = _uderiv(field, a)
-    g = _ugcd(field, a, da)
-    if len(g) <= 1:
-        return [(a, 1)]
-    c, _ = _udivmod(field, a, g)
-    w, _ = _udivmod(field, da, g)
+    a = _umonic(a, p)
+    da = _uderiv(a, p)
+    g = _ugcd(a, da, p)
+    c, _ = _udivmod(a, g, p)
+    w, _ = _udivmod(da, g, p)
     out = []
     i = 1
     while len(c) > 1:
-        y = _usub(field, w, _uderiv(field, c))
-        h = _ugcd(field, c, y)
+        y = _usub(w, _uderiv(c, p), p)
+        h = _ugcd(c, y, p)
         if len(h) > 1:
             out.append((h, i))
-        c, _ = _udivmod(field, c, h)
-        w, _ = _udivmod(field, y, h)
+        c, _ = _udivmod(c, h, p)
+        w, _ = _udivmod(y, h, p)
         i += 1
     return out
 
 
 def _linear_roots_prime(field: PrimeField, g):
     """Roots of a monic squarefree product of linear factors over F_p."""
+    p = field.p
     roots = []
     stack = [g]
     while stack:
@@ -651,24 +635,21 @@ def _linear_roots_prime(field: PrimeField, g):
         if len(u) <= 1:
             continue
         if len(u) == 2:
-            roots.append(field.neg(field.mul(u[0], field.inv(u[1]))))
+            roots.append(-u[0] % p)
             continue
         # deterministic sequence of shifts; each splits with probability
         # about 1/2 for a random shift, so small a suffice in practice
         for a in range(1, SPLIT_SHIFT_LIMIT + 1):
-            t = _upowmod(field, [field.embed(a), field.one], (field.p - 1) // 2, u)
-            t = _usub(field, t, [field.one])
-            split = _ugcd(field, t, u)
+            t = _usub(_ulinpow(a % p, (p - 1) // 2, u, p), [1], p)
+            split = _ugcd(t, u, p)
             if 0 < len(split) - 1 < len(u) - 1:
                 break
         else:
             raise SearchExhausted(
                 f"no shift in 1..{SPLIT_SHIFT_LIMIT} splits a degree-{len(u) - 1} factor "
-                f"over F_{field.p}; is it a product of distinct linear factors?"
+                f"over F_{p}; is it a product of distinct linear factors?"
             )
-        v, _ = _udivmod(field, u, split)
-        stack.append(split)
-        stack.append(v)
+        stack += [split, _udivmod(u, split, p)[0]]
     return roots
 
 
@@ -681,7 +662,7 @@ def _ueval(coeffs, x):
 
 
 def _squarefree_roots(field: Field, f):
-    """Base-field roots of a squarefree coefficient list.
+    """Base-field roots of a monic squarefree coefficient list.
 
     F_p: split gcd(f, y^p - y) into linear factors. Q: clear denominators;
     take the first prime p >= _ROOT_PRIME_START above the degree that keeps
@@ -691,18 +672,17 @@ def _squarefree_roots(field: Field, f):
     candidate is kept only if it is an exact root.
     """
     if isinstance(field, PrimeField):
-        t = _upowmod(field, [field.zero, field.one], field.p, f)
-        t = _usub(field, t, [field.zero, field.one])
-        return _linear_roots_prime(field, _ugcd(field, t, f))
+        p = field.p
+        t = _usub(_ulinpow(0, p, f, p), [0, 1], p)
+        return _linear_roots_prime(field, _ugcd(t, f, p))
     den = math.lcm(*(c.denominator for c in f))
     ints = [c.numerator * (den // c.denominator) for c in f]
     q = max(_ROOT_PRIME_START, len(ints))
     for _ in range(_ROOT_PRIME_TRIES):
         while not is_prime(q):
             q += 1
-        small = PrimeField(q)
-        u = [small.embed(c) for c in ints]
-        if u[-1] and len(_ugcd(small, u, _uderiv(small, u))) == 1:
+        u = [c % q for c in ints]
+        if u[-1] and len(_ugcd(u, _uderiv(u, q), q)) == 1:
             break
         q += 1
     else:
@@ -711,7 +691,7 @@ def _squarefree_roots(field: Field, f):
     deriv = [i * c for i, c in enumerate(ints)][1:]
     lead = ints[-1]
     roots = []
-    for r in _squarefree_roots(small, u):
+    for r in _squarefree_roots(PrimeField(q), _umonic(u, q)):
         m = q
         while m <= 2 * abs(lead * ints[0]):
             m *= m
@@ -726,9 +706,11 @@ def _squarefree_roots(field: Field, f):
 def univariate_roots(p: DensePoly):
     """All base-field roots of a univariate polynomial, with multiplicities.
 
-    One path for both fields: Yun's squarefree decomposition, then the roots
-    of each part by `_squarefree_roots` (over Q Hensel-lifted from a small
-    prime; no integer is factored). Roots come back sorted.
+    One path for both fields, on the native-number kernel above: Yun's
+    squarefree decomposition, then the roots of each part by
+    `_squarefree_roots`: over F_p the linear factors of gcd(part, y^p - y),
+    split by powers of y + a; over Q Hensel-lifted from a small prime (no
+    integer is factored). Roots come back sorted.
     """
     if p.is_zero():
         raise ZeroPolynomial("root finding on the zero polynomial")
@@ -743,7 +725,7 @@ def univariate_roots(p: DensePoly):
     shift = next(i for i, c in enumerate(coeffs) if c != field.zero)
     out = [(field.zero, shift)] if shift else []
     if len(coeffs) > shift + 1:
-        for factor, mult in _yun_squarefree(field, coeffs[shift:]):
+        for factor, mult in _yun_squarefree(coeffs[shift:], _modulus(field)):
             out.extend((r, mult) for r in _squarefree_roots(field, factor))
     return sorted(out)
 

@@ -16,6 +16,7 @@ The engine has three layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .circuit import Circuit, CircuitBuilder, _check_var, drop_unused_vars
 from .circuit import fix_vars, substitute, sz_is_zero
@@ -293,10 +294,11 @@ def lift_root(
         p_univ = expand(fix_vars(Pc, {i: fld.zero for i in x_vars}), budget)
         if p_univ.is_zero():
             continue
-        roots = univariate_roots(p_univ)
-        if alpha is not None:
-            roots = [rm for rm in roots if rm[0] == alpha]
-        for root_val, _mult in roots:
+        if alpha is None:
+            roots = [r for r, _ in univariate_roots(p_univ)]
+        else:
+            roots = _pinned_root(p_univ, y, alpha)
+        for root_val in roots:
             saw_candidate = True
             try:
                 P_try, m = reduce_multiplicity(Pc, root_val, y)
@@ -336,6 +338,21 @@ def lift_root(
         f"no candidate root of degree <= {d} satisfies P(x, f) = 0; "
         "the declared degree may be wrong or the root is not over the base field"
     )
+
+
+def _pinned_root(p_univ: DensePoly, y: int, alpha) -> list:
+    """[the root of the slice p_univ that `univariate_roots` would return equal
+    to alpha], or []: one evaluation, so an unreduced alpha matches none."""
+    fld = p_univ.field
+    try:
+        r = Fraction(alpha) if fld.kind == "rationals" else int(alpha)
+    except (TypeError, ValueError, OverflowError):
+        return []
+    if r != alpha or (fld.kind == "prime" and not 0 <= r < fld.p):
+        return []
+    point = [fld.zero] * p_univ.n
+    point[y] = r
+    return [r] if p_univ.evaluate(point) == fld.zero else []
 
 
 def _residual_check(P: Circuit, y: int, f_cand: Circuit, seed: int, budget) -> str | None:

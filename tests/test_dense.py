@@ -41,7 +41,7 @@ from circuitforge.errors import (
     ZeroDivisor,
     ZeroPolynomial,
 )
-from circuitforge.fields import is_prime
+from circuitforge.fields import SIXTY_TWO_BIT_PRIME, is_prime
 
 from conftest import BIG_PRIME, SMALL_PRIME, random_circuit, random_sparse_poly, rng_for
 
@@ -574,6 +574,91 @@ def test_rational_roots_skip_unsuitable_primes(QQ, monkeypatch):
     monkeypatch.setattr(dense, "_ROOT_PRIME_TRIES", 0)
     with pytest.raises(SearchExhausted):
         univariate_roots(_from_roots(QQ, [(2, 1, 1)], one))
+
+
+def _non_residue(p):
+    """The least n with y^2 - n irreducible over F_p (Euler's criterion)."""
+    return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+
+def _planted_fp(F, rng, degree, quadratic, repeated):
+    """(poly, planted roots) for a random product of linear factors over F of
+    the given degree, squared when asked (but for a last odd one), times an
+    irreducible quadratic y^2 - n when asked."""
+    y = DensePoly.variable(F, 1, 0)
+    out = DensePoly.const(F, 1, F.embed(rng.randint(1, F.p - 1)))
+    if quadratic:
+        out = out * _poly(F, 1, {(2,): 1, (0,): -_non_residue(F.p)})
+    mults = {}
+    while sum(mults.values()) < degree:
+        r = rng.randrange(F.p)
+        if r in mults and not repeated:
+            continue
+        mults[r] = mults.get(r, 0) + min(1 + repeated, degree - sum(mults.values()))
+    for r, m in mults.items():
+        for _ in range(m):
+            out = out * (y - DensePoly.const(F, 1, r))
+    return out, sorted(mults.items())
+
+
+@pytest.mark.parametrize("p", [7, 101, 8209])
+def test_univariate_roots_match_brute_force_over_small_primes(p):
+    F = PrimeField(p)
+    rng = rng_for(f"roots-brute-{p}")
+    for degree in range(1, 9):
+        for quadratic, repeated in itertools.product((False, True), repeat=2):
+            if degree > p and not repeated:
+                continue
+            poly, planted = _planted_fp(F, rng, degree, quadratic, repeated)
+            coeffs = [poly.coeff((k,)) for k in range(poly.total_degree() + 1)]
+            brute = [x for x in range(p) if sum(c * x**k for k, c in enumerate(coeffs)) % p == 0]
+            got = univariate_roots(poly)
+            assert got == planted
+            assert [r for r, _ in got] == brute
+
+
+def test_univariate_roots_planted_over_sixty_two_bit_prime():
+    F = PrimeField(SIXTY_TWO_BIT_PRIME)
+    rng = rng_for("roots-fp62")
+    for degree in range(1, 9):
+        for quadratic, repeated in itertools.product((False, True), repeat=2):
+            poly, planted = _planted_fp(F, rng, degree, quadratic, repeated)
+            got = univariate_roots(poly)
+            assert got == planted
+            assert all(type(r) is int for r, _ in got)
+
+
+def _mulmod(a, b, u, p):
+    """a * b mod the monic u over F_p, by schoolbook product and long division."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * z) % p
+    n = len(u) - 1
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k]
+        for i, m in enumerate(u):
+            prod[k - n + i] = (prod[k - n + i] - c * m) % p
+    while prod and prod[-1] == 0:
+        prod.pop()
+    return prod
+
+
+@pytest.mark.parametrize("p", [7, 101, SIXTY_TWO_BIT_PRIME])
+def test_linear_power_matches_repeated_multiplication(p):
+    rng = rng_for(f"linear-power-{p}")
+    for n in range(1, 6):
+        for _ in range(4):
+            u = [rng.randrange(p) for _ in range(n)] + [1]
+            a = rng.randrange(p)
+            want = [1]
+            for e in range(40):
+                assert dense._ulinpow(a, e, u, p) == want
+                want = _mulmod(want, [a, 1], u, p)
+    # degree-1 modulus: (y + a)^e mod (y + c) is the constant (a - c)^e
+    assert dense._ulinpow(5, 0, [3, 1], 101) == [1]
+    assert dense._ulinpow(5, 7, [3, 1], 101) == [pow(2, 7, 101)]
+    assert dense._ulinpow(3, 7, [3, 1], 101) == []
 
 
 def test_poly_text_roundtrip(QQ, Fp):

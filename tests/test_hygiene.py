@@ -3,7 +3,8 @@ module-level private function is referenced from some module of the
 package, so deletions leave no stranded helpers or imports behind. The
 runtime depends on the standard library and numpy only, the count of bare
 `raise ValueError` sites can only go down, and every name the benchmark's
-tracer looks up still exists."""
+tracer looks up still exists. The univariate section of `dense.py` is one
+kernel on native numbers: none of its functions calls a Field method."""
 
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ RUNTIME_DEPENDENCIES = {"numpy", "circuitforge"}
 TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 # bare ValueErrors left to type (ROADMAP item 6): every site is typed
 BARE_VALUE_ERRORS = 0
+# Field arithmetic the univariate kernel must not call (it uses operators)
+FIELD_METHODS = {"add", "sub", "mul", "neg", "inv", "div", "pow", "embed"}
 
 
 def _referenced(node) -> set:
@@ -119,3 +122,16 @@ def test_names_the_tracer_looks_up_exist():
                        for fn in c.body if isinstance(fn, ast.FunctionDef)}
             missing += [f"{layer}.{cls}.{n}" for n in names if n not in defined]
     assert not missing, f"perfbench/tracing.py looks up names src/ no longer defines: {missing}"
+
+
+def test_univariate_kernel_calls_no_field_method():
+    """Every function of dense.py from `_unorm` to `univariate_roots` works
+    on ints mod p or Fractions with Python operators."""
+    body = [fn for fn in TREES["dense.py"].body if isinstance(fn, ast.FunctionDef)]
+    names = [fn.name for fn in body]
+    section = body[names.index("_unorm"):names.index("univariate_roots") + 1]
+    calls = sorted(f"{fn.name}: .{node.func.attr}() (line {node.lineno})"
+                   for fn in section for node in ast.walk(fn)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in FIELD_METHODS)
+    assert not calls, f"the univariate kernel calls Field methods: {calls}"

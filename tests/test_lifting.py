@@ -6,6 +6,7 @@ from circuitforge import (
     CircuitBuilder,
     DensePoly,
     build_A_recurrence,
+    emit_circuit,
     expand,
     lift_root,
     lift_step,
@@ -238,6 +239,42 @@ def test_lift_root_with_pinned_alpha(QQ):
     P = b.finish(b.mul(b.sub(y, f), b.sub(y, b.const(Fraction(3)))))
     cert = lift_root(P, y=2, d=2, seed=0, alpha=Fraction(3))
     assert expand(cert.root) == DensePoly.const(QQ, 2, Fraction(3))
+
+
+def _two_root_instance(field):
+    # P = (y - 1 - x1 - x1*x2)(y - 3): P(0, y) has the roots 1 and 3
+    b = CircuitBuilder(field, 3)
+    x1, x2, y = b.inp(0), b.inp(1), b.inp(2)
+    f = b.add(b.const(field.one), x1, b.mul(x1, x2))
+    return b.finish(b.mul(b.sub(y, f), b.sub(y, b.const(field.embed(3)))))
+
+
+def test_lift_root_pinned_non_root_is_no_rational_root(QQ, Fp):
+    for field in (QQ, Fp):
+        with pytest.raises(NoRationalRoot):
+            lift_root(_two_root_instance(field), y=2, d=2, seed=0, alpha=field.embed(5))
+
+
+def test_lift_root_pinned_alpha_must_be_a_reduced_residue(Fp):
+    # 3 + p and 3 - p are 3 mod p, but no root of P(0, y) equals them
+    P = _two_root_instance(Fp)
+    for alpha in (3 + Fp.p, 3 - Fp.p, 3.5, "3"):
+        with pytest.raises(NoRationalRoot):
+            lift_root(P, y=2, d=2, seed=0, alpha=alpha)
+    cert = lift_root(P, y=2, d=2, seed=0, alpha=3)
+    assert type(cert.alpha) is int and cert.alpha == 3
+
+
+def test_lift_root_pinned_int_alpha_over_rationals(QQ):
+    # an int equal to a rational root pins it; the certificate holds the root
+    # as a Fraction, as with the Fraction alpha
+    P = _two_root_instance(QQ)
+    for root in (1, 3):
+        cert = lift_root(P, y=2, d=2, seed=0, alpha=root)
+        ref = lift_root(P, y=2, d=2, seed=0, alpha=Fraction(root))
+        assert type(cert.alpha) is Fraction and cert.alpha == root
+        assert emit_circuit(cert.root) == emit_circuit(ref.root)
+        assert cert.metrics_chain == ref.metrics_chain
 
 
 def test_uniqueness_across_seeds_and_orders(QQ):
