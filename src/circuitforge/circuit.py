@@ -19,10 +19,18 @@ therefore reports depth 3.
 
 Circuits are built through CircuitBuilder, which canonicalizes as it goes:
 constants fold, identities drop, and (by default) structurally identical
-gates are shared. All transformations in this package return new circuits.
-A circuit finished by a sharing builder is marked canonical: its gates are
-already fixed points of that canonicalization, so importing or renaming it
-onto distinct inputs copies the gates instead of rebuilding them.
+gates are shared. Folding runs on native numbers with Python operators, no
+Field method call: ints reduced mod p once per folded value, Fractions over
+Q. Constants the builder computes skip the field check that const() and
+import_circuit apply to the values callers and imported circuits bring. All
+transformations in this package return new circuits. A circuit finished by a
+sharing builder is marked canonical: its gates are already fixed points of
+that canonicalization, so importing or renaming it onto distinct inputs
+copies the gates instead of rebuilding them.
+
+Circuits are immutable, so reachable() walks one once and caches the order
+for imports, metrics, projections and expansion; a finished or projected
+circuit holds only reachable gates and needs no walk.
 
 Circuit.evaluate walks the gates once per point; evaluate_batches walks them
 once per batch of points held as numpy columns, and is what the identity
@@ -56,7 +64,7 @@ SZ_POINTS = 64          # seeded points behind a Schwartz-Zippel verdict
 
 
 class Circuit:
-    __slots__ = ("field", "num_vars", "gates", "outputs", "_metrics", "_canonical")
+    __slots__ = ("field", "num_vars", "gates", "outputs", "_metrics", "_canonical", "_reach")
 
     def __init__(self, field: Field, num_vars: int, gates, outputs):
         self.field = field
@@ -64,6 +72,7 @@ class Circuit:
         self.gates = tuple(gates)
         self.outputs = tuple(outputs)
         self._metrics = None
+        self._reach = None
         # set by CircuitBuilder.finish on a sharing builder, never by callers
         self._canonical = False
         if not self.outputs:
@@ -76,19 +85,12 @@ class Circuit:
             raise ArityMismatch("operation requires a single-output circuit")
         return self.outputs[0]
 
-    def reachable(self):
-        """Indices of gates reachable from the outputs, ascending."""
-        seen = set(self.outputs)
-        stack = list(self.outputs)
-        gates = self.gates
-        while stack:
-            g = gates[stack.pop()]
-            if g[0] in (ADD, MUL):
-                for c in g[1]:
-                    if c not in seen:
-                        seen.add(c)
-                        stack.append(c)
-        return sorted(seen)
+    def reachable(self) -> list:
+        """Indices of gates reachable from the outputs, ascending. Walked
+        once and cached: the list is shared, so callers must not mutate it."""
+        if self._reach is None:
+            self._reach = _reach(self.gates, self.outputs)
+        return self._reach
 
     def size(self) -> int:
         return self.metrics()["size"]
@@ -144,40 +146,45 @@ class Circuit:
         )
 
 
+def _reach(gates, outputs) -> list:
+    """Ascending indices of the gates reachable from `outputs`."""
+    seen = set(outputs)
+    stack = list(seen)
+    while stack:
+        g = gates[stack.pop()]
+        if g[0] == ADD or g[0] == MUL:
+            for c in g[1]:
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+    return sorted(seen)
+
+
 def _compute_metrics(circ: Circuit) -> dict:
     gates = circ.gates
     reach = circ.reachable()
     wires = 0
     # depth info per gate: (effective_op, layers); effective ops are
     # "leaf" (variable), "const", "add", "mul"
-    eop = {}
-    dep = {}
+    eop = [None] * len(gates)
+    dep = [0] * len(gates)
     for i in reach:
-        gate = gates[i]
-        op = gate[0]
+        op, arg = gates[i]
         if op == IN:
-            eop[i], dep[i] = "leaf", 0
+            eop[i] = "leaf"
         elif op == CONST:
-            eop[i], dep[i] = "const", 0
-        elif op == ADD:
-            wires += len(gate[1])
-            live = [c for c in gate[1] if eop[c] != "const"]
-            if not live:
-                eop[i], dep[i] = "const", 0
-            else:
-                eop[i] = "add"
-                dep[i] = max(dep[c] + (0 if eop[c] == "add" else 1) for c in live)
+            eop[i] = "const"
         else:
-            wires += len(gate[1])
-            live = [c for c in gate[1] if eop[c] != "const"]
+            wires += len(arg)
+            live = [c for c in arg if eop[c] != "const"]
             if not live:
-                eop[i], dep[i] = "const", 0
-            elif len(live) == 1:
+                eop[i] = "const"
+            elif op == MUL and len(live) == 1:
                 # multiplication by constants rides along with the child
                 eop[i], dep[i] = eop[live[0]], dep[live[0]]
             else:
-                eop[i] = "mul"
-                dep[i] = max(dep[c] + (0 if eop[c] == "mul" else 1) for c in live)
+                eop[i] = op
+                dep[i] = max(dep[c] + (eop[c] != op) for c in live)
     depth = 0
     for o in circ.outputs:
         d = dep[o]
@@ -195,22 +202,22 @@ def _compute_metrics(circ: Circuit) -> dict:
     }
 
 
-def _gate_degrees(circ: Circuit, order, chosen=None) -> dict:
+def _gate_degrees(circ: Circuit, order, chosen=None) -> list:
     """Formal degree of each gate in `order` (ascending, closed under
-    children): an input counts 1 when chosen is None or holds its variable,
-    else 0; an addition takes the max of its children, a product the sum."""
+    children), indexed by gate: an input counts 1 when chosen is None or
+    holds its variable, else 0; an addition takes the max of its children,
+    a product the sum."""
     gates = circ.gates
-    deg = {}
+    deg = [0] * len(gates)
+    kid = deg.__getitem__
     for i in order:
         op, arg = gates[i]
         if op == IN:
             deg[i] = 1 if chosen is None or arg in chosen else 0
-        elif op == CONST:
-            deg[i] = 0
         elif op == ADD:
-            deg[i] = max(deg[c] for c in arg)
-        else:
-            deg[i] = sum(deg[c] for c in arg)
+            deg[i] = max(map(kid, arg))
+        elif op == MUL:
+            deg[i] = sum(map(kid, arg))
     return deg
 
 
@@ -233,18 +240,19 @@ class CircuitBuilder:
         self.num_vars = num_vars
         self.share = share
         self._gates = []
-        self._memo = {}
+        self._memo = {} if share else None
+        # the native arithmetic of add/mul: None over Q, else the modulus
+        self._p = field.p if isinstance(field, PrimeField) else None
 
     def _emit(self, gate):
-        if self.share:
-            hit = self._memo.get(gate)
+        memo = self._memo
+        if memo is not None:
+            hit = memo.get(gate)
             if hit is not None:
                 return hit
+            memo[gate] = len(self._gates)
         self._gates.append(gate)
-        idx = len(self._gates) - 1
-        if self.share:
-            self._memo[gate] = idx
-        return idx
+        return len(self._gates) - 1
 
     def inp(self, var: int) -> int:
         if not 0 <= var < self.num_vars:
@@ -259,55 +267,64 @@ class CircuitBuilder:
         return self._gates[i]
 
     def add(self, *children: int) -> int:
-        field = self.field
+        gates, p = self._gates, self._p
+        one = self.field.one
         # collect a linear combination: scalar multiples of the same core
         # gate merge, so weighted sums stay one addition layer
         coeffs = {}
-        order = []
-        csum = field.zero
+        csum = self.field.zero
         for c in children:
-            g = self._gates[c]
-            if g[0] == CONST:
-                csum = field.add(csum, g[1])
+            op, arg = gates[c]
+            if op == CONST:
+                csum += arg
                 continue
-            coeff, core = field.one, c
-            if g[0] == MUL and len(g[1]) == 2:
-                ga, gb = self._gates[g[1][0]], self._gates[g[1][1]]
+            coeff, core = one, c
+            if op == MUL and len(arg) == 2:
+                ga, gb = gates[arg[0]], gates[arg[1]]
                 if ga[0] == CONST and gb[0] != CONST:
-                    coeff, core = ga[1], g[1][1]
+                    coeff, core = ga[1], arg[1]
                 elif gb[0] == CONST and ga[0] != CONST:
-                    coeff, core = gb[1], g[1][0]
-            if core not in coeffs:
-                order.append(core)
-                coeffs[core] = coeff
+                    coeff, core = gb[1], arg[0]
+            if core in coeffs:
+                coeffs[core] += coeff
             else:
-                coeffs[core] = field.add(coeffs[core], coeff)
+                coeffs[core] = coeff
         live = []
-        for core in order:
-            w = coeffs[core]
-            if w == field.zero:
-                continue
-            live.append(core if w == field.one else self.mul(self.const(w), core))
-        if csum != field.zero or not live:
-            live.append(self.const(csum))
+        for core, w in coeffs.items():
+            if p is not None:
+                w %= p
+            if w == 1:
+                live.append(core)
+            elif w != 0:
+                k = self._emit((CONST, w))
+                live.append(self._emit((MUL, (k, core) if k < core else (core, k))))
+        if p is not None:
+            csum %= p
+        if csum != 0 or not live:
+            live.append(self._emit((CONST, csum)))
         if len(live) == 1:
             return live[0]
         return self._emit((ADD, tuple(sorted(live))))
 
     def mul(self, *children: int) -> int:
-        field = self.field
+        gates = self._gates
         live = []
-        cprod = field.one
+        cprod = None  # the product of the constant children, if any
         for c in children:
-            g = self._gates[c]
+            g = gates[c]
             if g[0] == CONST:
-                cprod = field.mul(cprod, g[1])
+                cprod = g[1] if cprod is None else cprod * g[1]
             else:
                 live.append(c)
-        if cprod == field.zero:
-            return self.const(field.zero)
-        if cprod != field.one or not live:
-            live.append(self.const(cprod))
+        if cprod is not None:
+            if self._p is not None:
+                cprod %= self._p
+            if cprod == 0 or not live:
+                return self._emit((CONST, cprod))
+            if cprod != 1:
+                live.append(self._emit((CONST, cprod)))
+        elif not live:
+            return self._emit((CONST, self.field.one))
         if len(live) == 1:
             return live[0]
         return self._emit((MUL, tuple(sorted(live))))
@@ -344,7 +361,8 @@ class CircuitBuilder:
         var_bindings = var_bindings or {}
         reach = circ.reachable()
         gates = circ.gates
-        mapping = {}
+        mapping = [None] * len(gates)
+        kid = mapping.__getitem__
 
         def rename(v):
             if v not in var_bindings:
@@ -353,48 +371,39 @@ class CircuitBuilder:
             return g[1] if g[0] == IN else None
 
         copy = self.share and circ._canonical and _injective(circ, reach, rename)
+        check, emit, add, mul = self.field.check, self._emit, self.add, self.mul
         for i in reach:
             gate = gates[i]
-            op = gate[0]
+            op, arg = gate
             if op == IN:
-                if gate[1] in var_bindings:
-                    mapping[i] = var_bindings[gate[1]]
-                else:
-                    mapping[i] = self.inp(gate[1])
+                mapping[i] = var_bindings[arg] if arg in var_bindings else self.inp(arg)
             elif op == CONST:
-                mapping[i] = self.const(gate[1])
+                check(arg)
+                mapping[i] = emit(gate)
             elif copy:
-                mapping[i] = self._emit((op, tuple(sorted(mapping[c] for c in gate[1]))))
+                mapping[i] = emit((op, tuple(sorted(map(kid, arg)))))
             elif op == ADD:
-                mapping[i] = self.add(*(mapping[c] for c in gate[1]))
+                mapping[i] = add(*map(kid, arg))
             else:
-                mapping[i] = self.mul(*(mapping[c] for c in gate[1]))
+                mapping[i] = mul(*map(kid, arg))
         return [mapping[o] for o in circ.outputs]
 
     def finish(self, outputs) -> Circuit:
         if isinstance(outputs, int):
             outputs = [outputs]
         # drop gates not reachable from the outputs, preserving order
-        keep = set(outputs)
-        stack = list(outputs)
-        while stack:
-            g = self._gates[stack.pop()]
-            if g[0] in (ADD, MUL):
-                for c in g[1]:
-                    if c not in keep:
-                        keep.add(c)
-                        stack.append(c)
-        order = sorted(keep)
-        remap = {old: new for new, old in enumerate(order)}
+        order = _reach(self._gates, outputs)
+        remap = [None] * len(self._gates)
+        for new, old in enumerate(order):
+            remap[old] = new
+        kid = remap.__getitem__
         gates = []
         for old in order:
             g = self._gates[old]
-            if g[0] in (ADD, MUL):
-                gates.append((g[0], tuple(remap[c] for c in g[1])))
-            else:
-                gates.append(g)
+            gates.append((g[0], tuple(map(kid, g[1]))) if g[0] == ADD or g[0] == MUL else g)
         circ = Circuit(self.field, self.num_vars, gates, [remap[o] for o in outputs])
         circ._canonical = self.share
+        circ._reach = list(range(len(gates)))  # finish keeps only reachable gates
         return circ
 
 
@@ -484,7 +493,10 @@ def _remap(circ: Circuit, reach, var_map: dict, num_vars: int) -> Circuit:
     bound = sorted((i for i in reach if gates[i][0] == IN and gates[i][1] in rank),
                    key=lambda i: rank[gates[i][1]])
     order = bound + [i for i in reach if not (gates[i][0] == IN and gates[i][1] in rank)]
-    remap = {old: new for new, old in enumerate(order)}
+    remap = [None] * len(gates)
+    for new, old in enumerate(order):
+        remap[old] = new
+    kid = remap.__getitem__
     out = []
     for old in order:
         gate = gates[old]
@@ -493,9 +505,10 @@ def _remap(circ: Circuit, reach, var_map: dict, num_vars: int) -> Circuit:
         elif gate[0] == CONST:
             out.append(gate)
         else:
-            out.append((gate[0], tuple(sorted(remap[c] for c in gate[1]))))
+            out.append((gate[0], tuple(sorted(map(kid, gate[1])))))
     proj = Circuit(circ.field, num_vars, out, [remap[o] for o in circ.outputs])
     proj._canonical = True
+    proj._reach = list(range(len(out)))
     return proj
 
 

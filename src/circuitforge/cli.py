@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import errors as E
-from .circuit import emit_circuit, parse_circuit, substitute
+from .circuit import const_circuit, emit_circuit, parse_circuit, substitute
 from .dense import DEFAULT_BUDGET, ExpansionBudget, emit_poly, expand
 from .designs import Design, nw_design
 from .expsum import ExpSumPoly, exp_sum_eval, exp_sum_expand, factor_vnp
@@ -106,10 +106,23 @@ def _core_homog(params, inputs):
 def _core_coeffs(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
     _check_degree(params, "dmax")
+    budget = ExpansionBudget(params["budget_terms"], params["budget_degree"])
     coeffs = extract_y_coeffs(circ, params["y"], params["dmax"])
+    coeffs = [_zero_or_same(c, budget) for c in coeffs]
     # the coefficients share one gate array; a copy holds each one's own gates
     outs = {f"coeff{j}": emit_circuit(substitute(c, {})).encode() for j, c in enumerate(coeffs)}
     return outs, {"metrics": [c.metrics() for c in coeffs]}
+
+
+def _zero_or_same(circ, budget):
+    """The constant 0 when circ expands to zero within budget, else circ:
+    interpolation can leave a zero coefficient as gates that cancel."""
+    try:
+        if expand(circ, budget).is_zero():
+            return const_circuit(circ.field, circ.field.zero, circ.num_vars)
+    except E.BudgetExceeded:
+        pass
+    return circ
 
 
 def _core_deriv(params, inputs):

@@ -289,7 +289,6 @@ def lift_root(
         for xi, ci in zip(x_vars, c):
             full_shift[xi] = ci
         Pc = P if all(ci == fld.zero for ci in c) else translate(P, full_shift)
-        chain = [_stage("input", P), _stage("translated", Pc)]
 
         p_univ = expand(fix_vars(Pc, {i: fld.zero for i in x_vars}), budget)
         if p_univ.is_zero():
@@ -315,11 +314,10 @@ def lift_root(
             mode = _residual_check(P, y, f_cand, seed, budget)
             if mode is None:
                 continue
-            chain.append(_stage("multiplicity-reduced", P_try))
-            chain.append(_stage("A_d", state.A[-1]))
-            chain.append(_stage("composed-truncated", h))
             root_circ = drop_unused_vars(f_cand, x_vars)
-            chain.append(_stage("root", root_circ))
+            stages = (("input", P), ("translated", Pc), ("multiplicity-reduced", P_try),
+                      ("A_d", state.A[-1]), ("composed-truncated", h), ("root", root_circ))
+            chain = [_stage(name, circ) for name, circ in stages]
             return RootCertificate(
                 root=root_circ,
                 alpha=root_val,

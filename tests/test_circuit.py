@@ -8,6 +8,7 @@ from circuitforge import (
     DensePoly,
     ExplicitPoly,
     PrimeField,
+    Rationals,
     emit_circuit,
     expand,
     parse_circuit,
@@ -15,6 +16,8 @@ from circuitforge import (
 )
 from circuitforge.circuit import drop_unused_vars, evaluate_batch, is_formula, remap_vars
 from circuitforge.dense import parse_poly
+from circuitforge.fields import SIXTY_TWO_BIT_PRIME
+from circuitforge.transforms import _split_outputs
 from circuitforge.errors import (
     ArityMismatch,
     CircuitSyntaxError,
@@ -268,3 +271,151 @@ def test_text_formats_report_line_numbers(parse, text, line_no):
     with pytest.raises(CircuitSyntaxError) as info:
         parse(text)
     assert info.value.line_no == line_no
+
+
+# -- canonicalization on native numbers ----------------------------------------
+
+class ReferenceBuilder(CircuitBuilder):
+    """add and mul through Field methods: the canonicalization that the
+    builder's native-number add and mul must reproduce gate for gate."""
+
+    def add(self, *children):
+        field = self.field
+        coeffs = {}
+        order = []
+        csum = field.zero
+        for c in children:
+            g = self._gates[c]
+            if g[0] == "const":
+                csum = field.add(csum, g[1])
+                continue
+            coeff, core = field.one, c
+            if g[0] == "mul" and len(g[1]) == 2:
+                ga, gb = self._gates[g[1][0]], self._gates[g[1][1]]
+                if ga[0] == "const" and gb[0] != "const":
+                    coeff, core = ga[1], g[1][1]
+                elif gb[0] == "const" and ga[0] != "const":
+                    coeff, core = gb[1], g[1][0]
+            if core not in coeffs:
+                order.append(core)
+                coeffs[core] = coeff
+            else:
+                coeffs[core] = field.add(coeffs[core], coeff)
+        live = []
+        for core in order:
+            w = coeffs[core]
+            if w == field.zero:
+                continue
+            live.append(core if w == field.one else self.mul(self.const(w), core))
+        if csum != field.zero or not live:
+            live.append(self.const(csum))
+        if len(live) == 1:
+            return live[0]
+        return self._emit(("add", tuple(sorted(live))))
+
+    def mul(self, *children):
+        field = self.field
+        live = []
+        cprod = field.one
+        for c in children:
+            g = self._gates[c]
+            if g[0] == "const":
+                cprod = field.mul(cprod, g[1])
+            else:
+                live.append(c)
+        if cprod == field.zero:
+            return self.const(field.zero)
+        if cprod != field.one or not live:
+            live.append(self.const(cprod))
+        if len(live) == 1:
+            return live[0]
+        return self._emit(("mul", tuple(sorted(live))))
+
+
+def _random_element(field, rng):
+    """0, 1 and -1 often, so that products fold and coefficients cancel."""
+    pick = rng.randrange(6)
+    if pick < 3:
+        return field.embed(pick - 1)
+    if field.kind == "rationals":
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return field.embed(rng.randrange(field.p))
+
+
+def _run_program(builder, field, rng, steps=40):
+    """A seeded gate program: constants, inputs, sums, products, scalar
+    multiples (nested ones too), cancelling pairs and powers. Steps refer to
+    earlier results by position, so two builders that emit different raw ids
+    still run the same program. Returns the finished circuit."""
+    n = builder.num_vars
+    made = [builder.inp(v) for v in range(n)] + [builder.const(_random_element(field, rng))]
+    for _ in range(steps):
+        kind = rng.randrange(8)
+        pick = [made[rng.randrange(len(made))] for _ in range(rng.randint(1, 4))]
+        if kind == 0:
+            gid = builder.const(_random_element(field, rng))
+        elif kind == 1:
+            gid = builder.add(*pick)
+        elif kind == 2:
+            gid = builder.mul(*pick[:3])
+        elif kind == 3:
+            gid = builder.scale(_random_element(field, rng), pick[0])
+        elif kind == 4:  # a scalar of a scalar
+            inner = builder.scale(_random_element(field, rng), pick[0])
+            gid = builder.mul(builder.const(_random_element(field, rng)), inner)
+        elif kind == 5:  # c * g + d * g + e * g with c + d + e often 0
+            c, d = _random_element(field, rng), _random_element(field, rng)
+            e = field.neg(field.add(c, d)) if rng.randrange(2) else _random_element(field, rng)
+            gid = builder.add(*(builder.scale(w, pick[0]) for w in (c, d, e)), *pick[1:])
+        elif kind == 6:  # products of constants fold, to 0 or 1 when they cancel
+            a = _random_element(field, rng)
+            inv = field.inv(a) if a != field.zero else field.zero
+            gid = builder.mul(builder.const(a), builder.const(inv), *pick[:2])
+        else:
+            gid = builder.sub(pick[0], builder.power(pick[-1], rng.randint(0, 3)))
+        made.append(gid)
+    outs = [made[rng.randrange(len(made))] for _ in range(3)]
+    return builder.finish(outs)
+
+
+CANON_FIELDS = [PrimeField(7), PrimeField(101), PrimeField(SIXTY_TWO_BIT_PRIME), Rationals()]
+
+
+@pytest.mark.parametrize("field", CANON_FIELDS, ids=["F7", "F101", "F2^62-57", "QQ"])
+@pytest.mark.parametrize("share", [True, False], ids=["shared", "tree"])
+def test_native_canonicalization_matches_field_methods(field, share):
+    for k in range(60):
+        got, want = (_run_program(cls(field, 3, share=share), field,
+                                  rng_for(f"canon-{field!r}-{share}", k))
+                     for cls in (CircuitBuilder, ReferenceBuilder))
+        assert (got.gates, got.outputs) == (want.gates, want.outputs), k
+        for gate in got.gates:
+            if gate[0] == "const":
+                assert field.check(gate[1]) is gate[1]  # a Fraction over Q, a residue mod p
+
+
+def _fresh_walk(circ):
+    seen, stack = set(circ.outputs), list(circ.outputs)
+    while stack:
+        gate = circ.gates[stack.pop()]
+        if gate[0] in ("add", "mul"):
+            stack += [c for c in gate[1] if c not in seen]
+            seen.update(gate[1])
+    return sorted(seen)
+
+
+def test_cached_reachable_equals_a_fresh_walk(QQ):
+    b = CircuitBuilder(QQ, 3)
+    x1, x2, x3 = b.inp(0), b.inp(1), b.inp(2)
+    left = b.mul(x1, x2)
+    right = b.add(x3, b.const(QQ.embed(5)))
+    multi = b.finish([left, right, b.add(left, right)])
+    hand = Circuit(QQ, 2, [("in", 0), ("in", 1), ("const", QQ.one), ("add", (0, 2))], [3])
+    for circ in (multi, hand, random_circuit(QQ, rng_for("reach"), 3)):
+        assert circ.reachable() == _fresh_walk(circ)
+        assert circ.reachable() is circ.reachable()  # walked once
+    assert hand.reachable() == [0, 2, 3]
+    views = _split_outputs(multi)
+    orders = [view.reachable() for view in views]
+    assert orders == [_fresh_walk(view) for view in views]
+    assert orders[0] != orders[1] and orders[2] == multi.reachable()

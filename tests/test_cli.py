@@ -464,6 +464,29 @@ def test_coeffs_files_hold_only_their_own_gates(tmp_path, capsys):
     assert metrics[0]["gates"] == 1
 
 
+def test_coeffs_writes_a_zero_coefficient_as_the_constant_0(tmp_path, capsys):
+    # x1 * x2^2 + x1 with y = x2: interpolation leaves the x2 coefficient as
+    # gates that cancel; an expansion within the budget finds it is 0
+    text = ("field rationals\nnvars 2\ng1 = input x1\ng2 = input x2\n"
+            "g3 = mul g1 g2 g2\ng4 = add g3 g1\noutput g4\n")
+    path = _write(tmp_path, "q.circ", text)
+    assert main(["coeffs", "-y", "2", "-d", "2", path, "-o", str(tmp_path / "out")]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    zero = "field rationals\nnvars 2\ng0 = const 0\noutput g0\n"
+    assert (tmp_path / "out.1.circ").read_text() == zero
+    assert metrics[1] == {"size": 0, "gates": 1, "depth": 0, "formal_degree": 0}
+    # (x1 + x3) * x2^2 + x1 + x3: an expansion of its x2 coefficient over
+    # the budget leaves the coefficient as it is
+    text = ("field rationals\nnvars 3\ng1 = input x1\ng2 = input x2\ng3 = input x3\n"
+            "g4 = add g1 g3\ng5 = mul g4 g2 g2\ng6 = add g5 g4\noutput g6\n")
+    path = _write(tmp_path, "q3.circ", text)
+    assert main(["--budget-terms", "1", "coeffs", "-y", "2", "-d", "2", path,
+                 "-o", str(tmp_path / "big")]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    body = (tmp_path / "big.1.circ").read_text()
+    assert metrics[1]["gates"] > 1 and expand(parse_circuit(body)).is_zero()
+
+
 def test_verify_refuses_a_certificate_degree_above_the_budget(tmp_path, capsys):
     src = _write(tmp_path, "p.circ", LIFT_INPUT)
     cert = tmp_path / "cert.json"

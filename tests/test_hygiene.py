@@ -4,7 +4,8 @@ package, so deletions leave no stranded helpers or imports behind. The
 runtime depends on the standard library and numpy only, the count of bare
 `raise ValueError` sites can only go down, and every name the benchmark's
 tracer looks up still exists. The univariate section of `dense.py` is one
-kernel on native numbers: none of its functions calls a Field method."""
+kernel on native numbers: none of its functions calls a Field method, and
+neither do the builder's canonicalizing `add`, `mul` and `import_circuit`."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ RUNTIME_DEPENDENCIES = {"numpy", "circuitforge"}
 TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 # bare ValueErrors left to type (ROADMAP item 6): every site is typed
 BARE_VALUE_ERRORS = 0
-# Field arithmetic the univariate kernel must not call (it uses operators)
+# Field arithmetic the native-number kernels must not call (they use operators)
 FIELD_METHODS = {"add", "sub", "mul", "neg", "inv", "div", "pow", "embed"}
 
 
@@ -135,3 +136,19 @@ def test_univariate_kernel_calls_no_field_method():
                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                    and node.func.attr in FIELD_METHODS)
     assert not calls, f"the univariate kernel calls Field methods: {calls}"
+
+
+def test_builder_calls_no_field_method():
+    """CircuitBuilder.add and mul fold constants and merge coefficients with
+    Python operators, and import_circuit goes through them; a method of the
+    builder itself (`self.add`) is not Field arithmetic."""
+    builder = next(c for c in TREES["circuit.py"].body
+                   if isinstance(c, ast.ClassDef) and c.name == "CircuitBuilder")
+    methods = [fn for fn in builder.body if isinstance(fn, ast.FunctionDef)
+               and fn.name in ("add", "mul", "import_circuit")]
+    assert len(methods) == 3
+    uses = sorted(f"{fn.name}: .{node.attr} (line {node.lineno})"
+                  for fn in methods for node in ast.walk(fn)
+                  if isinstance(node, ast.Attribute) and node.attr in FIELD_METHODS
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+    assert not uses, f"the builder's canonicalization uses Field methods: {uses}"
