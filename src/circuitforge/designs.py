@@ -15,9 +15,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .circuit import HEADER_COUNT_LIMIT
 from .errors import InvariantViolated, ParameterViolation
 
 DESIGN_ELL_FACTOR = 4  # l = q^2 <= 4 * m^2 by Bertrand's postulate
+TABLE_VARS_LIMIT = 24  # m of the largest ExplicitPoly table, 2^24 coefficients
+
+
+def _check_size(n: int, m: int) -> None:
+    """Refuse, before any work (the law check is O(n^2)), sizes nw_design cannot
+    build: more sets than circuits have variables, or sets larger than tables."""
+    if n > HEADER_COUNT_LIMIT or m > TABLE_VARS_LIMIT:
+        raise ParameterViolation(
+            f"designs have n <= {HEADER_COUNT_LIMIT} and m <= {TABLE_VARS_LIMIT}, got n={n}, m={m}"
+        )
+    if n < 2 or m < 2:
+        raise ParameterViolation("need n >= 2 and m >= 2")
+    if n >= 2**m:
+        raise ParameterViolation(f"need n < 2^m, got n={n}, m={m}")
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -198,8 +213,8 @@ class Design:
 
     @classmethod
     def from_json(cls, text: str) -> "Design":
-        """A design as to_json writes it; any other shape, or a set that
-        breaks a design law, is a ParameterViolation."""
+        """A design as to_json writes it; any other shape, a size nw_design
+        refuses, or a set that breaks a design law, is a ParameterViolation."""
         data = json.loads(text)
         keys = ("n", "m", "q", "dprime", "ell")
         if not (isinstance(data, dict) and all(type(data.get(k)) is int for k in keys)
@@ -210,6 +225,7 @@ class Design:
                 "a design file is a JSON object with integer n, m, q, dprime and ell, "
                 "and sets as lists of integers"
             )
+        _check_size(data["n"], data["m"])
         design = cls(**{k: data[k] for k in keys}, sets=[frozenset(s) for s in data["sets"]])
         design.check(ParameterViolation)
         return design
@@ -221,10 +237,7 @@ def nw_design(n: int, m: int) -> Design:
     Deterministic: set i is the graph {(a, p_i(a)) : a in first m points of
     F_q} where p_i has the base-q digits of i as coefficients (degree < d').
     """
-    if n < 2 or m < 2:
-        raise ParameterViolation("need n >= 2 and m >= 2")
-    if n >= 2**m:
-        raise ParameterViolation(f"need n < 2^m, got n={n}, m={m}")
+    _check_size(n, m)
     q = m
     while _is_prime_power(q) is None:
         q += 1

@@ -3,11 +3,12 @@
 Pipeline: make P monic in y, walk multiplicity levels through Hasse
 y-derivatives, find a separating shift giving distinct simple base-field
 roots of the univariate slice, lift the roots a candidate subset S needs,
-and combine them as H_{<=|S|}[prod (y - q_i)]. Candidate subsets are
-screened densely; the accepted one is emitted as a flat composition sum of
-the roots' generator components (depth(P) + 2 on criterion 7), un-shifted
-back to the original coordinates and certified by exact divisibility
-against P - never by sampling, so a non-factor can never be mislabeled.
+and combine them as H_{<=|S|}[prod (y - q_i)], one dense combiner B over y
+and their generators. A candidate is B composed with the generators' dense
+members, screened by exact divisibility against P; the accepted one is B
+emitted as a flat composition sum of the generator components (depth(P) + 2
+on criterion 7), un-shifted to the original coordinates and checked to expand
+to the screened candidate - never sampled, so no non-factor is mislabeled.
 
 Only factors genuinely involving y are reported: a candidate whose
 un-shifted form loses all y-dependence is rejected, and a polynomial free
@@ -36,6 +37,7 @@ from .dense import (
     univariate_roots,
 )
 from .errors import (
+    BudgetExceeded,
     InvariantViolated,
     NoFactorFound,
     NoSimpleRoots,
@@ -63,13 +65,14 @@ FACTOR_SIZE_FACTOR = 8
 
 @dataclass
 class RootBundle:
-    """Approximate roots q_i of a (shifted, monic) polynomial.
+    """Approximate roots q_i of a (shifted, monic) polynomial, d >= 1.
 
     Each q_i is the unique degree-<=d polynomial with q_i(0) = alpha_i and
-    H_{<=d}[source(x, q_i)] = 0, kept dense in source's variable space with
-    the y slot unused (`LiftState.root_dense`: no root circuit is built).
-    Roots are lifted on demand by `lift`: until then slot i of states and
-    approx_dense holds None. A lift over budget raises BudgetExceeded.
+    H_{<=d}[source(x, q_i)] = 0. A root lives only as its lift state
+    states[i], H_{<=d}[A_d] over its generators: no root circuit or dense
+    root is built. Roots are lifted on demand by `lift`; until then
+    states[i] is None. A lift whose generator members did not expand
+    within the budget raises BudgetExceeded.
     """
 
     shift: tuple
@@ -78,29 +81,23 @@ class RootBundle:
     y_var: int
     source: Circuit
     states: list = dc_field(init=False)
-    approx_dense: list = dc_field(init=False)
 
     def __post_init__(self):
         self.states = [None] * len(self.alphas)
-        self.approx_dense = [None] * len(self.alphas)
 
     def lift(self, indices, budget: ExpansionBudget = DEFAULT_BUDGET) -> None:
-        """Lift each alpha_i with i in indices that is not lifted yet.
-        d = 0 degenerates to constants."""
-        P = self.source
-        fld = P.field
+        """Lift each alpha_i with i in indices that is not lifted yet."""
         for i in indices:
-            if self.approx_dense[i] is not None:
+            if self.states[i] is not None:
                 continue
             alpha = self.alphas[i]
-            if self.d == 0:
-                state, q_dense = None, DensePoly.const(fld, P.num_vars, alpha)
-            else:
-                state = build_A_recurrence(P, alpha, self.d, self.y_var, budget=budget)
-                q_dense = state.root_dense(budget)
-            if q_dense.evaluate([fld.zero] * P.num_vars) != alpha:
+            state = build_A_recurrence(self.source, alpha, self.d, self.y_var, budget=budget)
+            if state.gens.derivs_dense is None:  # its zero test overflowed the budget
+                raise BudgetExceeded("terms", "the generator members did not expand within budget")
+            a_d = state.A[-1]  # the generators have no constant term: q_i(0) = A_d(0)
+            if a_d.evaluate1([a_d.field.zero] * a_d.num_vars) != alpha:
                 raise NotASimpleRoot(f"lift from alpha={alpha!r} lost its constant term")
-            self.states[i], self.approx_dense[i] = state, q_dense
+            self.states[i] = state
 
 
 @dataclass
@@ -142,21 +139,19 @@ def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None):
 
 def combiner_dense(bundle: RootBundle, subset, k: int) -> DensePoly:
     """B = H_{<=k}[prod_{i in subset} (y - H_{<=k}[A_i])] over y, then each
-    lifted root's generator variables in subset order; a d = 0 root is
-    alpha_i. No monomial of the product has lower degree than its factors,
-    so H_{<=k}[A_i] is all of A_i that reaches B."""
-    if any(bundle.approx_dense[i] is None for i in subset):
+    lifted root's generator variables in subset order: the one product of
+    roots. No monomial of the product has lower degree than its factors, so
+    H_{<=k}[A_i] is all of A_i that reaches B."""
+    states = [bundle.states[i] for i in subset]
+    if None in states:
         raise ParameterViolation(f"roots {subset} are not all lifted")
     fld = bundle.source.field
-    states = [bundle.states[i] for i in subset]
-    nb = 1 + sum(len(st.gens.orders) for st in states if st is not None)
+    nb = 1 + sum(len(st.gens.orders) for st in states)
     acc, offset = DensePoly.const(fld, nb, fld.one), 1
-    for i, st in zip(subset, states):
-        a_low = DensePoly.const(fld, nb, bundle.alphas[i])
-        if st is not None:
-            w = len(st.gens.orders)
-            a_low = expand(st.A[-1], cap=k).with_vars(nb, {j: offset + j for j in range(w)})
-            offset += w
+    for st in states:
+        w = len(st.gens.orders)
+        a_low = expand(st.A[-1], cap=k).with_vars(nb, {j: offset + j for j in range(w)})
+        offset += w
         acc = truncate_dense(acc * (DensePoly.variable(fld, nb, 0) - a_low), k)
     return acc
 
@@ -176,21 +171,24 @@ def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     b = CircuitBuilder(bundle.source.field, bundle.source.num_vars)
     comp = []
     for i in subset:
-        st = bundle.states[i]
-        if st is not None and st.gens.orders:
-            comp += b.import_circuit(st.gens.components)
+        gens = bundle.states[i].gens
+        if gens.orders:
+            comp += b.import_circuit(gens.components)
     return b.finish(composition_sum(b, B, [b.inp(bundle.y_var)], comp, bundle.d, d))
 
 
-def _combine_dense(bundle: RootBundle, subset, d: int) -> DensePoly:
-    fld = bundle.source.field
-    nv = bundle.source.num_vars
-    y = bundle.y_var
-    acc = DensePoly.const(fld, nv, fld.one)
-    y_poly = DensePoly.variable(fld, nv, y)
+def _combine_dense(bundle: RootBundle, subset, d: int, budget: ExpansionBudget) -> DensePoly:
+    """H_{<=d}[prod_{i in subset} (y - q_i)] in source's variable space: B
+    composed with y and each root's dense generator members (capped
+    derivatives less their constant terms, so the composition is exact)."""
+    fld, nv = bundle.source.field, bundle.source.num_vars
+    values = [DensePoly.variable(fld, nv, bundle.y_var)]
     for i in subset:
-        acc = acc * (y_poly - bundle.approx_dense[i])
-    return truncate_dense(acc, d)
+        gens = bundle.states[i].gens
+        for j in gens.orders:
+            low = gens.derivs_dense[j].terms
+            values.append(DensePoly(fld, nv, {e: c for e, c in low.items() if any(e)}))
+    return compose(combiner_dense(bundle, subset, d), values, cap=d, budget=budget)
 
 
 def _leading_y_unit(p: DensePoly, y: int):
@@ -268,8 +266,7 @@ def extract_factor(
             Pk = hasse_derivative_circuit(Pm, y, level)
             unit = fld.embed(math.comb(r, level))
             b = CircuitBuilder(fld, Pk.num_vars)
-            out = b.mul(b.const(fld.inv(unit)), b.import_circuit(Pk)[0])
-            Pk = b.finish(out)
+            Pk = b.finish(b.mul(b.const(fld.inv(unit)), b.import_circuit(Pk)[0]))
         try:
             c, alphas = separating_shift(Pk, y, seed, r=r - level)
         except NoSimpleRoots:
@@ -287,9 +284,8 @@ def extract_factor(
         unshift = [DensePoly.variable(fld, nv, v) for v in range(nv)]
         for xi, ci, ai in zip(x_vars, c, monic.shift):
             unshift[xi] = unshift[xi] - unshift[y].scale(ai) - DensePoly.const(fld, nv, ci)
-        # roots are lifted when a subset first needs them; the subset
-        # screening and the final exact-divisibility check certify
-        # candidates, so no per-root residual check runs
+        # roots are lifted when a subset first needs them; the screen's exact
+        # divisibility certifies candidates, so no per-root residual check runs
         bundle = RootBundle(shift=c, alphas=alphas, d=d, y_var=y, source=Pk_s)
         for S in _subset_iter(len(alphas), d, given=subset):
             try:
@@ -297,7 +293,7 @@ def extract_factor(
             except NotASimpleRoot:
                 break
             dS = len(S)
-            cand_orig = compose(_combine_dense(bundle, S, dS), unshift)
+            cand_orig = compose(_combine_dense(bundle, S, dS, budget), unshift)
             if cand_orig.degree_in(y) < 1:
                 continue
             mult = divides(cand_orig, P_dense, main_var=y)
@@ -309,11 +305,11 @@ def extract_factor(
             factor_circ = undo_monic_shift(factor_circ, monic)
             unit = _leading_y_unit(cand_orig, y)
             if unit is not None and unit != fld.one:
-                b = CircuitBuilder(fld, nv)
-                out = b.mul(b.const(fld.inv(unit)), b.import_circuit(factor_circ)[0])
-                factor_circ = b.finish(out)
-            check = divides(expand(factor_circ, budget), P_dense, main_var=y)
-            if check != mult:
+                inv, b = fld.inv(unit), CircuitBuilder(fld, nv)
+                factor_circ = b.finish(b.mul(b.const(inv), b.import_circuit(factor_circ)[0]))
+                cand_orig = cand_orig.scale(inv)
+            # the screen certified cand_orig^mult | P; the circuit inherits it
+            if expand(factor_circ, budget) != cand_orig:
                 raise InvariantViolated("circuit factor disagrees with its dense screen")
             chain.append(_stage("factor", factor_circ))
             return FactorResult(

@@ -24,7 +24,6 @@ from .dense import (
     DEFAULT_BUDGET,
     DensePoly,
     ExpansionBudget,
-    compose,
     expand,
     hasse_derivative_dense,
     univariate_roots,
@@ -70,18 +69,6 @@ class LiftState:
     @property
     def d(self) -> int:
         return self.gens.d
-
-    def root_dense(self, budget: ExpansionBudget = DEFAULT_BUDGET) -> DensePoly:
-        """expand(compose_root(self)), with no circuit built: H_{<=d}[A_d]
-        composed, capped at d, with the generator set's dense members."""
-        d, gens, a_d = self.d, self.gens, self.A[-1]
-        if gens.derivs_dense is None:  # its zero test overflowed the budget
-            raise BudgetExceeded("terms", "the generator members did not expand within budget")
-        fld, nv = a_d.field, gens.num_vars
-        lows = [gens.derivs_dense[j].terms for j in gens.orders]
-        members = [DensePoly(fld, nv, {e: c for e, c in low.items() if any(e)}) for low in lows]
-        members += [DensePoly.zero(fld, nv)] * (a_d.num_vars - len(members))  # A has max(t, 1) vars
-        return compose(expand(a_d, cap=d), members, cap=d, budget=budget)
 
 
 @dataclass
@@ -330,7 +317,8 @@ def lift_root(
             )
     if not saw_candidate:
         raise NoRationalRoot(
-            "no translation produced a base-field root of P(0, y)"
+            "no translation produced a base-field root of P(0, y)" if alpha is None
+            else f"alpha={alpha!r} is not a root of P(0, y)"
         )
     raise ResidualNonzero(
         f"no candidate root of degree <= {d} satisfies P(x, f) = 0; "

@@ -28,7 +28,7 @@ import numpy as np
 from .circuit import IN, Circuit, CircuitBuilder, drop_unused_vars, fix_vars, formal_degree_in
 from .circuit import evaluate_batches, evaluate_points, parse_header, parse_value
 from .dense import DEFAULT_BUDGET, expand
-from .designs import Design
+from .designs import TABLE_VARS_LIMIT, Design
 from .errors import (
     ArityMismatch, BudgetExceeded, CircuitSyntaxError, FieldTooSmall, ParameterViolation,
     PreconditionFailed,
@@ -49,8 +49,8 @@ class ExplicitPoly:
     """
 
     def __init__(self, field: Field, m: int, coeffs: list):
-        if m > 24:
-            raise ParameterViolation("explicit tables are desk scale (m <= 24)")
+        if m > TABLE_VARS_LIMIT:
+            raise ParameterViolation(f"explicit tables are desk scale (m <= {TABLE_VARS_LIMIT})")
         if len(coeffs) != 1 << m:
             raise ParameterViolation(f"table needs {1 << m} coefficients, got {len(coeffs)}")
         self.field = field

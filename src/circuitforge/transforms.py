@@ -432,7 +432,8 @@ class GeneratorSet:
     orders[pos], for i in 1..d (None when there are no members).
     derivs_dense[j] is H_{<=d} of the order-j derivative at alpha, j = 0..d,
     as the zero test expanded it (the dense member of order j, plus its
-    constant term); None when Schwartz-Zippel ran instead.
+    constant term); None when Schwartz-Zippel ran instead. Its reader is
+    factoring._combine_dense, the dense factor screen.
     """
 
     alpha: object

@@ -162,6 +162,15 @@ output g13
         assert "Traceback" not in err
 
 
+def test_oversized_design_is_refused_before_any_work(tmp_path, capsys):
+    # n = 100000 passes n < 2^m; the design's law check alone would take hours
+    t0 = time.perf_counter()
+    rc = main(["design", "-n", "100000", "-m", "40", "-o", str(tmp_path / "d.json")])
+    assert rc == 2 and time.perf_counter() - t0 < 1
+    assert "ParameterViolation" in capsys.readouterr().err
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_design_and_pit_commands(tmp_path, capsys):
     design = str(tmp_path / "design.json")
     assert main(["design", "-n", "4", "-m", "3", "-o", design]) == 0

@@ -15,7 +15,8 @@ from circuitforge import (
     pit_sz,
 )
 from circuitforge import pit
-from circuitforge.designs import DESIGN_ELL_FACTOR, Design, SmallGF
+from circuitforge.circuit import HEADER_COUNT_LIMIT
+from circuitforge.designs import DESIGN_ELL_FACTOR, TABLE_VARS_LIMIT, Design, SmallGF
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge.errors import ArityMismatch, BudgetExceeded, ParameterViolation, PreconditionFailed
 from circuitforge.pit import EXHAUSTIVE_POINT_BUDGET, exhaustive_zero_count
@@ -51,6 +52,27 @@ def test_design_parameter_violation():
         nw_design(4, 2)  # n >= 2^m
     with pytest.raises(ParameterViolation):
         nw_design(1, 3)
+
+
+def test_design_with_more_sets_than_circuit_variables_is_refused():
+    # no circuit has more than HEADER_COUNT_LIMIT variables; the O(n^2) law
+    # check is never reached (n = 4097 < 2^13 passes the other guards)
+    with pytest.raises(ParameterViolation, match=f"n <= {HEADER_COUNT_LIMIT}"):
+        nw_design(HEADER_COUNT_LIMIT + 1, 13)
+    data = json.loads(nw_design(4, 3).to_json())
+    with pytest.raises(ParameterViolation, match=f"n <= {HEADER_COUNT_LIMIT}"):
+        Design.from_json(json.dumps(dict(data, n=HEADER_COUNT_LIMIT + 1)))
+
+
+def test_design_with_sets_larger_than_any_table_is_refused():
+    # no ExplicitPoly table has more than TABLE_VARS_LIMIT variables
+    with pytest.raises(ParameterViolation, match=f"m <= {TABLE_VARS_LIMIT}"):
+        nw_design(100, TABLE_VARS_LIMIT + 1)
+    data = json.loads(nw_design(4, 3).to_json())
+    with pytest.raises(ParameterViolation, match=f"m <= {TABLE_VARS_LIMIT}"):
+        Design.from_json(json.dumps(dict(data, m=TABLE_VARS_LIMIT + 1)))
+    with pytest.raises(ParameterViolation, match=f"m <= {TABLE_VARS_LIMIT}"):
+        ExplicitPoly(PrimeField(SMALL_PRIME), TABLE_VARS_LIMIT + 1, [])
 
 
 def test_small_gf_axioms():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,10 @@ from circuitforge import (
     separating_shift,
     truncate_dense,
 )
-from circuitforge.dense import ExpansionBudget, compose
+from circuitforge.circuit import fix_vars
+from circuitforge.dense import DEFAULT_BUDGET, ExpansionBudget, compose, univariate_roots
+from circuitforge.factoring import _combine_dense
+from circuitforge.fields import PrimeField, Rationals
 from circuitforge.errors import BudgetExceeded, NoFactorFound, NoSimpleRoots, ParameterViolation
 from circuitforge.lifting import compose_root
 
@@ -77,6 +81,11 @@ def _lifted(P, alphas, d, y):
     return bundle
 
 
+def _root(bundle, i):
+    """The dense value of root i: its lift state composed and expanded."""
+    return expand(compose_root(bundle.states[i]))
+
+
 def test_over_budget_roots_stay_typed(QQ, monkeypatch):
     # a one-term budget overflows the generator set's capped zero test, which
     # falls back to Schwartz-Zippel and keeps no dense members; the root's
@@ -90,9 +99,10 @@ def test_over_budget_roots_stay_typed(QQ, monkeypatch):
         bundle.lift((0,), ExpansionBudget(max_terms=1))
     assert e.value.kind == "terms" and e.value.exit_code == 3
     assert [g.derivs_dense for g in gens] == [None] and gens[0].orders
-    assert bundle.states == [None, None] and bundle.approx_dense == [None, None]
+    assert bundle.states == [None, None]
     bundle.lift((0,))
-    assert bundle.approx_dense[0] == DensePoly.variable(QQ, 2, 0)
+    assert bundle.states[1] is None
+    assert _root(bundle, 0) == DensePoly.variable(QQ, 2, 0)
 
 
 def test_approx_roots_example(QQ):
@@ -101,19 +111,19 @@ def test_approx_roots_example(QQ):
     x, y = b.inp(0), b.inp(1)
     P = b.finish(b.mul(b.sub(y, x), b.sub(y, b.const(Fraction(2)))))
     bundle = _lifted(P, [Fraction(0), Fraction(2)], 1, y=1)
-    assert bundle.approx_dense[0] == DensePoly.variable(QQ, 2, 0)
-    assert bundle.approx_dense[1] == DensePoly.const(QQ, 2, Fraction(2))
+    assert _root(bundle, 0) == DensePoly.variable(QQ, 2, 0)
+    assert _root(bundle, 1) == DensePoly.const(QQ, 2, Fraction(2))
 
 
 def test_approx_roots_degree_zero(QQ):
     b = CircuitBuilder(QQ, 2)
     x, y = b.inp(0), b.inp(1)
     P = b.finish(b.mul(b.sub(y, x), b.sub(y, b.const(Fraction(2)))))
-    bundle = _lifted(P, [Fraction(0), Fraction(2)], 0, y=1)
-    assert bundle.approx_dense[0].is_zero()
-    assert bundle.approx_dense[1] == DensePoly.const(QQ, 2, Fraction(2))
-    # constant roots have no generators: H_<=0[y - 2] is the constant -2
-    assert bundle.states == [None, None]
+    # roots are lifted to degree >= 1; truncation order 0 keeps their constants
+    with pytest.raises(ParameterViolation, match="degree must be >= 1"):
+        _lifted(P, [Fraction(0), Fraction(2)], 0, y=1)
+    bundle = _lifted(P, [Fraction(0), Fraction(2)], 1, y=1)
+    # H_<=0[y - 2] is the constant -2
     assert expand(combine_roots(bundle, [1], 0)) == DensePoly.const(QQ, 2, Fraction(-2))
     assert expand(combine_roots(bundle, [0, 1], 0)).is_zero()
 
@@ -124,9 +134,8 @@ def test_approx_roots_three_roots_truncated_residual(QQ):
     P, _ = plant_linear_product(QQ, rng, 2, 2, consts)
     bundle = _lifted(P, consts, 3, y=2)
     dense = expand(P)
-    for q, state in zip(bundle.approx_dense, bundle.states):
-        # the dense root is the expansion of the root circuit lift_root emits
-        assert expand(compose_root(state)) == q
+    for i in range(len(consts)):
+        q = _root(bundle, i)
         res = compose(dense, [DensePoly.variable(QQ, 3, 0), DensePoly.variable(QQ, 3, 1), q])
         assert truncate_dense(res, 3).is_zero()
 
@@ -190,6 +199,52 @@ def test_combine_full_subset_reconstructs_P(QQ):
     bundle = _lifted(P, consts, 3, y=2)
     out = expand(combine_roots(bundle, [0, 1, 2], 3))
     assert out == expand(P)
+
+
+def _product_of_roots(bundle, roots, subset, k):
+    """H_{<=k}[prod_{i in subset} (y - roots[i])] over the dense roots: the
+    product of roots as the factor screen computed it root by root."""
+    fld, nv = bundle.source.field, bundle.source.num_vars
+    acc = DensePoly.const(fld, nv, fld.one)
+    for i in subset:
+        acc = acc * (DensePoly.variable(fld, nv, bundle.y_var) - roots[i])
+    return truncate_dense(acc, k)
+
+
+def _power_series_instance(field):
+    """(y - x1 - x2 y^2)(y - 1 - x1 x2)(y + 2 + x2^2): the first root is
+    an honest power series, the others are not linear."""
+    b = CircuitBuilder(field, 3)
+    x1, x2, y = b.inp(0), b.inp(1), b.inp(2)
+    one, two = b.const(field.one), b.const(field.embed(2))
+    return b.finish(b.mul(
+        b.sub(y, b.add(x1, b.mul(x2, y, y))),
+        b.sub(y, b.add(one, b.mul(x1, x2))),
+        b.add(y, two, b.mul(x2, x2)),
+    ))
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2**62 - 57)], ids=["QQ", "F2^62-57"])
+def test_screen_is_the_product_of_the_lifted_roots(field):
+    # the screen composes the combiner B with the generators' dense members;
+    # it must equal the product of the dense roots and the factor circuit
+    from test_acceptance import _plant_factor_instance
+
+    rng = rng_for("screen-parity", field.kind)
+    cases = [(_power_series_instance(field), 2)]
+    for t, (kf, kg) in enumerate([(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]):
+        cases.append((_plant_factor_instance(field, rng, 3 - t % 2, kf, kg)[0], 3 - t % 2))
+    for P, y in cases:
+        slice0 = expand(fix_vars(P, {v: field.zero for v in range(P.num_vars) if v != y}))
+        alphas = [r for r, mult in univariate_roots(slice0) if mult == 1]
+        d = min(len(alphas), 3)
+        bundle = _lifted(P, alphas, d, y)
+        roots = [_root(bundle, i) for i in range(len(alphas))]
+        for size in range(1, d + 1):
+            for S in itertools.combinations(range(len(alphas)), size):
+                screen = _combine_dense(bundle, S, size, DEFAULT_BUDGET)
+                assert screen == _product_of_roots(bundle, roots, S, size)
+                assert screen == expand(combine_roots(bundle, S, size))
 
 
 def test_extract_factor_given_subset(QQ):
@@ -318,7 +373,7 @@ def test_given_subset_lifts_only_its_roots(QQ, monkeypatch):
         lifted.clear()
         res = extract_factor(P, y=2, d=len(S), subset=S, seed=0)
         assert lifted == [res.bundle.alphas[i] for i in S]
-        assert [i for i, q in enumerate(res.bundle.approx_dense) if q is not None] == list(S)
+        assert [i for i, st in enumerate(res.bundle.states) if st is not None] == list(S)
         assert divides(expand(res.factor), expand(P), main_var=2) == 1
 
 
@@ -337,7 +392,7 @@ def test_lazy_roots_emit_the_bytes_of_eager_roots(QQ):
     full.lift(range(len(full.alphas)))
     for i in res.subset:
         assert emit_circuit(compose_root(full.states[i])) == emit_circuit(compose_root(lazy.states[i]))
-        assert full.approx_dense[i] == lazy.approx_dense[i]
+        assert _root(full, i) == _root(lazy, i)
 
 
 def test_out_of_range_subset_is_refused_before_lifting(QQ, monkeypatch):

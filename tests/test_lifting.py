@@ -251,8 +251,10 @@ def _two_root_instance(field):
 
 def test_lift_root_pinned_non_root_is_no_rational_root(QQ, Fp):
     for field in (QQ, Fp):
-        with pytest.raises(NoRationalRoot):
+        # a pinned alpha skips the translation search, so the message names alpha
+        with pytest.raises(NoRationalRoot, match=r"alpha=.*5.* is not a root of P\(0, y\)") as e:
             lift_root(_two_root_instance(field), y=2, d=2, seed=0, alpha=field.embed(5))
+        assert e.value.exit_code == 1
 
 
 def test_lift_root_pinned_alpha_must_be_a_reduced_residue(Fp):
