@@ -45,6 +45,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .circuit import ADD, CONST, IN, Circuit, CircuitBuilder, _gate_degrees, field_line
 from .circuit import parse_header, parse_value
@@ -605,24 +606,19 @@ def _ulinpow(a, e, u, p):
     return _unorm(r)
 
 
-def _yun_squarefree(a, p):
-    """Squarefree decomposition a = prod f_i^i (char 0 or char > deg a)."""
-    a = _umonic(a, p)
-    da = _uderiv(a, p)
-    g = _ugcd(a, da, p)
-    c, _ = _udivmod(a, g, p)
-    w, _ = _udivmod(da, g, p)
-    out = []
-    i = 1
-    while len(c) > 1:
-        y = _usub(w, _uderiv(c, p), p)
-        h = _ugcd(c, y, p)
-        if len(h) > 1:
-            out.append((h, i))
-        c, _ = _udivmod(c, h, p)
-        w, _ = _udivmod(y, h, p)
-        i += 1
-    return out
+def _multiplicity(p: DensePoly, var: int, r) -> int:
+    """How often var - r divides the nonzero p, univariate in var: repeated
+    exact (synthetic) division, so it is right in every characteristic."""
+    mod, m = _modulus(p.field), 0
+    step = (lambda acc, c: (acc * r + c) % mod) if mod else (lambda acc, c: acc * r + c)
+    top = [0] * (p.degree_in(var) + 1)  # coefficients, highest first
+    for e, c in p.terms.items():
+        top[-1 - e[var]] = c
+    while True:
+        quot = list(accumulate(top, step))  # Horner: the quotient, then the remainder
+        if quot[-1]:
+            return m
+        top, m = quot[:-1], m + 1
 
 
 def _linear_roots_prime(field: PrimeField, g):
@@ -661,15 +657,16 @@ def _ueval(coeffs, x):
     return acc
 
 
-def _squarefree_roots(field: Field, f):
-    """Base-field roots of a monic squarefree coefficient list.
+def _distinct_roots(field: Field, f):
+    """Distinct base-field roots of a monic coefficient list (over Q a
+    squarefree one with a nonzero constant term).
 
-    F_p: split gcd(f, y^p - y) into linear factors. Q: clear denominators;
-    take the first prime p >= _ROOT_PRIME_START above the degree that keeps
-    the lead a unit and the part squarefree; find the roots mod p, and
-    Newton-lift each to p^k > 2|lead * trail|. A root b/c has c | lead and
-    b | trail, so lead * b/c is the symmetric residue of lead * root; each
-    candidate is kept only if it is an exact root.
+    F_p: split gcd(f, y^p - y) into linear factors, which holds for any f.
+    Q: clear denominators; take the first prime p >= _ROOT_PRIME_START above
+    the degree that keeps the lead a unit and f squarefree; find the roots
+    mod p, and Newton-lift each to p^k > 2|lead * trail|. A root b/c has
+    c | lead and b | trail, so lead * b/c is the symmetric residue of
+    lead * root; each candidate is kept only if it is an exact root.
     """
     if isinstance(field, PrimeField):
         p = field.p
@@ -691,7 +688,7 @@ def _squarefree_roots(field: Field, f):
     deriv = [i * c for i, c in enumerate(ints)][1:]
     lead = ints[-1]
     roots = []
-    for r in _squarefree_roots(PrimeField(q), _umonic(u, q)):
+    for r in _distinct_roots(PrimeField(q), _umonic(u, q)):
         m = q
         while m <= 2 * abs(lead * ints[0]):
             m *= m
@@ -704,13 +701,15 @@ def _squarefree_roots(field: Field, f):
 
 
 def univariate_roots(p: DensePoly):
-    """All base-field roots of a univariate polynomial, with multiplicities.
+    """All base-field roots of a univariate polynomial f, with multiplicities.
 
-    One path for both fields, on the native-number kernel above: Yun's
-    squarefree decomposition, then the roots of each part by
-    `_squarefree_roots`: over F_p the linear factors of gcd(part, y^p - y),
-    split by powers of y + a; over Q Hensel-lifted from a small prime (no
-    integer is factored). Roots come back sorted.
+    One path for both fields, on the native-number kernel above. The
+    distinct roots come first, from `_distinct_roots`: over F_p the linear
+    factors of gcd(f, y^p - y), split by powers of y + a; over Q those of the
+    squarefree part f / gcd(f, f'), Hensel-lifted from a small prime (no
+    integer is factored). Each root's multiplicity is then counted by exact
+    division (`_multiplicity`), which is right in every characteristic,
+    also where it does not exceed the degree. Roots come back sorted.
     """
     if p.is_zero():
         raise ZeroPolynomial("root finding on the zero polynomial")
@@ -718,16 +717,16 @@ def univariate_roots(p: DensePoly):
     if len(active) > 1:
         raise ParameterViolation("univariate_roots needs a univariate polynomial")
     var = active[0] if active else 0
-    field = p.field
+    field, mod = p.field, _modulus(p.field)
     coeffs = [field.zero] * (p.degree_in(var) + 1)
     for e, c in p.terms.items():
         coeffs[e[var]] = c
     shift = next(i for i, c in enumerate(coeffs) if c != field.zero)
-    out = [(field.zero, shift)] if shift else []
-    if len(coeffs) > shift + 1:
-        for factor, mult in _yun_squarefree(coeffs[shift:], _modulus(field)):
-            out.extend((r, mult) for r in _squarefree_roots(field, factor))
-    return sorted(out)
+    f = _umonic(coeffs[shift:], mod)
+    if mod is None:  # the squarefree part
+        f = _udivmod(f, _ugcd(f, _uderiv(f, None), None), None)[0]
+    roots = ([field.zero] if shift else []) + (_distinct_roots(field, f) if len(f) > 1 else [])
+    return sorted((r, _multiplicity(p, var, r)) for r in roots)
 
 
 # -- text form ------------------------------------------------------------------

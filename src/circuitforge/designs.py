@@ -15,11 +15,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import HEADER_COUNT_LIMIT
 from .errors import InvariantViolated, ParameterViolation
 
 DESIGN_ELL_FACTOR = 4  # l = q^2 <= 4 * m^2 by Bertrand's postulate
 TABLE_VARS_LIMIT = 24  # m of the largest ExplicitPoly table, 2^24 coefficients
+CHECK_BLOCK_ROWS = 512  # sets per block of Design.check's intersection product
 
 
 def _check_size(n: int, m: int) -> None:
@@ -189,13 +192,18 @@ class Design:
                 raise error(f"|S_{i + 1}| = {len(s)} != m")
             if any(not 0 <= e < self.ell for e in s):
                 raise error(f"S_{i + 1} leaves the universe")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                inter = len(self.sets[i] & self.sets[j])
-                if inter > log_n:
-                    raise error(
-                        f"|S_{i + 1} ∩ S_{j + 1}| = {inter} > floor(log2 n) = {log_n}"
-                    )
+        # |S_i ∩ S_j| is entry (i, j) of M M^T, M the 0/1 incidence matrix: a
+        # block of rows at a time, exact in float32 for counts up to 2^24
+        incidence = np.zeros((self.n, self.ell), dtype=np.float32)
+        for i, s in enumerate(self.sets):
+            incidence[i, list(s)] = 1
+        for lo in range(0, self.n, CHECK_BLOCK_ROWS):
+            inter = incidence[lo:lo + CHECK_BLOCK_ROWS] @ incidence.T
+            bad = np.argwhere(np.triu(inter > log_n, k=lo + 1))  # j > i, row-major
+            if len(bad):
+                r, j = bad[0]
+                raise error(f"|S_{lo + r + 1} ∩ S_{j + 1}| = {int(inter[r, j])} "
+                            f"> floor(log2 n) = {log_n}")
 
     def to_json(self) -> str:
         return json.dumps(

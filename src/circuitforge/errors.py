@@ -105,10 +105,6 @@ class NotASimpleRoot(VerificationFailure):
     pass
 
 
-class AllDerivativesVanish(VerificationFailure):
-    pass
-
-
 class NoRationalRoot(VerificationFailure):
     pass
 

@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .circuit import Circuit, CircuitBuilder, _check_var, fix_vars, formal_degree_in
+from .circuit import Circuit, CircuitBuilder, _check_var, formal_degree_in
 from .dense import (
     DEFAULT_BUDGET,
     DensePoly,
@@ -46,7 +46,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import _shift_candidates
-from .lifting import _stage, build_A_recurrence, composition_sum
+from .lifting import _slices, _stage, build_A_recurrence, composition_sum
 from .transforms import (
     MonicForm,
     _check_lift_degree,
@@ -117,16 +117,12 @@ def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None):
     monic in y (up to a unit) so no roots escape to infinity. The first
     candidate with as many simple roots as the formal y-degree of P ends the
     search: no slice has more roots, and ties keep the earlier candidate."""
-    fld = P.field
-    nv = P.num_vars
-    x_vars = [i for i in range(nv) if i != y]
     bound = 2 * max(1, r if r is not None else P.formal_degree()) ** 2 + 1
     most = formal_degree_in(P, y)
     best = None
-    for c in _shift_candidates(fld, len(x_vars), bound, SHIFT_TRIALS, seed, "separating-shift"):
-        univ = expand(fix_vars(P, dict(zip(x_vars, c))))
-        if univ.is_zero():
-            continue
+    shifts = _shift_candidates(P.field, P.num_vars - 1, bound, SHIFT_TRIALS, seed,
+                               "separating-shift")
+    for c, univ in _slices(P, y, shifts):
         simple = [root for root, mult in univariate_roots(univ) if mult == 1]
         if best is None or len(simple) > len(best[1]):
             best = (c, simple)

@@ -6,11 +6,12 @@ The engine has three layers:
   - build_A_recurrence: the small circuits A_1..A_d over generator
     variables with H_{<=i}[f] = H_{<=i}[A_i(g_0..g_d)]; the recurrence adds
     at most 10*d^2 wires per step (hard law, checked on every build).
-  - lift_root: the end-to-end pipeline; finds a translation making some
-    base-field value a simple root of P(0, y), reduces multiplicity, runs
-    the recurrence, builds H_{<=d}[A_d(g)] from the degree components of
-    the generators, translates back, and certifies the residual
-    P(x, f) = 0 against the dense oracle (Schwartz-Zippel above budget).
+  - lift_root: the end-to-end pipeline; searches translations c until the
+    slice P(c, y) has a base-field root, of multiplicity m by exact division,
+    makes it simple with the order-(m - 1) y-derivative, runs the recurrence,
+    builds H_{<=d}[A_d(g)] from the degree components of the generators,
+    translates back, and certifies the residual P(x, f) = 0 against the
+    dense oracle (Schwartz-Zippel above budget).
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .dense import (
     DEFAULT_BUDGET,
     DensePoly,
     ExpansionBudget,
+    _multiplicity,
     expand,
-    hasse_derivative_dense,
     univariate_roots,
 )
 from .errors import (
-    AllDerivativesVanish,
     BudgetExceeded,
     InvariantViolated,
     NoRationalRoot,
@@ -101,32 +101,6 @@ def lift_step(P: Circuit, h: Circuit, i: int, delta, y: int) -> Circuit:
     return truncate_deg(raw, i)
 
 
-def reduce_multiplicity(P: Circuit, alpha, y: int):
-    """Smallest m >= 1 with the order-m y-derivative nonzero at (0, alpha);
-    returns (order-(m-1) Hasse derivative of P, m). m = 1 returns P itself.
-    """
-    fld = P.field
-    nv = P.num_vars
-    p_univ = expand(fix_vars(P, {i: fld.zero for i in range(nv) if i != y}))
-    if p_univ.is_zero():
-        raise AllDerivativesVanish("P(0, y) is identically zero; translate the origin first")
-    if p_univ.evaluate(_point_at(fld, nv, y, alpha)) != fld.zero:
-        raise ParameterViolation(f"alpha={alpha!r} is not a root of P(0, y)")
-    for m in range(1, p_univ.degree_in(y) + 1):
-        dm = hasse_derivative_dense(p_univ, y, m)
-        if dm.evaluate(_point_at(fld, nv, y, alpha)) != fld.zero:
-            if m == 1:
-                return P, 1
-            return hasse_derivative_circuit(P, y, m - 1), m
-    raise AllDerivativesVanish("all y-derivatives vanish at (0, alpha)")
-
-
-def _point_at(fld, nv, y, alpha):
-    point = [fld.zero] * nv
-    point[y] = alpha
-    return point
-
-
 def build_A_recurrence(
     P: Circuit,
     alpha,
@@ -141,7 +115,7 @@ def build_A_recurrence(
     affine forms, which is what keeps the additions within 10*d^2 wires.
     """
     fld = P.field
-    if P.evaluate1(_point_at(fld, P.num_vars, y, alpha)) != fld.zero:
+    if P.evaluate1([alpha if i == y else fld.zero for i in range(P.num_vars)]) != fld.zero:
         raise NotASimpleRoot(f"alpha={alpha!r} is not a root of P(0, y)")
     gens = generator_set(P, y, alpha, d, budget=budget)
     consts = gens.deriv_constants  # c_j = (d^j P / dy^j)(0, alpha)
@@ -253,43 +227,35 @@ def lift_root(
     """Find a circuit f of degree <= d with P(x, f) = 0.
 
     Searches translations of the origin until P(0, y) acquires a base-field
-    root (alpha pins the root and skips the search), reduces multiplicity,
-    runs the A recurrence, composes it with the generator components,
-    translates back, and certifies the residual. The certificate records
-    per-stage metrics and whether the residual check ran on the dense
-    oracle or fell back to Schwartz-Zippel points. A d above the budget's
-    degree bound is refused before any work.
+    root (alpha pins the root and skips the search, so a pinned alpha is
+    tried only at the origin), makes a root of multiplicity m simple with
+    the order-(m - 1) y-derivative, runs the A recurrence, composes it with
+    the generator components, translates back, and certifies the residual.
+    The certificate records per-stage metrics and whether the residual check
+    ran on the dense oracle or fell back to Schwartz-Zippel points. A d
+    above the budget's degree bound is refused before any work.
     """
     _check_var(P, y)
     _check_lift_degree(d, budget)
     fld = P.field
-    nv = P.num_vars
-    x_vars = [i for i in range(nv) if i != y]
+    x_vars = [i for i in range(P.num_vars) if i != y]
 
     grid = 2 * max(1, P.formal_degree()) * d + 1
     trials = TRANSLATE_TRIALS if alpha is None else 0
     shifts = _shift_candidates(fld, len(x_vars), grid, trials, seed, "lift-root", "translate")
 
-    saw_candidate = False
-    for c in shifts:
-        full_shift = [fld.zero] * nv
-        for xi, ci in zip(x_vars, c):
-            full_shift[xi] = ci
-        Pc = P if all(ci == fld.zero for ci in c) else translate(P, full_shift)
-
-        p_univ = expand(fix_vars(Pc, {i: fld.zero for i in x_vars}), budget)
-        if p_univ.is_zero():
+    saw_slice = saw_candidate = False
+    for c, p_univ in _slices(P, y, shifts, budget):
+        saw_slice = True
+        roots = univariate_roots(p_univ) if alpha is None else _pinned_root(p_univ, y, alpha)
+        if not roots:
             continue
-        if alpha is None:
-            roots = [r for r, _ in univariate_roots(p_univ)]
-        else:
-            roots = _pinned_root(p_univ, y, alpha)
-        for root_val in roots:
-            saw_candidate = True
-            try:
-                P_try, m = reduce_multiplicity(Pc, root_val, y)
-            except AllDerivativesVanish:
-                continue
+        saw_candidate = True
+        full_shift = [*c[:y], fld.zero, *c[y:]]
+        Pc = P if all(ci == fld.zero for ci in c) else translate(P, full_shift)
+        for root_val, m in roots:
+            # a root of multiplicity m is simple for the order-(m - 1) y-derivative
+            P_try = Pc if m == 1 else hasse_derivative_circuit(Pc, y, m - 1)
             try:
                 state = build_A_recurrence(P_try, root_val, d, y, budget=budget)
             except NotASimpleRoot:
@@ -318,7 +284,8 @@ def lift_root(
     if not saw_candidate:
         raise NoRationalRoot(
             "no translation produced a base-field root of P(0, y)" if alpha is None
-            else f"alpha={alpha!r} is not a root of P(0, y)"
+            else f"alpha={alpha!r} is not a root of P(0, y)" if saw_slice
+            else "P(0, y) is identically zero, and a pinned alpha is tried only at the origin"
         )
     raise ResidualNonzero(
         f"no candidate root of degree <= {d} satisfies P(x, f) = 0; "
@@ -326,9 +293,21 @@ def lift_root(
     )
 
 
+def _slices(P: Circuit, y: int, shifts, budget: ExpansionBudget = DEFAULT_BUDGET):
+    """(c, P(c, y)) for each shift c of the x-variables whose slice is not
+    zero: the slice search of lift_root and separating_shift. Private, so a
+    traced run counts its expansions under the caller's span."""
+    x_vars = [i for i in range(P.num_vars) if i != y]
+    for c in shifts:
+        p_univ = expand(fix_vars(P, dict(zip(x_vars, c))), budget)
+        if not p_univ.is_zero():
+            yield c, p_univ
+
+
 def _pinned_root(p_univ: DensePoly, y: int, alpha) -> list:
-    """[the root of the slice p_univ that `univariate_roots` would return equal
-    to alpha], or []: one evaluation, so an unreduced alpha matches none."""
+    """[(r, m)] for the root r of the slice p_univ that `univariate_roots`
+    would return equal to alpha, with its multiplicity m, or []: exact
+    division, no root finding, so an unreduced alpha matches none."""
     fld = p_univ.field
     try:
         r = Fraction(alpha) if fld.kind == "rationals" else int(alpha)
@@ -336,9 +315,8 @@ def _pinned_root(p_univ: DensePoly, y: int, alpha) -> list:
         return []
     if r != alpha or (fld.kind == "prime" and not 0 <= r < fld.p):
         return []
-    point = [fld.zero] * p_univ.n
-    point[y] = r
-    return [r] if p_univ.evaluate(point) == fld.zero else []
+    m = _multiplicity(p_univ, y, r)
+    return [(r, m)] if m else []
 
 
 def _residual_check(P: Circuit, y: int, f_cand: Circuit, seed: int, budget) -> str | None:

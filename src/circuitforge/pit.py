@@ -21,6 +21,7 @@ fastest, and report the first nonzero point as the witness.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -121,22 +122,15 @@ class HittingSet:
         self.t_size = t_size
         self.windows = [sorted(s) for s in self.design.sets]
         self._prefix = []  # cache of already-enumerated points (fixed order)
+        self._stream = self._grid_points()  # the one live scan that extends it
 
     @property
     def total_points(self) -> int:
         return self.t_size ** self.design.ell
 
-    def _raw_points(self, skip: int):
-        field = self.hard.field
-        ell = self.design.ell
+    def _grid_points(self):
+        field, ell = self.hard.field, self.design.ell
         y = [0] * ell  # grid values, last coordinate fastest
-        if skip:
-            rem = skip
-            for pos in range(ell - 1, -1, -1):
-                y[pos] = rem % self.t_size
-                rem //= self.t_size
-            if rem:
-                return
         assignment = [field.embed(v) for v in y]  # y embedded, kept in step with y
         while True:
             yield tuple(
@@ -161,16 +155,15 @@ class HittingSet:
         """Yield hitting points in lexicographic y-order (y = 0 first)."""
         if limit is not None and limit < 0:
             raise ParameterViolation(f"limit must be >= 0, got {limit}")
-        yield from self._prefix[: limit if limit is not None else len(self._prefix)]
-        emitted = len(self._prefix) if limit is None else min(limit, len(self._prefix))
-        if limit is not None and emitted >= limit:
-            return
-        for point in self._raw_points(skip=emitted):
-            self._prefix.append(point)
-            yield point
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
+        head = self._prefix[:limit]  # the cached points, served at C speed
+        yield from head
+        for i in itertools.count(len(head)) if limit is None else range(len(head), limit):
+            if i == len(self._prefix):
+                point = next(self._stream, None)
+                if point is None:
+                    return
+                self._prefix.append(point)
+            yield self._prefix[i]
 
     def provenance(self) -> dict:
         return {

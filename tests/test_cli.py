@@ -345,7 +345,7 @@ def _forge_error_classes(cls):
 # verify, 2 bad input, 3 over budget, 4 a bug
 EXIT_CODES = {
     "ResidualNonzero": 1, "NoRationalRoot": 1, "NoFactorFound": 1, "NoSimpleRoots": 1,
-    "NotASimpleRoot": 1, "AllDerivativesVanish": 1, "SearchExhausted": 1,
+    "NotASimpleRoot": 1, "SearchExhausted": 1,
     "ZeroPolynomial": 1, "ZeroDivisor": 1, "ZeroDelta": 1, "PreconditionFailed": 1,
     "MissingArtifact": 1, "HashMismatch": 1,
     "CircuitSyntaxError": 2, "DanglingReference": 2, "CyclicReference": 2,

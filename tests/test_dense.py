@@ -617,6 +617,43 @@ def test_univariate_roots_match_brute_force_over_small_primes(p):
             assert [r for r, _ in got] == brute
 
 
+def _hasse_multiplicity(p, r):
+    """The least k whose order-k Hasse derivative of p is nonzero at r."""
+    return next(k for k in itertools.count()
+                if hasse_derivative_dense(p, 0, k).evaluate([r]) != p.field.zero)
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(101), PrimeField(7)],
+                         ids=["QQ", "F101", "F7"])
+def test_univariate_multiplicities_are_the_hasse_definition(field):
+    # over F_p the multiplicities run up to p + 3, where y^p - y and the
+    # derivative no longer see them: only exact division counts them
+    rng = rng_for("roots-hasse", 0 if field.kind == "rationals" else field.p)
+    top = 4 if field.kind == "rationals" else field.p + 3
+    y = DensePoly.variable(field, 1, 0)
+    no_root = y * y + DensePoly.const(field, 1, field.one) if field.kind == "rationals" \
+        else _poly(field, 1, {(2,): 1, (0,): -_non_residue(field.p)})
+    for _ in range(6):
+        planted = {field.embed(rng.randint(-9, 9)): rng.randint(1, top)
+                   for _ in range(rng.randint(1, 3))}
+        tail = no_root.scale(field.embed(rng.randint(1, 6)))
+        p = _from_roots(field, [(b, 1, m) for b, m in planted.items()], tail)
+        got = univariate_roots(p)
+        assert got == sorted(planted.items())
+        assert all(m == _hasse_multiplicity(p, r) for r, m in got)
+        if field.kind == "prime":
+            assert [r for r, _ in got] == [x for x in range(field.p) if not p.evaluate([x])]
+
+
+def test_univariate_roots_of_multiplicity_at_least_the_characteristic():
+    # a squarefree decomposition that holds only for char > degree reads
+    # (y - 1)^6 over F_5 as [(1, 1)] and loses the root 1 of (y - 1)^5 (y - 2)
+    F = PrimeField(5)
+    one = DensePoly.const(F, 1, F.one)
+    assert univariate_roots(_from_roots(F, [(1, 1, 6)], one)) == [(1, 6)]
+    assert univariate_roots(_from_roots(F, [(1, 1, 5), (2, 1, 1)], one)) == [(1, 5), (2, 1)]
+
+
 def test_univariate_roots_planted_over_sixty_two_bit_prime():
     F = PrimeField(SIXTY_TWO_BIT_PRIME)
     rng = rng_for("roots-fp62")

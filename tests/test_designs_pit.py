@@ -18,7 +18,10 @@ from circuitforge import pit
 from circuitforge.circuit import HEADER_COUNT_LIMIT
 from circuitforge.designs import DESIGN_ELL_FACTOR, TABLE_VARS_LIMIT, Design, SmallGF
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
-from circuitforge.errors import ArityMismatch, BudgetExceeded, ParameterViolation, PreconditionFailed
+from circuitforge import designs
+from circuitforge.errors import (
+    ArityMismatch, BudgetExceeded, InvariantViolated, ParameterViolation, PreconditionFailed,
+)
 from circuitforge.pit import EXHAUSTIVE_POINT_BUDGET, exhaustive_zero_count
 
 from conftest import SMALL_PRIME, random_circuit, rng_for
@@ -130,16 +133,56 @@ def test_hitting_set_refuses_bad_degrees_and_limits():
     assert hs.prefix(0) == [] and len(hs.prefix(5)) == 5
 
 
-def test_hitting_set_skips_to_a_later_point_without_listing_the_grid():
-    # |T| = 10^12 + 1: the coordinates are embedded as the scan reaches them
+def test_hitting_set_resumes_its_stream_without_listing_the_grid():
+    # |T| = 10^12 + 1: the coordinates are embedded as the scan reaches them,
+    # and a longer request goes on with the same live scan after the cache
     F = PrimeField(SIXTY_TWO_BIT_PRIME)
     tab = ExplicitPoly(F, 3, [F.embed(v) for v in range(1, 9)])
     hs = HittingSet(tab, nw_design(4, 3), D=10**6, d=10**6)
-    first = hs.prefix(3)
-    later = list(itertools.islice(hs._raw_points(skip=hs.t_size - 1), 2))
-    assert len(first) == 3 and len(later) == 2
-    y = [0] * 8 + [F.embed(10**12)]  # skip t_size - 1: the last coordinate at its top
-    assert later[0] == tuple(tab.evaluate([y[e] for e in w]) for w in hs.windows)
+    first, stream = hs.prefix(3), hs._stream
+    later = list(hs.points(limit=5))
+    assert later[:3] == first and len(later) == 5 and hs._stream is stream
+    y = [0] * 8 + [F.embed(4)]  # the fifth point: the last coordinate at 4
+    assert later[4] == tuple(tab.evaluate([y[e] for e in w]) for w in hs.windows)
+    assert list(itertools.islice(hs.points(), 6))[:5] == later
+
+
+def test_design_check_reports_the_first_bad_pair(monkeypatch):
+    # n = 5 allows intersections of floor(log2 5) = 2; S_1 = S_5 and S_2 = S_4
+    sets = [frozenset(s) for s in ({0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {3, 4, 5}, {0, 1, 2})]
+    bad = Design(n=5, m=3, q=3, dprime=2, ell=9, sets=sets)
+    message = "|S_1 ∩ S_5| = 3 > floor(log2 n) = 2"
+    for rows in (512, 2, 1):  # one block, and blocks that split the pairs
+        monkeypatch.setattr(designs, "CHECK_BLOCK_ROWS", rows)
+        with pytest.raises(InvariantViolated) as e:
+            bad.check()
+        assert str(e.value) == message
+        with pytest.raises(ParameterViolation) as e:
+            Design.from_json(bad.to_json())
+        assert str(e.value) == message
+        nw_design(64, 8).check()
+
+
+def test_design_check_matches_the_pairwise_loop():
+    # random sets in a small universe, so most draws break the law; the
+    # product must name the pair the all-pairs loop meets first
+    rng = rng_for("design-check-pairs")
+    for _ in range(40):
+        n, m = rng.randint(4, 12), rng.randint(2, 4)
+        sets = [frozenset(sorted(range(2 * m), key=lambda _: rng.randrange(1 << 30))[:m])
+                for _ in range(n)]
+        log_n = n.bit_length() - 1
+        first = next((f"|S_{i + 1} ∩ S_{j + 1}| = {len(sets[i] & sets[j])} > "
+                      f"floor(log2 n) = {log_n}"
+                      for i in range(n) for j in range(i + 1, n)
+                      if len(sets[i] & sets[j]) > log_n), None)
+        design = Design(n=n, m=m, q=m, dprime=2, ell=2 * m, sets=sets)
+        if first is None:
+            design.check()
+            continue
+        with pytest.raises(InvariantViolated) as e:
+            design.check()
+        assert str(e.value) == first
 
 
 def test_design_file_of_the_wrong_shape_is_a_parameter_violation():

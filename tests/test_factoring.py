@@ -58,7 +58,7 @@ def test_separating_shift_planted_full_split(QQ):
 
 
 def test_separating_shift_stops_at_a_full_split(QQ, monkeypatch):
-    from circuitforge import factoring
+    from circuitforge import lifting  # the slice search expands there
 
     calls = []
 
@@ -66,7 +66,7 @@ def test_separating_shift_stops_at_a_full_split(QQ, monkeypatch):
         calls.append(1)
         return expand(*args, **kwargs)
 
-    monkeypatch.setattr(factoring, "expand", counting_expand)
+    monkeypatch.setattr(lifting, "expand", counting_expand)
     P, _ = plant_linear_product(QQ, rng_for("sep-shift-stop"), 2, 2,
                                 [Fraction(-2), Fraction(1), Fraction(4)])
     c, roots = separating_shift(P, y=2, seed=0)

@@ -3,13 +3,15 @@ module-level private function is referenced from some module of the
 package, so deletions leave no stranded helpers or imports behind. The
 runtime depends on the standard library and numpy only, the count of bare
 `raise ValueError` sites can only go down, and every name the benchmark's
-tracer looks up still exists. The univariate section of `dense.py` is one
+tracer looks up still exists, with a traced run still counting the slice
+expansions it reads. The univariate section of `dense.py` is one
 kernel on native numbers: none of its functions calls a Field method, and
 neither do the builder's canonicalizing `add`, `mul` and `import_circuit`."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -123,6 +125,38 @@ def test_names_the_tracer_looks_up_exist():
                        for fn in c.body if isinstance(fn, ast.FunctionDef)}
             missing += [f"{layer}.{cls}.{n}" for n in names if n not in defined]
     assert not missing, f"perfbench/tracing.py looks up names src/ no longer defines: {missing}"
+
+
+TRACED_RUN = """
+import sys
+from fractions import Fraction
+sys.path[:0] = sys.argv[1:3]
+import circuitforge as cf
+from tracing import Tracer
+tracer = Tracer()
+tracer.instrument(cf)
+b = cf.CircuitBuilder(cf.Rationals(), 2)
+x, y = b.inp(0), b.inp(1)
+P = b.finish(b.mul(b.sub(y, x), b.sub(y, b.const(Fraction(2)))))
+cf.lift_root(P, y=1, d=1, seed=0)
+cf.extract_factor(P, y=1, d=1, seed=0)
+edges = tracer.snapshot()["edges"]
+print(edges.get(("lifting.lift_root", "dense.expand"), 0),
+      edges.get(("factoring.separating_shift", "dense.expand"), 0))
+"""
+
+
+def test_traced_run_counts_the_slice_expansions():
+    """The benchmark reads `lifting.translations_tried` and
+    `factoring.shift_candidates` off the tracer's span edges into
+    `dense.expand`, so the slice expansions must nest under `lift_root` and
+    `separating_shift`. The tracer rebinds library names, hence the
+    subprocess; it only imports perfbench/."""
+    out = subprocess.run([sys.executable, "-c", TRACED_RUN, str(SRC.parent), str(TRACING.parent)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    translations, shift_candidates = map(int, out.stdout.split())
+    assert translations > 0 and shift_candidates > 0
 
 
 def test_univariate_kernel_calls_no_field_method():

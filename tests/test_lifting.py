@@ -10,12 +10,10 @@ from circuitforge import (
     expand,
     lift_root,
     lift_step,
-    reduce_multiplicity,
     truncate_dense,
 )
 from circuitforge.dense import circuit_from_dense, compose
 from circuitforge.errors import (
-    AllDerivativesVanish,
     NoRationalRoot,
     NotASimpleRoot,
     ParameterViolation,
@@ -147,38 +145,49 @@ def test_per_iteration_agreement(QQ):
             assert expand(hi) == truncate_dense(fd, i)
 
 
-def test_reduce_multiplicity_example(QQ):
-    # P = (y - x)^2 (y + 1), alpha = 0 -> m = 2 and the result has y - x simple
+def test_lift_root_reduces_a_double_root(QQ):
+    # P = (y - x)^2 (y + 1), alpha = 0 has m = 2: the root y = x is lifted
+    # from the order-1 y-derivative, in which y - x is simple
     b = CircuitBuilder(QQ, 2)
     x, y = b.inp(0), b.inp(1)
     dyx = b.sub(y, x)
     P = b.finish(b.mul(dyx, dyx, b.add(y, b.const(Fraction(1)))))
-    reduced, m = reduce_multiplicity(P, Fraction(0), y=1)
-    assert m == 2
-    from circuitforge import divides
+    cert = lift_root(P, y=1, d=1, seed=0, alpha=Fraction(0))
+    assert cert.multiplicity == 2
+    assert expand(cert.root) == DensePoly.variable(QQ, 1, 0)
+    stages = dict(cert.metrics_chain)
+    assert stages["multiplicity-reduced"] != stages["translated"]
+    # the searched roots of P(0, y) = y^2 (y + 1) carry the same multiplicities
+    searched = lift_root(P, y=1, d=1, seed=0)
+    assert (searched.alpha, searched.multiplicity) == (Fraction(-1), 1)
 
-    f = DensePoly(QQ, 2, {(0, 1): Fraction(1), (1, 0): Fraction(-1)})
-    assert divides(f, expand(P), main_var=1) == 2
-    assert divides(f, expand(reduced), main_var=1) == 1
 
-
-def test_reduce_multiplicity_simple_root_identity(QQ):
+def test_lift_root_simple_root_lifts_P_itself(QQ):
     P = _y2_minus_1px_squared(QQ)
-    reduced, m = reduce_multiplicity(P, Fraction(1), y=1)
-    assert m == 1 and reduced is P
+    cert = lift_root(P, y=1, d=1, seed=0, alpha=Fraction(1))
+    stages = dict(cert.metrics_chain)
+    assert cert.multiplicity == 1
+    assert stages["multiplicity-reduced"] == stages["translated"] == stages["input"]
 
 
-def test_reduce_multiplicity_all_vanish(QQ):
+def test_lift_root_pinned_alpha_on_a_zero_slice(QQ):
+    # P = x1 y + x1: P(0, y) is identically zero, so every alpha is a root of
+    # it, but a pinned alpha is tried only at the origin
     b = CircuitBuilder(QQ, 2)
-    P = b.finish(b.mul(b.inp(1), b.inp(0)))  # y * x1: P(0, y) == 0
-    with pytest.raises(AllDerivativesVanish):
-        reduce_multiplicity(P, Fraction(0), y=1)
+    x, y = b.inp(0), b.inp(1)
+    P = b.finish(b.add(b.mul(x, y), x))
+    with pytest.raises(NoRationalRoot, match="identically zero.*only at the origin") as e:
+        lift_root(P, y=1, d=1, seed=0, alpha=Fraction(0))
+    assert e.value.exit_code == 1
+    cert = lift_root(P, y=1, d=1, seed=0)  # the search translates the origin
+    assert expand(cert.root) == DensePoly.const(QQ, 1, Fraction(-1))
+    assert any(v != QQ.zero for v in cert.shift)
 
 
-def test_reduce_multiplicity_rejects_a_non_root(QQ):
+def test_lift_root_refuses_a_pinned_non_root(QQ):
     P = _y2_minus_1px_squared(QQ)
-    with pytest.raises(ParameterViolation, match="not a root"):
-        reduce_multiplicity(P, Fraction(2), y=1)
+    with pytest.raises(NoRationalRoot, match=r"alpha=.*2.* is not a root"):
+        lift_root(P, y=1, d=1, seed=0, alpha=Fraction(2))
 
 
 def test_lift_root_spec_example(QQ):
