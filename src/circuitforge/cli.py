@@ -66,16 +66,21 @@ def _parse_point(field, text):
 
 
 def _parse_esum(text: str) -> ExpSumPoly:
-    aux_vars = []
-    lines = []
-    for raw in text.splitlines():
-        parts = raw.split()
-        if parts and parts[0] == "aux":
-            aux_vars = [int(p[1:]) - 1 for p in parts[1:]]
-        else:
-            lines.append(raw)
+    """A circuit file with at most one `aux y<k> ...` line (k >= 1). The aux
+    line is blanked, not removed, so circuit errors cite the file's lines."""
+    aux_vars, lines = None, text.splitlines()
+    for no, raw in enumerate(lines, 1):
+        parts = raw.split("#", 1)[0].split()
+        if parts[:1] != ["aux"]:
+            continue
+        if aux_vars is not None:
+            raise E.CircuitSyntaxError(no, "duplicate aux line")
+        for token in parts[1:]:
+            if not (token[:1] == "y" and token[1:].isdecimal() and int(token[1:]) >= 1):
+                raise E.CircuitSyntaxError(no, f"aux names variables y<k>, k >= 1, got {token!r}")
+        aux_vars, lines[no - 1] = [int(token[1:]) - 1 for token in parts[1:]], ""
     circ = parse_circuit("\n".join(lines))
-    return ExpSumPoly(circ, tuple(aux_vars))
+    return ExpSumPoly(circ, tuple(aux_vars or ()))
 
 
 def _emit_esum(e: ExpSumPoly) -> str:

@@ -4,6 +4,9 @@ Sets are graphs of distinct low-degree polynomials over the smallest prime
 power q >= m, restricted to the first m points, inside the universe
 F_q x F_q. Two distinct polynomials of degree < d' agree on at most d'-1
 points, which is what caps the pairwise intersections at floor(log2 n).
+F_q is SmallGF: an addition and a multiplication table, built once in
+numpy, and nw_design evaluates all n polynomials at the m points in one
+Horner pass of table lookups.
 
 The universe size here is l = q^2 <= 4*m^2, not the paper-tight
 O(m^2 / log n) packing; at desk scale the log-n saving buys nothing and
@@ -60,114 +63,42 @@ def _is_prime_power(n: int):
 
 
 class SmallGF:
-    """GF(p^k) for tiny q, with table-based arithmetic.
+    """GF(p^k) for tiny q, as two q x q lookup tables, add_table and mul_table.
 
     Elements are integers 0..q-1 encoding base-p digit vectors (digit j is
-    the coefficient of x^j). For k >= 2 the modulus is the lexicographically
-    first monic irreducible polynomial, so the construction is deterministic.
+    the coefficient of x^j). Sums add digits mod p; products convolve them
+    and reduce modulo x^k + low, low the first code whose product table has
+    no zero divisor among the nonzero elements. The quotient ring is a field
+    exactly when the modulus is irreducible, so the modulus is the
+    lexicographically first monic irreducible and the construction is
+    deterministic (for k = 1 it is x, and the tables are the integers mod p).
     """
 
     def __init__(self, q: int):
         pk = _is_prime_power(q)
         if pk is None:
             raise ParameterViolation(f"{q} is not a prime power")
-        self.q = q
-        self.p, self.k = pk
-        if self.k == 1:
-            self._modpoly = None
-        else:
-            self._modpoly = self._find_irreducible()
-
-    def _digits(self, a: int) -> list:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _encode(self, digits) -> int:
-        val = 0
-        for d in reversed(digits):
-            val = val * self.p + d
-        return val
-
-    def _polymod(self, coeffs: list) -> list:
-        # reduce a coefficient list (low-to-high) modulo the irreducible
-        m = self._modpoly
-        coeffs = [c % self.p for c in coeffs]
-        for i in range(len(coeffs) - 1, self.k - 1, -1):
-            c = coeffs[i]
-            if c:
-                for j in range(self.k + 1):
-                    coeffs[i - self.k + j] = (coeffs[i - self.k + j] - c * m[j]) % self.p
-        return coeffs[: self.k] + [0] * max(0, self.k - len(coeffs))
-
-    def _find_irreducible(self) -> list:
-        p, k = self.p, self.k
-        for code in range(p**k):
-            cand = []
-            c = code
-            for _ in range(k):
-                cand.append(c % p)
-                c //= p
-            cand = cand + [1]  # monic degree-k polynomial
-            if self._irreducible(cand):
-                return cand
-        raise InvariantViolated("no irreducible polynomial found")  # impossible
-
-    def _irreducible(self, f: list) -> bool:
-        p = self.p
-        k = len(f) - 1
-        for deg in range(1, k // 2 + 1):
-            for code in range(p**deg):
-                g = []
-                c = code
-                for _ in range(deg):
-                    g.append(c % p)
-                    c //= p
-                g = g + [1]
-                if _polydivides(g, f, p):
-                    return False
-        return True
+        p, k = pk
+        self.q, self.p, self.k = q, p, k
+        weights = p ** np.arange(k)
+        digits = np.arange(q)[:, None] // weights % p  # digits[a, j]: digit j of a
+        self.add_table = (digits[:, None] + digits[None, :]) % p @ weights
+        prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+        for i in range(k):
+            prod[:, :, i:i + k] += digits[:, None, i, None] * digits[None, :]
+        for low in range(q):
+            rem = prod.copy()
+            for i in range(2 * k - 2, k - 1, -1):  # x^i = -low(x) * x^(i-k)
+                rem[:, :, i - k:i] -= rem[:, :, i, None] * digits[low]
+            self.mul_table = rem[:, :, :k] % p @ weights
+            if self.mul_table[1:, 1:].all():
+                break
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+        return int(self.add_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._encode(self._polymod(prod))
-
-    def poly_eval(self, coeffs: list, x: int) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c)
-        return acc
-
-
-def _polydivides(g: list, f: list, p: int) -> bool:
-    """Does monic g divide monic f over F_p (coefficient lists low-to-high)?"""
-    rem = [c % p for c in f]
-    dg = len(g) - 1
-    while rem and rem[-1] == 0:
-        rem.pop()
-    while rem and len(rem) - 1 >= dg:
-        c = rem[-1]
-        off = len(rem) - 1 - dg
-        for j in range(dg + 1):
-            rem[off + j] = (rem[off + j] - c * g[j]) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return not rem
+        return int(self.mul_table[a, b])
 
 
 @dataclass
@@ -254,14 +185,14 @@ def nw_design(n: int, m: int) -> Design:
     while q**e < n:
         e += 1
     dprime = max(2, e)
-    sets = []
-    for i in range(n):
-        coeffs = []
-        c = i
-        for _ in range(dprime):
-            coeffs.append(c % q)
-            c //= q
-        sets.append(frozenset(a * q + gf.poly_eval(coeffs, a) for a in range(m)))
+    # all n polynomials at once, Horner from the top digit down; tolist()
+    # gives Python ints, which JSON can write
+    digits = np.arange(n)[:, None] // q ** np.arange(dprime) % q
+    points = np.arange(m)
+    values = np.zeros((n, m), dtype=np.int64)
+    for j in reversed(range(dprime)):
+        values = gf.add_table[gf.mul_table[values, points], digits[:, j, None]]
+    sets = [frozenset(row) for row in (points * q + values).tolist()]
     design = Design(n=n, m=m, q=q, dprime=dprime, ell=q * q, sets=sets)
     design.check()
     return design

@@ -209,6 +209,8 @@ def extract_y_coeffs(circ: Circuit, y: int, dmax: int) -> list:
     the weights absorbed into the top sum layer: depth does not grow, size
     is at most (dmax+1) * size + O(dmax^2).
     """
+    if dmax < 0:
+        raise ParameterViolation(f"degree bound must be >= 0, got {dmax}")
     circ.output()
     _check_var(circ, y)
     b, rows = _interp_engine(circ, y, dmax)

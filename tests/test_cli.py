@@ -4,6 +4,7 @@ import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -233,6 +234,33 @@ def test_vnp_sum_command(tmp_path, capsys):
     assert "1 : 1" in body
     assert main(["vnp-sum", esum, "--eval", "4"]) == 0
     assert capsys.readouterr().out.strip() == "4"
+
+
+ESUM_BODY = "field rationals\nnvars 2\ng1 = input x1\ng2 = input x2\ng3 = mul g1 g2\noutput g3\n"
+
+
+@pytest.mark.parametrize("text, line, why", [
+    ("aux yq\n" + ESUM_BODY, 1, "'yq'"),
+    ("aux x2\n" + ESUM_BODY, 1, "'x2'"),
+    ("aux y0\n" + ESUM_BODY, 1, "'y0'"),
+    ("aux y2\n" + ESUM_BODY + "aux y1\n", 8, "duplicate aux line"),
+    ("aux y2\n" + ESUM_BODY.replace("mul g1 g2", "bogus x2"), 6, "bogus"),
+], ids=["not-a-number", "x-not-y", "y0", "second-aux-line", "line-below-aux"])
+def test_esum_header_errors_name_the_file_line(tmp_path, capsys, text, line, why):
+    # aux tokens are y<k> with k >= 1, at most one aux line, and errors
+    # below the aux line cite the line number the file has
+    esum = _write(tmp_path, "e.esum", text)
+    assert main(["vnp-sum", esum, "--expand"]) == 2
+    err = capsys.readouterr().err
+    assert f"CircuitSyntaxError: line {line}: " in err and why in err
+
+
+def test_coeffs_refuses_a_negative_degree_bound(tmp_path, capsys):
+    path = _write(tmp_path, "p.circ", LIFT_INPUT)
+    assert main(["coeffs", "-y", "3", "-d", "-1", path, "-o", str(tmp_path / "out"),
+                 "--cert", str(tmp_path / "cert.json")]) == 2
+    assert "ParameterViolation" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["p.circ"]
 
 
 def test_vnp_factor_command(tmp_path, capsys):
@@ -753,7 +781,9 @@ def test_cli_survives_mutated_inputs(tmp_path, monkeypatch):
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             rc = main(argv + [f"mutated.{kind}"])
-        assert rc in (0, 1, 2, 3, 4), (argv, kind, text, rc)
+        # exit 4 is a bug, and a bare ValueError is an untyped failure
+        assert rc in (0, 1, 2, 3), (argv, kind, text, rc)
         assert "Traceback" not in err.getvalue()
+        assert "error: ValueError" not in err.getvalue(), (argv, kind, text)
 
     run()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -96,6 +97,42 @@ def test_small_gf_axioms():
         # every nonzero element has an inverse (field, not just a ring)
         for a in range(1, q):
             assert any(gf.mul(a, b) == 1 for b in range(1, q))
+
+
+# sha256 prefixes of the field tables and of design files: a change of
+# modulus or of Horner order moves one of them
+GF_TABLE_DIGESTS = {
+    2: "090b5ea336d2a3fa", 3: "f9287b0c3bb4fee9", 4: "fc7e342da9b4f0b5", 5: "52ba69e53329b3b2",
+    7: "1b4435bbb6ea8cb7", 8: "0e386441c46b1123", 9: "db74138954ff101e",
+    11: "d3056bc16c3096b3", 13: "f3034a90fb9bb8a7", 16: "70c9fb2d0f13a41d",
+    17: "6fea06b6df2c1ab8", 19: "7b58829892fb1137", 23: "2b5debbdc2a7ff0e",
+    25: "2cf8cafe66104011", 27: "37b83e6bb1290fbe", 29: "e7d6d2cf7bc17660",
+    31: "ced68c7c0630cca5", 32: "4df5c5f27ca1dd0c",
+}
+DESIGN_DIGESTS = {  # every extension field m <= 24 selects: q = 4, 8, 9, 16, 25
+    (3, 4): "be5edcc0494f1ec5", (9, 4): "58e4372272102ab9", (15, 4): "c09d99ce577d200e",
+    (7, 8): "884f72ad22f173ee", (64, 8): "af56e67ed931ba5a", (255, 8): "7a502cc6da23626a",
+    (10, 9): "50cadcb39ed94f03", (81, 9): "5f4bc8c80742e4bd", (500, 9): "589c451bc96434b1",
+    (17, 14): "ef26d31adbc98226", (256, 14): "7f5c2d7e58985bbf",
+    (1000, 14): "469d964e96e15ec8", (16, 16): "72d602d4d9e333ac",
+    (257, 16): "7c507b6c8b55cb2a", (4000, 16): "3e6d20de70d0af56",
+    (26, 24): "3bdb6bcca37b6eb1", (625, 24): "e3f6fc6abef9e794", (626, 24): "6b0dbe6208443e53",
+    (4096, 24): "8b64adba5720057c",
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_small_gf_tables_and_designs_keep_their_bytes():
+    for q, want in GF_TABLE_DIGESTS.items():
+        gf = SmallGF(q)
+        pairs = list(itertools.product(range(q), repeat=2))
+        data = bytes(gf.add(a, b) for a, b in pairs) + bytes(gf.mul(a, b) for a, b in pairs)
+        assert _digest(data) == want, q
+    for (n, m), want in DESIGN_DIGESTS.items():
+        assert _digest(nw_design(n, m).to_json().encode()) == want, (n, m)
 
 
 def _random_table(field, m, seed):

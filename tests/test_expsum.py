@@ -16,7 +16,7 @@ from circuitforge import (
 )
 from circuitforge import transforms
 from circuitforge.circuit import formal_degree_in, input_circuit, is_formula
-from circuitforge.errors import NotAFormula, ShapeError
+from circuitforge.errors import NotAFormula, ParameterViolation, ShapeError
 from circuitforge.expsum import (
     ExpSumPoly,
     SELECTOR_SIZE_FACTOR,
@@ -247,6 +247,13 @@ def test_coeff_exp_sums_example(QQ):
     assert sums[0].is_zero()
     assert sums[1] == DensePoly.variable(QQ, 2, 0)
     assert sums[2] == DensePoly.const(QQ, 2, Fraction(6))
+
+
+def test_coeff_exp_sums_refuses_a_negative_degree_bound(QQ):
+    b = CircuitBuilder(QQ, 2)
+    e = ExpSumPoly(b.finish(b.mul(b.inp(0), b.inp(1))), (1,))
+    with pytest.raises(ParameterViolation, match="got -1"):
+        coeff_exp_sums(e, 0, -1)
 
 
 def test_coeff_exp_sums_reconstruction(QQ):

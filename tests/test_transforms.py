@@ -20,7 +20,9 @@ from circuitforge import (
     truncate_deg,
 )
 from circuitforge import transforms
-from circuitforge.errors import ArityMismatch, BudgetExceeded, FieldTooSmall, SearchExhausted
+from circuitforge.errors import (
+    ArityMismatch, BudgetExceeded, FieldTooSmall, ParameterViolation, SearchExhausted,
+)
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge.circuit import formal_degree_in, sz_is_zero
 from circuitforge.dense import ExpansionBudget, compose, expand_outputs
@@ -117,6 +119,15 @@ def test_extract_field_too_small():
     c = b.finish(b.inp(0))
     with pytest.raises(FieldTooSmall):
         extract_y_coeffs(c, 0, 7)
+
+
+def test_extract_y_coeffs_refuses_a_negative_degree_bound(QQ):
+    # refused before any work: the out-of-range y is never looked at
+    b = CircuitBuilder(QQ, 2)
+    P = b.finish(b.mul(b.inp(0), b.inp(1)))
+    for y in (1, 5):
+        with pytest.raises(ParameterViolation, match="got -1"):
+            extract_y_coeffs(P, y, -1)
 
 
 def test_truncate_deg_example(QQ):
