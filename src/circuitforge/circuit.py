@@ -540,38 +540,92 @@ def evaluate_batches(circ: Circuit, batches):
     """Evaluate every output on successive batches of points.
 
     `batches` yields (columns, size) pairs: columns[v] holds coordinate v
-    of the batch's `size` points, as field elements (a grid scan may pass
-    the integers 0..g-1 unreduced). Over a prime p < 2^31 the gate walk
-    runs on numpy int64 arrays, reducing after every operation so a product
-    of two residues stays below 2^62; over any other field it runs on numpy
-    object arrays of Python ints mod p or Fractions. Yields one list of
-    output arrays per batch, reduced mod p over prime fields.
+    of the batch's `size` points, as field elements, or one scalar that
+    numpy broadcasts over the batch (a grid scan passes the integers
+    0..g-1 unreduced, with g <= p). Over a prime p < 2^31 the gate walk runs
+    on numpy int64 arrays with lazy reduction: _int64_plan bounds each
+    gate's unreduced value, and a value is reduced mod p only where the
+    next sum or product could reach 2^63. Over any other field it runs on
+    numpy object arrays of Python ints, reduced after every operation, or
+    Fractions. Constants stay scalars. Yields one list of output arrays of
+    length `size` per batch, reduced mod p over prime fields.
     Circuit.evaluate is the scalar reference.
     """
     p = circ.field.p if isinstance(circ.field, PrimeField) else None
-    dtype = np.int64 if p is not None and p < 1 << 31 else object
+    lazy = p is not None and p < 1 << 31
+    dtype = np.int64 if lazy else object
+    gates = circ.gates
+    reach = circ.reachable()
+    plan = _int64_plan(circ, p) if lazy else {}
     for columns, size in batches:
         if len(columns) != circ.num_vars:
             raise ArityMismatch(f"{len(columns)} columns for {circ.num_vars} variables")
-        vals = [None] * len(circ.gates)
-        for i, gate in enumerate(circ.gates):
-            op = gate[0]
+        vals = [None] * len(gates)
+        for i in reach:
+            op, arg = gates[i]
             if op == IN:
-                vals[i] = np.asarray(columns[gate[1]], dtype=dtype)
+                vals[i] = np.asarray(columns[arg], dtype=dtype)
             elif op == CONST:
-                vals[i] = np.full(size, gate[1], dtype=dtype)
+                vals[i] = arg
             else:
-                acc = vals[gate[1][0]]
-                for c in gate[1][1:]:
+                reduce_children, reduce_acc = plan.get(i, ((), ()))
+                for c in reduce_children:
+                    vals[c] = vals[c] % p
+                acc = vals[arg[0]]
+                for k, c in enumerate(arg[1:]):
+                    if lazy and reduce_acc[k]:
+                        acc = acc % p
                     acc = acc + vals[c] if op == ADD else acc * vals[c]
-                    if p is not None:
-                        acc %= p  # in place: acc is the fresh array just made
+                    if p is not None and not lazy:
+                        acc %= p
                 vals[i] = acc
-        yield [vals[o] % p if p is not None else vals[o] for o in circ.outputs]
+        outs = [vals[o] % p if p is not None else vals[o] for o in circ.outputs]
+        yield [np.full(size, v, dtype=dtype) if np.ndim(v) == 0 else v for v in outs]
         # Drop the columns before the next batch makes its own, and keep
         # this batch's values until then: equal-sized batches of a long scan
         # then reuse each other's memory rather than map it afresh.
         columns = None
+
+
+def _int64_plan(circ: Circuit, p: int) -> dict:
+    """Where evaluate_batches reduces mod p on the int64 path, as
+    {gate: (children to reduce first, per-step flags to reduce the
+    accumulator)} for every add or mul gate.
+
+    Values stay nonnegative: an input is at most p - 1, a constant is its
+    residue, and a sum or product is bounded by the sum or product of its
+    operands' bounds. Before each step the larger of the accumulator and
+    the next child is reduced (bound p - 1) until the result stays below
+    2^63; a reduced child keeps its reduced value for later gates.
+    """
+    limit = 1 << 63
+    bound = {}
+    plan = {}
+    for i in circ.reachable():
+        op, arg = circ.gates[i]
+        if op == IN:
+            bound[i] = p - 1
+            continue
+        if op == CONST:
+            bound[i] = arg
+            continue
+        reduce_children = []
+        reduce_acc = []
+        acc = bound[arg[0]]
+        for k, c in enumerate(arg[1:]):
+            reduce = False
+            while (acc + bound[c] if op == ADD else acc * bound[c]) >= limit:
+                if acc < bound[c]:
+                    reduce_children.append(c)
+                    bound[c] = p - 1
+                else:
+                    reduce = True
+                    acc = p - 1
+            reduce_acc.append(reduce)
+            acc = acc + bound[c] if op == ADD else acc * bound[c]
+        bound[i] = acc
+        plan[i] = (tuple(reduce_children), tuple(reduce_acc))
+    return plan
 
 
 def evaluate_batch(circ: Circuit, columns, size: int) -> list:

@@ -25,7 +25,7 @@ class VerificationFailure(ForgeError):
 
 class BudgetExceeded(ForgeError):
     """A work budget was exceeded; `kind` is 'terms', 'degree' or 'points'
-    (the points of an exhaustive grid scan)."""
+    (the points an identity test would visit)."""
 
     exit_code = 3
 

@@ -13,10 +13,16 @@ the hybrid chain of the composition argument and returns the switch index
 together with a fixing assignment that keeps the last nonzero hybrid alive.
 
 Every test here evaluates circuits in batches through circuit.evaluate_batches:
-hitting points and random points in batches of POINT_BATCH, exhaustive grids
-in batches of GRID_BATCH points whose coordinate columns numpy computes from
-the scan index. All scans run in lexicographic order, last coordinate
-fastest, and report the first nonzero point as the witness.
+hitting points and random points in batches of POINT_BATCH. An exhaustive
+scan of {0..g-1}^n runs in aligned batches of g^j points, j the largest
+value with g^j <= GRID_BATCH (and j <= n): the low j coordinate columns are
+built once per scan, and each of the n - j high coordinates is one integer
+per batch, which numpy broadcasts. All scans run in lexicographic order,
+last coordinate fastest, and report the first nonzero point as the witness.
+Every grid must have distinct values in the field (else FieldTooSmall), and
+no test visits more than EXHAUSTIVE_POINT_BUDGET points: larger grids,
+random trial counts and hitting-set limits are refused with BudgetExceeded
+before any point is drawn.
 """
 
 from __future__ import annotations
@@ -188,12 +194,17 @@ def pit_hitset(circ: Circuit, hitset: HittingSet, limit: int | None = None) -> P
     """Evaluate on streamed hitting points; first witness wins.
 
     With a limit, a 'zero' verdict only covers the examined prefix; the
-    exhausted flag says whether that verdict is unconditional.
+    exhausted flag says whether that verdict is unconditional. A scan that
+    could visit more than EXHAUSTIVE_POINT_BUDGET points (min(limit,
+    |T|^l), or |T|^l without a limit) is refused with BudgetExceeded.
     """
     if circ.num_vars != hitset.design.n:
         raise ArityMismatch(
             f"circuit has {circ.num_vars} variables, design provides {hitset.design.n}"
         )
+    wanted = hitset.total_points if limit is None else min(limit, hitset.total_points)
+    if wanted > EXHAUSTIVE_POINT_BUDGET:
+        raise BudgetExceeded("points", f"{wanted} hitting points > {EXHAUSTIVE_POINT_BUDGET}")
     checked, witness = _first_witness(circ, hitset.points(limit=limit))
     if witness is not None:
         return PitResult("nonzero", witness, checked, False, "hitset")
@@ -216,25 +227,41 @@ def _first_witness(circ: Circuit, points):
 
 # -- grid scans -------------------------------------------------------------------
 
+def _check_grid(field: Field, grid_size: int):
+    """Refuse a grid {0..grid_size-1} whose values are not distinct in the
+    field: its points would repeat mod p, and no verdict on it is sound."""
+    if isinstance(field, PrimeField) and field.p < grid_size:
+        raise FieldTooSmall(f"grid {grid_size} exceeds field size {field.p}")
+
+
 def _grid_scan(circ: Circuit, grid_size: int, want_count: bool):
-    """Scan {0..grid_size-1}^n in lexicographic order, GRID_BATCH points a
-    batch. Returns (zero count, 0-based index of the first nonzero point or
-    None); without want_count the scan stops at that point, and the count
-    covers only the batches scanned. A grid over EXHAUSTIVE_POINT_BUDGET
-    points raises BudgetExceeded before any point is evaluated."""
+    """Scan {0..grid_size-1}^n in lexicographic order, in aligned batches
+    (see the module docstring). Returns (zero count, 0-based index of the
+    first nonzero point or None); without want_count the scan stops at the
+    batch holding that point, and the count covers only the batches
+    scanned. An empty grid, a grid larger than the field (FieldTooSmall) and
+    a grid over EXHAUSTIVE_POINT_BUDGET points are refused before any point
+    is evaluated."""
     n = circ.num_vars
     if grid_size < 1:
         raise ParameterViolation(f"grid size must be >= 1, got {grid_size}")
-    total = grid_size**n
-    if total > EXHAUSTIVE_POINT_BUDGET:
+    _check_grid(circ.field, grid_size)
+    if grid_size**n > EXHAUSTIVE_POINT_BUDGET:
         raise BudgetExceeded(
             "points", f"{grid_size}^{n} grid points > {EXHAUSTIVE_POINT_BUDGET}"
         )
+    low = 0
+    while low < n and grid_size ** (low + 1) <= GRID_BATCH:
+        low += 1
+    high = n - low
+    size = grid_size**low
+    idx = np.arange(size, dtype=np.int64)
+    low_columns = [idx // grid_size ** (low - 1 - t) % grid_size for t in range(low)]
 
     def batches():
-        for start in range(0, total, GRID_BATCH):
-            idx = np.arange(start, min(start + GRID_BATCH, total), dtype=np.int64)
-            yield [(idx // grid_size ** (n - 1 - v)) % grid_size for v in range(n)], len(idx)
+        for k in range(grid_size**high):
+            high_columns = [k // grid_size ** (high - 1 - v) % grid_size for v in range(high)]
+            yield high_columns + low_columns, size
 
     zero_count = 0
     first = None
@@ -242,7 +269,7 @@ def _grid_scan(circ: Circuit, grid_size: int, want_count: bool):
         zeros = values[0] == 0
         zero_count += int(zeros.sum())
         if first is None and not zeros.all():
-            first = k * GRID_BATCH + int(np.argmax(~zeros))
+            first = k * size + int(np.argmax(~zeros))
             if not want_count:
                 break
     return zero_count, first
@@ -266,9 +293,10 @@ def pit_sz(
     bounds the degree in every variable (a d below some variable's formal
     degree is refused); it is the default whenever the grid fits the point
     budget. Random mode samples seeded points and can only answer
-    probably-zero, and needs trials >= 1 (exhaustive mode ignores trials).
-    A nonzero verdict reports the witness's 1-based position
-    in the scan as points_checked.
+    probably-zero, and needs 1 <= trials <= EXHAUSTIVE_POINT_BUDGET
+    (exhaustive mode ignores trials). A grid larger than the field is
+    refused in both modes. A nonzero verdict reports the witness's 1-based
+    position in the scan as points_checked.
     """
     field = circ.field
     n = circ.num_vars
@@ -278,8 +306,6 @@ def pit_sz(
         if d < top:
             raise ParameterViolation(f"d = {d} is below a variable's formal degree {top}")
     grid = d + 1
-    if isinstance(field, PrimeField) and field.p < grid:
-        raise FieldTooSmall(f"grid {grid} exceeds field size {field.p}")
     total = grid**n
     if exhaustive is None:
         exhaustive = total <= EXHAUSTIVE_POINT_BUDGET
@@ -289,8 +315,11 @@ def pit_sz(
             return PitResult("zero", None, total, True, "exhaustive")
         witness = tuple(field.embed(first // grid ** (n - 1 - v) % grid) for v in range(n))
         return PitResult("nonzero", witness, first + 1, True, "exhaustive")
+    _check_grid(field, grid)
     if trials < 1:
         raise ParameterViolation(f"random mode needs trials >= 1, got {trials}")
+    if trials > EXHAUSTIVE_POINT_BUDGET:
+        raise BudgetExceeded("points", f"{trials} random points > {EXHAUSTIVE_POINT_BUDGET}")
     rng = stream(seed, "pit-sz")
     points = [tuple(field.embed(rng.randrange(grid)) for _ in range(n)) for _ in range(trials)]
     checked, witness = _first_witness(circ, points)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from circuitforge import (
@@ -247,6 +248,64 @@ def test_evaluate_batch_multi_output_and_no_variables(QQ):
         b0 = CircuitBuilder(field, 0)
         c = b0.const(field.embed(-5))
         _batch_matches_scalar(b0.finish([b0.add(b0.mul(c, c), c), c]), rng, count=4)
+
+
+def _near_p_circuit(field, rng, n, count):
+    """Gates written directly, so no builder folding: constants near p, each
+    gate chained to the one before it (long same-op runs make long product
+    and sum chains), fan-in up to 16 with repeated children."""
+    p = field.p
+    gates = [("in", v) for v in range(n)]
+    gates += [("const", p - 1 - rng.randrange(4)) for _ in range(3)]
+    op = "mul"
+    for _ in range(count):
+        if rng.randrange(10) < 3:
+            op = "add" if op == "mul" else "mul"
+        fan = (2, 2, 3, 4, 8, 16)[rng.randrange(6)]
+        children = (len(gates) - 1,) + tuple(rng.randrange(len(gates)) for _ in range(fan - 1))
+        gates.append((op, children))
+    return Circuit(field, n, gates, [len(gates) - 1, n + rng.randrange(len(gates) - n)])
+
+
+def test_lazy_int64_reduction_matches_evaluate():
+    # primes just below 2^31, the largest the int64 path takes: a product of
+    # two residues nears 2^62, so a missed reduction wraps past 2^63
+    for p in (2**31 - 1, 2147483629):
+        field = PrimeField(p)
+        rng = rng_for("lazy-int64", p)
+        for k in range(30):
+            n = 1 + k % 3
+            circ = _near_p_circuit(field, rng, n, 12 + k)
+            near = [p - 1, p - 2, p // 2]
+            points = [[near[rng.randrange(3)] if rng.randrange(10) < 3 else rng.randrange(p)
+                       for _ in range(n)] for _ in range(12)]
+            cols = [np.array([pt[v] for pt in points], dtype=np.int64) for v in range(n)]
+            got = [out.tolist() for out in evaluate_batch(circ, cols, len(points))]
+            assert got == [list(vals) for vals in zip(*map(circ.evaluate, points))]
+            # a grid batch: the last column 0..g-1, the others broadcast scalars
+            g = 2 + k % 5
+            high = [rng.randrange(g) for _ in range(n - 1)]
+            got = [out.tolist() for out in evaluate_batch(circ, high + [np.arange(g)], g)]
+            want = [circ.evaluate(high + [a]) for a in range(g)]
+            assert got == [list(vals) for vals in zip(*want)]
+    # At the edge, over p = 2^31 - 1: s = x3 + x4 + 9 is at most 2^32 + 5,
+    # and (p - 1)(2^32 + 5) = 2^63 + 2^31 - 10 wraps, while (p - 2)(2^32 + 5)
+    # does not. x1 * s is right only if an input is bounded by p - 1, and
+    # s times x1 x2 (which is p - 1 mod p at x1 = p - 1, x2 = 1) only if a
+    # reduced first child, later child or accumulator is bounded by p - 1.
+    p = 2**31 - 1
+    s = ("add", (2, 3, 4))
+    x1x2 = ("mul", (0, 1))
+    gates = [("in", 0), ("in", 1), ("in", 2), ("in", 3), ("const", 9),
+             s, ("mul", (0, 5)),             # 6: x1 * s
+             x1x2, s, ("mul", (7, 8)),       # 9: (x1 x2) * s
+             s, x1x2, ("mul", (10, 11)),     # 12: s * (x1 x2)
+             s, ("mul", (0, 1, 13))]         # 14: x1 * x2 * s
+    circ = Circuit(PrimeField(p), 4, gates, [6, 9, 12, 14])
+    points = [[p - 1] * 4, [p - 1, 1, p - 1, p - 1], [p - 2, p - 1, p - 3, p - 1], [1, 2, 3, 4]]
+    cols = [np.array([pt[v] for pt in points], dtype=np.int64) for v in range(4)]
+    got = [out.tolist() for out in evaluate_batch(circ, cols, len(points))]
+    assert got == [list(vals) for vals in zip(*map(circ.evaluate, points))]
 
 
 HEADER_CASES = [

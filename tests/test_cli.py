@@ -624,6 +624,15 @@ def test_bad_inputs_end_in_their_documented_code(tmp_path, capsys):
         (["pit", "--mode", "exhaustive", xy, "-d", "0"], 2, "formal degree 1"),
         (["pit", "--mode", "sz", xy, "-d", "2", "--trials", "0"], 2, "trials >= 1"),
         (["pit", "--mode", "sz", xy, "-d", "2", "--trials", "-5"], 2, "trials >= 1"),
+        # a grid of 102 values repeats points of F_101; more than
+        # EXHAUSTIVE_POINT_BUDGET points are refused before the first
+        (["pit", "--mode", "exhaustive", xy, "-d", "101"], 2,
+         "FieldTooSmall: grid 102 exceeds field size 101"),
+        (["pit", "--mode", "sz", xy, "-d", "101"], 2, "FieldTooSmall"),
+        (["pit", "--mode", "sz", xy, "-d", "2", "--trials", "2000001"], 3,
+         "budget exceeded (points) 2000001 random points > 2000000"),
+        (pit + ["-D", "2", "-d", "3", "--limit", "2000001"], 3,
+         "budget exceeded (points) 2000001 hitting points > 2000000"),
         (["--budget-terms", "0", "expand", p], 2, "ParameterViolation: budget bounds"),
         (["--field", "bogus", "expand", p], 2, "ParameterViolation: bad --field 'bogus'"),
         (["--field", "prime:abc", "expand", p], 2, "ParameterViolation: bad --field 'prime:abc'"),

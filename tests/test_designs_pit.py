@@ -21,9 +21,10 @@ from circuitforge.designs import DESIGN_ELL_FACTOR, TABLE_VARS_LIMIT, Design, Sm
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge import designs
 from circuitforge.errors import (
-    ArityMismatch, BudgetExceeded, InvariantViolated, ParameterViolation, PreconditionFailed,
+    ArityMismatch, BudgetExceeded, FieldTooSmall, InvariantViolated, ParameterViolation,
+    PreconditionFailed,
 )
-from circuitforge.pit import EXHAUSTIVE_POINT_BUDGET, exhaustive_zero_count
+from circuitforge.pit import EXHAUSTIVE_POINT_BUDGET, _is_zero_exhaustive, exhaustive_zero_count
 
 from conftest import SMALL_PRIME, random_circuit, rng_for
 
@@ -406,3 +407,96 @@ def test_pit_sz_exhaustive_counts_points_up_to_the_witness():
     res = pit_sz(c, 4, exhaustive=True)
     assert res.status == "nonzero" and res.witness == (F.zero,) * 8
     assert res.points_checked == 1
+
+
+def _scalar_scan(circ, g):
+    """(zero count, index of the first nonzero point) of {0..g-1}^n by a
+    scalar Circuit.evaluate loop, in the grid scan's lexicographic order."""
+    field = circ.field
+    zeros, first = 0, None
+    for k, point in enumerate(itertools.product(range(g), repeat=circ.num_vars)):
+        if circ.evaluate1([field.embed(a) for a in point]) == field.zero:
+            zeros += 1
+        elif first is None:
+            first = k
+    return zeros, first
+
+
+def test_grid_scan_matches_a_scalar_loop(monkeypatch, QQ):
+    # batches of g^j <= 8 points: (n, g) = (3, 3) runs 9 batches of 3 with
+    # two high columns, (4, 2) 2 of 8 and (2, 5) 5 of 5 with one; (1, 5),
+    # (3, 2) and g = 1 fit one batch with no high column
+    monkeypatch.setattr(pit, "GRID_BATCH", 8)
+    for field in (PrimeField(SMALL_PRIME), QQ, PrimeField(SIXTY_TWO_BIT_PRIME)):
+        rng = rng_for("grid-scan", field.kind == "prime" and field.p)
+        cases = [(random_circuit(field, rng, n, size_limit=16, degree_limit=4), g)
+                 for n, g in ((3, 3), (4, 2), (2, 5), (1, 5), (3, 2), (3, 1)) for _ in range(3)]
+        b = CircuitBuilder(field, 0)
+        cases.append((b.finish(b.const(field.embed(5))), 4))  # n = 0
+        b = CircuitBuilder(field, 2)
+        cases.append((b.finish([b.const(field.zero), b.const(field.one)]), 3))  # scalar outputs
+        b = CircuitBuilder(field, 2)
+        cases.append((b.finish(b.inp(0)), 3))  # the output is a high column
+        # nonzero only at (2, 2, 2), the last point of the last batch
+        b = CircuitBuilder(field, 3)
+        last = b.mul(*(b.add(b.inp(v), b.const(field.embed(-a))) for v in range(3) for a in (0, 1)))
+        cases.append((b.finish(last), 3))
+        for circ, g in cases:
+            want = _scalar_scan(circ, g)
+            assert pit._grid_scan(circ, g, want_count=True) == want
+            assert pit._grid_scan(circ, g, want_count=False)[1] == want[1]
+        assert want == (26, 26)
+
+
+def test_a_grid_larger_than_the_field_is_refused():
+    # over F_7, {0..9} holds 0 and 7 as two points, so x1 would count 2 zeros
+    F7 = PrimeField(7)
+    b = CircuitBuilder(F7, 1)
+    x1 = b.finish(b.inp(0))
+    assert exhaustive_zero_count(x1, 7) == 1
+    for scan in (lambda: exhaustive_zero_count(x1, 10),
+                 lambda: pit_sz(x1, 7, exhaustive=True),
+                 lambda: pit_sz(x1, 7, exhaustive=False)):
+        with pytest.raises(FieldTooSmall):
+            scan()
+    # x^3 - x vanishes on F_3 but is not zero: 4 grid values mod 3 called it zero
+    F3 = PrimeField(3)
+    b = CircuitBuilder(F3, 1)
+    x = b.inp(0)
+    with pytest.raises(FieldTooSmall):
+        _is_zero_exhaustive(b.finish(b.sub(b.mul(x, x, x), x)), 3)
+    # hybrid_locate's grid has deg_bound + 1 = 4 values; mod 3 every hybrid
+    # of this q vanishes on them, so no switch index would be found
+    tab = ExplicitPoly(F3, 2, [F3.embed(2), F3.zero, F3.zero, F3.zero])
+    b = CircuitBuilder(F3, 2)
+    x1, x2 = b.inp(0), b.inp(1)
+    q = b.finish(b.sub(b.sub(b.mul(x1, x1, x1), x1), b.sub(b.mul(x2, x2, x2), x2)))
+    with pytest.raises(FieldTooSmall):
+        hybrid_locate(q, tab, nw_design(2, 2))
+
+
+def test_random_trials_over_the_point_budget_are_refused(monkeypatch):
+    F = PrimeField(SMALL_PRIME)
+    b = CircuitBuilder(F, 2)
+    c = b.finish(b.mul(b.inp(0), b.inp(1)))
+    monkeypatch.setattr(pit, "stream", lambda *a: pytest.fail("a point was drawn"))
+    with pytest.raises(BudgetExceeded) as e:
+        pit_sz(c, 2, trials=EXHAUSTIVE_POINT_BUDGET + 1, exhaustive=False)
+    assert e.value.kind == "points"
+
+
+def test_hitset_scan_over_the_point_budget_is_refused():
+    F = PrimeField(SMALL_PRIME)
+    tab = _random_table(F, 3, 1)
+    b = CircuitBuilder(F, 4)
+    zero = b.finish(b.sub(b.inp(0), b.inp(0)))
+    hs = HittingSet(tab, nw_design(4, 3), D=2, d=3)  # 7^9 points
+    assert hs.total_points > EXHAUSTIVE_POINT_BUDGET
+    for limit in (None, EXHAUSTIVE_POINT_BUDGET + 1, 10**12):
+        with pytest.raises(BudgetExceeded) as e:
+            pit_hitset(zero, hs, limit=limit)
+        assert e.value.kind == "points"
+    assert hs._prefix == []  # refused before any point was drawn
+    small = HittingSet(tab, nw_design(4, 3), D=1, d=1)  # 2^9 points
+    res = pit_hitset(zero, small, limit=10**12)
+    assert (res.status, res.points_checked, res.exhausted) == ("zero", 512, True)
