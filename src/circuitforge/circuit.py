@@ -34,12 +34,13 @@ circuit holds only reachable gates and needs no walk.
 
 Circuit.evaluate walks the gates once per point; evaluate_batches walks them
 once per batch of points held as numpy columns, and is what the identity
-tests and Schwartz-Zippel checks run on.
+tests and Schwartz-Zippel checks run on. Every grid they walk, exhaustive
+{0..g-1}^n, hitting-set y-grid or exp-sum cube, comes from one batcher,
+_grid_batches: the origin alone, then aligned blocks of at most GRID_BATCH
+points in lexicographic order.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
@@ -59,7 +60,7 @@ CONST = "const"
 ADD = "add"
 MUL = "mul"
 
-POINT_BATCH = 1 << 12   # largest batch of evaluate_points
+GRID_BATCH = 1 << 15    # largest batch of _grid_batches
 SZ_POINTS = 64          # seeded points behind a Schwartz-Zippel verdict
 
 
@@ -536,6 +537,46 @@ def is_formula(circ: Circuit) -> bool:
 
 # -- batched evaluation -------------------------------------------------------
 
+def _column_dtype(field: Field):
+    """The numpy dtype of batched values: int64 over a prime p < 2^31, where
+    a*b + c of residues stays below 2^63; Python objects over other fields."""
+    return np.int64 if isinstance(field, PrimeField) and field.p < 1 << 31 else object
+
+
+def _grid_batches(n: int, g: int, count: int):
+    """Yield (columns, size) for the first `count` points of {0..g-1}^n in
+    lexicographic order, last coordinate fastest, as evaluate_batches reads
+    them.
+
+    The origin comes alone first, so a scan whose witness it is walks one
+    point. The rest runs in aligned blocks of g^j points, j <= n the largest
+    value with g^j <= GRID_BATCH (and j >= 1 when n >= 1): the low j
+    coordinate columns are int64 arrays built once per scan and sliced for
+    a cut batch, and each of the n - j high coordinates is one Python int
+    per batch, which numpy broadcasts. When g > GRID_BATCH the block is one
+    coordinate of g values, walked in runs of GRID_BATCH values.
+    """
+    if count < 1:
+        return
+    yield [0] * n, 1
+    low = min(n, 1)
+    while low < n and g ** (low + 1) <= GRID_BATCH:
+        low += 1
+    block = g**low
+    run = min(block, GRID_BATCH)
+    shape = (g,) * low if block == run else (run,)  # a wide block: one run of its column
+    low_columns = [a.ravel() for a in np.indices(shape, dtype=np.int64)]
+    start = 1
+    while start < count:
+        k, offset = divmod(start, block)
+        base, a = offset - offset % run, offset % run  # base > 0 only in a wide block
+        stop = min(count, start - a + run, (k + 1) * block)
+        high = [k // g ** (n - low - 1 - v) % g for v in range(n - low)]
+        cut = slice(a, a + stop - start)
+        yield high + [col[cut] + base if base else col[cut] for col in low_columns], stop - start
+        start = stop
+
+
 def evaluate_batches(circ: Circuit, batches):
     """Evaluate every output on successive batches of points.
 
@@ -552,8 +593,8 @@ def evaluate_batches(circ: Circuit, batches):
     Circuit.evaluate is the scalar reference.
     """
     p = circ.field.p if isinstance(circ.field, PrimeField) else None
-    lazy = p is not None and p < 1 << 31
-    dtype = np.int64 if lazy else object
+    dtype = _column_dtype(circ.field)
+    lazy = dtype is np.int64
     gates = circ.gates
     reach = circ.reachable()
     plan = _int64_plan(circ, p) if lazy else {}
@@ -631,23 +672,6 @@ def _int64_plan(circ: Circuit, p: int) -> dict:
 def evaluate_batch(circ: Circuit, columns, size: int) -> list:
     """The output arrays of evaluate_batches for one batch."""
     return next(evaluate_batches(circ, [(columns, size)]))
-
-
-def evaluate_points(circ: Circuit, points):
-    """Evaluate the first output on an iterable of points; yields (points of
-    the batch, array of their values). Batches double from one point up to
-    POINT_BATCH, so a scan that stops at an early witness draws few points."""
-    it = iter(points)
-    size = 1
-    while True:
-        batch = list(islice(it, size))
-        if not batch:
-            return
-        if any(len(pt) != circ.num_vars for pt in batch):
-            raise ArityMismatch(f"every point needs {circ.num_vars} coordinates")
-        cols = [[pt[v] for pt in batch] for v in range(circ.num_vars)]
-        yield batch, evaluate_batch(circ, cols, len(batch))[0]
-        size = min(2 * size, POINT_BATCH)
 
 
 def sz_is_zero(circ: Circuit, grid: int, seed: int, *names: str) -> bool:

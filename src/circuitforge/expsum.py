@@ -26,8 +26,9 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     _check_var,
+    _grid_batches,
     const_circuit,
-    evaluate_points,
+    evaluate_batches,
     fix_vars,
     formal_degree_in,
     input_circuit,
@@ -43,6 +44,7 @@ from .dense import (
     expand,
 )
 from .errors import (
+    ArityMismatch,
     BudgetExceeded,
     CharacteristicDividesPower,
     InvariantViolated,
@@ -158,13 +160,12 @@ def exp_sum_eval(E: ExpSumPoly, point) -> object:
     if E.m > BRUTE_FORCE_AUX_LIMIT:
         raise BudgetExceeded("terms", f"2^{E.m} auxiliary assignments")
     E = E.canonical()
+    if len(point) != E.nx:
+        raise ArityMismatch(f"every point needs {E.verifier.num_vars} coordinates")
     field = E.field
-    cube = (
-        tuple(point) + tuple(field.one if mask >> j & 1 else field.zero for j in range(E.m))
-        for mask in range(1 << E.m)
-    )
+    cube = ((list(point) + aux, size) for aux, size in _grid_batches(E.m, 2, 1 << E.m))
     acc = field.zero
-    for _, values in evaluate_points(E.verifier, cube):
+    for values, in evaluate_batches(E.verifier, cube):
         for value in values.tolist():
             acc = field.add(acc, value)
     return acc

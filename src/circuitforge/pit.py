@@ -2,23 +2,24 @@
 
 The hitting-set construction is the mechanics of the hardness-to-randomness
 argument: evaluate the supplied multilinear table on the design's windows
-of an assignment grid T^l with |T| = D*d + 1. Hitting sets are streamed in
+of an assignment grid T^l with |T| = D*d + 1. Hitting sets are scanned in
 lexicographic y-order (the first point is the all-f(0) point); a limit cap
 guards against |T|^l enumerations, so a 'zero' verdict is certain only when
-the stream was exhausted and the result says which case happened.
+the scan was exhausted and the result says which case happened.
 
 pit_sz runs Schwartz-Zippel on the grid {0..d}^n, either with seeded random
 points or exhaustively; exhaustive mode is definitive. hybrid_locate walks
 the hybrid chain of the composition argument and returns the switch index
 together with a fixing assignment that keeps the last nonzero hybrid alive.
 
-Every test here evaluates circuits in batches through circuit.evaluate_batches:
-hitting points and random points in batches of POINT_BATCH. An exhaustive
-scan of {0..g-1}^n runs in aligned batches of g^j points, j the largest
-value with g^j <= GRID_BATCH (and j <= n): the low j coordinate columns are
-built once per scan, and each of the n - j high coordinates is one integer
-per batch, which numpy broadcasts. All scans run in lexicographic order,
-last coordinate fastest, and report the first nonzero point as the witness.
+Every test here evaluates circuits in batches through circuit.evaluate_batches,
+and every grid comes from one batcher, circuit._grid_batches: the origin
+alone, then aligned blocks of at most GRID_BATCH points with the low
+coordinate columns built once per scan. An exhaustive scan walks
+{0..g-1}^n itself; a hitting-set scan walks T^l and maps each batch through
+the table's vectorized fold, one per window; random points run as column
+chunks in their draw order. All scans run in lexicographic order, last
+coordinate fastest, and report the first nonzero point as the witness.
 Every grid must have distinct values in the field (else FieldTooSmall), and
 no test visits more than EXHAUSTIVE_POINT_BUDGET points: larger grids,
 random trial counts and hitting-set limits are refused with BudgetExceeded
@@ -32,8 +33,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .circuit import IN, Circuit, CircuitBuilder, drop_unused_vars, fix_vars, formal_degree_in
-from .circuit import evaluate_batches, evaluate_points, parse_header, parse_value
+from .circuit import GRID_BATCH, IN, Circuit, CircuitBuilder, drop_unused_vars, fix_vars
+from .circuit import _column_dtype, _grid_batches, evaluate_batches, formal_degree_in
+from .circuit import parse_header, parse_value
 from .dense import DEFAULT_BUDGET, expand
 from .designs import TABLE_VARS_LIMIT, Design
 from .errors import (
@@ -44,7 +46,6 @@ from .fields import Field, PrimeField
 from .seeding import stream
 
 EXHAUSTIVE_POINT_BUDGET = 2_000_000
-GRID_BATCH = 1 << 15
 
 
 class ExplicitPoly:
@@ -63,18 +64,29 @@ class ExplicitPoly:
         self.field = field
         self.m = m
         self.coeffs = list(coeffs)
+        self._table = np.array(self.coeffs, dtype=_column_dtype(field))[:, None]
 
     def evaluate(self, point):
-        """Fold one variable at a time; O(2^m) field operations."""
+        """Fold one variable at a time along the coefficient axis: m numpy
+        steps over the coefficient rows left times the points. A coordinate
+        is a field element or a column of them, which numpy broadcasts;
+        with scalars only the value is one field element. Columns run in
+        slices that keep a step's rows times points near GRID_BATCH."""
         if len(point) != self.m:
             raise ArityMismatch(f"point has {len(point)} coordinates, table has {self.m}")
-        field = self.field
-        cur = self.coeffs
-        for j in range(self.m - 1, -1, -1):
-            half = 1 << j
-            x = point[j]
-            cur = [field.add(cur[k], field.mul(x, cur[half + k])) for k in range(half)]
-        return cur[0]
+        p = self.field.p if isinstance(self.field, PrimeField) else None
+        size = max((len(x) for x in point if np.ndim(x)), default=0)
+        step = max(1, GRID_BATCH >> max(self.m - 1, 0))
+        parts = []
+        for lo in range(0, max(size, 1), step):
+            cur = self._table
+            for j in reversed(range(self.m)):
+                x = point[j][lo:lo + step] if np.ndim(point[j]) else point[j]
+                cur = cur[:1 << j] + x * cur[1 << j:]
+                if p is not None:
+                    cur %= p
+            parts.append(cur[0])
+        return parts[0].item(0) if size == 0 else np.concatenate(parts)
 
     def degree(self) -> int:
         degs = [bin(mask).count("1") for mask, c in enumerate(self.coeffs) if c != self.field.zero]
@@ -107,7 +119,7 @@ class ExplicitPoly:
 
 @dataclass
 class HittingSet:
-    """Streamed point set {(f(y|_S1), ..., f(y|_Sn)) : y in T^l}."""
+    """Point set {(f(y|_S1), ..., f(y|_Sn)) : y in T^l}, scanned in batches."""
 
     hard: ExplicitPoly
     design: Design
@@ -127,49 +139,33 @@ class HittingSet:
             raise FieldTooSmall(f"|T| = {t_size} exceeds field size {field.p}")
         self.t_size = t_size
         self.windows = [sorted(s) for s in self.design.sets]
-        self._prefix = []  # cache of already-enumerated points (fixed order)
-        self._stream = self._grid_points()  # the one live scan that extends it
 
     @property
     def total_points(self) -> int:
         return self.t_size ** self.design.ell
 
-    def _grid_points(self):
-        field, ell = self.hard.field, self.design.ell
-        y = [0] * ell  # grid values, last coordinate fastest
-        assignment = [field.embed(v) for v in y]  # y embedded, kept in step with y
-        while True:
-            yield tuple(
-                self.hard.evaluate([assignment[e] for e in window])
-                for window in self.windows
-            )
-            pos = ell - 1
-            while pos >= 0:
-                y[pos] = (y[pos] + 1) % self.t_size
-                assignment[pos] = field.embed(y[pos])
-                if y[pos]:
-                    break
-                pos -= 1
-            if pos < 0:
-                return
+    def batches(self, limit: int | None = None):
+        """Yield (columns, size) for the first min(limit, |T|^l) points in
+        lexicographic y-order (y = 0 first): column i holds f(y|_Si) over the
+        batch, or one field element when every coordinate of S_i is a high
+        coordinate of the y-batch. A scan over EXHAUSTIVE_POINT_BUDGET points
+        is refused with BudgetExceeded before any point is evaluated."""
+        if limit is not None and limit < 0:
+            raise ParameterViolation(f"limit must be >= 0, got {limit}")
+        count = self.total_points if limit is None else min(limit, self.total_points)
+        if count > EXHAUSTIVE_POINT_BUDGET:
+            raise BudgetExceeded("points", f"{count} hitting points > {EXHAUSTIVE_POINT_BUDGET}")
+        for ys, size in _grid_batches(self.design.ell, self.t_size, count):
+            yield [self.hard.evaluate([ys[e] for e in w]) for w in self.windows], size
 
     def prefix(self, count: int) -> list:
-        """The first `count` points, cached across calls."""
+        """The first `count` points, as a list."""
         return list(self.points(limit=count))
 
     def points(self, limit: int | None = None):
-        """Yield hitting points in lexicographic y-order (y = 0 first)."""
-        if limit is not None and limit < 0:
-            raise ParameterViolation(f"limit must be >= 0, got {limit}")
-        head = self._prefix[:limit]  # the cached points, served at C speed
-        yield from head
-        for i in itertools.count(len(head)) if limit is None else range(len(head), limit):
-            if i == len(self._prefix):
-                point = next(self._stream, None)
-                if point is None:
-                    return
-                self._prefix.append(point)
-            yield self._prefix[i]
+        """Yield the points of batches(limit) as tuples of field elements."""
+        for columns, size in self.batches(limit):
+            yield from zip(*(c.tolist() if np.ndim(c) else [c] * size for c in columns))
 
     def provenance(self) -> dict:
         return {
@@ -191,7 +187,7 @@ class PitResult:
 
 
 def pit_hitset(circ: Circuit, hitset: HittingSet, limit: int | None = None) -> PitResult:
-    """Evaluate on streamed hitting points; first witness wins.
+    """Evaluate on the hitting set's batches; first witness wins.
 
     With a limit, a 'zero' verdict only covers the examined prefix; the
     exhausted flag says whether that verdict is unconditional. A scan that
@@ -202,27 +198,31 @@ def pit_hitset(circ: Circuit, hitset: HittingSet, limit: int | None = None) -> P
         raise ArityMismatch(
             f"circuit has {circ.num_vars} variables, design provides {hitset.design.n}"
         )
-    wanted = hitset.total_points if limit is None else min(limit, hitset.total_points)
-    if wanted > EXHAUSTIVE_POINT_BUDGET:
-        raise BudgetExceeded("points", f"{wanted} hitting points > {EXHAUSTIVE_POINT_BUDGET}")
-    checked, witness = _first_witness(circ, hitset.points(limit=limit))
-    if witness is not None:
-        return PitResult("nonzero", witness, checked, False, "hitset")
+    checked, first, witness = _walk(circ, hitset.batches(limit))
+    if first is not None:
+        return PitResult("nonzero", witness, first + 1, False, "hitset")
     exhausted = limit is None or checked < limit or checked == hitset.total_points
     return PitResult("zero", None, checked, exhausted, "hitset")
 
 
-def _first_witness(circ: Circuit, points):
-    """(1-based position, point) of the first point where circ is nonzero,
-    or (number of points, None) when it vanishes on all of them."""
-    checked = 0
-    for batch, values in evaluate_points(circ, points):
-        nonzero = np.flatnonzero(values != 0)
-        if nonzero.size:
-            k = int(nonzero[0])
-            return checked + k + 1, batch[k]
-        checked += len(batch)
-    return checked, None
+def _walk(circ: Circuit, batches, want_count: bool = False):
+    """Evaluate the first output over (columns, size) batches, in order.
+    Returns (zero count, 0-based index of the first nonzero point or None,
+    that point's coordinates or None); without want_count the walk stops at
+    the batch holding that point, and the count covers the batches walked."""
+    mine, walked = itertools.tee(batches)
+    zero_count, start, first, point = 0, 0, None, None
+    for (columns, size), (values, *_) in zip(mine, evaluate_batches(circ, walked)):
+        zeros = values == 0
+        zero_count += int(zeros.sum())
+        if first is None and not zeros.all():
+            k = int(np.argmax(~zeros))
+            first = start + k
+            point = tuple(c.item(k) if np.ndim(c) else c for c in columns)
+            if not want_count:
+                break
+        start += size
+    return zero_count, first, point
 
 
 # -- grid scans -------------------------------------------------------------------
@@ -235,13 +235,11 @@ def _check_grid(field: Field, grid_size: int):
 
 
 def _grid_scan(circ: Circuit, grid_size: int, want_count: bool):
-    """Scan {0..grid_size-1}^n in lexicographic order, in aligned batches
-    (see the module docstring). Returns (zero count, 0-based index of the
-    first nonzero point or None); without want_count the scan stops at the
-    batch holding that point, and the count covers only the batches
-    scanned. An empty grid, a grid larger than the field (FieldTooSmall) and
-    a grid over EXHAUSTIVE_POINT_BUDGET points are refused before any point
-    is evaluated."""
+    """Scan {0..grid_size-1}^n in the batches of _grid_batches. Returns
+    (zero count, 0-based index of the first nonzero point or None), as
+    _walk counts them. An empty grid, a grid larger than the field
+    (FieldTooSmall) and a grid over EXHAUSTIVE_POINT_BUDGET points are
+    refused before any point is evaluated."""
     n = circ.num_vars
     if grid_size < 1:
         raise ParameterViolation(f"grid size must be >= 1, got {grid_size}")
@@ -250,29 +248,7 @@ def _grid_scan(circ: Circuit, grid_size: int, want_count: bool):
         raise BudgetExceeded(
             "points", f"{grid_size}^{n} grid points > {EXHAUSTIVE_POINT_BUDGET}"
         )
-    low = 0
-    while low < n and grid_size ** (low + 1) <= GRID_BATCH:
-        low += 1
-    high = n - low
-    size = grid_size**low
-    idx = np.arange(size, dtype=np.int64)
-    low_columns = [idx // grid_size ** (low - 1 - t) % grid_size for t in range(low)]
-
-    def batches():
-        for k in range(grid_size**high):
-            high_columns = [k // grid_size ** (high - 1 - v) % grid_size for v in range(high)]
-            yield high_columns + low_columns, size
-
-    zero_count = 0
-    first = None
-    for k, values in enumerate(evaluate_batches(circ, batches())):
-        zeros = values[0] == 0
-        zero_count += int(zeros.sum())
-        if first is None and not zeros.all():
-            first = k * size + int(np.argmax(~zeros))
-            if not want_count:
-                break
-    return zero_count, first
+    return _walk(circ, _grid_batches(n, grid_size, grid_size**n), want_count)[:2]
 
 
 def exhaustive_zero_count(circ: Circuit, grid_size: int) -> int:
@@ -321,10 +297,12 @@ def pit_sz(
     if trials > EXHAUSTIVE_POINT_BUDGET:
         raise BudgetExceeded("points", f"{trials} random points > {EXHAUSTIVE_POINT_BUDGET}")
     rng = stream(seed, "pit-sz")
-    points = [tuple(field.embed(rng.randrange(grid)) for _ in range(n)) for _ in range(trials)]
-    checked, witness = _first_witness(circ, points)
-    if witness is not None:
-        return PitResult("nonzero", witness, checked, False, "random")
+    draws = [field.embed(rng.randrange(grid)) for _ in range(trials * n)]
+    rows = np.array(draws, dtype=object).reshape(trials, n)  # one point per row
+    chunks = (rows[lo:lo + GRID_BATCH] for lo in range(0, trials, GRID_BATCH))
+    _, first, witness = _walk(circ, ((list(chunk.T), len(chunk)) for chunk in chunks))
+    if first is not None:
+        return PitResult("nonzero", witness, first + 1, False, "random")
     return PitResult("probably-zero", None, trials, False, "random")
 
 
@@ -372,12 +350,7 @@ def _is_zero_exhaustive(circ: Circuit, deg_bound: int) -> bool:
     """Definitive zero test: exhaustive SZ over the active variables."""
     active = _active_vars(circ)
     small = drop_unused_vars(circ, active)
-    grid = deg_bound + 1
-    if grid**len(active) > EXHAUSTIVE_POINT_BUDGET:
-        raise PreconditionFailed(
-            f"exhaustive zero test needs {grid ** len(active)} points; desk scale exceeded"
-        )
-    _, first = _grid_scan(small, grid, want_count=False)
+    _, first = _grid_scan(small, deg_bound + 1, want_count=False)
     return first is None
 
 

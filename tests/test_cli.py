@@ -210,6 +210,22 @@ def test_hitset_command_writes_points(tmp_path):
     assert lines[0] == "5,5,5,5"  # first point is the all-f(0) point
 
 
+def test_hitset_over_the_point_budget_exits_3_before_writing(tmp_path, capsys):
+    # nw_design(4, 3) with |T| = 7 has 7^9 points; the limit asks for one
+    # more than EXHAUSTIVE_POINT_BUDGET
+    design = str(tmp_path / "design.json")
+    assert main(["design", "-n", "4", "-m", "3", "-o", design]) == 0
+    table = _write(tmp_path, "hard.table", "field prime 1000003\nm 3\n0 5\n7 3\n")
+    points = tmp_path / "points.txt"
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc = main(["hitset", "--hard", table, "--design", design, "-D", "2", "-d", "3",
+               "--limit", "2000001", "-o", str(points)])
+    assert rc == 3 and time.perf_counter() - start < 5
+    out, err = capsys.readouterr()
+    assert "2000001 hitting points" in err and out == "" and not points.exists()
+
+
 def test_headerless_table_is_a_usage_error(tmp_path, capsys):
     design = str(tmp_path / "design.json")
     assert main(["design", "-n", "4", "-m", "3", "-o", design]) == 0

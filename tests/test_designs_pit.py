@@ -15,7 +15,7 @@ from circuitforge import (
     pit_hitset,
     pit_sz,
 )
-from circuitforge import pit
+from circuitforge import circuit, pit
 from circuitforge.circuit import HEADER_COUNT_LIMIT
 from circuitforge.designs import DESIGN_ELL_FACTOR, TABLE_VARS_LIMIT, Design, SmallGF
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
@@ -172,17 +172,39 @@ def test_hitting_set_refuses_bad_degrees_and_limits():
 
 
 def test_hitting_set_resumes_its_stream_without_listing_the_grid():
-    # |T| = 10^12 + 1: the coordinates are embedded as the scan reaches them,
-    # and a longer request goes on with the same live scan after the cache
+    # |T| = 10^12 + 1: the batches cut the last coordinate's run at the
+    # limit, so no request lists the grid, and a longer request agrees with
+    # a shorter one; the whole set is over the point budget
     F = PrimeField(SIXTY_TWO_BIT_PRIME)
     tab = ExplicitPoly(F, 3, [F.embed(v) for v in range(1, 9)])
     hs = HittingSet(tab, nw_design(4, 3), D=10**6, d=10**6)
-    first, stream = hs.prefix(3), hs._stream
+    first = hs.prefix(3)
     later = list(hs.points(limit=5))
-    assert later[:3] == first and len(later) == 5 and hs._stream is stream
+    assert later[:3] == first and len(later) == 5
     y = [0] * 8 + [F.embed(4)]  # the fifth point: the last coordinate at 4
     assert later[4] == tuple(tab.evaluate([y[e] for e in w]) for w in hs.windows)
-    assert list(itertools.islice(hs.points(), 6))[:5] == later
+    assert hs.prefix(6)[:5] == later
+    with pytest.raises(BudgetExceeded):
+        next(hs.points())
+
+
+def test_hitting_points_match_the_window_circuits(monkeypatch, QQ):
+    # |T| = 7 and batches of 7^2 = 49 y-points after the origin: 30 points
+    # cut the first aligned block, 120 run across two block boundaries, and
+    # the table's fold runs in slices of 50 >> 2 = 12 points
+    monkeypatch.setattr(circuit, "GRID_BATCH", 50)
+    monkeypatch.setattr(pit, "GRID_BATCH", 50)
+    design = nw_design(4, 3)
+    for field in (PrimeField(SMALL_PRIME), PrimeField(SIXTY_TWO_BIT_PRIME), QQ):
+        tab = _random_table(field, 3, 5)
+        hs = HittingSet(tab, design, D=2, d=3)
+        b = CircuitBuilder(field, design.ell)
+        windows = b.finish([pit._window_circuit(b, tab, w, y_base=0) for w in hs.windows])
+        grid = itertools.product(range(hs.t_size), repeat=design.ell)
+        want = [tuple(windows.evaluate([field.embed(v) for v in y]))
+                for y in itertools.islice(grid, 120)]
+        for limit in (0, 1, 30, 120):
+            assert hs.prefix(limit) == want[:limit], (field, limit)
 
 
 def test_design_check_reports_the_first_bad_pair(monkeypatch):
@@ -423,14 +445,17 @@ def _scalar_scan(circ, g):
 
 
 def test_grid_scan_matches_a_scalar_loop(monkeypatch, QQ):
-    # batches of g^j <= 8 points: (n, g) = (3, 3) runs 9 batches of 3 with
-    # two high columns, (4, 2) 2 of 8 and (2, 5) 5 of 5 with one; (1, 5),
-    # (3, 2) and g = 1 fit one batch with no high column
-    monkeypatch.setattr(pit, "GRID_BATCH", 8)
+    # after the origin, blocks of g^j <= 8 points: (n, g) = (3, 3) runs 9
+    # blocks of 3 with two high columns, (4, 2) 2 of 8 and (2, 5) 5 of 5
+    # with one; (1, 5), (3, 2) and g = 1 fit one block with no high column;
+    # g = 20 and g = 11 exceed the batch, so the last coordinate runs in
+    # runs of 8 values (with one high column for g = 11)
+    monkeypatch.setattr(circuit, "GRID_BATCH", 8)
     for field in (PrimeField(SMALL_PRIME), QQ, PrimeField(SIXTY_TWO_BIT_PRIME)):
         rng = rng_for("grid-scan", field.kind == "prime" and field.p)
         cases = [(random_circuit(field, rng, n, size_limit=16, degree_limit=4), g)
-                 for n, g in ((3, 3), (4, 2), (2, 5), (1, 5), (3, 2), (3, 1)) for _ in range(3)]
+                 for n, g in ((3, 3), (4, 2), (2, 5), (1, 5), (3, 2), (3, 1), (1, 20), (2, 11))
+                 for _ in range(3)]
         b = CircuitBuilder(field, 0)
         cases.append((b.finish(b.const(field.embed(5))), 4))  # n = 0
         b = CircuitBuilder(field, 2)
@@ -446,6 +471,38 @@ def test_grid_scan_matches_a_scalar_loop(monkeypatch, QQ):
             assert pit._grid_scan(circ, g, want_count=True) == want
             assert pit._grid_scan(circ, g, want_count=False)[1] == want[1]
         assert want == (26, 26)
+
+
+def test_a_wide_grid_runs_in_runs_of_grid_batch_values(monkeypatch):
+    # g = 200,000 > GRID_BATCH: the origin, then 7 runs of at most GRID_BATCH
+    # values, not one point per batch; -1 is a non-residue mod 1000003
+    # (1000003 = 3 mod 4), so x1^2 + 1 has no zero on the grid
+    F = PrimeField(SMALL_PRIME)
+    b = CircuitBuilder(F, 1)
+    x = b.inp(0)
+    circ = b.finish(b.add(b.mul(x, x), b.const(F.one)))
+    sizes = []
+    walk = pit.evaluate_batches
+
+    def counted(c, batches):
+        for values in walk(c, batches):
+            sizes.append(len(values[0]))
+            yield values
+
+    monkeypatch.setattr(pit, "evaluate_batches", counted)
+    assert exhaustive_zero_count(circ, 200_000) == 0
+    assert len(sizes) <= 8 and sum(sizes) == 200_000
+
+
+def test_an_exhaustive_zero_test_over_the_point_budget_is_refused():
+    # hybrid_locate's zero test reports an oversized grid as every scan does:
+    # BudgetExceeded, exit 3, not a claim that failed to verify
+    F = PrimeField(SMALL_PRIME)
+    b = CircuitBuilder(F, 8)
+    prod = b.finish(b.mul(*(b.inp(v) for v in range(8))))
+    with pytest.raises(BudgetExceeded) as e:
+        _is_zero_exhaustive(prod, 999)
+    assert (e.value.kind, e.value.exit_code) == ("points", 3)
 
 
 def test_a_grid_larger_than_the_field_is_refused():
@@ -485,18 +542,20 @@ def test_random_trials_over_the_point_budget_are_refused(monkeypatch):
     assert e.value.kind == "points"
 
 
-def test_hitset_scan_over_the_point_budget_is_refused():
+def test_hitset_scan_over_the_point_budget_is_refused(monkeypatch):
     F = PrimeField(SMALL_PRIME)
     tab = _random_table(F, 3, 1)
     b = CircuitBuilder(F, 4)
     zero = b.finish(b.sub(b.inp(0), b.inp(0)))
     hs = HittingSet(tab, nw_design(4, 3), D=2, d=3)  # 7^9 points
     assert hs.total_points > EXHAUSTIVE_POINT_BUDGET
-    for limit in (None, EXHAUSTIVE_POINT_BUDGET + 1, 10**12):
-        with pytest.raises(BudgetExceeded) as e:
-            pit_hitset(zero, hs, limit=limit)
-        assert e.value.kind == "points"
-    assert hs._prefix == []  # refused before any point was drawn
+    with monkeypatch.context() as mp:  # refused before any batch is evaluated
+        mp.setattr(pit, "_grid_batches", lambda *a: pytest.fail("a batch was drawn"))
+        mp.setattr(ExplicitPoly, "evaluate", lambda *a: pytest.fail("a point was evaluated"))
+        for limit in (None, EXHAUSTIVE_POINT_BUDGET + 1, 10**12):
+            with pytest.raises(BudgetExceeded) as e:
+                pit_hitset(zero, hs, limit=limit)
+            assert e.value.kind == "points"
     small = HittingSet(tab, nw_design(4, 3), D=1, d=1)  # 2^9 points
     res = pit_hitset(zero, small, limit=10**12)
     assert (res.status, res.points_checked, res.exhausted) == ("zero", 512, True)

@@ -16,11 +16,12 @@ from circuitforge import (
 )
 from circuitforge import transforms
 from circuitforge.circuit import formal_degree_in, input_circuit, is_formula
-from circuitforge.errors import NotAFormula, ParameterViolation, ShapeError
+from circuitforge.errors import ArityMismatch, NotAFormula, ParameterViolation, ShapeError
 from circuitforge.expsum import (
     ExpSumPoly,
     SELECTOR_SIZE_FACTOR,
     coeff_exp_sums,
+    exp_sum_eval,
     exp_sum_expand,
     homog_x_exp_sum,
     homog_x_upto,
@@ -71,6 +72,23 @@ def test_expand_matches_nested_summation(QQ, Fp):
             circ = random_circuit(field, rng, nv, size_limit=18, degree_limit=5)
             e = ExpSumPoly(circ, tuple(range(2, 2 + m)))
             assert exp_sum_expand(e) == brute_force_sum(e)
+
+
+def test_eval_sums_a_cube_across_grid_batches(QQ, Fp):
+    # m = 16: the cube's 2^16 assignments cross a GRID_BATCH block
+    for field in (QQ, Fp):
+        b = CircuitBuilder(field, 2 + 16)
+        x1, x2 = b.inp(0), b.inp(1)
+        y = [b.inp(2 + k) for k in range(16)]
+        ver = b.finish(b.add(
+            b.mul(x1, y[0], y[4]), b.scale(field.embed(3), y[1]), b.mul(x2, y[15]),
+            b.mul(b.add(y[6], b.const(field.one)), b.sub(y[7], x1)),
+        ))
+        e = ExpSumPoly(ver, tuple(range(2, 18)))
+        point = [field.embed(5), field.embed(-2)]
+        assert exp_sum_eval(e, point) == exp_sum_expand(e).evaluate(point)
+        with pytest.raises(ArityMismatch):
+            exp_sum_eval(e, point[:1])
 
 
 def test_prod_compose_squares(QQ):

@@ -6,7 +6,8 @@ runtime depends on the standard library and numpy only, the count of bare
 tracer looks up still exists, with a traced run still counting the slice
 expansions it reads. The univariate section of `dense.py` is one
 kernel on native numbers: none of its functions calls a Field method, and
-neither do the builder's canonicalizing `add`, `mul` and `import_circuit`."""
+neither do the builder's canonicalizing `add`, `mul` and `import_circuit`,
+nor the grid batcher, the table fold and the identity tests that read them."""
 
 from __future__ import annotations
 
@@ -186,3 +187,29 @@ def test_builder_calls_no_field_method():
                   if isinstance(node, ast.Attribute) and node.attr in FIELD_METHODS
                   and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
     assert not uses, f"the builder's canonicalization uses Field methods: {uses}"
+
+
+# the batched identity-test path: numpy columns from the grid batcher through
+# the table fold to the scans; a Field method call here is a scalar path
+BATCHED_PATH = {
+    "circuit.py": ("_grid_batches",),
+    "pit.py": ("ExplicitPoly.evaluate", "HittingSet.batches", "pit_hitset", "_grid_scan"),
+}
+
+
+def test_batched_identity_tests_call_no_field_method():
+    calls = []
+    for module, names in BATCHED_PATH.items():
+        functions = {}
+        for node in TREES[module].body:
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                functions.update((f"{node.name}.{fn.name}", fn) for fn in node.body
+                                 if isinstance(fn, ast.FunctionDef))
+        assert set(names) <= set(functions), (module, sorted(set(names) - set(functions)))
+        calls += [f"{module} {name}: .{node.func.attr}() (line {node.lineno})"
+                  for name in names for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in FIELD_METHODS]
+    assert not calls, f"the batched identity tests call Field methods: {calls}"
