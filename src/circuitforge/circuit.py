@@ -37,10 +37,16 @@ once per batch of points held as numpy columns, and is what the identity
 tests and Schwartz-Zippel checks run on. Every grid they walk, exhaustive
 {0..g-1}^n, hitting-set y-grid or exp-sum cube, comes from one batcher,
 _grid_batches: the origin alone, then aligned blocks of at most GRID_BATCH
-points in lexicographic order.
+points in lexicographic order. A whole block comes as one broadcast axis
+per low coordinate, so numpy computes each gate only over the sub-grid of
+the coordinates it reads; the outputs are broadcast to the block and
+flattened.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -246,14 +252,19 @@ class CircuitBuilder:
         self._p = field.p if isinstance(field, PrimeField) else None
 
     def _emit(self, gate):
-        memo = self._memo
+        gates, memo = self._gates, self._memo
+        new = len(gates)
         if memo is not None:
-            hit = memo.get(gate)
-            if hit is not None:
-                return hit
-            memo[gate] = len(self._gates)
-        self._gates.append(gate)
-        return len(self._gates) - 1
+            key = gate
+            if self._p is None and gate[0] == CONST:
+                # a rational constant is keyed by numerator and denominator:
+                # a Fraction's hash costs a modular inverse on every lookup
+                key = (CONST, gate[1].numerator, gate[1].denominator)
+            i = memo.setdefault(key, new)
+            if i != new:
+                return i
+        gates.append(gate)
+        return new
 
     def inp(self, var: int) -> int:
         if not 0 <= var < self.num_vars:
@@ -550,11 +561,15 @@ def _grid_batches(n: int, g: int, count: int):
 
     The origin comes alone first, so a scan whose witness it is walks one
     point. The rest runs in aligned blocks of g^j points, j <= n the largest
-    value with g^j <= GRID_BATCH (and j >= 1 when n >= 1): the low j
-    coordinate columns are int64 arrays built once per scan and sliced for
-    a cut batch, and each of the n - j high coordinates is one Python int
-    per batch, which numpy broadcasts. When g > GRID_BATCH the block is one
-    coordinate of g values, walked in runs of GRID_BATCH values.
+    value with g^j <= GRID_BATCH (and j >= 1 when n >= 1), and each of the
+    n - j high coordinates is one Python int per batch. A whole block comes
+    as broadcast axes, built once per scan: low coordinate v is arange(g)
+    along dimension v of j and length 1 along the others, so a gate reading
+    only some low coordinates is computed over their sub-grid. The first
+    block's size, g^j - 1, says it holds the block's last points, the
+    origin having been walked. A batch cut short by `count`, and a run
+    of a coordinate with g > GRID_BATCH values (walked GRID_BATCH values at
+    a time), comes as flat int64 columns instead.
     """
     if count < 1:
         return
@@ -563,34 +578,64 @@ def _grid_batches(n: int, g: int, count: int):
     while low < n and g ** (low + 1) <= GRID_BATCH:
         low += 1
     block = g**low
-    run = min(block, GRID_BATCH)
-    shape = (g,) * low if block == run else (run,)  # a wide block: one run of its column
-    low_columns = [a.ravel() for a in np.indices(shape, dtype=np.int64)]
+    whole = block <= GRID_BATCH  # else one coordinate of g values, walked in runs
+    axes = [np.arange(g, dtype=np.int64).reshape([g if u == v else 1 for u in range(low)])
+            for v in range(low)] if whole else None
     start = 1
     while start < count:
         k, offset = divmod(start, block)
-        base, a = offset - offset % run, offset % run  # base > 0 only in a wide block
-        stop = min(count, start - a + run, (k + 1) * block)
+        stop = min(count, (k + 1) * block, start + GRID_BATCH)
         high = [k // g ** (n - low - 1 - v) % g for v in range(n - low)]
-        cut = slice(a, a + stop - start)
-        yield high + [col[cut] + base if base else col[cut] for col in low_columns], stop - start
+        if whole and stop == (k + 1) * block:
+            yield high + axes, stop - start
+        else:
+            flat = np.arange(offset, offset + stop - start, dtype=np.int64)
+            yield high + [flat // g ** (low - 1 - v) % g for v in range(low)], stop - start
         start = stop
+
+
+def _broadcast_shape(values) -> tuple:
+    """The shape numpy broadcasts `values` to, () when all are scalars
+    (they have no __len__). A batch of columns has this shape, or (size,)
+    when it is (); its cells in C order end with the batch's points."""
+    return _broadcast_shapes(frozenset(v.shape if isinstance(v, np.ndarray) else np.shape(v)
+                                       for v in values if hasattr(v, "__len__")))
+
+
+@functools.lru_cache(maxsize=64)
+def _broadcast_shapes(shapes: frozenset) -> tuple:
+    """np.broadcast_shapes, memoized: it costs more than a small batch's
+    gate walk, and a scan repeats a few sets of shapes."""
+    return np.broadcast_shapes(*shapes)
+
+
+def _flatten(value, shape: tuple, size: int):
+    """An array over a batch of shape `shape` (a flat column, or over some
+    of a grid block's axes) as the flat array of the batch's `size` points."""
+    if value.shape != shape:  # filling a fresh array beats np.broadcast_to's copy
+        full = np.empty(shape, dtype=value.dtype)
+        full[...] = value
+        value = full
+    return value.reshape(-1)[-size:]
 
 
 def evaluate_batches(circ: Circuit, batches):
     """Evaluate every output on successive batches of points.
 
     `batches` yields (columns, size) pairs: columns[v] holds coordinate v
-    of the batch's `size` points, as field elements, or one scalar that
-    numpy broadcasts over the batch (a grid scan passes the integers
-    0..g-1 unreduced, with g <= p). Over a prime p < 2^31 the gate walk runs
-    on numpy int64 arrays with lazy reduction: _int64_plan bounds each
-    gate's unreduced value, and a value is reduced mod p only where the
-    next sum or product could reach 2^63. Over any other field it runs on
-    numpy object arrays of Python ints, reduced after every operation, or
-    Fractions. Constants stay scalars. Yields one list of output arrays of
-    length `size` per batch, reduced mod p over prime fields.
-    Circuit.evaluate is the scalar reference.
+    of the batch as field elements. A column is one scalar, a flat array of
+    the `size` points, or an axis of a grid block; numpy broadcasts them
+    together (_broadcast_shape), so a gate is computed only over the
+    coordinates it reads, and the batch is the last `size` cells of that
+    shape in C order (a shape with fewer cells is an ArityMismatch). A grid scan passes the integers 0..g-1 unreduced,
+    with g <= p. Over a prime p < 2^31 the gate walk runs on numpy int64
+    arrays with lazy reduction: _int64_plan bounds each gate's unreduced
+    value, and a value is reduced mod p only where the next sum or product
+    could reach 2^63. Over any other field it runs on numpy object arrays
+    of Python ints, reduced after every operation, or Fractions. Constants
+    stay scalars. Yields one list of flat output arrays of length `size`
+    per batch, reduced mod p over prime fields. Circuit.evaluate is the
+    scalar reference.
     """
     p = circ.field.p if isinstance(circ.field, PrimeField) else None
     dtype = _column_dtype(circ.field)
@@ -601,6 +646,9 @@ def evaluate_batches(circ: Circuit, batches):
     for columns, size in batches:
         if len(columns) != circ.num_vars:
             raise ArityMismatch(f"{len(columns)} columns for {circ.num_vars} variables")
+        shape = _broadcast_shape(columns) or (size,)
+        if math.prod(shape) < size:
+            raise ArityMismatch(f"columns of shape {shape} hold fewer than {size} points")
         vals = [None] * len(gates)
         for i in reach:
             op, arg = gates[i]
@@ -621,7 +669,8 @@ def evaluate_batches(circ: Circuit, batches):
                         acc %= p
                 vals[i] = acc
         outs = [vals[o] % p if p is not None else vals[o] for o in circ.outputs]
-        yield [np.full(size, v, dtype=dtype) if np.ndim(v) == 0 else v for v in outs]
+        yield [np.full(size, v, dtype=dtype) if np.ndim(v) == 0 else _flatten(v, shape, size)
+               for v in outs]
         # Drop the columns before the next batch makes its own, and keep
         # this batch's values until then: equal-sized batches of a long scan
         # then reuse each other's memory rather than map it afresh.

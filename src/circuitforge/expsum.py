@@ -161,7 +161,7 @@ def exp_sum_eval(E: ExpSumPoly, point) -> object:
         raise BudgetExceeded("terms", f"2^{E.m} auxiliary assignments")
     E = E.canonical()
     if len(point) != E.nx:
-        raise ArityMismatch(f"every point needs {E.verifier.num_vars} coordinates")
+        raise ArityMismatch(f"every point needs {E.nx} coordinates")
     field = E.field
     cube = ((list(point) + aux, size) for aux, size in _grid_batches(E.m, 2, 1 << E.m))
     acc = field.zero

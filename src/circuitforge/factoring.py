@@ -253,9 +253,11 @@ def extract_factor(
     # multiplicity levels: a factor of multiplicity m in P carries simple
     # roots at derivative level k = m - 1 and at no earlier level
     max_level = r if subset is None else 1
+    levels = 0
     for level in range(max_level):
         if r - level < 1:
             break
+        levels = level + 1
         if level == 0:
             Pk = Pm
         else:
@@ -319,7 +321,8 @@ def extract_factor(
             )
         if subset is not None:
             break
+    shear = "the identity" if all(a == fld.zero for a in monic.shift) else "not the identity"
     raise NoFactorFound(
-        f"no combination of lifted roots up to size {d} divides P "
-        f"(degree-<= {d} factors in y may not exist over this field)"
+        f"no combination of lifted roots up to size {d} divides P: searched multiplicity "
+        f"levels 1..{levels}, up to {SHIFT_TRIALS} shifts per level, monic shear {shear}"
     )

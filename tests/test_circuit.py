@@ -63,6 +63,10 @@ def test_evaluate_matches_dense_oracle(QQ, Fp):
 def test_evaluate_arity_mismatch(QQ):
     with pytest.raises(ArityMismatch):
         _example_circuit(QQ).evaluate([Fraction(1)])
+    # a batch whose columns broadcast to fewer cells than its size
+    for columns in ([[QQ.one] * 3, QQ.one], [np.arange(2).reshape(2, 1), np.arange(2)]):
+        with pytest.raises(ArityMismatch):
+            evaluate_batch(_example_circuit(QQ), columns, 5)
 
 
 def test_output_counts_raise_typed_errors(QQ):
@@ -451,6 +455,38 @@ def test_native_canonicalization_matches_field_methods(field, share):
         for gate in got.gates:
             if gate[0] == "const":
                 assert field.check(gate[1]) is gate[1]  # a Fraction over Q, a residue mod p
+
+
+RATIONAL_CONSTANTS = """field rationals
+nvars 3
+g1 = input x1
+g2 = input x2
+g3 = input x3
+g4 = const 3/7
+g5 = const -5/2
+g6 = const 4
+g7 = mul g4 g1 g2
+g8 = mul g5 g3
+g9 = add g7 g8 g6
+g10 = add g9 g1
+g11 = mul g10 g9 g5
+output g11
+"""
+
+
+def test_the_builder_memo_hashes_no_fraction(monkeypatch, QQ):
+    # over Q the memo keys a constant by numerator and denominator: a
+    # Fraction's hash is a modular inverse, paid on every constant lookup
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda v: calls.append(v) or fraction_hash(v))
+    parsed = parse_circuit(RATIONAL_CONSTANTS)
+    b = CircuitBuilder(QQ, 3)
+    b.import_circuit(parsed)  # the canonical copy
+    b.import_circuit(parsed, {0: b.inp(1)})  # re-canonicalized: x1 and x2 both land on x2
+    b.add(b.const(Fraction(3, 7)), b.const(Fraction(3, 7)), b.inp(0))
+    monkeypatch.undo()
+    assert calls == []
 
 
 def _fresh_walk(circ):

@@ -252,6 +252,17 @@ def test_vnp_sum_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "4"
 
 
+def test_vnp_sum_eval_names_the_x_arity(tmp_path, capsys):
+    # x1, x2 and one auxiliary y3: a point has 2 coordinates, not 3
+    esum = _write(tmp_path, "e.esum",
+                  "aux y3\nfield rationals\nnvars 3\ng1 = input x1\ng2 = input x2\n"
+                  "g3 = input x3\ng4 = mul g1 g2 g3\noutput g4\n")
+    assert main(["vnp-sum", esum, "--eval", "1"]) == 2
+    assert "every point needs 2 coordinates" in capsys.readouterr().err
+    assert main(["vnp-sum", esum, "--eval", "2,5"]) == 0
+    assert capsys.readouterr().out.strip() == "10"
+
+
 ESUM_BODY = "field rationals\nnvars 2\ng1 = input x1\ng2 = input x2\ng3 = mul g1 g2\noutput g3\n"
 
 

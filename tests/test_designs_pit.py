@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from circuitforge import (
@@ -191,11 +192,13 @@ def test_hitting_set_resumes_its_stream_without_listing_the_grid():
 def test_hitting_points_match_the_window_circuits(monkeypatch, QQ):
     # |T| = 7 and batches of 7^2 = 49 y-points after the origin: 30 points
     # cut the first aligned block, 120 run across two block boundaries, and
-    # the table's fold runs in slices of 50 >> 2 = 12 points
+    # the table's fold runs in slices of 50 >> 2 = 12 points. No set of
+    # nw_design(2, 3) holds y9, a low coordinate of every block
     monkeypatch.setattr(circuit, "GRID_BATCH", 50)
     monkeypatch.setattr(pit, "GRID_BATCH", 50)
-    design = nw_design(4, 3)
-    for field in (PrimeField(SMALL_PRIME), PrimeField(SIXTY_TWO_BIT_PRIME), QQ):
+    for field, design in itertools.product(
+            (PrimeField(SMALL_PRIME), PrimeField(SIXTY_TWO_BIT_PRIME), QQ),
+            (nw_design(4, 3), nw_design(2, 3))):
         tab = _random_table(field, 3, 5)
         hs = HittingSet(tab, design, D=2, d=3)
         b = CircuitBuilder(field, design.ell)
@@ -301,11 +304,15 @@ def test_pit_hitset_agrees_with_exhaustive_sz():
     design = nw_design(4, 3)
     hs = HittingSet(tab, design, D=4, d=3)
     rng = rng_for("pit-agree")
+    points = hs.prefix(4000)
     for t in range(25):
         c = random_circuit(F, rng, 4, size_limit=20, degree_limit=4)
         truth = pit_sz(c, 4, exhaustive=True)
         got = pit_hitset(c, hs, limit=4000)
         assert got.status == truth.status
+        if got.status == "nonzero":  # the witness is the hitting point at its position
+            assert got.witness == points[got.points_checked - 1]
+            assert c.evaluate1(list(got.witness)) != F.zero
 
 
 def test_pit_sz_random_mode_refuses_trials_below_one(monkeypatch):
@@ -444,6 +451,13 @@ def _scalar_scan(circ, g):
     return zeros, first
 
 
+def _nonzero_only_at(field, g, point):
+    """A circuit that vanishes on {0..g-1}^n everywhere but at `point`."""
+    b = CircuitBuilder(field, len(point))
+    return b.finish(b.mul(*(b.add(b.inp(v), b.const(field.embed(-a)))
+                            for v, t in enumerate(point) for a in range(g) if a != t)))
+
+
 def test_grid_scan_matches_a_scalar_loop(monkeypatch, QQ):
     # after the origin, blocks of g^j <= 8 points: (n, g) = (3, 3) runs 9
     # blocks of 3 with two high columns, (4, 2) 2 of 8 and (2, 5) 5 of 5
@@ -462,15 +476,50 @@ def test_grid_scan_matches_a_scalar_loop(monkeypatch, QQ):
         cases.append((b.finish([b.const(field.zero), b.const(field.one)]), 3))  # scalar outputs
         b = CircuitBuilder(field, 2)
         cases.append((b.finish(b.inp(0)), 3))  # the output is a high column
-        # nonzero only at (2, 2, 2), the last point of the last batch
-        b = CircuitBuilder(field, 3)
-        last = b.mul(*(b.add(b.inp(v), b.const(field.embed(-a))) for v in range(3) for a in (0, 1)))
-        cases.append((b.finish(last), 3))
+        # the only nonzero point at index 1, at the last point of block 0
+        # and at the first of block 1, in blocks of 2^3 and of 3^1 points,
+        # and at (2, 2, 2), the last point of the last batch
+        witnesses = [(n, g, k) for n, g, block in ((4, 2, 8), (3, 3, 3))
+                     for k in (1, block - 1, block)] + [(3, 3, 26)]
+        for n, g, k in witnesses:
+            point = [k // g ** (n - 1 - v) % g for v in range(n)]
+            cases.append((_nonzero_only_at(field, g, point), g))
         for circ, g in cases:
             want = _scalar_scan(circ, g)
             assert pit._grid_scan(circ, g, want_count=True) == want
             assert pit._grid_scan(circ, g, want_count=False)[1] == want[1]
+        firsts = [_scalar_scan(circ, g)[1] for circ, g in cases[-len(witnesses):]]
+        assert firsts == [k for _, _, k in witnesses]
         assert want == (26, 26)
+
+
+def test_an_exhaustive_scan_passes_whole_blocks_as_axes(monkeypatch):
+    # g = 3 and GRID_BATCH = 27: the origin, then 3 blocks of 3^3 points.
+    # Each block is one high coordinate and three axes of the 3 grid values,
+    # the first block holding its last 26 points; flat columns of 27 points
+    # would make every gate over 27 cells however few coordinates it reads
+    monkeypatch.setattr(circuit, "GRID_BATCH", 27)
+    F = PrimeField(SMALL_PRIME)
+    b = CircuitBuilder(F, 4)
+    x = [b.inp(v) for v in range(4)]
+    circ = b.finish(b.add(b.mul(x[0], x[1]), b.mul(x[2], x[3])))
+    seen = []
+    walk = pit.evaluate_batches
+
+    def recorded(c, batches):
+        def record():
+            for columns, size in batches:
+                seen.append(([np.shape(col) for col in columns], size, columns))
+                yield columns, size
+        yield from walk(c, record())
+
+    monkeypatch.setattr(pit, "evaluate_batches", recorded)
+    assert exhaustive_zero_count(circ, 3) == _scalar_scan(circ, 3)[0]
+    assert [(shapes, size) for shapes, size, _ in seen] == (
+        [([()] * 4, 1)] + [([(), (3, 1, 1), (1, 3, 1), (1, 1, 3)], size) for size in (26, 27, 27)])
+    for k, (_, _, columns) in enumerate(seen[1:]):
+        assert columns[0] == k
+        assert all(col.ravel().tolist() == [0, 1, 2] for col in columns[1:])
 
 
 def test_a_wide_grid_runs_in_runs_of_grid_batch_values(monkeypatch):

@@ -17,7 +17,7 @@ from circuitforge import (
 )
 from circuitforge.circuit import fix_vars
 from circuitforge.dense import DEFAULT_BUDGET, ExpansionBudget, compose, univariate_roots
-from circuitforge.factoring import _combine_dense
+from circuitforge.factoring import SHIFT_TRIALS, _combine_dense
 from circuitforge.fields import PrimeField, Rationals
 from circuitforge.errors import BudgetExceeded, NoFactorFound, NoSimpleRoots, ParameterViolation
 from circuitforge.lifting import compose_root
@@ -290,6 +290,24 @@ def test_extract_factor_rejects_y_free_polynomial(QQ):
     P3 = b2.finish(b2.import_circuit(P)[0])
     with pytest.raises(NoFactorFound):
         extract_factor(P3, y=2, d=1, seed=0)
+
+
+def test_no_factor_found_names_the_search(QQ):
+    # x1 x2 in y = x3 needs a shear to be monic; y^2 + x1 + 1 already is.
+    # Both have total degree 2, so levels 1..2 run; neither has a factor of
+    # y-degree 1 over Q
+    b = CircuitBuilder(QQ, 3)
+    sheared = b.finish(b.mul(b.inp(0), b.inp(1)))
+    b = CircuitBuilder(QQ, 2)
+    y = b.inp(1)
+    monic = b.finish(b.add(b.mul(y, y), b.inp(0), b.const(QQ.one)))
+    for P, shear in ((sheared, "not the identity"), (monic, "the identity")):
+        with pytest.raises(NoFactorFound) as e:
+            extract_factor(P, y=P.num_vars - 1, d=1, seed=0)
+        assert str(e.value) == (
+            "no combination of lifted roots up to size 1 divides P: searched multiplicity "
+            f"levels 1..2, up to {SHIFT_TRIALS} shifts per level, monic shear {shear}")
+        assert e.value.exit_code == 1
 
 
 def test_extract_factor_multiplicity_two(QQ):
