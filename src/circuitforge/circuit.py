@@ -45,7 +45,6 @@ flattened.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -594,19 +593,17 @@ def _grid_batches(n: int, g: int, count: int):
         start = stop
 
 
-def _broadcast_shape(values) -> tuple:
-    """The shape numpy broadcasts `values` to, () when all are scalars
-    (they have no __len__). A batch of columns has this shape, or (size,)
-    when it is (); its cells in C order end with the batch's points."""
-    return _broadcast_shapes(frozenset(v.shape if isinstance(v, np.ndarray) else np.shape(v)
-                                       for v in values if hasattr(v, "__len__")))
-
-
-@functools.lru_cache(maxsize=64)
-def _broadcast_shapes(shapes: frozenset) -> tuple:
-    """np.broadcast_shapes, memoized: it costs more than a small batch's
-    gate walk, and a scan repeats a few sets of shapes."""
-    return np.broadcast_shapes(*shapes)
+def _batch_shape(columns, size: int) -> tuple:
+    """The shape a batch's columns, scalars or numpy arrays, broadcast to,
+    (size,) when all are scalars: the batch is its last `size` cells in C
+    order. A shape with fewer cells is an ArityMismatch."""
+    # one array per shape: np.broadcast takes at most 64
+    arrays = {c.shape: c for c in columns if isinstance(c, np.ndarray)}
+    shape = np.broadcast(*arrays.values()).shape if arrays else ()
+    shape = shape or (size,)
+    if math.prod(shape) < size:
+        raise ArityMismatch(f"columns of shape {shape} hold fewer than {size} points")
+    return shape
 
 
 def _flatten(value, shape: tuple, size: int):
@@ -619,16 +616,23 @@ def _flatten(value, shape: tuple, size: int):
     return value.reshape(-1)[-size:]
 
 
+def _flat_columns(columns, size: int) -> list:
+    """A batch's columns with every array flattened to its `size` points;
+    scalars stay scalars."""
+    shape = _batch_shape(columns, size)
+    return [_flatten(c, shape, size) if isinstance(c, np.ndarray) else c for c in columns]
+
+
 def evaluate_batches(circ: Circuit, batches):
     """Evaluate every output on successive batches of points.
 
     `batches` yields (columns, size) pairs: columns[v] holds coordinate v
-    of the batch as field elements. A column is one scalar, a flat array of
-    the `size` points, or an axis of a grid block; numpy broadcasts them
-    together (_broadcast_shape), so a gate is computed only over the
-    coordinates it reads, and the batch is the last `size` cells of that
-    shape in C order (a shape with fewer cells is an ArityMismatch). A grid scan passes the integers 0..g-1 unreduced,
-    with g <= p. Over a prime p < 2^31 the gate walk runs on numpy int64
+    of the batch as field elements. A column is one scalar, a flat array or
+    list of the `size` points, or an axis of a grid block; numpy broadcasts
+    them together, so a gate is computed only over the coordinates it reads,
+    and the batch is the last `size` cells of that shape in C order
+    (_batch_shape). A grid scan passes the integers 0..g-1 unreduced, with
+    g <= p. Over a prime p < 2^31 the gate walk runs on numpy int64
     arrays with lazy reduction: _int64_plan bounds each gate's unreduced
     value, and a value is reduced mod p only where the next sum or product
     could reach 2^63. Over any other field it runs on numpy object arrays
@@ -646,9 +650,9 @@ def evaluate_batches(circ: Circuit, batches):
     for columns, size in batches:
         if len(columns) != circ.num_vars:
             raise ArityMismatch(f"{len(columns)} columns for {circ.num_vars} variables")
-        shape = _broadcast_shape(columns) or (size,)
-        if math.prod(shape) < size:
-            raise ArityMismatch(f"columns of shape {shape} hold fewer than {size} points")
+        # _batch_shape reads the shapes of numpy arrays only
+        columns = [np.asarray(c, dtype=dtype) if isinstance(c, list) else c for c in columns]
+        shape = _batch_shape(columns, size)
         vals = [None] * len(gates)
         for i in reach:
             op, arg = gates[i]

@@ -253,11 +253,9 @@ def extract_factor(
     # multiplicity levels: a factor of multiplicity m in P carries simple
     # roots at derivative level k = m - 1 and at no earlier level
     max_level = r if subset is None else 1
-    levels = 0
     for level in range(max_level):
         if r - level < 1:
             break
-        levels = level + 1
         if level == 0:
             Pk = Pm
         else:
@@ -324,5 +322,5 @@ def extract_factor(
     shear = "the identity" if all(a == fld.zero for a in monic.shift) else "not the identity"
     raise NoFactorFound(
         f"no combination of lifted roots up to size {d} divides P: searched multiplicity "
-        f"levels 1..{levels}, up to {SHIFT_TRIALS} shifts per level, monic shear {shear}"
+        f"levels 1..{max_level}, up to {SHIFT_TRIALS} shifts per level, monic shear {shear}"
     )

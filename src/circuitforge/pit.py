@@ -17,12 +17,11 @@ and every grid comes from one batcher, circuit._grid_batches: the origin
 alone, then aligned blocks of at most GRID_BATCH points, each whole block
 as broadcast axes of its low coordinates (built once per scan). An
 exhaustive scan walks {0..g-1}^n itself, each gate computed only over the
-sub-grid of the coordinates it reads; a hitting-set scan walks T^l and
-maps each batch through the table's vectorized fold, one per window over
-the sub-grid of that window, flattened to the batch; random points run as
-column chunks in their draw order. All scans run in lexicographic order,
-last coordinate fastest, and report the first nonzero point as the
-witness, read off the batch's broadcast shape.
+sub-grid of the coordinates it reads; a hitting-set scan walks T^l,
+flattens each y-batch to its points and maps it through the table's
+vectorized fold, one per window; random points run as column chunks in
+their draw order. All scans run in lexicographic order, last coordinate
+fastest, and report the first nonzero point as the witness.
 Every grid must have distinct values in the field (else FieldTooSmall), and
 no test visits more than EXHAUSTIVE_POINT_BUDGET points: larger grids,
 random trial counts and hitting-set limits are refused with BudgetExceeded
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .circuit import GRID_BATCH, IN, Circuit, CircuitBuilder, drop_unused_vars, fix_vars
-from .circuit import _broadcast_shape, _column_dtype, _flatten, _grid_batches, evaluate_batches
+from .circuit import _column_dtype, _flat_columns, _grid_batches, evaluate_batches
 from .circuit import formal_degree_in
 from .circuit import parse_header, parse_value
 from .dense import DEFAULT_BUDGET, expand
@@ -73,19 +72,16 @@ class ExplicitPoly:
     def evaluate(self, point):
         """Fold one variable at a time along the coefficient axis: m numpy
         steps over the coefficient rows left times the points. A coordinate
-        is a field element, or a column or grid axis of them; numpy
-        broadcasts them to one shape, the fold runs over its cells and the
-        value comes back in that shape. With scalars only the value is one
-        field element. The cells run in slices that keep a step's rows
-        times points near GRID_BATCH."""
+        is a field element or a column of them, which numpy broadcasts;
+        with scalars only the value is one field element. Columns run in
+        slices that keep a step's rows times points near GRID_BATCH."""
         if len(point) != self.m:
             raise ArityMismatch(f"point has {len(point)} coordinates, table has {self.m}")
         p = self.field.p if isinstance(self.field, PrimeField) else None
-        shape = _broadcast_shape(point)
-        point = [np.broadcast_to(x, shape).reshape(-1) if np.ndim(x) else x for x in point]
+        size = max((len(x) for x in point if np.ndim(x)), default=0)
         step = max(1, GRID_BATCH >> max(self.m - 1, 0))
         parts = []
-        for lo in range(0, np.prod(shape, dtype=int), step):
+        for lo in range(0, max(size, 1), step):
             cur = self._table
             for j in reversed(range(self.m)):
                 x = point[j][lo:lo + step] if np.ndim(point[j]) else point[j]
@@ -93,7 +89,7 @@ class ExplicitPoly:
                 if p is not None:
                     cur %= p
             parts.append(cur[0])
-        return np.concatenate(parts).reshape(shape) if shape else parts[0].item(0)
+        return parts[0].item(0) if size == 0 else np.concatenate(parts)
 
     def degree(self) -> int:
         degs = [bin(mask).count("1") for mask, c in enumerate(self.coeffs) if c != self.field.zero]
@@ -155,10 +151,8 @@ class HittingSet:
         """Yield (columns, size) for the first min(limit, |T|^l) points in
         lexicographic y-order (y = 0 first): column i holds f(y|_Si) over the
         batch, or one field element when every coordinate of S_i is a high
-        coordinate of the y-batch. The table is folded over the sub-grid of
-        the low y-coordinates in S_i and then flattened to the batch: a
-        y-coordinate in no window would leave the columns short of a whole
-        block. A scan over EXHAUSTIVE_POINT_BUDGET points is refused with
+        coordinate of the y-batch, whose axes are flattened to its points
+        first. A scan over EXHAUSTIVE_POINT_BUDGET points is refused with
         BudgetExceeded before any point is evaluated."""
         if limit is not None and limit < 0:
             raise ParameterViolation(f"limit must be >= 0, got {limit}")
@@ -166,9 +160,8 @@ class HittingSet:
         if count > EXHAUSTIVE_POINT_BUDGET:
             raise BudgetExceeded("points", f"{count} hitting points > {EXHAUSTIVE_POINT_BUDGET}")
         for ys, size in _grid_batches(self.design.ell, self.t_size, count):
-            shape = _broadcast_shape(ys) or (size,)
-            values = (self.hard.evaluate([ys[e] for e in w]) for w in self.windows)
-            yield [_flatten(v, shape, size) if np.ndim(v) else v for v in values], size
+            ys = _flat_columns(ys, size)
+            yield [self.hard.evaluate([ys[e] for e in w]) for w in self.windows], size
 
     def prefix(self, count: int) -> list:
         """The first `count` points, as a list."""
@@ -230,8 +223,7 @@ def _walk(circ: Circuit, batches, want_count: bool = False):
         if first is None and not zeros.all():
             k = int(np.argmax(~zeros))
             first = start + k
-            shape = _broadcast_shape(columns) or (size,)
-            point = tuple(_flatten(c, shape, size).item(k) if np.ndim(c) else c for c in columns)
+            point = tuple(c.item(k) if np.ndim(c) else c for c in _flat_columns(columns, size))
             if not want_count:
                 break
         start += size
