@@ -280,6 +280,12 @@ def _product_terms(a: dict, b: dict, p, max_terms=None, bound=None) -> dict:
     of the smaller operand leaves the partial product with more terms."""
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1 and 0 in a:  # a constant factor scales b: no sum can vanish
+        c, items = a[0], b.items() if bound is None else sorted(t for t in b.items() if t[0] < bound)
+        prod = {k: v * c for k, v in items} if p is None else {k: v * c % p for k, v in items}
+        if max_terms is not None and len(prod) > max_terms:
+            raise BudgetExceeded("terms", f"over {max_terms} terms")
+        return prod
     prod: dict = {}
     get = prod.get
     b_items = list(b.items()) if bound is None else sorted(b.items())

@@ -493,8 +493,7 @@ def factor_vnp(
         out = scale_expsum(out, field.inv(unit))
         out_dense = out_dense.scale(field.inv(unit))
 
-    target = expand(fr.factor, budget)
-    if out_dense != target:
+    if out_dense != fr.factor_dense:
         raise InvariantViolated("exp-sum factor disagrees with the circuit factor")
     return out, fr
 

@@ -57,10 +57,10 @@ from .transforms import (
 )
 
 SHIFT_TRIALS = 32
-# depth(factor) <= depth(P) + 2 and size(factor) <= 8 * d^2 * size(P), asserted on
-# criterion 7: largest depth excess 2, size ratios 6.16 / 21.14 / 40.86 at d = 1 / 2 / 3
+# depth(factor) <= depth(P) + 2 and size(factor) <= 4 * d^2 * size(P), asserted on criterion
+# 7: largest depth excess 2, size(factor) / (d^2 * size(P)) 2.71 / 3.10 / 3.50 at d = 1 / 2 / 3
 FACTOR_DEPTH_SLACK = 2
-FACTOR_SIZE_FACTOR = 8
+FACTOR_SIZE_FACTOR = 4
 
 
 @dataclass
@@ -103,6 +103,7 @@ class RootBundle:
 @dataclass
 class FactorResult:
     factor: Circuit              # original coordinates
+    factor_dense: DensePoly      # its expansion, certified against the dense screen
     subset: tuple                # 0-based indices into bundle.alphas
     multiplicity: int
     monic: MonicForm
@@ -310,6 +311,7 @@ def extract_factor(
             chain.append(_stage("factor", factor_circ))
             return FactorResult(
                 factor=factor_circ,
+                factor_dense=cand_orig,
                 subset=tuple(S),
                 multiplicity=mult,
                 monic=monic,

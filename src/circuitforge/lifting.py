@@ -49,10 +49,10 @@ from .transforms import (
 )
 
 A_STEP_WIRE_LAW = 10  # size(A_i) - size(A_{i-1}) <= 10 * d^2, so size(A_d) <= 10 * d^3
-# size(root) <= 10 * (d + 1) * size(P) for a degree-d root of P; the suite
+# size(root) <= 4 * (d + 1) * size(P) for a degree-d root of P; the suite
 # asserts it with depth(root) <= depth(P) + 3 on the criterion-1 family,
-# whose largest ratio size(root) / ((d + 1) * size(P)) is 4.22, at d = 5
-ROOT_SIZE_FACTOR = 10
+# whose largest ratio size(root) / ((d + 1) * size(P)) is 3.25, at d = 2
+ROOT_SIZE_FACTOR = 4
 TRANSLATE_TRIALS = 32
 
 

@@ -3,9 +3,10 @@
 Everything here is exact and structural: homogeneous components by gate
 splitting (Strassen), coefficient extraction by interpolation on a spare
 variable, Hasse-derivative circuits, translations, monic normal form, and
-generator sets. Each construction has a tracked size envelope; the test
-suite asserts the envelopes and cross-checks every output against the
-dense oracle.
+generator sets, each one interpolation of P(t*x, alpha + s) on a lower set
+of (scale, shift) nodes, whose weights combine the cached one-axis ones.
+Each construction has a tracked size envelope; the test suite asserts the
+envelopes and cross-checks every output against the dense oracle.
 
 Two conventions keep the stated depth bounds true:
   - linear combinations ride on the sum layer that absorbs them (constant
@@ -42,24 +43,17 @@ MAKE_MONIC_TRIALS_PER_DEGREE = 16
 
 # -- interpolation weights ----------------------------------------------------
 
-_VINV_CACHE: dict = {}
-
-
+@cache
 def _vandermonde_inverse(fld, dmax: int):
     """Rows W[j] with coeff_j = sum_a W[j][a] * P(node_a), nodes = 0..dmax."""
-    key = (fld, dmax)
-    hit = _VINV_CACHE.get(key)
-    if hit is not None:
-        return hit
     if isinstance(fld, PrimeField) and fld.p <= dmax:
         raise FieldTooSmall(f"need {dmax + 1} distinct elements, field has {fld.p}")
     n = dmax + 1
-    nodes = [fld.embed(a) for a in range(n)]
     # Gauss-Jordan on [V | I] with V[a][j] = node_a^j; the result's row j
     # gives the weights for coefficient j.
     mat = []
     for a in range(n):
-        row = [fld.pow(nodes[a], j) for j in range(n)]
+        row = [fld.pow(fld.embed(a), j) for j in range(n)]
         row += [fld.one if t == a else fld.zero for t in range(n)]
         mat.append(row)
     for col in range(n):
@@ -72,9 +66,37 @@ def _vandermonde_inverse(fld, dmax: int):
                 f = mat[r][col]
                 mat[r] = [fld.sub(v, fld.mul(f, w)) for v, w in zip(mat[r], mat[col])]
     # inverse columns correspond to evaluations; transpose into weight rows
-    winv = [[mat[j][n + a] for a in range(n)] for j in range(n)]
-    _VINV_CACHE[key] = winv
-    return winv
+    return [[mat[j][n + a] for a in range(n)] for j in range(n)]
+
+
+def _lower_set(fld, shape: tuple) -> list:
+    """Nodes (a, b) with a <= ax, b <= by, a + b <= tot, a-major; shape = (ax, by, tot)."""
+    ax, by, tot = shape
+    _vandermonde_inverse(fld, max(ax, by))  # the widest axis: FieldTooSmall
+    return [(a, b) for a in range(ax + 1) for b in range(min(by, tot - a) + 1)]
+
+
+@cache
+def _lower_set_weights(fld, shape: tuple, monomials: tuple) -> tuple:
+    """The nonzero (n, w) with sum_n w * Q(L[n]) the sum of the t^k s^j
+    coefficients, (k, j) in `monomials`, of any Q in the span of the t^k s^j
+    over L = _lower_set(fld, shape). Newton's form on a lower set sums one
+    tensor term per a: the a-th divided difference in t (V_a^-1 - V_(a-1)^-1
+    as monomial weights) times the interpolation in s on column a, of height
+    min(by, tot - a). A monomial outside L lies in no such term."""
+    ax, by, tot = shape
+    lower = _lower_set(fld, shape)
+    w = [fld.zero] * len(lower)
+    for a in range(ax + 1):
+        h = min(by, tot - a)
+        cur, col = _vandermonde_inverse(fld, a), _vandermonde_inverse(fld, h)
+        prev = _vandermonde_inverse(fld, a - 1) if a else []
+        box = [(n, i, l) for n, (i, l) in enumerate(lower) if i <= a and l <= h]
+        for k, j in monomials:
+            for n, i, l in box if k <= a and j <= h else ():
+                u = fld.sub(cur[k][i], prev[k][i]) if k < a and i < a else cur[k][i]
+                w[n] = fld.add(w[n], fld.mul(u, col[j][l]))
+    return tuple((n, c) for n, c in enumerate(w) if c != fld.zero)
 
 
 def _interp_engine(circ: Circuit, over, dmax: int, upto: int | None = None):
@@ -424,14 +446,16 @@ class GeneratorSet:
 
     orders lists the derivative orders j of the members, ascending; the
     member of order j is H_{<=d} of the order-j Hasse derivative of P at
-    y = alpha, minus its constant term. members holds the (j, circuit)
-    pairs in P's variable space with the y slot unused; it is projected
-    from views() (the unprojected member of every order, finished on the
-    first call) when first read, so the lift and factor paths, which read
-    only orders and components, never build it. components is one multi-output
-    circuit over the same space holding the homogeneous parts of the
-    members: output pos * d + (i - 1) computes H_i of the member of order
-    orders[pos], for i in 1..d (None when there are no members).
+    y = alpha, minus its constant term. Every circuit here is finished
+    from the one builder of generator_set's interpolation. members holds
+    the (j, circuit) pairs in P's variable space with the y slot unused;
+    it is projected from views() (the unprojected member of every order,
+    finished on the first call) when first read, so the lift and factor
+    paths, which read only orders and components, never build it.
+    components is one multi-output circuit over the same space: output
+    pos * d + (i - 1) computes H_i of the member of order j = orders[pos],
+    the t^i s^j coefficient of P(t*x, alpha + s), for i in 1..d (None when
+    there are no members).
     derivs_dense[j] is H_{<=d} of the order-j derivative at alpha, j = 0..d,
     as the zero test expanded it (the dense member of order j, plus its
     constant term); None when Schwartz-Zippel ran instead. Its reader is
@@ -468,9 +492,13 @@ def generator_set(
     derivative at y = alpha to degree d, subtract its constant term, and
     keep the members that are not identically zero.
 
-    The truncation interpolates over a scaling of every variable on the
-    derivatives' own formal degree + 1 nodes (they no longer read y).
-    Members are finished only when read.
+    Q(t, s) = P(t*x, alpha + s) has H_k of the order-j derivative as its
+    t^k s^j coefficient, (k, j) in the lower set bounded by P's formal
+    degrees in x, in y and in all. One interpolation on that set's nodes
+    (a, b) makes each coefficient a weighted sum of the copies of P there (x
+    scaled by a, y bound to alpha + b), so depth does not grow. The zero
+    test expands derivatives made of the a <= 1 copies alone: the constants
+    P(0, alpha + b) and P(x, alpha + b). Members are finished when read.
 
     The zero test is one capped expansion of the d + 1 derivatives at
     alpha, each kept to H_{<=d}, which also tells which homogeneous
@@ -483,40 +511,37 @@ def generator_set(
     P.output()
     _check_var(P, y)
     _check_lift_degree(d, budget)
-    fld = P.field
-    dmax_y = formal_degree_in(P, y)
+    fld, nv, zero = P.field, P.num_vars, P.field.zero
+    xs = [i for i in range(nv) if i != y]
+    shape = (formal_degree_in(P, xs), formal_degree_in(P, y), P.formal_degree())
+    b = CircuitBuilder(fld, nv)
+    copies = []
+    for a, s in _lower_set(fld, shape):
+        scale = b.const(fld.embed(a))  # at a = 0 the copy folds to a constant
+        bindings = {i: b.mul(scale, b.inp(i)) for i in xs}
+        bindings[y] = b.const(fld.add(alpha, fld.embed(s)))
+        copies.append(b.import_circuit(P, var_bindings=bindings)[0])
 
-    # shared interpolation of P's y-coefficients, then each derivative at
-    # y = alpha is just a linear combination (the y powers fold into alpha)
-    b, rows = _interp_engine(P, y, dmax_y)
-    row = rows[0]
-    deriv_ids = []
-    for j in range(d + 1):
-        parts = []
-        for i in range(j, dmax_y + 1):
-            w = fld.mul(fld.embed(math.comb(i, j)), fld.pow(alpha, i - j))
-            if w != fld.zero:
-                parts.append(b.mul(b.const(w), row[i]))
-        deriv_ids.append(b.add(*parts) if parts else b.const(fld.zero))
-    derivs = b.finish(deriv_ids)
-    h0 = derivs.evaluate([fld.zero] * derivs.num_vars)
+    def coeff_sum(monomials):  # one weighted sum over the copies
+        parts = [b.mul(b.const(c), copies[n])
+                 for n, c in _lower_set_weights(fld, shape, tuple(monomials))]
+        return b.add(*parts) if parts else b.const(zero)
 
-    # one extraction over a scaling of every variable truncates them all
-    nv = derivs.num_vars
-    dbound = derivs.formal_degree()
-    b2, rows2 = _interp_engine(derivs, list(range(nv)), dbound, upto=min(d, dbound))
+    # the derivatives at alpha: their weights vanish off the a <= 1 copies
+    derivs = b.finish([coeff_sum((k, j) for k in range(shape[0] + 1)) for j in range(d + 1)])
+    h0 = derivs.evaluate([zero] * nv)
 
     @cache
     def views():  # member j is output j, unprojected, of one circuit for every order
-        ids = [b2.add(b2.add(*rows2[k]), b2.const(fld.neg(h0[k]))) for k in range(d + 1)]
-        return _split_outputs(b2.finish(ids))
+        ids = [coeff_sum((k, j) for k in range(1, d + 1)) for j in range(d + 1)]
+        return _split_outputs(b.finish(ids))
 
     try:  # H_{<=d} of each derivative: member j is denses[j] less its constant term
         denses = expand_outputs(derivs, budget, cap=d)
     except BudgetExceeded:
         denses = None
     orders, comp_ids = [], []
-    zero = b2.const(fld.zero)
+    zero_id = b.const(zero)
     keep = list(range(nv))
     for j in range(d + 1):
         if denses is not None:
@@ -527,10 +552,10 @@ def generator_set(
         elif sz_is_zero(drop_unused_vars(views()[j], keep), 2 * d, 0, "genset-sz", str(j)):
             continue
         else:
-            live = range(1, min(d, dbound) + 1)
+            live = range(1, d + 1)
         orders.append(j)
-        comp_ids += [rows2[j][i] if i in live else zero for i in range(1, d + 1)]
-    components = drop_unused_vars(b2.finish(comp_ids), keep) if orders else None
+        comp_ids += [coeff_sum([(i, j)]) if i in live else zero_id for i in range(1, d + 1)]
+    components = drop_unused_vars(b.finish(comp_ids), keep) if orders else None
     return GeneratorSet(
         alpha=alpha,
         d=d,

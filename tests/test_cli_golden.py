@@ -79,11 +79,11 @@ CERT_GOLDEN = {
     "deriv": "a4fa82a7b425d2d5e838e550c70a8be5157e0e47739c3173d77e0d3a5c02f51f",
     "monic": "8b200da8c84fa230755075e167d4ea1711d18ab536a10977007ee9a2a43db9a5",
     "monic/appended-y": "4944b2aa63dcc54a675f8ed2eafd2982acae9462bb6575a0caef45236e8a34ab",
-    "genset": "201468e2284af46398a32b1e140f7e89fa0edde3673455710274b5430ea2e6e8",
-    "lift-root": "ec143f78e1496282ffb081b9dfb517ce941480316ca0399c7f46f1ac768c2bbd",
+    "genset": "54585143433225480d8add968f1f0b4b98b8a98000806b5bbd92314ff2de87da",
+    "lift-root": "dc486c412b6cd181cb045366e3eee2c874b0a4bc12606a61d05a8548f0717d2d",
     "lift-root/alpha": "869581120e325175dc3839489e817db44ef521eadccf63ec0a3dc02cd1b344cc",
-    "factor/search": "9a27cbefc3f3706a9ddbc353e768c957978b83dc6a366a309cd01d25ff02910a",
-    "factor/given": "f79c135241bc02a46e5546d1a87d7413b54b814792d7bff70a4ac21d94dd3af4",
+    "factor/search": "75c0ac2c00242d38d6007404632c97525da8bf05cc7bac5e59fe51fafcd44a3c",
+    "factor/given": "1451c70079b49a0950c5d460e2f4b3af4338d387eb67438ad7aeeff0df9f4915",
     "design": "285754c69a9bc4bbc53d0d9919c332ff3c0d45b2eee3ab781634da16a9945113",
     "hitset": "6c5641b0dfa94c8221bcd5432a45b5d142f3322dcba5e37447fafbd683346b69",
     "pit/hitset": "e3e068a3ce99a3aa3f14f4ae3e56e9279832fb08262efaddb6b78ed1b7ae3c3e",

@@ -46,40 +46,40 @@ ROOT_CASES = (("qq", 0, 1), ("qq", 3, 1), ("qq", 13, 2), ("qq", 19, 2), ("qq", 2
 BUDGET = {"budget_terms": DEFAULT_BUDGET.max_terms, "budget_degree": DEFAULT_BUDGET.max_degree}
 
 GOLDEN = {
-    "c7/0/given": "90e73996529be82a6e03677217849ed22161a5fdda8adc940955993f4c25fb4b",
-    "c7/0/search": "0eec483b43bd391bf84b27a6f90ab824c4b11751e7a7440689af5d590838529a",
-    "c7/1/given": "328ddae0e6fd13a6eb9f76752a4627faf2a9496c0f6d2003ad25ea1b673486bb",
-    "c7/1/search": "7014be9bf8af232ba6ebc6cb98bbac88bedb82edec8f0532b5761a0a347f5acd",
-    "c7/2/given": "7e387fe718b0b8004bda9103cace1d35f3ee7f7717c3193bc908d9787e590b80",
-    "c7/2/search": "aaa31a33fe0045d241c4540200c2952b6a989118316e2726f456bb1578d45e73",
-    "c7/3/given": "aee45950618ad658af8fe5389130df9f9d4a1545871e704bf5bd0bb8d97cda53",
-    "c7/3/search": "aee45950618ad658af8fe5389130df9f9d4a1545871e704bf5bd0bb8d97cda53",
-    "c7/40/given": "d9e012b69c7521577170491935a086f735ab057b24145c43d1be85d708baa04e",
-    "c7/40/search": "ce60fd13b8cf176a5d99bdf7833b2060e253b48da7024e7023fa3fa43120a786",
-    "c7/41/given": "12f4296318c4551ba36544c127f1ce9f3b9a5be5be4f0b5dc9aca6c15f56eb46",
-    "c7/41/search": "32cf8d2f6c8997d79244fb499c3fd23863278aa4f5d28a98b40d2ca4f854eaa1",
-    "c7/42/given": "002646668d429eada226c5c988e619993fa858b07963f549a34300c5d01b0c79",
-    "c7/42/search": "b59599af63190f397a741f5631dffd4dd335a03999f30e3d5036a1f4c1153a5b",
-    "c7/75/given": "ae2940807b683519956302ba7a413fae97f00176c78b10e6dc91d1884e95a746",
-    "c7/75/search": "84a0cf3ad398b93f17606d317b030c28959690f35599e3a06607c19086a2febb",
-    "c7/76/given": "b3e01c68d78767e70c77aa0f368fdc64c695f92697e07d937fd9bb975c94c3ff",
-    "c7/76/search": "f54df7afbb0930493d69c343abf22669f0a29ff5e1219001998239ea0ef92e90",
-    "c7/90/given": "a9870b34c331d78b301cb4bdcbd96605f938c2f89d42380796c77976b0f1920b",
-    "c7/90/search": "0084f7c311e234a14246ed040b16f8c34e7bff5755abd10f825354f285e51394",
-    "c7/91/given": "da2eac24ca17d47fcd1bc0ce323f4e654dab371fd769af5b051da1f0e4c16596",
-    "c7/91/search": "3229422b8768fd83845bccb2ddd4f1222674cac4928f01281a73c6a7af32813d",
-    "c7/97/given": "7902bc4f5c68be69e71c5c29fbf90a304d62fc1c7f4feed26ad861f1e2b1fd45",
-    "c7/97/search": "e3c8e77887416392c3e601d2720e75c2d9b7bc6459101c9567500baa3c79e9f0",
-    "c1/qq/0": "46843300f52929cb2c9344071724a672cb31e0f4668704707ea2e29a8781b6c9",
-    "c1/qq/3": "800401f7057225fd1c35a43706c64375e33a7cd3c9507db25cfb992f58f83fc6",
-    "c1/qq/13": "04a2923dbebc461430a073acecd4506faef4e7de55caa9eb3a2a7a65dd338767",
-    "c1/qq/19": "fbef14da132aa745ff1f7804f9abee42517d6b78b8ccca0ce9628e8f4ddbf605",
-    "c1/qq/27": "c8798f442657cf1ea3fe77a8e957939fb14f891f713f7a4949b29d6c563cbefb",
-    "c1/fp62/1": "67049849969bf8862e09ce31d74518039f4342b12f7bf5dc93d7c9ccd144e5a1",
-    "c1/fp62/7": "b3426430267a94c34cd8700e53cf5595afe8ad6a5765e9cab4fcfa92a4d93829",
-    "c1/fp62/9": "e08fced19a8deb6bfacc66cecef0cd0265255fffe37786ec353cf2015c998179",
-    "c1/fp62/17": "481dbf5e995de9fd3573f7c8966aea05d50755615b993264420f59a78fe10da0",
-    "c1/fp62/27": "2fef9ad690ce04799533dcfdd983d03fcde072d4cdee0ec469533542f05d92ca",
+    "c7/0/given": "9647bbb6fe5d7a23098302346f2e470766a03ef09d8f659d6bb9d0a925eb7af3",
+    "c7/0/search": "462ee81c0ec5d296a44dfc05e2e902b15996795eb78aed889ae228221787223d",
+    "c7/1/given": "1a8a0d01429a7b0510e5e66569cca577dab31e3f9dffcdf95af807ed015bc884",
+    "c7/1/search": "9da7e58901245bd9576c2439e18de39d4618c5c62830d94e96b6f0df521fa0f7",
+    "c7/2/given": "3b9719d4d9f94570486f4645ab021be5703719d2f56b43df3b934c3e82db7e95",
+    "c7/2/search": "0fbcf5aea6ef5cbe27cfe385069285f4d4ce50cfdc93fefc73f27e47bb0c21bf",
+    "c7/3/given": "74eba7a79243b9e953eb5223e40529cd5261d3cc5b5d365636c52e8ec510245e",
+    "c7/3/search": "74eba7a79243b9e953eb5223e40529cd5261d3cc5b5d365636c52e8ec510245e",
+    "c7/40/given": "ae9e52833fe4ccda547ffbb74011c5f199b118fb5dde6f8590ba217c9329cfb1",
+    "c7/40/search": "691cb320dc58471eabbafbbc58beb204592454af7dec7737bfa5d5e1d5cc021d",
+    "c7/41/given": "0f7605d3d56f7904a2d4e5ead258c440dc2eca95124ca49fbb045fbfd7f6039e",
+    "c7/41/search": "da58f23947e782f0a3de7994724e54109cbdc67f77cb1fd97cf7d2d10c7a073f",
+    "c7/42/given": "de12ede84fd33da613dde03d558c51a796419c8945f2ca194ab95fffa3148eba",
+    "c7/42/search": "75a303f427e78f5af98abd834aec65bb6886bd13481cdc749245c7a5753ecec9",
+    "c7/75/given": "8a561bc297221a7802bc02b83e6b80d4cb286474bd9d8f86c032dee08f01dd50",
+    "c7/75/search": "e5e4e9228439005c30b72f1db3ec766bf3727bf704eea53146601313cab9e171",
+    "c7/76/given": "08dc7c37e798dec8f5a8db8a3456befaf79ee1e70f1c6349eaeb0444e8397e39",
+    "c7/76/search": "39490d4f14566e18d537f899b1a4b5b3ff4352788152752b29551aee35f5e586",
+    "c7/90/given": "6b07ccd9f8c3cdd64c7dd918548927116d8f9ae213d38cab94cc0086a424e69d",
+    "c7/90/search": "8d26ef3423991d35dc1e765693bf8bc48ebf8dd2989e6c1f3da4cc412210f2cf",
+    "c7/91/given": "57117d678e0ddbab2756b87a98ae8703e802db1652d6de5701c48822575e2e76",
+    "c7/91/search": "633269dc986b3b61457de8edb515136afae4eae7978118411cfc7db1bb71f881",
+    "c7/97/given": "a344af60d51a97e92cc7c6fbd240c706f87606cdf84eb33b536287663b52ba63",
+    "c7/97/search": "94542947e98d55ce48f061ed3efe1d7bbfc26aafca567deb0debf11196948501",
+    "c1/qq/0": "b07dbb76fe0f68e149a6ed4c919947ae53f0e945afe42137dd98c6ca9107f5d3",
+    "c1/qq/3": "50470b85f958807ff735ae71c7f22820f123c38b1b4825c1a01fb9836a2787fd",
+    "c1/qq/13": "f9afc247eaaf8e37f6dfaa1b95c8ab1fe7844a2ca7efb1777cabd54af99d6bda",
+    "c1/qq/19": "6baf82f083c5935fe7d563ae663e0f74f915839baac0098d5d5230e3426f942e",
+    "c1/qq/27": "97e652bfef76d503f4984d8817c8d151ba3afd5eb751998c1520d8c408951945",
+    "c1/fp62/1": "0ba84058af38a54a672d10094d06f6c6af3bd83b70dbb9456b4991182b0cefce",
+    "c1/fp62/7": "fa9db74a74512e75bb125b8ea2fdc5b46bd8326c7b1ae150eb4c1e53ca978fa7",
+    "c1/fp62/9": "c0409f0735200e0653b8135f5044e257b7be0c37ca015bdbf92ae8ef1565fed4",
+    "c1/fp62/17": "96468f80f83d7cc3c5f28bf85a37398c4c1a85c9fc237d6694e3131faaffc950",
+    "c1/fp62/27": "b0540284ec0ff6313cdbbdd7debba71bcadbee0b505c4007dcb788a69008cd2d",
 }
 
 # vnp-factor: (name, field, factor degree, given subset or None for search).

@@ -443,29 +443,49 @@ def test_direct_scaling_emits_the_bytes_of_a_scaled_copy(QQ, monkeypatch):
     assert emitted() == direct
 
 
-def test_generator_set_interpolates_on_the_derivatives_degree(QQ, monkeypatch):
-    calls = []
-    real = transforms._interp_engine
+def _weighted_cores(circ):
+    """The non-constant gates that the outputs' top sums weight."""
+    gates, cores = circ.gates, set()
+    for o in circ.outputs:
+        for c in gates[o][1] if gates[o][0] == "add" else (o,):
+            op, arg = gates[c]
+            if op == "mul" and len(arg) == 2 and gates[arg[0]][0] == "const":
+                c = arg[1]
+            elif op == "mul" and len(arg) == 2 and gates[arg[1]][0] == "const":
+                c = arg[0]
+            if gates[c][0] != "const":
+                cores.add(c)
+    return cores
 
-    def spy(circ, over, dmax, upto=None):
-        calls.append((circ, over, dmax))
-        return real(circ, over, dmax, upto)
 
-    monkeypatch.setattr(transforms, "_interp_engine", spy)
-    # (y - 1)(y + 2)(1 + x1 + x1 x2) with y = x3: the y factors count in
-    # P's formal degree, not in that of its derivatives at y = alpha
-    b = CircuitBuilder(QQ, 3)
-    x1, x2, y = b.inp(0), b.inp(1), b.inp(2)
-    g = b.add(b.const(QQ.one), x1, b.mul(x1, x2))
-    P = b.finish(b.mul(b.sub(y, b.const(QQ.one)), b.add(y, b.const(Fraction(2))), g))
-    gens = generator_set(P, 2, Fraction(1), 2)
-    (first, y_var, _), (derivs, over, dmax) = calls
-    assert first is P and y_var == 2 and over == [0, 1, 2]
-    assert dmax + 1 == derivs.formal_degree() + 1 == P.formal_degree() + 1 - 2
-    refs = _reference_members(P, 2, Fraction(1), 2)
-    lows = [ref - DensePoly.const(QQ, 3, ref.constant_term()) for ref in refs]
-    assert gens.orders == [j for j, low in enumerate(lows) if not low.is_zero()] == [1, 2]
-    assert [(j, expand(m)) for j, m in gens.members] == [(j, lows[j]) for j in gens.orders]
+def test_generator_set_interpolates_on_a_lower_set_of_nodes(QQ):
+    # P = prod_{i<k} (y - L_i) has formal degree k in x, in y and in all:
+    # Q(t, s) = P(t x, alpha + s) lives on the t^a s^b with a + b <= k, so
+    # the components weight the k(k+1)/2 copies with a >= 1 (the grid
+    # a, b <= k has k(k+1)); the a = 0 copies fold to constants
+    for k in (2, 3, 4):
+        b = CircuitBuilder(QQ, 3)
+        x1, x2, y = b.inp(0), b.inp(1), b.inp(2)
+        factors = [b.sub(y, b.add(b.const(Fraction(i + 1)), x1, b.scale(Fraction(i + 2), x2)))
+                   for i in range(k)]
+        P = b.finish(b.mul(*factors))
+        assert (formal_degree_in(P, [0, 1]), formal_degree_in(P, 2), P.formal_degree()) == (k, k, k)
+        gens = generator_set(P, 2, Fraction(-1), k)
+        assert len(_weighted_cores(gens.components)) == k * (k + 1) // 2
+        refs = _reference_members(P, 2, Fraction(-1), k)
+        lows = [ref - DensePoly.const(QQ, 3, ref.constant_term()) for ref in refs]
+        assert gens.orders == [j for j, low in enumerate(lows) if not low.is_zero()]
+        assert [(j, expand(m)) for j, m in gens.members] == [(j, lows[j]) for j in gens.orders]
+
+
+def test_generator_set_refuses_a_field_with_too_few_nodes():
+    # y-degree 3 needs the four nodes alpha + 0..3, and F_3 has three elements
+    F3 = PrimeField(3)
+    b = CircuitBuilder(F3, 2)
+    P = b.finish(b.sub(b.power(b.inp(1), 3), b.inp(0)))
+    with pytest.raises(FieldTooSmall) as err:
+        generator_set(P, 1, F3.one, 1)
+    assert err.value.exit_code == 2
 
 
 # -- interpolation bounds in a subset of the variables ---------------------------
