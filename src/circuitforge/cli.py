@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import errors as E
-from .circuit import const_circuit, emit_circuit, parse_circuit, substitute
+from .circuit import const_circuit, emit_circuit, formal_degree_in, parse_circuit, substitute
 from .dense import DEFAULT_BUDGET, ExpansionBudget, emit_poly, expand
 from .designs import Design, nw_design
 from .expsum import ExpSumPoly, exp_sum_eval, exp_sum_expand, factor_vnp
@@ -132,6 +132,9 @@ def _zero_or_same(circ, budget):
 
 def _core_deriv(params, inputs):
     circ = parse_circuit(inputs["in"].decode())
+    deg = formal_degree_in(circ, params["y"])  # the interpolation takes deg + 1 copies
+    if deg > params["budget_degree"]:
+        raise E.BudgetExceeded("degree", f"formal y-degree {deg} > {params['budget_degree']}")
     out = hasse_derivative_circuit(circ, params["y"], params["j"])
     return {"out": emit_circuit(out).encode()}, {"metrics": out.metrics()}
 

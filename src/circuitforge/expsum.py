@@ -29,12 +29,10 @@ from .circuit import (
     _grid_batches,
     const_circuit,
     evaluate_batches,
-    fix_vars,
     formal_degree_in,
     input_circuit,
     is_formula,
     remap_vars,
-    substitute,
 )
 from .dense import (
     DEFAULT_BUDGET,
@@ -56,6 +54,9 @@ from .errors import (
 from .factoring import _leading_y_unit, combiner_dense, extract_factor
 from .fields import Field, Rationals, same_field
 from .transforms import (
+    _interpolate,
+    _split_outputs,
+    extract_y_coeffs,
     hasse_derivative_circuit,
     homog_component_interp,
     shear,
@@ -364,8 +365,6 @@ def coeff_exp_sums(E: ExpSumPoly, z: int, dmax: int) -> list:
     E = E.canonical()
     if not 0 <= z < E.nx:
         raise ParameterViolation(f"z must be one of the {E.nx} x-variables, got index {z}")
-    from .transforms import extract_y_coeffs
-
     rows = extract_y_coeffs(E.verifier, z, dmax)
     return [ExpSumPoly(r, E.aux) for r in rows]
 
@@ -415,7 +414,9 @@ def factor_vnp(
     Runs the circuit factorizer on a desk-scale expansion to obtain the
     structure (monic shift, separating shift, root subset, A-circuits and
     generator orders), then rebuilds every step at the verifier level:
-    generator exp-sums from coefficient extraction, the combining circuit B
+    the generator exp-sums of each lifted root alpha from one interpolation
+    of the verifier (the x-variables other than z scaled, z shifted to
+    alpha, the auxiliaries untouched), the combining circuit B
     converted to a formula and leaf-substituted with fresh auxiliary
     blocks, a final degree-d truncation in x, and the inverse shifts. The
     result is certified by exp_sum_expand equality with the factor's dense
@@ -447,26 +448,19 @@ def factor_vnp(
     # separating shift
     e3 = _translate_x(e1, dict(zip(x_others, fr.bundle.shift)))
 
-    # generator exp-sums, sharing one coefficient extraction
-    dmax_z = formal_degree_in(e3.verifier, z)
-    rows = coeff_exp_sums(e3, z, dmax_z)
-    zero_e = field.zero
+    # generator exp-sums: the member of order j at a root alpha is the sum
+    # of the t^1..t^d s^j coefficients of V(t * x, alpha + s, aux), all read
+    # from one interpolation of the verifier V per root
+    ver = e3.verifier
+    shape = (formal_degree_in(ver, x_others), formal_degree_in(ver, z),
+             formal_degree_in(ver, range(nx)))
 
-    def member_expsum(alpha, order):
-        b = CircuitBuilder(field, e3.verifier.num_vars)
-        parts = []
-        for i in range(order, dmax_z + 1):
-            w = field.mul(field.embed(math.comb(i, order)), field.pow(alpha, i - order))
-            if w != zero_e:
-                parts.append(b.mul(b.const(w), b.import_circuit(rows[i].verifier)[0]))
-        dj = b.finish(b.add(*parts) if parts else b.const(zero_e))
-        dj_at = substitute(dj, {z: const_circuit(field, alpha, dj.num_vars)})
-        x_all = list(range(nx))
-        upto = truncate_deg(dj_at, d, scale_vars=x_all)
-        h0 = fix_vars(dj_at, {x: zero_e for x in x_all})
-        b2 = CircuitBuilder(field, dj_at.num_vars)
-        out = b2.sub(b2.import_circuit(upto)[0], b2.import_circuit(h0)[0])
-        return ExpSumPoly(b2.finish(out), e3.aux)
+    def member_expsums(alpha, orders):
+        if not orders:  # a root with no generators needs no copies
+            return []
+        b, coeff = _interpolate(ver, x_others, z, alpha, shape)
+        ids = [coeff((k, j) for k in range(1, d + 1)) for j in orders]
+        return [ExpSumPoly(m, e3.aux) for m in _split_outputs(b.finish(ids))]
 
     # combining circuit B over (y, generator variables), bound leaf by leaf
     # to z and the members' exp-sums in combiner_dense's variable order
@@ -476,8 +470,8 @@ def factor_vnp(
     )
     bindings = {0: plain_expsum(input_circuit(field, z, nx))}
     for i in fr.subset:
-        for order in fr.bundle.states[i].gens.orders:
-            bindings[len(bindings)] = member_expsum(fr.bundle.alphas[i], order)
+        for member in member_expsums(fr.bundle.alphas[i], fr.bundle.states[i].gens.orders):
+            bindings[len(bindings)] = member
     composed = leaf_substitute(b_formula, bindings)
     composed = homog_x_upto(composed, dS)
 

@@ -1,10 +1,10 @@
 """Circuit-to-circuit constructions.
 
 Everything here is exact and structural: homogeneous components by gate
-splitting (Strassen), coefficient extraction by interpolation on a spare
-variable, Hasse-derivative circuits, translations, monic normal form, and
-generator sets, each one interpolation of P(t*x, alpha + s) on a lower set
-of (scale, shift) nodes, whose weights combine the cached one-axis ones.
+splitting (Strassen), translations, monic normal form, and one interpolation
+engine for the rest: coefficient rows, truncations, Hasse derivatives and
+generator sets are weighted sums of the copies of P(t*x, alpha + s) on a
+lower set of (scale, shift) nodes, whose weights combine the one-axis ones.
 Each construction has a tracked size envelope; the test suite asserts the
 envelopes and cross-checks every output against the dense oracle.
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property
 
 from .circuit import ADD, Circuit, CircuitBuilder, _check_var, drop_unused_vars, formal_degree_in
-from .circuit import CONST, const_circuit, evaluate_batch, substitute, sz_is_zero
+from .circuit import const_circuit, evaluate_batch, substitute, sz_is_zero
 from .dense import DEFAULT_BUDGET, ExpansionBudget, expand_outputs
 from .errors import (
     ArityMismatch,
@@ -99,51 +99,31 @@ def _lower_set_weights(fld, shape: tuple, monomials: tuple) -> tuple:
     return tuple((n, c) for n, c in enumerate(w) if c != fld.zero)
 
 
-def _interp_engine(circ: Circuit, over, dmax: int, upto: int | None = None):
-    """Shared-copy interpolation: one builder holding dmax+1 substituted
-    copies of `circ` plus, per output k and exponent j <= upto (default
-    dmax), the weighted combination computing the y^j coefficient. `over` is
-    y, set to a in copy a, or a list of variables, each bound to a * x_i
-    there (in the list's order, before the import), which makes the y^j
-    coefficient the degree-j part in them. Returns (builder, rows),
-    rows[k][j] a gate id, finishing byte for byte as a build of every row."""
+def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple):
+    """One builder holding a copy of the single-output circ at each node
+    (a, b) of _lower_set(shape): every variable in `scale` bound to a * x_i
+    (in scale's order, before the import) and y, unless None, to alpha + b.
+    Returns (builder, coeff); coeff(monomials) emits the one weighted sum of
+    the copies that computes the sum of the t^k s^j coefficients, (k, j) in
+    monomials, of circ(t * x, alpha + s), depth-neutrally on its top sum."""
     fld = circ.field
-    weights = _vandermonde_inverse(fld, dmax)
     b = CircuitBuilder(fld, circ.num_vars)
-    scaled = not isinstance(over, int)
-    if scaled and not circ._canonical:
+    if y is None and not circ._canonical:
         circ = substitute(circ, {})  # a sharing rebuild: bytes do not depend on how circ shares
-    tops = []
-    for a in range(dmax + 1):
-        node = b.const(fld.embed(a))
-        bindings = {i: b.mul(node, b.inp(i)) for i in over} if scaled else {over: node}
-        tops.append(b.import_circuit(circ, var_bindings=bindings))
-    rows = []
-    for k in range(len(circ.outputs)):
-        row = []
-        for j in range(dmax + 1 if upto is None else upto + 1):
-            parts = [
-                b.mul(b.const(weights[j][a]), tops[a][k])
-                for a in range(dmax + 1)
-                if weights[j][a] != fld.zero
-            ]
-            row.append(b.add(*parts) if parts else b.const(fld.zero))
-        for j in range(len(row), dmax + 1):
-            # a row past upto is not built, but the constants it would hold
-            # are (a weight times a constant copy folds to one): finish
-            # keeps gates in creation order, so a constant that the caller
-            # or a later output's row makes must already exist here, as in
-            # a build of every row. No later gate reuses its other gates.
-            folded = []
-            for a in range(dmax + 1):
-                if weights[j][a] != fld.zero:
-                    w = b.const(weights[j][a])
-                    if b._gate(tops[a][k])[0] == CONST:
-                        folded.append(b.mul(w, tops[a][k]))
-            if folded:
-                b.add(*folded)
-        rows.append(row)
-    return b, rows
+    copies = []
+    for a, s in _lower_set(fld, shape):
+        node = b.const(fld.embed(a))  # at a = 0 a scaled copy folds to a constant
+        bindings = {i: b.mul(node, b.inp(i)) for i in scale}
+        if y is not None:
+            bindings[y] = b.const(fld.add(alpha, fld.embed(s)))
+        copies.append(b.import_circuit(circ, var_bindings=bindings)[0])
+
+    def coeff(monomials) -> int:
+        parts = [b.mul(b.const(c), copies[n])
+                 for n, c in _lower_set_weights(fld, shape, tuple(monomials))]
+        return b.add(*parts) if parts else b.const(fld.zero)
+
+    return b, coeff
 
 
 def _split_outputs(multi: Circuit) -> list:
@@ -225,18 +205,22 @@ def homogenize(circ: Circuit, k: int) -> Circuit:
 # -- coefficient extraction ----------------------------------------------------
 
 def extract_y_coeffs(circ: Circuit, y: int, dmax: int) -> list:
-    """Circuits C_0..C_dmax with circ = sum_j C_j * y^j, deg_y(circ) <= dmax.
+    """Circuits C_0..C_dmax with circ = sum_j C_j * y^j.
 
     Built as the inverse-Vandermonde combination of circ(x, 0..dmax) with
     the weights absorbed into the top sum layer: depth does not grow, size
-    is at most (dmax+1) * size + O(dmax^2).
+    is at most (dmax+1) * size + O(dmax^2). A dmax below the formal y-degree
+    is refused: the higher coefficients would fold into the lower ones.
     """
     if dmax < 0:
         raise ParameterViolation(f"degree bound must be >= 0, got {dmax}")
     circ.output()
     _check_var(circ, y)
-    b, rows = _interp_engine(circ, y, dmax)
-    return _split_outputs(b.finish(rows[0]))
+    deg = formal_degree_in(circ, y)
+    if dmax < deg:
+        raise ParameterViolation(f"degree bound {dmax} is below the formal degree {deg} in y")
+    b, coeff = _interpolate(circ, (), y, circ.field.zero, (0, dmax, dmax))
+    return _split_outputs(b.finish([coeff([(0, j)]) for j in range(dmax + 1)]))
 
 
 def truncate_deg(circ: Circuit, d: int, scale_vars=None) -> Circuit:
@@ -255,9 +239,10 @@ def truncate_deg(circ: Circuit, d: int, scale_vars=None) -> Circuit:
     bound = formal_degree_in(circ, vars_to_scale)
     if bound <= d:
         return circ
-    b, rows = _interp_engine(circ, vars_to_scale, bound, upto=d)
+    b, coeff = _interpolate(circ, vars_to_scale, None, None, (bound, 0, bound))
     # the projection onto the same variables lists the inputs first
-    return drop_unused_vars(b.finish(b.add(*rows[0])), list(range(circ.num_vars)))
+    return drop_unused_vars(b.finish(coeff((k, 0) for k in range(d + 1))),
+                            list(range(circ.num_vars)))
 
 
 def homog_component_interp(circ: Circuit, k: int, scale_vars=None) -> Circuit:
@@ -274,8 +259,8 @@ def homog_component_interp(circ: Circuit, k: int, scale_vars=None) -> Circuit:
     fld = circ.field
     if k > bound:
         return const_circuit(fld, fld.zero, circ.num_vars)
-    b, rows = _interp_engine(circ, vars_to_scale, bound, upto=k)
-    return drop_unused_vars(b.finish(rows[0][k]), list(range(circ.num_vars)))
+    b, coeff = _interpolate(circ, vars_to_scale, None, None, (bound, 0, bound))
+    return drop_unused_vars(b.finish(coeff([(k, 0)])), list(range(circ.num_vars)))
 
 
 # -- Hasse derivative ----------------------------------------------------------
@@ -297,8 +282,8 @@ def hasse_derivative_circuit(circ: Circuit, y: int, j: int) -> Circuit:
     dmax = formal_degree_in(circ, y)
     if j > dmax:
         return const_circuit(fld, fld.zero, circ.num_vars)
-    b, rows = _interp_engine(circ, y, dmax)
-    row = rows[0]
+    b, coeff = _interpolate(circ, (), y, fld.zero, (0, dmax, dmax))
+    row = [coeff([(0, i)]) for i in range(dmax + 1)]
     memo: dict = {}
     terms = []
     for i in range(j, dmax + 1):
@@ -506,7 +491,8 @@ def generator_set(
     it fall back to Schwartz-Zippel on 64 points over a grid of size 2*d,
     drawn on seed 0. A false keep is harmless downstream; a false drop is
     what the point count makes improbable. A d above the budget's degree
-    bound is refused before any work.
+    bound, or a lower set wider than it on an axis, is refused before any
+    work.
     """
     P.output()
     _check_var(P, y)
@@ -514,26 +500,17 @@ def generator_set(
     fld, nv, zero = P.field, P.num_vars, P.field.zero
     xs = [i for i in range(nv) if i != y]
     shape = (formal_degree_in(P, xs), formal_degree_in(P, y), P.formal_degree())
-    b = CircuitBuilder(fld, nv)
-    copies = []
-    for a, s in _lower_set(fld, shape):
-        scale = b.const(fld.embed(a))  # at a = 0 the copy folds to a constant
-        bindings = {i: b.mul(scale, b.inp(i)) for i in xs}
-        bindings[y] = b.const(fld.add(alpha, fld.embed(s)))
-        copies.append(b.import_circuit(P, var_bindings=bindings)[0])
-
-    def coeff_sum(monomials):  # one weighted sum over the copies
-        parts = [b.mul(b.const(c), copies[n])
-                 for n, c in _lower_set_weights(fld, shape, tuple(monomials))]
-        return b.add(*parts) if parts else b.const(zero)
+    if max(shape[:2]) > budget.max_degree:
+        raise BudgetExceeded("degree", f"formal degree {max(shape[:2])} > {budget.max_degree}")
+    b, coeff = _interpolate(P, xs, y, alpha, shape)
 
     # the derivatives at alpha: their weights vanish off the a <= 1 copies
-    derivs = b.finish([coeff_sum((k, j) for k in range(shape[0] + 1)) for j in range(d + 1)])
+    derivs = b.finish([coeff((k, j) for k in range(shape[0] + 1)) for j in range(d + 1)])
     h0 = derivs.evaluate([zero] * nv)
 
     @cache
     def views():  # member j is output j, unprojected, of one circuit for every order
-        ids = [coeff_sum((k, j) for k in range(1, d + 1)) for j in range(d + 1)]
+        ids = [coeff((k, j) for k in range(1, d + 1)) for j in range(d + 1)]
         return _split_outputs(b.finish(ids))
 
     try:  # H_{<=d} of each derivative: member j is denses[j] less its constant term
@@ -554,7 +531,7 @@ def generator_set(
         else:
             live = range(1, d + 1)
         orders.append(j)
-        comp_ids += [coeff_sum([(i, j)]) if i in live else zero_id for i in range(1, d + 1)]
+        comp_ids += [coeff([(i, j)]) if i in live else zero_id for i in range(1, d + 1)]
     components = drop_unused_vars(b.finish(comp_ids), keep) if orders else None
     return GeneratorSet(
         alpha=alpha,

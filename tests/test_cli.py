@@ -290,6 +290,32 @@ def test_coeffs_refuses_a_negative_degree_bound(tmp_path, capsys):
     assert [f.name for f in tmp_path.iterdir()] == ["p.circ"]
 
 
+def test_coeffs_refuses_a_bound_below_the_y_degree(tmp_path, capsys):
+    # x1 + x2^2 with y = x2: two nodes would read back x1 + y
+    path = _write(tmp_path, "q.circ", "field rationals\nnvars 2\ng1 = input x1\n"
+                  "g2 = input x2\ng3 = mul g2 g2\ng4 = add g1 g3\noutput g4\n")
+    assert main(["coeffs", "-y", "2", "-d", "1", path, "-o", str(tmp_path / "out")]) == 2
+    assert "ParameterViolation" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["q.circ"]
+
+
+def test_deriv_and_genset_refuse_a_y_degree_above_the_budget(tmp_path, capsys):
+    # x1 + x2^64 by six squarings: with y = x2 the interpolations take 65
+    # copies, which a degree budget of 32 refuses before any is built
+    squares = "".join(f"g{i + 1} = mul g{i} g{i}\n" for i in range(2, 8))
+    path = _write(tmp_path, "p.circ", "field prime 1000003\nnvars 2\ng1 = input x1\n"
+                  f"g2 = input x2\n{squares}g9 = add g1 g8\noutput g9\n")
+    out = str(tmp_path / "out")
+    for argv in (["deriv", "-y", "2", "-j", "1", path, "-o", out],
+                 ["genset", "--alpha", "0", "-d", "1", "-y", "2", path, "-o", out]):
+        assert main(["--budget-degree", "32"] + argv) == 3, argv
+        assert "budget exceeded (degree)" in capsys.readouterr().err, argv
+        assert [f.name for f in tmp_path.iterdir()] == ["p.circ"], argv
+        assert main(argv) == 0, argv
+        for f in tmp_path.glob("out*"):
+            f.unlink()
+
+
 def test_vnp_factor_command(tmp_path, capsys):
     esum = _write(tmp_path, "e.esum",
                   "aux y3\nfield rationals\nnvars 3\ng1 = input x1\ng2 = input x2\n"

@@ -91,7 +91,7 @@ CERT_GOLDEN = {
     "pit/exhaustive": "d2c3b39fd1a282ea23595fa9cdc2cb22b5571ed5e2e0ea2d3175c361fd85a98c",
     "vnp-sum/expand": "0ba782def21cc97ddc11cd7ac61f1f4c78ac2d34f061f8b86f81f035f0909838",
     "vnp-sum/eval": "d32118d20e7d3590904aa4ade9a565ee2d41dcccce3857b54e90be5b94d7d56c",
-    "vnp-factor": "8a7b7dd153f983a5b9abf6ad548142973db368cfc75c6e1ba7434ff05f877152",
+    "vnp-factor": "5bd71db6b1c87f13859c068400fe8c1d551686faf6460ae512901f38fd7d958c",
 }
 
 

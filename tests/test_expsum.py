@@ -357,15 +357,34 @@ def _planted_aux_cubic(field):
     return ExpSumPoly(ver, (2, 3))
 
 
+def _record_interpolations(monkeypatch) -> list:
+    """Every _interpolate call, in transforms and expsum alike, as
+    (circ, scale, y, shape, bound): bound lists, for each copy that the
+    call imports into its builder, the variables bound in that copy."""
+    from circuitforge import expsum
+
+    calls, imports = [], []
+    real, real_import = transforms._interpolate, CircuitBuilder.import_circuit
+
+    def importing(self, circ, var_bindings=None):
+        imports.append((self, sorted(var_bindings or {})))
+        return real_import(self, circ, var_bindings)
+
+    def spy(circ, scale, y, alpha, shape):
+        start = len(imports)
+        b, coeff = real(circ, scale, y, alpha, shape)
+        bound = [keys for owner, keys in imports[start:] if owner is b]
+        calls.append((circ, scale, y, shape, bound))
+        return b, coeff
+
+    monkeypatch.setattr(CircuitBuilder, "import_circuit", importing)
+    for module in (transforms, expsum):
+        monkeypatch.setattr(module, "_interpolate", spy)
+    return calls
+
+
 def test_factor_vnp_interpolates_by_x_degree(QQ, monkeypatch):
-    calls = []
-    real = transforms._interp_engine
-
-    def spy(circ, over, dmax, upto=None):
-        calls.append((circ, over, dmax))
-        return real(circ, over, dmax, upto=upto)
-
-    monkeypatch.setattr(transforms, "_interp_engine", spy)
+    calls = _record_interpolations(monkeypatch)
     for field in (QQ, PrimeField(1_000_003)):
         calls.clear()
         e = _planted_aux_cubic(field)
@@ -377,12 +396,36 @@ def test_factor_vnp_interpolates_by_x_degree(QQ, monkeypatch):
         want = (y - x1) * (y - one - x1)
         assert exp_sum_expand(out) == expand(fr.factor) == want
         # the verifier-level interpolations (every circuit carrying E's
-        # auxiliaries) take as many nodes as the degree in what they
-        # interpolate over: the z-degree for the coefficient rows, the
-        # x-degree (a scaling of the x-variables, auxiliaries untouched)
-        # for truncations
+        # auxiliaries) take as many nodes on an axis as the degree in what
+        # it binds: x1 scaled and z shifted for the generator members, all
+        # x-variables scaled (auxiliaries untouched) for truncations
         verifier_level = [c for c in calls if c[0].num_vars >= e.nx + e.m]
-        assert any(over == 1 for _, over, _ in verifier_level)
-        assert any(over == [0, 1] for _, over, _ in verifier_level)
-        for circ, over, dmax in verifier_level:
-            assert dmax == formal_degree_in(circ, over)
+        assert any(scale == [0] and y == 1 for _, scale, y, _, _ in verifier_level)
+        assert any(scale == [0, 1] and y is None for _, scale, y, _, _ in verifier_level)
+        for circ, scale, y, shape, _ in verifier_level:
+            assert shape[0] == formal_degree_in(circ, scale)
+            assert shape[1] == (0 if y is None else formal_degree_in(circ, y))
+
+
+def test_factor_vnp_interpolates_the_verifier_once_per_lifted_root(QQ, monkeypatch):
+    # every member of a root's orders is read from one interpolation of the
+    # verifier: one copy per node of its lower set, x1 scaled, z shifted,
+    # and no copy of any verifier-level interpolation binds an auxiliary
+    calls = _record_interpolations(monkeypatch)
+    for field in (QQ, PrimeField(1_000_003)):
+        calls.clear()
+        e = _planted_aux_cubic(field)
+        out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
+        assert exp_sum_expand(out) == expand(fr.factor)
+        verifier_level = [c for c in calls if c[0].num_vars == e.nx + e.m]
+        members = [c for c in verifier_level if c[1] and c[2] is not None]
+        roots = [i for i in fr.subset if fr.bundle.states[i].gens.orders]
+        assert len(roots) == len(members) == 2
+        for circ, scale, y, shape, bound in members:
+            assert (scale, y) == ([0], 1)
+            assert shape == (formal_degree_in(circ, [0]), formal_degree_in(circ, 1),
+                             formal_degree_in(circ, [0, 1]))
+            assert len(bound) == len(transforms._lower_set(field, shape))
+            assert all(keys == [0, 1] for keys in bound)
+        for *_, bound in verifier_level:
+            assert bound and all(not set(keys) & set(e.aux) for keys in bound)

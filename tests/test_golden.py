@@ -88,10 +88,10 @@ VNP_CASES = (("qq/d1", QQ, 1, None), ("qq/d2", QQ, 2, [0, 1]),
              ("fp62/d1", FP62, 1, None), ("fp62/d2", FP62, 2, [0, 1]))
 
 VNP_GOLDEN = {
-    "vnp/qq/d1": "f7edee18e5badaf24f49db9f09696539e3b570a59fb8abf7de02e825ed24eb62",
-    "vnp/qq/d2": "b5f740572247cc2c706db248e32827deed1abe9479920911041fef4e86ac62f6",
-    "vnp/fp62/d1": "8245db4e49c4749d009cab2c8436139ab6c5f3289493b8b6e0419734234816ce",
-    "vnp/fp62/d2": "0dcd7b1f011bd37e7654aee4bc2a4ee39302d7dfed2f53221c118ee619028975",
+    "vnp/qq/d1": "112cb116cd65b6f28e136134263d5cddb110352dade2ed62e5232273c41d2fdb",
+    "vnp/qq/d2": "70c52c1a76c75906d45d1ceb0fd0180aa36bec511f489ab75be9f5a3769c519e",
+    "vnp/fp62/d1": "cb2f9d313ec59a82e40e78495d57d262744c5e84ad60466f37e49cca6877e89a",
+    "vnp/fp62/d2": "9a84ff06e02bb902040cb0d64d6498adea3ed3d8a88e62a0414ce14b89181624",
 }
 
 

@@ -7,11 +7,14 @@ tracer looks up still exists, with a traced run still counting the slice
 expansions it reads. The univariate section of `dense.py` is one
 kernel on native numbers: none of its functions calls a Field method, and
 neither do the builder's canonicalizing `add`, `mul` and `import_circuit`,
-nor the grid batcher, the table fold and the identity tests that read them."""
+nor the grid batcher, the table fold and the identity tests that read them.
+The README's key documented size and depth constants are the ones the
+suite asserts."""
 
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +26,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
 RUNTIME_DEPENDENCIES = {"numpy", "circuitforge"}
 TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
+README = SRC.parent.parent / "README.md"
 # bare ValueErrors left to type (ROADMAP item 6): every site is typed
 BARE_VALUE_ERRORS = 0
 # Field arithmetic the native-number kernels must not call (they use operators)
@@ -213,3 +217,24 @@ def test_batched_identity_tests_call_no_field_method():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr in FIELD_METHODS]
     assert not calls, f"the batched identity tests call Field methods: {calls}"
+
+
+def test_readme_documents_the_size_and_depth_constants():
+    from circuitforge.factoring import FACTOR_DEPTH_SLACK, FACTOR_SIZE_FACTOR
+    from circuitforge.lifting import A_STEP_WIRE_LAW, ROOT_SIZE_FACTOR
+    from circuitforge.transforms import GENSET_SIZE_FACTOR, HOMOGENIZE_SIZE_FACTOR
+
+    paragraph = README.read_text().split("Key documented constants:", 1)[1].split("\n\n", 1)[0]
+    text = " ".join(paragraph.split())
+    documented = {  # the figures each pattern reads, in order
+        r"size\(H_k\) ≤ (\d+)·k²·size \+ (\d+)·\(k\+1\)": (HOMOGENIZE_SIZE_FACTOR,) * 2,
+        r"adds at most `(\d+)·d²` wires per step": (A_STEP_WIRE_LAW,),
+        r"at most `(\d+)·\(d\+1\)·size\(P\)` wires": (ROOT_SIZE_FACTOR,),
+        r"depth ≤ depth\(P\) \+ (\d+) and at most `(\d+)·d²·size\(P\)` wires":
+            (FACTOR_DEPTH_SLACK, FACTOR_SIZE_FACTOR),
+        r"within `(\d+)·size\(P\)·r⁵`": (GENSET_SIZE_FACTOR,),
+    }
+    for pattern, want in documented.items():
+        found = re.search(pattern, text)
+        assert found, f"the README documents no constant matching {pattern!r}"
+        assert tuple(map(int, found.groups())) == want, (pattern, found.group(0))

@@ -130,6 +130,19 @@ def test_extract_y_coeffs_refuses_a_negative_degree_bound(QQ):
             extract_y_coeffs(P, y, -1)
 
 
+def test_extract_y_coeffs_refuses_a_bound_below_the_y_degree(QQ):
+    # x1 + x2^2 with y = x2: two nodes would fold the y^2 coefficient into
+    # the lower ones and read back x1 + y
+    b = CircuitBuilder(QQ, 2)
+    P = b.finish(b.add(b.inp(0), b.mul(b.inp(1), b.inp(1))))
+    for dmax in (0, 1):
+        with pytest.raises(ParameterViolation, match="below the formal degree 2"):
+            extract_y_coeffs(P, 1, dmax)
+    coeffs = [expand(c) for c in extract_y_coeffs(P, 1, 2)]
+    assert coeffs == [DensePoly.variable(QQ, 2, 0), DensePoly.zero(QQ, 2),
+                      DensePoly.const(QQ, 2, QQ.one)]
+
+
 def test_truncate_deg_example(QQ):
     b = CircuitBuilder(QQ, 1)
     x = b.inp(0)
@@ -348,37 +361,6 @@ def test_generator_set_over_the_full_expansion_budget_still_uses_the_oracle(QQ, 
     assert emit_circuit(small.components) == emit_circuit(full.components)
 
 
-def _every_row(real):
-    """An _interp_engine that builds every row and hands back the ones asked for."""
-    def engine(circ, var, dmax, upto=None):
-        b, rows = real(circ, var, dmax)
-        return b, [row[: len(row) if upto is None else upto + 1] for row in rows]
-    return engine
-
-
-def test_kept_rows_emit_the_bytes_of_a_build_of_every_row(QQ, monkeypatch):
-    cases = []
-    for field, name in ((QQ, "qq"), (PrimeField(101), "f101"),
-                        (PrimeField(SIXTY_TWO_BIT_PRIME), "f62")):
-        rng = rng_for("kept-rows-" + name)
-        for t in range(40):
-            P = random_circuit(field, rng, 3, size_limit=24, degree_limit=6)
-            cases.append((P, rng.randrange(3), field.embed(rng.randint(-3, 3)), 1 + t % 3))
-
-    def emitted():
-        out = []
-        for P, y, alpha, d in cases:
-            gens = generator_set(P, y, alpha, d)
-            out += [emit_circuit(truncate_deg(P, d)), emit_circuit(homog_component_interp(P, d))]
-            out += [emit_circuit(m) for _, m in gens.members]
-            out.append(gens.components and emit_circuit(gens.components))
-        return out
-
-    kept = emitted()
-    monkeypatch.setattr(transforms, "_interp_engine", _every_row(transforms._interp_engine))
-    assert emitted() == kept
-
-
 # -- interpolation over a scaling, with no scaled copy ----------------------------
 
 def _scaled_copy(circ, scale_vars):
@@ -391,12 +373,15 @@ def _scaled_copy(circ, scale_vars):
 
 
 def _scaled_copy_engine(real):
-    """An _interp_engine that interpolates over a scaling by a scaled copy
-    of the circuit, then over its scaling variable t."""
-    def engine(circ, over, dmax, upto=None):
-        if isinstance(over, int):
-            return real(circ, over, dmax, upto)
-        return real(_scaled_copy(circ, over), circ.num_vars, dmax, upto)
+    """An _interpolate that interpolates over a scaling alone by a scaled
+    copy of the circuit, then over its scaling variable t: the t^k
+    coefficient is the s^k one of the copy's y-axis interpolation."""
+    def engine(circ, scale, y, alpha, shape):
+        if not scale or y is not None:
+            return real(circ, scale, y, alpha, shape)
+        b, coeff = real(_scaled_copy(circ, scale), (), circ.num_vars, circ.field.zero,
+                        (0, shape[0], shape[2]))
+        return b, lambda monomials: coeff((0, k) for k, _ in monomials)
     return engine
 
 
@@ -429,8 +414,8 @@ def test_direct_scaling_emits_the_bytes_of_a_scaled_copy(QQ, monkeypatch):
             out.append(emit_circuit(truncate_deg(P, d, scale_vars=over)))
             out.append(emit_circuit(homog_component_interp(P, d, scale_vars=over)))
             dmax = formal_degree_in(P, over)
-            b, rows = transforms._interp_engine(P, over, dmax, upto=min(d, dmax))
-            multi = b.finish([g for row in rows for g in row])
+            b, coeff = transforms._interpolate(P, over, None, None, (dmax, 0, dmax))
+            multi = b.finish([coeff([(k, 0)]) for k in range(min(d, dmax) + 1)])
             out.append((multi.gates, multi.outputs))
             gens = generator_set(P, y, alpha, 1 + d % 3)
             out.append(gens.components and emit_circuit(gens.components))
@@ -438,8 +423,8 @@ def test_direct_scaling_emits_the_bytes_of_a_scaled_copy(QQ, monkeypatch):
         return out
 
     direct = emitted()
-    monkeypatch.setattr(transforms, "_interp_engine",
-                        _scaled_copy_engine(transforms._interp_engine))
+    monkeypatch.setattr(transforms, "_interpolate",
+                        _scaled_copy_engine(transforms._interpolate))
     assert emitted() == direct
 
 
@@ -476,6 +461,15 @@ def test_generator_set_interpolates_on_a_lower_set_of_nodes(QQ):
         lows = [ref - DensePoly.const(QQ, 3, ref.constant_term()) for ref in refs]
         assert gens.orders == [j for j, low in enumerate(lows) if not low.is_zero()]
         assert [(j, expand(m)) for j, m in gens.members] == [(j, lows[j]) for j in gens.orders]
+
+
+def test_generator_set_refuses_a_lower_set_wider_than_the_degree_budget(QQ):
+    # x1 + x2^64: 65 nodes on the x2 axis, whichever variable is y
+    b = CircuitBuilder(QQ, 2)
+    P = b.finish(b.add(b.inp(0), b.power(b.inp(1), 64)))
+    for y in (0, 1):
+        with pytest.raises(BudgetExceeded, match="64 > 32"):
+            generator_set(P, y, QQ.zero, 1, budget=ExpansionBudget(max_degree=32))
 
 
 def test_generator_set_refuses_a_field_with_too_few_nodes():
