@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 from .circuit import (
     Circuit,
     CircuitBuilder,
@@ -57,10 +55,7 @@ from .transforms import (
     _interpolate,
     _split_outputs,
     extract_y_coeffs,
-    hasse_derivative_circuit,
     homog_component_interp,
-    shear,
-    translate,
     truncate_deg,
 )
 
@@ -369,15 +364,6 @@ def coeff_exp_sums(E: ExpSumPoly, z: int, dmax: int) -> list:
     return [ExpSumPoly(r, E.aux) for r in rows]
 
 
-def hasse_exp_sum(E: ExpSumPoly, z: int, j: int) -> ExpSumPoly:
-    """Exp-sum of the order-j Hasse z-derivative of the represented poly."""
-    E = E.canonical()
-    if not 0 <= z < E.nx:
-        raise ParameterViolation(f"z must be one of the {E.nx} x-variables, got index {z}")
-    ver = hasse_derivative_circuit(E.verifier, z, j)
-    return ExpSumPoly(ver, E.aux)
-
-
 def homog_x_exp_sum(E: ExpSumPoly, k: int) -> ExpSumPoly:
     """Degree-k-in-x homogeneous part; auxiliary variables untouched."""
     E = E.canonical()
@@ -393,15 +379,6 @@ def homog_x_upto(E: ExpSumPoly, d: int) -> ExpSumPoly:
 
 # -- the factor pipeline ---------------------------------------------------------------
 
-def _translate_x(E: ExpSumPoly, shift: dict) -> ExpSumPoly:
-    E = E.canonical()
-    field = E.field
-    full = [field.zero] * E.verifier.num_vars
-    for xi, ci in shift.items():
-        full[xi] = ci
-    return ExpSumPoly(translate(E.verifier, full), E.aux)
-
-
 def factor_vnp(
     E: ExpSumPoly,
     d: int,
@@ -412,15 +389,18 @@ def factor_vnp(
     """Factor of degree <= d of the represented polynomial, as an exp-sum.
 
     Runs the circuit factorizer on a desk-scale expansion to obtain the
-    structure (monic shift, separating shift, root subset, A-circuits and
-    generator orders), then rebuilds every step at the verifier level:
+    structure (change of coordinates, root subset, A-circuits and generator
+    orders), then rebuilds every step at the verifier level: the verifier
+    carried into the factorizer's coordinates by the result's to_lifted,
     the generator exp-sums of each lifted root alpha from one interpolation
-    of the verifier (the x-variables other than z scaled, z shifted to
-    alpha, the auxiliaries untouched), the combining circuit B
-    converted to a formula and leaf-substituted with fresh auxiliary
-    blocks, a final degree-d truncation in x, and the inverse shifts. The
-    result is certified by exp_sum_expand equality with the factor's dense
-    form. Returns (exp_sum, factor_result).
+    of it (the x-variables other than z scaled, z shifted to alpha, the
+    auxiliaries untouched), the combining circuit B converted to a formula
+    and leaf-substituted with fresh auxiliary blocks, a final degree-d
+    truncation in x, and from_lifted back. An output with more than
+    BRUTE_FORCE_AUX_LIMIT auxiliaries (E.m per generator-variable leaf of B)
+    is refused before any of it is built. The result is certified by
+    exp_sum_expand equality with the factor's dense form. Returns
+    (exp_sum, factor_result).
     """
     E = E.canonical()
     field = E.field
@@ -434,24 +414,20 @@ def factor_vnp(
 
     p_circ = circuit_from_dense(p_dense)
     fr = extract_factor(p_circ, z, d, subset=subset, seed=seed, budget=budget)
-    r = p_dense.total_degree()
     x_others = [i for i in range(nx) if i != z]
 
-    # monic change of variables, leading-unit normalization
-    shift_coeffs = dict(zip(x_others, fr.monic.shift))
-    e1 = ExpSumPoly(shear(E.verifier, z, shift_coeffs), E.aux)
-    e1 = scale_expsum(e1, field.inv(fr.monic.leading_unit))
-    # multiplicity level
-    if fr.deriv_level > 0:
-        e1 = hasse_exp_sum(e1, z, fr.deriv_level)
-        e1 = scale_expsum(e1, field.inv(field.embed(math.comb(r, fr.deriv_level))))
-    # separating shift
-    e3 = _translate_x(e1, dict(zip(x_others, fr.bundle.shift)))
+    # each generator-variable leaf of B's formula takes a fresh auxiliary
+    # block: refuse an output over the brute-force limit before building it
+    dS = len(fr.subset)
+    B = combiner_dense(fr.bundle, fr.subset, dS)
+    aux_out = E.m * sum(sum(e[1:]) for e in B.terms)
+    if aux_out > BRUTE_FORCE_AUX_LIMIT:
+        raise BudgetExceeded("terms", f"2^{aux_out} auxiliary assignments")
 
     # generator exp-sums: the member of order j at a root alpha is the sum
     # of the t^1..t^d s^j coefficients of V(t * x, alpha + s, aux), all read
-    # from one interpolation of the verifier V per root
-    ver = e3.verifier
+    # from one interpolation of the verifier V, in the lifted coordinates, per root
+    ver = fr.to_lifted(E.verifier)
     shape = (formal_degree_in(ver, x_others), formal_degree_in(ver, z),
              formal_degree_in(ver, range(nx)))
 
@@ -460,26 +436,17 @@ def factor_vnp(
             return []
         b, coeff = _interpolate(ver, x_others, z, alpha, shape)
         ids = [coeff((k, j) for k in range(1, d + 1)) for j in orders]
-        return [ExpSumPoly(m, e3.aux) for m in _split_outputs(b.finish(ids))]
+        return [ExpSumPoly(m, E.aux) for m in _split_outputs(b.finish(ids))]
 
     # combining circuit B over (y, generator variables), bound leaf by leaf
     # to z and the members' exp-sums in combiner_dense's variable order
-    dS = len(fr.subset)
-    b_formula = circuit_to_formula(
-        circuit_from_dense(combiner_dense(fr.bundle, fr.subset, dS))
-    )
+    b_formula = circuit_to_formula(circuit_from_dense(B))
     bindings = {0: plain_expsum(input_circuit(field, z, nx))}
     for i in fr.subset:
         for member in member_expsums(fr.bundle.alphas[i], fr.bundle.states[i].gens.orders):
             bindings[len(bindings)] = member
-    composed = leaf_substitute(b_formula, bindings)
-    composed = homog_x_upto(composed, dS)
-
-    # undo the separating shift, then the monic change of variables
-    undo_shift = {xi: field.neg(ci) for xi, ci in zip(x_others, fr.bundle.shift)}
-    out = _translate_x(composed, undo_shift)
-    undo_monic = {xi: field.neg(ai) for xi, ai in zip(x_others, fr.monic.shift)}
-    out = ExpSumPoly(shear(out.verifier, z, undo_monic), out.aux)
+    composed = homog_x_upto(leaf_substitute(b_formula, bindings), dS)
+    out = ExpSumPoly(fr.from_lifted(composed.verifier), composed.aux)
 
     out_dense = exp_sum_expand(out, budget)
     unit = _leading_y_unit(out_dense, z)

@@ -22,7 +22,6 @@ in-field roots.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dc_field
 
 from .circuit import Circuit, CircuitBuilder, _check_var, formal_degree_in
@@ -50,9 +49,9 @@ from .lifting import _slices, _stage, build_A_recurrence, composition_sum
 from .transforms import (
     MonicForm,
     _check_lift_degree,
-    hasse_derivative_circuit,
+    derivative_level,
     make_monic,
-    translate,
+    translate_x,
     undo_monic_shift,
 )
 
@@ -102,6 +101,12 @@ class RootBundle:
 
 @dataclass
 class FactorResult:
+    """A certified factor and the change of coordinates it was found in: P's
+    monic form, its derivative level, then the separating shift of the
+    bundle's roots. to_lifted and from_lifted apply that map and its inverse
+    to any circuit over P's variables; variables past them, such as an
+    exp-sum's auxiliaries, pass through."""
+
     factor: Circuit              # original coordinates
     factor_dense: DensePoly      # its expansion, certified against the dense screen
     subset: tuple                # 0-based indices into bundle.alphas
@@ -110,6 +115,16 @@ class FactorResult:
     deriv_level: int
     bundle: RootBundle
     metrics_chain: list
+
+    def to_lifted(self, circ: Circuit) -> Circuit:
+        m = self.monic
+        level = derivative_level(m.apply(circ), m.y_var, self.deriv_level, m.degree)
+        return translate_x(level, m.y_var, self.bundle.shift)
+
+    def from_lifted(self, circ: Circuit) -> Circuit:
+        fld, y = circ.field, self.monic.y_var
+        unshifted = translate_x(circ, y, [fld.neg(v) for v in self.bundle.shift])
+        return undo_monic_shift(unshifted, self.monic)
 
 
 def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None):
@@ -255,15 +270,7 @@ def extract_factor(
     # roots at derivative level k = m - 1 and at no earlier level
     max_level = r if subset is None else 1
     for level in range(max_level):
-        if r - level < 1:
-            break
-        if level == 0:
-            Pk = Pm
-        else:
-            Pk = hasse_derivative_circuit(Pm, y, level)
-            unit = fld.embed(math.comb(r, level))
-            b = CircuitBuilder(fld, Pk.num_vars)
-            Pk = b.finish(b.mul(b.const(fld.inv(unit)), b.import_circuit(Pk)[0]))
+        Pk = derivative_level(Pm, y, level, r)
         try:
             c, alphas = separating_shift(Pk, y, seed, r=r - level)
         except NoSimpleRoots:
@@ -273,17 +280,14 @@ def extract_factor(
                 f"the subset names a root outside the {len(alphas)} simple roots "
                 "of the slice"
             )
-        full_shift = [fld.zero] * Pk.num_vars
-        for xi, ci in zip(x_vars, c):
-            full_shift[xi] = ci
-        Pk_s = Pk if all(v == fld.zero for v in c) else translate(Pk, full_shift)
-        # x_i -> x_i - a_i * y - c_i undoes the shift, then the monic change of variables
+        # the dense twin of FactorResult.from_lifted: x_i -> x_i - a_i * y - c_i
+        # undoes the shift, then the monic change of variables
         unshift = [DensePoly.variable(fld, nv, v) for v in range(nv)]
         for xi, ci, ai in zip(x_vars, c, monic.shift):
             unshift[xi] = unshift[xi] - unshift[y].scale(ai) - DensePoly.const(fld, nv, ci)
         # roots are lifted when a subset first needs them; the screen's exact
         # divisibility certifies candidates, so no per-root residual check runs
-        bundle = RootBundle(shift=c, alphas=alphas, d=d, y_var=y, source=Pk_s)
+        bundle = RootBundle(shift=c, alphas=alphas, d=d, y_var=y, source=translate_x(Pk, y, c))
         for S in _subset_iter(len(alphas), d, given=subset):
             try:
                 bundle.lift(S, budget)
@@ -296,10 +300,10 @@ def extract_factor(
             mult = divides(cand_orig, P_dense, main_var=y)
             if mult < 1:
                 continue
-            factor_circ = combine_roots(bundle, S, dS)
-            if any(v != fld.zero for v in c):
-                factor_circ = translate(factor_circ, [fld.neg(v) for v in full_shift])
-            factor_circ = undo_monic_shift(factor_circ, monic)
+            res = FactorResult(factor=None, factor_dense=None, subset=tuple(S),
+                               multiplicity=mult, monic=monic, deriv_level=level,
+                               bundle=bundle, metrics_chain=chain)
+            factor_circ = res.from_lifted(combine_roots(bundle, S, dS))
             unit = _leading_y_unit(cand_orig, y)
             if unit is not None and unit != fld.one:
                 inv, b = fld.inv(unit), CircuitBuilder(fld, nv)
@@ -309,18 +313,8 @@ def extract_factor(
             if expand(factor_circ, budget) != cand_orig:
                 raise InvariantViolated("circuit factor disagrees with its dense screen")
             chain.append(_stage("factor", factor_circ))
-            return FactorResult(
-                factor=factor_circ,
-                factor_dense=cand_orig,
-                subset=tuple(S),
-                multiplicity=mult,
-                monic=monic,
-                deriv_level=level,
-                bundle=bundle,
-                metrics_chain=chain,
-            )
-        if subset is not None:
-            break
+            res.factor, res.factor_dense = factor_circ, cand_orig
+            return res
     shear = "the identity" if all(a == fld.zero for a in monic.shift) else "not the identity"
     raise NoFactorFound(
         f"no combination of lifted roots up to size {d} divides P: searched multiplicity "

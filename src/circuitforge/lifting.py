@@ -44,7 +44,7 @@ from .transforms import (
     _check_lift_degree,
     generator_set,
     hasse_derivative_circuit,
-    translate,
+    translate_x,
     truncate_deg,
 )
 
@@ -251,8 +251,7 @@ def lift_root(
         if not roots:
             continue
         saw_candidate = True
-        full_shift = [*c[:y], fld.zero, *c[y:]]
-        Pc = P if all(ci == fld.zero for ci in c) else translate(P, full_shift)
+        Pc = translate_x(P, y, c)
         for root_val, m in roots:
             # a root of multiplicity m is simple for the order-(m - 1) y-derivative
             P_try = Pc if m == 1 else hasse_derivative_circuit(Pc, y, m - 1)
@@ -261,9 +260,7 @@ def lift_root(
             except NotASimpleRoot:
                 continue
             h = compose_root(state)
-            f_cand = h if all(ci == fld.zero for ci in c) else translate(
-                h, [fld.neg(v) for v in full_shift]
-            )
+            f_cand = translate_x(h, y, [fld.neg(v) for v in c])
             mode = _residual_check(P, y, f_cand, seed, budget)
             if mode is None:
                 continue

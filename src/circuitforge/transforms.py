@@ -48,25 +48,23 @@ def _vandermonde_inverse(fld, dmax: int):
     """Rows W[j] with coeff_j = sum_a W[j][a] * P(node_a), nodes = 0..dmax."""
     if isinstance(fld, PrimeField) and fld.p <= dmax:
         raise FieldTooSmall(f"need {dmax + 1} distinct elements, field has {fld.p}")
-    n = dmax + 1
-    # Gauss-Jordan on [V | I] with V[a][j] = node_a^j; the result's row j
-    # gives the weights for coefficient j.
-    mat = []
-    for a in range(n):
-        row = [fld.pow(fld.embed(a), j) for j in range(n)]
-        row += [fld.one if t == a else fld.zero for t in range(n)]
-        mat.append(row)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if mat[r][col] != fld.zero)
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = fld.inv(mat[col][col])
-        mat[col] = [fld.mul(v, inv) for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != fld.zero:
-                f = mat[r][col]
-                mat[r] = [fld.sub(v, fld.mul(f, w)) for v, w in zip(mat[r], mat[col])]
-    # inverse columns correspond to evaluations; transpose into weight rows
-    return [[mat[j][n + a] for a in range(n)] for j in range(n)]
+    # W[j][a] is the t^j coefficient of the Lagrange basis polynomial of node
+    # a: M(t) / (t - a), M = prod_b (t - b), over prod_{b != a} (a - b), which
+    # is (-1)^(dmax - a) * a! * (dmax - a)!
+    m = [fld.one]  # M's coefficients, constant term first
+    for b in range(dmax + 1):
+        nb = fld.embed(-b)
+        m = [fld.add(lo, fld.mul(nb, hi)) for lo, hi in zip([fld.zero] + m, m + [fld.zero])]
+    cols = []
+    for a in range(dmax + 1):
+        denom = (-1) ** (dmax - a) * math.factorial(a) * math.factorial(dmax - a)
+        scale = fld.inv(fld.embed(denom))
+        node, q, acc = fld.embed(a), [], fld.zero
+        for c in reversed(m[1:]):  # synthetic division by (t - a), top coefficient first
+            acc = fld.add(c, fld.mul(node, acc))
+            q.append(fld.mul(acc, scale))
+        cols.append(q[::-1])
+    return [[col[j] for col in cols] for j in range(dmax + 1)]
 
 
 def _lower_set(fld, shape: tuple) -> list:
@@ -299,6 +297,17 @@ def hasse_derivative_circuit(circ: Circuit, y: int, j: int) -> Circuit:
     return b.finish(out)
 
 
+def derivative_level(circ: Circuit, y: int, k: int, r: int) -> Circuit:
+    """Multiplicity level k of a circuit monic of degree r in y: its order-k
+    Hasse y-derivative over C(r, k), monic of degree r - k. circ at k = 0."""
+    if k == 0:
+        return circ
+    fld = circ.field
+    b = CircuitBuilder(fld, circ.num_vars)
+    unit = b.const(fld.inv(fld.embed(math.comb(r, k))))
+    return b.finish(b.mul(unit, b.import_circuit(hasse_derivative_circuit(circ, y, k))[0]))
+
+
 # -- translation ----------------------------------------------------------------
 
 def translate(circ: Circuit, shift) -> Circuit:
@@ -317,6 +326,17 @@ def translate(circ: Circuit, shift) -> Circuit:
     return b.finish(outs)
 
 
+def translate_x(circ: Circuit, y: int, c) -> Circuit:
+    """circ(x + c, y): c[i] is added to the i-th variable other than y, and
+    variables past the first len(c) + 1 stay put. circ itself when c is all
+    zero."""
+    zero = circ.field.zero
+    if all(v == zero for v in c):
+        return circ
+    full = [*c[:y], zero, *c[y:]]
+    return translate(circ, full + [zero] * (circ.num_vars - len(full)))
+
+
 # -- monic normal form ------------------------------------------------------------
 
 @dataclass
@@ -333,6 +353,16 @@ class MonicForm:
     leading_unit: object
     y_var: int
     degree: int
+
+    def apply(self, circ: Circuit) -> Circuit:
+        """The forward map: circ(x + a*y, y) / leading_unit. Variables past
+        the form's own pass through; undo_monic_shift inverts the shear."""
+        fld = circ.field
+        x_vars = [i for i in range(circ.num_vars) if i != self.y_var]
+        b = CircuitBuilder(fld, circ.num_vars)
+        bindings = _shear_bindings(b, self.y_var, dict(zip(x_vars, self.shift)))
+        out = b.import_circuit(circ, var_bindings=bindings)[0]
+        return b.finish(b.mul(b.const(fld.inv(self.leading_unit)), out))
 
 
 def _top_component_value(circ: Circuit, point, r: int):
@@ -380,17 +410,9 @@ def make_monic(circ: Circuit, r: int, seed: int, y_var: int | None = None) -> Mo
         lead = _top_component_value(work, point, r)
         if lead == fld.zero:
             continue
-        b = CircuitBuilder(fld, nv)
-        bindings = _shear_bindings(b, y_var, dict(zip(x_vars, a)))
-        out = b.import_circuit(work, var_bindings=bindings)[0]
-        out = b.mul(b.const(fld.inv(lead)), out)
-        return MonicForm(
-            circuit=b.finish(out),
-            shift=a,
-            leading_unit=lead,
-            y_var=y_var,
-            degree=r,
-        )
+        form = MonicForm(circuit=work, shift=a, leading_unit=lead, y_var=y_var, degree=r)
+        form.circuit = form.apply(work)
+        return form
     raise SearchExhausted(
         f"no monic shift found in {trials} trials; is the declared degree {r} exact?"
     )

@@ -16,7 +16,9 @@ from circuitforge import (
 )
 from circuitforge import transforms
 from circuitforge.circuit import formal_degree_in, input_circuit, is_formula
-from circuitforge.errors import ArityMismatch, NotAFormula, ParameterViolation, ShapeError
+from circuitforge.errors import (
+    ArityMismatch, BudgetExceeded, NotAFormula, ParameterViolation, ShapeError,
+)
 from circuitforge.expsum import (
     ExpSumPoly,
     SELECTOR_SIZE_FACTOR,
@@ -27,6 +29,7 @@ from circuitforge.expsum import (
     homog_x_upto,
     plain_expsum,
 )
+from circuitforge.factoring import combiner_dense
 
 from conftest import random_circuit, rng_for
 
@@ -429,3 +432,25 @@ def test_factor_vnp_interpolates_the_verifier_once_per_lifted_root(QQ, monkeypat
             assert all(keys == [0, 1] for keys in bound)
         for *_, bound in verifier_level:
             assert bound and all(not set(keys) & set(e.aux) for keys in bound)
+
+
+def test_factor_vnp_refuses_an_over_budget_output_before_building_it(QQ, monkeypatch):
+    # each generator-variable leaf of the combiner's formula takes one fresh
+    # auxiliary block: the planted cubic's output carries exactly that many
+    calls = _record_interpolations(monkeypatch)
+    e = _planted_aux_cubic(QQ)
+    out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
+    B = combiner_dense(fr.bundle, fr.subset, len(fr.subset))
+    assert out.m == e.m * sum(sum(t[1:]) for t in B.terms)
+    # (y - x1 - 1)(y - 2 x1 - 2)(y - x1 - 3) a over one auxiliary a: the
+    # degree-3 factor's combiner has 107 such leaves, refused with no copy
+    # of the verifier built
+    b = CircuitBuilder(QQ, 3)
+    x1, y, a = b.inp(0), b.inp(1), b.inp(2)
+    lins = [b.sub(y, b.add(b.mul(b.const(QQ.embed(s)), x1), b.const(QQ.embed(c))))
+            for s, c in ((1, 1), (2, 2), (1, 3))]
+    e = ExpSumPoly(b.finish(b.mul(*lins, a)), (2,))
+    calls.clear()
+    with pytest.raises(BudgetExceeded, match=r"2\^107 auxiliary assignments"):
+        factor_vnp(e, 3, subset=(0, 1, 2), seed=0)
+    assert calls and not [c for c in calls if c[0].num_vars == e.nx + e.m]

@@ -3,7 +3,8 @@ commands write.
 
 Each entry hashes the emitted circuit and the certificate `data` that the
 command core produces for one criterion-7 instance (given subset and subset
-search), one criterion-1 instance or one exp-sum with auxiliary blocks. A
+search), one criterion-1 instance, one factor run whose change of
+coordinates is not the identity, or one exp-sum with auxiliary blocks. A
 change that must keep outputs byte-identical keeps every hash. A change
 that alters bytes on purpose re-pins them: `PYTHONPATH=src python tests/test_golden.py` prints the tables
 to paste over GOLDEN and VNP_GOLDEN, and the change says why the bytes moved.
@@ -16,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from circuitforge import CircuitBuilder, emit_circuit  # noqa: E402
+from circuitforge import CircuitBuilder, emit_circuit, expand, extract_factor  # noqa: E402
 from circuitforge.cli import (  # noqa: E402
     _core_factor,
     _core_lift_root,
@@ -42,6 +43,14 @@ FACTOR_CASES = (0, 1, 2, 3, 40, 41, 42, 75, 76, 90, 91, 97)
 ROOT_CASES = (("qq", 0, 1), ("qq", 3, 1), ("qq", 13, 2), ("qq", 19, 2), ("qq", 27, 3),
               ("fp62", 1, 1), ("fp62", 7, 2), ("fp62", 9, 2), ("fp62", 17, 3),
               ("fp62", 27, 4))
+# factor runs whose change of coordinates is not the identity, at seeds 0 and
+# 2 over Q and F_p: (y - x1 - 1)^2 (x1 - 2) is sheared with a non-unit lead and
+# factored at derivative level 1, (y - x1)^2 at level 1, and
+# (y - x1 - x1*x2)(y - x2 - 3) is sheared and needs a nonzero separating
+# shift; its degree-2 factor takes a root pair that depends on field and seed
+COORD_CASES = (("sq-x", 1), ("sq", 1), ("two", 2))
+COORD_SEEDS = (0, 2)
+COORD_PAIRS = {("qq", 0): [1, 2], ("qq", 2): [0, 2], ("fp62", 0): [0, 2], ("fp62", 2): [0, 1]}
 
 BUDGET = {"budget_terms": DEFAULT_BUDGET.max_terms, "budget_degree": DEFAULT_BUDGET.max_degree}
 
@@ -80,6 +89,22 @@ GOLDEN = {
     "c1/fp62/9": "c0409f0735200e0653b8135f5044e257b7be0c37ca015bdbf92ae8ef1565fed4",
     "c1/fp62/17": "96468f80f83d7cc3c5f28bf85a37398c4c1a85c9fc237d6694e3131faaffc950",
     "c1/fp62/27": "b0540284ec0ff6313cdbbdd7debba71bcadbee0b505c4007dcb788a69008cd2d",
+    "coord/qq/sq-x/0": "b1b1fa6dc9714b0cbbfac92874ab08f8dde63ed2568855c677d205fde5ac6a72",
+    "coord/qq/sq/0": "df3a7070325b20289239c27967075f3785e763a1eddf92ff9f5a5efe88074401",
+    "coord/qq/two/0": "25c2a1286920001228732d22f3860eb703e02d6d5e9893d9e868f3e9210c12a2",
+    "coord/qq/two-pair/0": "4ea199d07bc0ece7a8e25a9c30f1b049d00707c7978b57d32d30fbb1508ec1ee",
+    "coord/qq/sq-x/2": "1b4d9689d3b6382ae088d345a23f3659f39f94f7c0e44cba9eeb5c006ea35361",
+    "coord/qq/sq/2": "df3a7070325b20289239c27967075f3785e763a1eddf92ff9f5a5efe88074401",
+    "coord/qq/two/2": "ef1bff1175f6c82fc5f11b078415a2a5c14f41879929d23896161dbef5f53f97",
+    "coord/qq/two-pair/2": "090745acd8b2a3e185b39004bd81858728bbaa8db0eb8b3a71d11d9f5d1d338c",
+    "coord/fp62/sq-x/0": "a10a301e78990bd7cb2d5dfae210fb0d977ac0ad0f52487839ba6cdcb54d442e",
+    "coord/fp62/sq/0": "0ba95762ffcd2dea5be33faca363e458921c6ccd8c07e13860579b58640809da",
+    "coord/fp62/two/0": "59710494a8fdb3151fb893c89fff4a90990024ac265e69cf2d90bdf1f18a08ec",
+    "coord/fp62/two-pair/0": "e785bb97c56560cdd6d7b4d33166cadf16b73d3596a32ee9f6c7a06ad4601c11",
+    "coord/fp62/sq-x/2": "66a8a35b31ecc2eb15d3ef366d3997f7af6b3750830a4edcf4d8cebab3861f7c",
+    "coord/fp62/sq/2": "0ba95762ffcd2dea5be33faca363e458921c6ccd8c07e13860579b58640809da",
+    "coord/fp62/two/2": "101635257f379a1b5aae72953310c5892faac02c24efce2143afae482b4bcfc9",
+    "coord/fp62/two-pair/2": "66a070ff353f77c163902fc315164e5827a54f32c2ebd2221d2bf7133337748c",
 }
 
 # vnp-factor: (name, field, factor degree, given subset or None for search).
@@ -89,9 +114,25 @@ VNP_CASES = (("qq/d1", QQ, 1, None), ("qq/d2", QQ, 2, [0, 1]),
 
 VNP_GOLDEN = {
     "vnp/qq/d1": "112cb116cd65b6f28e136134263d5cddb110352dade2ed62e5232273c41d2fdb",
-    "vnp/qq/d2": "70c52c1a76c75906d45d1ceb0fd0180aa36bec511f489ab75be9f5a3769c519e",
+    "vnp/qq/d2": "3ce311aed94d5b48fc9966de968284650f1c06623ab2b301922a28d489edabe2",
     "vnp/fp62/d1": "cb2f9d313ec59a82e40e78495d57d262744c5e84ad60466f37e49cca6877e89a",
-    "vnp/fp62/d2": "9a84ff06e02bb902040cb0d64d6498adea3ed3d8a88e62a0414ce14b89181624",
+    "vnp/fp62/d2": "c3842cd39e815fde629d77289dc5153b111aeb16690c4ea8927285f383e2f2fd",
+    "vnp/coord/qq/sq-x/0": "c9b1a5ee2a5a85ad42b0933059354dfe180c587a90886f147ce0873c54cff252",
+    "vnp/coord/qq/sq/0": "d35139423e234ba2f5dd5519c083e5a82d09f03a24969aa5f42defede2046085",
+    "vnp/coord/qq/two/0": "75945fa5a8b5825d8c648c4e71475cf41a788c1e6a40c673302362d12a8d2550",
+    "vnp/coord/qq/two-pair/0": "088c7df71eecf67cc7f67f09a51ef015e16535be3a567ee12baf9688939bb22f",
+    "vnp/coord/qq/sq-x/2": "6df69fc7307eff9ef9fced43902dca5b2631ca791800e01459b9a80351b628d6",
+    "vnp/coord/qq/sq/2": "d35139423e234ba2f5dd5519c083e5a82d09f03a24969aa5f42defede2046085",
+    "vnp/coord/qq/two/2": "7fcd90c550177b1963d8e26bf81732bd54bd3f6fb0f9d0fd9c5094cf30dc5ca3",
+    "vnp/coord/qq/two-pair/2": "cf74471ed45dbe789035be379a11a44b722c7297f47e08fc04d76404719cbf4d",
+    "vnp/coord/fp62/sq-x/0": "00feb8094e9b9a1adbfe460a8f374feffb195aeb6ee48404ada1f70de6d42e61",
+    "vnp/coord/fp62/sq/0": "8e851954e6f677b15a30157f2c938cec29bdb44c7213d3901673f7c7f9e155ce",
+    "vnp/coord/fp62/two/0": "23291101c710bd0ddbd82c1e792e72b1b8cba295026c9975982197eb8ff7ab47",
+    "vnp/coord/fp62/two-pair/0": "1a5e3e6ecf3589374496130df120e518ae408dc1191959e20128484d28ea4563",
+    "vnp/coord/fp62/sq-x/2": "17ae14e65fb51f3f042ccd3269e528d2e3c7fb46af8a76a369ea0dc499c20242",
+    "vnp/coord/fp62/sq/2": "8e851954e6f677b15a30157f2c938cec29bdb44c7213d3901673f7c7f9e155ce",
+    "vnp/coord/fp62/two/2": "9167cd80dc3a5e14f8ebd66daf3f98b3595909b6e871b5aa78b7f06136034018",
+    "vnp/coord/fp62/two-pair/2": "40a05ac14fcf781c34258b1036b3ea079b41da0adc134a5ead2fb209c08ba630",
 }
 
 
@@ -127,7 +168,36 @@ def outputs() -> dict:
         params = dict(BUDGET, y=n, d=deg_f, seed=SESSION_SEED + i,
                       alpha=None if alpha is None else field.format(alpha))
         got[f"c1/{tag}/{i}"] = _digest(*_core_lift_root(params, {"in": emit_circuit(P).encode()}))
+    for key, P, d, subset, seed in coord_runs():
+        params = dict(BUDGET, y=P.num_vars - 1, d=d, subset=subset, seed=seed)
+        got[f"coord/{key}"] = _digest(*_core_factor(params, {"in": emit_circuit(P).encode()}))
     return got
+
+
+def coord_poly(field, name):
+    """One of the COORD_CASES polynomials, y the last variable."""
+    nv = 3 if name.startswith("two") else 2
+    b = CircuitBuilder(field, nv)
+    x1, y = b.inp(0), b.inp(nv - 1)
+    if name == "sq-x":
+        lin = b.sub(y, b.add(x1, b.const(field.one)))
+        return b.finish(b.mul(lin, lin, b.sub(x1, b.const(field.embed(2)))))
+    if name == "sq":
+        return b.finish(b.mul(b.sub(y, x1), b.sub(y, x1)))
+    x2 = b.inp(1)
+    return b.finish(b.mul(b.sub(y, b.add(x1, b.mul(x1, x2))),
+                          b.sub(y, b.add(x2, b.const(field.embed(3))))))
+
+
+def coord_runs():
+    """(key, P, d, subset, seed) of each coordinate-change factor run, per
+    field and seed: subset search on every case, then the given root pair
+    of the degree-2 factor."""
+    for tag, field in (("qq", QQ), ("fp62", FP62)):
+        for seed in COORD_SEEDS:
+            runs = [(name, d, None) for name, d in COORD_CASES]
+            for name, d, subset in runs + [("two-pair", 2, COORD_PAIRS[tag, seed])]:
+                yield f"{tag}/{name}/{seed}", coord_poly(field, name), d, subset, seed
 
 
 def _vnp_input(field, degree):
@@ -151,12 +221,23 @@ def _vnp_input(field, degree):
     return _emit_esum(ExpSumPoly(b.finish(b.add(planted, zero_sum)), (2, 3)))
 
 
+def _with_dummy_aux(P):
+    """The exp-sum P(x, y) * a over one auxiliary a: it represents P."""
+    b = CircuitBuilder(P.field, P.num_vars + 1)
+    ver = b.finish(b.mul(b.import_circuit(P)[0], b.inp(P.num_vars)))
+    return _emit_esum(ExpSumPoly(ver, (P.num_vars,)))
+
+
 def vnp_outputs() -> dict:
     got = {}
     for name, field, degree, subset in VNP_CASES:
         params = dict(BUDGET, d=degree, subset=subset, seed=SESSION_SEED)
         inputs = {"in": _vnp_input(field, degree).encode()}
         got[f"vnp/{name}"] = _digest(*_core_vnp_factor(params, inputs))
+    for key, P, d, subset, seed in coord_runs():
+        params = dict(BUDGET, d=d, subset=subset, seed=seed)
+        inputs = {"in": _with_dummy_aux(P).encode()}
+        got[f"vnp/coord/{key}"] = _digest(*_core_vnp_factor(params, inputs))
     return got
 
 
@@ -172,6 +253,19 @@ def test_vnp_factor_outputs_match_golden_hashes():
     changed = sorted(k for k in VNP_GOLDEN if got.get(k) != VNP_GOLDEN[k])
     assert set(got) == set(VNP_GOLDEN)
     assert not changed, f"output bytes changed for {changed}"
+
+
+def test_to_lifted_is_the_bundle_source():
+    """The factor's change of coordinates carries P to the polynomial its
+    roots were lifted from, on inputs that exercise each of its steps."""
+    sheared = leveled = shifted = False
+    for _, P, d, subset, seed in coord_runs():
+        fr = extract_factor(P, P.num_vars - 1, d, subset=subset, seed=seed)
+        assert expand(fr.to_lifted(P)) == expand(fr.bundle.source)
+        sheared |= any(fr.monic.shift) and fr.monic.leading_unit != P.field.one
+        leveled |= fr.deriv_level == 1
+        shifted |= any(fr.bundle.shift)
+    assert sheared and leveled and shifted
 
 
 if __name__ == "__main__":

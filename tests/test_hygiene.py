@@ -1,6 +1,7 @@
-"""Source hygiene: every import a module makes is used, and every
+"""Source hygiene: every import a module makes is used, every
 module-level private function is referenced from some module of the
-package, so deletions leave no stranded helpers or imports behind. The
+package, and every public one from the package, the tests or the
+benchmark, so deletions leave no stranded helpers or imports behind. The
 runtime depends on the standard library and numpy only, the count of bare
 `raise ValueError` sites can only go down, and every name the benchmark's
 tracer looks up still exists, with a traced run still counting the slice
@@ -26,6 +27,8 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
 RUNTIME_DEPENDENCIES = {"numpy", "circuitforge"}
 TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
+OUTSIDE = [ast.parse(p.read_text(), filename=str(p)) for folder in ("tests", "perfbench")
+           for p in sorted((SRC.parent.parent / folder).glob("*.py"))]
 README = SRC.parent.parent / "README.md"
 # bare ValueErrors left to type (ROADMAP item 6): every site is typed
 BARE_VALUE_ERRORS = 0
@@ -35,14 +38,15 @@ FIELD_METHODS = {"add", "sub", "mul", "neg", "inv", "div", "pow", "embed"}
 
 def _referenced(node) -> set:
     """Names read under node: bare names, attribute names, and names
-    imported from another module of the package."""
+    imported from a module of the package."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom) and sub.level:
+        elif isinstance(sub, ast.ImportFrom) and (sub.level
+                                                  or sub.module.startswith("circuitforge")):
             out.update(alias.name for alias in sub.names)
     return out
 
@@ -66,16 +70,25 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_function_is_referenced(path):
     for fn in TREES[path.name].body:
-        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+        if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
                 and not fn.name.startswith("__")):
-            continue
-        # references from anywhere in the package except the function itself
-        refs = set()
-        for tree in TREES.values():
-            for top in tree.body:
-                if top is not fn:
-                    refs |= _referenced(top)
-        assert fn.name in refs, f"{path.name}: {fn.name} is defined but never referenced"
+            assert fn.name in _package_refs_but(fn), \
+                f"{path.name}: {fn.name} is defined but never referenced"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_function_is_referenced(path):
+    outside = set().union(*map(_referenced, OUTSIDE))
+    for fn in TREES[path.name].body:
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+            assert fn.name in outside | _package_refs_but(fn), \
+                f"{path.name}: {fn.name} is defined but never referenced"
+
+
+def _package_refs_but(fn) -> set:
+    """References from anywhere in the package except the function itself."""
+    return set().union(*(_referenced(top) for tree in TREES.values()
+                         for top in tree.body if top is not fn))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -6,6 +6,7 @@ from circuitforge import (
     CircuitBuilder,
     DensePoly,
     PrimeField,
+    Rationals,
     emit_circuit,
     expand,
     extract_y_coeffs,
@@ -119,6 +120,31 @@ def test_extract_field_too_small():
     c = b.finish(b.inp(0))
     with pytest.raises(FieldTooSmall):
         extract_y_coeffs(c, 0, 7)
+
+
+def _gauss_jordan_weights(fld, dmax):
+    """Reference interpolation weights: Gauss-Jordan on [V | I] with
+    V[a][j] = a^j, nodes 0..dmax; row j of the inverse weighs coefficient j."""
+    n = dmax + 1
+    mat = [[fld.pow(fld.embed(a), j) for j in range(n)]
+           + [fld.one if t == a else fld.zero for t in range(n)] for a in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if mat[r][col] != fld.zero)
+        mat[col], mat[piv] = mat[piv], mat[col]
+        inv = fld.inv(mat[col][col])
+        mat[col] = [fld.mul(v, inv) for v in mat[col]]
+        for r in range(n):
+            if r != col and mat[r][col] != fld.zero:
+                f = mat[r][col]
+                mat[r] = [fld.sub(v, fld.mul(f, w)) for v, w in zip(mat[r], mat[col])]
+    return [[mat[j][n + a] for a in range(n)] for j in range(n)]
+
+
+@pytest.mark.parametrize("fld", [Rationals(), PrimeField(101), PrimeField(1_000_003),
+                                 PrimeField(SIXTY_TWO_BIT_PRIME)], ids=str)
+def test_vandermonde_weights_match_gauss_jordan(fld):
+    for dmax in (0, 1, 2, 5, 13):
+        assert transforms._vandermonde_inverse(fld, dmax) == _gauss_jordan_weights(fld, dmax)
 
 
 def test_extract_y_coeffs_refuses_a_negative_degree_bound(QQ):
