@@ -75,8 +75,8 @@ DEFAULT_BUDGET = ExpansionBudget()
 
 # shifts tried per factor by the equal-degree split of _linear_roots_prime;
 # each splits a product of distinct linear factors with probability about
-# 1/2, and tier-1 plus one round of every perfbench workload never needed
-# more than 9
+# 1/2, and after the free split at shift 0, tier-1 plus one seed-1 round of
+# every perfbench workload never needed more than 7
 SPLIT_SHIFT_LIMIT = 64
 
 # rational roots are Hensel-lifted from a prime >= _ROOT_PRIME_START; a part
@@ -588,24 +588,34 @@ def _uderiv(a, p):
 
 
 def _ulinpow(a, e, u, p):
-    """(y + a)^e mod the monic u of degree n >= 1 over F_p, left to right: each
-    step squares (schoolbook) and reduces by y^n = -(u_0 + ... + u_{n-1} y^{n-1});
-    a set bit multiplies by y + a, one shift and one reduction, O(n)."""
+    """(y + a)^e mod the monic u of degree n >= 1 over F_p, left to right.
+
+    Each step squares r packed into one int, coefficient k in the slot of
+    bits [k*w, (k+1)*w), so the squaring is one big-int product. A slot
+    sums at most n products below p^2 and at most n - 1 more from the
+    reduction, so w = 2*bits(p) + bits(n) + 2 never overflows. The product
+    is reduced by the packed rows y^(n+k) mod u, k < n - 1, one multiply-add
+    per high coefficient. A set bit multiplies by y + a, one shift and one
+    reduction by y^n = -(u_0 + ... + u_{n-1} y^{n-1}), O(n)."""
     n = len(u) - 1
     neg = [-c % p for c in u[:-1]]
+    w = 2 * p.bit_length() + n.bit_length() + 2
+    mask, low = (1 << w) - 1, (1 << w * n) - 1
+    rows, row = [], neg  # row is y^(n+k) mod u
+    for _ in range(n - 1):
+        rows.append(_pack(row, w))
+        top = row[-1]
+        row = [(lo + top * m) % p for lo, m in zip([0] + row, neg)]
     r = [1] + [0] * (n - 1)
     for bit in bin(e)[2:]:
-        s = [0] * (2 * n - 1)
-        for i, ri in enumerate(r):
-            if ri:
-                for j, rj in enumerate(r, i):
-                    s[j] += ri * rj
-        for k in range(2 * n - 2, n - 1, -1):
-            c = s[k] % p
+        sq = _pack(r, w) ** 2
+        acc, high = sq & low, sq >> w * n
+        for packed in rows:
+            c = (high & mask) % p
             if c:
-                for i, m in enumerate(neg, k - n):
-                    s[i] += c * m
-        r = [c % p for c in s[:n]]
+                acc += c * packed
+            high >>= w
+        r = [(acc >> w * k & mask) % p for k in range(n)]
         if bit == "1":
             top = r[-1]
             r = [(lo + a * c + top * m) % p for lo, c, m in zip([0] + r, r, neg)]
@@ -627,8 +637,46 @@ def _multiplicity(p: DensePoly, var: int, r) -> int:
         top, m = quot[:-1], m + 1
 
 
+def _sqrt_mod(a, p):
+    """A square root of the nonzero square a modulo the odd prime p: one power
+    when p = 3 (mod 4), else Tonelli-Shanks from the least non-residue."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # r^2 = a t, t^(2^(s-1)) = 1 and c^(2^(s-1)) = -1
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _quadratic_roots(u, p):
+    """Distinct roots of the monic y^2 + u_1 y + u_0 over F_p, p odd: the
+    discriminant, Euler's criterion, then a square root."""
+    disc = (u[1] * u[1] - 4 * u[0]) % p
+    half = (p + 1) // 2  # 1/2
+    if not disc:
+        return [-u[1] * half % p]
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    s = _sqrt_mod(disc, p)
+    return [(-u[1] + s) * half % p, (-u[1] - s) * half % p]
+
+
 def _linear_roots_prime(field: PrimeField, g):
-    """Roots of a monic squarefree product of linear factors over F_p."""
+    """Roots of a monic squarefree product of linear factors over F_p. A
+    piece of degree 2 whose discriminant is a nonzero square is solved in
+    closed form; any other is split by gcd((y + a)^((p-1)/2) - 1, u) for
+    shifts a = 1, 2, ..., SPLIT_SHIFT_LIMIT."""
     p = field.p
     roots = []
     stack = [g]
@@ -638,6 +686,9 @@ def _linear_roots_prime(field: PrimeField, g):
             continue
         if len(u) == 2:
             roots.append(-u[0] % p)
+            continue
+        if len(u) == 3 and len(pair := _quadratic_roots(u, p)) == 2:
+            roots += pair
             continue
         # deterministic sequence of shifts; each splits with probability
         # about 1/2 for a random shift, so small a suffice in practice
@@ -667,7 +718,12 @@ def _distinct_roots(field: Field, f):
     """Distinct base-field roots of a monic coefficient list (over Q a
     squarefree one with a nonzero constant term).
 
-    F_p: split gcd(f, y^p - y) into linear factors, which holds for any f.
+    F_p, for any f: f of degree <= 2 in closed form (the discriminant,
+    Euler's criterion, a square root), with no polynomial power. Otherwise
+    one half-Frobenius power h = y^((p-1)/2) mod f gives y^p = y h^2, so the
+    linear part g = gcd(f, y^p - y), and its first split: gcd(h - 1, g) takes
+    the roots that are nonzero squares. Only pieces of degree >= 3 left after
+    it take further powers (`_linear_roots_prime`).
     Q: clear denominators; take the first prime p >= _ROOT_PRIME_START above
     the degree that keeps the lead a unit and f squarefree; find the roots
     mod p, and Newton-lift each to p^k > 2|lead * trail|. A root b/c has
@@ -676,8 +732,20 @@ def _distinct_roots(field: Field, f):
     """
     if isinstance(field, PrimeField):
         p = field.p
-        t = _usub(_ulinpow(0, p, f, p), [0, 1], p)
-        return _linear_roots_prime(field, _ugcd(t, f, p))
+        if len(f) == 3:
+            return _quadratic_roots(f, p)
+        if len(f) < 3:
+            return [-f[0] % p] if len(f) == 2 else []
+        h = _ulinpow(0, (p - 1) // 2, f, p)
+        y_h2 = [0] * (2 * len(h))  # y * h^2, then y^p - y mod f
+        for i, c in enumerate(h):
+            for j, d in enumerate(h, i + 1):
+                y_h2[j] += c * d
+        t = _usub(_udivmod(_unorm([c % p for c in y_h2]), f, p)[1], [0, 1], p)
+        g = _ugcd(t, f, p)
+        squares = _ugcd(_usub(_udivmod(h, g, p)[1], [1], p), g, p)  # the shift-0 split
+        rest = _udivmod(g, squares, p)[0]
+        return _linear_roots_prime(field, squares) + _linear_roots_prime(field, rest)
     den = math.lcm(*(c.denominator for c in f))
     ints = [c.numerator * (den // c.denominator) for c in f]
     q = max(_ROOT_PRIME_START, len(ints))
@@ -710,8 +778,10 @@ def univariate_roots(p: DensePoly):
     """All base-field roots of a univariate polynomial f, with multiplicities.
 
     One path for both fields, on the native-number kernel above. The
-    distinct roots come first, from `_distinct_roots`: over F_p the linear
-    factors of gcd(f, y^p - y), split by powers of y + a; over Q those of the
+    distinct roots come first, from `_distinct_roots`: over F_p a quadratic
+    in closed form, else the linear factors of gcd(f, y^p - y), from one
+    power y^((p-1)/2) that also makes their first split, further split by
+    powers of y + a only where that one fails; over Q those of the
     squarefree part f / gcd(f, f'), Hensel-lifted from a small prime (no
     integer is factored). Each root's multiplicity is then counted by exact
     division (`_multiplicity`), which is right in every characteristic,

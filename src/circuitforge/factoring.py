@@ -237,9 +237,11 @@ def extract_factor(
 
     subset=None enumerates candidate root subsets by increasing size and
     accepts the first one whose combination exactly divides P; an explicit
-    subset (0-based indices into the simple-root list, which is sorted)
-    combines exactly those roots; an index outside that list, a repeated index
-    or more than d indices is a ParameterViolation. A root is lifted when the
+    subset (0-based indices into a level's simple-root list, which is sorted)
+    combines exactly those roots, level by level, until one combination
+    divides P; an index outside the list of every level with simple roots, a
+    repeated index or more than d indices is a ParameterViolation, raised
+    before any root is lifted. A root is lifted when the
     first subset containing it is screened, so only the roots of screened
     subsets are ever lifted; a root that fails to lift ends its multiplicity
     level. The returned factor is expressed in the original coordinates and,
@@ -267,19 +269,20 @@ def extract_factor(
     chain = [_stage("input", P), _stage("monic", Pm)]
 
     # multiplicity levels: a factor of multiplicity m in P carries simple
-    # roots at derivative level k = m - 1 and at no earlier level
-    max_level = r if subset is None else 1
-    for level in range(max_level):
+    # roots at derivative level k = m - 1 and at no earlier level; a given
+    # subset indexes the sorted simple roots of each level in turn
+    fitted, misses = False, []  # misses: the levels with roots a given subset does not fit
+    for level in range(r):
         Pk = derivative_level(Pm, y, level, r)
         try:
             c, alphas = separating_shift(Pk, y, seed, r=r - level)
         except NoSimpleRoots:
             continue
         if subset is not None and not all(0 <= i < len(alphas) for i in subset):
-            raise ParameterViolation(
-                f"the subset names a root outside the {len(alphas)} simple roots "
-                "of the slice"
-            )
+            roots = f"{len(alphas)} simple root{'s' * (len(alphas) > 1)}"
+            misses.append(f"{roots} at level {level + 1}")
+            continue
+        fitted = True
         # the dense twin of FactorResult.from_lifted: x_i -> x_i - a_i * y - c_i
         # undoes the shift, then the monic change of variables
         unshift = [DensePoly.variable(fld, nv, v) for v in range(nv)]
@@ -315,8 +318,13 @@ def extract_factor(
             chain.append(_stage("factor", factor_circ))
             res.factor, res.factor_dense = factor_circ, cand_orig
             return res
+    if misses and not fitted:
+        raise ParameterViolation(
+            "the subset names a root outside the simple roots of the slice at every "
+            f"multiplicity level: {', '.join(misses)}"
+        )
     shear = "the identity" if all(a == fld.zero for a in monic.shift) else "not the identity"
     raise NoFactorFound(
         f"no combination of lifted roots up to size {d} divides P: searched multiplicity "
-        f"levels 1..{max_level}, up to {SHIFT_TRIALS} shifts per level, monic shear {shear}"
+        f"levels 1..{r}, up to {SHIFT_TRIALS} shifts per level, monic shear {shear}"
     )

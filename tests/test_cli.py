@@ -163,6 +163,28 @@ output g13
         assert "Traceback" not in err
 
 
+def test_factor_subset_names_a_repeated_factor(tmp_path):
+    # (y - x1)^2 with y = x2: root 1 of the derivative's slice is y - x1, twice
+    text = """field rationals
+nvars 2
+g1 = input x1
+g2 = input x2
+g3 = const -1
+g4 = mul g3 g1
+g5 = add g2 g4
+g6 = mul g5 g5
+output g6
+"""
+    src = _write(tmp_path, "square.circ", text)
+    out, cert = str(tmp_path / "factor.circ"), str(tmp_path / "cert.json")
+    assert main(["factor", "-y", "2", "-d", "1", "--subset", "1", src, "-o", out, "--cert", cert]) == 0
+    data = json.loads((tmp_path / "cert.json").read_text())["data"]
+    assert (data["subset"], data["multiplicity"], data["deriv_level"]) == ([1], 2, 1)
+    x1, y = (DensePoly.variable(Rationals(), 2, v) for v in (0, 1))
+    assert expand(parse_circuit((tmp_path / "factor.circ").read_text())) == y - x1
+    assert main(["verify", cert]) == 0
+
+
 def test_oversized_design_is_refused_before_any_work(tmp_path, capsys):
     # n = 100000 passes n < 2^m; the design's law check alone would take hours
     t0 = time.perf_counter()

@@ -698,6 +698,142 @@ def test_linear_power_matches_repeated_multiplication(p):
     assert dense._ulinpow(3, 7, [3, 1], 101) == []
 
 
+def _brute_roots(f, p):
+    return [x for x in range(p) if dense._ueval(f, x) % p == 0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 1_000_033])
+def test_sqrt_mod_of_every_square(p):
+    # 17, 41, 97 and 1000033 are 1 mod 8: Tonelli-Shanks takes several rounds
+    squares = {x * x % p for x in range(1, min(p, 3000))}
+    for a in squares:
+        assert dense._sqrt_mod(a, p) ** 2 % p == a
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97])
+def test_distinct_roots_of_every_low_degree_slice(p):
+    # every monic polynomial of degree 1 and 2 (none, one double or two roots),
+    # and every cubic while p^3 stays small: irreducible, one root times an
+    # irreducible quadratic, repeated and split
+    F = PrimeField(p)
+    top = 3 if p <= 17 else 2
+    for degree in range(1, top + 1):
+        for low in itertools.product(range(p), repeat=degree):
+            f = list(low) + [1]
+            assert sorted(dense._distinct_roots(F, f)) == _brute_roots(f, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 17, 41, 97])
+def test_distinct_roots_of_planted_products(p):
+    # products of distinct, repeated and missing roots with irreducible
+    # quadratics and cubics; over p = 5 and 7 every root can be present
+    F = PrimeField(p)
+    rng = rng_for(f"distinct-roots-{p}")
+    irreducible = {2: [], 3: []}
+    while len(irreducible[2]) < 4 or len(irreducible[3]) < 4:
+        degree = rng.randint(2, 3)
+        f = [rng.randrange(p) for _ in range(degree)] + [1]
+        if not _brute_roots(f, p) and len(irreducible[degree]) < 4:
+            irreducible[degree].append(f)
+    for _ in range(150):
+        f = [1]
+        for _ in range(rng.randrange(4)):
+            f = _mulmod(f, irreducible[rng.randint(2, 3)][rng.randrange(4)], [0] * 40 + [1], p)
+        for _ in range(rng.randrange(7)):
+            f = _mulmod(f, [rng.randrange(p), 1], [0] * 40 + [1], p)
+        if len(f) > 1:
+            assert sorted(dense._distinct_roots(F, f)) == _brute_roots(f, p)
+            poly = DensePoly(F, 1, {(k,): c for k, c in enumerate(f)})
+            assert univariate_roots(poly) == [(x, dense._multiplicity(poly, 0, x))
+                                              for x in _brute_roots(f, p)]
+
+
+def _reference_ulinpow(a, e, u, p):
+    """(y + a)^e mod the monic u over F_p by schoolbook squaring, without
+    packing: the reference for dense._ulinpow."""
+    n = len(u) - 1
+    neg = [-c % p for c in u[:-1]]
+    r = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        s = [0] * (2 * n - 1)
+        for i, ri in enumerate(r):
+            if ri:
+                for j, rj in enumerate(r, i):
+                    s[j] += ri * rj
+        for k in range(2 * n - 2, n - 1, -1):
+            c = s[k] % p
+            if c:
+                for i, m in enumerate(neg, k - n):
+                    s[i] += c * m
+        r = [c % p for c in s[:n]]
+        if bit == "1":
+            top = r[-1]
+            r = [(lo + a * c + top * m) % p for lo, c, m in zip([0] + r, r, neg)]
+    return dense._unorm(r)
+
+
+def _reference_distinct_roots(f, p):
+    """Distinct roots over F_p with no closed form and no shift-0 split:
+    y^p mod f for gcd(f, y^p - y), then splits by gcd((y + a)^((p-1)/2) - 1, u)
+    for a = 1, 2, ... down to linear factors."""
+    t = dense._usub(_reference_ulinpow(0, p, f, p), [0, 1], p)
+    roots, stack = [], [dense._ugcd(t, f, p)]
+    while stack:
+        u = stack.pop()
+        if len(u) == 2:
+            roots.append(-u[0] % p)
+        elif len(u) > 2:
+            for a in range(1, 65):
+                t = dense._usub(_reference_ulinpow(a, (p - 1) // 2, u, p), [1], p)
+                split = dense._ugcd(t, u, p)
+                if 0 < len(split) - 1 < len(u) - 1:
+                    break
+            stack += [split, dense._udivmod(u, split, p)[0]]
+    return sorted(roots)
+
+
+@pytest.mark.parametrize("p", [1_000_003, 1_000_033, SIXTY_TWO_BIT_PRIME])
+def test_distinct_roots_match_the_reference_root_finder(p):
+    F = PrimeField(p)
+    rng = rng_for(f"distinct-roots-reference-{p}")
+    big = [0] * 40 + [1]
+    for _ in range(40):
+        f = [1]
+        roots = [rng.randrange(p) for _ in range(rng.randrange(6))]
+        for r in roots + roots[:rng.randrange(3)]:  # some repeated
+            f = _mulmod(f, [-r % p, 1], big, p)
+        for _ in range(rng.randrange(3)):  # random factors, most without roots
+            f = _mulmod(f, [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1], big, p)
+        if len(f) > 1:
+            want = _reference_distinct_roots(f, p)
+            assert sorted(dense._distinct_roots(F, f)) == want
+            assert set(roots) <= set(want)
+
+
+def test_root_finding_takes_at_most_one_power(monkeypatch):
+    # a quadratic slice is solved in closed form; a cubic with a square and
+    # a non-square root is split by its one half-Frobenius power
+    p = SIXTY_TWO_BIT_PRIME
+    F = PrimeField(p)
+    y = DensePoly.variable(F, 1, 0)
+    calls = []
+    power = dense._ulinpow
+    monkeypatch.setattr(dense, "_ulinpow", lambda *args: calls.append(args) or power(*args))
+    n = _non_residue(p)
+    for roots, want in (([3, 5], [(3, 1), (5, 1)]), ([7, 7], [(7, 2)]), ([], [])):
+        poly = DensePoly.const(F, 1, F.one)
+        for r in roots:
+            poly = poly * (y - DensePoly.const(F, 1, r))
+        if not roots:
+            poly = y * y - DensePoly.const(F, 1, n)
+        assert univariate_roots(poly) == want
+    assert calls == []
+    cubic = (y - DensePoly.const(F, 1, 1)) * (y - DensePoly.const(F, 1, 4)) \
+        * (y - DensePoly.const(F, 1, n))
+    assert univariate_roots(cubic) == sorted([(1, 1), (4, 1), (n, 1)])
+    assert len(calls) == 1
+
+
 def test_poly_text_roundtrip(QQ, Fp):
     rng = rng_for("poly-text")
     for field in (QQ, Fp):

@@ -418,3 +418,45 @@ def test_out_of_range_subset_is_refused_before_lifting(QQ, monkeypatch):
     with pytest.raises(ParameterViolation, match="4 simple roots"):
         extract_factor(_four_linear_factors(QQ), y=2, d=2, subset=(0, 4), seed=0)
     assert lifted == []
+
+
+def _square_times(QQ, *consts):
+    """(y - x1)^2 times y - x1 - c for each c, with y = x2."""
+    b = CircuitBuilder(QQ, 2)
+    x1, y = b.inp(0), b.inp(1)
+    line = b.sub(y, x1)
+    others = [b.sub(line, b.const(Fraction(c))) for c in consts]
+    return b.finish(b.mul(line, line, *others))
+
+
+def test_given_subset_reaches_a_repeated_factor(QQ, monkeypatch):
+    # (y - x1)^2 has no simple root at multiplicity level 1; the subset (0,)
+    # names the simple root of its derivative at level 2, as the search does
+    P = _square_times(QQ)
+    x1, y = DensePoly.variable(QQ, 2, 0), DensePoly.variable(QQ, 2, 1)
+    res = extract_factor(P, y=1, d=1, subset=(0,), seed=0)
+    assert (res.multiplicity, res.deriv_level, res.factor_dense) == (2, 1, y - x1)
+    assert emit_circuit(res.factor) == emit_circuit(extract_factor(P, y=1, d=1, seed=0).factor)
+    lifted = _count_lifts(monkeypatch)
+    with pytest.raises(ParameterViolation, match="every multiplicity level: 1 simple root at level 2$"):
+        extract_factor(P, y=1, d=1, subset=(1,), seed=0)
+    assert lifted == []
+
+
+def test_given_subset_walks_the_levels_in_order(QQ):
+    x1, y = DensePoly.variable(QQ, 2, 0), DensePoly.variable(QQ, 2, 1)
+    three = DensePoly.const(QQ, 2, Fraction(3))
+    # (y - x1)^2 (y - x1 - 3): level 1's one simple root makes a factor first
+    P = _square_times(QQ, 3)
+    res = extract_factor(P, y=1, d=1, subset=(0,), seed=0)
+    assert (res.multiplicity, res.deriv_level, res.factor_dense) == (1, 0, y - x1 - three)
+    # the derivative's roots x1 < x1 + 2 at level 2: (1,) fits there, and
+    # y - x1 - 2 divides nothing, so no factor is found; (2,) fits no level
+    with pytest.raises(NoFactorFound):
+        extract_factor(P, y=1, d=1, subset=(1,), seed=0)
+    with pytest.raises(ParameterViolation, match="1 simple root at level 1, 2 simple roots "
+                       "at level 2, 1 simple root at level 3"):
+        extract_factor(P, y=1, d=1, subset=(2,), seed=0)
+    # (y - x1)^2 (y - x1 + 3): the derivative's roots are x1 - 2 < x1
+    res = extract_factor(_square_times(QQ, -3), y=1, d=1, subset=(1,), seed=0)
+    assert (res.multiplicity, res.deriv_level, res.factor_dense) == (2, 1, y - x1)
