@@ -5,10 +5,10 @@ auxiliary variables; it represents sum over all 0/1 assignments to the
 auxiliaries of Q. Every operation here preserves that contract and is
 brute-force checkable while the auxiliary count stays small.
 
-Composition uses one fresh copy of the auxiliary block per use site; that
-is the whole point of requiring tree-shaped combinators (leaf_substitute
-rejects non-formulas), since substituting a shared sub-circuit twice would
-sum squares instead of squaring the sum.
+leaf_substitute gives each use site a fresh copy of the auxiliary block, so
+it requires a tree-shaped combinator: substituting a shared sub-circuit twice
+would sum squares instead of squaring the sum. factor_vnp reads one block per
+factor position of its combiner's monomials instead (lifting.composition_sum).
 
 Sum composition normalizes: summing S1(x,y) + S2(x,z) over the joint cube
 overcounts each side by the other's cube size, so the verifiers are scaled
@@ -28,7 +28,6 @@ from .circuit import (
     const_circuit,
     evaluate_batches,
     formal_degree_in,
-    input_circuit,
     is_formula,
     remap_vars,
 )
@@ -49,11 +48,12 @@ from .errors import (
     ShapeError,
     ZeroPolynomial,
 )
-from .factoring import _leading_y_unit, combiner_dense, extract_factor
+from .factoring import _check_subset_shape, _leading_y_unit, combiner_dense, extract_factor
 from .fields import Field, Rationals, same_field
+from .lifting import composition_sum
 from .transforms import (
+    _check_lift_degree,
     _interpolate,
-    _split_outputs,
     extract_y_coeffs,
     homog_component_interp,
     truncate_deg,
@@ -388,65 +388,61 @@ def factor_vnp(
 ):
     """Factor of degree <= d of the represented polynomial, as an exp-sum.
 
-    Runs the circuit factorizer on a desk-scale expansion to obtain the
-    structure (change of coordinates, root subset, A-circuits and generator
-    orders), then rebuilds every step at the verifier level: the verifier
-    carried into the factorizer's coordinates by the result's to_lifted,
-    the generator exp-sums of each lifted root alpha from one interpolation
-    of it (the x-variables other than z scaled, z shifted to alpha, the
-    auxiliaries untouched), the combining circuit B converted to a formula
-    and leaf-substituted with fresh auxiliary blocks, a final degree-d
-    truncation in x, and from_lifted back. An output with more than
-    BRUTE_FORCE_AUX_LIMIT auxiliaries (E.m per generator-variable leaf of B)
-    is refused before any of it is built. The result is certified by
-    exp_sum_expand equality with the factor's dense form. Returns
-    (exp_sum, factor_result).
+    Runs the circuit factorizer on a desk-scale expansion for the structure
+    (change of coordinates, root subset, generator orders, combiner B), then
+    emits B as combine_roots does, at the verifier level: per lifted root
+    alpha, one interpolation of the verifier V in the lifted coordinates
+    gives the components, the t^i s^j coefficients of V(t * x, alpha + s,
+    aux). Factor position t of a monomial of B reads its copy of them on
+    auxiliary block t, and a monomial reading u of the k blocks is scaled by
+    2^-(m * (k - u)). The m * k auxiliaries (k <= |S| the largest generator
+    degree in B) are refused over BRUTE_FORCE_AUX_LIMIT before any copy is
+    built; d, the subset's shape and nx >= 1 are checked before E is
+    expanded. The result is certified by exp_sum_expand equality with the
+    factor's dense form. Returns (exp_sum, factor_result).
     """
     E = E.canonical()
-    field = E.field
-    nx = E.nx
-    p_dense = exp_sum_expand(E, budget)
-    if p_dense.is_zero():
-        raise ZeroPolynomial("cannot factor the zero polynomial")
+    field, nx, m = E.field, E.nx, E.m
+    _check_lift_degree(d, budget)
+    _check_subset_shape(subset, d)
     z = nx - 1
     if z < 0:
         raise ParameterViolation("z must be an x-variable, and there is none")
+    p_dense = exp_sum_expand(E, budget)
+    if p_dense.is_zero():
+        raise ZeroPolynomial("cannot factor the zero polynomial")
 
-    p_circ = circuit_from_dense(p_dense)
-    fr = extract_factor(p_circ, z, d, subset=subset, seed=seed, budget=budget)
-    x_others = [i for i in range(nx) if i != z]
+    fr = extract_factor(circuit_from_dense(p_dense), z, d, subset, seed, budget)
+    x_others = list(range(z))
 
-    # each generator-variable leaf of B's formula takes a fresh auxiliary
-    # block: refuse an output over the brute-force limit before building it
+    # factor position t of a monomial of B reads auxiliary block t: refuse an
+    # output over the brute-force limit before building it
     dS = len(fr.subset)
     B = combiner_dense(fr.bundle, fr.subset, dS)
-    aux_out = E.m * sum(sum(e[1:]) for e in B.terms)
-    if aux_out > BRUTE_FORCE_AUX_LIMIT:
-        raise BudgetExceeded("terms", f"2^{aux_out} auxiliary assignments")
+    k = max(sum(e[1:]) for e in B.terms)
+    if m * k > BRUTE_FORCE_AUX_LIMIT:
+        raise BudgetExceeded("terms", f"2^{m * k} auxiliary assignments")
 
-    # generator exp-sums: the member of order j at a root alpha is the sum
-    # of the t^1..t^d s^j coefficients of V(t * x, alpha + s, aux), all read
-    # from one interpolation of the verifier V, in the lifted coordinates, per root
+    # per root, one interpolation of the lifted verifier: output pos * d + i - 1
+    # is the degree-i part of the member of order orders[pos]
     ver = fr.to_lifted(E.verifier)
     shape = (formal_degree_in(ver, x_others), formal_degree_in(ver, z),
              formal_degree_in(ver, range(nx)))
-
-    def member_expsums(alpha, orders):
-        if not orders:  # a root with no generators needs no copies
-            return []
-        b, coeff = _interpolate(ver, x_others, z, alpha, shape)
-        ids = [coeff((k, j) for k in range(1, d + 1)) for j in orders]
-        return [ExpSumPoly(m, E.aux) for m in _split_outputs(b.finish(ids))]
-
-    # combining circuit B over (y, generator variables), bound leaf by leaf
-    # to z and the members' exp-sums in combiner_dense's variable order
-    b_formula = circuit_to_formula(circuit_from_dense(B))
-    bindings = {0: plain_expsum(input_circuit(field, z, nx))}
+    comps = []
     for i in fr.subset:
-        for member in member_expsums(fr.bundle.alphas[i], fr.bundle.states[i].gens.orders):
-            bindings[len(bindings)] = member
-    composed = homog_x_upto(leaf_substitute(b_formula, bindings), dS)
-    out = ExpSumPoly(fr.from_lifted(composed.verifier), composed.aux)
+        orders = fr.bundle.states[i].gens.orders
+        if orders:  # a root with no generators needs no copies
+            bi, coeff = _interpolate(ver, x_others, z, fr.bundle.alphas[i], shape)
+            comps.append(bi.finish([coeff([(c, j)]) for j in orders for c in range(1, d + 1)]))
+    b = CircuitBuilder(field, nx + m * k)
+    blocks = []
+    for t in range(k):
+        aux = {nx + q: b.inp(nx + t * m + q) for q in range(m)}
+        blocks.append([g for c in comps for g in b.import_circuit(c, var_bindings=aux)])
+    scaled = DensePoly(field, B.n, {e: field.mul(c, _inv_pow2(field, m * (k - sum(e[1:]))))
+                                    for e, c in B.terms.items()})
+    composed = b.finish(composition_sum(b, scaled, [b.inp(z)], blocks, d, dS))
+    out = ExpSumPoly(fr.from_lifted(composed), tuple(range(nx, nx + m * k)))
 
     out_dense = exp_sum_expand(out, budget)
     unit = _leading_y_unit(out_dense, z)
@@ -457,4 +453,3 @@ def factor_vnp(
     if out_dense != fr.factor_dense:
         raise InvariantViolated("exp-sum factor disagrees with the circuit factor")
     return out, fr
-

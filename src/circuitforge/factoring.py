@@ -186,7 +186,7 @@ def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
         gens = bundle.states[i].gens
         if gens.orders:
             comp += b.import_circuit(gens.components)
-    return b.finish(composition_sum(b, B, [b.inp(bundle.y_var)], comp, bundle.d, d))
+    return b.finish(composition_sum(b, B, [b.inp(bundle.y_var)], [comp] * d, bundle.d, d))
 
 
 def _combine_dense(bundle: RootBundle, subset, d: int, budget: ExpansionBudget) -> DensePoly:
@@ -225,6 +225,11 @@ def _subset_iter(count: int, max_size: int, given=None):
         yield from itertools.combinations(range(count), size)
 
 
+def _check_subset_shape(subset, d: int) -> None:
+    if subset is not None and not 0 < len(set(subset)) == len(subset) <= d:
+        raise ParameterViolation(f"a given subset names 1..{d} distinct roots, got {subset}")
+
+
 def extract_factor(
     P: Circuit,
     y: int,
@@ -251,8 +256,7 @@ def extract_factor(
     P.output()
     _check_var(P, y)
     _check_lift_degree(d, budget)
-    if subset is not None and not 0 < len(set(subset)) == len(subset) <= d:
-        raise ParameterViolation(f"a given subset names 1..{d} distinct roots, got {subset}")
+    _check_subset_shape(subset, d)
     fld = P.field
     nv = P.num_vars
     x_vars = [i for i in range(nv) if i != y]

@@ -173,7 +173,7 @@ def compose_root(state: LiftState, k: int | None = None) -> Circuit:
     b = CircuitBuilder(a_k.field, gens.num_vars)
     comp = b.import_circuit(gens.components) if gens.orders else []
     a_low = expand(a_k, cap=k)
-    return b.finish(composition_sum(b, a_low, [], comp, d, k))
+    return b.finish(composition_sum(b, a_low, [], [comp] * k, d, k))
 
 
 def composition_sum(b: CircuitBuilder, poly, plain: list, comp: list, d: int, k: int) -> int:
@@ -181,10 +181,10 @@ def composition_sum(b: CircuitBuilder, poly, plain: list, comp: list, d: int, k:
 
     The dense poly's first len(plain) variables are the degree-1 gates in
     plain (y); variable len(plain) + j is generator g_j, whose degree-i part
-    is comp[j * d + i - 1]. Generators have no constant term, so a monomial
-    c * y^a * z^e is emitted, with nothing truncated after the fact, as c
-    times the sum, over |e| <= i <= k - a and the compositions of i into
-    |e| positive parts, of y^a * prod_t H_{i_t}[g_{j_t}].
+    as a monomial's t-th generator factor is comp[t][j * d + i - 1]. Since
+    generators have no constant term, c * y^a * z^e is emitted, with nothing
+    truncated after the fact, as c times the sum, over |e| <= i <= k - a and
+    the compositions of i into |e| positive parts, of y^a * prod_t H_{i_t}[g_{j_t}].
     """
     n_plain = len(plain)
     terms = []
@@ -192,7 +192,7 @@ def composition_sum(b: CircuitBuilder, poly, plain: list, comp: list, d: int, k:
         ys = [plain[v] for v in range(n_plain) for _ in range(e[v])]
         js = [pos for pos, mult in enumerate(e[n_plain:]) for _ in range(mult)]
         parts = [
-            b.mul(*ys, *(comp[j * d + it - 1] for j, it in zip(js, split)))
+            b.mul(*ys, *(comp[t][j * d + it - 1] for t, (j, it) in enumerate(zip(js, split))))
             for i in range(len(js), k - len(ys) + 1)
             for split in _compositions(i, len(js))
         ]

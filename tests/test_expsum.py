@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from circuitforge import (
     CircuitBuilder,
     DensePoly,
     PrimeField,
+    SIXTY_TWO_BIT_PRIME,
     expand,
     factor_vnp,
     leaf_substitute,
@@ -19,7 +21,9 @@ from circuitforge.circuit import formal_degree_in, input_circuit, is_formula
 from circuitforge.errors import (
     ArityMismatch, BudgetExceeded, NotAFormula, ParameterViolation, ShapeError,
 )
+from circuitforge.dense import DEFAULT_BUDGET
 from circuitforge.expsum import (
+    BRUTE_FORCE_AUX_LIMIT,
     ExpSumPoly,
     SELECTOR_SIZE_FACTOR,
     coeff_exp_sums,
@@ -400,11 +404,9 @@ def test_factor_vnp_interpolates_by_x_degree(QQ, monkeypatch):
         assert exp_sum_expand(out) == expand(fr.factor) == want
         # the verifier-level interpolations (every circuit carrying E's
         # auxiliaries) take as many nodes on an axis as the degree in what
-        # it binds: x1 scaled and z shifted for the generator members, all
-        # x-variables scaled (auxiliaries untouched) for truncations
+        # it binds: x1 scaled and z shifted for the generator components
         verifier_level = [c for c in calls if c[0].num_vars >= e.nx + e.m]
         assert any(scale == [0] and y == 1 for _, scale, y, _, _ in verifier_level)
-        assert any(scale == [0, 1] and y is None for _, scale, y, _, _ in verifier_level)
         for circ, scale, y, shape, _ in verifier_level:
             assert shape[0] == formal_degree_in(circ, scale)
             assert shape[1] == (0 if y is None else formal_degree_in(circ, y))
@@ -435,22 +437,116 @@ def test_factor_vnp_interpolates_the_verifier_once_per_lifted_root(QQ, monkeypat
 
 
 def test_factor_vnp_refuses_an_over_budget_output_before_building_it(QQ, monkeypatch):
-    # each generator-variable leaf of the combiner's formula takes one fresh
-    # auxiliary block: the planted cubic's output carries exactly that many
+    # factor position t of a combiner monomial reads auxiliary block t: the
+    # planted cubic's output carries E.m times the largest generator degree
     calls = _record_interpolations(monkeypatch)
     e = _planted_aux_cubic(QQ)
     out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
     B = combiner_dense(fr.bundle, fr.subset, len(fr.subset))
-    assert out.m == e.m * sum(sum(t[1:]) for t in B.terms)
-    # (y - x1 - 1)(y - 2 x1 - 2)(y - x1 - 3) a over one auxiliary a: the
-    # degree-3 factor's combiner has 107 such leaves, refused with no copy
+    assert out.m == e.m * max(sum(t[1:]) for t in B.terms) == e.m * 2
+    # (y - x1 - 1)(y - 2 x1 - 2)(y - x1 - 3) a1 ... a11 over eleven
+    # auxiliaries: the degree-2 factor reads two blocks, refused with no copy
     # of the verifier built
-    b = CircuitBuilder(QQ, 3)
-    x1, y, a = b.inp(0), b.inp(1), b.inp(2)
+    b = CircuitBuilder(QQ, 13)
+    x1, y = b.inp(0), b.inp(1)
     lins = [b.sub(y, b.add(b.mul(b.const(QQ.embed(s)), x1), b.const(QQ.embed(c))))
             for s, c in ((1, 1), (2, 2), (1, 3))]
-    e = ExpSumPoly(b.finish(b.mul(*lins, a)), (2,))
+    e = ExpSumPoly(b.finish(b.mul(*lins, *(b.inp(a) for a in range(2, 13)))), tuple(range(2, 13)))
     calls.clear()
-    with pytest.raises(BudgetExceeded, match=r"2\^107 auxiliary assignments"):
-        factor_vnp(e, 3, subset=(0, 1, 2), seed=0)
+    with pytest.raises(BudgetExceeded, match=r"2\^22 auxiliary assignments"):
+        factor_vnp(e, 2, subset=(0, 1), seed=0)
     assert calls and not [c for c in calls if c[0].num_vars == e.nx + e.m]
+
+
+def _planted_linear_product(field, d, m):
+    """(E, want, subset): E over x1, y and m auxiliaries represents the
+    product of d + 1 factors y - s x1 - c, with verifier P * a1 ... am +
+    (5 x1 + 4)(2 a1 - 1), whose second term sums to 0 over the cube; want
+    is the product of the first d factors and subset indexes their roots
+    among the sorted roots c of the slice at x1 = 0."""
+    consts = [3 * (d + 1 - i) for i in range(d + 1)]  # sorted roots reverse the factors
+    b = CircuitBuilder(field, 2 + m)
+    x1, y, aux = b.inp(0), b.inp(1), [b.inp(2 + q) for q in range(m)]
+    lins = [b.sub(y, b.add(b.mul(b.const(field.embed(i + 2)), x1), b.const(field.embed(c))))
+            for i, c in enumerate(consts)]
+    noise = b.mul(b.add(b.mul(b.const(field.embed(5)), x1), b.const(field.embed(4))),
+                  b.sub(b.mul(b.const(field.embed(2)), aux[0]), b.const(field.one)))
+    E = ExpSumPoly(b.finish(b.add(b.mul(*lins, *aux), noise)), tuple(range(2, 2 + m)))
+    X, Y = DensePoly.variable(field, 2, 0), DensePoly.variable(field, 2, 1)
+    want = DensePoly.const(field, 2, field.one)
+    for i, c in enumerate(consts[:d]):
+        want = want * (Y - X.scale(field.embed(i + 2)) - DensePoly.const(field, 2, field.embed(c)))
+    return E, want, tuple(sorted(d - i for i in range(d)))
+
+
+def test_factor_vnp_reads_one_auxiliary_block_per_factor_position(monkeypatch):
+    # the planted family over F_p: d = 1..4 with one or two auxiliaries;
+    # factor position t of a combiner monomial reads block t, so the output
+    # carries E.m * k <= d * m auxiliaries, k the combiner's largest
+    # generator degree
+    F = PrimeField(SIXTY_TWO_BIT_PRIME)
+    for d in range(1, 5):
+        for m in (1, 2):
+            E, want, subset = _planted_linear_product(F, d, m)
+            start = time.perf_counter()
+            out, fr = factor_vnp(E, d, subset=subset, seed=1)
+            assert time.perf_counter() - start < 5, (d, m)
+            assert exp_sum_expand(out) == fr.factor_dense == want, (d, m)
+            B = combiner_dense(fr.bundle, fr.subset, len(fr.subset))
+            assert out.m == E.m * max(sum(t[1:]) for t in B.terms) <= d * m, (d, m)
+    # d = 3 over seven auxiliaries needs 2^21 > 2^BRUTE_FORCE_AUX_LIMIT
+    # assignments: refused before any verifier-level interpolation
+    calls = _record_interpolations(monkeypatch)
+    E, _, subset = _planted_linear_product(F, 3, 7)
+    assert 3 * 7 > BRUTE_FORCE_AUX_LIMIT
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"2\^21 auxiliary assignments"):
+        factor_vnp(E, 3, subset=subset, seed=1)
+    assert time.perf_counter() - start < 1
+    assert calls and not [c for c in calls if c[0].num_vars >= E.nx + E.m]
+
+
+def test_factor_vnp_refuses_its_parameters_before_expanding(QQ, monkeypatch):
+    from circuitforge import expsum
+
+    expanded = []
+    monkeypatch.setattr(expsum, "exp_sum_expand", lambda *a, **k: expanded.append(a))
+    e = _planted_aux_cubic(QQ)
+    with pytest.raises(BudgetExceeded, match="degree"):
+        factor_vnp(e, DEFAULT_BUDGET.max_degree + 1)
+    for subset in ((0, 0), (0, 1, 2), ()):
+        with pytest.raises(ParameterViolation, match="distinct roots"):
+            factor_vnp(e, 2, subset=subset)
+    b = CircuitBuilder(QQ, 1)
+    with pytest.raises(ParameterViolation, match="there is none"):
+        factor_vnp(ExpSumPoly(b.finish(b.inp(0)), (0,)), 1)
+    assert not expanded
+
+
+def test_factor_vnp_emits_through_one_composition_sum(QQ, monkeypatch):
+    # the factor is one composition_sum over the auxiliary blocks: no
+    # formula conversion, leaf substitution or truncation of a circuit that
+    # carries E's auxiliaries
+    from circuitforge import expsum, lifting
+
+    seen = {"composition_sum": [], "circuit_to_formula": [], "leaf_substitute": [],
+            "truncate_deg": []}
+
+    def spy(name, module):
+        real = getattr(module, name)
+
+        def call(first, *args, **kwargs):
+            seen[name].append(first.num_vars)
+            return real(first, *args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    for name in ("composition_sum", "circuit_to_formula", "leaf_substitute"):
+        spy(name, expsum)
+    for module in (transforms, lifting, expsum):
+        spy("truncate_deg", module)
+    e = _planted_aux_cubic(QQ)
+    out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
+    assert exp_sum_expand(out) == expand(fr.factor)
+    assert seen["composition_sum"] == [out.verifier.num_vars] == [e.nx + out.m]
+    assert not seen["circuit_to_formula"] and not seen["leaf_substitute"]
+    assert all(nv <= e.nx for nv in seen["truncate_deg"])

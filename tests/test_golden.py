@@ -113,26 +113,26 @@ VNP_CASES = (("qq/d1", QQ, 1, None), ("qq/d2", QQ, 2, [0, 1]),
              ("fp62/d1", FP62, 1, None), ("fp62/d2", FP62, 2, [0, 1]))
 
 VNP_GOLDEN = {
-    "vnp/qq/d1": "112cb116cd65b6f28e136134263d5cddb110352dade2ed62e5232273c41d2fdb",
-    "vnp/qq/d2": "3ce311aed94d5b48fc9966de968284650f1c06623ab2b301922a28d489edabe2",
-    "vnp/fp62/d1": "cb2f9d313ec59a82e40e78495d57d262744c5e84ad60466f37e49cca6877e89a",
-    "vnp/fp62/d2": "c3842cd39e815fde629d77289dc5153b111aeb16690c4ea8927285f383e2f2fd",
-    "vnp/coord/qq/sq-x/0": "c9b1a5ee2a5a85ad42b0933059354dfe180c587a90886f147ce0873c54cff252",
-    "vnp/coord/qq/sq/0": "d35139423e234ba2f5dd5519c083e5a82d09f03a24969aa5f42defede2046085",
-    "vnp/coord/qq/two/0": "75945fa5a8b5825d8c648c4e71475cf41a788c1e6a40c673302362d12a8d2550",
-    "vnp/coord/qq/two-pair/0": "088c7df71eecf67cc7f67f09a51ef015e16535be3a567ee12baf9688939bb22f",
-    "vnp/coord/qq/sq-x/2": "6df69fc7307eff9ef9fced43902dca5b2631ca791800e01459b9a80351b628d6",
-    "vnp/coord/qq/sq/2": "d35139423e234ba2f5dd5519c083e5a82d09f03a24969aa5f42defede2046085",
-    "vnp/coord/qq/two/2": "7fcd90c550177b1963d8e26bf81732bd54bd3f6fb0f9d0fd9c5094cf30dc5ca3",
-    "vnp/coord/qq/two-pair/2": "cf74471ed45dbe789035be379a11a44b722c7297f47e08fc04d76404719cbf4d",
-    "vnp/coord/fp62/sq-x/0": "00feb8094e9b9a1adbfe460a8f374feffb195aeb6ee48404ada1f70de6d42e61",
-    "vnp/coord/fp62/sq/0": "8e851954e6f677b15a30157f2c938cec29bdb44c7213d3901673f7c7f9e155ce",
-    "vnp/coord/fp62/two/0": "23291101c710bd0ddbd82c1e792e72b1b8cba295026c9975982197eb8ff7ab47",
-    "vnp/coord/fp62/two-pair/0": "1a5e3e6ecf3589374496130df120e518ae408dc1191959e20128484d28ea4563",
-    "vnp/coord/fp62/sq-x/2": "17ae14e65fb51f3f042ccd3269e528d2e3c7fb46af8a76a369ea0dc499c20242",
-    "vnp/coord/fp62/sq/2": "8e851954e6f677b15a30157f2c938cec29bdb44c7213d3901673f7c7f9e155ce",
-    "vnp/coord/fp62/two/2": "9167cd80dc3a5e14f8ebd66daf3f98b3595909b6e871b5aa78b7f06136034018",
-    "vnp/coord/fp62/two-pair/2": "40a05ac14fcf781c34258b1036b3ea079b41da0adc134a5ead2fb209c08ba630",
+    "vnp/qq/d1": "143737d5f3509de2a6d1d39700a7aa13a7ccdd0f3fab32f4cdaa73ddc402dc0d",
+    "vnp/qq/d2": "3631e078440b958eebe873858e7d9d54041c12a9d1675db01de48c10fc31deb8",
+    "vnp/fp62/d1": "7687c91a5651c3f93004555602579757e217746162a9bda195127675fa966b8b",
+    "vnp/fp62/d2": "796b082b1a11071662db8daf2408c450c5493faaa92f031c921a3bcf12e91fe2",
+    "vnp/coord/qq/sq-x/0": "a1446c3300a7150a3f68a8116cd3d1f6d0253d83ae196ec6b9857d2bd84c59b5",
+    "vnp/coord/qq/sq/0": "ab0e73b922b676998871bb7bb207a32dab7f0aef5926f8cfa7f7fb7e8e777454",
+    "vnp/coord/qq/two/0": "461e438e192753bc8020c382464aa05a281679d0965848034dce5c603d657470",
+    "vnp/coord/qq/two-pair/0": "7079b6063b15fc2ba091fbfc41ab0b655c0a593ed6f9472dcb97cf4284ba1915",
+    "vnp/coord/qq/sq-x/2": "e1a786a80bbf3c10f068d2e4ee8d89fbb6ab64c5176b96aa6e7ecbb6ccf74514",
+    "vnp/coord/qq/sq/2": "ab0e73b922b676998871bb7bb207a32dab7f0aef5926f8cfa7f7fb7e8e777454",
+    "vnp/coord/qq/two/2": "357e1c4396fb2d72b8f2fee1edbc1dacadcf08b2fb3c8941d461421ebe403ec1",
+    "vnp/coord/qq/two-pair/2": "60774707feb205955769505ab998e7288939fccc42cc01a00286c5ee7ceea285",
+    "vnp/coord/fp62/sq-x/0": "62af530687fb0d6a1de1b9595485141ac59d3cda8b17933995b72626dbcb96af",
+    "vnp/coord/fp62/sq/0": "ef8b32122e823daa38a88c68ce95d417f2303e921df5114b5dff7ac639d72102",
+    "vnp/coord/fp62/two/0": "f328efc8266d97af9a28641e580f5c82eff931a634e0ac8fe8043b84c26c9f03",
+    "vnp/coord/fp62/two-pair/0": "97e410a086f863bfeda02248d6e75ff25f67b4ea09cab89a5385ce79261dbaf2",
+    "vnp/coord/fp62/sq-x/2": "116f3ec28b7d5f566bbac6f585887b2c7a8881379ae87773bec6e9c5b9fde5fb",
+    "vnp/coord/fp62/sq/2": "ef8b32122e823daa38a88c68ce95d417f2303e921df5114b5dff7ac639d72102",
+    "vnp/coord/fp62/two/2": "3e1e2bd0ae9de81a07a2e7dfce85a44273941d56fb09c04a55d051bbfb06c83f",
+    "vnp/coord/fp62/two-pair/2": "ba1e1173a5f6f23cf8ae5c51eac18af8cb63b6ed65001f3c43e809ad64ffe42c",
 }
 
 

@@ -16,7 +16,7 @@ from circuitforge import (
     substitute,
     translate,
 )
-from circuitforge.dense import compose
+from circuitforge.dense import circuit_from_dense, compose
 from circuitforge.designs import Design
 from circuitforge.errors import MixedFieldConfig
 from circuitforge.factoring import FACTOR_DEPTH_SLACK, FACTOR_SIZE_FACTOR
@@ -143,19 +143,19 @@ def test_factor_depth_and_size_laws():
 
 def test_factor_vnp_combining_circuit_has_depth_two(QQ, monkeypatch):
     # B is factoring.combiner_dense, the sum of monomials of
-    # H_<=|S|[prod (y - A_i)] that the circuit factor emits as a composition
-    # sum of the roots' generator components; its formula is linear in it.
+    # H_<=|S|[prod (y - A_i)] that both factor paths emit as a composition
+    # sum of the roots' generator components; as a circuit it has depth 2.
     # The second case has roots with no generators
     from circuitforge import expsum
 
     seen = []
-    real = expsum.circuit_to_formula
+    real = expsum.combiner_dense
 
-    def spy(circ, *args, **kwargs):
-        seen.append(circ)
-        return real(circ, *args, **kwargs)
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
 
-    monkeypatch.setattr(expsum, "circuit_to_formula", spy)
+    monkeypatch.setattr(expsum, "combiner_dense", spy)
     b = CircuitBuilder(QQ, 2)
     x1, y = b.inp(0), b.inp(1)
     cases = [
@@ -174,7 +174,7 @@ def test_factor_vnp_combining_circuit_has_depth_two(QQ, monkeypatch):
         out, fr = expsum.factor_vnp(expsum.plain_expsum(ver), 2, subset=(0, 1), seed=0)
         assert exp_sum_expand(out) == expand(fr.factor)
         assert expand(fr.factor).degree_in(1) == 2
-        assert seen[-1].depth() <= 2
+        assert circuit_from_dense(seen[-1]).depth() <= 2
     assert [len(fr.bundle.states[i].gens.members) for i in fr.subset] == [0, 0]
 
 
