@@ -46,9 +46,8 @@ from .errors import (
     NotAFormula,
     ParameterViolation,
     ShapeError,
-    ZeroPolynomial,
 )
-from .factoring import _check_subset_shape, _leading_y_unit, combiner_dense, extract_factor
+from .factoring import _check_subset_shape, _search, combiner_dense
 from .fields import Field, Rationals, same_field
 from .lifting import composition_sum
 from .transforms import (
@@ -388,9 +387,10 @@ def factor_vnp(
 ):
     """Factor of degree <= d of the represented polynomial, as an exp-sum.
 
-    Runs the circuit factorizer on a desk-scale expansion for the structure
-    (change of coordinates, root subset, generator orders, combiner B), then
-    emits B as combine_roots does, at the verifier level: per lifted root
+    Takes the first result of extract_factor's search on a desk-scale
+    expansion (change of coordinates, subset, generator orders, combiner B,
+    leading unit), builds no circuit factor (fr.factor is None) and emits B
+    as combine_roots does, at the verifier level: per lifted root
     alpha, one interpolation of the verifier V in the lifted coordinates
     gives the components, the t^i s^j coefficients of V(t * x, alpha + s,
     aux). Factor position t of a monomial of B reads its copy of them on
@@ -399,7 +399,7 @@ def factor_vnp(
     degree in B) are refused over BRUTE_FORCE_AUX_LIMIT before any copy is
     built; d, the subset's shape and nx >= 1 are checked before E is
     expanded. The result is certified by exp_sum_expand equality with the
-    factor's dense form. Returns (exp_sum, factor_result).
+    screened candidate fr.factor_dense. Returns (exp_sum, fr).
     """
     E = E.canonical()
     field, nx, m = E.field, E.nx, E.m
@@ -409,10 +409,7 @@ def factor_vnp(
     if z < 0:
         raise ParameterViolation("z must be an x-variable, and there is none")
     p_dense = exp_sum_expand(E, budget)
-    if p_dense.is_zero():
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-
-    fr = extract_factor(circuit_from_dense(p_dense), z, d, subset, seed, budget)
+    fr = next(_search(circuit_from_dense(p_dense), z, d, subset, seed, budget))
     x_others = list(range(z))
 
     # factor position t of a monomial of B reads auxiliary block t: refuse an
@@ -443,13 +440,8 @@ def factor_vnp(
                                     for e, c in B.terms.items()})
     composed = b.finish(composition_sum(b, scaled, [b.inp(z)], blocks, d, dS))
     out = ExpSumPoly(fr.from_lifted(composed), tuple(range(nx, nx + m * k)))
-
-    out_dense = exp_sum_expand(out, budget)
-    unit = _leading_y_unit(out_dense, z)
-    if unit is not None and unit != field.one:
-        out = scale_expsum(out, field.inv(unit))
-        out_dense = out_dense.scale(field.inv(unit))
-
-    if out_dense != fr.factor_dense:
-        raise InvariantViolated("exp-sum factor disagrees with the circuit factor")
+    if fr.unit_inv != field.one:
+        out = scale_expsum(out, fr.unit_inv)
+    if exp_sum_expand(out, budget) != fr.factor_dense:
+        raise InvariantViolated("exp-sum factor disagrees with the screened candidate")
     return out, fr

@@ -1,14 +1,16 @@
 """Factor extraction for factors that need not be linear in y.
 
-Pipeline: make P monic in y, walk multiplicity levels through Hasse
-y-derivatives, find a separating shift giving distinct simple base-field
-roots of the univariate slice, lift the roots a candidate subset S needs,
-and combine them as H_{<=|S|}[prod (y - q_i)], one dense combiner B over y
-and their generators. A candidate is B composed with the generators' dense
-members, screened by exact divisibility against P; the accepted one is B
-emitted as a flat composition sum of the generator components (depth(P) + 2
-on criterion 7), un-shifted to the original coordinates and checked to expand
-to the screened candidate - never sampled, so no non-factor is mislabeled.
+Pipeline: one search serves both factor emitters. It makes P monic in y,
+walks multiplicity levels through Hasse y-derivatives, finds a separating
+shift giving distinct simple base-field roots of the univariate slice, lifts
+the roots a candidate subset S needs and combines them as
+H_{<=|S|}[prod (y - q_i)], one dense combiner B over y and their generators.
+A candidate is B composed with the generators' dense members, un-shifted and
+screened by exact divisibility against P. extract_factor emits the first
+accepted B as a flat composition sum of the generator components (depth(P) +
+2 on criterion 7), checked to expand to the screened candidate - never
+sampled, so no non-factor is mislabeled; expsum.factor_vnp emits it over an
+exp-sum's verifier and builds no circuit factor.
 
 Only factors genuinely involving y are reported: a candidate whose
 un-shifted form loses all y-dependence is rejected, and a polynomial free
@@ -22,7 +24,7 @@ in-field roots.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .circuit import Circuit, CircuitBuilder, _check_var, formal_degree_in
 from .dense import (
@@ -104,11 +106,12 @@ class FactorResult:
     """A certified factor and the change of coordinates it was found in: P's
     monic form, its derivative level, then the separating shift of the
     bundle's roots. to_lifted and from_lifted apply that map and its inverse
-    to any circuit over P's variables; variables past them, such as an
-    exp-sum's auxiliaries, pass through."""
+    to any circuit over P's variables, from_lifted_dense the inverse to a
+    dense one; variables past them, such as auxiliaries, pass through."""
 
-    factor: Circuit              # original coordinates
-    factor_dense: DensePoly      # its expansion, certified against the dense screen
+    factor: Circuit | None       # original coordinates; None from factor_vnp
+    factor_dense: DensePoly      # the screened candidate times unit_inv
+    unit_inv: object             # inverse leading y-unit of the candidate, one if none
     subset: tuple                # 0-based indices into bundle.alphas
     multiplicity: int
     monic: MonicForm
@@ -125,6 +128,15 @@ class FactorResult:
         fld, y = circ.field, self.monic.y_var
         unshifted = translate_x(circ, y, [fld.neg(v) for v in self.bundle.shift])
         return undo_monic_shift(unshifted, self.monic)
+
+    def from_lifted_dense(self, p: DensePoly) -> DensePoly:
+        """from_lifted on a dense polynomial: x_i -> x_i - a_i * y - c_i."""
+        fld, nv, y = p.field, p.n, self.monic.y_var
+        xs = [DensePoly.variable(fld, nv, v) for v in range(nv)]
+        x_vars = [i for i in range(nv) if i != y]
+        for xi, ci, ai in zip(x_vars, self.bundle.shift, self.monic.shift):
+            xs[xi] = xs[xi] - xs[y].scale(ai) - DensePoly.const(fld, nv, ci)
+        return compose(p, xs)
 
 
 def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None):
@@ -204,17 +216,10 @@ def _combine_dense(bundle: RootBundle, subset, d: int, budget: ExpansionBudget) 
 
 
 def _leading_y_unit(p: DensePoly, y: int):
-    """Leading y-coefficient if it is a nonzero field constant, else None."""
+    """Leading y-coefficient if it is a nonzero field constant, else one."""
     dy = p.degree_in(y)
-    if dy <= 0:
-        return None
-    lead = {e: c for e, c in p.terms.items() if e[y] == dy}
-    if len(lead) != 1:
-        return None
-    (e, c), = lead.items()
-    if any(x for i, x in enumerate(e) if i != y):
-        return None
-    return c
+    lead = [(e, c) for e, c in p.terms.items() if e[y] == dy]
+    return lead[0][1] if len(lead) == 1 and sum(lead[0][0]) == dy else p.field.one
 
 
 def _subset_iter(count: int, max_size: int, given=None):
@@ -230,36 +235,15 @@ def _check_subset_shape(subset, d: int) -> None:
         raise ParameterViolation(f"a given subset names 1..{d} distinct roots, got {subset}")
 
 
-def extract_factor(
-    P: Circuit,
-    y: int,
-    d: int,
-    subset=None,
-    seed: int = 0,
-    budget: ExpansionBudget = DEFAULT_BUDGET,
-) -> FactorResult:
-    """Extract a factor of P of degree <= d involving y.
-
-    subset=None enumerates candidate root subsets by increasing size and
-    accepts the first one whose combination exactly divides P; an explicit
-    subset (0-based indices into a level's simple-root list, which is sorted)
-    combines exactly those roots, level by level, until one combination
-    divides P; an index outside the list of every level with simple roots, a
-    repeated index or more than d indices is a ParameterViolation, raised
-    before any root is lifted. A root is lifted when the
-    first subset containing it is screened, so only the roots of screened
-    subsets are ever lifted; a root that fails to lift ends its multiplicity
-    level. The returned factor is expressed in the original coordinates and,
-    when its leading y-coefficient is a constant, normalized monic. A d above
-    the budget's degree bound is refused before any work.
-    """
+def _search(P: Circuit, y: int, d: int, subset, seed: int, budget: ExpansionBudget):
+    """Yield each FactorResult whose candidate divides P, factor unset and
+    factor_dense scaled monic in y when its lead is a unit; raise
+    ParameterViolation or NoFactorFound when the levels run out."""
     P.output()
     _check_var(P, y)
     _check_lift_degree(d, budget)
     _check_subset_shape(subset, d)
     fld = P.field
-    nv = P.num_vars
-    x_vars = [i for i in range(nv) if i != y]
 
     P_dense = expand(P, budget)
     if P_dense.is_zero():
@@ -287,41 +271,27 @@ def extract_factor(
             misses.append(f"{roots} at level {level + 1}")
             continue
         fitted = True
-        # the dense twin of FactorResult.from_lifted: x_i -> x_i - a_i * y - c_i
-        # undoes the shift, then the monic change of variables
-        unshift = [DensePoly.variable(fld, nv, v) for v in range(nv)]
-        for xi, ci, ai in zip(x_vars, c, monic.shift):
-            unshift[xi] = unshift[xi] - unshift[y].scale(ai) - DensePoly.const(fld, nv, ci)
         # roots are lifted when a subset first needs them; the screen's exact
         # divisibility certifies candidates, so no per-root residual check runs
         bundle = RootBundle(shift=c, alphas=alphas, d=d, y_var=y, source=translate_x(Pk, y, c))
+        # the level's change of coordinates; an accepted subset fills in the rest
+        coords = FactorResult(factor=None, factor_dense=None, unit_inv=None, subset=(),
+                              multiplicity=0, monic=monic, deriv_level=level,
+                              bundle=bundle, metrics_chain=chain)
         for S in _subset_iter(len(alphas), d, given=subset):
             try:
                 bundle.lift(S, budget)
             except NotASimpleRoot:
                 break
-            dS = len(S)
-            cand_orig = compose(_combine_dense(bundle, S, dS, budget), unshift)
-            if cand_orig.degree_in(y) < 1:
+            cand = coords.from_lifted_dense(_combine_dense(bundle, S, len(S), budget))
+            if cand.degree_in(y) < 1:
                 continue
-            mult = divides(cand_orig, P_dense, main_var=y)
+            mult = divides(cand, P_dense, main_var=y)
             if mult < 1:
                 continue
-            res = FactorResult(factor=None, factor_dense=None, subset=tuple(S),
-                               multiplicity=mult, monic=monic, deriv_level=level,
-                               bundle=bundle, metrics_chain=chain)
-            factor_circ = res.from_lifted(combine_roots(bundle, S, dS))
-            unit = _leading_y_unit(cand_orig, y)
-            if unit is not None and unit != fld.one:
-                inv, b = fld.inv(unit), CircuitBuilder(fld, nv)
-                factor_circ = b.finish(b.mul(b.const(inv), b.import_circuit(factor_circ)[0]))
-                cand_orig = cand_orig.scale(inv)
-            # the screen certified cand_orig^mult | P; the circuit inherits it
-            if expand(factor_circ, budget) != cand_orig:
-                raise InvariantViolated("circuit factor disagrees with its dense screen")
-            chain.append(_stage("factor", factor_circ))
-            res.factor, res.factor_dense = factor_circ, cand_orig
-            return res
+            inv = fld.inv(_leading_y_unit(cand, y))
+            yield replace(coords, factor_dense=cand.scale(inv), unit_inv=inv,
+                          subset=tuple(S), multiplicity=mult)
     if misses and not fitted:
         raise ParameterViolation(
             "the subset names a root outside the simple roots of the slice at every "
@@ -332,3 +302,40 @@ def extract_factor(
         f"no combination of lifted roots up to size {d} divides P: searched multiplicity "
         f"levels 1..{r}, up to {SHIFT_TRIALS} shifts per level, monic shear {shear}"
     )
+
+
+def extract_factor(
+    P: Circuit,
+    y: int,
+    d: int,
+    subset=None,
+    seed: int = 0,
+    budget: ExpansionBudget = DEFAULT_BUDGET,
+) -> FactorResult:
+    """Extract a factor of P of degree <= d involving y: the first result of
+    the search factor_vnp shares, emitted as a circuit.
+
+    subset=None enumerates candidate root subsets by increasing size and
+    accepts the first one whose combination exactly divides P; an explicit
+    subset (0-based indices into a level's simple-root list, which is sorted)
+    combines exactly those roots, level by level, until one combination
+    divides P; an index outside the list of every level with simple roots, a
+    repeated index or more than d indices is a ParameterViolation, raised
+    before any root is lifted. A root is lifted when the
+    first subset containing it is screened, so only the roots of screened
+    subsets are ever lifted; a root that fails to lift ends its multiplicity
+    level. The returned factor is expressed in the original coordinates and,
+    when its leading y-coefficient is a constant, normalized monic. A d above
+    the budget's degree bound is refused before any work.
+    """
+    res = next(_search(P, y, d, subset, seed, budget))
+    factor_circ = res.from_lifted(combine_roots(res.bundle, res.subset, len(res.subset)))
+    if res.unit_inv != P.field.one:
+        b = CircuitBuilder(P.field, P.num_vars)
+        factor_circ = b.finish(b.mul(b.const(res.unit_inv), b.import_circuit(factor_circ)[0]))
+    # the screen certified factor_dense^mult | P; the circuit inherits it
+    if expand(factor_circ, budget) != res.factor_dense:
+        raise InvariantViolated("circuit factor disagrees with its dense screen")
+    res.metrics_chain.append(_stage("factor", factor_circ))
+    res.factor = factor_circ
+    return res

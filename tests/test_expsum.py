@@ -9,6 +9,7 @@ from circuitforge import (
     PrimeField,
     SIXTY_TWO_BIT_PRIME,
     expand,
+    extract_factor,
     factor_vnp,
     leaf_substitute,
     prod_compose,
@@ -21,7 +22,7 @@ from circuitforge.circuit import formal_degree_in, input_circuit, is_formula
 from circuitforge.errors import (
     ArityMismatch, BudgetExceeded, NotAFormula, ParameterViolation, ShapeError,
 )
-from circuitforge.dense import DEFAULT_BUDGET
+from circuitforge.dense import DEFAULT_BUDGET, circuit_from_dense
 from circuitforge.expsum import (
     BRUTE_FORCE_AUX_LIMIT,
     ExpSumPoly,
@@ -331,7 +332,7 @@ def test_factor_vnp_plain_circuit_degenerate_aux(QQ):
     ver = b.finish(b.mul(b.sub(y, x1), b.sub(y, b.const(Fraction(3)))))
     e = plain_expsum(ver)
     out, fr = factor_vnp(e, 1, seed=0)
-    assert exp_sum_expand(out) == expand(fr.factor)
+    assert exp_sum_expand(out) == fr.factor_dense
     assert out.m >= 0
 
 
@@ -346,7 +347,7 @@ def test_factor_vnp_planted_quadratic(QQ):
     ))
     e = plain_expsum(ver)
     out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
-    want = expand(fr.factor)
+    want = _aux_cubic_factor(QQ)
     assert exp_sum_expand(out) == want
     assert want.degree_in(1) == 2
 
@@ -362,6 +363,14 @@ def _planted_aux_cubic(field):
     ver = b.finish(b.add(b.mul(cubic, a1, a1, a2),
                          b.mul(b.sub(a1, a2), b.add(a1, a2), x1, y, y)))
     return ExpSumPoly(ver, (2, 3))
+
+
+def _aux_cubic_factor(field):
+    """(y - x1)(y - 1 - x1) over x1, y: the factor of _planted_aux_cubic
+    that the roots (0, 1) of its slice combine to."""
+    y = DensePoly.variable(field, 2, 1)
+    x1 = DensePoly.variable(field, 2, 0)
+    return (y - x1) * (y - DensePoly.const(field, 2, field.one) - x1)
 
 
 def _record_interpolations(monkeypatch) -> list:
@@ -397,11 +406,7 @@ def test_factor_vnp_interpolates_by_x_degree(QQ, monkeypatch):
         e = _planted_aux_cubic(field)
         assert formal_degree_in(e.verifier, e.aux) == 3
         out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
-        y = DensePoly.variable(field, 2, 1)
-        x1 = DensePoly.variable(field, 2, 0)
-        one = DensePoly.const(field, 2, field.one)
-        want = (y - x1) * (y - one - x1)
-        assert exp_sum_expand(out) == expand(fr.factor) == want
+        assert exp_sum_expand(out) == _aux_cubic_factor(field)
         # the verifier-level interpolations (every circuit carrying E's
         # auxiliaries) take as many nodes on an axis as the degree in what
         # it binds: x1 scaled and z shifted for the generator components
@@ -421,7 +426,7 @@ def test_factor_vnp_interpolates_the_verifier_once_per_lifted_root(QQ, monkeypat
         calls.clear()
         e = _planted_aux_cubic(field)
         out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
-        assert exp_sum_expand(out) == expand(fr.factor)
+        assert exp_sum_expand(out) == _aux_cubic_factor(field)
         verifier_level = [c for c in calls if c[0].num_vars == e.nx + e.m]
         members = [c for c in verifier_level if c[1] and c[2] is not None]
         roots = [i for i in fr.subset if fr.bundle.states[i].gens.orders]
@@ -434,6 +439,30 @@ def test_factor_vnp_interpolates_the_verifier_once_per_lifted_root(QQ, monkeypat
             assert all(keys == [0, 1] for keys in bound)
         for *_, bound in verifier_level:
             assert bound and all(not set(keys) & set(e.aux) for keys in bound)
+
+
+def test_factor_vnp_shares_the_search_and_builds_no_circuit_factor(QQ, monkeypatch):
+    # factor_vnp takes the search's first result and emits only its exp-sum;
+    # extract_factor on the same expansion emits one circuit factor
+    from circuitforge import factoring
+
+    combined = []
+    real = factoring.combine_roots
+
+    def spy(*args, **kwargs):
+        combined.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(factoring, "combine_roots", spy)
+    for field in (QQ, PrimeField(1_000_003)):
+        combined.clear()
+        e = _planted_aux_cubic(field)
+        out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
+        assert not combined and fr.factor is None
+        assert exp_sum_expand(out) == fr.factor_dense == _aux_cubic_factor(field)
+        res = extract_factor(circuit_from_dense(exp_sum_expand(e)), 1, 2, subset=(0, 1), seed=0)
+        assert combined == [res.subset] == [fr.subset]
+        assert expand(res.factor) == res.factor_dense == fr.factor_dense
 
 
 def test_factor_vnp_refuses_an_over_budget_output_before_building_it(QQ, monkeypatch):
@@ -546,7 +575,7 @@ def test_factor_vnp_emits_through_one_composition_sum(QQ, monkeypatch):
         spy("truncate_deg", module)
     e = _planted_aux_cubic(QQ)
     out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
-    assert exp_sum_expand(out) == expand(fr.factor)
+    assert exp_sum_expand(out) == _aux_cubic_factor(QQ)
     assert seen["composition_sum"] == [out.verifier.num_vars] == [e.nx + out.m]
     assert not seen["circuit_to_formula"] and not seen["leaf_substitute"]
     assert all(nv <= e.nx for nv in seen["truncate_deg"])

@@ -354,6 +354,23 @@ def test_extract_factor_monic_and_shift_roundtrip(QQ):
         assert list(lead.values()) == [QQ.one]
 
 
+def test_from_lifted_dense_is_from_lifted():
+    # the change of coordinates in both representations, on the golden
+    # coordinate runs: sheared inputs, derivative level 1, nonzero shifts
+    from test_golden import coord_runs
+
+    seen = set()
+    for key, P, d, subset, seed in coord_runs():
+        res = extract_factor(P, P.num_vars - 1, d, subset=subset, seed=seed)
+        C = combine_roots(res.bundle, res.subset, len(res.subset))
+        assert expand(res.from_lifted(C)) == res.from_lifted_dense(expand(C)), key
+        zero = P.field.zero
+        seen |= {("level", res.deriv_level),
+                 ("shear", any(a != zero for a in res.monic.shift)),
+                 ("shift", any(c != zero for c in res.bundle.shift))}
+    assert {("level", 1), ("shear", True), ("shift", True)} <= seen
+
+
 def test_extract_factor_search_finds_certified_factor(QQ):
     rng = rng_for("extract-search")
     consts = [Fraction(0), Fraction(2), Fraction(6)]
