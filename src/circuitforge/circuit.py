@@ -26,7 +26,9 @@ import_circuit apply to the values callers and imported circuits bring. All
 transformations in this package return new circuits. A circuit finished by a
 sharing builder is marked canonical: its gates are already fixed points of
 that canonicalization, so importing or renaming it onto distinct inputs
-copies the gates instead of rebuilding them.
+copies the gates instead of rebuilding them. A sharing builder importing
+the same circuit object again rebuilds only the gates that read a moved
+binding.
 
 Circuits are immutable, so reachable() walks one once and caches the order
 for imports, metrics, projections and expansion; a finished or projected
@@ -247,6 +249,7 @@ class CircuitBuilder:
         self.share = share
         self._gates = []
         self._memo = {} if share else None
+        self._imports = {}  # circuit -> gate mapping of its last import (sharing only)
         # the native arithmetic of add/mul: None over Q, else the modulus
         self._p = field.p if isinstance(field, PrimeField) else None
 
@@ -367,6 +370,14 @@ class CircuitBuilder:
         A canonical circuit whose variables land on distinct input gates is
         copied gate for gate into a sharing builder: re-canonicalizing it
         would rebuild exactly the same gates.
+
+        A sharing builder also keeps, per circuit object, the gate mapping of
+        its last import. Importing the same object again re-canonicalizes only
+        the gates that transitively read a variable whose binding moved; every
+        other gate takes its id from that mapping. This is exact: a gate's
+        canonical form depends only on its children's ids, so each skipped
+        gate would have been a memo hit on the same id. A share=False builder
+        never reuses a mapping, so it still emits trees.
         """
         same_field(self.field, circ.field)
         var_bindings = var_bindings or {}
@@ -374,6 +385,11 @@ class CircuitBuilder:
         gates = circ.gates
         mapping = [None] * len(gates)
         kid = mapping.__getitem__
+        # circ's last import here: a gate none of whose children moved from
+        # their ids there keeps its own (moved[i]: gate i's id differs)
+        last = self._imports.get(circ)
+        moved = None if last is None else [False] * len(gates)
+        stale = None if last is None else moved.__getitem__
 
         def rename(v):
             if v not in var_bindings:
@@ -387,16 +403,24 @@ class CircuitBuilder:
             gate = gates[i]
             op, arg = gate
             if op == IN:
-                mapping[i] = var_bindings[arg] if arg in var_bindings else self.inp(arg)
+                new = var_bindings[arg] if arg in var_bindings else self.inp(arg)
+            elif last is not None and (op == CONST or not any(map(stale, arg))):
+                mapping[i] = last[i]
+                continue
             elif op == CONST:
                 check(arg)
-                mapping[i] = emit(gate)
+                new = emit(gate)
             elif copy:
-                mapping[i] = emit((op, tuple(sorted(map(kid, arg)))))
+                new = emit((op, tuple(sorted(map(kid, arg)))))
             elif op == ADD:
-                mapping[i] = add(*map(kid, arg))
+                new = add(*map(kid, arg))
             else:
-                mapping[i] = mul(*map(kid, arg))
+                new = mul(*map(kid, arg))
+            mapping[i] = new
+            if last is not None:
+                moved[i] = new != last[i]
+        if self.share:
+            self._imports[circ] = mapping
         return [mapping[o] for o in circ.outputs]
 
     def finish(self, outputs) -> Circuit:

@@ -24,12 +24,13 @@ outside it.
 - Total degree and cap. An expansion key has one more slot above the n
   variable slots, holding its total degree << w*n; packing is additive, so
   products keep it exact. Being the top slot, it makes a degree bound one
-  comparison: `expand_outputs(cap=c)` and `compose(cap=c)` drop each input
-  and product key of degree above c, and since exponents are non-negative
-  no dropped monomial could come back, so each output is exactly H_<=c; a
-  capped call certifies claims about H_<=c only. Kept exponents are at
-  most c, so w comes from min(D, c): a product that carries out of a slot
-  has degree above c and is dropped.
+  comparison: `expand_outputs(cap=c)`, `compose(cap=c)` and
+  `DensePoly.mul(cap=c)` drop each input and product key of degree above
+  c, and since exponents are non-negative no dropped monomial could come
+  back, so each output is exactly H_<=c; a capped call certifies claims
+  about H_<=c only. Kept exponents are at most c, so w comes from
+  min(D, c): a product that carries out of a slot has degree above c and
+  is dropped.
 - Coefficients. Over F_p they are residues mod p. Over Q each gate holds
   integer numerators over one common denominator, divided through by one
   gcd per gate; Fractions are built only at the outputs. The inner loops
@@ -180,14 +181,28 @@ class DensePoly:
         return self + (-other)
 
     def __mul__(self, other):
+        return self.mul(other)
+
+    def mul(self, other, cap=None):
+        """The product; H_<=cap of it with cap, whose keys above cap never
+        enter the packed product (see the module docstring)."""
         self._like(other)
         n = self.n
         p = _modulus(self.field)
         # no product exponent exceeds the sum of the total degrees
-        w = (max(self.total_degree(), 0) + max(other.total_degree(), 0)).bit_length()
-        a, den_a = _to_ints(self.terms, w, p)
-        b, den_b = _to_ints(other.terms, w, p)
-        prod = _product_terms(a, b, p)
+        top = max(self.total_degree(), 0) + max(other.total_degree(), 0)
+        if cap is None:
+            w = top.bit_length()
+            a, den_a = _to_ints(self.terms, w, p)
+            b, den_b = _to_ints(other.terms, w, p)
+            prod = _product_terms(a, b, p)
+        else:
+            if cap < 0:
+                raise ParameterViolation(f"degree cap must be >= 0, got {cap}")
+            w = max(1, min(top, cap).bit_length())
+            a, den_a = _to_ints(_with_degree(self.terms, cap), w, p)
+            b, den_b = _to_ints(_with_degree(other.terms, cap), w, p)
+            prod = _product_terms(a, b, p, bound=(cap + 1) << w * n)
         return DensePoly(self.field, n, _from_ints(prod, den_a * den_b, n, w, p))
 
     def scale(self, value):
@@ -236,6 +251,11 @@ def _pack(e, w: int) -> int:
 def _unpack(key: int, n: int, w: int) -> tuple:
     mask = (1 << w) - 1
     return tuple([key >> w * j & mask for j in range(n)])
+
+
+def _with_degree(terms: dict, cap: int) -> dict:
+    """The terms of degree <= cap, each key extended by its total degree."""
+    return {e + (sum(e),): c for e, c in terms.items() if sum(e) <= cap}
 
 
 def _modulus(field: Field):
@@ -444,8 +464,7 @@ def compose(p: DensePoly, values, cap=None, budget: ExpansionBudget = DEFAULT_BU
     bound = None if cap is None else (cap + 1) << w * m  # least key of degree > cap
     pows, dens = [], []  # pows[j][k] is values[j]^k packed, over dens[j]^k
     for j, v in enumerate(values):
-        kept = {e + (sum(e),): c for e, c in v.terms.items() if sum(e) <= top}
-        base, den = _to_ints(kept, w, mod)
+        base, den = _to_ints(_with_degree(v.terms, top), w, mod)
         pows.append([{0: 1}])
         for _ in range(p.degree_in(j)):
             pows[j].append(_product_terms(pows[j][-1], base, mod, max_terms, bound))

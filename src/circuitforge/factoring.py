@@ -34,7 +34,6 @@ from .dense import (
     compose,
     divides,
     expand,
-    truncate_dense,
     univariate_roots,
 )
 from .errors import (
@@ -73,7 +72,8 @@ class RootBundle:
     states[i], H_{<=d}[A_d] over its generators: no root circuit or dense
     root is built. Roots are lifted on demand by `lift`; until then
     states[i] is None. A lift whose generator members did not expand
-    within the budget raises BudgetExceeded.
+    within the budget raises BudgetExceeded. combiners holds
+    combiner_dense's products by (subset, k).
     """
 
     shift: tuple
@@ -82,6 +82,7 @@ class RootBundle:
     y_var: int
     source: Circuit
     states: list = dc_field(init=False)
+    combiners: dict = dc_field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.states = [None] * len(self.alphas)
@@ -130,8 +131,11 @@ class FactorResult:
         return undo_monic_shift(unshifted, self.monic)
 
     def from_lifted_dense(self, p: DensePoly) -> DensePoly:
-        """from_lifted on a dense polynomial: x_i -> x_i - a_i * y - c_i."""
+        """from_lifted on a dense polynomial: x_i -> x_i - a_i * y - c_i;
+        p itself when the shift and the shear are both zero."""
         fld, nv, y = p.field, p.n, self.monic.y_var
+        if all(v == fld.zero for v in (*self.bundle.shift, *self.monic.shift)):
+            return p
         xs = [DensePoly.variable(fld, nv, v) for v in range(nv)]
         x_vars = [i for i in range(nv) if i != y]
         for xi, ci, ai in zip(x_vars, self.bundle.shift, self.monic.shift):
@@ -165,7 +169,13 @@ def combiner_dense(bundle: RootBundle, subset, k: int) -> DensePoly:
     """B = H_{<=k}[prod_{i in subset} (y - H_{<=k}[A_i])] over y, then each
     lifted root's generator variables in subset order: the one product of
     roots. No monomial of the product has lower degree than its factors, so
-    H_{<=k}[A_i] is all of A_i that reaches B."""
+    H_{<=k}[A_i] (the root's LiftState.low(k)) is all of A_i that reaches B,
+    and each product is taken capped at k. Built once per (subset, k) and
+    kept on the bundle, so the screen and the emitters share one B; callers
+    must not change it."""
+    key = (tuple(subset), k)
+    if key in bundle.combiners:
+        return bundle.combiners[key]
     states = [bundle.states[i] for i in subset]
     if None in states:
         raise ParameterViolation(f"roots {subset} are not all lifted")
@@ -174,9 +184,10 @@ def combiner_dense(bundle: RootBundle, subset, k: int) -> DensePoly:
     acc, offset = DensePoly.const(fld, nb, fld.one), 1
     for st in states:
         w = len(st.gens.orders)
-        a_low = expand(st.A[-1], cap=k).with_vars(nb, {j: offset + j for j in range(w)})
+        a_low = st.low(k).with_vars(nb, {j: offset + j for j in range(w)})
         offset += w
-        acc = truncate_dense(acc * (DensePoly.variable(fld, nb, 0) - a_low), k)
+        acc = acc.mul(DensePoly.variable(fld, nb, 0) - a_low, cap=k)
+    bundle.combiners[key] = acc
     return acc
 
 

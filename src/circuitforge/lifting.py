@@ -65,10 +65,20 @@ class LiftState:
     gens: GeneratorSet
     A: list  # A[i-1] computes A_i over the generator variables
     wire_deltas: list = dc_field(default_factory=list)
+    lows: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def d(self) -> int:
         return self.gens.d
+
+    def low(self, k: int) -> DensePoly:
+        """H_{<=k}[A_d] over the generator variables, expanded once per k.
+        Each step of the recurrence is exact one degree further, so for k <= d
+        this is also H_{<=k}[A_k]: compose_root and the factor combiner read
+        the same entry."""
+        if k not in self.lows:
+            self.lows[k] = expand(self.A[-1], cap=k)
+        return self.lows[k]
 
 
 @dataclass
@@ -169,11 +179,10 @@ def compose_root(state: LiftState, k: int | None = None) -> Circuit:
         k = d
     if not 1 <= k <= d:
         raise ParameterViolation(f"truncation order {k} outside 1..{d}")
-    a_k, gens = state.A[k - 1], state.gens
-    b = CircuitBuilder(a_k.field, gens.num_vars)
+    gens = state.gens
+    b = CircuitBuilder(state.A[-1].field, gens.num_vars)
     comp = b.import_circuit(gens.components) if gens.orders else []
-    a_low = expand(a_k, cap=k)
-    return b.finish(composition_sum(b, a_low, [], [comp] * k, d, k))
+    return b.finish(composition_sum(b, state.low(k), [], [comp] * k, d, k))
 
 
 def composition_sum(b: CircuitBuilder, poly, plain: list, comp: list, d: int, k: int) -> int:

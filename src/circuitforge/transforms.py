@@ -103,7 +103,10 @@ def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple):
     (in scale's order, before the import) and y, unless None, to alpha + b.
     Returns (builder, coeff); coeff(monomials) emits the one weighted sum of
     the copies that computes the sum of the t^k s^j coefficients, (k, j) in
-    monomials, of circ(t * x, alpha + s), depth-neutrally on its top sum."""
+    monomials, of circ(t * x, alpha + s), depth-neutrally on its top sum.
+    The nodes run scale-major, so consecutive copies of one scale differ
+    only in y's binding, and the builder re-canonicalizes only the gates of
+    each such copy that read y (CircuitBuilder.import_circuit)."""
     fld = circ.field
     b = CircuitBuilder(fld, circ.num_vars)
     if y is None and not circ._canonical:
@@ -509,12 +512,13 @@ def generator_set(
 
     The zero test is one capped expansion of the d + 1 derivatives at
     alpha, each kept to H_{<=d}, which also tells which homogeneous
-    components vanish (kept as derivs_dense). Only when it overflows does
-    it fall back to Schwartz-Zippel on 64 points over a grid of size 2*d,
-    drawn on seed 0. A false keep is harmless downstream; a false drop is
-    what the point count makes improbable. A d above the budget's degree
-    bound, or a lower set wider than it on an axis, is refused before any
-    work.
+    components vanish (kept as derivs_dense) and gives deriv_constants as
+    its constant terms. Only when it overflows are the derivatives
+    evaluated at 0 for the constants, and members tested by Schwartz-Zippel
+    on 64 points over a grid of size 2*d, drawn on seed 0. A false keep is
+    harmless downstream; a false drop is what the point count makes
+    improbable. A d above the budget's degree bound, or a lower set wider
+    than it on an axis, is refused before any work.
     """
     P.output()
     _check_var(P, y)
@@ -528,7 +532,6 @@ def generator_set(
 
     # the derivatives at alpha: their weights vanish off the a <= 1 copies
     derivs = b.finish([coeff((k, j) for k in range(shape[0] + 1)) for j in range(d + 1)])
-    h0 = derivs.evaluate([zero] * nv)
 
     @cache
     def views():  # member j is output j, unprojected, of one circuit for every order
@@ -537,8 +540,10 @@ def generator_set(
 
     try:  # H_{<=d} of each derivative: member j is denses[j] less its constant term
         denses = expand_outputs(derivs, budget, cap=d)
+        h0 = [dense.constant_term() for dense in denses]
     except BudgetExceeded:
         denses = None
+        h0 = derivs.evaluate([zero] * nv)
     orders, comp_ids = [], []
     zero_id = b.const(zero)
     keep = list(range(nv))

@@ -2,7 +2,9 @@
 
 The copy paths of import_circuit, remap_vars and drop_unused_vars must
 write exactly the gates the canonicalizing path writes for an unmarked
-copy of the same circuit.
+copy of the same circuit. Likewise a sharing builder importing one circuit
+object again, which reuses the ids of the gates whose bindings did not
+move, must write exactly what importing equal but distinct objects writes.
 """
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from circuitforge import Circuit, CircuitBuilder, PrimeField, Rationals
-from circuitforge.circuit import drop_unused_vars, parse_circuit, remap_vars
+from circuitforge.circuit import _reach, drop_unused_vars, parse_circuit, remap_vars
 from circuitforge.errors import ArityMismatch
 from circuitforge.transforms import _split_outputs
 
@@ -123,6 +125,72 @@ def test_remap_and_drop_project_what_reimport_writes(circ, data):
         for src in (circ, unmarked(circ)):
             with pytest.raises(ArityMismatch):
                 drop_unused_vars(src, short)
+
+
+def twin(circ):
+    """An equal but distinct circuit object, with the same canonical mark."""
+    out = unmarked(circ)
+    out._canonical = circ._canonical
+    return out
+
+
+def bind(b, field, spec):
+    """The gate a binding spec (kind, variable, constant) names in b: an
+    input, a constant, an input plus a constant or a scaled input."""
+    kind, v, c = spec
+    c = field.embed(c)
+    if kind == 0:
+        return b.inp(v)
+    if kind == 1:
+        return b.const(c)
+    if kind == 2:
+        return b.add(b.inp(v), b.const(c))
+    return b.mul(b.const(c), b.inp(v))
+
+
+@st.composite
+def binding_runs(draw, n):
+    """Two to four lists of binding specs for the variables 0..n-1 (None
+    leaves one unbound), each equal to the one before but in some drawn
+    variables."""
+    spec = st.none() | st.tuples(st.integers(0, 3), st.integers(0, n - 1), st.integers(-2, 2))
+    run = [draw(st.lists(spec, min_size=n, max_size=n))]
+    for _ in range(draw(st.integers(1, 3))):
+        moved = draw(st.sets(st.integers(0, n - 1)))
+        run.append([draw(spec) if v in moved else s for v, s in enumerate(run[-1])])
+    return run
+
+
+@SETTINGS
+@given(builder_circuits(), st.data())
+def test_reimport_writes_what_distinct_objects_write(circ, data):
+    field, n = circ.field, circ.num_vars
+    run = data.draw(binding_runs(n))
+    share = data.draw(st.booleans())
+    src = circ if data.draw(st.booleans()) else unmarked(circ)
+    results = []
+    for distinct in (False, True):
+        b = counting_builder(field, n, share)
+        outs = []
+        for specs in run:
+            bindings = {v: bind(b, field, s) for v, s in enumerate(specs) if s is not None}
+            outs.append(b.import_circuit(twin(src) if distinct else src, bindings))
+        results.append((outs, list(b._gates), b.calls))
+    (outs, gates, calls), (want_outs, want_gates, want_calls) = results
+    assert (outs, gates) == (want_outs, want_gates)
+    assert calls <= want_calls if share else calls == want_calls
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "Fp"])
+def test_non_sharing_reimport_still_emits_trees(field):
+    b = CircuitBuilder(field, 2)
+    formula = b.finish(b.add(b.mul(b.inp(0), b.inp(1)), b.const(field.embed(2))))
+    tree = CircuitBuilder(field, 2, share=False)
+    bindings = {0: tree.inp(1), 1: tree.inp(0)}  # the same gates bound in both imports
+    first, second = (tree.import_circuit(formula, bindings)[0] for _ in range(2))
+    # the two copies share the bound inputs and no other gate
+    reached = [set(_reach(tree._gates, [out])) for out in (first, second)]
+    assert reached[0] & reached[1] == set(bindings.values())
 
 
 def _x0_plus_x1(field):

@@ -445,6 +445,30 @@ def test_compose_agrees_with_evaluation_and_truncation(QQ):
                 assert compose(p, vals, cap=cap) == truncate_dense(full, cap)
 
 
+def test_capped_product_is_the_truncated_product(QQ):
+    """DensePoly.mul(cap=c) keeps exactly the terms of degree <= c of the
+    full product, over Q and F_p, for every cap up to one past its degree,
+    including constants, zero factors and terms cancelling below the cap."""
+    for field, name in ((QQ, "qq"), (PrimeField(SMALL_PRIME), "small"),
+                        (PrimeField(BIG_PRIME), "big")):
+        rng = rng_for("capped-product-" + name)
+        third = field.inv(field.embed(3))  # denominators over Q
+        for k in range(30):
+            n = 1 + k % 3
+            a = random_sparse_poly(field, rng, n, 4, 6).scale(third)
+            b = random_sparse_poly(field, rng, n, 3, 5)
+            if k % 7 == 0:
+                b = DensePoly.const(field, n, field.embed(rng.randint(-4, 4)))
+            elif k % 7 == 1:  # (a + x + 2)(x - 2): the x * 2 terms cancel
+                x, two = DensePoly.variable(field, n, 0), DensePoly.const(field, n, field.embed(2))
+                a, b = a + x + two, x - two
+            full = a * b
+            for cap in range(max(full.total_degree(), a.total_degree(), 0) + 2):
+                assert a.mul(b, cap=cap) == truncate_dense(full, cap), (name, k, cap)
+    with pytest.raises(ParameterViolation):
+        DensePoly.variable(QQ, 1, 0).mul(DensePoly.variable(QQ, 1, 0), cap=-1)
+
+
 def test_compose_refusals(QQ, Fp):
     p = DensePoly.variable(QQ, 2, 0) * DensePoly.variable(QQ, 2, 1)
     x = DensePoly.variable(QQ, 2, 0)

@@ -465,6 +465,22 @@ def test_factor_vnp_shares_the_search_and_builds_no_circuit_factor(QQ, monkeypat
         assert expand(res.factor) == res.factor_dense == fr.factor_dense
 
 
+def test_factor_vnp_expands_each_root_and_builds_the_combiner_once(QQ, monkeypatch):
+    # the search's screen and factor_vnp's emitter read one B, built from
+    # one capped expansion of each lifted root's A_d
+    from test_factoring import _record_combiner_work
+
+    expanded, combiners = _record_combiner_work(monkeypatch)
+    for field in (QQ, PrimeField(1_000_003)):
+        expanded.clear()
+        combiners.clear()
+        out, fr = factor_vnp(_planted_aux_cubic(field), 2, subset=(0, 1), seed=0)
+        assert exp_sum_expand(out) == _aux_cubic_factor(field)
+        a_ds = [fr.bundle.states[i].A[-1] for i in fr.subset]
+        assert sorted(map(id, expanded)) == sorted(map(id, a_ds))
+        assert len(combiners) == 2 and combiners[0] is combiners[1]
+
+
 def test_factor_vnp_refuses_an_over_budget_output_before_building_it(QQ, monkeypatch):
     # factor position t of a combiner monomial reads auxiliary block t: the
     # planted cubic's output carries E.m times the largest generator degree

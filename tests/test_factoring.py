@@ -430,6 +430,41 @@ def test_lazy_roots_emit_the_bytes_of_eager_roots(QQ):
         assert _root(full, i) == _root(lazy, i)
 
 
+def _record_combiner_work(monkeypatch):
+    """(expanded, combiners): the circuit of every capped expansion that
+    factoring and lifting run, and every combiner B that combiner_dense
+    hands to the screen and the emitters."""
+    from circuitforge import dense, expsum, factoring, lifting
+
+    expanded, combiners = [], []
+    real_combiner = factoring.combiner_dense
+
+    def expanding(circ, budget=DEFAULT_BUDGET, cap=None):
+        if cap is not None:
+            expanded.append(circ)
+        return dense.expand(circ, budget, cap)
+
+    def combining(*args):
+        combiners.append(real_combiner(*args))
+        return combiners[-1]
+
+    for module in (factoring, lifting):
+        monkeypatch.setattr(module, "expand", expanding)
+    for module in (factoring, expsum):
+        monkeypatch.setattr(module, "combiner_dense", combining)
+    return expanded, combiners
+
+
+def test_extract_factor_expands_each_root_and_builds_the_combiner_once(QQ, monkeypatch):
+    # the screen and the emitter read one B, built from one capped expansion
+    # of each lifted root's A_d
+    expanded, combiners = _record_combiner_work(monkeypatch)
+    res = extract_factor(_four_linear_factors(QQ), y=2, d=3, subset=(0, 1, 3), seed=0)
+    a_ds = [res.bundle.states[i].A[-1] for i in res.subset]
+    assert sorted(map(id, expanded)) == sorted(map(id, a_ds))
+    assert len(combiners) == 2 and combiners[0] is combiners[1]
+
+
 def test_out_of_range_subset_is_refused_before_lifting(QQ, monkeypatch):
     lifted = _count_lifts(monkeypatch)
     with pytest.raises(ParameterViolation, match="4 simple roots"):

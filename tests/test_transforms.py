@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from circuitforge import (
+    Circuit,
     CircuitBuilder,
     DensePoly,
     PrimeField,
@@ -338,6 +339,35 @@ def test_generator_set_schwartz_zippel_fallback_keeps_the_oracle_result(QQ, Fp, 
             for (_, m_sz), (_, m_or) in zip(sz.members, oracle.members):
                 assert oracle_equal(m_sz, m_or)
             assert expand_outputs(sz.components) == expand_outputs(oracle.components)
+
+
+def test_generator_set_constants_come_from_the_zero_test(QQ, monkeypatch):
+    # the constants H_0 of the derivatives are read off the zero test's
+    # expansion; only the Schwartz-Zippel fallback evaluates the circuit
+    evaluated = []
+    real = Circuit.evaluate
+
+    def counting(circ, point):
+        evaluated.append(circ)
+        return real(circ, point)
+
+    monkeypatch.setattr(Circuit, "evaluate", counting)
+    fallbacks = 0
+    for field, name in ((QQ, "qq"), (PrimeField(101), "f101"),
+                        (PrimeField(SIXTY_TWO_BIT_PRIME), "f62")):
+        rng = rng_for("genset-constants-" + name)
+        for t in range(10):
+            P = random_circuit(field, rng, 3, size_limit=20, degree_limit=5)
+            y, d = rng.randrange(3), 1 + t % 3
+            alpha = field.embed(rng.randint(-3, 3))
+            evaluated.clear()
+            oracle = generator_set(P, y, alpha, d)
+            assert evaluated == [] and oracle.derivs_dense is not None
+            sz = generator_set(P, y, alpha, d, budget=ExpansionBudget(max_terms=1))
+            assert bool(evaluated) == (sz.derivs_dense is None)  # one term may still fit
+            fallbacks += sz.derivs_dense is None
+            assert oracle.deriv_constants == sz.deriv_constants
+    assert fallbacks >= 10
 
 
 def _reference_members(P, y, alpha, d):
