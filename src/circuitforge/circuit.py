@@ -210,18 +210,21 @@ def _compute_metrics(circ: Circuit) -> dict:
     }
 
 
-def _gate_degrees(circ: Circuit, order, chosen=None) -> list:
+def _gate_degrees(circ: Circuit, order, chosen=None, at=None) -> list:
     """Formal degree of each gate in `order` (ascending, closed under
-    children), indexed by gate: an input counts 1 when chosen is None or
-    holds its variable, else 0; an addition takes the max of its children,
-    a product the sum."""
+    children), indexed by gate: an input counts at[var] when at holds its
+    variable, else 1 when chosen is None or holds its variable, else 0; an
+    addition takes the max of its children, a product the sum."""
     gates = circ.gates
     deg = [0] * len(gates)
     kid = deg.__getitem__
     for i in order:
         op, arg = gates[i]
         if op == IN:
-            deg[i] = 1 if chosen is None or arg in chosen else 0
+            if at and arg in at:
+                deg[i] = at[arg]
+            else:
+                deg[i] = 1 if chosen is None or arg in chosen else 0
         elif op == ADD:
             deg[i] = max(map(kid, arg))
         elif op == MUL:
@@ -512,7 +515,8 @@ def _remap(circ: Circuit, reach, var_map: dict, num_vars: int) -> Circuit:
     onto distinct inputs is projected with no builder, its gates in the
     order a re-import writes them: first the reachable inputs var_map
     binds, in var_map's order, then the other reachable gates in source
-    order."""
+    order. The projection has the source's wires, gates, depth and formal
+    degree, so it keeps the source's metrics when they were computed."""
 
     def rename(v):
         new = var_map.get(v, v)
@@ -544,6 +548,7 @@ def _remap(circ: Circuit, reach, var_map: dict, num_vars: int) -> Circuit:
     proj = Circuit(circ.field, num_vars, out, [remap[o] for o in circ.outputs])
     proj._canonical = True
     proj._reach = list(range(len(out)))
+    proj._metrics = circ._metrics
     return proj
 
 

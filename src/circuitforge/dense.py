@@ -31,6 +31,14 @@ outside it.
   about H_<=c only. Kept exponents are at most c, so w comes from
   min(D, c): a product that carries out of a slot has degree above c and
   is dropped.
+- Bound inputs. `expand_outputs(at={v: value})` expands the circuit with
+  variable v set to a DensePoly over its own variable space: v's input
+  gates start from the value's packed terms and denominator (those of
+  degree above the cap dropped), and no substituted copy is built. For the
+  width such an input's formal degree is its value's total degree, so D
+  still bounds every reachable gate's exponents, and w, the cap and the
+  per-gate term and degree checks hold as above. An empty `at` is the
+  plain expansion.
 - Coefficients. Over F_p they are residues mod p. Over Q each gate holds
   integer numerators over one common denominator, divided through by one
   gcd per gate; Fractions are built only at the outputs. The inner loops
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .circuit import ADD, CONST, IN, Circuit, CircuitBuilder, _gate_degrees, field_line
+from .circuit import ADD, CONST, IN, Circuit, CircuitBuilder, _check_var, _gate_degrees, field_line
 from .circuit import parse_header, parse_value
 from .errors import (
     ArityMismatch,
@@ -326,33 +334,50 @@ def _product_terms(a: dict, b: dict, p, max_terms=None, bound=None) -> dict:
     return prod
 
 
-def expand(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=None) -> DensePoly:
-    """Exact polynomial computed by a single-output circuit; H_<=cap of it with cap."""
-    out = expand_outputs(circ, budget, cap)
+def expand(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=None,
+           at=None) -> DensePoly:
+    """Exact polynomial computed by a single-output circuit; H_<=cap of it
+    with cap, and with each variable v in `at` set to at[v] (see
+    expand_outputs)."""
+    out = expand_outputs(circ, budget, cap, at)
     if len(out) != 1:
         raise ArityMismatch("expand needs a single-output circuit")
     return out[0]
 
 
-def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=None) -> list:
+def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=None,
+                   at=None) -> list:
+    """The exact polynomial of each output; H_<=cap of each with cap. `at`
+    maps variables to DensePolys over the circuit's variable space, and each
+    such variable's input gates start from its value: the outputs are those
+    of the circuit with the values substituted, with no copy of it built."""
     field = circ.field
     n = circ.num_vars
     p = _modulus(field)
+    at = at or {}
+    for v, value in at.items():
+        _check_var(circ, v)
+        same_field(field, value.field)
+        if value.n != n:
+            raise ArityMismatch(f"value of x{v + 1} has {value.n} variables, circuit has {n}")
     gates = circ.gates
     order = circ.reachable()
-    fdeg = _gate_degrees(circ, order)  # bounds every exponent a gate carries
+    degs = {v: max(value.total_degree(), 0) for v, value in at.items()}
+    fdeg = _gate_degrees(circ, order, at=degs)  # bounds every exponent a gate carries
     if cap is not None and cap < 0:
         raise ParameterViolation(f"degree cap must be >= 0, got {cap}")
     top = max(fdeg[o] for o in circ.outputs)
-    w = max(1, (top if cap is None else min(top, cap)).bit_length())
+    kept = top if cap is None else min(top, cap)  # no kept key has a larger degree
+    w = max(1, kept.bit_length())
     shift = w * n  # the total-degree slot
     bound = None if cap is None else (cap + 1) << shift  # least key of degree > cap
     max_terms = budget.max_terms
+    start = {v: _to_ints(_with_degree(value.terms, kept), w, p) for v, value in at.items()}
     values: dict = {}  # gate -> packed term map
     dens: dict = {}    # gate -> denominator of its numerators (1 over F_p)
     for i in order:
         op, arg = gates[i]
-        if op == IN:  # degree 1, above a cap of 0
+        if op == IN and arg not in start:  # degree 1, above a cap of 0
             values[i] = {} if cap == 0 else {(1 << w * arg) | (1 << shift): 1}
             dens[i] = 1
             continue
@@ -360,7 +385,9 @@ def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=
             values[i] = {0: arg.numerator} if arg else {}
             dens[i] = arg.denominator
             continue
-        if op == ADD:
+        if op == IN:  # a bound input: its value, read only
+            out, den = start[arg]
+        elif op == ADD:
             kids = sorted(arg, key=lambda c: len(values[c]), reverse=True)
             den = math.lcm(*(dens[c] for c in kids))
             first = values[kids[0]]

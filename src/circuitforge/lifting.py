@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .circuit import Circuit, CircuitBuilder, _check_var, drop_unused_vars
-from .circuit import fix_vars, substitute, sz_is_zero
+from .circuit import Circuit, CircuitBuilder, _check_var, drop_unused_vars, substitute, sz_is_zero
 from .dense import (
     DEFAULT_BUDGET,
     DensePoly,
@@ -37,6 +36,7 @@ from .errors import (
     ParameterViolation,
     ResidualNonzero,
     ZeroDelta,
+    ZeroPolynomial,
 )
 from .fields import _shift_candidates
 from .transforms import (
@@ -273,10 +273,13 @@ def lift_root(
             mode = _residual_check(P, y, f_cand, seed, budget)
             if mode is None:
                 continue
-            root_circ = drop_unused_vars(f_cand, x_vars)
             stages = (("input", P), ("translated", Pc), ("multiplicity-reduced", P_try),
-                      ("A_d", state.A[-1]), ("composed-truncated", h), ("root", root_circ))
+                      ("A_d", state.A[-1]), ("composed-truncated", h))
+            # measured first: the projection of an unshifted root (f_cand is h)
+            # copies h's metrics instead of walking the root again
             chain = [_stage(name, circ) for name, circ in stages]
+            root_circ = drop_unused_vars(f_cand, x_vars)
+            chain.append(_stage("root", root_circ))
             return RootCertificate(
                 root=root_circ,
                 alpha=root_val,
@@ -287,6 +290,8 @@ def lift_root(
                 metrics_chain=chain,
                 state=state,
             )
+    if not saw_slice and _is_zero(P, budget):
+        raise ZeroPolynomial("cannot lift a root of the zero polynomial")
     if not saw_candidate:
         raise NoRationalRoot(
             "no translation produced a base-field root of P(0, y)" if alpha is None
@@ -301,11 +306,15 @@ def lift_root(
 
 def _slices(P: Circuit, y: int, shifts, budget: ExpansionBudget = DEFAULT_BUDGET):
     """(c, P(c, y)) for each shift c of the x-variables whose slice is not
-    zero: the slice search of lift_root and separating_shift. Private, so a
-    traced run counts its expansions under the caller's span."""
-    x_vars = [i for i in range(P.num_vars) if i != y]
+    zero: the slice search of lift_root and separating_shift. Each slice is
+    P expanded with the x-variables bound to c, with no fixed copy of P
+    built. Private, so a traced run counts its expansions under the caller's
+    span."""
+    fld, n = P.field, P.num_vars
+    x_vars = [i for i in range(n) if i != y]
     for c in shifts:
-        p_univ = expand(fix_vars(P, dict(zip(x_vars, c))), budget)
+        at = {v: DensePoly.const(fld, n, value) for v, value in zip(x_vars, c)}
+        p_univ = expand(P, budget, at=at)
         if not p_univ.is_zero():
             yield c, p_univ
 
@@ -325,12 +334,25 @@ def _pinned_root(p_univ: DensePoly, y: int, alpha) -> list:
     return [(r, m)] if m else []
 
 
-def _residual_check(P: Circuit, y: int, f_cand: Circuit, seed: int, budget) -> str | None:
-    """Certify P(x, f) = 0; returns 'oracle', 'sz', or None on failure."""
-    residual = substitute(P, {y: f_cand}, num_vars=P.num_vars)
+def _is_zero(P: Circuit, budget) -> bool:
+    """True when the dense oracle shows P to be zero within the budget."""
     try:
-        return "oracle" if expand(residual, budget).is_zero() else None
+        return expand(P, budget).is_zero()
+    except BudgetExceeded:
+        return False
+
+
+def _residual_check(P: Circuit, y: int, f_cand: Circuit, seed: int, budget) -> str | None:
+    """Certify P(x, f) = 0; returns 'oracle', 'sz', or None on failure.
+
+    The oracle expands f, then P with y bound to it: the same exact identity
+    as expanding the circuit P(x, f), with no copy of it built. Only when
+    either expansion is over budget is P(x, f) built, and tested by
+    Schwartz-Zippel on a grid of twice its formal degree."""
+    try:
+        return "oracle" if expand(P, budget, at={y: expand(f_cand, budget)}).is_zero() else None
     except BudgetExceeded:
         pass
+    residual = substitute(P, {y: f_cand}, num_vars=P.num_vars)
     grid = 2 * max(1, residual.formal_degree())
     return "sz" if sz_is_zero(residual, grid, seed, "lift-root", "residual-sz") else None

@@ -25,7 +25,7 @@ from functools import cache, cached_property
 
 from .circuit import ADD, Circuit, CircuitBuilder, _check_var, drop_unused_vars, formal_degree_in
 from .circuit import const_circuit, evaluate_batch, substitute, sz_is_zero
-from .dense import DEFAULT_BUDGET, ExpansionBudget, expand_outputs
+from .dense import DEFAULT_BUDGET, DensePoly, ExpansionBudget, expand
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -466,10 +466,11 @@ class GeneratorSet:
     pos * d + (i - 1) computes H_i of the member of order j = orders[pos],
     the t^i s^j coefficient of P(t*x, alpha + s), for i in 1..d (None when
     there are no members).
-    derivs_dense[j] is H_{<=d} of the order-j derivative at alpha, j = 0..d,
-    as the zero test expanded it (the dense member of order j, plus its
-    constant term); None when Schwartz-Zippel ran instead. Its reader is
-    factoring._combine_dense, the dense factor screen.
+    derivs_dense[j] is H_{<=d} of the order-j derivative at alpha, j = 0..d
+    (the dense member of order j, plus its constant term), in P's variable
+    space with the y slot unused: the s^j terms of x-degree <= d of the zero
+    test's one expansion of P(x, alpha + s). None when Schwartz-Zippel ran
+    instead. Its reader is factoring._combine_dense, the dense factor screen.
     """
 
     alpha: object
@@ -506,19 +507,23 @@ def generator_set(
     t^k s^j coefficient, (k, j) in the lower set bounded by P's formal
     degrees in x, in y and in all. One interpolation on that set's nodes
     (a, b) makes each coefficient a weighted sum of the copies of P there (x
-    scaled by a, y bound to alpha + b), so depth does not grow. The zero
-    test expands derivatives made of the a <= 1 copies alone: the constants
-    P(0, alpha + b) and P(x, alpha + b). Members are finished when read.
+    scaled by a, y bound to alpha + b), so depth does not grow. Members are
+    finished when read.
 
-    The zero test is one capped expansion of the d + 1 derivatives at
-    alpha, each kept to H_{<=d}, which also tells which homogeneous
-    components vanish (kept as derivs_dense) and gives deriv_constants as
-    its constant terms. Only when it overflows are the derivatives
-    evaluated at 0 for the constants, and members tested by Schwartz-Zippel
-    on 64 points over a grid of size 2*d, drawn on seed 0. A false keep is
-    harmless downstream; a false drop is what the point count makes
-    improbable. A d above the budget's degree bound, or a lower set wider
-    than it on an axis, is refused before any work.
+    The zero test is one expansion of P with y bound to alpha + s (s in y's
+    slot), capped at total degree d + min(d, deg_y P): the s^j terms of
+    x-degree <= d are H_{<=d} of the order-j derivative at alpha, j = 0..d,
+    with no circuit built for it. They tell which homogeneous components
+    vanish (kept as derivs_dense) and give deriv_constants as their constant
+    terms. The builder still emits the derivatives' coefficient gates, so
+    its gate order, and with it the components' bytes, is that of the
+    interpolation alone. Only when the expansion overflows are the
+    derivatives finished from those gates and evaluated at 0 for the
+    constants, and members tested by Schwartz-Zippel on 64 points over a
+    grid of size 2*d, drawn on seed 0. A false keep is harmless downstream;
+    a false drop is what the point count makes improbable. A d above the
+    budget's degree bound, or a lower set wider than it on an axis, is
+    refused before any work.
     """
     P.output()
     _check_var(P, y)
@@ -530,8 +535,9 @@ def generator_set(
         raise BudgetExceeded("degree", f"formal degree {max(shape[:2])} > {budget.max_degree}")
     b, coeff = _interpolate(P, xs, y, alpha, shape)
 
-    # the derivatives at alpha: their weights vanish off the a <= 1 copies
-    derivs = b.finish([coeff((k, j) for k in range(shape[0] + 1)) for j in range(d + 1)])
+    # the derivatives at alpha (their weights vanish off the a <= 1 copies),
+    # finished only for the fallback's constants
+    derivs = [coeff((k, j) for k in range(shape[0] + 1)) for j in range(d + 1)]
 
     @cache
     def views():  # member j is output j, unprojected, of one circuit for every order
@@ -539,11 +545,11 @@ def generator_set(
         return _split_outputs(b.finish(ids))
 
     try:  # H_{<=d} of each derivative: member j is denses[j] less its constant term
-        denses = expand_outputs(derivs, budget, cap=d)
+        denses = _derivatives_at(P, y, alpha, d, shape[1], budget)
         h0 = [dense.constant_term() for dense in denses]
     except BudgetExceeded:
         denses = None
-        h0 = derivs.evaluate([zero] * nv)
+        h0 = b.finish(derivs).evaluate([zero] * nv)
     orders, comp_ids = [], []
     zero_id = b.const(zero)
     keep = list(range(nv))
@@ -571,3 +577,21 @@ def generator_set(
         derivs_dense=denses,
         views=views,
     )
+
+
+def _derivatives_at(P: Circuit, y: int, alpha, d: int, deg_y: int,
+                    budget: ExpansionBudget) -> list:
+    """H_{<=d} of the order-j Hasse y-derivative of P at y = alpha, j = 0..d,
+    in P's variable space with the y slot unused: the s^j terms of x-degree
+    <= d of P(x, alpha + s), s in y's slot, read off one expansion capped at
+    d + min(d, deg_y), the largest total degree such a term can have."""
+    fld, nv = P.field, P.num_vars
+    s_var = DensePoly.variable(fld, nv, y)
+    dense = expand(P, budget, cap=d + min(d, deg_y),
+                   at={y: s_var + DensePoly.const(fld, nv, alpha)})
+    parts = [{} for _ in range(d + 1)]
+    for e, c in dense.terms.items():
+        j = e[y]
+        if j <= d and sum(e) - j <= d:
+            parts[j][e[:y] + (0,) + e[y + 1:]] = c
+    return [DensePoly(fld, nv, terms) for terms in parts]

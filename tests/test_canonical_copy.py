@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from circuitforge import Circuit, CircuitBuilder, PrimeField, Rationals
-from circuitforge.circuit import _reach, drop_unused_vars, parse_circuit, remap_vars
+from circuitforge.circuit import _compute_metrics, _reach, drop_unused_vars, parse_circuit
+from circuitforge.circuit import remap_vars
 from circuitforge.errors import ArityMismatch
 from circuitforge.transforms import _split_outputs
 
@@ -125,6 +126,22 @@ def test_remap_and_drop_project_what_reimport_writes(circ, data):
         for src in (circ, unmarked(circ)):
             with pytest.raises(ArityMismatch):
                 drop_unused_vars(src, short)
+
+
+@SETTINGS
+@given(builder_circuits(), st.data())
+def test_projections_keep_the_metrics_of_their_source(circ, data):
+    # a projection onto distinct inputs copies its source's computed
+    # metrics: they must be what a fresh walk of the projection finds
+    n = circ.num_vars
+    extra = data.draw(st.integers(0, 2))
+    var_map = renaming(data.draw, n, extra)
+    used = sorted({circ.gates[i][1] for i in circ.reachable() if circ.gates[i][0] == "in"})
+    keep = data.draw(st.permutations(used + list(range(n, n + extra))))
+    if data.draw(st.booleans()):
+        circ.metrics()
+    for proj in (remap_vars(circ, var_map, n + extra), drop_unused_vars(circ, keep)):
+        assert proj.metrics() == _compute_metrics(proj)
 
 
 def twin(circ):

@@ -89,6 +89,14 @@ def test_lift_root_rootless_exits_one(tmp_path):
     assert rc == 1
 
 
+def test_lift_root_of_the_zero_polynomial_exits_one(tmp_path, capsys):
+    zero = _write(tmp_path, "zero.circ", "field rationals\nnvars 2\ng1 = const 0\noutput g1\n")
+    rc = main(["lift-root", "-y", "2", "-d", "1", zero, "-o", str(tmp_path / "r.circ")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "zero polynomial" in err and "Traceback" not in err
+
+
 def test_certificates_are_deterministic(tmp_path):
     src = _write(tmp_path, "p.circ", LIFT_INPUT)
     certs = []

@@ -20,7 +20,7 @@ from circuitforge import (
     univariate_roots,
 )
 from circuitforge import dense
-from circuitforge.circuit import ADD, CONST, IN
+from circuitforge.circuit import ADD, CONST, IN, Circuit, fix_vars
 from circuitforge.dense import (
     SPLIT_SHIFT_LIMIT,
     _ROOT_PRIME_START,
@@ -258,6 +258,74 @@ def test_capped_expansion_stays_under_the_degree_budget(QQ):
     assert got.terms == {(j,): Fraction(math.comb(16, j)) for j in range(9)}
     with pytest.raises(ParameterViolation):
         expand(c, cap=-1)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["QQ", "F_small", "F_62bit"])
+def test_bound_inputs_expand_the_substituted_circuit(field):
+    # expand(at=) is substitute / fix_vars followed by expand, capped or not:
+    # bound constants, a bound polynomial, a bound zero, an unread variable
+    rng = rng_for("bound-inputs", 0 if isinstance(field, Rationals) else field.p)
+    for k in range(12):
+        n = 2 + k % 3
+        c = random_circuit(field, rng, n, size_limit=24, degree_limit=6)
+        v = rng.randrange(n)
+        g = random_circuit(field, rng, n, size_limit=10, degree_limit=3)
+        consts = {u: field.embed(rng.randint(-2, 2)) for u in range(n) if u != v}
+        wide = Circuit(field, n + 1, c.gates, c.outputs)  # never reads x_{n+1}
+        cases = [
+            (c, {v: expand(g)}, substitute(c, {v: g})),
+            (c, {u: DensePoly.const(field, n, a) for u, a in consts.items()},
+             fix_vars(c, consts)),
+            (c, {v: DensePoly.zero(field, n)}, fix_vars(c, {v: field.zero})),
+            (wide, {n: DensePoly.variable(field, n + 1, 0)}, wide),
+        ]
+        for circ, at, ref in cases:
+            want = expand(ref)
+            assert expand(circ, at=at) == want, k
+            for cap in range(want.total_degree() + 2):
+                assert expand(circ, cap=cap, at=at) == truncate_dense(want, cap), (k, cap)
+    # several outputs over shared gates, one variable bound to a polynomial
+    b = CircuitBuilder(field, 3)
+    outs = [b.import_circuit(random_circuit(field, rng, 3, size_limit=20, degree_limit=5))[0]
+            for _ in range(3)]
+    outs.append(b.mul(outs[0], outs[1]))
+    multi = b.finish(outs)
+    g = random_circuit(field, rng, 3, size_limit=10, degree_limit=3)
+    at = {1: expand(g)}
+    ref = substitute(multi, {1: g})
+    assert expand_outputs(multi, at=at) == expand_outputs(ref)
+    for cap in (0, 2, 5):
+        assert expand_outputs(multi, cap=cap, at=at) == expand_outputs(ref, cap=cap)
+
+
+def test_bound_inputs_keep_the_budget_checks(QQ, Fp):
+    # y^2 with y bound to 1 + x1 + x2 + x3: 10 terms over a budget of 6, as
+    # the substituted circuit; a bound value is itself held to the budget,
+    # and so is the actual degree its formal degree bounds
+    b = CircuitBuilder(QQ, 4)
+    y = b.inp(3)
+    square, ident = b.finish(b.mul(y, y)), b.finish(y)
+    lin = DensePoly(QQ, 4, {(0, 0, 0, 0): QQ.one, (1, 0, 0, 0): QQ.one,
+                            (0, 1, 0, 0): QQ.one, (0, 0, 1, 0): QQ.one})
+    small = ExpansionBudget(max_terms=6)
+    for circ in (square, substitute(square, {3: circuit_from_dense(lin)})):
+        with pytest.raises(BudgetExceeded) as e:
+            expand(circ, small, at={3: lin} if circ is square else None)
+        assert e.value.kind == "terms"
+    with pytest.raises(BudgetExceeded) as e:
+        expand(ident, small, at={3: lin * lin})
+    assert e.value.kind == "terms"
+    x1_5 = DensePoly.monomial(QQ, 4, (5, 0, 0, 0), QQ.one)
+    with pytest.raises(BudgetExceeded) as e:
+        expand(square, ExpansionBudget(max_degree=8), at={3: x1_5})
+    assert e.value.kind == "degree"
+    assert expand(square, ExpansionBudget(max_degree=8), cap=8, at={3: x1_5}).is_zero()
+    # refusals: a variable out of range, a value over another space or field
+    for at in ({4: lin}, {3: DensePoly.variable(QQ, 3, 0)}):
+        with pytest.raises(ArityMismatch):
+            expand(square, at=at)
+    with pytest.raises(MixedFieldConfig):
+        expand(square, at={3: DensePoly.variable(Fp, 4, 0)})
 
 
 def test_bad_arguments_raise_typed_errors(QQ):

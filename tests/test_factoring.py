@@ -439,10 +439,10 @@ def _record_combiner_work(monkeypatch):
     expanded, combiners = [], []
     real_combiner = factoring.combiner_dense
 
-    def expanding(circ, budget=DEFAULT_BUDGET, cap=None):
+    def expanding(circ, budget=DEFAULT_BUDGET, cap=None, **kwargs):
         if cap is not None:
             expanded.append(circ)
-        return dense.expand(circ, budget, cap)
+        return dense.expand(circ, budget, cap, **kwargs)
 
     def combining(*args):
         combiners.append(real_combiner(*args))

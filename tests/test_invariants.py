@@ -112,7 +112,8 @@ def test_lift_root_depth_envelope(QQ, Fp):
 def test_lift_root_depth_and_size_laws():
     # Roots are composition sums of the generator components: the paper's
     # depth Delta + 3 and ROOT_SIZE_FACTOR * (d + 1) * size(P) wires, on
-    # every instance of the criterion-1 family.
+    # every instance of the criterion-1 family, each certified by the dense
+    # oracle rather than by Schwartz-Zippel points.
     from test_acceptance import FP62, QQ, SESSION_SEED, _plant_root_instance, _rng
 
     qq_degs = [1] * 12 + [2] * 14 + [3] * 14 + [4] * 6 + [5] * 4
@@ -127,6 +128,7 @@ def test_lift_root_depth_and_size_laws():
         cert = lift_root(P, y=n, d=d, seed=SESSION_SEED + i, alpha=alpha)
         assert cert.root.depth() <= P.depth() + 3, (tag, i)
         assert cert.root.size() <= ROOT_SIZE_FACTOR * (d + 1) * P.size(), (tag, i)
+        assert cert.residual_mode == "oracle", (tag, i)
 
 
 def test_factor_depth_and_size_laws():

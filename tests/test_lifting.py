@@ -12,15 +12,17 @@ from circuitforge import (
     lift_step,
     truncate_dense,
 )
-from circuitforge.dense import circuit_from_dense, compose
+from circuitforge import lifting
+from circuitforge.dense import ExpansionBudget, circuit_from_dense, compose
 from circuitforge.errors import (
     NoRationalRoot,
     NotASimpleRoot,
     ParameterViolation,
     ResidualNonzero,
     ZeroDelta,
+    ZeroPolynomial,
 )
-from circuitforge.lifting import A_STEP_WIRE_LAW, compose_root
+from circuitforge.lifting import A_STEP_WIRE_LAW, _residual_check, compose_root
 
 from conftest import plant_linear_product, random_sparse_poly, record_generator_sets, rng_for
 
@@ -182,6 +184,44 @@ def test_lift_root_pinned_alpha_on_a_zero_slice(QQ):
     cert = lift_root(P, y=1, d=1, seed=0)  # the search translates the origin
     assert expand(cert.root) == DensePoly.const(QQ, 1, Fraction(-1))
     assert any(v != QQ.zero for v in cert.shift)
+
+
+def test_lift_root_of_the_zero_polynomial(QQ):
+    # every slice of 0 is zero: the search reports the zero polynomial, not a
+    # missing root, whether alpha is searched or pinned
+    b = CircuitBuilder(QQ, 2)
+    zero = b.finish(b.const(QQ.zero))
+    for alpha in (None, Fraction(1)):
+        with pytest.raises(ZeroPolynomial, match="zero polynomial") as e:
+            lift_root(zero, y=1, d=1, seed=0, alpha=alpha)
+        assert e.value.exit_code == 1
+
+
+def _count_substitutions(monkeypatch) -> list:
+    calls, real = [], lifting.substitute
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lifting, "substitute", spy)
+    return calls
+
+
+def test_residual_oracle_builds_no_substituted_copy(QQ, monkeypatch):
+    # the oracle expands P with y bound to the expanded root; only the
+    # Schwartz-Zippel fallback builds the circuit P(x, f)
+    calls = _count_substitutions(monkeypatch)
+    rng = rng_for("residual-paths")
+    P, _ = plant_linear_product(QQ, rng, 2, 2, [Fraction(1), Fraction(-2), Fraction(3)])
+    cert = lift_root(P, y=2, d=3, seed=0)
+    assert cert.residual_mode == "oracle" and calls == []
+    f = circuit_from_dense(expand(cert.root).with_vars(3))
+    assert _residual_check(P, 2, f, 0, ExpansionBudget()) == "oracle" and calls == []
+    assert _residual_check(P, 2, f, 0, ExpansionBudget(max_terms=1)) == "sz"
+    assert len(calls) == 1
+    wrong = circuit_from_dense(expand(cert.root).with_vars(3) + DensePoly.const(QQ, 3, QQ.one))
+    assert _residual_check(P, 2, wrong, 0, ExpansionBudget()) is None and len(calls) == 1
 
 
 def test_lift_root_refuses_a_pinned_non_root(QQ):

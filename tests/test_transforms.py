@@ -32,6 +32,7 @@ from circuitforge.expsum import circuit_to_formula
 from circuitforge.transforms import (
     GENSET_SIZE_FACTOR,
     HOMOGENIZE_SIZE_FACTOR,
+    _interpolate,
     homog_component_interp,
 )
 
@@ -368,6 +369,29 @@ def test_generator_set_constants_come_from_the_zero_test(QQ, monkeypatch):
             fallbacks += sz.derivs_dense is None
             assert oracle.deriv_constants == sz.deriv_constants
     assert fallbacks >= 10
+
+
+def test_zero_test_reads_the_derivatives_off_one_expansion(QQ, Fp):
+    # derivs_dense is the capped expansion of the derivatives at alpha as the
+    # interpolation's coefficient gates compute them, alpha != 0, deg_y P >= 2
+    for field, name in ((QQ, "qq"), (Fp, "fp")):
+        rng = rng_for("genset-derivs-" + name)
+        tested = 0
+        while tested < 8:
+            P = random_circuit(field, rng, 3, size_limit=24, degree_limit=5)
+            y = rng.randrange(3)
+            if expand(P).degree_in(y) < 2:
+                continue
+            alpha = field.embed((-1) ** rng.randrange(2) * rng.randint(1, 3))
+            d = 1 + tested % 3
+            xs = [v for v in range(3) if v != y]
+            shape = (formal_degree_in(P, xs), formal_degree_in(P, y), P.formal_degree())
+            b, coeff = _interpolate(P, xs, y, alpha, shape)
+            derivs = b.finish([coeff((k, j) for k in range(shape[0] + 1)) for j in range(d + 1)])
+            gens = generator_set(P, y, alpha, d)
+            assert gens.derivs_dense == expand_outputs(derivs, cap=d), (name, tested)
+            assert gens.deriv_constants == derivs.evaluate([field.zero] * 3)
+            tested += 1
 
 
 def _reference_members(P, y, alpha, d):
