@@ -9,28 +9,26 @@ derivatives, homogeneous components, and base-field roots of univariates.
 The oracle deliberately does not factor: the pipeline under test is the
 factorizer, the oracle only multiplies, divides and compares.
 
-Expansion, composition (`compose`) and DensePoly products run on one
-packed integer kernel (`_product_terms`); DensePoly keeps its tuple keys
-outside it.
+The packed integer kernel (`_product_terms`) has two entries, expansion
+(`expand_outputs`) and composition (`compose`); a DensePoly product is
+the composition of x_0 x_1. DensePoly keeps its tuple keys outside it.
 
-- Monomials. The exponent vector (e_0, ..., e_{n-1}) becomes the int
-  sum(e_j << w*j), w bits per variable with w = D.bit_length(), where D is
-  the circuit's formal degree (for a product of two DensePolys, the sum of
-  their total degrees). An ADD gate's formal degree is the max of its
-  children's and a MUL gate's their sum, so no reachable gate has a formal
-  degree above D, and no exponent it carries exceeds its formal degree.
-  Every exponent is therefore at most D < 2^w: a field never overflows
-  into the next, and multiplying two monomials is adding their keys.
-- Total degree and cap. An expansion key has one more slot above the n
-  variable slots, holding its total degree << w*n; packing is additive, so
-  products keep it exact. Being the top slot, it makes a degree bound one
-  comparison: `expand_outputs(cap=c)`, `compose(cap=c)` and
-  `DensePoly.mul(cap=c)` drop each input and product key of degree above
-  c, and since exponents are non-negative no dropped monomial could come
-  back, so each output is exactly H_<=c; a capped call certifies claims
-  about H_<=c only. Kept exponents are at most c, so w comes from
-  min(D, c): a product that carries out of a slot has degree above c and
-  is dropped.
+- Monomials. One key function (`_key`) packs the exponent vector
+  (e_0, ..., e_{n-1}) and its total degree as sum(e_j << w*j) +
+  (sum(e) << w*n), with w = D.bit_length(), D the circuit's formal degree
+  (for a composition, the largest degree of a term once composed). An ADD
+  gate's formal degree is the max of its children's and a MUL gate's their
+  sum, so no slot of a reachable gate's keys exceeds D < 2^w: a field never
+  overflows into the next, and multiplying two monomials is adding keys.
+- Cap. The degree slot makes a degree bound one comparison:
+  `expand_outputs(cap=c)` and `compose(cap=c)` drop each input and product
+  key of degree above c, and since exponents are non-negative no dropped
+  monomial could come back, so each output is exactly H_<=c; a capped call
+  certifies claims about H_<=c only. Kept keys have degree at most c, so w
+  comes from min(D, c): a product that carries out of a slot is dropped.
+- Division. The degree slot makes integer order a graded monomial order,
+  under which `_try_divide` leaves no remainder term of degree above the
+  dividend's; an exact quotient does not depend on the order.
 - Bound inputs. `expand_outputs(at={v: value})` expands the circuit with
   variable v set to a DensePoly over its own variable space: v's input
   gates start from the value's packed terms and denominator (those of
@@ -41,8 +39,9 @@ outside it.
   plain expansion.
 - Coefficients. Over F_p they are residues mod p. Over Q each gate holds
   integer numerators over one common denominator, divided through by one
-  gcd per gate; Fractions are built only at the outputs. The inner loops
-  call no Field method.
+  gcd per gate; Fractions are built only at the outputs. Division runs on
+  the coefficients themselves: residues, or Fractions over Q. No function
+  of the kernel calls a Field method.
 - Order. A sum that reaches zero leaves the map at once, as in a
   term-by-term field walk, so every uncapped map has the same key order as
   one; the per-row partial-product budget check depends on that order.
@@ -189,29 +188,8 @@ class DensePoly:
         return self + (-other)
 
     def __mul__(self, other):
-        return self.mul(other)
-
-    def mul(self, other, cap=None):
-        """The product; H_<=cap of it with cap, whose keys above cap never
-        enter the packed product (see the module docstring)."""
         self._like(other)
-        n = self.n
-        p = _modulus(self.field)
-        # no product exponent exceeds the sum of the total degrees
-        top = max(self.total_degree(), 0) + max(other.total_degree(), 0)
-        if cap is None:
-            w = top.bit_length()
-            a, den_a = _to_ints(self.terms, w, p)
-            b, den_b = _to_ints(other.terms, w, p)
-            prod = _product_terms(a, b, p)
-        else:
-            if cap < 0:
-                raise ParameterViolation(f"degree cap must be >= 0, got {cap}")
-            w = max(1, min(top, cap).bit_length())
-            a, den_a = _to_ints(_with_degree(self.terms, cap), w, p)
-            b, den_b = _to_ints(_with_degree(other.terms, cap), w, p)
-            prod = _product_terms(a, b, p, bound=(cap + 1) << w * n)
-        return DensePoly(self.field, n, _from_ints(prod, den_a * den_b, n, w, p))
+        return compose(DensePoly.monomial(self.field, 2, (1, 1), self.field.one), [self, other])
 
     def scale(self, value):
         field = self.field
@@ -261,9 +239,10 @@ def _unpack(key: int, n: int, w: int) -> tuple:
     return tuple([key >> w * j & mask for j in range(n)])
 
 
-def _with_degree(terms: dict, cap: int) -> dict:
-    """The terms of degree <= cap, each key extended by its total degree."""
-    return {e + (sum(e),): c for e, c in terms.items() if sum(e) <= cap}
+def _key(e, w: int) -> int:
+    """The packed key of the exponent vector e: its exponents, then its
+    total degree in the top slot."""
+    return _pack((*e, sum(e)), w)
 
 
 def _modulus(field: Field):
@@ -271,12 +250,14 @@ def _modulus(field: Field):
     return field.p if isinstance(field, PrimeField) else None
 
 
-def _to_ints(terms: dict, w: int, p) -> tuple:
-    """(packed term map, denominator) of a tuple-key term map."""
+def _to_ints(terms: dict, w: int, p, cap: int) -> tuple:
+    """(packed term map, denominator) of the terms of degree <= cap of a
+    tuple-key term map."""
+    kept = {e: c for e, c in terms.items() if sum(e) <= cap}
     if p is not None:
-        return {_pack(e, w): c for e, c in terms.items()}, 1
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return {_pack(e, w): c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+        return {_key(e, w): c for e, c in kept.items()}, 1
+    den = math.lcm(*(c.denominator for c in kept.values()))
+    return {_key(e, w): c.numerator * (den // c.denominator) for e, c in kept.items()}, den
 
 
 def _from_ints(terms: dict, den: int, n: int, w: int, p) -> dict:
@@ -372,7 +353,7 @@ def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=
     shift = w * n  # the total-degree slot
     bound = None if cap is None else (cap + 1) << shift  # least key of degree > cap
     max_terms = budget.max_terms
-    start = {v: _to_ints(_with_degree(value.terms, kept), w, p) for v, value in at.items()}
+    start = {v: _to_ints(value.terms, w, p, kept) for v, value in at.items()}
     values: dict = {}  # gate -> packed term map
     dens: dict = {}    # gate -> denominator of its numerators (1 over F_p)
     for i in order:
@@ -491,7 +472,7 @@ def compose(p: DensePoly, values, cap=None, budget: ExpansionBudget = DEFAULT_BU
     bound = None if cap is None else (cap + 1) << w * m  # least key of degree > cap
     pows, dens = [], []  # pows[j][k] is values[j]^k packed, over dens[j]^k
     for j, v in enumerate(values):
-        base, den = _to_ints(_with_degree(v.terms, top), w, mod)
+        base, den = _to_ints(v.terms, w, mod, top)
         pows.append([{0: 1}])
         for _ in range(p.degree_in(j)):
             pows[j].append(_product_terms(pows[j][-1], base, mod, max_terms, bound))
@@ -512,58 +493,42 @@ def compose(p: DensePoly, values, cap=None, budget: ExpansionBudget = DEFAULT_BU
 
 # -- exact division -------------------------------------------------------------
 
-def _try_divide(p: DensePoly, f: DensePoly, main_var) -> DensePoly | None:
-    """Exact quotient p/f under lex order (main_var greatest), or None if f
-    does not divide p.
-
-    Runs on packed keys whose variables are reordered so that integer order
-    is the lex order; values stay field elements. f is packed once. With a
-    single divisor and a monomial order, exact divisibility means the
-    leading term is always cancellable, and every quotient term has degree
-    at most deg p - deg f; the first failure of either certifies
-    non-divisibility. Every key therefore has degree <= deg p, which fixes
-    the width.
-    """
-    field = p.field
-    n = p.n
-    room = p.total_degree() - f.total_degree()
-    if room < 0:
+def _try_divide(p: DensePoly, f: DensePoly) -> DensePoly | None:
+    """Exact quotient p/f, or None if f does not divide p, on the kernel's
+    keys and native numbers. Under their graded order each step takes away
+    c x^m f, no term of degree above the leading term it cancels, so deg p
+    fixes the width; with one divisor, exact divisibility means every
+    leading term is cancellable, and the first that is not certifies that
+    f does not divide p."""
+    n, top = p.n, p.total_degree()
+    if f.total_degree() > top:
         return None
-    w = max(1, p.total_degree()).bit_length()
-    order = [i for i in reversed(range(n)) if i != main_var]
-    if main_var is not None:
-        order.append(main_var)
-    mod = _modulus(field)
-    fp = {_pack([e[i] for i in order], w): c for e, c in f.terms.items()}
-    rem = {_pack([e[i] for i in order], w): c for e, c in p.terms.items()}
+    w = max(1, top).bit_length()
+    mod = _modulus(p.field)
+    fp = {_key(e, w): c for e, c in f.terms.items()}
+    rem = {_key(e, w): c for e, c in p.terms.items()}
     lt_f = max(fp)
     lt_f_exps = _unpack(lt_f, n, w)
-    inv_lc = field.inv(fp[lt_f])
+    inv = pow(fp[lt_f], -1, mod) if mod else 1 / Fraction(fp[lt_f])
     quo = {}
     while rem:
         lt = max(rem)
-        diff = [a - b for a, b in zip(_unpack(lt, n, w), lt_f_exps)]
-        if min(diff) < 0 or sum(diff) > room:
+        if any(a < b for a, b in zip(_unpack(lt, n, w), lt_f_exps)):
             return None
-        c = field.mul(rem[lt], inv_lc)
+        c = rem[lt] * inv % mod if mod else rem[lt] * inv
         shift = lt - lt_f
         quo[shift] = c
-        _add_into(rem, {k + shift: v for k, v in fp.items()}, field.neg(c), mod)
-    terms = {}
-    for k, c in quo.items():
-        e = [0] * n
-        for i, x in zip(order, _unpack(k, n, w)):
-            e[i] = x
-        terms[tuple(e)] = c
-    return DensePoly(field, n, terms)
+        _add_into(rem, {k + shift: v for k, v in fp.items()}, -c, mod)
+    return DensePoly(p.field, n, {_unpack(k, n, w): c for k, c in quo.items()})
 
 
-def divides(f: DensePoly, p: DensePoly, main_var: int | None = None) -> int:
+def divides(f: DensePoly, p: DensePoly) -> int:
     """Largest m with f^m dividing p; 0 when f does not divide p.
 
     f must be nonzero and nonconstant (units divide everything with
-    unbounded multiplicity). When the workload has a distinguished main
-    variable, pass it so the lex order puts it greatest.
+    unbounded multiplicity). An exact quotient does not depend on the
+    monomial order, so neither does m: every division runs under the
+    kernel's graded order (`_try_divide`).
     """
     if f.is_zero():
         raise ZeroDivisor("zero divisor")
@@ -576,7 +541,7 @@ def divides(f: DensePoly, p: DensePoly, main_var: int | None = None) -> int:
     cur = p
     cap = p.total_degree() // max(1, f.total_degree()) + 1
     while m <= cap:
-        q = _try_divide(cur, f, main_var)
+        q = _try_divide(cur, f)
         if q is None:
             return m
         m += 1

@@ -167,12 +167,12 @@ def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None):
 
 def combiner_dense(bundle: RootBundle, subset, k: int) -> DensePoly:
     """B = H_{<=k}[prod_{i in subset} (y - H_{<=k}[A_i])] over y, then each
-    lifted root's generator variables in subset order: the one product of
-    roots. No monomial of the product has lower degree than its factors, so
-    H_{<=k}[A_i] (the root's LiftState.low(k)) is all of A_i that reaches B,
-    and each product is taken capped at k. Built once per (subset, k) and
-    kept on the bundle, so the screen and the emitters share one B; callers
-    must not change it."""
+    lifted root's generator variables in subset order: one `compose` of the
+    monomial y_1 ... y_s over the factors, capped at k. No monomial of the
+    product has lower degree than its factors, so H_{<=k}[A_i] (the root's
+    LiftState.low(k)) is all of A_i that reaches B. Built once per
+    (subset, k) and kept on the bundle, so the screen and the emitters share
+    one B; callers must not change it."""
     key = (tuple(subset), k)
     if key in bundle.combiners:
         return bundle.combiners[key]
@@ -181,14 +181,14 @@ def combiner_dense(bundle: RootBundle, subset, k: int) -> DensePoly:
         raise ParameterViolation(f"roots {subset} are not all lifted")
     fld = bundle.source.field
     nb = 1 + sum(len(st.gens.orders) for st in states)
-    acc, offset = DensePoly.const(fld, nb, fld.one), 1
+    y, offset, factors = DensePoly.variable(fld, nb, 0), 1, []
     for st in states:
         w = len(st.gens.orders)
-        a_low = st.low(k).with_vars(nb, {j: offset + j for j in range(w)})
+        factors.append(y - st.low(k).with_vars(nb, {j: offset + j for j in range(w)}))
         offset += w
-        acc = acc.mul(DensePoly.variable(fld, nb, 0) - a_low, cap=k)
-    bundle.combiners[key] = acc
-    return acc
+    product = DensePoly.monomial(fld, len(factors), (1,) * len(factors), fld.one)
+    bundle.combiners[key] = compose(product, factors, cap=k)
+    return bundle.combiners[key]
 
 
 def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
@@ -297,7 +297,7 @@ def _search(P: Circuit, y: int, d: int, subset, seed: int, budget: ExpansionBudg
             cand = coords.from_lifted_dense(_combine_dense(bundle, S, len(S), budget))
             if cand.degree_in(y) < 1:
                 continue
-            mult = divides(cand, P_dense, main_var=y)
+            mult = divides(cand, P_dense)
             if mult < 1:
                 continue
             inv = fld.inv(_leading_y_unit(cand, y))

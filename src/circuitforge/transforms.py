@@ -224,6 +224,21 @@ def extract_y_coeffs(circ: Circuit, y: int, dmax: int) -> list:
     return _split_outputs(b.finish([coeff([(0, j)]) for j in range(dmax + 1)]))
 
 
+def _scaled(circ: Circuit, scale_vars):
+    """(formal degree of circ in scale_vars, None meaning all of them;
+    emit), emit(ks) the circuit of the sum of H_k[circ], k in ks, by scaling
+    interpolation, projected onto circ's variables (listing inputs first)."""
+    circ.output()
+    vars_to_scale = list(range(circ.num_vars)) if scale_vars is None else list(scale_vars)
+    bound = formal_degree_in(circ, vars_to_scale)
+
+    def emit(ks) -> Circuit:
+        b, coeff = _interpolate(circ, vars_to_scale, None, None, (bound, 0, bound))
+        return drop_unused_vars(b.finish(coeff((k, 0) for k in ks)), list(range(circ.num_vars)))
+
+    return bound, emit
+
+
 def truncate_deg(circ: Circuit, d: int, scale_vars=None) -> Circuit:
     """Circuit computing H_{<=d}[circ] via scaling-variable interpolation.
 
@@ -235,15 +250,8 @@ def truncate_deg(circ: Circuit, d: int, scale_vars=None) -> Circuit:
     """
     if d < 0:
         raise ParameterViolation(f"degree must be >= 0, got {d}")
-    circ.output()
-    vars_to_scale = list(range(circ.num_vars)) if scale_vars is None else list(scale_vars)
-    bound = formal_degree_in(circ, vars_to_scale)
-    if bound <= d:
-        return circ
-    b, coeff = _interpolate(circ, vars_to_scale, None, None, (bound, 0, bound))
-    # the projection onto the same variables lists the inputs first
-    return drop_unused_vars(b.finish(coeff((k, 0) for k in range(d + 1))),
-                            list(range(circ.num_vars)))
+    bound, emit = _scaled(circ, scale_vars)
+    return circ if bound <= d else emit(range(d + 1))
 
 
 def homog_component_interp(circ: Circuit, k: int, scale_vars=None) -> Circuit:
@@ -254,14 +262,8 @@ def homog_component_interp(circ: Circuit, k: int, scale_vars=None) -> Circuit:
     """
     if k < 0:
         raise ParameterViolation(f"component index must be >= 0, got {k}")
-    circ.output()
-    vars_to_scale = list(range(circ.num_vars)) if scale_vars is None else list(scale_vars)
-    bound = formal_degree_in(circ, vars_to_scale)
-    fld = circ.field
-    if k > bound:
-        return const_circuit(fld, fld.zero, circ.num_vars)
-    b, coeff = _interpolate(circ, vars_to_scale, None, None, (bound, 0, bound))
-    return drop_unused_vars(b.finish(coeff([(k, 0)])), list(range(circ.num_vars)))
+    bound, emit = _scaled(circ, scale_vars)
+    return const_circuit(circ.field, circ.field.zero, circ.num_vars) if k > bound else emit([k])
 
 
 # -- Hasse derivative ----------------------------------------------------------
@@ -565,7 +567,7 @@ def generator_set(
             live = range(1, d + 1)
         orders.append(j)
         comp_ids += [coeff([(i, j)]) if i in live else zero_id for i in range(1, d + 1)]
-    components = drop_unused_vars(b.finish(comp_ids), keep) if orders else None
+    components = b.finish(comp_ids) if orders else None
     return GeneratorSet(
         alpha=alpha,
         d=d,

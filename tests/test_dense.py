@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from circuitforge import (
     CircuitBuilder,
@@ -374,8 +376,8 @@ def test_divides_planted_square(QQ):
     f = _poly(QQ, 2, {(0, 1): 1, (1, 0): -1})
     g = _poly(QQ, 2, {(0, 1): 1, (0, 0): 1})
     P = f * f * g
-    assert divides(f, P, main_var=1) == 2
-    assert divides(g, P, main_var=1) == 1
+    assert divides(f, P) == 2
+    assert divides(g, P) == 1
 
 
 def test_divides_rejects_non_divisor(QQ):
@@ -406,7 +408,7 @@ def test_divides_random_planted_multiplicity(QQ, Fp):
 
 
 def test_try_divide_quotients_every_order(QQ, Fp):
-    # the packed division returns the exact quotient under every lex order
+    # the packed division returns the exact quotient under the kernel's graded order
     for field, name in ((QQ, "qq"), (Fp, "fp")):
         rng = rng_for("try-divide-" + name)
         for _ in range(20):
@@ -414,19 +416,40 @@ def test_try_divide_quotients_every_order(QQ, Fp):
             g = random_sparse_poly(field, rng, 3, 3, 4)
             if f.total_degree() < 1 or g.is_zero():
                 continue
-            for main_var in (None, 0, 2):
-                assert _try_divide(f * g, f, main_var) == g
-                assert _try_divide(f * g + DensePoly.const(field, 3, field.one), f, main_var) is None
+            assert _try_divide(f * g, f) == g
+            assert _try_divide(f * g + DensePoly.const(field, 3, field.one), f) is None
 
 
 def test_divides_stops_when_quotient_degree_overflows(QQ):
-    # lex x > y: x^4 / (x + y^3) would cancel into ever higher y-powers;
-    # its first quotient term x^3 already has degree above deg p - deg f
+    # under lex x > y, x^4 / (x + y^3) would cancel into ever higher
+    # y-powers; under the graded order f leads with y^3, which x^4 lacks
     f = _poly(QQ, 2, {(1, 0): 1, (0, 3): 1})
     p = _poly(QQ, 2, {(4, 0): 1})
-    assert _try_divide(p, f, None) is None
+    assert _try_divide(p, f) is None
     assert divides(f, p) == 0
     assert divides(f, f * f * p) == 2
+
+
+DIVIDE_FIELDS = (Rationals(), PrimeField(SMALL_PRIME), PrimeField(BIG_PRIME))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(DIVIDE_FIELDS), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_divides_counts_planted_powers_in_every_variable_order(field, n, m, data):
+    """divides(f, f^m g) >= m, and the count does not move when the
+    variables are permuted: exact quotients do not depend on the order."""
+    rng = rng_for("divides-order", data.draw(st.integers(0, 2**16)))
+    f = random_sparse_poly(field, rng, n, 2, 3)
+    g = random_sparse_poly(field, rng, n, 2, 3)
+    assume(f.total_degree() >= 1 and not g.is_zero())
+    p = g
+    for _ in range(m):
+        p = p * f
+    got = divides(f, p)
+    assert got >= m
+    perm = dict(enumerate(data.draw(st.permutations(range(n)))))
+    assert divides(f.with_vars(n, perm), p.with_vars(n, perm)) == got
 
 
 def test_linear_root_split_is_bounded():
@@ -514,9 +537,10 @@ def test_compose_agrees_with_evaluation_and_truncation(QQ):
 
 
 def test_capped_product_is_the_truncated_product(QQ):
-    """DensePoly.mul(cap=c) keeps exactly the terms of degree <= c of the
-    full product, over Q and F_p, for every cap up to one past its degree,
-    including constants, zero factors and terms cancelling below the cap."""
+    """compose(x_0 x_1, [a, b], cap=c) keeps exactly the terms of degree <= c
+    of the term-by-term product, over Q and F_p, for every cap up to one
+    past its degree, including constants, zero factors and terms cancelling
+    below the cap."""
     for field, name in ((QQ, "qq"), (PrimeField(SMALL_PRIME), "small"),
                         (PrimeField(BIG_PRIME), "big")):
         rng = rng_for("capped-product-" + name)
@@ -530,11 +554,24 @@ def test_capped_product_is_the_truncated_product(QQ):
             elif k % 7 == 1:  # (a + x + 2)(x - 2): the x * 2 terms cancel
                 x, two = DensePoly.variable(field, n, 0), DensePoly.const(field, n, field.embed(2))
                 a, b = a + x + two, x - two
-            full = a * b
+            full = DensePoly(field, n, _walk_product(field, a.terms, b.terms))
+            xy = DensePoly.monomial(field, 2, (1, 1), field.one)
             for cap in range(max(full.total_degree(), a.total_degree(), 0) + 2):
-                assert a.mul(b, cap=cap) == truncate_dense(full, cap), (name, k, cap)
-    with pytest.raises(ParameterViolation):
-        DensePoly.variable(QQ, 1, 0).mul(DensePoly.variable(QQ, 1, 0), cap=-1)
+                assert compose(xy, [a, b], cap=cap) == truncate_dense(full, cap), (name, k, cap)
+
+
+def test_product_raises_over_the_term_budget(QQ):
+    """a * b runs under compose's default budget: (x_1 + ... + x_20)^2 has
+    210 terms, its square 8,855 and that square's square more than the
+    default 200,000, which raises before any result is built."""
+    s = sum((DensePoly.variable(QQ, 20, v) for v in range(1, 20)), DensePoly.variable(QQ, 20, 0))
+    sq = s * s
+    assert len(sq.terms) == 210
+    quad = sq * sq
+    assert len(quad.terms) == math.comb(23, 4)
+    with pytest.raises(BudgetExceeded) as e:
+        quad * quad
+    assert e.value.kind == "terms"
 
 
 def test_compose_refusals(QQ, Fp):

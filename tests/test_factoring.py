@@ -331,7 +331,7 @@ def test_extract_factor_non_monic_input(QQ):
     x1, x2, y = b.inp(0), b.inp(1), b.inp(2)
     P = b.finish(b.add(b.mul(x1, y), x2))
     res = extract_factor(P, y=2, d=2, seed=0)
-    assert divides(expand(res.factor), expand(P), main_var=2) >= 1
+    assert divides(expand(res.factor), expand(P)) >= 1
     assert expand(res.factor).degree_in(2) >= 1
 
 
@@ -348,7 +348,7 @@ def test_extract_factor_monic_and_shift_roundtrip(QQ):
         res = extract_factor(P, y=2, d=2, subset=(0, 1), seed=t)
         fdense = expand(res.factor)
         # divisibility against the original circuit and monic leading coeff
-        assert divides(fdense, dense, main_var=2) == res.multiplicity
+        assert divides(fdense, dense) == res.multiplicity
         dy = fdense.degree_in(2)
         lead = {e: c for e, c in fdense.terms.items() if e[2] == dy}
         assert list(lead.values()) == [QQ.one]
@@ -377,7 +377,7 @@ def test_extract_factor_search_finds_certified_factor(QQ):
     P, forms = plant_linear_product(QQ, rng, 2, 2, consts)
     res = extract_factor(P, y=2, d=3, seed=0)
     assert res.multiplicity >= 1
-    assert divides(expand(res.factor), expand(P), main_var=2) == res.multiplicity
+    assert divides(expand(res.factor), expand(P)) == res.multiplicity
 
 
 def _count_lifts(monkeypatch):
@@ -409,7 +409,7 @@ def test_given_subset_lifts_only_its_roots(QQ, monkeypatch):
         res = extract_factor(P, y=2, d=len(S), subset=S, seed=0)
         assert lifted == [res.bundle.alphas[i] for i in S]
         assert [i for i, st in enumerate(res.bundle.states) if st is not None] == list(S)
-        assert divides(expand(res.factor), expand(P), main_var=2) == 1
+        assert divides(expand(res.factor), expand(P)) == 1
 
 
 def test_subset_search_on_linear_factors_lifts_one_root(QQ, monkeypatch):

@@ -7,7 +7,8 @@ runtime depends on the standard library and numpy only, the count of bare
 tracer looks up still exists, with a traced run still counting the slice
 expansions it reads. The univariate section of `dense.py` is one
 kernel on native numbers: none of its functions calls a Field method, and
-neither do the builder's canonicalizing `add`, `mul` and `import_circuit`,
+neither do the packed expansion kernel and the exact division on its keys,
+which pack monomials with one key function, nor the builder's canonicalizing `add`, `mul` and `import_circuit`,
 nor the grid batcher, the table fold and the identity tests that read them.
 The README's key documented size and depth constants are the ones the
 suite asserts."""
@@ -188,6 +189,33 @@ def test_univariate_kernel_calls_no_field_method():
                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                    and node.func.attr in FIELD_METHODS)
     assert not calls, f"the univariate kernel calls Field methods: {calls}"
+
+
+# the packed kernel: its conversions, its two entries and the exact division
+PACKED_KERNEL = ("_to_ints", "_from_ints", "_add_into", "_product_terms", "expand_outputs",
+                 "compose", "_try_divide", "divides")
+
+
+def test_packed_kernel_calls_no_field_method():
+    functions = {fn.name: fn for fn in TREES["dense.py"].body if isinstance(fn, ast.FunctionDef)}
+    assert set(PACKED_KERNEL) <= set(functions), sorted(set(PACKED_KERNEL) - set(functions))
+    calls = sorted(f"{name}: .{node.func.attr}() (line {node.lineno})"
+                   for name in PACKED_KERNEL for node in ast.walk(functions[name])
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in FIELD_METHODS)
+    assert not calls, f"the packed kernel calls Field methods: {calls}"
+
+
+def test_monomials_have_one_packed_key():
+    """`_pack` is called by the monomial key `_key`, and by `_ulinpow` for
+    its coefficient slots, and by nothing else: every packed monomial, in
+    expansion, composition and division alike, has the one layout, its
+    total degree in the top slot."""
+    callers = {top.name for tree in TREES.values() for top in ast.walk(tree)
+               if isinstance(top, ast.FunctionDef)
+               and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                       and node.func.id == "_pack" for node in ast.walk(top))}
+    assert callers == {"_key", "_ulinpow"}, sorted(callers)
 
 
 def test_builder_calls_no_field_method():
