@@ -207,12 +207,6 @@ def prod_compose(e1: ExpSumPoly, e2: ExpSumPoly) -> ExpSumPoly:
     return _combine([e1, e2], "mul")
 
 
-def scale_expsum(E: ExpSumPoly, value) -> ExpSumPoly:
-    b = CircuitBuilder(E.field, E.verifier.num_vars)
-    out = b.mul(b.const(value), b.import_circuit(E.verifier)[0])
-    return ExpSumPoly(b.finish(out), E.aux)
-
-
 # -- the selector gadget and one Valiant level ---------------------------------
 
 def selector_R(s_prime: int, field: Field | None = None) -> Circuit:
@@ -439,9 +433,7 @@ def factor_vnp(
     scaled = DensePoly(field, B.n, {e: field.mul(c, _inv_pow2(field, m * (k - sum(e[1:]))))
                                     for e, c in B.terms.items()})
     composed = b.finish(composition_sum(b, scaled, [b.inp(z)], blocks, d, dS))
-    out = ExpSumPoly(fr.from_lifted(composed), tuple(range(nx, nx + m * k)))
-    if fr.unit_inv != field.one:
-        out = scale_expsum(out, fr.unit_inv)
+    out = ExpSumPoly(fr.from_lifted(composed, fr.unit_inv), tuple(range(nx, nx + m * k)))
     if exp_sum_expand(out, budget) != fr.factor_dense:
         raise InvariantViolated("exp-sum factor disagrees with the screened candidate")
     return out, fr

@@ -24,6 +24,7 @@ in-field roots.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field, replace
 
 from .circuit import Circuit, CircuitBuilder, _check_var, formal_degree_in
@@ -50,10 +51,9 @@ from .lifting import _slices, _stage, build_A_recurrence, composition_sum
 from .transforms import (
     MonicForm,
     _check_lift_degree,
-    derivative_level,
+    affine,
+    hasse_derivative_circuit,
     make_monic,
-    translate_x,
-    undo_monic_shift,
 )
 
 SHIFT_TRIALS = 32
@@ -107,8 +107,10 @@ class FactorResult:
     """A certified factor and the change of coordinates it was found in: P's
     monic form, its derivative level, then the separating shift of the
     bundle's roots. to_lifted and from_lifted apply that map and its inverse
-    to any circuit over P's variables, from_lifted_dense the inverse to a
-    dense one; variables past them, such as auxiliaries, pass through."""
+    to any circuit over P's variables, each the monic form's own builder
+    (to_lifted only) and one transforms.affine import; from_lifted_dense is
+    the inverse on a dense polynomial. Variables past P's, such as
+    auxiliaries, pass through."""
 
     factor: Circuit | None       # original coordinates; None from factor_vnp
     factor_dense: DensePoly      # the screened candidate times unit_inv
@@ -121,14 +123,15 @@ class FactorResult:
     metrics_chain: list
 
     def to_lifted(self, circ: Circuit) -> Circuit:
-        m = self.monic
-        level = derivative_level(m.apply(circ), m.y_var, self.deriv_level, m.degree)
-        return translate_x(level, m.y_var, self.bundle.shift)
+        m, level = self.monic, self.deriv_level
+        hasse = hasse_derivative_circuit(m.apply(circ), m.y_var, level)
+        return _lifted_source(hasse, m, level, self.bundle.shift)
 
-    def from_lifted(self, circ: Circuit) -> Circuit:
-        fld, y = circ.field, self.monic.y_var
-        unshifted = translate_x(circ, y, [fld.neg(v) for v in self.bundle.shift])
-        return undo_monic_shift(unshifted, self.monic)
+    def from_lifted(self, circ: Circuit, unit=None) -> Circuit:
+        """unit * circ in P's coordinates, unit None meaning one."""
+        neg = circ.field.neg
+        return affine(circ, self.monic.y_var, [neg(v) for v in self.bundle.shift],
+                      shear=[neg(a) for a in self.monic.shift], unit=unit)
 
     def from_lifted_dense(self, p: DensePoly) -> DensePoly:
         """from_lifted on a dense polynomial: x_i -> x_i - a_i * y - c_i;
@@ -141,6 +144,13 @@ class FactorResult:
         for xi, ci, ai in zip(x_vars, self.bundle.shift, self.monic.shift):
             xs[xi] = xs[xi] - xs[y].scale(ai) - DensePoly.const(fld, nv, ci)
         return compose(p, xs)
+
+
+def _lifted_source(hasse: Circuit, monic: MonicForm, level: int, shift) -> Circuit:
+    """The order-level Hasse y-derivative of P's monic form, over C(r, level), shifted."""
+    fld = hasse.field
+    unit = fld.inv(fld.embed(math.comb(monic.degree, level)))
+    return affine(hasse, monic.y_var, shift, unit=unit)
 
 
 def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None):
@@ -272,9 +282,9 @@ def _search(P: Circuit, y: int, d: int, subset, seed: int, budget: ExpansionBudg
     # subset indexes the sorted simple roots of each level in turn
     fitted, misses = False, []  # misses: the levels with roots a given subset does not fit
     for level in range(r):
-        Pk = derivative_level(Pm, y, level, r)
+        Hk = hasse_derivative_circuit(Pm, y, level)  # a constant factor moves no root
         try:
-            c, alphas = separating_shift(Pk, y, seed, r=r - level)
+            c, alphas = separating_shift(Hk, y, seed, r=r - level)
         except NoSimpleRoots:
             continue
         if subset is not None and not all(0 <= i < len(alphas) for i in subset):
@@ -284,7 +294,8 @@ def _search(P: Circuit, y: int, d: int, subset, seed: int, budget: ExpansionBudg
         fitted = True
         # roots are lifted when a subset first needs them; the screen's exact
         # divisibility certifies candidates, so no per-root residual check runs
-        bundle = RootBundle(shift=c, alphas=alphas, d=d, y_var=y, source=translate_x(Pk, y, c))
+        bundle = RootBundle(shift=c, alphas=alphas, d=d, y_var=y,
+                            source=_lifted_source(Hk, monic, level, c))
         # the level's change of coordinates; an accepted subset fills in the rest
         coords = FactorResult(factor=None, factor_dense=None, unit_inv=None, subset=(),
                               multiplicity=0, monic=monic, deriv_level=level,
@@ -340,10 +351,8 @@ def extract_factor(
     the budget's degree bound is refused before any work.
     """
     res = next(_search(P, y, d, subset, seed, budget))
-    factor_circ = res.from_lifted(combine_roots(res.bundle, res.subset, len(res.subset)))
-    if res.unit_inv != P.field.one:
-        b = CircuitBuilder(P.field, P.num_vars)
-        factor_circ = b.finish(b.mul(b.const(res.unit_inv), b.import_circuit(factor_circ)[0]))
+    factor_circ = res.from_lifted(combine_roots(res.bundle, res.subset, len(res.subset)),
+                                  res.unit_inv)
     # the screen certified factor_dense^mult | P; the circuit inherits it
     if expand(factor_circ, budget) != res.factor_dense:
         raise InvariantViolated("circuit factor disagrees with its dense screen")

@@ -42,9 +42,9 @@ from .fields import _shift_candidates
 from .transforms import (
     GeneratorSet,
     _check_lift_degree,
+    affine,
     generator_set,
     hasse_derivative_circuit,
-    translate_x,
     truncate_deg,
 )
 
@@ -260,7 +260,7 @@ def lift_root(
         if not roots:
             continue
         saw_candidate = True
-        Pc = translate_x(P, y, c)
+        Pc = affine(P, y, c)
         for root_val, m in roots:
             # a root of multiplicity m is simple for the order-(m - 1) y-derivative
             P_try = Pc if m == 1 else hasse_derivative_circuit(Pc, y, m - 1)
@@ -269,7 +269,7 @@ def lift_root(
             except NotASimpleRoot:
                 continue
             h = compose_root(state)
-            f_cand = translate_x(h, y, [fld.neg(v) for v in c])
+            f_cand = affine(h, y, [fld.neg(v) for v in c])
             mode = _residual_check(P, y, f_cand, seed, budget)
             if mode is None:
                 continue

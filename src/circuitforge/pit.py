@@ -195,14 +195,17 @@ def pit_hitset(circ: Circuit, hitset: HittingSet, limit: int | None = None) -> P
     """Evaluate on the hitting set's batches; first witness wins.
 
     With a limit, a 'zero' verdict only covers the examined prefix; the
-    exhausted flag says whether that verdict is unconditional. A scan that
-    could visit more than EXHAUSTIVE_POINT_BUDGET points (min(limit,
-    |T|^l), or |T|^l without a limit) is refused with BudgetExceeded.
+    exhausted flag says whether that verdict is unconditional; a limit below
+    1, which no point would back, is refused. A scan that could visit more
+    than EXHAUSTIVE_POINT_BUDGET points (min(limit, |T|^l), or |T|^l
+    without a limit) is refused with BudgetExceeded.
     """
     if circ.num_vars != hitset.design.n:
         raise ArityMismatch(
             f"circuit has {circ.num_vars} variables, design provides {hitset.design.n}"
         )
+    if limit is not None and limit < 1:
+        raise ParameterViolation(f"limit must be >= 1, got {limit}")
     checked, first, witness = _walk(circ, hitset.batches(limit))
     if first is not None:
         return PitResult("nonzero", witness, first + 1, False, "hitset")
@@ -373,37 +376,30 @@ def hybrid_locate(q: Circuit, hard: ExplicitPoly, design: Design) -> HybridWitne
     n = design.n
     if expand(q, DEFAULT_BUDGET).is_zero():
         raise PreconditionFailed("q is identically zero")
-    full = _hybrid_circuit(q, hard, design, n)
-    if not expand(full, DEFAULT_BUDGET).is_zero():
+    if not expand(_hybrid_circuit(q, hard, design, n), DEFAULT_BUDGET).is_zero():
         raise PreconditionFailed("q(f(y|_S1)..f(y|_Sn)) is not identically zero")
 
     deg_bound = max(1, q.formal_degree() * max(1, hard.degree()))
-    index = None
-    prev = _hybrid_circuit(q, hard, design, 0)
-    for j in range(1, n + 1):
-        cur = _hybrid_circuit(q, hard, design, j)
-        if not _is_zero_exhaustive(prev, deg_bound) and _is_zero_exhaustive(cur, deg_bound):
-            index = j - 1
+    # Q_0 != 0 by the precondition: test each later hybrid once, keep the last nonzero
+    hybrid = _hybrid_circuit(q, hard, design, 0)
+    for index in range(n):
+        cur = _hybrid_circuit(q, hard, design, index + 1)
+        if _is_zero_exhaustive(cur, deg_bound):
             break
-        prev = cur
-    if index is None:
+        hybrid = cur
+    else:
         raise PreconditionFailed("no switching index found; preconditions violated")
 
     # fix everything except x_{index+1} and y|_{S_{index+1}}
-    hybrid = _hybrid_circuit(q, hard, design, index)
     keep = {index} | {n + e for e in design.sets[index]}
     to_fix = [v for v in _active_vars(hybrid) if v not in keep]
-    assignment = {}
-    cur = hybrid
+    assignment, cur = {}, hybrid
     for v in to_fix:
-        found = None
         for val in range(deg_bound + 1):
             fixed = fix_vars(cur, {v: field.embed(val)})
             if not _is_zero_exhaustive(fixed, deg_bound):
-                found = (field.embed(val), fixed)
                 break
-        if found is None:
+        else:
             raise PreconditionFailed(f"could not fix variable {v} keeping the hybrid nonzero")
-        assignment[v] = found[0]
-        cur = found[1]
+        assignment[v], cur = field.embed(val), fixed
     return HybridWitness(index=index, assignment=assignment, active_vars=_active_vars(hybrid))

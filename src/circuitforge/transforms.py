@@ -1,7 +1,8 @@
 """Circuit-to-circuit constructions.
 
 Everything here is exact and structural: homogeneous components by gate
-splitting (Strassen), translations, monic normal form, and one interpolation
+splitting (Strassen), monic normal form, one change of coordinates for
+every shift, shear and unit (`affine`), and one interpolation
 engine for the rest: coefficient rows, truncations, Hasse derivatives and
 generator sets are weighted sums of the copies of P(t*x, alpha + s) on a
 lower set of (scale, shift) nodes, whose weights combine the one-axis ones.
@@ -302,44 +303,40 @@ def hasse_derivative_circuit(circ: Circuit, y: int, j: int) -> Circuit:
     return b.finish(out)
 
 
-def derivative_level(circ: Circuit, y: int, k: int, r: int) -> Circuit:
-    """Multiplicity level k of a circuit monic of degree r in y: its order-k
-    Hasse y-derivative over C(r, k), monic of degree r - k. circ at k = 0."""
-    if k == 0:
-        return circ
-    fld = circ.field
-    b = CircuitBuilder(fld, circ.num_vars)
-    unit = b.const(fld.inv(fld.embed(math.comb(r, k))))
-    return b.finish(b.mul(unit, b.import_circuit(hasse_derivative_circuit(circ, y, k))[0]))
-
-
-# -- translation ----------------------------------------------------------------
+# -- change of coordinates ------------------------------------------------------
 
 def translate(circ: Circuit, shift) -> Circuit:
-    """Circuit computing circ(x + shift)."""
+    """Circuit computing circ(x + shift); circ itself for a zero shift."""
     if len(shift) != circ.num_vars:
         raise ArityMismatch(
             f"shift has {len(shift)} coordinates, circuit has {circ.num_vars} variables"
         )
+    return affine(circ, None, shift)
+
+
+def affine(circ: Circuit, y: int | None, shift=(), shear=None, unit=None) -> Circuit:
+    """unit * circ with x_i -> x_i + shear[i] * y + shift[i], x_i the i-th
+    variable other than y (every variable when y is None, taking no shear);
+    circ itself with no shear, no nonzero shift and no unit but one. One
+    import writes the gates the separate scaling, shear and shift imports
+    wrote: y's input and the shear bindings (even an all-zero shear), the
+    shifts around them, and the unit's constant before them when sheared
+    (a factor mapped back is scaled last), after them when not (a
+    derivative level is scaled before it is shifted)."""
     fld = circ.field
-    b = CircuitBuilder(fld, circ.num_vars)
-    bindings = {}
-    for i, c in enumerate(shift):
-        if c != fld.zero:
-            bindings[i] = b.add(b.inp(i), b.const(c))
-    outs = b.import_circuit(circ, var_bindings=bindings)
-    return b.finish(outs)
-
-
-def translate_x(circ: Circuit, y: int, c) -> Circuit:
-    """circ(x + c, y): c[i] is added to the i-th variable other than y, and
-    variables past the first len(c) + 1 stay put. circ itself when c is all
-    zero."""
-    zero = circ.field.zero
-    if all(v == zero for v in c):
+    unit = None if unit == fld.one else unit
+    if shear is None and unit is None and all(c == fld.zero for c in shift):
         return circ
-    full = [*c[:y], zero, *c[y:]]
-    return translate(circ, full + [zero] * (circ.num_vars - len(full)))
+    xs = [v for v in range(circ.num_vars) if v != y]
+    b = CircuitBuilder(fld, circ.num_vars)
+    scale = [b.const(unit)] if unit is not None and shear is not None else []
+    bindings = {} if shear is None else _shear_bindings(b, y, dict(zip(xs, shear)))
+    for v, c in zip(xs, shift):
+        if c != fld.zero:
+            bindings[v] = b.add(bindings[v] if v in bindings else b.inp(v), b.const(c))
+    if unit is not None and not scale:
+        scale = [b.const(unit)]
+    return b.finish([b.mul(*scale, o) for o in b.import_circuit(circ, var_bindings=bindings)])
 
 
 # -- monic normal form ------------------------------------------------------------
@@ -361,7 +358,9 @@ class MonicForm:
 
     def apply(self, circ: Circuit) -> Circuit:
         """The forward map: circ(x + a*y, y) / leading_unit. Variables past
-        the form's own pass through; undo_monic_shift inverts the shear."""
+        the form's own pass through. Its own builder, not `affine`: the
+        unit's constant follows the import here. `affine` with the negated
+        shift as its shear inverts the shear."""
         fld = circ.field
         x_vars = [i for i in range(circ.num_vars) if i != self.y_var]
         b = CircuitBuilder(fld, circ.num_vars)
@@ -421,18 +420,6 @@ def make_monic(circ: Circuit, r: int, seed: int, y_var: int | None = None) -> Mo
     raise SearchExhausted(
         f"no monic shift found in {trials} trials; is the declared degree {r} exact?"
     )
-
-
-def undo_monic_shift(circ: Circuit, form: MonicForm) -> Circuit:
-    """Apply the inverse change of variables x_i -> x_i - a_i * y."""
-    x_vars = [i for i in range(form.circuit.num_vars) if i != form.y_var]
-    return shear(circ, form.y_var, {xi: circ.field.neg(ai) for xi, ai in zip(x_vars, form.shift)})
-
-
-def shear(circ: Circuit, y: int, coeffs: dict) -> Circuit:
-    """Circuit computing circ with x_i -> x_i + coeffs[i] * y."""
-    b = CircuitBuilder(circ.field, circ.num_vars)
-    return b.finish(b.import_circuit(circ, var_bindings=_shear_bindings(b, y, coeffs)))
 
 
 def _shear_bindings(b: CircuitBuilder, y: int, coeffs: dict) -> dict:

@@ -714,6 +714,8 @@ def test_bad_inputs_end_in_their_documented_code(tmp_path, capsys):
         (["pit", "--mode", "sz", xy, "-d", "101"], 2, "FieldTooSmall"),
         (["pit", "--mode", "sz", xy, "-d", "2", "--trials", "2000001"], 3,
          "budget exceeded (points) 2000001 random points > 2000000"),
+        (pit + ["-D", "2", "-d", "3", "--limit", "0"], 2,
+         "ParameterViolation: limit must be >= 1, got 0"),
         (pit + ["-D", "2", "-d", "3", "--limit", "2000001"], 3,
          "budget exceeded (points) 2000001 hitting points > 2000000"),
         (["--budget-terms", "0", "expand", p], 2, "ParameterViolation: budget bounds"),

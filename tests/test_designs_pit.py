@@ -298,6 +298,20 @@ def test_pit_hitset_zero_and_nonzero():
     assert res2.witness[0] != F.zero
 
 
+def test_pit_hitset_refuses_a_limit_below_one():
+    # a limit of 0 checks no point, so a "zero" verdict would rest on nothing
+    F = PrimeField(SMALL_PRIME)
+    hs = HittingSet(_random_table(F, 3, 1), nw_design(4, 3), D=2, d=3)
+    b = CircuitBuilder(F, 4)
+    x1_plus_1 = b.finish(b.add(b.inp(0), b.const(F.one)))
+    for limit in (0, -1):
+        with pytest.raises(ParameterViolation, match="limit must be >= 1"):
+            pit_hitset(x1_plus_1, hs, limit=limit)
+    res = pit_hitset(x1_plus_1, hs, limit=1)
+    assert (res.status, res.points_checked) == ("nonzero", 1)
+    assert hs.prefix(0) == []  # the point set itself still has an empty prefix
+
+
 def test_pit_hitset_agrees_with_exhaustive_sz():
     F = PrimeField(SMALL_PRIME)
     tab = _random_table(F, 3, 2)
@@ -397,6 +411,35 @@ def test_hybrid_locate_constant_table():
     wit = hybrid_locate(q, tab, design)
     assert wit.index == 1
     assert all(0 <= v < 101 for v in wit.assignment.values())
+
+
+def test_hybrid_locate_tests_each_hybrid_once(monkeypatch):
+    # locating index i scans the hybrids Q_1..Q_{i+1} once each: Q_0 = q is
+    # nonzero by the precondition, and the last nonzero one is kept
+    F = PrimeField(101)
+    tab = ExplicitPoly(F, 2, [F.embed(5), F.zero, F.zero, F.zero])
+    hybrids, scans = [], []
+    real_hybrid, real_zero = pit._hybrid_circuit, pit._is_zero_exhaustive
+
+    def hybrid(*args):
+        hybrids.append(real_hybrid(*args))
+        return hybrids[-1]
+
+    def is_zero(circ, deg_bound):
+        scans.append(circ)
+        return real_zero(circ, deg_bound)
+
+    monkeypatch.setattr(pit, "_hybrid_circuit", hybrid)
+    monkeypatch.setattr(pit, "_is_zero_exhaustive", is_zero)
+    b = CircuitBuilder(F, 2)
+    x1_minus_x2 = b.finish(b.sub(b.inp(0), b.inp(1)))
+    x1_minus_5 = b.finish(b.sub(b.inp(0), b.const(F.embed(5))))
+    for q, index in ((x1_minus_x2, 1), (x1_minus_5, 0)):
+        hybrids.clear()
+        scans.clear()
+        wit = hybrid_locate(q, tab, nw_design(2, 2))
+        assert wit.index == index
+        assert sum(any(c is h for h in hybrids) for c in scans) == index + 1
 
 
 def test_hybrid_locate_postconditions():

@@ -371,6 +371,80 @@ def test_from_lifted_dense_is_from_lifted():
     assert {("level", 1), ("shear", True), ("shift", True)} <= seen
 
 
+def _record_imports(monkeypatch):
+    """(imports, made_from): every circuit imported into any builder, in
+    order, and for each circuit a builder finishes, the circuits imported
+    into that builder before it."""
+    imports, into = [], {}
+    real_import, real_finish = CircuitBuilder.import_circuit, CircuitBuilder.finish
+    made_from = {}
+
+    def importing(self, circ, var_bindings=None):
+        imports.append(circ)
+        into.setdefault(self, []).append(circ)
+        return real_import(self, circ, var_bindings)
+
+    def finishing(self, outputs):
+        out = real_finish(self, outputs)
+        made_from[out] = list(into.get(self, []))
+        return out
+
+    monkeypatch.setattr(CircuitBuilder, "import_circuit", importing)
+    monkeypatch.setattr(CircuitBuilder, "finish", finishing)
+    return imports, made_from
+
+
+def test_each_change_of_coordinates_is_one_import(QQ, monkeypatch):
+    from circuitforge import factoring, transforms
+    from circuitforge.expsum import ExpSumPoly, factor_vnp
+    from test_golden import coord_poly
+
+    # (y - x1 - x1 x2)(y - x2 - 3) and (y - x1)^2 (y - 2 x1)^2 (x1 - 2): both
+    # sheared, shifted and scaled back; the second at derivative level 1,
+    # whose slice at the origin has no simple root
+    b = CircuitBuilder(QQ, 2)
+    x, y = b.inp(0), b.inp(1)
+    f, g = b.sub(y, x), b.sub(y, b.mul(b.const(Fraction(2)), x))
+    squares = b.finish(b.mul(f, f, g, g, b.sub(x, b.const(Fraction(2)))))
+    real_from_lifted, mapped = factoring.FactorResult.from_lifted, []
+
+    def from_lifted(self, circ, *unit):
+        mapped.append((circ, real_from_lifted(self, circ, *unit)))
+        return mapped[-1][1]
+
+    monkeypatch.setattr(factoring.FactorResult, "from_lifted", from_lifted)
+    hasse = []  # (order, derivative)
+
+    def hasse_spy(circ, y, j, real=transforms.hasse_derivative_circuit):
+        hasse.append((j, real(circ, y, j)))
+        return hasse[-1][1]
+
+    for module in (factoring, transforms):
+        monkeypatch.setattr(module, "hasse_derivative_circuit", hasse_spy, raising=False)
+    imports, made_from = _record_imports(monkeypatch)
+    for P, level in ((coord_poly(QQ, "two"), 0), (squares, 1)):
+        for run in ("factor", "vnp"):
+            mapped.clear()
+            imports.clear()
+            if run == "factor":
+                res = extract_factor(P, P.num_vars - 1, 1, seed=0)
+                out = res.factor
+            else:
+                out, res = factor_vnp(ExpSumPoly(P, ()), 1, seed=0)
+                out = out.verifier
+            assert res.deriv_level == level
+            assert any(res.monic.shift) and any(res.bundle.shift) and res.unit_inv != QQ.one
+            # the composed factor is imported once, into the builder that
+            # makes the output, and the output is never imported again
+            [(composed, back)] = mapped
+            assert back is out and made_from[out] == [composed]
+            assert sum(c is composed for c in imports) == 1
+            assert not any(c is out for c in imports)
+            # the roots' source: one import of the monic form's derivative
+            [source_import] = made_from[res.bundle.source]
+            assert any(j == level and h is source_import for j, h in hasse)
+
+
 def test_extract_factor_search_finds_certified_factor(QQ):
     rng = rng_for("extract-search")
     consts = [Fraction(0), Fraction(2), Fraction(6)]

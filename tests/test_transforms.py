@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -33,10 +34,11 @@ from circuitforge.transforms import (
     GENSET_SIZE_FACTOR,
     HOMOGENIZE_SIZE_FACTOR,
     _interpolate,
+    affine,
     homog_component_interp,
 )
 
-from conftest import oracle_equal, plant_linear_product, random_circuit, rng_for
+from conftest import SMALL_PRIME, oracle_equal, plant_linear_product, random_circuit, rng_for
 
 
 def test_homogenize_picks_component(QQ):
@@ -232,6 +234,74 @@ def test_translate_roundtrip(QQ):
         shift = [QQ.embed(rng.randint(-3, 3)) for _ in range(3)]
         back = translate(translate(c, shift), [QQ.neg(v) for v in shift])
         assert oracle_equal(back, c)
+
+
+# The maps affine replaced, written out as references: each its own builder
+# and import, composed one after another.
+
+def _ref_translate(circ, y, shift):
+    """circ(x + shift) over the variables other than y, through the padded
+    shift of every variable; circ itself for a zero shift."""
+    zero = circ.field.zero
+    if all(c == zero for c in shift):
+        return circ
+    full = list(shift) if y is None else [*shift[:y], zero, *shift[y:]]
+    full += [zero] * (circ.num_vars - len(full))
+    b = CircuitBuilder(circ.field, circ.num_vars)
+    bindings = {i: b.add(b.inp(i), b.const(c)) for i, c in enumerate(full) if c != zero}
+    return b.finish(b.import_circuit(circ, var_bindings=bindings))
+
+
+def _ref_shear(circ, y, shear):
+    """x_i -> x_i + shear[i] * y, y's input first even for a zero shear."""
+    xs = [v for v in range(circ.num_vars) if v != y]
+    b = CircuitBuilder(circ.field, circ.num_vars)
+    ygate = b.inp(y)
+    bindings = {x: b.add(b.inp(x), b.mul(b.const(a), ygate))
+                for x, a in zip(xs, shear) if a != circ.field.zero}
+    return b.finish(b.import_circuit(circ, var_bindings=bindings))
+
+
+def _ref_scale(circ, unit):
+    """unit * circ, the unit's constant first: the scaling of a mapped-back
+    factor and of a derivative level alike."""
+    b = CircuitBuilder(circ.field, circ.num_vars)
+    k = b.const(unit)
+    return b.finish(b.mul(k, b.import_circuit(circ)[0]))
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(SMALL_PRIME),
+                                   PrimeField(SIXTY_TWO_BIT_PRIME)], ids=["qq", "fp", "f62"])
+def test_affine_emits_the_bytes_of_the_maps_it_replaces(field):
+    rng = rng_for(f"affine-bytes-{field.p if isinstance(field, PrimeField) else 0}")
+    one, seen = field.one, set()
+    for t in range(9):
+        n = 2 + t % 3
+        circ = random_circuit(field, rng, n, size_limit=20, degree_limit=5)
+        full = [field.embed(rng.randint(-2, 2)) for _ in range(n)]
+        assert emit_circuit(translate(circ, full)) == emit_circuit(_ref_translate(circ, None, full))
+        for y in range(n):
+            k = rng.randrange(n)  # the variables past the first k others stay put
+
+            def draw():
+                return [field.embed(rng.randint(-3, 3) or 1) for _ in range(k)]
+
+            zero = [field.zero] * k
+            units = (None, one, field.embed(rng.randint(2, 9)), field.neg(field.embed(3)))
+            for shift, shear, unit in itertools.product((zero, draw()), (None, zero, draw()),
+                                                        units):
+                got = affine(circ, y, shift, shear=shear, unit=unit)
+                scaled = unit is not None and unit != one
+                if shear is not None:  # a factor mapped back: shift, shear, then scale
+                    ref = _ref_shear(_ref_translate(circ, y, shift), y, shear)
+                    ref = _ref_scale(ref, unit) if scaled else ref
+                else:  # a derivative level: scale, then shift
+                    ref = _ref_translate(_ref_scale(circ, unit) if scaled else circ, y, shift)
+                assert emit_circuit(got) == emit_circuit(ref), (t, y, shift, shear, unit)
+                if shear is None and not scaled and not any(shift):
+                    assert got is circ
+                seen.add((any(shift), shear is not None and any(shear), k < n - 1, scaled))
+    assert len(seen) == 16  # every mix of shift, shear, untouched variables and unit
 
 
 def test_make_monic_example(QQ):
