@@ -107,10 +107,11 @@ class FactorResult:
     """A certified factor and the change of coordinates it was found in: P's
     monic form, its derivative level, then the separating shift of the
     bundle's roots. to_lifted and from_lifted apply that map and its inverse
-    to any circuit over P's variables, each the monic form's own builder
-    (to_lifted only) and one transforms.affine import; from_lifted_dense is
-    the inverse on a dense polynomial. Variables past P's, such as
-    auxiliaries, pass through."""
+    to any circuit over P's variables: to_lifted is the monic form's affine
+    map, the level's Hasse derivative and a second affine map, from_lifted is
+    one transforms.affine call, which returns its input on the identity map.
+    from_lifted_dense is the inverse on a dense polynomial. Variables past
+    P's, such as auxiliaries, pass through."""
 
     factor: Circuit | None       # original coordinates; None from factor_vnp
     factor_dense: DensePoly      # the screened candidate times unit_inv

@@ -316,26 +316,34 @@ def translate(circ: Circuit, shift) -> Circuit:
 
 def affine(circ: Circuit, y: int | None, shift=(), shear=None, unit=None) -> Circuit:
     """unit * circ with x_i -> x_i + shear[i] * y + shift[i], x_i the i-th
-    variable other than y (every variable when y is None, taking no shear);
-    circ itself with no shear, no nonzero shift and no unit but one. One
-    import writes the gates the separate scaling, shear and shift imports
-    wrote: y's input and the shear bindings (even an all-zero shear), the
-    shifts around them, and the unit's constant before them when sheared
-    (a factor mapped back is scaled last), after them when not (a
-    derivative level is scaled before it is shifted)."""
-    fld = circ.field
-    unit = None if unit == fld.one else unit
-    if shear is None and unit is None and all(c == fld.zero for c in shift):
-        return circ
+    variable other than y (every variable when y is None, taking no shear).
+    A shift or shear shorter than the x_i leaves the rest in place; a longer
+    one, or a y outside circ, is an ArityMismatch. One builder writes the
+    unit's constant, then y's input and the shear bindings, then the shifts
+    around them, then one import of circ; an all-zero shear is no shear, and
+    the identity map (no nonzero shift or shear, no unit but one) returns
+    circ itself."""
+    fld, shear = circ.field, shear or ()
+    if y is not None:
+        _check_var(circ, y)
+    elif shear:
+        raise ArityMismatch("a shear needs a variable y")
     xs = [v for v in range(circ.num_vars) if v != y]
+    if max(len(shift), len(shear)) > len(xs):
+        raise ArityMismatch(f"more coordinates than the {len(xs)} variables other than y")
+    unit = None if unit == fld.one else unit
+    if unit is None and all(c == fld.zero for c in (*shift, *shear)):
+        return circ
     b = CircuitBuilder(fld, circ.num_vars)
-    scale = [b.const(unit)] if unit is not None and shear is not None else []
-    bindings = {} if shear is None else _shear_bindings(b, y, dict(zip(xs, shear)))
+    scale = [] if unit is None else [b.const(unit)]
+    bindings = {}
+    if any(a != fld.zero for a in shear):
+        ygate = b.inp(y)
+        bindings = {x: b.add(b.inp(x), b.mul(b.const(a), ygate))
+                    for x, a in zip(xs, shear) if a != fld.zero}
     for v, c in zip(xs, shift):
         if c != fld.zero:
             bindings[v] = b.add(bindings[v] if v in bindings else b.inp(v), b.const(c))
-    if unit is not None and not scale:
-        scale = [b.const(unit)]
     return b.finish([b.mul(*scale, o) for o in b.import_circuit(circ, var_bindings=bindings)])
 
 
@@ -357,16 +365,11 @@ class MonicForm:
     degree: int
 
     def apply(self, circ: Circuit) -> Circuit:
-        """The forward map: circ(x + a*y, y) / leading_unit. Variables past
-        the form's own pass through. Its own builder, not `affine`: the
-        unit's constant follows the import here. `affine` with the negated
-        shift as its shear inverts the shear."""
+        """The forward map circ(x + a*y, y) / leading_unit, one `affine`
+        call; variables past the form's own pass through. `affine` with the
+        negated shift as its shear inverts the shear."""
         fld = circ.field
-        x_vars = [i for i in range(circ.num_vars) if i != self.y_var]
-        b = CircuitBuilder(fld, circ.num_vars)
-        bindings = _shear_bindings(b, self.y_var, dict(zip(x_vars, self.shift)))
-        out = b.import_circuit(circ, var_bindings=bindings)[0]
-        return b.finish(b.mul(b.const(fld.inv(self.leading_unit)), out))
+        return affine(circ, self.y_var, shear=self.shift, unit=fld.inv(self.leading_unit))
 
 
 def _top_component_value(circ: Circuit, point, r: int):
@@ -422,17 +425,13 @@ def make_monic(circ: Circuit, r: int, seed: int, y_var: int | None = None) -> Mo
     )
 
 
-def _shear_bindings(b: CircuitBuilder, y: int, coeffs: dict) -> dict:
-    ygate = b.inp(y)
-    zero = b.field.zero
-    return {x: b.add(b.inp(x), b.mul(b.const(c), ygate)) for x, c in coeffs.items() if c != zero}
-
-
 # -- generator sets -----------------------------------------------------------------
 
 def _check_lift_degree(d: int, budget: ExpansionBudget) -> None:
     """Refuse a lift or factor degree below 1 or above the budget's degree
-    bound, before any work is done."""
+    bound, before any work is done; d must be an int (not a bool)."""
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ParameterViolation(f"degree must be an integer, got {d!r}")
     if d < 1:
         raise ParameterViolation(f"degree must be >= 1, got {d}")
     if d > budget.max_degree:
@@ -504,11 +503,9 @@ def generator_set(
     x-degree <= d are H_{<=d} of the order-j derivative at alpha, j = 0..d,
     with no circuit built for it. They tell which homogeneous components
     vanish (kept as derivs_dense) and give deriv_constants as their constant
-    terms. The builder still emits the derivatives' coefficient gates, so
-    its gate order, and with it the components' bytes, is that of the
-    interpolation alone. Only when the expansion overflows are the
-    derivatives finished from those gates and evaluated at 0 for the
-    constants, and members tested by Schwartz-Zippel on 64 points over a
+    terms. Only when the expansion overflows does the builder emit the
+    derivatives' coefficient gates, finished and evaluated at 0 for the
+    constants, and members are tested by Schwartz-Zippel on 64 points over a
     grid of size 2*d, drawn on seed 0. A false keep is harmless downstream;
     a false drop is what the point count makes improbable. A d above the
     budget's degree bound, or a lower set wider than it on an axis, is
@@ -524,10 +521,6 @@ def generator_set(
         raise BudgetExceeded("degree", f"formal degree {max(shape[:2])} > {budget.max_degree}")
     b, coeff = _interpolate(P, xs, y, alpha, shape)
 
-    # the derivatives at alpha (their weights vanish off the a <= 1 copies),
-    # finished only for the fallback's constants
-    derivs = [coeff((k, j) for k in range(shape[0] + 1)) for j in range(d + 1)]
-
     @cache
     def views():  # member j is output j, unprojected, of one circuit for every order
         ids = [coeff((k, j) for k in range(1, d + 1)) for j in range(d + 1)]
@@ -536,9 +529,10 @@ def generator_set(
     try:  # H_{<=d} of each derivative: member j is denses[j] less its constant term
         denses = _derivatives_at(P, y, alpha, d, shape[1], budget)
         h0 = [dense.constant_term() for dense in denses]
-    except BudgetExceeded:
+    except BudgetExceeded:  # the derivatives at alpha, evaluated at 0
         denses = None
-        h0 = b.finish(derivs).evaluate([zero] * nv)
+        derivs = b.finish([coeff((k, j) for k in range(shape[0] + 1)) for j in range(d + 1)])
+        h0 = derivs.evaluate([zero] * nv)
     orders, comp_ids = [], []
     zero_id = b.const(zero)
     keep = list(range(nv))

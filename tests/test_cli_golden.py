@@ -77,13 +77,13 @@ CERT_GOLDEN = {
     "coeffs": "51c5533f8cb8b70b0a24ffcd350e9f0d13aa1e03fcdd698ef9b4bfed863fbdea",
     "coeffs/stdout": "f3889f2c17fea34e97bf14a8d45bad9a5ccfba7aa0c2ea9f831da611f71fae91",
     "deriv": "a4fa82a7b425d2d5e838e550c70a8be5157e0e47739c3173d77e0d3a5c02f51f",
-    "monic": "8b200da8c84fa230755075e167d4ea1711d18ab536a10977007ee9a2a43db9a5",
-    "monic/appended-y": "4944b2aa63dcc54a675f8ed2eafd2982acae9462bb6575a0caef45236e8a34ab",
-    "genset": "54585143433225480d8add968f1f0b4b98b8a98000806b5bbd92314ff2de87da",
-    "lift-root": "dc486c412b6cd181cb045366e3eee2c874b0a4bc12606a61d05a8548f0717d2d",
+    "monic": "c2ad1ac8ee3ef5a5139d3147007382d984fcf99feefd4d5ac02290ebae4a29d6",
+    "monic/appended-y": "8665e7dfd1804af4c2e8cf8b385c171e3611ea4a43ebeca744abfd62e15497e5",
+    "genset": "ce2732a1fdf24133502fd37e13f5ffde2b4b7565788a29ad381c76b4ca8844ef",
+    "lift-root": "09968cdab22145e886d490ec2742c771d999b2acd457f09d6d1ab024f65ff514",
     "lift-root/alpha": "869581120e325175dc3839489e817db44ef521eadccf63ec0a3dc02cd1b344cc",
-    "factor/search": "75c0ac2c00242d38d6007404632c97525da8bf05cc7bac5e59fe51fafcd44a3c",
-    "factor/given": "1451c70079b49a0950c5d460e2f4b3af4338d387eb67438ad7aeeff0df9f4915",
+    "factor/search": "e7b7c19b104c2582d8dff7d68e01ecfd9f5890ba8958e4f3bda03957106f146b",
+    "factor/given": "2c2c587ac5bcf033d2c3bb27fc15cef1e6633137c9c93f74e0a7f54cecfb200f",
     "design": "285754c69a9bc4bbc53d0d9919c332ff3c0d45b2eee3ab781634da16a9945113",
     "hitset": "6c5641b0dfa94c8221bcd5432a45b5d142f3322dcba5e37447fafbd683346b69",
     "pit/hitset": "e3e068a3ce99a3aa3f14f4ae3e56e9279832fb08262efaddb6b78ed1b7ae3c3e",
@@ -91,7 +91,7 @@ CERT_GOLDEN = {
     "pit/exhaustive": "d2c3b39fd1a282ea23595fa9cdc2cb22b5571ed5e2e0ea2d3175c361fd85a98c",
     "vnp-sum/expand": "0ba782def21cc97ddc11cd7ac61f1f4c78ac2d34f061f8b86f81f035f0909838",
     "vnp-sum/eval": "d32118d20e7d3590904aa4ade9a565ee2d41dcccce3857b54e90be5b94d7d56c",
-    "vnp-factor": "5bd71db6b1c87f13859c068400fe8c1d551686faf6460ae512901f38fd7d958c",
+    "vnp-factor": "5847d0b0f38e31138a9ce3a6fce9b16a66f20710d8dfd8ad838f198fc35b5101",
 }
 
 

@@ -370,6 +370,17 @@ def test_from_lifted_dense_is_from_lifted():
                  ("shift", any(c != zero for c in res.bundle.shift))}
     assert {("level", 1), ("shear", True), ("shift", True)} <= seen
 
+    # a criterion-7 run whose map is the identity: zero shear, zero shift,
+    # unit one; from_lifted returns the circuit itself, copying nothing
+    from test_acceptance import QQ as Q, SESSION_SEED, _plant_factor_instance, _rng
+
+    P, _, subset = _plant_factor_instance(Q, _rng("c7", "0"), 2, 1, 1)
+    res = extract_factor(P, 2, 1, subset=list(subset), seed=SESSION_SEED)
+    assert not any(res.monic.shift) and not any(res.bundle.shift) and res.unit_inv == Q.one
+    C = combine_roots(res.bundle, res.subset, len(res.subset))
+    assert res.from_lifted(C) is C and res.from_lifted(C, res.unit_inv) is C
+    assert res.from_lifted_dense(expand(C)) == expand(C)
+
 
 def _record_imports(monkeypatch):
     """(imports, made_from): every circuit imported into any builder, in

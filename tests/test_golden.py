@@ -55,56 +55,56 @@ COORD_PAIRS = {("qq", 0): [1, 2], ("qq", 2): [0, 2], ("fp62", 0): [0, 2], ("fp62
 BUDGET = {"budget_terms": DEFAULT_BUDGET.max_terms, "budget_degree": DEFAULT_BUDGET.max_degree}
 
 GOLDEN = {
-    "c7/0/given": "9647bbb6fe5d7a23098302346f2e470766a03ef09d8f659d6bb9d0a925eb7af3",
-    "c7/0/search": "462ee81c0ec5d296a44dfc05e2e902b15996795eb78aed889ae228221787223d",
-    "c7/1/given": "1a8a0d01429a7b0510e5e66569cca577dab31e3f9dffcdf95af807ed015bc884",
-    "c7/1/search": "9da7e58901245bd9576c2439e18de39d4618c5c62830d94e96b6f0df521fa0f7",
-    "c7/2/given": "3b9719d4d9f94570486f4645ab021be5703719d2f56b43df3b934c3e82db7e95",
-    "c7/2/search": "0fbcf5aea6ef5cbe27cfe385069285f4d4ce50cfdc93fefc73f27e47bb0c21bf",
-    "c7/3/given": "74eba7a79243b9e953eb5223e40529cd5261d3cc5b5d365636c52e8ec510245e",
-    "c7/3/search": "74eba7a79243b9e953eb5223e40529cd5261d3cc5b5d365636c52e8ec510245e",
-    "c7/40/given": "ae9e52833fe4ccda547ffbb74011c5f199b118fb5dde6f8590ba217c9329cfb1",
-    "c7/40/search": "691cb320dc58471eabbafbbc58beb204592454af7dec7737bfa5d5e1d5cc021d",
-    "c7/41/given": "0f7605d3d56f7904a2d4e5ead258c440dc2eca95124ca49fbb045fbfd7f6039e",
-    "c7/41/search": "da58f23947e782f0a3de7994724e54109cbdc67f77cb1fd97cf7d2d10c7a073f",
-    "c7/42/given": "de12ede84fd33da613dde03d558c51a796419c8945f2ca194ab95fffa3148eba",
-    "c7/42/search": "75a303f427e78f5af98abd834aec65bb6886bd13481cdc749245c7a5753ecec9",
-    "c7/75/given": "8a561bc297221a7802bc02b83e6b80d4cb286474bd9d8f86c032dee08f01dd50",
-    "c7/75/search": "e5e4e9228439005c30b72f1db3ec766bf3727bf704eea53146601313cab9e171",
-    "c7/76/given": "08dc7c37e798dec8f5a8db8a3456befaf79ee1e70f1c6349eaeb0444e8397e39",
-    "c7/76/search": "39490d4f14566e18d537f899b1a4b5b3ff4352788152752b29551aee35f5e586",
-    "c7/90/given": "6b07ccd9f8c3cdd64c7dd918548927116d8f9ae213d38cab94cc0086a424e69d",
-    "c7/90/search": "8d26ef3423991d35dc1e765693bf8bc48ebf8dd2989e6c1f3da4cc412210f2cf",
-    "c7/91/given": "57117d678e0ddbab2756b87a98ae8703e802db1652d6de5701c48822575e2e76",
-    "c7/91/search": "633269dc986b3b61457de8edb515136afae4eae7978118411cfc7db1bb71f881",
-    "c7/97/given": "a344af60d51a97e92cc7c6fbd240c706f87606cdf84eb33b536287663b52ba63",
-    "c7/97/search": "94542947e98d55ce48f061ed3efe1d7bbfc26aafca567deb0debf11196948501",
+    "c7/0/given": "a2be77b1660cf81ce01608ff7a2e4174e233971c44978305711029424c5ba0bd",
+    "c7/0/search": "b49bc3ab08f902bfe607f110488253b38ad8f084af1aec9a286a89678e3adcf5",
+    "c7/1/given": "e8afdf0c3aac0d8251fa31a2d2220a5325906fffe249b8fd03f9b56b096a5810",
+    "c7/1/search": "0d6bc071e57b1878b196759c0bb03a716ca61717c82751d626846460f906459c",
+    "c7/2/given": "0db73b462789ce0571cea01379fe65e7f993ea428411fc46d36d88d923538fa3",
+    "c7/2/search": "c2a8e39ec64c46254a6053e8a7d2d5384ea0a560a17cb276e7358948e087675d",
+    "c7/3/given": "18596b454a36f40cbfecfd60ef837ca581b93390e8563b48396050a0d756e24d",
+    "c7/3/search": "18596b454a36f40cbfecfd60ef837ca581b93390e8563b48396050a0d756e24d",
+    "c7/40/given": "fb3663c6e16665ad925a5c55c019c66eb6980675d780388e6fe3abc5cc13081f",
+    "c7/40/search": "a9ee5e89e399378799fac40ed4919520b49fba1afd30ba5ed90330c081e0aee2",
+    "c7/41/given": "8d0c41113771c6d82afa6a56f0b55056d29c5fe5a3da7d3ea62b28073c39356e",
+    "c7/41/search": "f27a3698be568a148d685989f3364dcde97717884d52b34c6641d6cd60b24d7d",
+    "c7/42/given": "9a6b9bf8d2db0a6fa70da579564100b5a5ed3564856f9485cccab9fafffd12ef",
+    "c7/42/search": "a62a6816dc5a7be03cbdc2326f95aa37e786548f30faa1a3db14ea553b977968",
+    "c7/75/given": "bb93ddae067957f78de01cd5cda383f9e85af89f5c4379643925064fcc9f12e9",
+    "c7/75/search": "d6dde3acbd4a6a188cff2e2120478219d109f383fa3e71766677d326ef3f2138",
+    "c7/76/given": "80e6624e3e5b51487fd8819ccf4475f4fe569d8d41d6b539cc78e7ec779573ad",
+    "c7/76/search": "05e467ca74124215589732a2359433d8a66e4a2e22f9c9ec4eab0de255911c2e",
+    "c7/90/given": "55978bca23df5a21284c8ae6a80c0f22ac1acf7b6e6c2fcda04fa01b5e24ede1",
+    "c7/90/search": "4ead5a16fddb1284c18665492f1b87d5afef62a9ee07934c73c22eca4545e62e",
+    "c7/91/given": "7c2728e6182f25a5877402cd1b695cce9292a5a3d0eee9762c5f0b5ca70da50f",
+    "c7/91/search": "13b97cd4413867f5514e0d8373c021cd2dfe8efd7e3cace442237e384ba18897",
+    "c7/97/given": "dbf77e00f5d30408ca67e14c90a1cbd83ec128cf5caa3be3336f7b218b691392",
+    "c7/97/search": "d56467a1b8e21af806eef2d8557ba7b7b9e55877274c70f1ff8876f041f6fcc6",
     "c1/qq/0": "b07dbb76fe0f68e149a6ed4c919947ae53f0e945afe42137dd98c6ca9107f5d3",
     "c1/qq/3": "50470b85f958807ff735ae71c7f22820f123c38b1b4825c1a01fb9836a2787fd",
     "c1/qq/13": "f9afc247eaaf8e37f6dfaa1b95c8ab1fe7844a2ca7efb1777cabd54af99d6bda",
-    "c1/qq/19": "6baf82f083c5935fe7d563ae663e0f74f915839baac0098d5d5230e3426f942e",
-    "c1/qq/27": "97e652bfef76d503f4984d8817c8d151ba3afd5eb751998c1520d8c408951945",
+    "c1/qq/19": "fecf29932d83fd64f6484d7dffc6c0669fd47b010594cb25c5a46fc662aaa6d4",
+    "c1/qq/27": "ef4dbc12e1b9ad0d0a136a9102d110619cb2b3228fbec9e7acae94894e400915",
     "c1/fp62/1": "0ba84058af38a54a672d10094d06f6c6af3bd83b70dbb9456b4991182b0cefce",
     "c1/fp62/7": "fa9db74a74512e75bb125b8ea2fdc5b46bd8326c7b1ae150eb4c1e53ca978fa7",
-    "c1/fp62/9": "c0409f0735200e0653b8135f5044e257b7be0c37ca015bdbf92ae8ef1565fed4",
-    "c1/fp62/17": "96468f80f83d7cc3c5f28bf85a37398c4c1a85c9fc237d6694e3131faaffc950",
-    "c1/fp62/27": "b0540284ec0ff6313cdbbdd7debba71bcadbee0b505c4007dcb788a69008cd2d",
-    "coord/qq/sq-x/0": "b1b1fa6dc9714b0cbbfac92874ab08f8dde63ed2568855c677d205fde5ac6a72",
-    "coord/qq/sq/0": "df3a7070325b20289239c27967075f3785e763a1eddf92ff9f5a5efe88074401",
-    "coord/qq/two/0": "25c2a1286920001228732d22f3860eb703e02d6d5e9893d9e868f3e9210c12a2",
-    "coord/qq/two-pair/0": "4ea199d07bc0ece7a8e25a9c30f1b049d00707c7978b57d32d30fbb1508ec1ee",
-    "coord/qq/sq-x/2": "1b4d9689d3b6382ae088d345a23f3659f39f94f7c0e44cba9eeb5c006ea35361",
-    "coord/qq/sq/2": "df3a7070325b20289239c27967075f3785e763a1eddf92ff9f5a5efe88074401",
-    "coord/qq/two/2": "ef1bff1175f6c82fc5f11b078415a2a5c14f41879929d23896161dbef5f53f97",
-    "coord/qq/two-pair/2": "090745acd8b2a3e185b39004bd81858728bbaa8db0eb8b3a71d11d9f5d1d338c",
-    "coord/fp62/sq-x/0": "a10a301e78990bd7cb2d5dfae210fb0d977ac0ad0f52487839ba6cdcb54d442e",
-    "coord/fp62/sq/0": "0ba95762ffcd2dea5be33faca363e458921c6ccd8c07e13860579b58640809da",
-    "coord/fp62/two/0": "59710494a8fdb3151fb893c89fff4a90990024ac265e69cf2d90bdf1f18a08ec",
-    "coord/fp62/two-pair/0": "e785bb97c56560cdd6d7b4d33166cadf16b73d3596a32ee9f6c7a06ad4601c11",
-    "coord/fp62/sq-x/2": "66a8a35b31ecc2eb15d3ef366d3997f7af6b3750830a4edcf4d8cebab3861f7c",
-    "coord/fp62/sq/2": "0ba95762ffcd2dea5be33faca363e458921c6ccd8c07e13860579b58640809da",
-    "coord/fp62/two/2": "101635257f379a1b5aae72953310c5892faac02c24efce2143afae482b4bcfc9",
-    "coord/fp62/two-pair/2": "66a070ff353f77c163902fc315164e5827a54f32c2ebd2221d2bf7133337748c",
+    "c1/fp62/9": "9945d1768df7d6814b8b9d110686826f2359397a0b6c45bea5e5e3fa375f786d",
+    "c1/fp62/17": "6c8f517eba5dce49c2df5ee9b4bae9e3c2de9188d9e54399b832ab2c2fb3fc8d",
+    "c1/fp62/27": "e3bfff005010b8595c03448dff84e3c62d6a7aaf7d11e4a4244d3539c2593d9d",
+    "coord/qq/sq-x/0": "c096068233c6056d9df1be30f574208ef262399fd8c780fff127ab1dd355408e",
+    "coord/qq/sq/0": "41135967f1776fc8c768a1ae1b5299effad5691acd2aed29763b8ce8214ae625",
+    "coord/qq/two/0": "7258f8e414aa09cbdb6cded375bb7586cbc0da33ea531eb2ce5c50c38f7ce1df",
+    "coord/qq/two-pair/0": "d65fd0c6cb617ab233eac6ecfff213699d1f839facfe5675b2756670bd1d74db",
+    "coord/qq/sq-x/2": "d18795757211528558422ef63767d9b2ad5cd95ab9b56659f01cf6def1099630",
+    "coord/qq/sq/2": "41135967f1776fc8c768a1ae1b5299effad5691acd2aed29763b8ce8214ae625",
+    "coord/qq/two/2": "6703fd13b663864d33e5661342f0255d235c2f1bdf0899576bf950ed62d02135",
+    "coord/qq/two-pair/2": "a52e18e1e4b90cb34a88f360609d6dca3e1dd87fca315ad25b57845046aae160",
+    "coord/fp62/sq-x/0": "12a37ed3ac889328d993fe431f167aa1fc9cc2c99a01cd0f741bb07380df9a0e",
+    "coord/fp62/sq/0": "029abc3d301034f73398be2ade6f1072c54f73e74977986f8615b8fbf7bca67b",
+    "coord/fp62/two/0": "aec0fd947e96d36b29d5c244ff78927297c7352f55acdeb7e582dab525ead195",
+    "coord/fp62/two-pair/0": "57387028916e974deecc33b8af260425ea76d10e98bbc1e606eba6524a796b4b",
+    "coord/fp62/sq-x/2": "6545362dc3aba18d005607a26396b3da2f3066efbc0da6ca711a9d50edce0f94",
+    "coord/fp62/sq/2": "029abc3d301034f73398be2ade6f1072c54f73e74977986f8615b8fbf7bca67b",
+    "coord/fp62/two/2": "17bba29c837242f845f28db6050d9d245ea186aa32f4b8ae7dac1b3e022791c5",
+    "coord/fp62/two-pair/2": "8b320ea6c726335f27a0c32457a4ce693d4acf882d4c23a5bd38bb66f546f953",
 }
 
 # vnp-factor: (name, field, factor degree, given subset or None for search).
@@ -113,26 +113,26 @@ VNP_CASES = (("qq/d1", QQ, 1, None), ("qq/d2", QQ, 2, [0, 1]),
              ("fp62/d1", FP62, 1, None), ("fp62/d2", FP62, 2, [0, 1]))
 
 VNP_GOLDEN = {
-    "vnp/qq/d1": "143737d5f3509de2a6d1d39700a7aa13a7ccdd0f3fab32f4cdaa73ddc402dc0d",
-    "vnp/qq/d2": "3631e078440b958eebe873858e7d9d54041c12a9d1675db01de48c10fc31deb8",
-    "vnp/fp62/d1": "7687c91a5651c3f93004555602579757e217746162a9bda195127675fa966b8b",
-    "vnp/fp62/d2": "796b082b1a11071662db8daf2408c450c5493faaa92f031c921a3bcf12e91fe2",
-    "vnp/coord/qq/sq-x/0": "a1446c3300a7150a3f68a8116cd3d1f6d0253d83ae196ec6b9857d2bd84c59b5",
-    "vnp/coord/qq/sq/0": "ab0e73b922b676998871bb7bb207a32dab7f0aef5926f8cfa7f7fb7e8e777454",
-    "vnp/coord/qq/two/0": "461e438e192753bc8020c382464aa05a281679d0965848034dce5c603d657470",
-    "vnp/coord/qq/two-pair/0": "7079b6063b15fc2ba091fbfc41ab0b655c0a593ed6f9472dcb97cf4284ba1915",
-    "vnp/coord/qq/sq-x/2": "e1a786a80bbf3c10f068d2e4ee8d89fbb6ab64c5176b96aa6e7ecbb6ccf74514",
-    "vnp/coord/qq/sq/2": "ab0e73b922b676998871bb7bb207a32dab7f0aef5926f8cfa7f7fb7e8e777454",
-    "vnp/coord/qq/two/2": "357e1c4396fb2d72b8f2fee1edbc1dacadcf08b2fb3c8941d461421ebe403ec1",
-    "vnp/coord/qq/two-pair/2": "60774707feb205955769505ab998e7288939fccc42cc01a00286c5ee7ceea285",
-    "vnp/coord/fp62/sq-x/0": "62af530687fb0d6a1de1b9595485141ac59d3cda8b17933995b72626dbcb96af",
-    "vnp/coord/fp62/sq/0": "ef8b32122e823daa38a88c68ce95d417f2303e921df5114b5dff7ac639d72102",
-    "vnp/coord/fp62/two/0": "f328efc8266d97af9a28641e580f5c82eff931a634e0ac8fe8043b84c26c9f03",
-    "vnp/coord/fp62/two-pair/0": "97e410a086f863bfeda02248d6e75ff25f67b4ea09cab89a5385ce79261dbaf2",
-    "vnp/coord/fp62/sq-x/2": "116f3ec28b7d5f566bbac6f585887b2c7a8881379ae87773bec6e9c5b9fde5fb",
-    "vnp/coord/fp62/sq/2": "ef8b32122e823daa38a88c68ce95d417f2303e921df5114b5dff7ac639d72102",
-    "vnp/coord/fp62/two/2": "3e1e2bd0ae9de81a07a2e7dfce85a44273941d56fb09c04a55d051bbfb06c83f",
-    "vnp/coord/fp62/two-pair/2": "ba1e1173a5f6f23cf8ae5c51eac18af8cb63b6ed65001f3c43e809ad64ffe42c",
+    "vnp/qq/d1": "1ec31d612439467c498fcf078add49277bc27c656398deedf1ce6b46c75f99df",
+    "vnp/qq/d2": "11119546f38cf4b4593c8b59ad30aa2c82815c76856bd79146ed7c34cf0424b7",
+    "vnp/fp62/d1": "9cebb8e4f1dff631e82ac3d1ff801b5dc2dc2edc63e8872ac5f1097fffdda245",
+    "vnp/fp62/d2": "ae3495cab3dbba12aafc517f1a6136becb2216b4af89cdfe6af1fbc4e48d4ceb",
+    "vnp/coord/qq/sq-x/0": "53926cceb066a9f61148ce8669106218edd9c07b614ba16e41d1532685c33b47",
+    "vnp/coord/qq/sq/0": "439e102900a7ffc9725fcce1d2b5a0cce3dfd6a1dba6b7140cfa18e350fbd10a",
+    "vnp/coord/qq/two/0": "aba2c25d9a76ddb6fa232bc9540ce2b1bceb1d474041840c09114c2e19c3651e",
+    "vnp/coord/qq/two-pair/0": "18ba92d3fcc4b518429a3497cd8d40b8451d309c9ac453454bd25d620fe23a30",
+    "vnp/coord/qq/sq-x/2": "6c5bd41b8cc6a83bc5a43c903190a22755ba099efa69d30ca2108e62eeb38e11",
+    "vnp/coord/qq/sq/2": "439e102900a7ffc9725fcce1d2b5a0cce3dfd6a1dba6b7140cfa18e350fbd10a",
+    "vnp/coord/qq/two/2": "423c9d802aa8a0181f448e67d83bbe6cd61ed2b93c1a818c50060f7d2bb3df29",
+    "vnp/coord/qq/two-pair/2": "8d7e3eefba65860f9f9dedbf3a313a1c786494daa9b89c026f851f1e461beeb7",
+    "vnp/coord/fp62/sq-x/0": "d865bc45c940188dff49a6ec1134563b88bd279c8454142a036eee88647845ff",
+    "vnp/coord/fp62/sq/0": "915bd9f7da20839ac5674a3038086735a06bea01860353fb5fedf117522fb0c2",
+    "vnp/coord/fp62/two/0": "2fe81e42e0664f79a3a1b316580a2646c00f12631ffb8d4c97bfbf1866c71aba",
+    "vnp/coord/fp62/two-pair/0": "d3a2f6c7f07cda1ee3196c1b6fbb9f603a6bf46b3973e733870474ac434304e2",
+    "vnp/coord/fp62/sq-x/2": "06ca1471f109ccc1eb06ca82aa1a3309418c5fb84908d1963e57aa994fa004fa",
+    "vnp/coord/fp62/sq/2": "915bd9f7da20839ac5674a3038086735a06bea01860353fb5fedf117522fb0c2",
+    "vnp/coord/fp62/two/2": "34897aa3ec07185ff0ab9c4f3eab7c23c4be221ad16f0c7834fa880adde03ff1",
+    "vnp/coord/fp62/two-pair/2": "0805ae557efda988223fa5bc07d3675834b4cfa887a2d73b9f5c26c581f9650a",
 }
 
 

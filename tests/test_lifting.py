@@ -8,6 +8,7 @@ from circuitforge import (
     build_A_recurrence,
     emit_circuit,
     expand,
+    extract_factor,
     lift_root,
     lift_step,
     truncate_dense,
@@ -228,6 +229,16 @@ def test_lift_root_refuses_a_pinned_non_root(QQ):
     P = _y2_minus_1px_squared(QQ)
     with pytest.raises(NoRationalRoot, match=r"alpha=.*2.* is not a root"):
         lift_root(P, y=1, d=1, seed=0, alpha=Fraction(2))
+
+
+@pytest.mark.parametrize("d", [1.5, 2.0, True, "2"], ids=repr)
+def test_lift_and_factor_refuse_a_degree_that_is_not_an_integer(QQ, d):
+    # lift_root(P, 1, 1.5, 0) used to end in a raw TypeError
+    P = _y2_minus_1px_squared(QQ)
+    with pytest.raises(ParameterViolation, match="integer"):
+        lift_root(P, 1, d, 0)
+    with pytest.raises(ParameterViolation, match="integer"):
+        extract_factor(P, 1, d)
 
 
 def test_lift_root_spec_example(QQ):

@@ -236,8 +236,8 @@ def test_translate_roundtrip(QQ):
         assert oracle_equal(back, c)
 
 
-# The maps affine replaced, written out as references: each its own builder
-# and import, composed one after another.
+# The maps affine replaced, written out as references for the polynomial it
+# computes: each its own builder and import, composed one after another.
 
 def _ref_translate(circ, y, shift):
     """circ(x + shift) over the variables other than y, through the padded
@@ -253,7 +253,7 @@ def _ref_translate(circ, y, shift):
 
 
 def _ref_shear(circ, y, shear):
-    """x_i -> x_i + shear[i] * y, y's input first even for a zero shear."""
+    """x_i -> x_i + shear[i] * y."""
     xs = [v for v in range(circ.num_vars) if v != y]
     b = CircuitBuilder(circ.field, circ.num_vars)
     ygate = b.inp(y)
@@ -263,8 +263,7 @@ def _ref_shear(circ, y, shear):
 
 
 def _ref_scale(circ, unit):
-    """unit * circ, the unit's constant first: the scaling of a mapped-back
-    factor and of a derivative level alike."""
+    """unit * circ."""
     b = CircuitBuilder(circ.field, circ.num_vars)
     k = b.const(unit)
     return b.finish(b.mul(k, b.import_circuit(circ)[0]))
@@ -272,14 +271,14 @@ def _ref_scale(circ, unit):
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(SMALL_PRIME),
                                    PrimeField(SIXTY_TWO_BIT_PRIME)], ids=["qq", "fp", "f62"])
-def test_affine_emits_the_bytes_of_the_maps_it_replaces(field):
+def test_affine_computes_the_maps_it_replaces(field):
     rng = rng_for(f"affine-bytes-{field.p if isinstance(field, PrimeField) else 0}")
     one, seen = field.one, set()
     for t in range(9):
         n = 2 + t % 3
         circ = random_circuit(field, rng, n, size_limit=20, degree_limit=5)
         full = [field.embed(rng.randint(-2, 2)) for _ in range(n)]
-        assert emit_circuit(translate(circ, full)) == emit_circuit(_ref_translate(circ, None, full))
+        assert expand(translate(circ, full)) == expand(_ref_translate(circ, None, full))
         for y in range(n):
             k = rng.randrange(n)  # the variables past the first k others stay put
 
@@ -292,16 +291,45 @@ def test_affine_emits_the_bytes_of_the_maps_it_replaces(field):
                                                         units):
                 got = affine(circ, y, shift, shear=shear, unit=unit)
                 scaled = unit is not None and unit != one
-                if shear is not None:  # a factor mapped back: shift, shear, then scale
-                    ref = _ref_shear(_ref_translate(circ, y, shift), y, shear)
-                    ref = _ref_scale(ref, unit) if scaled else ref
-                else:  # a derivative level: scale, then shift
-                    ref = _ref_translate(_ref_scale(circ, unit) if scaled else circ, y, shift)
-                assert emit_circuit(got) == emit_circuit(ref), (t, y, shift, shear, unit)
-                if shear is None and not scaled and not any(shift):
+                ref = _ref_translate(circ, y, shift)
+                ref = ref if shear is None else _ref_shear(ref, y, shear)
+                ref = _ref_scale(ref, unit) if scaled else ref
+                assert expand(got) == expand(ref), (t, y, shift, shear, unit)
+                assert got.size() <= ref.size(), (t, y, shift, shear, unit)
+                sheared = shear is not None and any(shear)
+                if not (scaled or sheared or any(shift)):  # the identity map
                     assert got is circ
-                seen.add((any(shift), shear is not None and any(shear), k < n - 1, scaled))
+                seen.add((any(shift), sheared, k < n - 1, scaled))
     assert len(seen) == 16  # every mix of shift, shear, untouched variables and unit
+
+
+def test_affine_gate_order(QQ):
+    # the unit's constant, y's input and the shear, the shift around it, the
+    # import; x3 lies past the shift and passes through
+    b = CircuitBuilder(QQ, 3)
+    circ = b.finish(b.mul(b.inp(0), b.inp(1), b.inp(2)))
+    got = affine(circ, 1, [Fraction(1)], shear=[Fraction(2)], unit=Fraction(3))
+    assert emit_circuit(got) == (
+        "field rationals\nnvars 3\n"
+        "g0 = const 3\ng1 = input x2\ng2 = input x1\ng3 = const 2\ng4 = mul g1 g3\n"
+        "g5 = add g2 g4\ng6 = const 1\ng7 = add g5 g6\ng8 = input x3\n"
+        "g9 = mul g1 g7 g8\ng10 = mul g0 g9\noutput g10\n"
+    )
+    assert affine(circ, 1, [Fraction(0)], shear=[Fraction(0), Fraction(0)]) is circ
+
+
+@pytest.mark.parametrize("y, shift, shear", [(2, [1, 2, 5], None), (9, [1, 2], None),
+                                             (2, [], [1, 1, 4]), (None, [1], [1])])
+def test_affine_refuses_coordinates_it_cannot_place(y, shift, shear):
+    # x1 x2 x3 over F_1000003: a y outside the circuit, or a shift or shear
+    # longer than the variables other than y, used to be dropped silently, and
+    # a shear with no y failed untyped; a shorter shift or shear stays legal
+    fld = PrimeField(SMALL_PRIME)
+    b = CircuitBuilder(fld, 3)
+    circ = b.finish(b.mul(b.inp(0), b.inp(1), b.inp(2)))
+    with pytest.raises(ArityMismatch):
+        affine(circ, y, shift, shear=shear)
+    assert expand(affine(circ, 2, [1], shear=[0, 4])) == expand(affine(circ, 2, [1, 0], [0, 4]))
 
 
 def test_make_monic_example(QQ):
