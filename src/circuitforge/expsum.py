@@ -60,12 +60,15 @@ from .transforms import (
 
 BRUTE_FORCE_AUX_LIMIT = 20
 SELECTOR_SIZE_FACTOR = 30       # selector formula size <= 30 * s'^2
-FORMULA_EXPANSION_NODE_CAP = 100_000
 
 
 @dataclass
 class ExpSumPoly:
-    """verifier circuit plus the indices of its auxiliary variables."""
+    """verifier circuit plus the indices of its auxiliary variables.
+
+    The auxiliaries always trail: aux is range(nx, nx + m). A verifier given
+    with auxiliaries elsewhere is renamed once on construction, x-variables
+    in their order, then the auxiliaries in sorted order."""
 
     verifier: Circuit
     aux: tuple
@@ -77,7 +80,12 @@ class ExpSumPoly:
             raise ParameterViolation("duplicate auxiliary variables")
         for a in aux:
             _check_var(self.verifier, a)
-        self.aux = aux
+        nv = self.verifier.num_vars
+        nx = nv - len(aux)
+        if aux != tuple(range(nx, nv)):
+            order = [v for v in range(nv) if v not in aux] + sorted(aux)
+            self.verifier = remap_vars(self.verifier, {old: new for new, old in enumerate(order)}, nv)
+        self.aux = tuple(range(nx, nv))
 
     @property
     def m(self) -> int:
@@ -91,29 +99,14 @@ class ExpSumPoly:
     def field(self) -> Field:
         return self.verifier.field
 
-    def x_vars(self) -> list:
-        aux = set(self.aux)
-        return [i for i in range(self.verifier.num_vars) if i not in aux]
-
-    def is_canonical(self) -> bool:
-        return self.aux == tuple(range(self.nx, self.verifier.num_vars))
-
-    def canonical(self, nx_target: int | None = None) -> "ExpSumPoly":
-        """x-variables first (order kept), auxiliaries trailing; optionally
-        pad the x-block to nx_target."""
-        nx = self.nx
-        target = nx if nx_target is None else nx_target
-        if target < nx:
-            raise ParameterViolation("cannot shrink the x-block")
-        if self.is_canonical() and target == nx:
+    def padded(self, nx: int) -> "ExpSumPoly":
+        """The same sum over nx >= self.nx x-variables, the auxiliaries moved up."""
+        if nx == self.nx:
             return self
-        mapping = {}
-        for new, old in enumerate(self.x_vars()):
-            mapping[old] = new
-        for k, a in enumerate(sorted(self.aux)):
-            mapping[a] = target + k
-        ver = remap_vars(self.verifier, mapping, target + self.m)
-        return ExpSumPoly(ver, tuple(range(target, target + self.m)))
+        if nx < self.nx:
+            raise ParameterViolation("cannot shrink the x-block")
+        mapping = {v: v if v < self.nx else v - self.nx + nx for v in range(self.verifier.num_vars)}
+        return ExpSumPoly(remap_vars(self.verifier, mapping, nx + self.m), tuple(range(nx, nx + self.m)))
 
     def __repr__(self):
         return f"<ExpSumPoly nx={self.nx} m={self.m} verifier={self.verifier!r}>"
@@ -132,7 +125,6 @@ def exp_sum_expand(E: ExpSumPoly, budget: ExpansionBudget = DEFAULT_BUDGET) -> D
     """
     if E.m > BRUTE_FORCE_AUX_LIMIT:
         raise BudgetExceeded("terms", f"2^{E.m} auxiliary assignments")
-    E = E.canonical()
     field = E.field
     nx = E.nx
     v = expand(E.verifier, budget)
@@ -154,7 +146,6 @@ def exp_sum_eval(E: ExpSumPoly, point) -> object:
     over the Boolean cube; the literal definition)."""
     if E.m > BRUTE_FORCE_AUX_LIMIT:
         raise BudgetExceeded("terms", f"2^{E.m} auxiliary assignments")
-    E = E.canonical()
     if len(point) != E.nx:
         raise ArityMismatch(f"every point needs {E.nx} coordinates")
     field = E.field
@@ -173,27 +164,31 @@ def _inv_pow2(field: Field, k: int):
     return field.inv(v)
 
 
+def _place_aux(b: CircuitBuilder, parts: list, offset: int) -> list:
+    """Import each part's verifier into b, its auxiliaries on a fresh block of
+    b's inputs from offset on, block after block; x-variables keep their
+    indices. Returns the output id of each import."""
+    ids = []
+    for p in parts:
+        bindings = {p.nx + k: b.inp(offset + k) for k in range(p.m)}
+        ids.append(b.import_circuit(p.verifier, var_bindings=bindings)[0])
+        offset += p.m
+    return ids
+
+
 def _combine(parts: list, op: str) -> ExpSumPoly:
     field = parts[0].field
     for p in parts[1:]:
         same_field(field, p.field)
-    canon = [p.canonical() for p in parts]
-    nx = max(p.nx for p in canon)
-    total_aux = sum(p.m for p in canon)
+    nx = max(p.nx for p in parts)
+    total_aux = sum(p.m for p in parts)
     b = CircuitBuilder(field, nx + total_aux)
-    ids = []
-    offset = nx
-    for p in canon:
-        bindings = {a: b.inp(offset + k) for k, a in enumerate(p.aux)}
-        ids.append((b.import_circuit(p.verifier, var_bindings=bindings)[0], p.m))
-        offset += p.m
+    ids = _place_aux(b, parts, nx)
     if op == "mul":
-        out = b.mul(*(v for v, _ in ids))
+        out = b.mul(*ids)
     else:
-        terms = []
-        for vid, mt in ids:
-            terms.append(b.mul(b.const(_inv_pow2(field, total_aux - mt)), vid))
-        out = b.add(*terms)
+        out = b.add(*(b.mul(b.const(_inv_pow2(field, total_aux - p.m)), vid)
+                      for p, vid in zip(parts, ids)))
     return ExpSumPoly(b.finish(out), tuple(range(nx, nx + total_aux)))
 
 
@@ -251,11 +246,9 @@ def valiant_step(blocks: list) -> ExpSumPoly:
         if len(blk) != 5:
             raise ShapeError(f"blocks must be quintuples, got {len(blk)} entries")
     s_prime = len(blocks)
-    entries = [[e.canonical() for e in blk] for blk in blocks]
-    field = entries[0][0].field
-    nx = max(e.nx for blk in entries for e in blk)
-    entries = [[e.canonical(nx) for e in blk] for blk in entries]
-    block_aux = [sum(e.m for e in blk) for blk in entries]
+    field = blocks[0][0].field
+    nx = max(e.nx for blk in blocks for e in blk)
+    block_aux = [sum(e.m for e in blk) for blk in blocks]
     total_block_aux = sum(block_aux)
 
     sel_base = nx
@@ -267,20 +260,13 @@ def valiant_step(blocks: list) -> ExpSumPoly:
         sel, var_bindings={v: b.inp(sel_base + v) for v in range(5 * s_prime)}
     )[0]
 
-    offset = aux_base
-    imported = [[None] * 5 for _ in range(s_prime)]
-    for i in range(s_prime):
-        for j in range(5):
-            e = entries[i][j]
-            bindings = {a: b.inp(offset + k) for k, a in enumerate(e.aux)}
-            imported[i][j] = b.import_circuit(e.verifier, var_bindings=bindings)[0]
-            offset += e.m
+    imported = _place_aux(b, [e for blk in blocks for e in blk], aux_base)
 
     factors = [sel_id]
     for j in range(5):
         terms = []
         for i in range(s_prime):
-            v = imported[i][j]
+            v = imported[5 * i + j]
             if j == 0:
                 gamma = _inv_pow2(field, total_block_aux - block_aux[i])
                 v = b.mul(b.const(gamma), v)
@@ -292,31 +278,6 @@ def valiant_step(blocks: list) -> ExpSumPoly:
 
 # -- formula composition ------------------------------------------------------------
 
-def circuit_to_formula(circ: Circuit) -> Circuit:
-    """Brute-force duplication of shared gates into a tree (desk scale)."""
-    circ.output()
-    b = CircuitBuilder(circ.field, circ.num_vars, share=False)
-    count = 0
-
-    def rec(i: int) -> int:
-        nonlocal count
-        count += 1
-        if count > FORMULA_EXPANSION_NODE_CAP:
-            raise BudgetExceeded(
-                "terms", f"formula expansion above {FORMULA_EXPANSION_NODE_CAP} nodes"
-            )
-        gate = circ.gates[i]
-        op = gate[0]
-        if op == "in":
-            return b.inp(gate[1])
-        if op == "const":
-            return b.const(gate[1])
-        kids = [rec(c) for c in gate[1]]
-        return b.add(*kids) if op == "add" else b.mul(*kids)
-
-    return b.finish(rec(circ.output()))
-
-
 def leaf_substitute(B: Circuit, bindings: dict) -> ExpSumPoly:
     """Replace each variable leaf of the formula B by a *fresh copy* of its
     binding's verifier and auxiliary block; sums and products along the tree
@@ -326,17 +287,16 @@ def leaf_substitute(B: Circuit, bindings: dict) -> ExpSumPoly:
         raise NotAFormula("leaf substitution requires a tree-shaped circuit")
     B.output()
     field = B.field
-    canon = {v: e.canonical() for v, e in bindings.items()}
-    nx = max((e.nx for e in canon.values()), default=0)
-    canon = {v: e.canonical(nx) for v, e in canon.items()}
+    nx = max((e.nx for e in bindings.values()), default=0)
+    padded = {v: e.padded(nx) for v, e in bindings.items()}
 
     def rec(i: int) -> ExpSumPoly:
         gate = B.gates[i]
         op = gate[0]
         if op == "in":
-            if gate[1] not in canon:
+            if gate[1] not in padded:
                 raise ParameterViolation(f"leaf x{gate[1] + 1} has no binding")
-            return canon[gate[1]]
+            return padded[gate[1]]
         if op == "const":
             return plain_expsum(const_circuit(field, gate[1], nx))
         parts = [rec(c) for c in gate[1]]
@@ -350,7 +310,6 @@ def leaf_substitute(B: Circuit, bindings: dict) -> ExpSumPoly:
 def coeff_exp_sums(E: ExpSumPoly, z: int, dmax: int) -> list:
     """Exp-sums for the z^0..z^dmax coefficients of the represented
     polynomial (z must be an x-variable; the auxiliaries ride along)."""
-    E = E.canonical()
     if not 0 <= z < E.nx:
         raise ParameterViolation(f"z must be one of the {E.nx} x-variables, got index {z}")
     rows = extract_y_coeffs(E.verifier, z, dmax)
@@ -359,13 +318,11 @@ def coeff_exp_sums(E: ExpSumPoly, z: int, dmax: int) -> list:
 
 def homog_x_exp_sum(E: ExpSumPoly, k: int) -> ExpSumPoly:
     """Degree-k-in-x homogeneous part; auxiliary variables untouched."""
-    E = E.canonical()
     ver = homog_component_interp(E.verifier, k, scale_vars=list(range(E.nx)))
     return ExpSumPoly(ver, E.aux)
 
 
 def homog_x_upto(E: ExpSumPoly, d: int) -> ExpSumPoly:
-    E = E.canonical()
     ver = truncate_deg(E.verifier, d, scale_vars=list(range(E.nx)))
     return ExpSumPoly(ver, E.aux)
 
@@ -395,7 +352,6 @@ def factor_vnp(
     expanded. The result is certified by exp_sum_expand equality with the
     screened candidate fr.factor_dense. Returns (exp_sum, fr).
     """
-    E = E.canonical()
     field, nx, m = E.field, E.nx, E.m
     _check_lift_degree(d, budget)
     _check_subset_shape(subset, d)

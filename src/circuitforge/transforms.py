@@ -535,14 +535,13 @@ def generator_set(
         h0 = derivs.evaluate([zero] * nv)
     orders, comp_ids = [], []
     zero_id = b.const(zero)
-    keep = list(range(nv))
     for j in range(d + 1):
         if denses is not None:
             # a component the oracle shows to vanish is emitted as 0
             live = {sum(e) for e in denses[j].terms} - {0}
             if not live:
                 continue
-        elif sz_is_zero(drop_unused_vars(views()[j], keep), 2 * d, 0, "genset-sz", str(j)):
+        elif sz_is_zero(views()[j], 2 * d, 0, "genset-sz", str(j)):
             continue
         else:
             live = range(1, d + 1)

@@ -440,7 +440,6 @@ def test_criterion_10_schwartz_zippel_bound():
 # -- criterion 11 ----------------------------------------------------------------
 
 def _brute_force_expsum(e):
-    e = e.canonical()
     field = e.field
     acc = DensePoly.zero(field, e.nx)
     for mask in range(1 << e.m):

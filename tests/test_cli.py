@@ -358,6 +358,35 @@ def test_vnp_factor_command(tmp_path, capsys):
     assert main(["verify", cert]) == 0
 
 
+# (x2 - x1)(x2 - 2) a1 a2 + (a1 - a2)(a1 + a2) x1, whose second term sums to 0
+# over the cube: once with the auxiliaries y1 and y3 among the x-variables
+# (the aux line unsorted), once renamed x-variables first, auxiliaries trailing
+LEADING_AUX = ("aux y3 y1\nfield rationals\nnvars 4\ng1 = input x1\ng2 = input x2\n"
+               "g3 = input x3\ng4 = input x4\ng5 = const -1\ng6 = mul g5 g2\n"
+               "g7 = add g4 g6\ng8 = const -2\ng9 = add g4 g8\ng10 = mul g7 g9 g1 g3\n"
+               "g11 = mul g5 g3\ng12 = add g1 g11\ng13 = add g1 g3\ng14 = mul g12 g13 g2\n"
+               "g15 = add g10 g14\noutput g15\n")
+TRAILING_AUX = ("aux y3 y4\nfield rationals\nnvars 4\ng1 = input x1\ng2 = input x2\n"
+                "g3 = input x3\ng4 = input x4\ng5 = const -1\ng6 = mul g5 g1\n"
+                "g7 = add g2 g6\ng8 = const -2\ng9 = add g2 g8\ng10 = mul g7 g9 g3 g4\n"
+                "g11 = mul g5 g4\ng12 = add g3 g11\ng13 = add g3 g4\ng14 = mul g12 g13 g1\n"
+                "g15 = add g10 g14\noutput g15\n")
+
+
+@pytest.mark.parametrize("argv", [["vnp-sum", "--expand"], ["vnp-factor", "-d", "1"]],
+                         ids=["vnp-sum", "vnp-factor"])
+def test_esum_auxiliaries_anywhere_match_their_trailing_twin(tmp_path, argv):
+    # the constructor renames the auxiliaries to trail, x-variables in their order
+    outputs = []
+    for name, text in (("lead", LEADING_AUX), ("trail", TRAILING_AUX)):
+        out = tmp_path / f"{name}.out"
+        assert main(argv + [_write(tmp_path, f"{name}.esum", text), "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    if argv[0] == "vnp-sum":
+        assert outputs[0].decode().count(" : ") == 4  # (x2 - x1)(x2 - 2): four terms
+
+
 def test_sz_mode_residual_certificate(tmp_path):
     # a terms budget too small for the dense residual check falls back to
     # seeded Schwartz-Zippel points; verify still passes, mode noted

@@ -10,6 +10,7 @@ from circuitforge import (
     ExplicitPoly,
     HittingSet,
     PrimeField,
+    Rationals,
     expand,
     hybrid_locate,
     nw_design,
@@ -17,7 +18,7 @@ from circuitforge import (
     pit_sz,
 )
 from circuitforge import circuit, pit
-from circuitforge.circuit import HEADER_COUNT_LIMIT
+from circuitforge.circuit import HEADER_COUNT_LIMIT, fix_vars
 from circuitforge.designs import DESIGN_ELL_FACTOR, TABLE_VARS_LIMIT, Design, SmallGF
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge import designs
@@ -456,6 +457,26 @@ def test_hybrid_locate_postconditions():
     qnext = _hybrid_circuit(q, tab, design, wit.index + 1)
     assert not _is_zero_exhaustive(qi, 2)
     assert _is_zero_exhaustive(qnext, 2)
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(1000003)], ids=["qq", "f1000003"])
+def test_hybrid_locate_fixes_the_variables_outside_the_switching_window(field):
+    # f = y1 + y2 + y3 + y4 and q = (x1 + ... + x4) - (x5 + ... + x8) on
+    # nw_design(15, 4): q(f(y|S1), ...) vanishes, Q_7 does not, and fixing
+    # every active variable but x8 and y|S8 keeps Q_7 nonzero
+    design = nw_design(15, 4)
+    tab = ExplicitPoly(field, 4, [field.one if mask in (1, 2, 4, 8) else field.zero
+                                  for mask in range(16)])
+    b = CircuitBuilder(field, 15)
+    q = b.finish(b.sub(b.add(*(b.inp(i) for i in range(4))),
+                       b.add(*(b.inp(i) for i in range(4, 8)))))
+    wit = hybrid_locate(q, tab, design)
+    assert wit.index == 7 and len(wit.assignment) == 12
+    window = {design.n + e for e in design.sets[7]}
+    assert not ({7} | window) & set(wit.assignment)
+    assert set(wit.assignment.values()) <= {field.zero, field.one}  # 0..deg_bound, deg_bound 1
+    fixed = fix_vars(pit._hybrid_circuit(q, tab, design, wit.index), wit.assignment)
+    assert not _is_zero_exhaustive(fixed, 1)
 
 
 def test_hybrid_locate_precondition_failures():

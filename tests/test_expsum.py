@@ -41,7 +41,6 @@ from conftest import random_circuit, rng_for
 
 def brute_force_sum(e: ExpSumPoly) -> DensePoly:
     """Direct nested summation over the Boolean cube (the other order)."""
-    e = e.canonical()
     field = e.field
     acc = DensePoly.zero(field, e.nx)
     for mask in range(1 << e.m):
@@ -249,6 +248,46 @@ def test_leaf_substitute_aux_bookkeeping(QQ):
     out = leaf_substitute(B, bindings)
     # occurrences: z1 three times, z2 once
     assert out.m == 3 * ms[0] + 1 * ms[1]
+
+
+def test_leaf_substitute_pads_bindings_of_unequal_nx(QQ, Fp):
+    # bindings over 1, 2 and 3 x-variables: each is padded to the largest
+    # x-block, its auxiliaries moved up; the constant leaf lives there too
+    for field, name in ((QQ, "qq"), (Fp, "fp")):
+        rng = rng_for("leaf-unequal-nx-" + name)
+        b = CircuitBuilder(field, 3, share=False)
+        B = b.finish(b.add(b.mul(b.inp(0), b.inp(1)), b.mul(b.inp(2), b.inp(0)),
+                           b.const(field.embed(3))))
+        for t in range(4):
+            bindings, sums = {}, []
+            for v, nx in enumerate(sorted((1, 2, 3), key=lambda _: rng.randrange(1 << 20))):
+                m = rng.randint(0, 2)
+                circ = random_circuit(field, rng, nx + m, size_limit=8, degree_limit=2)
+                bindings[v] = ExpSumPoly(circ, tuple(range(nx, nx + m)))
+                sums.append(brute_force_sum(bindings[v]).with_vars(3))
+            out = leaf_substitute(B, bindings)
+            assert out.nx == 3 and out.aux == tuple(range(3, 3 + out.m))
+            want = sums[0] * sums[1] + sums[2] * sums[0] + DensePoly.const(field, 3, field.embed(3))
+            assert brute_force_sum(out) == want == exp_sum_expand(out)
+
+
+def test_valiant_step_entries_of_unequal_nx(QQ, Fp):
+    # entries over 1..3 x-variables are imported as they are: their
+    # x-variables keep their indices, their auxiliaries are rebound
+    for field, name in ((QQ, "qq"), (Fp, "fp")):
+        rng = rng_for("valiant-unequal-nx-" + name)
+        for t in range(2):
+            entries, want = [], DensePoly.const(field, 3, field.one)
+            for j in range(5):
+                nx, m, entry = 1 + (j + t) % 3, rng.randint(0, 1), None
+                while entry is None or brute_force_sum(entry).is_zero():
+                    circ = random_circuit(field, rng, nx + m, size_limit=10, degree_limit=2)
+                    entry = ExpSumPoly(circ, tuple(range(nx, nx + m)))
+                entries.append(entry)
+                want = want * brute_force_sum(entry).with_vars(3)
+            out = valiant_step([entries])
+            assert out.nx == 3 and out.m == 5 + sum(e.m for e in entries)
+            assert brute_force_sum(out) == want == exp_sum_expand(out)
 
 
 def test_leaf_substitute_rejects_shared_gates(QQ):
@@ -574,8 +613,7 @@ def test_factor_vnp_emits_through_one_composition_sum(QQ, monkeypatch):
     # carries E's auxiliaries
     from circuitforge import expsum, lifting
 
-    seen = {"composition_sum": [], "circuit_to_formula": [], "leaf_substitute": [],
-            "truncate_deg": []}
+    seen = {"composition_sum": [], "leaf_substitute": [], "truncate_deg": []}
 
     def spy(name, module):
         real = getattr(module, name)
@@ -585,7 +623,7 @@ def test_factor_vnp_emits_through_one_composition_sum(QQ, monkeypatch):
             return real(first, *args, **kwargs)
         monkeypatch.setattr(module, name, call)
 
-    for name in ("composition_sum", "circuit_to_formula", "leaf_substitute"):
+    for name in ("composition_sum", "leaf_substitute"):
         spy(name, expsum)
     for module in (transforms, lifting, expsum):
         spy("truncate_deg", module)
@@ -593,5 +631,5 @@ def test_factor_vnp_emits_through_one_composition_sum(QQ, monkeypatch):
     out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
     assert exp_sum_expand(out) == _aux_cubic_factor(QQ)
     assert seen["composition_sum"] == [out.verifier.num_vars] == [e.nx + out.m]
-    assert not seen["circuit_to_formula"] and not seen["leaf_substitute"]
+    assert not seen["leaf_substitute"]
     assert all(nv <= e.nx for nv in seen["truncate_deg"])

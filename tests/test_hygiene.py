@@ -5,7 +5,8 @@ benchmark, so deletions leave no stranded helpers or imports behind. The
 runtime depends on the standard library and numpy only, the count of bare
 `raise ValueError` sites can only go down, and every name the benchmark's
 tracer looks up still exists, with a traced run still counting the slice
-expansions it reads. The univariate section of `dense.py` is one
+expansions it reads; the span names it reads that src/ no longer defines
+are a pinned set. The univariate section of `dense.py` is one
 kernel on native numbers: none of its functions calls a Field method, and
 neither do the packed expansion kernel and the exact division on its keys,
 which pack monomials with one key function, nor the builder's canonicalizing `add`, `mul` and `import_circuit`,
@@ -144,6 +145,45 @@ def test_names_the_tracer_looks_up_exist():
                        for fn in c.body if isinstance(fn, ast.FunctionDef)}
             missing += [f"{layer}.{cls}.{n}" for n in names if n not in defined]
     assert not missing, f"perfbench/tracing.py looks up names src/ no longer defines: {missing}"
+
+
+# spans the tracer reads that src/ no longer defines: each reads a silent 0 in
+# its per-layer metric until the benchmark stops reading it (ROADMAP item 12)
+DEAD_TRACER_SPANS = {"factoring.approx_roots", "transforms.homogenize_upto",
+                     "transforms.undo_monic_shift", "expsum.circuit_to_formula"}
+
+
+def test_spans_the_tracer_reads_are_defined_or_pinned_dead():
+    """The span names perfbench/tracing.py reads, as text: the arguments of
+    `self_s` and `calls` in `raw_quantities`, the `AFTER` keys and the
+    `edges.get` pairs. A name src/ does not define is read as 0, not refused,
+    so the set of such names is pinned and a change to it is made on purpose."""
+    read = set()
+    for node in ast.walk(ast.parse(TRACING.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name == "raw_quantities":
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if isinstance(func, ast.Name) and func.id in ("self_s", "calls"):
+                    read.update(ast.literal_eval(arg) for arg in call.args)
+                elif (isinstance(func, ast.Attribute) and func.attr == "get"
+                      and isinstance(func.value, ast.Name) and func.value.id == "edges"):
+                    read.update(ast.literal_eval(call.args[0]))
+        elif (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id == "AFTER"):
+            read.update(ast.literal_eval(key) for key in node.value.keys)
+    defined = set()
+    for name, tree in TREES.items():
+        layer = name.removesuffix(".py")
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                defined.add(f"{layer}.{top.name}")
+            elif isinstance(top, ast.ClassDef):
+                defined.update(f"{layer}.{top.name}.{fn.name}" for fn in top.body
+                               if isinstance(fn, ast.FunctionDef))
+    assert len(read) > 30, sorted(read)
+    assert read - defined == DEAD_TRACER_SPANS, sorted(read - defined)
 
 
 TRACED_RUN = """

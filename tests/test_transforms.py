@@ -29,7 +29,6 @@ from circuitforge.errors import (
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge.circuit import formal_degree_in, sz_is_zero
 from circuitforge.dense import ExpansionBudget, compose, expand_outputs
-from circuitforge.expsum import circuit_to_formula
 from circuitforge.transforms import (
     GENSET_SIZE_FACTOR,
     HOMOGENIZE_SIZE_FACTOR,
@@ -563,6 +562,23 @@ def _scaled_copy_engine(real):
     return engine
 
 
+def _tree_copy(circ):
+    """circ with every shared gate copied once per use: a tree, from a
+    builder that does not share."""
+    b = CircuitBuilder(circ.field, circ.num_vars, share=False)
+
+    def rec(i):
+        op, arg = circ.gates[i][:2]
+        if op == "in":
+            return b.inp(arg)
+        if op == "const":
+            return b.const(arg)
+        kids = [rec(c) for c in arg]
+        return b.add(*kids) if op == "add" else b.mul(*kids)
+
+    return b.finish(rec(circ.output()))
+
+
 def _duplicate_children(field):
     """(x1 + x1' + x2)(x1 + x2) from a builder that does not share, x1 and
     x1' being two input gates of x1: no sharing builder makes that sum."""
@@ -579,7 +595,7 @@ def test_direct_scaling_emits_the_bytes_of_a_scaled_copy(QQ, monkeypatch):
         for t in range(30):
             P = random_circuit(field, rng, 4, size_limit=24, degree_limit=6)
             if t % 5 == 4:
-                P = circuit_to_formula(P)  # a tree, from a builder that does not share
+                P = _tree_copy(P)
             # a subset of the variables in a random order
             over = sorted(range(4), key=lambda v: rng.randrange(1 << 20))[: 1 + rng.randrange(4)]
             alpha = field.embed(rng.randint(-3, 3))
