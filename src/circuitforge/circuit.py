@@ -28,11 +28,15 @@ sharing builder is marked canonical: its gates are already fixed points of
 that canonicalization, so importing or renaming it onto distinct inputs
 copies the gates instead of rebuilding them. A sharing builder importing
 the same circuit object again rebuilds only the gates that read a moved
-binding.
+binding. An empty sharing builder adopts a canonical circuit with no
+unreachable gate, imported with no binding, as it is: its gate list and
+memo are the ones that copy would write.
 
-Circuits are immutable, so reachable() walks one once and caches the order
-for imports, metrics, projections and expansion; a finished or projected
-circuit holds only reachable gates and needs no walk.
+Circuits are immutable, so reachable() finds the reachable gates once, by
+one reverse mark sweep over the topological order, and caches them for
+imports, metrics, projections and expansion; a finished or projected
+circuit holds only reachable gates and needs no sweep. The metrics (wires,
+depth and formal degree) come from one walk and are cached too.
 
 Circuit.evaluate walks the gates once per point; evaluate_batches walks them
 once per batch of points held as numpy columns, and is what the identity
@@ -155,58 +159,59 @@ class Circuit:
 
 
 def _reach(gates, outputs) -> list:
-    """Ascending indices of the gates reachable from `outputs`."""
-    seen = set(outputs)
-    stack = list(seen)
-    while stack:
-        g = gates[stack.pop()]
-        if g[0] == ADD or g[0] == MUL:
-            for c in g[1]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-    return sorted(seen)
+    """Ascending indices of the gates reachable from `outputs`: one reverse
+    sweep over the topological order marks each marked gate's children."""
+    mark = bytearray(max(outputs, default=-1) + 1)
+    for o in outputs:
+        mark[o] = 1
+    for i in range(len(mark) - 1, -1, -1):
+        if mark[i]:
+            g = gates[i]
+            if g[0] == ADD or g[0] == MUL:
+                for c in g[1]:
+                    mark[c] = 1
+    return [i for i, m in enumerate(mark) if m]
 
 
 def _compute_metrics(circ: Circuit) -> dict:
+    """Wires, gates, depth and formal degree in one walk of the reachable
+    gates. Depth keeps, per gate, the layers it puts under a sum parent
+    (`below_add`) and under a product parent (`below_mul`): its own layer
+    count, plus one where the parent's op differs from its effective op, -1
+    for a gate that folds to a constant. Multiplication by constants rides
+    along with its one live child, a leaf counts one under either parent."""
     gates = circ.gates
     reach = circ.reachable()
     wires = 0
-    # depth info per gate: (effective_op, layers); effective ops are
-    # "leaf" (variable), "const", "add", "mul"
-    eop = [None] * len(gates)
-    dep = [0] * len(gates)
+    below_add = [-1] * len(gates)
+    below_mul = [-1] * len(gates)
+    deg = [0] * len(gates)
     for i in reach:
         op, arg = gates[i]
         if op == IN:
-            eop[i] = "leaf"
-        elif op == CONST:
-            eop[i] = "const"
-        else:
+            below_add[i] = below_mul[i] = deg[i] = 1
+        elif op == ADD:
             wires += len(arg)
-            live = [c for c in arg if eop[c] != "const"]
-            if not live:
-                eop[i] = "const"
-            elif op == MUL and len(live) == 1:
-                # multiplication by constants rides along with the child
-                eop[i], dep[i] = eop[live[0]], dep[live[0]]
-            else:
-                eop[i] = op
-                dep[i] = max(dep[c] + (eop[c] != op) for c in live)
-    depth = 0
-    for o in circ.outputs:
-        d = dep[o]
-        if eop[o] == "mul":
-            d += 1  # virtual top addition layer
-        elif eop[o] == "leaf" and gates[o][0] != IN:
-            d += 1  # scalar multiple of a variable: one weighted sum layer
-        depth = max(depth, d)
-    fdeg = _gate_degrees(circ, reach)
+            deg[i] = max(map(deg.__getitem__, arg))
+            k = max(map(below_add.__getitem__, arg))
+            if k >= 0:
+                below_add[i], below_mul[i] = k, k + 1
+        elif op == MUL:
+            wires += len(arg)
+            deg[i] = sum(map(deg.__getitem__, arg))
+            live = [c for c in arg if below_mul[c] >= 0]
+            if len(live) == 1:
+                below_add[i], below_mul[i] = below_add[live[0]], below_mul[live[0]]
+            elif live:
+                k = max(map(below_mul.__getitem__, live))
+                below_add[i], below_mul[i] = k + 1, k
+    # an output's depth is what it puts under the virtual top sum, 0 for an
+    # input or a constant
     return {
         "size": wires,
         "gates": len(reach),
-        "depth": depth,
-        "formal_degree": max(fdeg[o] for o in circ.outputs),
+        "depth": max(0 if gates[o][0] == IN else max(below_add[o], 0) for o in circ.outputs),
+        "formal_degree": max(deg[o] for o in circ.outputs),
     }
 
 
@@ -372,7 +377,10 @@ class CircuitBuilder:
 
         A canonical circuit whose variables land on distinct input gates is
         copied gate for gate into a sharing builder: re-canonicalizing it
-        would rebuild exactly the same gates.
+        would rebuild exactly the same gates. Into an empty builder, with no
+        binding, every gate reachable and the inputs in range, that copy is
+        circ's gate list itself, so the builder adopts it (a _split_outputs
+        view has unreachable gates, and is copied).
 
         A sharing builder also keeps, per circuit object, the gate mapping of
         its last import. Importing the same object again re-canonicalizes only
@@ -383,9 +391,19 @@ class CircuitBuilder:
         never reuses a mapping, so it still emits trees.
         """
         same_field(self.field, circ.field)
-        var_bindings = var_bindings or {}
         reach = circ.reachable()
         gates = circ.gates
+        if (self.share and not self._gates and not var_bindings and circ._canonical
+                and len(reach) == len(gates) and circ.num_vars <= self.num_vars):
+            # adoption: the copy would write circ's own gates, ids and all (an
+            # empty builder has imported nothing, so it holds no mapping)
+            self._gates = list(gates)
+            keys = gates if self._p is not None else [
+                (CONST, g[1].numerator, g[1].denominator) if g[0] == CONST else g for g in gates]
+            self._memo = dict(zip(keys, range(len(gates))))
+            self._imports[circ] = range(len(gates))
+            return list(circ.outputs)
+        var_bindings = var_bindings or {}
         mapping = [None] * len(gates)
         kid = mapping.__getitem__
         # circ's last import here: a gate none of whose children moved from
@@ -429,15 +447,15 @@ class CircuitBuilder:
     def finish(self, outputs) -> Circuit:
         if isinstance(outputs, int):
             outputs = [outputs]
-        # drop gates not reachable from the outputs, preserving order
-        order = _reach(self._gates, outputs)
-        remap = [None] * len(self._gates)
-        for new, old in enumerate(order):
-            remap[old] = new
+        # drop gates not reachable from the outputs, preserving order; a
+        # gate's children come before it, so they are renumbered already
+        src = self._gates
+        remap = [None] * len(src)
         kid = remap.__getitem__
         gates = []
-        for old in order:
-            g = self._gates[old]
+        for new, old in enumerate(_reach(src, outputs)):
+            g = src[old]
+            remap[old] = new
             gates.append((g[0], tuple(map(kid, g[1]))) if g[0] == ADD or g[0] == MUL else g)
         circ = Circuit(self.field, self.num_vars, gates, [remap[o] for o in outputs])
         circ._canonical = self.share
@@ -489,6 +507,8 @@ def substitute(circ: Circuit, bindings: dict, num_vars: int | None = None) -> Ci
 
 def fix_vars(circ: Circuit, values: dict) -> Circuit:
     """circ with each variable in `values` replaced by its constant there."""
+    for v in values:
+        _check_var(circ, v)
     b = CircuitBuilder(circ.field, circ.num_vars)
     bindings = {v: b.const(c) for v, c in values.items()}
     return b.finish(b.import_circuit(circ, var_bindings=bindings))
@@ -500,8 +520,11 @@ def remap_vars(circ: Circuit, var_map: dict, new_num_vars: int) -> Circuit:
 
 
 def drop_unused_vars(circ: Circuit, keep_vars: list) -> Circuit:
-    """Project onto keep_vars (which must cover every referenced input)."""
+    """Project onto keep_vars, distinct variables that must cover every
+    referenced input (one past circ's variables gives an unused slot)."""
     mapping = {old: new for new, old in enumerate(keep_vars)}
+    if len(mapping) != len(keep_vars):
+        raise ArityMismatch("keep_vars lists a variable twice")
     reach = circ.reachable()
     for i in reach:
         gate = circ.gates[i]
@@ -557,6 +580,8 @@ def formal_degree_in(circ: Circuit, var) -> int:
     other inputs counting as degree 0: a sound bound on the true degree in
     those variables. Over all variables it equals circ.formal_degree()."""
     chosen = {var} if isinstance(var, int) else set(var)
+    for v in chosen:
+        _check_var(circ, v)
     deg = _gate_degrees(circ, circ.reachable(), chosen)
     return max(deg[o] for o in circ.outputs)
 

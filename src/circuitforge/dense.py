@@ -343,24 +343,29 @@ def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=
             raise ArityMismatch(f"value of x{v + 1} has {value.n} variables, circuit has {n}")
     gates = circ.gates
     order = circ.reachable()
+    # formal degrees bound every exponent a gate carries; a parent's is never
+    # below its child's, so no gate exceeds the outputs' maximum, which with
+    # nothing bound is the circuit's cached formal degree
     degs = {v: max(value.total_degree(), 0) for v, value in at.items()}
-    fdeg = _gate_degrees(circ, order, at=degs)  # bounds every exponent a gate carries
+    fdeg = _gate_degrees(circ, order, at=degs) if at else None
+    top = circ.formal_degree() if fdeg is None else max(fdeg[o] for o in circ.outputs)
+    check_degree = top > budget.max_degree  # else no gate can exceed it
+    if check_degree and fdeg is None:
+        fdeg = _gate_degrees(circ, order)
     if cap is not None and cap < 0:
         raise ParameterViolation(f"degree cap must be >= 0, got {cap}")
-    top = max(fdeg[o] for o in circ.outputs)
     kept = top if cap is None else min(top, cap)  # no kept key has a larger degree
     w = max(1, kept.bit_length())
     shift = w * n  # the total-degree slot
     bound = None if cap is None else (cap + 1) << shift  # least key of degree > cap
     max_terms = budget.max_terms
     start = {v: _to_ints(value.terms, w, p, kept) for v, value in at.items()}
-    values: dict = {}  # gate -> packed term map
-    dens: dict = {}    # gate -> denominator of its numerators (1 over F_p)
+    values = [None] * len(gates)  # gate -> packed term map
+    dens = [1] * len(gates)       # gate -> denominator of its numerators (1 over F_p)
     for i in order:
         op, arg = gates[i]
         if op == IN and arg not in start:  # degree 1, above a cap of 0
             values[i] = {} if cap == 0 else {(1 << w * arg) | (1 << shift): 1}
-            dens[i] = 1
             continue
         if op == CONST:
             values[i] = {0: arg.numerator} if arg else {}
@@ -368,6 +373,15 @@ def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=
             continue
         if op == IN:  # a bound input: its value, read only
             out, den = start[arg]
+        elif len(arg) == 2 and op == ADD:  # the general sum below, on two children
+            a, b = arg if len(values[arg[0]]) >= len(values[arg[1]]) else arg[::-1]
+            den = 1 if p is not None else math.lcm(dens[a], dens[b])
+            out = dict(values[a]) if den == dens[a] else {
+                k: v * (den // dens[a]) for k, v in values[a].items()}
+            _add_into(out, values[b], den // dens[b], p)
+        elif len(arg) == 2:  # _product_terms orders its operands itself
+            out = _product_terms(values[arg[0]], values[arg[1]], p, max_terms, bound)
+            den = dens[arg[0]] * dens[arg[1]]
         elif op == ADD:
             kids = sorted(arg, key=lambda c: len(values[c]), reverse=True)
             den = math.lcm(*(dens[c] for c in kids))
@@ -392,7 +406,7 @@ def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=
                 den //= g
         values[i] = out
         dens[i] = den
-        if fdeg[i] > budget.max_degree and out:
+        if check_degree and fdeg[i] > budget.max_degree and out:
             # the formal bound over-approximates; the top key has the actual degree
             actual = max(out) >> shift
             if actual > budget.max_degree:

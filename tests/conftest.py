@@ -24,6 +24,12 @@ def Fp():
     return PrimeField(SMALL_PRIME)
 
 
+def x1x2_plus_1(field):
+    """x1*x2 + 1 over two variables."""
+    b = CircuitBuilder(field, 2)
+    return b.finish(b.add(b.mul(b.inp(0), b.inp(1)), b.const(field.one)))
+
+
 def random_circuit(field, rng: Rng, n, size_limit=30, degree_limit=8, outputs_from_any=False):
     """Random circuit with formal degree <= degree_limit, wires <= size_limit."""
     b = CircuitBuilder(field, n)

@@ -15,7 +15,8 @@ from circuitforge import (
     parse_circuit,
     substitute,
 )
-from circuitforge.circuit import drop_unused_vars, evaluate_batch, is_formula, remap_vars
+from circuitforge.circuit import drop_unused_vars, evaluate_batch, fix_vars, formal_degree_in
+from circuitforge.circuit import is_formula, remap_vars
 from circuitforge.dense import parse_poly
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge.transforms import _split_outputs
@@ -27,7 +28,7 @@ from circuitforge.errors import (
     InvariantViolated,
 )
 
-from conftest import BIG_PRIME, SMALL_PRIME, oracle_equal, random_circuit, rng_for
+from conftest import BIG_PRIME, SMALL_PRIME, oracle_equal, random_circuit, rng_for, x1x2_plus_1
 
 
 def _example_circuit(field):
@@ -210,6 +211,25 @@ def test_remap_and_drop_vars(QQ):
     assert dropped.num_vars == 2
     with pytest.raises(ArityMismatch):
         drop_unused_vars(c, [0, 1])  # x3 still referenced
+
+
+def test_fix_vars_refuses_a_variable_outside_the_circuit(QQ):
+    # as substitute does: a binding of a variable the circuit lacks is an error
+    with pytest.raises(ArityMismatch, match="x8 out of range"):
+        fix_vars(x1x2_plus_1(QQ), {7: QQ.one})
+
+
+@pytest.mark.parametrize("var", [9, -1, [0, 9]])
+def test_formal_degree_in_refuses_a_variable_outside_the_circuit(QQ, var):
+    # degree 0 would be no bound on a variable the circuit does not have
+    with pytest.raises(ArityMismatch, match="out of range"):
+        formal_degree_in(x1x2_plus_1(QQ), var)
+
+
+def test_drop_unused_vars_refuses_a_repeated_variable(QQ):
+    # [0, 0, 1] would move x1 to slot 1 and leave slot 0 unused
+    with pytest.raises(ArityMismatch, match="twice"):
+        drop_unused_vars(x1x2_plus_1(QQ), [0, 0, 1])
 
 
 def test_is_formula(QQ):

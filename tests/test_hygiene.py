@@ -9,8 +9,10 @@ expansions it reads; the span names it reads that src/ no longer defines
 are a pinned set. The univariate section of `dense.py` is one
 kernel on native numbers: none of its functions calls a Field method, and
 neither do the packed expansion kernel and the exact division on its keys,
-which pack monomials with one key function, nor the builder's canonicalizing `add`, `mul` and `import_circuit`,
-nor the grid batcher, the table fold and the identity tests that read them.
+which pack monomials with one key function, nor the builder's
+canonicalizing `add`, `mul` and `import_circuit`, its `finish`, the
+reachability sweep and the metrics walk, nor the grid batcher, the table
+fold and the identity tests that read them.
 The README's key documented size and depth constants are the ones the
 suite asserts."""
 
@@ -260,13 +262,16 @@ def test_monomials_have_one_packed_key():
 
 def test_builder_calls_no_field_method():
     """CircuitBuilder.add and mul fold constants and merge coefficients with
-    Python operators, and import_circuit goes through them; a method of the
-    builder itself (`self.add`) is not Field arithmetic."""
-    builder = next(c for c in TREES["circuit.py"].body
-                   if isinstance(c, ast.ClassDef) and c.name == "CircuitBuilder")
+    Python operators, and import_circuit goes through them; finish, the
+    reachability sweep and the metrics walk touch gates only. A method of
+    the builder itself (`self.add`) is not Field arithmetic."""
+    body = TREES["circuit.py"].body
+    builder = next(c for c in body if isinstance(c, ast.ClassDef) and c.name == "CircuitBuilder")
     methods = [fn for fn in builder.body if isinstance(fn, ast.FunctionDef)
-               and fn.name in ("add", "mul", "import_circuit")]
-    assert len(methods) == 3
+               and fn.name in ("add", "mul", "import_circuit", "finish")]
+    methods += [fn for fn in body if isinstance(fn, ast.FunctionDef)
+                and fn.name in ("_reach", "_compute_metrics")]
+    assert len(methods) == 6
     uses = sorted(f"{fn.name}: .{node.attr} (line {node.lineno})"
                   for fn in methods for node in ast.walk(fn)
                   if isinstance(node, ast.Attribute) and node.attr in FIELD_METHODS

@@ -38,6 +38,7 @@ from circuitforge.transforms import (
 )
 
 from conftest import SMALL_PRIME, oracle_equal, plant_linear_product, random_circuit, rng_for
+from conftest import x1x2_plus_1
 
 
 def test_homogenize_picks_component(QQ):
@@ -224,6 +225,19 @@ def test_translate_examples(QQ):
     assert oracle_equal(same, c)
     with pytest.raises(ArityMismatch):
         translate(c, [Fraction(1), Fraction(2)])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_homog_component_interp_refuses_a_scale_variable_outside_the_circuit(QQ, k):
+    # a scale variable the circuit lacks would read degree 0: the constant 0
+    with pytest.raises(ArityMismatch, match="out of range"):
+        homog_component_interp(x1x2_plus_1(QQ), k, scale_vars=[-1])
+
+
+def test_truncate_deg_refuses_a_scale_variable_outside_the_circuit(QQ):
+    # a scale variable the circuit lacks would leave the input unchanged
+    with pytest.raises(ArityMismatch, match="x6 out of range"):
+        truncate_deg(x1x2_plus_1(QQ), 1, scale_vars=[5])
 
 
 def test_translate_roundtrip(QQ):
