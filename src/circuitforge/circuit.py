@@ -23,14 +23,17 @@ gates are shared. Folding runs on native numbers with Python operators, no
 Field method call: ints reduced mod p once per folded value, Fractions over
 Q. Constants the builder computes skip the field check that const() and
 import_circuit apply to the values callers and imported circuits bring. All
-transformations in this package return new circuits. A circuit finished by a
-sharing builder is marked canonical: its gates are already fixed points of
-that canonicalization, so importing or renaming it onto distinct inputs
-copies the gates instead of rebuilding them. A sharing builder importing
-the same circuit object again rebuilds only the gates that read a moved
-binding. An empty sharing builder adopts a canonical circuit with no
-unreachable gate, imported with no binding, as it is: its gate list and
-memo are the ones that copy would write.
+transformations in this package return new circuits, and each is finished:
+only CircuitBuilder.finish, which keeps the gates its outputs reach, and
+the projection of remap_vars and drop_unused_vars construct one. A circuit
+finished by a sharing builder is marked canonical: its gates are already
+fixed points of that canonicalization, so importing or renaming it onto
+distinct inputs copies the gates instead of rebuilding them, and its
+projection onto distinct inputs keeps its gates in their order, each input
+renamed, and stays canonical. A sharing builder importing the same circuit
+object again rebuilds only the gates that read a moved binding. An empty
+sharing builder adopts a canonical circuit imported with no binding as it
+is: its gate list and memo are the ones that copy would write.
 
 Circuits are immutable, so reachable() finds the reachable gates once, by
 one reverse mark sweep over the topological order, and caches them for
@@ -378,9 +381,9 @@ class CircuitBuilder:
         A canonical circuit whose variables land on distinct input gates is
         copied gate for gate into a sharing builder: re-canonicalizing it
         would rebuild exactly the same gates. Into an empty builder, with no
-        binding, every gate reachable and the inputs in range, that copy is
-        circ's gate list itself, so the builder adopts it (a _split_outputs
-        view has unreachable gates, and is copied).
+        binding and the inputs in range, that copy is circ's gate list
+        itself (a canonical circuit is finished, every gate reachable), so
+        the builder adopts it.
 
         A sharing builder also keeps, per circuit object, the gate mapping of
         its last import. Importing the same object again re-canonicalizes only
@@ -394,7 +397,7 @@ class CircuitBuilder:
         reach = circ.reachable()
         gates = circ.gates
         if (self.share and not self._gates and not var_bindings and circ._canonical
-                and len(reach) == len(gates) and circ.num_vars <= self.num_vars):
+                and circ.num_vars <= self.num_vars):
             # adoption: the copy would write circ's own gates, ids and all (an
             # empty builder has imported nothing, so it holds no mapping)
             self._gates = list(gates)
@@ -520,8 +523,8 @@ def remap_vars(circ: Circuit, var_map: dict, new_num_vars: int) -> Circuit:
 
 
 def drop_unused_vars(circ: Circuit, keep_vars: list) -> Circuit:
-    """Project onto keep_vars, distinct variables that must cover every
-    referenced input (one past circ's variables gives an unused slot)."""
+    """Project onto keep_vars, distinct variables of circ that must cover
+    every referenced input."""
     mapping = {old: new for new, old in enumerate(keep_vars)}
     if len(mapping) != len(keep_vars):
         raise ArityMismatch("keep_vars lists a variable twice")
@@ -534,12 +537,13 @@ def drop_unused_vars(circ: Circuit, keep_vars: list) -> Circuit:
 
 
 def _remap(circ: Circuit, reach, var_map: dict, num_vars: int) -> Circuit:
-    """remap_vars, given circ's reachable gates. A canonical circuit renamed
-    onto distinct inputs is projected with no builder, its gates in the
-    order a re-import writes them: first the reachable inputs var_map
-    binds, in var_map's order, then the other reachable gates in source
-    order. The projection has the source's wires, gates, depth and formal
-    degree, so it keeps the source's metrics when they were computed."""
+    """remap_vars, given circ's reachable gates; a source variable var_map
+    names outside circ is an ArityMismatch. A canonical circuit renamed onto
+    distinct inputs is projected with no builder: its gates in their order,
+    each input renamed, its outputs, and the reachable gates and metrics
+    computed for it, which a renaming does not change."""
+    for old in var_map:
+        _check_var(circ, old)
 
     def rename(v):
         new = var_map.get(v, v)
@@ -550,27 +554,10 @@ def _remap(circ: Circuit, reach, var_map: dict, num_vars: int) -> Circuit:
         builder = CircuitBuilder(circ.field, num_vars)
         bindings = {old: builder.inp(new) for old, new in var_map.items()}
         return builder.finish(builder.import_circuit(circ, var_bindings=bindings))
-    gates = circ.gates
-    rank = {old: r for r, old in enumerate(var_map)}
-    bound = sorted((i for i in reach if gates[i][0] == IN and gates[i][1] in rank),
-                   key=lambda i: rank[gates[i][1]])
-    order = bound + [i for i in reach if not (gates[i][0] == IN and gates[i][1] in rank)]
-    remap = [None] * len(gates)
-    for new, old in enumerate(order):
-        remap[old] = new
-    kid = remap.__getitem__
-    out = []
-    for old in order:
-        gate = gates[old]
-        if gate[0] == IN:
-            out.append((IN, rename(gate[1])))
-        elif gate[0] == CONST:
-            out.append(gate)
-        else:
-            out.append((gate[0], tuple(sorted(map(kid, gate[1])))))
-    proj = Circuit(circ.field, num_vars, out, [remap[o] for o in circ.outputs])
+    gates = [(IN, rename(g[1])) if g[0] == IN else g for g in circ.gates]
+    proj = Circuit(circ.field, num_vars, gates, circ.outputs)
     proj._canonical = True
-    proj._reach = list(range(len(out)))
+    proj._reach = reach
     proj._metrics = circ._metrics
     return proj
 

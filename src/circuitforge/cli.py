@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import errors as E
-from .circuit import const_circuit, emit_circuit, formal_degree_in, parse_circuit, substitute
+from .circuit import const_circuit, emit_circuit, formal_degree_in, parse_circuit
 from .dense import DEFAULT_BUDGET, ExpansionBudget, emit_poly, expand
 from .designs import Design, nw_design
 from .expsum import ExpSumPoly, exp_sum_eval, exp_sum_expand, factor_vnp
@@ -114,8 +114,7 @@ def _core_coeffs(params, inputs):
     budget = ExpansionBudget(params["budget_terms"], params["budget_degree"])
     coeffs = extract_y_coeffs(circ, params["y"], params["dmax"])
     coeffs = [_zero_or_same(c, budget) for c in coeffs]
-    # the coefficients share one gate array; a copy holds each one's own gates
-    outs = {f"coeff{j}": emit_circuit(substitute(c, {})).encode() for j, c in enumerate(coeffs)}
+    outs = {f"coeff{j}": emit_circuit(c).encode() for j, c in enumerate(coeffs)}
     return outs, {"metrics": [c.metrics() for c in coeffs]}
 
 
@@ -583,7 +582,7 @@ def _dispatch(args) -> int:
             sys.stdout.write(body)
         return 0
     if args.command == "metrics":
-        circ = parse_circuit(_read(args.input).decode())
+        circ = _check_session_field(session, parse_circuit(_read(args.input).decode()))
         print(json.dumps(circ.metrics(), sort_keys=True))
         return 0
     if args.command == "verify":

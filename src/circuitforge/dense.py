@@ -65,6 +65,7 @@ from .errors import (
     SearchExhausted,
     ZeroDivisor,
     ZeroPolynomial,
+    check_int,
 )
 from .fields import Field, PrimeField, is_prime, same_field
 
@@ -352,8 +353,8 @@ def expand_outputs(circ: Circuit, budget: ExpansionBudget = DEFAULT_BUDGET, cap=
     check_degree = top > budget.max_degree  # else no gate can exceed it
     if check_degree and fdeg is None:
         fdeg = _gate_degrees(circ, order)
-    if cap is not None and cap < 0:
-        raise ParameterViolation(f"degree cap must be >= 0, got {cap}")
+    if cap is not None:
+        check_int("degree cap", cap)
     kept = top if cap is None else min(top, cap)  # no kept key has a larger degree
     w = max(1, kept.bit_length())
     shift = w * n  # the total-degree slot
@@ -433,8 +434,9 @@ def circuit_from_dense(p: DensePoly) -> Circuit:
 
 def hasse_derivative_dense(p: DensePoly, var: int, k: int) -> DensePoly:
     """Coefficient of z^k in p with `var` shifted by z (Hasse derivative)."""
-    if k < 0:
-        raise ParameterViolation(f"derivative order must be >= 0, got {k}")
+    check_int("derivative order", k)
+    if not 0 <= var < p.n:
+        raise ArityMismatch(f"variable x{var + 1} out of range (nvars={p.n})")
     if k == 0:
         return p
     field = p.field
@@ -457,8 +459,7 @@ def hasse_derivative_dense(p: DensePoly, var: int, k: int) -> DensePoly:
 
 
 def homog_component_dense(p: DensePoly, k: int) -> DensePoly:
-    if k < 0:
-        raise ParameterViolation(f"component index must be >= 0, got {k}")
+    check_int("component index", k)
     return DensePoly(p.field, p.n, {e: c for e, c in p.terms.items() if sum(e) == k})
 
 
@@ -476,8 +477,8 @@ def compose(p: DensePoly, values, cap=None, budget: ExpansionBudget = DEFAULT_BU
         raise ArityMismatch(f"compose needs {p.n} values over one variable space")
     for v in values:
         same_field(p.field, v.field)
-    if cap is not None and cap < 0:
-        raise ParameterViolation(f"degree cap must be >= 0, got {cap}")
+    if cap is not None:
+        check_int("degree cap", cap)
     mod, max_terms = _modulus(p.field), budget.max_terms
     degs = [max(v.total_degree(), 0) for v in values]
     top = max((sum(x * g for x, g in zip(e, degs)) for e in p.terms), default=0)

@@ -159,3 +159,14 @@ class HashMismatch(VerificationFailure):
 
 class BadCertificate(UsageError):
     """A certificate lacks a field, or a field has the wrong type."""
+
+
+# --- argument checks ---
+
+def check_int(name: str, value, low: int = 0) -> None:
+    """Refuse a degree, order, count or bound that is not an int (a bool is
+    not one), or is below `low`, with ParameterViolation."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterViolation(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ParameterViolation(f"{name} must be >= {low}, got {value}")

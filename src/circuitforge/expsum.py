@@ -46,6 +46,7 @@ from .errors import (
     NotAFormula,
     ParameterViolation,
     ShapeError,
+    check_int,
 )
 from .factoring import _check_subset_shape, _search, combiner_dense
 from .fields import Field, Rationals, same_field
@@ -208,8 +209,7 @@ def selector_R(s_prime: int, field: Field | None = None) -> Circuit:
     """Block-selector formula over 5*s' variables: value 1 on Boolean points
     where exactly one block is all-ones and the rest are all-zeros, else 0.
     Tree-shaped by construction; size <= SELECTOR_SIZE_FACTOR * s'^2."""
-    if s_prime < 1:
-        raise ParameterViolation("need s' >= 1")
+    check_int("s'", s_prime, 1)
     if field is None:
         field = Rationals()
     b = CircuitBuilder(field, 5 * s_prime, share=False)

@@ -209,9 +209,9 @@ def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     roots must be lifted, and d may not exceed the lift order bundle.d,
     above which no component exists."""
     subset = tuple(subset)
-    if not subset:
-        raise ParameterViolation("subset must be nonempty")
-    if not 0 <= d <= bundle.d:
+    if not subset or not all(type(i) is int and 0 <= i < len(bundle.alphas) for i in subset):
+        raise ParameterViolation(f"subset {subset} must name roots in 0..{len(bundle.alphas) - 1}")
+    if type(d) is not int or not 0 <= d <= bundle.d:
         raise ParameterViolation(f"truncation order {d} outside 0..{bundle.d}")
     B = combiner_dense(bundle, subset, d)
     b = CircuitBuilder(bundle.source.field, bundle.source.num_vars)
@@ -253,7 +253,8 @@ def _subset_iter(count: int, max_size: int, given=None):
 
 
 def _check_subset_shape(subset, d: int) -> None:
-    if subset is not None and not 0 < len(set(subset)) == len(subset) <= d:
+    if subset is not None and not (0 < len(set(subset)) == len(subset) <= d
+                                   and all(type(i) is int for i in subset)):
         raise ParameterViolation(f"a given subset names 1..{d} distinct roots, got {subset}")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BoundExceedsField, DivisionByZero, MixedFieldConfig, ParameterViolation
+from .errors import BoundExceedsField, DivisionByZero, MixedFieldConfig, ParameterViolation, check_int
 from .seeding import stream
 
 # 2**62 - 57, used by the acceptance suite as the "sufficiently large" prime.
@@ -214,8 +214,8 @@ def assert_degree_capacity(field: Field, max_degree: int) -> None:
 def sample_grid(field: Field, bound: int, count: int, seed: int, *names: str):
     """`count` deterministic pseudo-random elements of {0..bound-1} embedded
     in the field. Same seed (and stream names) => same list."""
-    if bound < 1:
-        raise ParameterViolation("bound must be >= 1")
+    check_int("bound", bound, 1)
+    check_int("count", count)
     if isinstance(field, PrimeField) and bound > field.p:
         raise BoundExceedsField(f"grid bound {bound} exceeds field size {field.p}")
     rng = stream(seed, "sample_grid", *names)

@@ -43,7 +43,7 @@ from .dense import DEFAULT_BUDGET, expand
 from .designs import TABLE_VARS_LIMIT, Design
 from .errors import (
     ArityMismatch, BudgetExceeded, CircuitSyntaxError, FieldTooSmall, ParameterViolation,
-    PreconditionFailed,
+    PreconditionFailed, check_int,
 )
 from .fields import Field, PrimeField
 from .seeding import stream
@@ -154,8 +154,8 @@ class HittingSet:
         coordinate of the y-batch, whose axes are flattened to its points
         first. A scan over EXHAUSTIVE_POINT_BUDGET points is refused with
         BudgetExceeded before any point is evaluated."""
-        if limit is not None and limit < 0:
-            raise ParameterViolation(f"limit must be >= 0, got {limit}")
+        if limit is not None:
+            check_int("limit", limit)
         count = self.total_points if limit is None else min(limit, self.total_points)
         if count > EXHAUSTIVE_POINT_BUDGET:
             raise BudgetExceeded("points", f"{count} hitting points > {EXHAUSTIVE_POINT_BUDGET}")
@@ -204,8 +204,8 @@ def pit_hitset(circ: Circuit, hitset: HittingSet, limit: int | None = None) -> P
         raise ArityMismatch(
             f"circuit has {circ.num_vars} variables, design provides {hitset.design.n}"
         )
-    if limit is not None and limit < 1:
-        raise ParameterViolation(f"limit must be >= 1, got {limit}")
+    if limit is not None:
+        check_int("limit", limit, 1)
     checked, first, witness = _walk(circ, hitset.batches(limit))
     if first is not None:
         return PitResult("nonzero", witness, first + 1, False, "hitset")
@@ -249,8 +249,7 @@ def _grid_scan(circ: Circuit, grid_size: int, want_count: bool):
     (FieldTooSmall) and a grid over EXHAUSTIVE_POINT_BUDGET points are
     refused before any point is evaluated."""
     n = circ.num_vars
-    if grid_size < 1:
-        raise ParameterViolation(f"grid size must be >= 1, got {grid_size}")
+    check_int("grid size", grid_size, 1)
     _check_grid(circ.field, grid_size)
     if grid_size**n > EXHAUSTIVE_POINT_BUDGET:
         raise BudgetExceeded(

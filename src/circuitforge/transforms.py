@@ -24,8 +24,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property
 
-from .circuit import ADD, Circuit, CircuitBuilder, _check_var, drop_unused_vars, formal_degree_in
-from .circuit import const_circuit, evaluate_batch, substitute, sz_is_zero
+from .circuit import ADD, Circuit, CircuitBuilder, _check_var, formal_degree_in
+from .circuit import const_circuit, evaluate_batch, remap_vars, sz_is_zero
 from .dense import DEFAULT_BUDGET, DensePoly, ExpansionBudget, expand
 from .errors import (
     ArityMismatch,
@@ -33,6 +33,7 @@ from .errors import (
     FieldTooSmall,
     ParameterViolation,
     SearchExhausted,
+    check_int,
 )
 from .fields import PrimeField, _shift_candidates
 
@@ -110,8 +111,6 @@ def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple):
     each such copy that read y (CircuitBuilder.import_circuit)."""
     fld = circ.field
     b = CircuitBuilder(fld, circ.num_vars)
-    if y is None and not circ._canonical:
-        circ = substitute(circ, {})  # a sharing rebuild: bytes do not depend on how circ shares
     copies = []
     for a, s in _lower_set(fld, shape):
         node = b.const(fld.embed(a))  # at a = 0 a scaled copy folds to a constant
@@ -126,15 +125,6 @@ def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple):
         return b.add(*parts) if parts else b.const(fld.zero)
 
     return b, coeff
-
-
-def _split_outputs(multi: Circuit) -> list:
-    """One single-output view per output, sharing the same gate array (and
-    the canonical mark, which holds for any subset of the outputs)."""
-    views = [Circuit(multi.field, multi.num_vars, multi.gates, [o]) for o in multi.outputs]
-    for view in views:
-        view._canonical = multi._canonical
-    return views
 
 
 def _mul_into_adds(b: CircuitBuilder, gid: int, factors: tuple, memo: dict) -> int:
@@ -172,8 +162,7 @@ def homogenize(circ: Circuit, k: int) -> Circuit:
     output has formal degree at most k. Above the formal degree of circ the
     result is the constant 0, without splitting.
     """
-    if k < 0:
-        raise ParameterViolation(f"component index must be >= 0, got {k}")
+    check_int("component index", k)
     fld = circ.field
     out = circ.output()
     if k > circ.formal_degree():
@@ -211,31 +200,32 @@ def extract_y_coeffs(circ: Circuit, y: int, dmax: int) -> list:
 
     Built as the inverse-Vandermonde combination of circ(x, 0..dmax) with
     the weights absorbed into the top sum layer: depth does not grow, size
-    is at most (dmax+1) * size + O(dmax^2). A dmax below the formal y-degree
-    is refused: the higher coefficients would fold into the lower ones.
+    is at most (dmax+1) * size + O(dmax^2). Each C_j is finished on its own
+    from the one interpolation builder, so it holds only its own gates. A
+    dmax below the formal y-degree is refused: the higher coefficients
+    would fold into the lower ones.
     """
-    if dmax < 0:
-        raise ParameterViolation(f"degree bound must be >= 0, got {dmax}")
+    check_int("degree bound", dmax)
     circ.output()
     _check_var(circ, y)
     deg = formal_degree_in(circ, y)
     if dmax < deg:
         raise ParameterViolation(f"degree bound {dmax} is below the formal degree {deg} in y")
     b, coeff = _interpolate(circ, (), y, circ.field.zero, (0, dmax, dmax))
-    return _split_outputs(b.finish([coeff([(0, j)]) for j in range(dmax + 1)]))
+    return [b.finish(coeff([(0, j)])) for j in range(dmax + 1)]
 
 
 def _scaled(circ: Circuit, scale_vars):
     """(formal degree of circ in scale_vars, None meaning all of them;
     emit), emit(ks) the circuit of the sum of H_k[circ], k in ks, by scaling
-    interpolation, projected onto circ's variables (listing inputs first)."""
+    interpolation."""
     circ.output()
     vars_to_scale = list(range(circ.num_vars)) if scale_vars is None else list(scale_vars)
     bound = formal_degree_in(circ, vars_to_scale)
 
     def emit(ks) -> Circuit:
         b, coeff = _interpolate(circ, vars_to_scale, None, None, (bound, 0, bound))
-        return drop_unused_vars(b.finish(coeff((k, 0) for k in ks)), list(range(circ.num_vars)))
+        return b.finish(coeff((k, 0) for k in ks))
 
     return bound, emit
 
@@ -249,8 +239,7 @@ def truncate_deg(circ: Circuit, d: int, scale_vars=None) -> Circuit:
     formal degree in them, and when that cannot exceed d the circuit is
     returned unchanged.
     """
-    if d < 0:
-        raise ParameterViolation(f"degree must be >= 0, got {d}")
+    check_int("degree", d)
     bound, emit = _scaled(circ, scale_vars)
     return circ if bound <= d else emit(range(d + 1))
 
@@ -261,8 +250,7 @@ def homog_component_interp(circ: Circuit, k: int, scale_vars=None) -> Circuit:
     scale_vars means what it means for truncate_deg; when k exceeds the
     formal degree in those variables the result is the constant 0.
     """
-    if k < 0:
-        raise ParameterViolation(f"component index must be >= 0, got {k}")
+    check_int("component index", k)
     bound, emit = _scaled(circ, scale_vars)
     return const_circuit(circ.field, circ.field.zero, circ.num_vars) if k > bound else emit([k])
 
@@ -277,8 +265,7 @@ def hasse_derivative_circuit(circ: Circuit, y: int, j: int) -> Circuit:
     each top sum so depth does not grow.
     """
     _check_var(circ, y)
-    if j < 0:
-        raise ParameterViolation(f"derivative order must be >= 0, got {j}")
+    check_int("derivative order", j)
     if j == 0:
         return circ
     circ.output()
@@ -395,13 +382,12 @@ def make_monic(circ: Circuit, r: int, seed: int, y_var: int | None = None) -> Mo
     after 16*(r+1) trials signals a misdeclared degree.
     """
     circ.output()
-    if r < 0:
-        raise ParameterViolation(f"degree r must be >= 0, got {r}")
+    check_int("degree r", r)
     fld = circ.field
     if y_var is None:
         nv = circ.num_vars + 1
         y_var = circ.num_vars
-        work = Circuit(fld, nv, circ.gates, circ.outputs)
+        work = remap_vars(circ, {}, nv)
     else:
         _check_var(circ, y_var)
         nv = circ.num_vars
@@ -430,10 +416,7 @@ def make_monic(circ: Circuit, r: int, seed: int, y_var: int | None = None) -> Mo
 def _check_lift_degree(d: int, budget: ExpansionBudget) -> None:
     """Refuse a lift or factor degree below 1 or above the budget's degree
     bound, before any work is done; d must be an int (not a bool)."""
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ParameterViolation(f"degree must be an integer, got {d!r}")
-    if d < 1:
-        raise ParameterViolation(f"degree must be >= 1, got {d}")
+    check_int("degree", d, 1)
     if d > budget.max_degree:
         raise BudgetExceeded("degree", f"d = {d} > {budget.max_degree}")
 
@@ -447,9 +430,10 @@ class GeneratorSet:
     y = alpha, minus its constant term. Every circuit here is finished
     from the one builder of generator_set's interpolation. members holds
     the (j, circuit) pairs in P's variable space with the y slot unused;
-    it is projected from views() (the unprojected member of every order,
-    finished on the first call) when first read, so the lift and factor
-    paths, which read only orders and components, never build it.
+    it is read from by_order() (the member of every order 0..d, each
+    finished on its own on the first call) when first read, so the lift
+    and factor paths, which read only orders and components, never build
+    it.
     components is one multi-output circuit over the same space: output
     pos * d + (i - 1) computes H_i of the member of order j = orders[pos],
     the t^i s^j coefficient of P(t*x, alpha + s), for i in 1..d (None when
@@ -469,12 +453,12 @@ class GeneratorSet:
     deriv_constants: list = dc_field(default_factory=list)  # H_0 per order j
     components: Circuit | None = None
     derivs_dense: list | None = dc_field(default=None, repr=False)
-    views: Callable | None = dc_field(default=None, repr=False)
+    by_order: Callable | None = dc_field(default=None, repr=False)
 
     @cached_property
     def members(self) -> list:
-        keep, views = list(range(self.num_vars)), self.views()
-        return [(j, drop_unused_vars(views[j], keep)) for j in self.orders]
+        by_order = self.by_order()
+        return [(j, by_order[j]) for j in self.orders]
 
     def z_index(self, j: int) -> int | None:
         return self.orders.index(j) if j in self.orders else None
@@ -522,9 +506,8 @@ def generator_set(
     b, coeff = _interpolate(P, xs, y, alpha, shape)
 
     @cache
-    def views():  # member j is output j, unprojected, of one circuit for every order
-        ids = [coeff((k, j) for k in range(1, d + 1)) for j in range(d + 1)]
-        return _split_outputs(b.finish(ids))
+    def by_order():
+        return [b.finish(coeff((k, j) for k in range(1, d + 1))) for j in range(d + 1)]
 
     try:  # H_{<=d} of each derivative: member j is denses[j] less its constant term
         denses = _derivatives_at(P, y, alpha, d, shape[1], budget)
@@ -541,7 +524,7 @@ def generator_set(
             live = {sum(e) for e in denses[j].terms} - {0}
             if not live:
                 continue
-        elif sz_is_zero(views()[j], 2 * d, 0, "genset-sz", str(j)):
+        elif sz_is_zero(by_order()[j], 2 * d, 0, "genset-sz", str(j)):
             continue
         else:
             live = range(1, d + 1)
@@ -557,7 +540,7 @@ def generator_set(
         deriv_constants=list(h0),
         components=components,
         derivs_dense=denses,
-        views=views,
+        by_order=by_order,
     )
 
 

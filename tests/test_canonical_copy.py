@@ -1,10 +1,12 @@
 """Circuits a sharing builder finished are copied, not re-canonicalized.
 
-The copy paths of import_circuit, remap_vars and drop_unused_vars must
-write exactly the gates the canonicalizing path writes for an unmarked
-copy of the same circuit. Likewise a sharing builder importing one circuit
-object again, which reuses the ids of the gates whose bindings did not
-move, must write exactly what importing equal but distinct objects writes.
+The copy path of import_circuit must write exactly the gates the
+canonicalizing path writes for an unmarked copy of the same circuit, and
+the projection of remap_vars and drop_unused_vars must be the source's
+gates, each input renamed, which re-canonicalization writes as they are.
+Likewise a sharing builder importing one circuit object again, which
+reuses the ids of the gates whose bindings did not move, must write
+exactly what importing equal but distinct objects writes.
 """
 
 import pytest
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 from circuitforge import Circuit, CircuitBuilder, PrimeField, Rationals
 from circuitforge.circuit import _compute_metrics, _reach, drop_unused_vars, parse_circuit
 from circuitforge.circuit import remap_vars
+from circuitforge.dense import expand_outputs
 from circuitforge.errors import ArityMismatch
-from circuitforge.transforms import _split_outputs
 
 FIELDS = (Rationals(), PrimeField(1_000_003))
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -46,10 +48,7 @@ def builder_circuits(draw):
         else:
             pool.append(b.sub(args[0], args[-1]))
     outs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-    circ = b.finish(outs)
-    if draw(st.booleans()) and len(circ.outputs) > 1:
-        circ = draw(st.sampled_from(_split_outputs(circ)))
-    return circ
+    return b.finish(outs)
 
 
 def unmarked(circ):
@@ -93,13 +92,14 @@ def test_import_copies_what_canonicalization_writes(circ, data):
     assert circ._canonical
     extra = data.draw(st.integers(0, 2))
     var_map = renaming(data.draw, n, extra)
-    prefill = data.draw(st.sampled_from([None] + _split_outputs(circ)))
+    views = [Circuit(circ.field, n, circ.gates, [o]) for o in circ.outputs]
+    prefill = data.draw(st.sampled_from([None] + views))
     share = data.draw(st.booleans())
     results = []
     for src in (circ, unmarked(circ)):
         b = counting_builder(field, n + extra, share)
         if prefill is not None:
-            b.import_circuit(unmarked(prefill))
+            b.import_circuit(prefill)
             b.add(b.inp(n + extra - 1), b.const(field.one))
         b.calls = 0
         ids = b.import_circuit(src, {v: b.inp(w) for v, w in var_map.items()})
@@ -110,17 +110,39 @@ def test_import_copies_what_canonicalization_writes(circ, data):
     assert slow_calls > 0 or all(circ.gates[i][0] in ("in", "const") for i in circ.reachable())
 
 
+def rebuilt(circ):
+    """circ re-canonicalized in a fresh sharing builder."""
+    b = CircuitBuilder(circ.field, circ.num_vars)
+    return b.finish(b.import_circuit(unmarked(circ)))
+
+
+def kept(draw, circ):
+    """Distinct variables of circ, in a drawn order, that cover its inputs."""
+    used = sorted({circ.gates[i][1] for i in circ.reachable() if circ.gates[i][0] == "in"})
+    unused = [v for v in range(circ.num_vars) if v not in used]
+    extra = draw(st.lists(st.sampled_from(unused), unique=True)) if unused else []
+    return used, draw(st.permutations(used + extra))
+
+
 @SETTINGS
 @given(builder_circuits(), st.data())
-def test_remap_and_drop_project_what_reimport_writes(circ, data):
+def test_remap_and_drop_keep_the_source_order(circ, data):
     n = circ.num_vars
     extra = data.draw(st.integers(0, 2))
     var_map = renaming(data.draw, n, extra)
-    same(remap_vars(circ, var_map, n + extra), remap_vars(unmarked(circ), var_map, n + extra))
-
-    used = sorted({circ.gates[i][1] for i in circ.reachable() if circ.gates[i][0] == "in"})
-    keep = data.draw(st.permutations(used + list(range(n, n + extra))))
-    same(drop_unused_vars(circ, keep), drop_unused_vars(unmarked(circ), keep))
+    used, keep = kept(data.draw, circ)
+    position = {old: new for new, old in enumerate(keep)}
+    for proj, new in ((remap_vars(circ, var_map, n + extra), lambda v: var_map.get(v, v)),
+                      (drop_unused_vars(circ, keep), position.__getitem__)):
+        assert proj._canonical and proj.outputs == circ.outputs
+        assert proj.gates == tuple(("in", new(g[1])) if g[0] == "in" else g for g in circ.gates)
+        same(rebuilt(proj), proj)
+    # the builder fallback for an unmarked source computes the same outputs
+    for proj, slow in ((remap_vars(circ, var_map, n + extra),
+                        remap_vars(unmarked(circ), var_map, n + extra)),
+                       (drop_unused_vars(circ, keep), drop_unused_vars(unmarked(circ), keep))):
+        assert proj.metrics() == slow.metrics()
+        assert expand_outputs(proj) == expand_outputs(slow)
     if used:
         short = [v for v in keep if v != used[0]]
         for src in (circ, unmarked(circ)):
@@ -136,8 +158,7 @@ def test_projections_keep_the_metrics_of_their_source(circ, data):
     n = circ.num_vars
     extra = data.draw(st.integers(0, 2))
     var_map = renaming(data.draw, n, extra)
-    used = sorted({circ.gates[i][1] for i in circ.reachable() if circ.gates[i][0] == "in"})
-    keep = data.draw(st.permutations(used + list(range(n, n + extra))))
+    _, keep = kept(data.draw, circ)
     if data.draw(st.booleans()):
         circ.metrics()
     for proj in (remap_vars(circ, var_map, n + extra), drop_unused_vars(circ, keep)):

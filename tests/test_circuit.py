@@ -19,7 +19,6 @@ from circuitforge.circuit import drop_unused_vars, evaluate_batch, fix_vars, for
 from circuitforge.circuit import is_formula, remap_vars
 from circuitforge.dense import parse_poly
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
-from circuitforge.transforms import _split_outputs
 from circuitforge.errors import (
     ArityMismatch,
     CircuitSyntaxError,
@@ -230,6 +229,18 @@ def test_drop_unused_vars_refuses_a_repeated_variable(QQ):
     # [0, 0, 1] would move x1 to slot 1 and leave slot 0 unused
     with pytest.raises(ArityMismatch, match="twice"):
         drop_unused_vars(x1x2_plus_1(QQ), [0, 0, 1])
+
+
+def test_drop_unused_vars_refuses_a_variable_outside_the_circuit(QQ):
+    # [-1, 0, 1] would move x1 to slot 1 and leave slot 0 unused
+    with pytest.raises(ArityMismatch, match="x0 out of range"):
+        drop_unused_vars(x1x2_plus_1(QQ), [-1, 0, 1])
+
+
+def test_remap_vars_refuses_a_variable_outside_the_circuit(QQ):
+    # as fix_vars does: renaming a variable the circuit lacks is an error
+    with pytest.raises(ArityMismatch, match="x8 out of range"):
+        remap_vars(x1x2_plus_1(QQ), {7: 0}, 2)
 
 
 def test_is_formula(QQ):
@@ -530,7 +541,7 @@ def test_cached_reachable_equals_a_fresh_walk(QQ):
         assert circ.reachable() == _fresh_walk(circ)
         assert circ.reachable() is circ.reachable()  # walked once
     assert hand.reachable() == [0, 2, 3]
-    views = _split_outputs(multi)
+    views = [Circuit(multi.field, multi.num_vars, multi.gates, [o]) for o in multi.outputs]
     orders = [view.reachable() for view in views]
     assert orders == [_fresh_walk(view) for view in views]
     assert orders[0] != orders[1] and orders[2] == multi.reachable()

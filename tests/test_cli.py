@@ -751,6 +751,7 @@ def test_bad_inputs_end_in_their_documented_code(tmp_path, capsys):
         (["--field", "bogus", "expand", p], 2, "ParameterViolation: bad --field 'bogus'"),
         (["--field", "prime:abc", "expand", p], 2, "ParameterViolation: bad --field 'prime:abc'"),
         (["--field", "prime:2", "expand", p], 2, "ParameterViolation: modulus must be an odd"),
+        (["--field", "rationals", "metrics", c], 2, "MixedFieldConfig"),
         (["homog", "-k", "1", two], 2, "ArityMismatch: operation requires a single-output"),
         (["lift-root", "-y", "2", "-d", "1", two], 2, "ArityMismatch"),
         (["homog", "-k", "1", f91], 2, "CircuitSyntaxError: line 1: bad field line (modulus 91"),

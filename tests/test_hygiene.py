@@ -13,8 +13,9 @@ which pack monomials with one key function, nor the builder's
 canonicalizing `add`, `mul` and `import_circuit`, its `finish`, the
 reachability sweep and the metrics walk, nor the grid batcher, the table
 fold and the identity tests that read them.
-The README's key documented size and depth constants are the ones the
-suite asserts."""
+Only circuit.py constructs a Circuit or reads its canonical mark. The
+README's key documented size and depth constants are the ones the suite
+asserts."""
 
 from __future__ import annotations
 
@@ -218,6 +219,20 @@ def test_traced_run_counts_the_slice_expansions():
     assert out.returncode == 0, out.stderr
     translations, shift_candidates = map(int, out.stdout.split())
     assert translations > 0 and shift_candidates > 0
+
+
+def test_only_circuit_py_constructs_circuits():
+    """Every Circuit the package returns comes from CircuitBuilder.finish or
+    the projection in circuit._remap, so it is finished, and only those two
+    set the canonical mark: no other module calls Circuit(...) or touches
+    `._canonical`."""
+    sites = sorted(
+        f"{name}:{node.lineno}" for name, tree in TREES.items() if name != "circuit.py"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Circuit")
+        or (isinstance(node, ast.Attribute) and node.attr == "_canonical"))
+    assert not sites, f"circuits made or marked outside circuit.py: {sites}"
 
 
 def test_univariate_kernel_calls_no_field_method():

@@ -9,7 +9,7 @@ F_1000003 and F_{2^62-57}.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from circuitforge import Circuit, CircuitBuilder, DensePoly, PrimeField, Rationals, emit_circuit
@@ -17,7 +17,6 @@ from circuitforge.circuit import ADD, IN, MUL, _compute_metrics, _reach, formal_
 from circuitforge.dense import ExpansionBudget, expand, expand_outputs
 from circuitforge.errors import BudgetExceeded, InvariantViolated
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
-from circuitforge.transforms import _split_outputs
 
 FIELDS = (Rationals(), PrimeField(1_000_003), PrimeField(SIXTY_TWO_BIT_PRIME))
 FIELD_IDS = ["QQ", "F1000003", "F2^62-57"]
@@ -54,16 +53,21 @@ def builders(draw):
 @st.composite
 def circuits(draw):
     """A finished circuit whose first output is the builder's last gate, or
-    one _split_outputs view of it."""
+    an unmarked single-output view of it, which shares its gate array."""
     b, pool = draw(builders())
     circ = b.finish([pool[-1]] + draw(st.lists(st.sampled_from(pool), max_size=2)))
     if draw(st.booleans()) and len(circ.outputs) > 1:
-        circ = draw(st.sampled_from(_split_outputs(circ)))
+        circ = draw(st.sampled_from(split(circ)))
     return circ
 
 
 def unmarked(circ):
     return Circuit(circ.field, circ.num_vars, circ.gates, circ.outputs)
+
+
+def split(multi):
+    """One unmarked single-output view per output of multi."""
+    return [Circuit(multi.field, multi.num_vars, multi.gates, [o]) for o in multi.outputs]
 
 
 def dfs_reach(gates, outputs):
@@ -87,8 +91,8 @@ def test_reach_sweep_is_the_dfs(built, data):
     assert _reach(b._gates, outs) == dfs_reach(b._gates, outs)
     circ = b.finish(outs)
     assert _reach(circ.gates, circ.outputs) == list(range(len(circ.gates)))
-    for view in _split_outputs(circ):
-        assert unmarked(view).reachable() == dfs_reach(view.gates, view.outputs)
+    for view in split(circ):
+        assert view.reachable() == dfs_reach(view.gates, view.outputs)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -166,7 +170,7 @@ def test_adoption_writes_what_the_rebuild_writes(circ, data):
     steps = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5),
                                          st.integers(0, 5)), max_size=5))
     assert run_steps(circ, steps, n) == run_steps(unmarked(circ), steps, n)
-    if circ._canonical and len(circ.reachable()) == len(circ.gates):
+    if circ._canonical:
         b = CircuitBuilder(circ.field, n)
         assert b.import_circuit(circ) == list(circ.outputs)
         assert b._gates == list(circ.gates)
@@ -189,14 +193,17 @@ def test_an_adopted_memo_hits_the_constants_it_holds(field):
 
 
 @SETTINGS
-@given(circuits())
-def test_a_split_view_writes_its_finished_projection(circ):
-    for view in _split_outputs(circ) if len(circ.outputs) > 1 else [circ]:
-        b = CircuitBuilder(view.field, view.num_vars)
-        got = b.finish(b.import_circuit(view))
+@given(builders(), st.data())
+def test_a_split_view_writes_its_finished_projection(built, data):
+    # each output finished alone from the builder that holds them all is
+    # what re-canonicalizing its view of the multi-output finish writes
+    b, pool = built
+    assume(b.share)
+    outs = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3))
+    for o, view in zip(outs, split(b.finish(outs))):
         rebuilt = CircuitBuilder(view.field, view.num_vars)
-        want = rebuilt.finish(rebuilt.import_circuit(unmarked(view)))
-        assert emit_circuit(got) == emit_circuit(want)
+        want = rebuilt.finish(rebuilt.import_circuit(view))
+        assert emit_circuit(b.finish(o)) == emit_circuit(want)
 
 
 # -- expansion -----------------------------------------------------------------------
