@@ -66,6 +66,7 @@ from .errors import (
     DivisionByZero,
     InvariantViolated,
     ParameterViolation,
+    check_int,
 )
 from .fields import Field, PrimeField, Rationals, is_prime, same_field, sample_grid
 
@@ -255,6 +256,7 @@ class CircuitBuilder:
     """
 
     def __init__(self, field: Field, num_vars: int, share: bool = True):
+        check_int("variable count", num_vars)
         self.field = field
         self.num_vars = num_vars
         self.share = share

@@ -464,6 +464,7 @@ def homog_component_dense(p: DensePoly, k: int) -> DensePoly:
 
 
 def truncate_dense(p: DensePoly, d: int) -> DensePoly:
+    check_int("degree", d)
     return DensePoly(p.field, p.n, {e: c for e, c in p.terms.items() if sum(e) <= d})
 
 

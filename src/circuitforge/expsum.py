@@ -338,9 +338,11 @@ def factor_vnp(
 ):
     """Factor of degree <= d of the represented polynomial, as an exp-sum.
 
-    Takes the first result of extract_factor's search on a desk-scale
-    expansion (change of coordinates, subset, generator orders, combiner B,
-    leading unit), builds no circuit factor (fr.factor is None) and emits B
+    Takes the first result of extract_factor's search (change of
+    coordinates, subset, generator orders, combiner B, leading unit) on a
+    desk-scale expansion, which it hands to the search so that P is not
+    expanded again; the search reads no generator components, so it builds
+    no node copy. Builds no circuit factor (fr.factor is None) and emits B
     as combine_roots does, at the verifier level: per lifted root
     alpha, one interpolation of the verifier V in the lifted coordinates
     gives the components, the t^i s^j coefficients of V(t * x, alpha + s,
@@ -359,7 +361,7 @@ def factor_vnp(
     if z < 0:
         raise ParameterViolation("z must be an x-variable, and there is none")
     p_dense = exp_sum_expand(E, budget)
-    fr = next(_search(circuit_from_dense(p_dense), z, d, subset, seed, budget))
+    fr = next(_search(circuit_from_dense(p_dense), z, d, subset, seed, budget, p_dense))
     x_others = list(range(z))
 
     # factor position t of a monomial of B reads auxiliary block t: refuse an

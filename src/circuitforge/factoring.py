@@ -45,6 +45,7 @@ from .errors import (
     NotASimpleRoot,
     ParameterViolation,
     ZeroPolynomial,
+    check_int,
 )
 from .fields import _shift_candidates
 from .lifting import _slices, _stage, build_A_recurrence, composition_sum
@@ -159,7 +160,10 @@ def separating_shift(P: Circuit, y: int, seed: int, r: int | None = None):
     simple base-field roots of P(c, y); returns (c, roots). P should be
     monic in y (up to a unit) so no roots escape to infinity. The first
     candidate with as many simple roots as the formal y-degree of P ends the
-    search: no slice has more roots, and ties keep the earlier candidate."""
+    search: no slice has more roots, and ties keep the earlier candidate. r,
+    when given, is P's total degree, an int >= 1 that sets the grid."""
+    if r is not None:
+        check_int("degree r", r, 1)
     bound = 2 * max(1, r if r is not None else P.formal_degree()) ** 2 + 1
     most = formal_degree_in(P, y)
     best = None
@@ -206,11 +210,13 @@ def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     """Circuit for H_{<=d}[prod_{i in subset} (y - q_i)], truncation over
     total (x, y)-degree: `combiner_dense` emitted by `composition_sum` over
     y and every root's generator components, nothing interpolated. The
-    roots must be lifted, and d may not exceed the lift order bundle.d,
-    above which no component exists."""
-    subset = tuple(subset)
-    if not subset or not all(type(i) is int and 0 <= i < len(bundle.alphas) for i in subset):
-        raise ParameterViolation(f"subset {subset} must name roots in 0..{len(bundle.alphas) - 1}")
+    subset names distinct lifted roots, and d may not exceed the lift order
+    bundle.d, above which no component exists."""
+    subset, count = tuple(subset), len(bundle.alphas)
+    if not (subset and all(type(i) is int and 0 <= i < count for i in subset)
+            and len(set(subset)) == len(subset)):
+        raise ParameterViolation(
+            f"subset {subset} must name distinct roots in 0..{count - 1}")
     if type(d) is not int or not 0 <= d <= bundle.d:
         raise ParameterViolation(f"truncation order {d} outside 0..{bundle.d}")
     B = combiner_dense(bundle, subset, d)
@@ -258,17 +264,22 @@ def _check_subset_shape(subset, d: int) -> None:
         raise ParameterViolation(f"a given subset names 1..{d} distinct roots, got {subset}")
 
 
-def _search(P: Circuit, y: int, d: int, subset, seed: int, budget: ExpansionBudget):
+def _search(P: Circuit, y: int, d: int, subset, seed: int, budget: ExpansionBudget,
+            P_dense: DensePoly | None = None):
     """Yield each FactorResult whose candidate divides P, factor unset and
     factor_dense scaled monic in y when its lead is a unit; raise
-    ParameterViolation or NoFactorFound when the levels run out."""
+    ParameterViolation or NoFactorFound when the levels run out. P_dense,
+    when given, is expand(P) (factor_vnp holds it), and P is not expanded
+    again. The search reads no generator components, so it builds no node
+    copy of P."""
     P.output()
     _check_var(P, y)
     _check_lift_degree(d, budget)
     _check_subset_shape(subset, d)
     fld = P.field
 
-    P_dense = expand(P, budget)
+    if P_dense is None:
+        P_dense = expand(P, budget)
     if P_dense.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     r = P_dense.total_degree()

@@ -299,8 +299,8 @@ def pit_sz(
         witness = tuple(field.embed(first // grid ** (n - 1 - v) % grid) for v in range(n))
         return PitResult("nonzero", witness, first + 1, True, "exhaustive")
     _check_grid(field, grid)
-    if trials < 1:
-        raise ParameterViolation(f"random mode needs trials >= 1, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ParameterViolation(f"random mode needs integer trials >= 1, got {trials!r}")
     if trials > EXHAUSTIVE_POINT_BUDGET:
         raise BudgetExceeded("points", f"{trials} random points > {EXHAUSTIVE_POINT_BUDGET}")
     rng = stream(seed, "pit-sz")

@@ -428,16 +428,17 @@ class GeneratorSet:
     orders lists the derivative orders j of the members, ascending; the
     member of order j is H_{<=d} of the order-j Hasse derivative of P at
     y = alpha, minus its constant term. Every circuit here is finished
-    from the one builder of generator_set's interpolation. members holds
-    the (j, circuit) pairs in P's variable space with the y slot unused;
-    it is read from by_order() (the member of every order 0..d, each
-    finished on its own on the first call) when first read, so the lift
-    and factor paths, which read only orders and components, never build
-    it.
-    components is one multi-output circuit over the same space: output
-    pos * d + (i - 1) computes H_i of the member of order j = orders[pos],
-    the t^i s^j coefficient of P(t*x, alpha + s), for i in 1..d (None when
-    there are no members).
+    from the one builder of generator_set's interpolation, which holds the
+    node copies of P and is built on the first read of components or
+    members, so a caller that reads neither (factor_vnp's search) builds no
+    copy. components is one multi-output circuit over P's variable space
+    with the y slot unused: output pos * d + (i - 1) computes H_i of the
+    member of order j = orders[pos], the t^i s^j coefficient of
+    P(t*x, alpha + s), for i in 1..d (None when there are no members).
+    members holds the (j, circuit) pairs over the same space, read from
+    by_order() (the member of every order 0..d, each finished on its own);
+    their gates follow the components' in the builder whichever is read
+    first, so the bytes do not depend on the order of the reads.
     derivs_dense[j] is H_{<=d} of the order-j derivative at alpha, j = 0..d
     (the dense member of order j, plus its constant term), in P's variable
     space with the y slot unused: the s^j terms of x-degree <= d of the zero
@@ -451,12 +452,19 @@ class GeneratorSet:
     num_vars: int
     orders: list = dc_field(default_factory=list)
     deriv_constants: list = dc_field(default_factory=list)  # H_0 per order j
-    components: Circuit | None = None
     derivs_dense: list | None = dc_field(default=None, repr=False)
     by_order: Callable | None = dc_field(default=None, repr=False)
+    emit_components: Callable | None = dc_field(default=None, repr=False)
+
+    @cached_property
+    def components(self) -> Circuit | None:
+        return self.emit_components() if self.orders else None
 
     @cached_property
     def members(self) -> list:
+        if not self.orders:
+            return []
+        self.components  # the component gates come first in the one builder
         by_order = self.by_order()
         return [(j, by_order[j]) for j in self.orders]
 
@@ -479,20 +487,22 @@ def generator_set(
     t^k s^j coefficient, (k, j) in the lower set bounded by P's formal
     degrees in x, in y and in all. One interpolation on that set's nodes
     (a, b) makes each coefficient a weighted sum of the copies of P there (x
-    scaled by a, y bound to alpha + b), so depth does not grow. Members are
-    finished when read.
+    scaled by a, y bound to alpha + b), so depth does not grow. The copies,
+    the components and the members are built when components or members are
+    first read (GeneratorSet).
 
     The zero test is one expansion of P with y bound to alpha + s (s in y's
     slot), capped at total degree d + min(d, deg_y P): the s^j terms of
     x-degree <= d are H_{<=d} of the order-j derivative at alpha, j = 0..d,
     with no circuit built for it. They tell which homogeneous components
     vanish (kept as derivs_dense) and give deriv_constants as their constant
-    terms. Only when the expansion overflows does the builder emit the
-    derivatives' coefficient gates, finished and evaluated at 0 for the
-    constants, and members are tested by Schwartz-Zippel on 64 points over a
-    grid of size 2*d, drawn on seed 0. A false keep is harmless downstream;
-    a false drop is what the point count makes improbable. A d above the
-    budget's degree bound, or a lower set wider than it on an axis, is
+    terms. Only when the expansion overflows are the copies built at once:
+    the builder emits the derivatives' coefficient gates, finished and
+    evaluated at 0 for the constants, and members are tested by
+    Schwartz-Zippel on 64 points over a grid of size 2*d, drawn on seed 0. A
+    false keep is harmless downstream; a false drop is what the point count
+    makes improbable. A d above the budget's degree bound, a lower set wider
+    than it on an axis or than the field, and an alpha outside P's field are
     refused before any work.
     """
     P.output()
@@ -503,10 +513,16 @@ def generator_set(
     shape = (formal_degree_in(P, xs), formal_degree_in(P, y), P.formal_degree())
     if max(shape[:2]) > budget.max_degree:
         raise BudgetExceeded("degree", f"formal degree {max(shape[:2])} > {budget.max_degree}")
-    b, coeff = _interpolate(P, xs, y, alpha, shape)
+    _lower_set(fld, shape)  # the refusals the copies would raise, before any work
+    fld.check(alpha)
+
+    @cache
+    def interpolation():
+        return _interpolate(P, xs, y, alpha, shape)
 
     @cache
     def by_order():
+        b, coeff = interpolation()
         return [b.finish(coeff((k, j) for k in range(1, d + 1))) for j in range(d + 1)]
 
     try:  # H_{<=d} of each derivative: member j is denses[j] less its constant term
@@ -514,10 +530,10 @@ def generator_set(
         h0 = [dense.constant_term() for dense in denses]
     except BudgetExceeded:  # the derivatives at alpha, evaluated at 0
         denses = None
+        b, coeff = interpolation()
         derivs = b.finish([coeff((k, j) for k in range(shape[0] + 1)) for j in range(d + 1)])
         h0 = derivs.evaluate([zero] * nv)
-    orders, comp_ids = [], []
-    zero_id = b.const(zero)
+    orders, lives = [], []
     for j in range(d + 1):
         if denses is not None:
             # a component the oracle shows to vanish is emitted as 0
@@ -529,8 +545,14 @@ def generator_set(
         else:
             live = range(1, d + 1)
         orders.append(j)
-        comp_ids += [coeff([(i, j)]) if i in live else zero_id for i in range(1, d + 1)]
-    components = b.finish(comp_ids) if orders else None
+        lives.append(live)
+
+    def emit_components() -> Circuit:
+        b, coeff = interpolation()
+        zero_id = b.const(zero)
+        return b.finish([coeff([(i, j)]) if i in live else zero_id
+                         for j, live in zip(orders, lives) for i in range(1, d + 1)])
+
     return GeneratorSet(
         alpha=alpha,
         d=d,
@@ -538,9 +560,9 @@ def generator_set(
         num_vars=nv,
         orders=orders,
         deriv_constants=list(h0),
-        components=components,
         derivs_dense=denses,
         by_order=by_order,
+        emit_components=emit_components,
     )
 
 

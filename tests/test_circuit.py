@@ -25,7 +25,9 @@ from circuitforge.errors import (
     CyclicReference,
     DanglingReference,
     InvariantViolated,
+    ParameterViolation,
 )
+from circuitforge.circuit import const_circuit
 
 from conftest import BIG_PRIME, SMALL_PRIME, oracle_equal, random_circuit, rng_for, x1x2_plus_1
 
@@ -545,3 +547,13 @@ def test_cached_reachable_equals_a_fresh_walk(QQ):
     orders = [view.reachable() for view in views]
     assert orders == [_fresh_walk(view) for view in views]
     assert orders[0] != orders[1] and orders[2] == multi.reachable()
+
+
+def test_builder_refuses_a_negative_variable_count():
+    with pytest.raises(ParameterViolation, match="variable count"):
+        CircuitBuilder(Rationals(), -1)
+
+
+def test_const_circuit_refuses_a_negative_variable_count():
+    with pytest.raises(ParameterViolation, match="variable count"):
+        const_circuit(Rationals(), Fraction(1), -1)

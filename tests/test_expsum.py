@@ -480,6 +480,22 @@ def test_factor_vnp_interpolates_the_verifier_once_per_lifted_root(QQ, monkeypat
             assert bound and all(not set(keys) & set(e.aux) for keys in bound)
 
 
+def test_factor_vnp_interpolates_only_verifier_level_circuits(QQ, monkeypatch):
+    # the search reads no generator components, so every node copy that
+    # factor_vnp builds is a copy of the lifted verifier
+    calls = _record_interpolations(monkeypatch)
+    F = PrimeField(SIXTY_TWO_BIT_PRIME)
+    cases = [(_planted_aux_cubic(field), 2, (0, 1), 0) for field in (QQ, PrimeField(1_000_003))]
+    cases += [(E, d, subset, 1) for d in (1, 3)
+              for E, _, subset in [_planted_linear_product(F, d, 2)]]
+    for e, d, subset, seed in cases:
+        calls.clear()
+        out, fr = factor_vnp(e, d, subset=subset, seed=seed)
+        assert exp_sum_expand(out) == fr.factor_dense
+        assert calls and all(c[0].num_vars == e.nx + e.m for c in calls)
+        assert len(calls) == len([i for i in fr.subset if fr.bundle.states[i].gens.orders])
+
+
 def test_factor_vnp_shares_the_search_and_builds_no_circuit_factor(QQ, monkeypatch):
     # factor_vnp takes the search's first result and emits only its exp-sum;
     # extract_factor on the same expansion emits one circuit factor
@@ -529,8 +545,8 @@ def test_factor_vnp_refuses_an_over_budget_output_before_building_it(QQ, monkeyp
     B = combiner_dense(fr.bundle, fr.subset, len(fr.subset))
     assert out.m == e.m * max(sum(t[1:]) for t in B.terms) == e.m * 2
     # (y - x1 - 1)(y - 2 x1 - 2)(y - x1 - 3) a1 ... a11 over eleven
-    # auxiliaries: the degree-2 factor reads two blocks, refused with no copy
-    # of the verifier built
+    # auxiliaries: the degree-2 factor reads two blocks, refused with no node
+    # copy built, since the search reads no generator components
     b = CircuitBuilder(QQ, 13)
     x1, y = b.inp(0), b.inp(1)
     lins = [b.sub(y, b.add(b.mul(b.const(QQ.embed(s)), x1), b.const(QQ.embed(c))))
@@ -539,7 +555,7 @@ def test_factor_vnp_refuses_an_over_budget_output_before_building_it(QQ, monkeyp
     calls.clear()
     with pytest.raises(BudgetExceeded, match=r"2\^22 auxiliary assignments"):
         factor_vnp(e, 2, subset=(0, 1), seed=0)
-    assert calls and not [c for c in calls if c[0].num_vars == e.nx + e.m]
+    assert not calls
 
 
 def _planted_linear_product(field, d, m):
@@ -579,7 +595,8 @@ def test_factor_vnp_reads_one_auxiliary_block_per_factor_position(monkeypatch):
             B = combiner_dense(fr.bundle, fr.subset, len(fr.subset))
             assert out.m == E.m * max(sum(t[1:]) for t in B.terms) <= d * m, (d, m)
     # d = 3 over seven auxiliaries needs 2^21 > 2^BRUTE_FORCE_AUX_LIMIT
-    # assignments: refused before any verifier-level interpolation
+    # assignments: refused before any interpolation, of the verifier or in
+    # the search
     calls = _record_interpolations(monkeypatch)
     E, _, subset = _planted_linear_product(F, 3, 7)
     assert 3 * 7 > BRUTE_FORCE_AUX_LIMIT
@@ -587,7 +604,7 @@ def test_factor_vnp_reads_one_auxiliary_block_per_factor_position(monkeypatch):
     with pytest.raises(BudgetExceeded, match=r"2\^21 auxiliary assignments"):
         factor_vnp(E, 3, subset=subset, seed=1)
     assert time.perf_counter() - start < 1
-    assert calls and not [c for c in calls if c[0].num_vars >= E.nx + E.m]
+    assert not calls
 
 
 def test_factor_vnp_refuses_its_parameters_before_expanding(QQ, monkeypatch):

@@ -35,6 +35,16 @@ def test_separating_shift_zero_already_works(QQ):
     assert roots == [Fraction(0), Fraction(1)]
 
 
+@pytest.mark.parametrize("r", [1.5, -1, True])
+def test_separating_shift_refuses_a_degree_that_is_not_a_positive_int(QQ, r):
+    # (y - x1)(y + x1): r sets the integer shift grid of 2 r^2 + 1 points
+    b = CircuitBuilder(QQ, 2)
+    x, y = b.inp(0), b.inp(1)
+    P = b.finish(b.mul(b.sub(y, x), b.add(y, x)))
+    with pytest.raises(ParameterViolation, match="degree r"):
+        separating_shift(P, y=1, seed=0, r=r)
+
+
 def test_separating_shift_no_simple_roots(QQ):
     # (y - x1)^2 never has a simple root, any shift
     b = CircuitBuilder(QQ, 2)
@@ -502,6 +512,31 @@ def test_subset_search_on_linear_factors_lifts_one_root(QQ, monkeypatch):
     res = extract_factor(_four_linear_factors(QQ), y=2, d=3, seed=0)
     assert res.subset == (0,)
     assert len(lifted) == 1 and len(res.bundle.alphas) == 4
+
+
+def test_subset_search_builds_components_only_for_the_accepted_roots(QQ, monkeypatch):
+    # (y^2 - x1 - 4)(y - x1 - 3): the slice roots -2 and 2 lift to power
+    # series, so the singletons (0,) and (1,) are screened and rejected
+    # before (2,); only the accepted root's generator set builds its copies
+    from circuitforge import transforms
+
+    built = record_generator_sets(monkeypatch)
+    interpolated = []
+    real = transforms._interpolate
+    monkeypatch.setattr(transforms, "_interpolate",
+                        lambda *args: interpolated.append(args[0]) or real(*args))
+    b = CircuitBuilder(QQ, 2)
+    x, y = b.inp(0), b.inp(1)
+    P = b.finish(b.mul(b.sub(b.mul(y, y), b.add(x, b.const(Fraction(4)))),
+                       b.sub(y, b.add(x, b.const(Fraction(3))))))
+    res = extract_factor(P, y=1, d=2, seed=0)
+    assert res.subset == (2,) and res.bundle.alphas == [-2, 2, 3]
+    X, Y = DensePoly.variable(QQ, 2, 0), DensePoly.variable(QQ, 2, 1)
+    assert expand(res.factor) == Y - X - DensePoly.const(QQ, 2, Fraction(3))
+    states = res.bundle.states
+    assert all(st is not None for st in states)  # every root was lifted
+    read = [gens for gens in built if "components" in gens.__dict__]
+    assert read == [states[2].gens] and len(interpolated) == 1
 
 
 def test_lazy_roots_emit_the_bytes_of_eager_roots(QQ):

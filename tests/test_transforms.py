@@ -24,7 +24,8 @@ from circuitforge import (
 )
 from circuitforge import transforms
 from circuitforge.errors import (
-    ArityMismatch, BudgetExceeded, FieldTooSmall, ParameterViolation, SearchExhausted,
+    ArityMismatch, BudgetExceeded, FieldTooSmall, MixedFieldConfig, ParameterViolation,
+    SearchExhausted,
 )
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge.circuit import drop_unused_vars, formal_degree_in, sz_is_zero
@@ -550,6 +551,55 @@ def test_generator_set_over_the_full_expansion_budget_still_uses_the_oracle(QQ, 
     full = generator_set(P, 2, Fraction(2), 2)
     assert small.orders == full.orders == [1, 2]
     assert emit_circuit(small.components) == emit_circuit(full.components)
+
+
+def _genset_bytes(gens, members_first):
+    """orders, constants, components and members of gens as emitted text,
+    members read before components or after."""
+    reads = ("members", "components") if members_first else ("components", "members")
+    got = {name: getattr(gens, name) for name in reads}
+    comp = got["components"] and emit_circuit(got["components"])
+    return gens.orders, gens.deriv_constants, comp, [(j, emit_circuit(m)) for j, m in got["members"]]
+
+
+def test_generator_set_bytes_do_not_depend_on_which_part_is_read_first(QQ, Fp):
+    # the components and members are built on first read, and the component
+    # gates precede the member gates in the one builder on the oracle path
+    # (the SZ path emits the members first, for its zero test)
+    paths = set()
+    for field, name in ((QQ, "qq"), (Fp, "fp")):
+        rng = rng_for("genset-read-order-" + name)
+        for t in range(6):
+            consts = [field.embed(c) for c in (1 + t, -2, 3 + 2 * t)]
+            P, _ = plant_linear_product(field, rng, 2, 2, consts)
+            for budget in (ExpansionBudget(), ExpansionBudget(max_terms=1)):
+                d = 1 + t % 3
+                after = generator_set(P, 2, consts[0], d, budget=budget)
+                before = generator_set(P, 2, consts[0], d, budget=budget)
+                assert after.orders
+                assert _genset_bytes(before, True) == _genset_bytes(after, False)
+                paths.add(after.derivs_dense is None)
+    assert paths == {False, True}
+
+
+def test_generator_set_refuses_before_any_interpolation(QQ, monkeypatch):
+    monkeypatch.setattr(transforms, "_interpolate", lambda *a: pytest.fail("interpolated"))
+    F3, Fp = PrimeField(3), PrimeField(1_000_003)
+    b = CircuitBuilder(Fp, 2)
+    P_fp = b.finish(b.mul(b.sub(b.inp(1), b.inp(0)), b.sub(b.inp(1), b.const(Fp.embed(2)))))
+    with pytest.raises(MixedFieldConfig):
+        generator_set(P_fp, 1, Fraction(1, 2), 1)
+    b = CircuitBuilder(F3, 2)  # y-degree 3 needs four nodes alpha + 0..3
+    with pytest.raises(FieldTooSmall):
+        generator_set(b.finish(b.sub(b.power(b.inp(1), 3), b.inp(0))), 1, F3.one, 1)
+    b = CircuitBuilder(QQ, 2)
+    P = b.finish(b.add(b.inp(0), b.power(b.inp(1), 64)))
+    with pytest.raises(BudgetExceeded, match="formal degree 64 > 32"):
+        generator_set(P, 1, QQ.zero, 1, budget=ExpansionBudget(max_degree=32))
+    with pytest.raises(BudgetExceeded, match="d = 33 > 32"):
+        generator_set(P, 1, QQ.zero, 33, budget=ExpansionBudget(max_degree=32))
+    with pytest.raises(ParameterViolation):
+        generator_set(P, 1, QQ.zero, 0)
 
 
 # -- interpolation over a scaling, with no scaled copy ----------------------------
