@@ -49,7 +49,9 @@ _grid_batches: the origin alone, then aligned blocks of at most GRID_BATCH
 points in lexicographic order. A whole block comes as one broadcast axis
 per low coordinate, so numpy computes each gate only over the sub-grid of
 the coordinates it reads; the outputs are broadcast to the block and
-flattened.
+flattened. An exhaustive scan or exp-sum cube walks only the grid of the
+variables the circuit reads (_active_vars, _active_grid_batches) and holds
+every other column at one scalar.
 """
 
 from __future__ import annotations
@@ -634,6 +636,23 @@ def _grid_batches(n: int, g: int, count: int):
             flat = np.arange(offset, offset + stop - start, dtype=np.int64)
             yield high + [flat // g ** (low - 1 - v) % g for v in range(low)], stop - start
         start = stop
+
+
+def _active_vars(circ: Circuit) -> list:
+    """The variables circ's reachable input gates read, ascending."""
+    gates = circ.gates
+    return sorted({gates[i][1] for i in circ.reachable() if gates[i][0] == IN})
+
+
+def _active_grid_batches(read: list, g: int, base: list):
+    """The batches of _grid_batches over all of {0..g-1}^len(read), spread
+    over base's columns: column read[j] is the grid's coordinate j, every
+    other column is base's scalar."""
+    for columns, size in _grid_batches(len(read), g, g ** len(read)):
+        row = list(base)
+        for v, c in zip(read, columns):
+            row[v] = c
+        yield row, size
 
 
 def _batch_shape(columns, size: int) -> tuple:

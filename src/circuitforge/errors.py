@@ -163,10 +163,10 @@ class BadCertificate(UsageError):
 
 # --- argument checks ---
 
-def check_int(name: str, value, low: int = 0) -> None:
+def check_int(name: str, value, low: int | None = 0) -> None:
     """Refuse a degree, order, count or bound that is not an int (a bool is
-    not one), or is below `low`, with ParameterViolation."""
+    not one), or is below `low` (None: no bound), with ParameterViolation."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterViolation(f"{name} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise ParameterViolation(f"{name} must be >= {low}, got {value}")

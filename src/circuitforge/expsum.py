@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from .circuit import (
     Circuit,
     CircuitBuilder,
+    _active_grid_batches,
+    _active_vars,
     _check_var,
-    _grid_batches,
     const_circuit,
     evaluate_batches,
     formal_degree_in,
@@ -144,18 +145,21 @@ def exp_sum_expand(E: ExpSumPoly, budget: ExpansionBudget = DEFAULT_BUDGET) -> D
 
 def exp_sum_eval(E: ExpSumPoly, point) -> object:
     """Value of the represented polynomial at an x-point (sums the verifier
-    over the Boolean cube; the literal definition)."""
+    over the Boolean cube; the literal definition). The cube is walked over
+    the auxiliaries the verifier reads, the others held at 0: each unread
+    auxiliary doubles the sum."""
     if E.m > BRUTE_FORCE_AUX_LIMIT:
         raise BudgetExceeded("terms", f"2^{E.m} auxiliary assignments")
     if len(point) != E.nx:
         raise ArityMismatch(f"every point needs {E.nx} coordinates")
     field = E.field
-    cube = ((list(point) + aux, size) for aux, size in _grid_batches(E.m, 2, 1 << E.m))
+    read = [v for v in _active_vars(E.verifier) if v >= E.nx]
+    cube = _active_grid_batches(read, 2, list(point) + [0] * E.m)
     acc = field.zero
     for values, in evaluate_batches(E.verifier, cube):
         for value in values.tolist():
             acc = field.add(acc, value)
-    return acc
+    return field.mul(acc, field.embed(1 << E.m - len(read)))
 
 
 def _inv_pow2(field: Field, k: int):

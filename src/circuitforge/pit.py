@@ -16,16 +16,19 @@ Every test here evaluates circuits in batches through circuit.evaluate_batches,
 and every grid comes from one batcher, circuit._grid_batches: the origin
 alone, then aligned blocks of at most GRID_BATCH points, each whole block
 as broadcast axes of its low coordinates (built once per scan). An
-exhaustive scan walks {0..g-1}^n itself, each gate computed only over the
-sub-grid of the coordinates it reads; a hitting-set scan walks T^l,
-flattens each y-batch to its points and maps it through the table's
+exhaustive scan of {0..g-1}^n walks only {0..g-1}^k, the grid of the k
+variables the circuit reads, each unread column held at 0 and each gate
+computed only over the sub-grid of the coordinates it reads: the first
+nonzero point of the full grid has every unread coordinate 0, and each
+zero of the small grid stands for g^(n-k) zeros. A hitting-set scan walks
+T^l, flattens each y-batch to its points and maps it through the table's
 vectorized fold, one per window; random points run as column chunks in
 their draw order. All scans run in lexicographic order, last coordinate
 fastest, and report the first nonzero point as the witness.
 Every grid must have distinct values in the field (else FieldTooSmall), and
-no test visits more than EXHAUSTIVE_POINT_BUDGET points: larger grids,
-random trial counts and hitting-set limits are refused with BudgetExceeded
-before any point is drawn.
+no test visits more than EXHAUSTIVE_POINT_BUDGET points: larger walked
+grids (g^k), random trial counts and hitting-set limits are refused with
+BudgetExceeded before any point is drawn.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .circuit import GRID_BATCH, IN, Circuit, CircuitBuilder, drop_unused_vars, fix_vars
-from .circuit import _column_dtype, _flat_columns, _grid_batches, evaluate_batches
+from .circuit import GRID_BATCH, Circuit, CircuitBuilder, fix_vars
+from .circuit import _active_grid_batches, _active_vars, _column_dtype, _flat_columns
+from .circuit import _grid_batches, evaluate_batches
 from .circuit import formal_degree_in
 from .circuit import parse_header, parse_value
 from .dense import DEFAULT_BUDGET, expand
@@ -243,19 +247,29 @@ def _check_grid(field: Field, grid_size: int):
 
 
 def _grid_scan(circ: Circuit, grid_size: int, want_count: bool):
-    """Scan {0..grid_size-1}^n in the batches of _grid_batches. Returns
-    (zero count, 0-based index of the first nonzero point or None), as
-    _walk counts them. An empty grid, a grid larger than the field
-    (FieldTooSmall) and a grid over EXHAUSTIVE_POINT_BUDGET points are
-    refused before any point is evaluated."""
+    """Scan {0..grid_size-1}^n in the batches of _grid_batches, walking
+    only the grid of the k variables circ reads. Returns (zero count,
+    0-based index of the first nonzero point or None) on the full grid, as
+    _walk counts them: the index is mapped back from the walked grid, and
+    the count scaled by grid_size^(n-k). An empty grid, a grid larger than
+    the field (FieldTooSmall) and a walked grid over
+    EXHAUSTIVE_POINT_BUDGET points are refused before any point is
+    evaluated."""
     n = circ.num_vars
     check_int("grid size", grid_size, 1)
     _check_grid(circ.field, grid_size)
-    if grid_size**n > EXHAUSTIVE_POINT_BUDGET:
+    read = _active_vars(circ)
+    k = len(read)
+    if grid_size**k > EXHAUSTIVE_POINT_BUDGET:
         raise BudgetExceeded(
-            "points", f"{grid_size}^{n} grid points > {EXHAUSTIVE_POINT_BUDGET}"
+            "points", f"{grid_size}^{k} read grid points > {EXHAUSTIVE_POINT_BUDGET}"
         )
-    return _walk(circ, _grid_batches(n, grid_size, grid_size**n), want_count)[:2]
+    batches = _active_grid_batches(read, grid_size, [0] * n)
+    zeros, first, _ = _walk(circ, batches, want_count)
+    if first is not None:
+        first = sum(first // grid_size ** (k - 1 - j) % grid_size * grid_size ** (n - 1 - v)
+                    for j, v in enumerate(read))
+    return zeros * grid_size ** (n - k), first
 
 
 def exhaustive_zero_count(circ: Circuit, grid_size: int) -> int:
@@ -272,30 +286,33 @@ def pit_sz(
 ) -> PitResult:
     """Schwartz-Zippel test on the grid {0..d}^n, d >= deg(C).
 
-    Exhaustive mode scans all (d+1)^n points and is definitive, because d
-    bounds the degree in every variable (a d below some variable's formal
-    degree is refused); it is the default whenever the grid fits the point
-    budget. Random mode samples seeded points and can only answer
-    probably-zero, and needs 1 <= trials <= EXHAUSTIVE_POINT_BUDGET
-    (exhaustive mode ignores trials). A grid larger than the field is
-    refused in both modes. A nonzero verdict reports the witness's 1-based
-    position in the scan as points_checked.
+    Exhaustive mode decides all (d+1)^n points and is definitive, because
+    d bounds the degree in every variable (a bool, a non-integer d, or a d
+    below some variable's formal degree is refused). It walks only the
+    (d+1)^k points of the k variables the circuit reads, and is the default
+    whenever those fit the point budget; a zero verdict still reports
+    (d+1)^n as points_checked, the grid it covers. Random mode samples
+    seeded points and can only answer probably-zero, and needs
+    1 <= trials <= EXHAUSTIVE_POINT_BUDGET (exhaustive mode ignores
+    trials). A grid larger than the field is refused in both modes. A
+    nonzero verdict reports the witness's 1-based position in the full
+    grid's scan order as points_checked.
     """
     field = circ.field
     n = circ.num_vars
+    check_int("d", d, None)
     # the total degree bounds every variable's, and one walk finds it
     if d < formal_degree_in(circ, range(n)):
         top = max((formal_degree_in(circ, v) for v in range(n)), default=0)
         if d < top:
             raise ParameterViolation(f"d = {d} is below a variable's formal degree {top}")
     grid = d + 1
-    total = grid**n
     if exhaustive is None:
-        exhaustive = total <= EXHAUSTIVE_POINT_BUDGET
+        exhaustive = grid ** len(_active_vars(circ)) <= EXHAUSTIVE_POINT_BUDGET
     if exhaustive:
         _, first = _grid_scan(circ, grid, want_count=False)
         if first is None:
-            return PitResult("zero", None, total, True, "exhaustive")
+            return PitResult("zero", None, grid**n, True, "exhaustive")
         witness = tuple(field.embed(first // grid ** (n - 1 - v) % grid) for v in range(n))
         return PitResult("nonzero", witness, first + 1, True, "exhaustive")
     _check_grid(field, grid)
@@ -349,16 +366,9 @@ def _hybrid_circuit(q: Circuit, hard: ExplicitPoly, design: Design, j: int) -> C
     return b.finish(outs)
 
 
-def _active_vars(circ: Circuit) -> list:
-    return sorted({circ.gates[i][1] for i in circ.reachable() if circ.gates[i][0] == IN})
-
-
 def _is_zero_exhaustive(circ: Circuit, deg_bound: int) -> bool:
     """Definitive zero test: exhaustive SZ over the active variables."""
-    active = _active_vars(circ)
-    small = drop_unused_vars(circ, active)
-    _, first = _grid_scan(small, deg_bound + 1, want_count=False)
-    return first is None
+    return _grid_scan(circ, deg_bound + 1, want_count=False)[1] is None
 
 
 def hybrid_locate(q: Circuit, hard: ExplicitPoly, design: Design) -> HybridWitness:

@@ -18,7 +18,7 @@ from circuitforge import (
     pit_sz,
 )
 from circuitforge import circuit, pit
-from circuitforge.circuit import HEADER_COUNT_LIMIT, fix_vars
+from circuitforge.circuit import HEADER_COUNT_LIMIT, _active_vars, fix_vars, remap_vars
 from circuitforge.designs import DESIGN_ELL_FACTOR, TABLE_VARS_LIMIT, Design, SmallGF
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME
 from circuitforge import designs
@@ -26,7 +26,9 @@ from circuitforge.errors import (
     ArityMismatch, BudgetExceeded, FieldTooSmall, InvariantViolated, ParameterViolation,
     PreconditionFailed,
 )
-from circuitforge.pit import EXHAUSTIVE_POINT_BUDGET, _is_zero_exhaustive, exhaustive_zero_count
+from circuitforge.pit import (
+    EXHAUSTIVE_POINT_BUDGET, PitResult, _is_zero_exhaustive, exhaustive_zero_count,
+)
 
 from conftest import SMALL_PRIME, random_circuit, rng_for
 
@@ -555,6 +557,96 @@ def test_grid_scan_matches_a_scalar_loop(monkeypatch, QQ):
         firsts = [_scalar_scan(circ, g)[1] for circ, g in cases[-len(witnesses):]]
         assert firsts == [k for _, _, k in witnesses]
         assert want == (26, 26)
+
+
+def _full_grid_pit(circ, g, first):
+    """The PitResult of an exhaustive pit_sz on {0..g-1}^n whose first
+    nonzero point is `first` (as _scalar_scan finds it)."""
+    n = circ.num_vars
+    if first is None:
+        return PitResult("zero", None, g**n, True, "exhaustive")
+    witness = tuple(circ.field.embed(first // g ** (n - 1 - v) % g) for v in range(n))
+    return PitResult("nonzero", witness, first + 1, True, "exhaustive")
+
+
+def test_grid_scan_over_unread_variables_matches_a_scalar_loop(monkeypatch, QQ):
+    # circuits over k = 2..4 variables embedded among 6 with the unread ones
+    # leading, interleaved or trailing. The scan walks only the g^k
+    # points of the read grid, in blocks of at most 8, yet reports the first
+    # nonzero index and zero count of the whole grid: the count is the read
+    # grid's times g^(n-k), and pit_sz answers as a full-grid walk would
+    monkeypatch.setattr(circuit, "GRID_BATCH", 8)
+    walked = []
+    walk = pit.evaluate_batches
+
+    def counted(c, batches):
+        for values in walk(c, batches):
+            walked.append(len(values[0]))
+            yield values
+
+    monkeypatch.setattr(pit, "evaluate_batches", counted)
+    layouts = {2: ((4, 5), (1, 3), (0, 1)), 3: ((3, 4, 5), (0, 2, 4), (0, 1, 2)),
+               4: ((2, 3, 4, 5), (0, 2, 3, 5), (0, 1, 2, 3))}
+    for field in (PrimeField(SMALL_PRIME), QQ, PrimeField(SIXTY_TWO_BIT_PRIME)):
+        rng = rng_for("grid-scan-unread", field.kind == "prime" and field.p)
+        cases = [(random_circuit(field, rng, k, size_limit=12, degree_limit=3), g)
+                 for k, g in ((2, 3), (3, 2), (3, 3), (2, 4)) for _ in range(2)]
+        # the only nonzero point at index 1 and at the edges of blocks of
+        # 3^1 and 2^3 points, and at the last point of the read grid
+        witnesses = [(k, g, i) for k, g, block in ((3, 3, 3), (4, 2, 8))
+                     for i in (1, block - 1, block)] + [(3, 3, 26)]
+        for k, g, i in witnesses:
+            point = [i // g ** (k - 1 - v) % g for v in range(k)]
+            cases.append((_nonzero_only_at(field, g, point), g))
+        n = 6
+        for small, g in cases:
+            k = small.num_vars
+            for slots in layouts[k]:
+                circ = remap_vars(small, dict(enumerate(slots)), n)
+                read = len(_active_vars(circ))
+                want = _scalar_scan(circ, g)
+                assert want[0] == _scalar_scan(small, g)[0] * g ** (n - k)
+                walked.clear()
+                assert pit._grid_scan(circ, g, want_count=True) == want
+                assert sum(walked) == g**read
+                assert pit._grid_scan(circ, g, want_count=False)[1] == want[1]
+                assert exhaustive_zero_count(circ, g) == want[0]
+                if small.formal_degree() < g:
+                    assert pit_sz(circ, g - 1, exhaustive=True) == _full_grid_pit(circ, g, want[1])
+        firsts = [_scalar_scan(circ, g)[1] for circ, g in cases[-len(witnesses):]]
+        assert firsts == [i for _, _, i in witnesses]
+
+
+def test_a_scan_is_budgeted_by_the_variables_it_reads():
+    # 8 variables, 2 read: the 1001^8 points of the grid are over the point
+    # budget, but the 1001^2 points walked fit, so d = 1000 gets a verdict
+    F = PrimeField(SMALL_PRIME)
+    assert 1001**8 > EXHAUSTIVE_POINT_BUDGET >= 1001**2
+    b = CircuitBuilder(F, 8)
+    c = b.finish(b.mul(b.inp(2), b.inp(6)))
+    b = CircuitBuilder(F, 8)
+    u, v = b.inp(2), b.inp(6)
+    zero = b.finish(b.sub(b.mul(b.add(u, v), u), b.add(b.mul(u, u), b.mul(v, u))))
+    assert _active_vars(c) == _active_vars(zero) == [2, 6]
+    # the first nonzero point is x3 = x7 = 1, every unread coordinate 0
+    witness = tuple(F.embed(1 if v in (2, 6) else 0) for v in range(8))
+    want = PitResult("nonzero", witness, 1001**5 + 1001 + 1, True, "exhaustive")
+    assert pit_sz(c, 1000, exhaustive=True) == want
+    assert pit_sz(c, 1000) == want  # auto mode counts the walked points too
+    assert pit_sz(zero, 1000) == PitResult("zero", None, 1001**8, True, "exhaustive")
+    assert _is_zero_exhaustive(zero, 1000) and not _is_zero_exhaustive(c, 1000)
+    assert exhaustive_zero_count(c, 1001) == (1001**2 - 1000**2) * 1001**6
+
+
+def test_pit_sz_refuses_a_bool_or_non_integer_degree(QQ):
+    # True would pass for d = 1, which bounds x1 * x2 in each variable
+    b = CircuitBuilder(QQ, 2)
+    c = b.finish(b.mul(b.inp(0), b.inp(1)))
+    for d in (True, 1.0, 1.5):
+        for exhaustive in (True, False, None):
+            with pytest.raises(ParameterViolation):
+                pit_sz(c, d, exhaustive=exhaustive)
+    assert pit_sz(c, 1).status == "nonzero"
 
 
 def test_an_exhaustive_scan_passes_whole_blocks_as_axes(monkeypatch):

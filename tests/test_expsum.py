@@ -1,3 +1,4 @@
+import itertools
 import time
 from fractions import Fraction
 
@@ -18,7 +19,9 @@ from circuitforge import (
     valiant_step,
 )
 from circuitforge import transforms
-from circuitforge.circuit import formal_degree_in, input_circuit, is_formula
+from circuitforge.circuit import (
+    _active_vars, formal_degree_in, input_circuit, is_formula, remap_vars,
+)
 from circuitforge.errors import (
     ArityMismatch, BudgetExceeded, NotAFormula, ParameterViolation, ShapeError,
 )
@@ -96,6 +99,26 @@ def test_eval_sums_a_cube_across_grid_batches(QQ, Fp):
         assert exp_sum_eval(e, point) == exp_sum_expand(e).evaluate(point)
         with pytest.raises(ArityMismatch):
             exp_sum_eval(e, point[:1])
+
+
+def test_eval_over_unread_auxiliaries_matches_the_whole_cube(QQ, Fp):
+    # verifiers over r read auxiliaries placed among m >= r + 1: the walk over
+    # the read ones, doubled per unread one, is the literal sum over 2^m
+    for field, name in ((QQ, "qq"), (Fp, "fp")):
+        rng = rng_for("expsum-unread-aux-" + name)
+        for t in range(20):
+            nx, r = rng.randint(1, 2), rng.randint(0, 3)
+            m = r + rng.randint(1, 3)
+            slots = sorted(range(m), key=lambda _: rng.next_u64())[:r]
+            circ = random_circuit(field, rng, nx + r, size_limit=14, degree_limit=4)
+            mapping = {nx + j: nx + a for j, a in enumerate(slots)}
+            e = ExpSumPoly(remap_vars(circ, mapping, nx + m), tuple(range(nx, nx + m)))
+            assert len([v for v in _active_vars(e.verifier) if v >= nx]) < m
+            point = [field.embed(rng.randint(-5, 5)) for _ in range(nx)]
+            whole = field.zero
+            for bits in itertools.product((field.zero, field.one), repeat=m):
+                whole = field.add(whole, e.verifier.evaluate1(point + list(bits)))
+            assert exp_sum_eval(e, point) == whole
 
 
 def test_prod_compose_squares(QQ):

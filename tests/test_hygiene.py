@@ -297,7 +297,7 @@ def test_builder_calls_no_field_method():
 # the batched identity-test path: numpy columns from the grid batcher through
 # the table fold to the scans; a Field method call here is a scalar path
 BATCHED_PATH = {
-    "circuit.py": ("_grid_batches",),
+    "circuit.py": ("_grid_batches", "_active_vars", "_active_grid_batches"),
     "pit.py": ("ExplicitPoly.evaluate", "HittingSet.batches", "pit_hitset", "_grid_scan"),
 }
 

@@ -42,7 +42,7 @@ Q_FP = CircuitBuilder(FP, 4)
 Q_FP = Q_FP.finish(Q_FP.add(Q_FP.inp(0), Q_FP.const(FP.one)))
 HITSET = cf.HittingSet(HARD, DESIGN, 2, 3)
 
-DEGREES = (-1, -7, 0.5, 1.5, Fraction(3, 2))
+DEGREES = (-1, -7, 0.5, 1.5, Fraction(3, 2), True)
 VARS = (-1, -3, 2, 9)                  # P has the variables 0 and 1
 LENGTHS = ([], [1], [1, 2, 3])         # P takes two coordinates
 SUBSETS = ((), (7,), (0, 0), (-1,), (0, 1, 2, 3), (0.5,))
