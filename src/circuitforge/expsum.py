@@ -28,7 +28,6 @@ from .circuit import (
     _check_var,
     const_circuit,
     evaluate_batches,
-    formal_degree_in,
     is_formula,
     remap_vars,
 )
@@ -54,9 +53,9 @@ from .fields import Field, Rationals, same_field
 from .lifting import composition_sum
 from .transforms import (
     _check_lift_degree,
-    _interpolate,
     extract_y_coeffs,
     homog_component_interp,
+    root_components,
     truncate_deg,
 )
 
@@ -347,16 +346,18 @@ def factor_vnp(
     desk-scale expansion, which it hands to the search so that P is not
     expanded again; the search reads no generator components, so it builds
     no node copy. Builds no circuit factor (fr.factor is None) and emits B
-    as combine_roots does, at the verifier level: per lifted root
-    alpha, one interpolation of the verifier V in the lifted coordinates
-    gives the components, the t^i s^j coefficients of V(t * x, alpha + s,
-    aux). Factor position t of a monomial of B reads its copy of them on
-    auxiliary block t, and a monomial reading u of the k blocks is scaled by
-    2^-(m * (k - u)). The m * k auxiliaries (k <= |S| the largest generator
-    degree in B) are refused over BRUTE_FORCE_AUX_LIMIT before any copy is
-    built; d, the subset's shape and nx >= 1 are checked before E is
-    expanded. The result is certified by exp_sum_expand equality with the
-    screened candidate fr.factor_dense. Returns (exp_sum, fr).
+    as combine_roots does, at the verifier level: one interpolation of the
+    verifier V in the lifted coordinates, at the subset's first root with
+    generators, gives every root's components, the t^i s^j coefficients of
+    V(t * x, alpha + s, aux) at each root's alpha
+    (transforms.root_components). Factor position t of a monomial of B
+    reads its copy of them on auxiliary block t, and a monomial reading u
+    of the k blocks is scaled by 2^-(m * (k - u)). The m * k auxiliaries
+    (k <= |S| the largest generator degree in B) are refused over
+    BRUTE_FORCE_AUX_LIMIT before any copy is built; d, the subset's shape
+    and nx >= 1 are checked before E is expanded. The result is certified
+    by exp_sum_expand equality with the screened candidate fr.factor_dense.
+    Returns (exp_sum, fr).
     """
     field, nx, m = E.field, E.nx, E.m
     _check_lift_degree(d, budget)
@@ -366,7 +367,6 @@ def factor_vnp(
         raise ParameterViolation("z must be an x-variable, and there is none")
     p_dense = exp_sum_expand(E, budget)
     fr = next(_search(circuit_from_dense(p_dense), z, d, subset, seed, budget, p_dense))
-    x_others = list(range(z))
 
     # factor position t of a monomial of B reads auxiliary block t: refuse an
     # output over the brute-force limit before building it
@@ -376,22 +376,18 @@ def factor_vnp(
     if m * k > BRUTE_FORCE_AUX_LIMIT:
         raise BudgetExceeded("terms", f"2^{m * k} auxiliary assignments")
 
-    # per root, one interpolation of the lifted verifier: output pos * d + i - 1
-    # is the degree-i part of the member of order orders[pos]
-    ver = fr.to_lifted(E.verifier)
-    shape = (formal_degree_in(ver, x_others), formal_degree_in(ver, z),
-             formal_degree_in(ver, range(nx)))
-    comps = []
-    for i in fr.subset:
-        orders = fr.bundle.states[i].gens.orders
-        if orders:  # a root with no generators needs no copies
-            bi, coeff = _interpolate(ver, x_others, z, fr.bundle.alphas[i], shape)
-            comps.append(bi.finish([coeff([(c, j)]) for j in orders for c in range(1, d + 1)]))
+    # one interpolation of the lifted verifier for the subset: root after
+    # root, output pos * d + i - 1 is the degree-i part of the member of
+    # order orders[pos]; a root with no generators needs no copies
+    gsets = [g for g in (fr.bundle.states[i].gens for i in fr.subset) if g.orders]
     b = CircuitBuilder(field, nx + m * k)
     blocks = []
-    for t in range(k):
-        aux = {nx + q: b.inp(nx + t * m + q) for q in range(m)}
-        blocks.append([g for c in comps for g in b.import_circuit(c, var_bindings=aux)])
+    if k:
+        comps = root_components(fr.to_lifted(E.verifier), range(z), z,
+                                [(g.alpha, g.orders, None) for g in gsets], d)
+        for t in range(k):
+            aux = {nx + q: b.inp(nx + t * m + q) for q in range(m)}
+            blocks.append(b.import_circuit(comps, var_bindings=aux))
     scaled = DensePoly(field, B.n, {e: field.mul(c, _inv_pow2(field, m * (k - sum(e[1:]))))
                                     for e, c in B.terms.items()})
     composed = b.finish(composition_sum(b, scaled, [b.inp(z)], blocks, d, dS))

@@ -10,7 +10,9 @@ screened by exact divisibility against P. extract_factor emits the first
 accepted B as a flat composition sum of the generator components (depth(P) +
 2 on criterion 7), checked to expand to the screened candidate - never
 sampled, so no non-factor is mislabeled; expsum.factor_vnp emits it over an
-exp-sum's verifier and builds no circuit factor.
+exp-sum's verifier and builds no circuit factor. Both read the components of
+all the subset's roots from one interpolation at its first root, shifted to
+the others by Taylor's formula (transforms.root_components).
 
 Only factors genuinely involving y are reported: a candidate whose
 un-shifted form loses all y-dependence is rejected, and a polynomial free
@@ -55,11 +57,12 @@ from .transforms import (
     affine,
     hasse_derivative_circuit,
     make_monic,
+    root_components,
 )
 
 SHIFT_TRIALS = 32
 # depth(factor) <= depth(P) + 2 and size(factor) <= 4 * d^2 * size(P), asserted on criterion
-# 7: largest depth excess 2, size(factor) / (d^2 * size(P)) 2.71 / 3.10 / 3.50 at d = 1 / 2 / 3
+# 7: largest depth excess 2, size(factor) / (d^2 * size(P)) 2.71 / 2.55 / 2.98 at d = 1 / 2 / 3
 FACTOR_DEPTH_SLACK = 2
 FACTOR_SIZE_FACTOR = 4
 
@@ -209,9 +212,12 @@ def combiner_dense(bundle: RootBundle, subset, k: int) -> DensePoly:
 def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     """Circuit for H_{<=d}[prod_{i in subset} (y - q_i)], truncation over
     total (x, y)-degree: `combiner_dense` emitted by `composition_sum` over
-    y and every root's generator components, nothing interpolated. The
-    subset names distinct lifted roots, and d may not exceed the lift order
-    bundle.d, above which no component exists."""
+    y and every root's generator components. When one root of the subset
+    has generators, they are its GeneratorSet.components; two or more read
+    theirs from one interpolation of the source at the first of them
+    (transforms.root_components), so they share one set of node copies.
+    The subset names distinct lifted roots, and d may not exceed the lift
+    order bundle.d, above which no component exists."""
     subset, count = tuple(subset), len(bundle.alphas)
     if not (subset and all(type(i) is int and 0 <= i < count for i in subset)
             and len(set(subset)) == len(subset)):
@@ -220,13 +226,17 @@ def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     if type(d) is not int or not 0 <= d <= bundle.d:
         raise ParameterViolation(f"truncation order {d} outside 0..{bundle.d}")
     B = combiner_dense(bundle, subset, d)
-    b = CircuitBuilder(bundle.source.field, bundle.source.num_vars)
+    src, y = bundle.source, bundle.y_var
+    gsets = [gens for gens in (bundle.states[i].gens for i in subset) if gens.orders]
+    b = CircuitBuilder(src.field, src.num_vars)
     comp = []
-    for i in subset:
-        gens = bundle.states[i].gens
-        if gens.orders:
-            comp += b.import_circuit(gens.components)
-    return b.finish(composition_sum(b, B, [b.inp(bundle.y_var)], [comp] * d, bundle.d, d))
+    if len(gsets) == 1:
+        comp = b.import_circuit(gsets[0].components)
+    elif gsets:
+        xs = [v for v in range(src.num_vars) if v != y]
+        roots = [(g.alpha, g.orders, g.lives) for g in gsets]
+        comp = b.import_circuit(root_components(src, xs, y, roots, bundle.d))
+    return b.finish(composition_sum(b, B, [b.inp(y)], [comp] * d, bundle.d, d))
 
 
 def _combine_dense(bundle: RootBundle, subset, d: int, budget: ExpansionBudget) -> DensePoly:
@@ -335,7 +345,8 @@ def _search(P: Circuit, y: int, d: int, subset, seed: int, budget: ExpansionBudg
     shear = "the identity" if all(a == fld.zero for a in monic.shift) else "not the identity"
     raise NoFactorFound(
         f"no combination of lifted roots up to size {d} divides P: searched multiplicity "
-        f"levels 1..{r}, up to {SHIFT_TRIALS} shifts per level, monic shear {shear}"
+        f"levels 1..{r}, one separating shift per level chosen among up to {SHIFT_TRIALS} "
+        f"candidates, monic shear {shear}"
     )
 
 

@@ -99,13 +99,32 @@ def _lower_set_weights(fld, shape: tuple, monomials: tuple) -> tuple:
     return tuple((n, c) for n, c in enumerate(w) if c != fld.zero)
 
 
+def _shifted_weights(fld, shape: tuple, monomials, delta) -> tuple:
+    """_lower_set_weights for the t^k s^j coefficients of Q(t, delta + s):
+    by Taylor's formula, sum_(m >= j) C(m, j) * delta^(m - j) times the t^k
+    s^m weights, exact in every characteristic. A zero delta reads the
+    cached weights themselves."""
+    if delta == fld.zero:
+        return _lower_set_weights(fld, shape, tuple(monomials))
+    w: dict = {}
+    for k, j in monomials:
+        power = fld.one  # delta^(m - j)
+        for m in range(j, min(shape[1], shape[2] - k) + 1):  # the t^k column of L
+            scale = fld.mul(fld.embed(math.comb(m, j)), power)
+            power = fld.mul(power, delta)
+            for n, u in _lower_set_weights(fld, shape, ((k, m),)):
+                w[n] = fld.add(w.get(n, fld.zero), fld.mul(scale, u))
+    return tuple((n, c) for n, c in sorted(w.items()) if c != fld.zero)
+
+
 def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple):
     """One builder holding a copy of the single-output circ at each node
     (a, b) of _lower_set(shape): every variable in `scale` bound to a * x_i
     (in scale's order, before the import) and y, unless None, to alpha + b.
-    Returns (builder, coeff); coeff(monomials) emits the one weighted sum of
-    the copies that computes the sum of the t^k s^j coefficients, (k, j) in
-    monomials, of circ(t * x, alpha + s), depth-neutrally on its top sum.
+    Returns (builder, coeff); coeff(monomials, delta) emits the one weighted
+    sum of the copies that computes the sum of the t^k s^j coefficients, (k,
+    j) in monomials, of circ(t * x, alpha + delta + s), delta 0 by default,
+    depth-neutrally on its top sum.
     The nodes run scale-major, so consecutive copies of one scale differ
     only in y's binding, and the builder re-canonicalizes only the gates of
     each such copy that read y (CircuitBuilder.import_circuit)."""
@@ -119,9 +138,9 @@ def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple):
             bindings[y] = b.const(fld.add(alpha, fld.embed(s)))
         copies.append(b.import_circuit(circ, var_bindings=bindings)[0])
 
-    def coeff(monomials) -> int:
+    def coeff(monomials, delta=fld.zero) -> int:
         parts = [b.mul(b.const(c), copies[n])
-                 for n, c in _lower_set_weights(fld, shape, tuple(monomials))]
+                 for n, c in _shifted_weights(fld, shape, monomials, delta)]
         return b.add(*parts) if parts else b.const(fld.zero)
 
     return b, coeff
@@ -434,7 +453,9 @@ class GeneratorSet:
     copy. components is one multi-output circuit over P's variable space
     with the y slot unused: output pos * d + (i - 1) computes H_i of the
     member of order j = orders[pos], the t^i s^j coefficient of
-    P(t*x, alpha + s), for i in 1..d (None when there are no members).
+    P(t*x, alpha + s), for i in 1..d (None when there are no members), the
+    one-root case of root_components. lives[pos] holds the degrees i whose
+    component is not known to vanish; the others are emitted as 0.
     members holds the (j, circuit) pairs over the same space, read from
     by_order() (the member of every order 0..d, each finished on its own);
     their gates follow the components' in the builder whichever is read
@@ -451,6 +472,7 @@ class GeneratorSet:
     y_var: int
     num_vars: int
     orders: list = dc_field(default_factory=list)
+    lives: list = dc_field(default_factory=list)
     deriv_constants: list = dc_field(default_factory=list)  # H_0 per order j
     derivs_dense: list | None = dc_field(default=None, repr=False)
     by_order: Callable | None = dc_field(default=None, repr=False)
@@ -549,9 +571,7 @@ def generator_set(
 
     def emit_components() -> Circuit:
         b, coeff = interpolation()
-        zero_id = b.const(zero)
-        return b.finish([coeff([(i, j)]) if i in live else zero_id
-                         for j, live in zip(orders, lives) for i in range(1, d + 1)])
+        return b.finish(_component_gates(b, coeff, alpha, [(alpha, orders, lives)], d))
 
     return GeneratorSet(
         alpha=alpha,
@@ -559,11 +579,45 @@ def generator_set(
         y_var=y,
         num_vars=nv,
         orders=orders,
+        lives=lives,
         deriv_constants=list(h0),
         derivs_dense=denses,
         by_order=by_order,
         emit_components=emit_components,
     )
+
+
+def _component_gates(b: CircuitBuilder, coeff, alpha, roots, d: int) -> list:
+    """The generator components of each root (alpha_i, orders, lives) in
+    roots, root after root, read from one interpolation (b, coeff) of P at
+    y = alpha: for j in orders and i in 1..d, H_i of the member of order j
+    at alpha_i, the t^i s^j coefficient of P(t*x, alpha + (alpha_i - alpha)
+    + s), or the constant 0 where i is not in that order's entry of lives
+    (GeneratorSet.lives; None: every i of every order)."""
+    fld = b.field
+    zero_id = b.const(fld.zero)
+    return [coeff([(i, j)], fld.sub(a, alpha)) if live is None or i in live else zero_id
+            for a, orders, lives in roots
+            for j, live in zip(orders, lives or [None] * len(orders))
+            for i in range(1, d + 1)]
+
+
+def root_components(P: Circuit, xs, y: int, roots, d: int) -> Circuit:
+    """One multi-output circuit over P's variable space holding the
+    generator components of every root (alpha_i, orders, lives) in roots,
+    in _component_gates' order, from one interpolation of P(t*x, alpha + s)
+    taken at the first root's alpha, xs the scaled variables. The t^k s^j
+    coefficient at alpha_i is the sum over m >= j of
+    C(m, j) * (alpha_i - alpha)^(m - j) times the t^k s^m coefficient at
+    alpha, still one weighted sum of the same copies, so depth does not
+    grow and the roots share one set of node copies. With one root it is what GeneratorSet.components emits for it.
+    Variables outside xs and y, such as an exp-sum's auxiliaries, are
+    neither scaled nor bound."""
+    xs = list(xs)
+    shape = (formal_degree_in(P, xs), formal_degree_in(P, y), formal_degree_in(P, xs + [y]))
+    alpha = roots[0][0]
+    b, coeff = _interpolate(P, xs, y, alpha, shape)
+    return b.finish(_component_gates(b, coeff, alpha, roots, d))
 
 
 def _derivatives_at(P: Circuit, y: int, alpha, d: int, deg_y: int,

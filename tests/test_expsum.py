@@ -436,11 +436,10 @@ def _aux_cubic_factor(field):
 
 
 def _record_interpolations(monkeypatch) -> list:
-    """Every _interpolate call, in transforms and expsum alike, as
+    """Every call of the one interpolation engine, transforms._interpolate
+    (expsum reaches it through transforms.root_components), as
     (circ, scale, y, shape, bound): bound lists, for each copy that the
     call imports into its builder, the variables bound in that copy."""
-    from circuitforge import expsum
-
     calls, imports = [], []
     real, real_import = transforms._interpolate, CircuitBuilder.import_circuit
 
@@ -456,8 +455,7 @@ def _record_interpolations(monkeypatch) -> list:
         return b, coeff
 
     monkeypatch.setattr(CircuitBuilder, "import_circuit", importing)
-    for module in (transforms, expsum):
-        monkeypatch.setattr(module, "_interpolate", spy)
+    monkeypatch.setattr(transforms, "_interpolate", spy)
     return calls
 
 
@@ -479,10 +477,11 @@ def test_factor_vnp_interpolates_by_x_degree(QQ, monkeypatch):
             assert shape[1] == (0 if y is None else formal_degree_in(circ, y))
 
 
-def test_factor_vnp_interpolates_the_verifier_once_per_lifted_root(QQ, monkeypatch):
-    # every member of a root's orders is read from one interpolation of the
-    # verifier: one copy per node of its lower set, x1 scaled, z shifted,
-    # and no copy of any verifier-level interpolation binds an auxiliary
+def test_factor_vnp_interpolates_the_verifier_once_per_subset(QQ, monkeypatch):
+    # every member of every root's orders is read from one interpolation of
+    # the verifier for the whole subset: one copy per node of its lower set,
+    # x1 scaled, z shifted, and no copy of any verifier-level interpolation
+    # binds an auxiliary
     calls = _record_interpolations(monkeypatch)
     for field in (QQ, PrimeField(1_000_003)):
         calls.clear()
@@ -492,7 +491,7 @@ def test_factor_vnp_interpolates_the_verifier_once_per_lifted_root(QQ, monkeypat
         verifier_level = [c for c in calls if c[0].num_vars == e.nx + e.m]
         members = [c for c in verifier_level if c[1] and c[2] is not None]
         roots = [i for i in fr.subset if fr.bundle.states[i].gens.orders]
-        assert len(roots) == len(members) == 2
+        assert len(roots) == 2 and len(members) == 1
         for circ, scale, y, shape, bound in members:
             assert (scale, y) == ([0], 1)
             assert shape == (formal_degree_in(circ, [0]), formal_degree_in(circ, 1),
@@ -516,7 +515,7 @@ def test_factor_vnp_interpolates_only_verifier_level_circuits(QQ, monkeypatch):
         out, fr = factor_vnp(e, d, subset=subset, seed=seed)
         assert exp_sum_expand(out) == fr.factor_dense
         assert calls and all(c[0].num_vars == e.nx + e.m for c in calls)
-        assert len(calls) == len([i for i in fr.subset if fr.bundle.states[i].gens.orders])
+        assert len(calls) == 1
 
 
 def test_factor_vnp_shares_the_search_and_builds_no_circuit_factor(QQ, monkeypatch):

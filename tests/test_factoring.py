@@ -15,7 +15,7 @@ from circuitforge import (
     separating_shift,
     truncate_dense,
 )
-from circuitforge.circuit import fix_vars
+from circuitforge.circuit import Circuit, fix_vars
 from circuitforge.dense import DEFAULT_BUDGET, ExpansionBudget, compose, univariate_roots
 from circuitforge.factoring import SHIFT_TRIALS, _combine_dense
 from circuitforge.fields import PrimeField, Rationals
@@ -316,7 +316,8 @@ def test_no_factor_found_names_the_search(QQ):
             extract_factor(P, y=P.num_vars - 1, d=1, seed=0)
         assert str(e.value) == (
             "no combination of lifted roots up to size 1 divides P: searched multiplicity "
-            f"levels 1..2, up to {SHIFT_TRIALS} shifts per level, monic shear {shear}")
+            f"levels 1..2, one separating shift per level chosen among up to {SHIFT_TRIALS} "
+            f"candidates, monic shear {shear}")
         assert e.value.exit_code == 1
 
 
@@ -632,3 +633,80 @@ def test_given_subset_walks_the_levels_in_order(QQ):
     # (y - x1)^2 (y - x1 + 3): the derivative's roots are x1 - 2 < x1
     res = extract_factor(_square_times(QQ, -3), y=1, d=1, subset=(1,), seed=0)
     assert (res.multiplicity, res.deriv_level, res.factor_dense) == (2, 1, y - x1)
+
+
+def _multi_root_factor_runs(field):
+    """(P, y, d, subset) of the criterion-7 shapes kf = 2 and 3 over field:
+    given subsets of 2 or 3 roots."""
+    from test_acceptance import _plant_factor_instance, _rng
+
+    runs = []
+    for i, (kf, kg) in ((40, (2, 1)), (41, (2, 1)), (75, (3, 1)), (90, (2, 2))):
+        n = 2 if (i % 4 == 0 or kf >= 3) else 3
+        P, _, subset = _plant_factor_instance(field, _rng("c7", str(i)), n, kf, kg)
+        runs.append((P, n, kf, subset))
+    return runs
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(1_000_003), PrimeField(2**62 - 57)],
+                         ids=["QQ", "F1000003", "F2^62-57"])
+def test_shared_interpolation_gives_each_root_its_own_components(field):
+    # one interpolation at the first root, Taylor-shifted to each other
+    # root, expands output for output to each root's own one-root
+    # GeneratorSet.components, and emits the same oracle-zero components
+    # as the constant 0
+    from circuitforge.transforms import generator_set, root_components
+
+    def outputs(circ):
+        return [expand(Circuit(circ.field, circ.num_vars, circ.gates, [o])) for o in circ.outputs]
+
+    def zeros(circ):
+        return [circ.gates[o] == ("const", circ.field.zero) for o in circ.outputs]
+
+    def oracle_zeros(g, d):
+        return [i not in live for live in g.lives for i in range(1, d + 1)]
+
+    cases = []
+    for P, y, d, subset in _multi_root_factor_runs(field):
+        res = extract_factor(P, y=y, d=d, subset=subset, seed=0)
+        cases.append((res.bundle.source, y, d, [res.bundle.states[i].gens for i in res.subset]))
+    # (y^2 - x1^2)(y - 1)(y - 2): at its roots 1 and 2 the order-1 member
+    # has H_1 = 0, a monomial inside the lower set
+    b = CircuitBuilder(field, 2)
+    x, y = b.inp(0), b.inp(1)
+    P = b.finish(b.mul(b.sub(b.mul(y, y), b.mul(x, x)), b.sub(y, b.const(field.one)),
+                       b.sub(y, b.const(field.embed(2)))))
+    cases.append((P, 1, 2, [generator_set(P, 1, field.embed(a), 2) for a in (1, 2)]))
+    vanishing = False  # a shifted root with an oracle-zero component
+    for src, y, d, gsets in cases:
+        assert len(gsets) > 1 and all(g.orders for g in gsets)
+        xs = [v for v in range(src.num_vars) if v != y]
+        shared = root_components(src, xs, y, [(g.alpha, g.orders, g.lives) for g in gsets], d)
+        pos = 0
+        for g in gsets:
+            own, end = g.components, pos + len(g.components.outputs)
+            assert outputs(shared)[pos:end] == outputs(own)
+            assert zeros(shared)[pos:end] == zeros(own) == oracle_zeros(g, d)
+            pos = end
+        assert pos == len(shared.outputs)
+        assert shared.depth() == max(g.components.depth() for g in gsets)
+        vanishing |= any(set(live) != set(range(1, d + 1)) for g in gsets[1:] for live in g.lives)
+    assert vanishing
+
+
+def test_given_multi_root_subset_interpolates_once(QQ, monkeypatch):
+    # the roots of a given subset read their components from one
+    # interpolation of the lifted source, not one per root
+    from circuitforge import transforms
+
+    calls = []
+    real = transforms._interpolate
+    monkeypatch.setattr(transforms, "_interpolate",
+                        lambda *args: calls.append(args) or real(*args))
+    runs = [(_four_linear_factors(QQ), 2, len(S), S) for S in [(0, 2), (0, 1, 3)]]
+    for P, y, d, subset in runs + _multi_root_factor_runs(PrimeField(1_000_003)):
+        calls.clear()
+        res = extract_factor(P, y=y, d=d, subset=subset, seed=0)
+        assert res.deriv_level == 0 and len(res.subset) in (2, 3)
+        assert len(calls) == 1 and calls[0][0] is res.bundle.source
+        assert divides(expand(res.factor), expand(P)) >= 1

@@ -63,21 +63,21 @@ GOLDEN = {
     "c7/2/search": "c2a8e39ec64c46254a6053e8a7d2d5384ea0a560a17cb276e7358948e087675d",
     "c7/3/given": "18596b454a36f40cbfecfd60ef837ca581b93390e8563b48396050a0d756e24d",
     "c7/3/search": "18596b454a36f40cbfecfd60ef837ca581b93390e8563b48396050a0d756e24d",
-    "c7/40/given": "fb3663c6e16665ad925a5c55c019c66eb6980675d780388e6fe3abc5cc13081f",
+    "c7/40/given": "7507e4b16d15a1eee9f9d0cc0b7db59c1b62704e71180f1dfedeff7c07c53d1e",
     "c7/40/search": "a9ee5e89e399378799fac40ed4919520b49fba1afd30ba5ed90330c081e0aee2",
-    "c7/41/given": "8d0c41113771c6d82afa6a56f0b55056d29c5fe5a3da7d3ea62b28073c39356e",
+    "c7/41/given": "a13e411faa03c0ce5d301b5080505463bb3fc74a438f81ecd619fca2fb18683b",
     "c7/41/search": "f27a3698be568a148d685989f3364dcde97717884d52b34c6641d6cd60b24d7d",
-    "c7/42/given": "9a6b9bf8d2db0a6fa70da579564100b5a5ed3564856f9485cccab9fafffd12ef",
+    "c7/42/given": "2a7854fc38b28cac09c64ee16105e7549a32fd96007f360abb449771b89e2184",
     "c7/42/search": "a62a6816dc5a7be03cbdc2326f95aa37e786548f30faa1a3db14ea553b977968",
-    "c7/75/given": "bb93ddae067957f78de01cd5cda383f9e85af89f5c4379643925064fcc9f12e9",
+    "c7/75/given": "776760d39cfb1003011f3fc594d470b59419d2333ed8d9c7291a5e2f50f0be94",
     "c7/75/search": "d6dde3acbd4a6a188cff2e2120478219d109f383fa3e71766677d326ef3f2138",
-    "c7/76/given": "80e6624e3e5b51487fd8819ccf4475f4fe569d8d41d6b539cc78e7ec779573ad",
+    "c7/76/given": "2ed01c04a7612a6be55cde930245ad2d165e57eac8ad2f6c2fe9db5c77c676c7",
     "c7/76/search": "05e467ca74124215589732a2359433d8a66e4a2e22f9c9ec4eab0de255911c2e",
-    "c7/90/given": "55978bca23df5a21284c8ae6a80c0f22ac1acf7b6e6c2fcda04fa01b5e24ede1",
+    "c7/90/given": "bf7c53f8312c1b87d010b2e3e865f5fe4f544ec17fb7ac2fc6d36d4bdf62369a",
     "c7/90/search": "4ead5a16fddb1284c18665492f1b87d5afef62a9ee07934c73c22eca4545e62e",
-    "c7/91/given": "7c2728e6182f25a5877402cd1b695cce9292a5a3d0eee9762c5f0b5ca70da50f",
+    "c7/91/given": "8e7b03c617b582f9f08ddad1bea09da3c4fb5ef7f5f5e0385109ac7f1f981777",
     "c7/91/search": "13b97cd4413867f5514e0d8373c021cd2dfe8efd7e3cace442237e384ba18897",
-    "c7/97/given": "dbf77e00f5d30408ca67e14c90a1cbd83ec128cf5caa3be3336f7b218b691392",
+    "c7/97/given": "7e2bc3a5fa588bdcd4672242d563e0fa3d699d83423dcf887700658db080218a",
     "c7/97/search": "d56467a1b8e21af806eef2d8557ba7b7b9e55877274c70f1ff8876f041f6fcc6",
     "c1/qq/0": "b07dbb76fe0f68e149a6ed4c919947ae53f0e945afe42137dd98c6ca9107f5d3",
     "c1/qq/3": "50470b85f958807ff735ae71c7f22820f123c38b1b4825c1a01fb9836a2787fd",
@@ -92,19 +92,19 @@ GOLDEN = {
     "coord/qq/sq-x/0": "c096068233c6056d9df1be30f574208ef262399fd8c780fff127ab1dd355408e",
     "coord/qq/sq/0": "41135967f1776fc8c768a1ae1b5299effad5691acd2aed29763b8ce8214ae625",
     "coord/qq/two/0": "7258f8e414aa09cbdb6cded375bb7586cbc0da33ea531eb2ce5c50c38f7ce1df",
-    "coord/qq/two-pair/0": "d65fd0c6cb617ab233eac6ecfff213699d1f839facfe5675b2756670bd1d74db",
+    "coord/qq/two-pair/0": "734dbcd6f39dbb369963fa9d5e3dc8ac3b5187adc72dcc7e37d625b88866b119",
     "coord/qq/sq-x/2": "d18795757211528558422ef63767d9b2ad5cd95ab9b56659f01cf6def1099630",
     "coord/qq/sq/2": "41135967f1776fc8c768a1ae1b5299effad5691acd2aed29763b8ce8214ae625",
     "coord/qq/two/2": "6703fd13b663864d33e5661342f0255d235c2f1bdf0899576bf950ed62d02135",
-    "coord/qq/two-pair/2": "a52e18e1e4b90cb34a88f360609d6dca3e1dd87fca315ad25b57845046aae160",
+    "coord/qq/two-pair/2": "2fd69f780f84c88ff450317bcd6f5fa9b63b1af30c9757ff307066e75daef294",
     "coord/fp62/sq-x/0": "12a37ed3ac889328d993fe431f167aa1fc9cc2c99a01cd0f741bb07380df9a0e",
     "coord/fp62/sq/0": "029abc3d301034f73398be2ade6f1072c54f73e74977986f8615b8fbf7bca67b",
     "coord/fp62/two/0": "aec0fd947e96d36b29d5c244ff78927297c7352f55acdeb7e582dab525ead195",
-    "coord/fp62/two-pair/0": "57387028916e974deecc33b8af260425ea76d10e98bbc1e606eba6524a796b4b",
+    "coord/fp62/two-pair/0": "de09c7bd94739903136c1984325ce4c7330ee3b6bfe3bd7a712d7ad73560f5c7",
     "coord/fp62/sq-x/2": "6545362dc3aba18d005607a26396b3da2f3066efbc0da6ca711a9d50edce0f94",
     "coord/fp62/sq/2": "029abc3d301034f73398be2ade6f1072c54f73e74977986f8615b8fbf7bca67b",
     "coord/fp62/two/2": "17bba29c837242f845f28db6050d9d245ea186aa32f4b8ae7dac1b3e022791c5",
-    "coord/fp62/two-pair/2": "8b320ea6c726335f27a0c32457a4ce693d4acf882d4c23a5bd38bb66f546f953",
+    "coord/fp62/two-pair/2": "df33f42058b5651139167a9f52be6f128816784b209b2e6835f26e9c97831842",
 }
 
 # vnp-factor: (name, field, factor degree, given subset or None for search).
@@ -120,19 +120,19 @@ VNP_GOLDEN = {
     "vnp/coord/qq/sq-x/0": "53926cceb066a9f61148ce8669106218edd9c07b614ba16e41d1532685c33b47",
     "vnp/coord/qq/sq/0": "439e102900a7ffc9725fcce1d2b5a0cce3dfd6a1dba6b7140cfa18e350fbd10a",
     "vnp/coord/qq/two/0": "aba2c25d9a76ddb6fa232bc9540ce2b1bceb1d474041840c09114c2e19c3651e",
-    "vnp/coord/qq/two-pair/0": "18ba92d3fcc4b518429a3497cd8d40b8451d309c9ac453454bd25d620fe23a30",
+    "vnp/coord/qq/two-pair/0": "c2d5bb34c44736608de40a808f93bd9b5ff2885f1868ef710b89b5d69039a6df",
     "vnp/coord/qq/sq-x/2": "6c5bd41b8cc6a83bc5a43c903190a22755ba099efa69d30ca2108e62eeb38e11",
     "vnp/coord/qq/sq/2": "439e102900a7ffc9725fcce1d2b5a0cce3dfd6a1dba6b7140cfa18e350fbd10a",
     "vnp/coord/qq/two/2": "423c9d802aa8a0181f448e67d83bbe6cd61ed2b93c1a818c50060f7d2bb3df29",
-    "vnp/coord/qq/two-pair/2": "8d7e3eefba65860f9f9dedbf3a313a1c786494daa9b89c026f851f1e461beeb7",
+    "vnp/coord/qq/two-pair/2": "96a1cfb48b4b63fa92f2ff8fafbc72bcb6f75837581e5e923922d3a9357a3f0a",
     "vnp/coord/fp62/sq-x/0": "d865bc45c940188dff49a6ec1134563b88bd279c8454142a036eee88647845ff",
     "vnp/coord/fp62/sq/0": "915bd9f7da20839ac5674a3038086735a06bea01860353fb5fedf117522fb0c2",
     "vnp/coord/fp62/two/0": "2fe81e42e0664f79a3a1b316580a2646c00f12631ffb8d4c97bfbf1866c71aba",
-    "vnp/coord/fp62/two-pair/0": "d3a2f6c7f07cda1ee3196c1b6fbb9f603a6bf46b3973e733870474ac434304e2",
+    "vnp/coord/fp62/two-pair/0": "353a0e7dc737fe8665ad17d1f17399ffbfb986eafee2e860dce6cd03bb1570c1",
     "vnp/coord/fp62/sq-x/2": "06ca1471f109ccc1eb06ca82aa1a3309418c5fb84908d1963e57aa994fa004fa",
     "vnp/coord/fp62/sq/2": "915bd9f7da20839ac5674a3038086735a06bea01860353fb5fedf117522fb0c2",
     "vnp/coord/fp62/two/2": "34897aa3ec07185ff0ab9c4f3eab7c23c4be221ad16f0c7834fa880adde03ff1",
-    "vnp/coord/fp62/two-pair/2": "0805ae557efda988223fa5bc07d3675834b4cfa887a2d73b9f5c26c581f9650a",
+    "vnp/coord/fp62/two-pair/2": "090ef892ee484d348e06e599b812cfd847206a0e9de0c35908b087494638bd15",
 }
 
 
