@@ -44,12 +44,12 @@ from .pit import ExplicitPoly, HittingSet, hybrid_locate, pit_hitset, pit_sz
 from .transforms import (
     GeneratorSet,
     MonicForm,
+    affine,
     extract_y_coeffs,
     generator_set,
     hasse_derivative_circuit,
     homogenize,
     make_monic,
-    translate,
     truncate_deg,
 )
 

@@ -222,11 +222,14 @@ def sample_grid(field: Field, bound: int, count: int, seed: int, *names: str):
     return [field.embed(rng.randrange(bound)) for _ in range(count)]
 
 
-def _shift_candidates(field: Field, n: int, bound: int, count: int, seed: int, *names: str):
-    """The all-zero n-tuple, then `count` n-tuples over {0..bound-1} drawn
-    lazily from stream(seed, *names): the shift search order of the lift,
-    monic and separating-shift stages."""
+def _shift_candidates(field: Field, n: int, bound: int, count: int, seed: int, *names: str,
+                      units: bool = False):
+    """The all-zero n-tuple, then (with units) e_1..e_n, then `count`
+    n-tuples over {0..bound-1} drawn lazily from stream(seed, *names): the
+    shift search order of the lift, monic and separating-shift stages."""
     yield (field.zero,) * n
+    for i in range(n if units else 0):
+        yield (field.zero,) * i + (field.one,) + (field.zero,) * (n - 1 - i)
     rng = stream(seed, *names)
     for _ in range(count):
         yield tuple(field.embed(rng.randrange(bound)) for _ in range(n))

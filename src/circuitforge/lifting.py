@@ -9,9 +9,9 @@ The engine has three layers:
   - lift_root: the end-to-end pipeline; searches translations c until the
     slice P(c, y) has a base-field root, of multiplicity m by exact division,
     makes it simple with the order-(m - 1) y-derivative, runs the recurrence,
-    builds H_{<=d}[A_d(g)] from the degree components of the generators,
-    translates back, and certifies the residual P(x, f) = 0 against the
-    dense oracle (Schwartz-Zippel above budget).
+    builds H_{<=d}[A_d(g)] from the degree components of the generators in
+    the original coordinates, and certifies the residual P(x, f) = 0 against
+    the dense oracle (Schwartz-Zippel above budget).
 """
 
 from __future__ import annotations
@@ -168,20 +168,23 @@ def build_A_recurrence(
     return LiftState(alpha=alpha, delta=delta, gens=gens, A=A_circs, wire_deltas=deltas)
 
 
-def compose_root(state: LiftState, k: int | None = None) -> Circuit:
-    """H_{<=k}[A_k(g_0..g_d)] as a circuit over P's variable space (the y
-    slot comes back unused). k defaults to the full lift order d; the root
-    is the `composition_sum` of A_k (depth at most depth(P) + 3 on the
-    criterion-1 family). With no generators A_k is a constant.
+def compose_root(state: LiftState, k: int | None = None, shift=()) -> Circuit:
+    """H_{<=k}[A_k(g_0..g_d)] at x - shift, for a state lifted from P(x +
+    shift, y), over P's variable space with the y slot unused; k defaults to
+    d. The root is the `composition_sum` of A_k (depth at most depth(P) + 3
+    on the criterion-1 family); with no generators A_k is a constant. One
+    builder writes x_i - shift_i (in affine's order), the lifted P's node
+    copies at a * (x_i - shift_i), the components and the sum.
     """
     d = state.d
-    if k is None:
-        k = d
+    k = d if k is None else k
     if not 1 <= k <= d:
         raise ParameterViolation(f"truncation order {k} outside 1..{d}")
-    gens = state.gens
-    b = CircuitBuilder(state.A[-1].field, gens.num_vars)
-    comp = b.import_circuit(gens.components) if gens.orders else []
+    gens, fld = state.gens, state.A[-1].field
+    b = CircuitBuilder(fld, gens.num_vars)
+    xs = [v for v in range(gens.num_vars) if v != gens.y_var]
+    inputs = {v: b.add(b.inp(v), b.const(fld.neg(c))) for v, c in zip(xs, shift) if c != fld.zero}
+    comp = gens.component_gates(*gens.interpolate(b, inputs)) if gens.orders else []
     return b.finish(composition_sum(b, state.low(k), [], [comp] * k, d, k))
 
 
@@ -235,11 +238,11 @@ def lift_root(
 ) -> RootCertificate:
     """Find a circuit f of degree <= d with P(x, f) = 0.
 
-    Searches translations of the origin until P(0, y) acquires a base-field
-    root (alpha pins the root and skips the search, so a pinned alpha is
+    Searches translations c (the origin, e_1..e_n, then seeded draws) until
+    P(c, y) has a base-field root (a pinned alpha skips the search and is
     tried only at the origin), makes a root of multiplicity m simple with
     the order-(m - 1) y-derivative, runs the A recurrence, composes it with
-    the generator components, translates back, and certifies the residual.
+    the generator components read at x - c, and certifies the residual.
     The certificate records per-stage metrics and whether the residual check
     ran on the dense oracle or fell back to Schwartz-Zippel points. A d
     above the budget's degree bound is refused before any work.
@@ -251,7 +254,8 @@ def lift_root(
 
     grid = 2 * max(1, P.formal_degree()) * d + 1
     trials = TRANSLATE_TRIALS if alpha is None else 0
-    shifts = _shift_candidates(fld, len(x_vars), grid, trials, seed, "lift-root", "translate")
+    shifts = _shift_candidates(fld, len(x_vars), grid, trials, seed, "lift-root", "translate",
+                               units=alpha is None)
 
     saw_slice = saw_candidate = False
     for c, p_univ in _slices(P, y, shifts, budget):
@@ -268,15 +272,13 @@ def lift_root(
                 state = build_A_recurrence(P_try, root_val, d, y, budget=budget)
             except NotASimpleRoot:
                 continue
-            h = compose_root(state)
-            f_cand = affine(h, y, [fld.neg(v) for v in c])
+            f_cand = compose_root(state, shift=c)
             mode = _residual_check(P, y, f_cand, seed, budget)
             if mode is None:
                 continue
             stages = (("input", P), ("translated", Pc), ("multiplicity-reduced", P_try),
-                      ("A_d", state.A[-1]), ("composed-truncated", h))
-            # measured first: the projection of an unshifted root (f_cand is h)
-            # copies h's metrics instead of walking the root again
+                      ("A_d", state.A[-1]), ("composed-truncated", f_cand))
+            # measured first, so the projection copies f_cand's metrics
             chain = [_stage(name, circ) for name, circ in stages]
             root_circ = drop_unused_vars(f_cand, x_vars)
             chain.append(_stage("root", root_circ))

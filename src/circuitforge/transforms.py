@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 from .circuit import ADD, Circuit, CircuitBuilder, _check_var, formal_degree_in
 from .circuit import const_circuit, evaluate_batch, remap_vars, sz_is_zero
@@ -103,24 +103,27 @@ def _shifted_weights(fld, shape: tuple, monomials, delta) -> tuple:
     """_lower_set_weights for the t^k s^j coefficients of Q(t, delta + s):
     by Taylor's formula, sum_(m >= j) C(m, j) * delta^(m - j) times the t^k
     s^m weights, exact in every characteristic. A zero delta reads the
-    cached weights themselves."""
+    cached weights themselves. The sums run on native numbers, each weight
+    reduced once by fld.embed (mod p over F_p; a Fraction over Q)."""
     if delta == fld.zero:
         return _lower_set_weights(fld, shape, tuple(monomials))
     w: dict = {}
     for k, j in monomials:
-        power = fld.one  # delta^(m - j)
+        power = 1  # delta^(m - j)
         for m in range(j, min(shape[1], shape[2] - k) + 1):  # the t^k column of L
-            scale = fld.mul(fld.embed(math.comb(m, j)), power)
-            power = fld.mul(power, delta)
+            scale = math.comb(m, j) * power
+            power = fld.embed(power * delta)
             for n, u in _lower_set_weights(fld, shape, ((k, m),)):
-                w[n] = fld.add(w.get(n, fld.zero), fld.mul(scale, u))
-    return tuple((n, c) for n, c in sorted(w.items()) if c != fld.zero)
+                w[n] = w.get(n, 0) + scale * u
+    w = ((n, fld.embed(c)) for n, c in sorted(w.items()))
+    return tuple((n, c) for n, c in w if c != fld.zero)
 
 
-def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple):
-    """One builder holding a copy of the single-output circ at each node
-    (a, b) of _lower_set(shape): every variable in `scale` bound to a * x_i
-    (in scale's order, before the import) and y, unless None, to alpha + b.
+def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple, b=None, inputs=None):
+    """A copy of the single-output circ in b (a fresh builder when None) at
+    each node (a, s) of _lower_set(shape): every variable i in `scale` bound
+    to a * inputs.get(i, x_i), in scale's order before the import, and y,
+    unless None, to alpha + s.
     Returns (builder, coeff); coeff(monomials, delta) emits the one weighted
     sum of the copies that computes the sum of the t^k s^j coefficients, (k,
     j) in monomials, of circ(t * x, alpha + delta + s), delta 0 by default,
@@ -128,12 +131,12 @@ def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple):
     The nodes run scale-major, so consecutive copies of one scale differ
     only in y's binding, and the builder re-canonicalizes only the gates of
     each such copy that read y (CircuitBuilder.import_circuit)."""
-    fld = circ.field
-    b = CircuitBuilder(fld, circ.num_vars)
+    fld, inputs = circ.field, inputs or {}
+    b = CircuitBuilder(fld, circ.num_vars) if b is None else b
     copies = []
     for a, s in _lower_set(fld, shape):
         node = b.const(fld.embed(a))  # at a = 0 a scaled copy folds to a constant
-        bindings = {i: b.mul(node, b.inp(i)) for i in scale}
+        bindings = {i: b.mul(node, inputs[i] if i in inputs else b.inp(i)) for i in scale}
         if y is not None:
             bindings[y] = b.const(fld.add(alpha, fld.embed(s)))
         copies.append(b.import_circuit(circ, var_bindings=bindings)[0])
@@ -311,15 +314,6 @@ def hasse_derivative_circuit(circ: Circuit, y: int, j: int) -> Circuit:
 
 # -- change of coordinates ------------------------------------------------------
 
-def translate(circ: Circuit, shift) -> Circuit:
-    """Circuit computing circ(x + shift); circ itself for a zero shift."""
-    if len(shift) != circ.num_vars:
-        raise ArityMismatch(
-            f"shift has {len(shift)} coordinates, circuit has {circ.num_vars} variables"
-        )
-    return affine(circ, None, shift)
-
-
 def affine(circ: Circuit, y: int | None, shift=(), shear=None, unit=None) -> Circuit:
     """unit * circ with x_i -> x_i + shear[i] * y + shift[i], x_i the i-th
     variable other than y (every variable when y is None, taking no shear).
@@ -456,6 +450,8 @@ class GeneratorSet:
     P(t*x, alpha + s), for i in 1..d (None when there are no members), the
     one-root case of root_components. lives[pos] holds the degrees i whose
     component is not known to vanish; the others are emitted as 0.
+    component_gates emits them in any interpolation (b, coeff), such as the
+    one interpolate(b, inputs) lays in a caller's builder b (compose_root).
     members holds the (j, circuit) pairs over the same space, read from
     by_order() (the member of every order 0..d, each finished on its own);
     their gates follow the components' in the builder whichever is read
@@ -476,11 +472,19 @@ class GeneratorSet:
     deriv_constants: list = dc_field(default_factory=list)  # H_0 per order j
     derivs_dense: list | None = dc_field(default=None, repr=False)
     by_order: Callable | None = dc_field(default=None, repr=False)
-    emit_components: Callable | None = dc_field(default=None, repr=False)
+    interpolation: Callable | None = dc_field(default=None, repr=False)  # the set's own
+    interpolate: Callable | None = dc_field(default=None, repr=False)  # into a caller's b
 
     @cached_property
     def components(self) -> Circuit | None:
-        return self.emit_components() if self.orders else None
+        if not self.orders:
+            return None
+        b, coeff = self.interpolation()
+        return b.finish(self.component_gates(b, coeff))
+
+    def component_gates(self, b: CircuitBuilder, coeff) -> list:
+        return _component_gates(b, coeff, self.alpha, [(self.alpha, self.orders, self.lives)],
+                                self.d)
 
     @cached_property
     def members(self) -> list:
@@ -538,9 +542,8 @@ def generator_set(
     _lower_set(fld, shape)  # the refusals the copies would raise, before any work
     fld.check(alpha)
 
-    @cache
-    def interpolation():
-        return _interpolate(P, xs, y, alpha, shape)
+    interpolate = partial(_interpolate, P, xs, y, alpha, shape)
+    interpolation = cache(interpolate)  # the set's own builder
 
     @cache
     def by_order():
@@ -569,10 +572,6 @@ def generator_set(
         orders.append(j)
         lives.append(live)
 
-    def emit_components() -> Circuit:
-        b, coeff = interpolation()
-        return b.finish(_component_gates(b, coeff, alpha, [(alpha, orders, lives)], d))
-
     return GeneratorSet(
         alpha=alpha,
         d=d,
@@ -583,7 +582,8 @@ def generator_set(
         deriv_constants=list(h0),
         derivs_dense=denses,
         by_order=by_order,
-        emit_components=emit_components,
+        interpolation=interpolation,
+        interpolate=interpolate,
     )
 
 

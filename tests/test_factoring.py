@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -692,6 +693,47 @@ def test_shared_interpolation_gives_each_root_its_own_components(field):
         assert shared.depth() == max(g.components.depth() for g in gsets)
         vanishing |= any(set(live) != set(range(1, d + 1)) for g in gsets[1:] for live in g.lives)
     assert vanishing
+
+
+def _field_shifted_weights(fld, shape, monomials, delta):
+    """transforms._shifted_weights written with one Field call per term:
+    the formula the native sums must reproduce byte for byte."""
+    from circuitforge.transforms import _lower_set_weights
+
+    w = {}
+    for k, j in monomials:
+        power = fld.one
+        for m in range(j, min(shape[1], shape[2] - k) + 1):
+            scale = fld.mul(fld.embed(math.comb(m, j)), power)
+            power = fld.mul(power, delta)
+            for n, u in _lower_set_weights(fld, shape, ((k, m),)):
+                w[n] = fld.add(w.get(n, fld.zero), fld.mul(scale, u))
+    return tuple((n, c) for n, c in sorted(w.items()) if c != fld.zero)
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(1_000_003), PrimeField(2**62 - 57)],
+                         ids=["QQ", "F1000003", "F2^62-57"])
+def test_shifted_weights_match_the_field_formula(field, monkeypatch):
+    # every Taylor-shifted weight row that the criterion-7 subsets of 2 and
+    # 3 roots read equals the Field-call formula, value and type
+    from circuitforge import transforms
+
+    real, rows = transforms._shifted_weights, []
+
+    def spy(fld, shape, monomials, delta):
+        monomials = tuple(monomials)
+        rows.append((fld, shape, monomials, delta, real(fld, shape, monomials, delta)))
+        return rows[-1][-1]
+
+    monkeypatch.setattr(transforms, "_shifted_weights", spy)
+    for P, y, d, subset in _multi_root_factor_runs(field):
+        extract_factor(P, y=y, d=d, subset=subset, seed=0)
+    shifted = [row for row in rows if row[3] != field.zero]
+    assert len(shifted) > 10
+    for fld, shape, monomials, delta, got in shifted:
+        want = _field_shifted_weights(fld, shape, monomials, delta)
+        assert got == want
+        assert [type(c) for _, c in got] == [type(c) for _, c in want]
 
 
 def test_given_multi_root_subset_interpolates_once(QQ, monkeypatch):

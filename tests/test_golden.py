@@ -84,7 +84,7 @@ GOLDEN = {
     "c1/qq/13": "f9afc247eaaf8e37f6dfaa1b95c8ab1fe7844a2ca7efb1777cabd54af99d6bda",
     "c1/qq/19": "fecf29932d83fd64f6484d7dffc6c0669fd47b010594cb25c5a46fc662aaa6d4",
     "c1/qq/27": "ef4dbc12e1b9ad0d0a136a9102d110619cb2b3228fbec9e7acae94894e400915",
-    "c1/fp62/1": "fc4a0a7d7fedc46b4c3f9dd03b73f510f0505d11974d1baed1f09b2234c6c587",
+    "c1/fp62/1": "5372584ff3bf0b4629744a1dccae35375ceaf71d682a74932e2ecb41c27cb3ef",
     "c1/fp62/7": "fa9db74a74512e75bb125b8ea2fdc5b46bd8326c7b1ae150eb4c1e53ca978fa7",
     "c1/fp62/9": "9945d1768df7d6814b8b9d110686826f2359397a0b6c45bea5e5e3fa375f786d",
     "c1/fp62/17": "6c8f517eba5dce49c2df5ee9b4bae9e3c2de9188d9e54399b832ab2c2fb3fc8d",

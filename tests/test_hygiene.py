@@ -153,7 +153,8 @@ def test_names_the_tracer_looks_up_exist():
 # spans the tracer reads that src/ no longer defines: each reads a silent 0 in
 # its per-layer metric until the benchmark stops reading it (ROADMAP item 12)
 DEAD_TRACER_SPANS = {"factoring.approx_roots", "transforms.homogenize_upto",
-                     "transforms.undo_monic_shift", "expsum.circuit_to_formula"}
+                     "transforms.undo_monic_shift", "expsum.circuit_to_formula",
+                     "transforms.translate"}
 
 
 def test_spans_the_tracer_reads_are_defined_or_pinned_dead():

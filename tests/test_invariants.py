@@ -13,8 +13,8 @@ from circuitforge import (
     RootBundle,
     expand,
     lift_root,
+    affine,
     substitute,
-    translate,
 )
 from circuitforge.dense import circuit_from_dense, compose
 from circuitforge.designs import Design
@@ -65,7 +65,7 @@ def test_translate_circuit_matches_dense_translation(QQ, Fp):
             shift = [field.embed(rng.randint(-3, 3)) for _ in range(3)]
             moved = [DensePoly.variable(field, 3, v) + DensePoly.const(field, 3, s)
                      for v, s in enumerate(shift)]
-            assert expand(translate(c, shift)) == compose(expand(c), moved)
+            assert expand(affine(c, None, shift)) == compose(expand(c), moved)
 
 
 def test_substitute_mixed_field_config(QQ, Fp):

@@ -45,11 +45,17 @@ HITSET = cf.HittingSet(HARD, DESIGN, 2, 3)
 DEGREES = (-1, -7, 0.5, 1.5, Fraction(3, 2), True)
 VARS = (-1, -3, 2, 9)                  # P has the variables 0 and 1
 LENGTHS = ([], [1], [1, 2, 3])         # P takes two coordinates
+# a shift of P over all its variables: too long, or not over Q (a shorter
+# shift is legal: the variables past it stay put)
+LONG_SHIFTS = ([QQ.one] * 3, [1, 2, 3], [1])
 SUBSETS = ((), (7,), (0, 0), (-1,), (0, 1, 2, 3), (0.5,))
 CIRCUITS_ELSEWHERE = (P_FP, cf.const_circuit(FP, FP.one, 2))
 
 # (function, the invalid values, call with one of them)
 CALLS = [
+    ("affine", LONG_SHIFTS, lambda v: cf.affine(P, None, v)),
+    ("affine", VARS, lambda v: cf.affine(P, v, [QQ.one])),
+    ("affine", ([QQ.one],), lambda v: cf.affine(P, None, shear=v)),
     ("build_A_recurrence", DEGREES, lambda v: cf.build_A_recurrence(P, QQ.zero, v, 1)),
     ("build_A_recurrence", VARS, lambda v: cf.build_A_recurrence(P, QQ.zero, 1, v)),
     ("combine_roots", SUBSETS, lambda v: cf.combine_roots(BUNDLE, v, 1)),
@@ -106,7 +112,6 @@ CALLS = [
     ("separating_shift", DEGREES + (0, True), lambda v: cf.separating_shift(P, 1, 0, r=v)),
     ("substitute", VARS, lambda v: cf.substitute(P, {v: P})),
     ("substitute", CIRCUITS_ELSEWHERE, lambda v: cf.substitute(P, {0: v})),
-    ("translate", LENGTHS, lambda v: cf.translate(P, v)),
     ("truncate_deg", DEGREES, lambda v: cf.truncate_deg(P, v)),
     ("truncate_deg", VARS, lambda v: cf.truncate_deg(P, 1, scale_vars=[0, v])),
     ("truncate_dense", DEGREES, lambda v: cf.truncate_dense(DENSE, v)),

@@ -2,19 +2,29 @@ from fractions import Fraction
 
 import pytest
 
+import hashlib
+import json
+
 from circuitforge import (
     CircuitBuilder,
     DensePoly,
+    PrimeField,
+    Rationals,
+    affine,
     build_A_recurrence,
     emit_circuit,
     expand,
     extract_factor,
+    hasse_derivative_circuit,
     lift_root,
     lift_step,
     truncate_dense,
+    univariate_roots,
 )
 from circuitforge import lifting
-from circuitforge.dense import ExpansionBudget, circuit_from_dense, compose
+from circuitforge.circuit import drop_unused_vars
+from circuitforge.cli import _core_lift_root
+from circuitforge.dense import DEFAULT_BUDGET, ExpansionBudget, circuit_from_dense, compose
 from circuitforge.errors import (
     NoRationalRoot,
     NotASimpleRoot,
@@ -23,9 +33,15 @@ from circuitforge.errors import (
     ZeroDelta,
     ZeroPolynomial,
 )
+from circuitforge.fields import SIXTY_TWO_BIT_PRIME, _shift_candidates
 from circuitforge.lifting import A_STEP_WIRE_LAW, _residual_check, compose_root
 
 from conftest import plant_linear_product, random_sparse_poly, record_generator_sets, rng_for
+
+
+# sha256 of the root and certificate that lift-root writes for x1*x2*(y - 1 -
+# x1 - x1*x2)(y - 3) at seed 5, pinned before the unit shifts were tried
+FIRST_DRAW_DIGEST = "0e1dfcb1f711753c8e9969c3f9b77905d99b8823507bf99cfb0c40018007ee9d"
 
 
 def _y2_minus_1px_squared(QQ):
@@ -368,3 +384,121 @@ def test_residual_truncation_identity(QQ):
     x1, x2 = DensePoly.variable(QQ, 3, 0), DensePoly.variable(QQ, 3, 1)
     residual = compose(expand(P), [x1, x2, root3])
     assert truncate_dense(residual, 2).is_zero()
+
+
+# -- one-pass emission of translated roots ------------------------------------------
+
+FIELDS = (Rationals(), PrimeField(1_000_003), PrimeField(SIXTY_TWO_BIT_PRIME))
+
+
+def _planted_power(field, rng, d, m, *others):
+    """(P, f): P = (y - f)^m times the factors others(b) over x1, x2 and
+    y = x3, f a sparse polynomial of degree d."""
+    f = random_sparse_poly(field, rng, 2, d, 3) + DensePoly(field, 2, {(d - d // 2, d // 2): field.one})
+    b = CircuitBuilder(field, 3)
+    y = b.inp(2)
+    root = b.sub(y, b.import_circuit(circuit_from_dense(f.with_vars(3)))[0])
+    return b.finish(b.mul(*[root] * m, *[other(b) for other in others])), f
+
+
+def _state_at(P, y, d, c, root, m):
+    """The lift state lift_root builds at the shift c for the slice root
+    `root` of multiplicity m: P translated by c, reduced by the order-(m - 1)
+    y-derivative."""
+    ((_, p_univ),) = lifting._slices(P, y, [c])
+    assert (root, m) in univariate_roots(p_univ)
+    Pc = affine(P, y, c)
+    P_try = Pc if m == 1 else hasse_derivative_circuit(Pc, y, m - 1)
+    return build_A_recurrence(P_try, root, d, y)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["qq", "f1000003", "f62"])
+def test_one_pass_root_is_the_two_pass_root_translated_back(field):
+    # the back-translation written before the node copies gives, gate for
+    # gate, the composed root translated back by affine after the fact
+    rng = rng_for("one-pass-root", FIELDS.index(field))
+    xs, kinds = [0, 1], set()
+    for d in range(1, 6):
+        for m in (1, 2):
+            P, f = _planted_power(field, rng, d, m, lambda b: b.sub(b.inp(2), b.const(field.embed(7))))
+            for c in ([0, 2], [-3, 0], [2, -1], [1, 5]):
+                c = [field.embed(v) for v in c]
+                state = _state_at(P, 2, d, c, f.evaluate(c), m)
+                one = drop_unused_vars(compose_root(state, shift=c), xs)
+                back = [field.neg(v) for v in c]
+                two = drop_unused_vars(affine(compose_root(state), 2, back), xs)
+                assert emit_circuit(one) == emit_circuit(two), (d, m, c)
+                assert one.metrics() == two.metrics()
+                assert expand(one) == f
+                kinds.add((m, sum(v != field.zero for v in c)))
+    assert kinds == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+def test_translated_lift_root_composes_once_in_P_coordinates(QQ, Fp, monkeypatch):
+    # affine moves P to the slice and nothing else: the root is written in
+    # P's coordinates from its own node copies, never from
+    # GeneratorSet.components
+    moved = []
+    real_affine = lifting.affine
+    monkeypatch.setattr(lifting, "affine", lambda circ, *a, **k: moved.append(circ)
+                        or real_affine(circ, *a, **k))
+    built = record_generator_sets(monkeypatch)
+    for field in (QQ, Fp, PrimeField(SIXTY_TWO_BIT_PRIME)):
+        for m in (1, 2):
+            # x1 kills the origin slice
+            P, f = _planted_power(field, rng_for("spy-one-pass", m), 2, m, lambda b: b.inp(0))
+            moved.clear()
+            cert = lift_root(P, y=2, d=2, seed=0)
+            assert any(v != field.zero for v in cert.shift)
+            assert moved and all(circ is P for circ in moved)
+            assert cert.multiplicity == m and expand(cert.root) == f
+    assert built and all("components" not in gens.__dict__ for gens in built)
+
+
+# -- the translation search order -------------------------------------------------
+
+def _killed(field, kill):
+    """(y - 1 - x1 - x1*x2)(y - 3) times the y-free factor prod x_i, i in kill."""
+    P = _two_root_instance(field)
+    b = CircuitBuilder(field, 3)
+    return b.finish(b.mul(*[b.inp(i) for i in kill], b.import_circuit(P)[0]))
+
+
+def test_lift_root_tries_the_unit_shifts_after_the_origin(QQ, Fp):
+    # P(0, y) vanishes, P(e_1, y) does not: the lift is taken at e_1
+    for field in (QQ, Fp):
+        cert = lift_root(_killed(field, [0]), y=2, d=2, seed=0)
+        assert cert.shift == (field.one, field.zero)
+        assert expand(cert.root) in (DensePoly(field, 2, {(0, 0): field.one, (1, 0): field.one,
+                                                          (1, 1): field.one}),
+                                     DensePoly.const(field, 2, field.embed(3)))
+        assert dict(cert.metrics_chain)["translated"] != dict(cert.metrics_chain)["input"]
+
+
+def test_lift_root_takes_the_first_seeded_draw_when_every_unit_slice_vanishes(QQ):
+    # x1*x2 kills the origin and both unit slices, so the search takes the
+    # first seeded draw, with the root and certificate bytes it had before
+    # the unit shifts were tried
+    P = _killed(QQ, [0, 1])
+    params = dict(y=2, d=2, seed=5, budget_terms=DEFAULT_BUDGET.max_terms,
+                  budget_degree=DEFAULT_BUDGET.max_degree, alpha=None)
+    outs, data = _core_lift_root(params, {"in": emit_circuit(P).encode()})
+    grid = 2 * P.formal_degree() * 2 + 1
+    first_draw = list(_shift_candidates(QQ, 2, grid, 1, 5, "lift-root", "translate"))[1]
+    assert data["shift"] == ["15", "4"] == [QQ.format(v) for v in first_draw]
+    digest = hashlib.sha256(outs["out"])
+    digest.update(json.dumps(data, sort_keys=True, default=str).encode())
+    assert digest.hexdigest() == FIRST_DRAW_DIGEST
+
+
+def test_rootless_lift_root_expands_at_most_every_candidate_slice(QQ, monkeypatch):
+    # y^2 + x1^2 + 1 has no rational root on any slice: the origin, the n
+    # unit shifts and the TRANSLATE_TRIALS draws are each expanded once
+    b = CircuitBuilder(QQ, 3)
+    y = b.inp(2)
+    P = b.finish(b.add(b.mul(y, y), b.mul(b.inp(0), b.inp(0)), b.const(QQ.one)))
+    expanded, real = [], lifting.expand
+    monkeypatch.setattr(lifting, "expand", lambda *a, **k: expanded.append(a[0]) or real(*a, **k))
+    with pytest.raises(NoRationalRoot):
+        lift_root(P, y=2, d=2, seed=0)
+    assert len(expanded) == 1 + 2 + lifting.TRANSLATE_TRIALS

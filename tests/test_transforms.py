@@ -18,7 +18,6 @@ from circuitforge import (
     homogenize,
     homog_component_dense,
     make_monic,
-    translate,
     truncate_dense,
     truncate_deg,
 )
@@ -218,14 +217,14 @@ def test_translate_examples(QQ):
     b = CircuitBuilder(QQ, 1)
     x = b.inp(0)
     c = b.finish(b.mul(x, x))
-    moved = translate(c, [Fraction(1)])
+    moved = affine(c, None, [Fraction(1)])
     assert expand(moved) == DensePoly(QQ, 1, {
         (2,): Fraction(1), (1,): Fraction(2), (0,): Fraction(1),
     })
-    same = translate(c, [Fraction(0)])
+    same = affine(c, None, [Fraction(0)])
     assert oracle_equal(same, c)
     with pytest.raises(ArityMismatch):
-        translate(c, [Fraction(1), Fraction(2)])
+        affine(c, None, [Fraction(1), Fraction(2)])
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -246,7 +245,7 @@ def test_translate_roundtrip(QQ):
     for t in range(10):
         c = random_circuit(QQ, rng, 3, size_limit=20, degree_limit=5)
         shift = [QQ.embed(rng.randint(-3, 3)) for _ in range(3)]
-        back = translate(translate(c, shift), [QQ.neg(v) for v in shift])
+        back = affine(affine(c, None, shift), None, [QQ.neg(v) for v in shift])
         assert oracle_equal(back, c)
 
 
@@ -292,7 +291,7 @@ def test_affine_computes_the_maps_it_replaces(field):
         n = 2 + t % 3
         circ = random_circuit(field, rng, n, size_limit=20, degree_limit=5)
         full = [field.embed(rng.randint(-2, 2)) for _ in range(n)]
-        assert expand(translate(circ, full)) == expand(_ref_translate(circ, None, full))
+        assert expand(affine(circ, None, full)) == expand(_ref_translate(circ, None, full))
         for y in range(n):
             k = rng.randrange(n)  # the variables past the first k others stay put
 
