@@ -50,7 +50,7 @@ from .errors import (
 )
 from .factoring import _check_subset_shape, _search, combiner_dense
 from .fields import Field, Rationals, same_field
-from .lifting import composition_sum
+from .lifting import composition_reads, composition_sum, composition_terms
 from .transforms import (
     _check_lift_degree,
     extract_y_coeffs,
@@ -348,10 +348,11 @@ def factor_vnp(
     no node copy. Builds no circuit factor (fr.factor is None) and emits B
     as combine_roots does, at the verifier level: one interpolation of the
     verifier V in the lifted coordinates, at the subset's first root with
-    generators, gives every root's components, the t^i s^j coefficients of
-    V(t * x, alpha + s, aux) at each root's alpha
-    (transforms.root_components). Factor position t of a monomial of B
-    reads its copy of them on auxiliary block t, and a monomial reading u
+    generators, gives the components that B reads, the t^i s^j coefficients
+    of V(t * x, alpha + s, aux) at each root's alpha, from only the node
+    copies they weight (transforms.root_components). That circuit is
+    imported once per auxiliary block: factor position t of a monomial of B
+    reads its copy of them on block t, and a monomial reading u
     of the k blocks is scaled by 2^-(m * (k - u)). The m * k auxiliaries
     (k <= |S| the largest generator degree in B) are refused over
     BRUTE_FORCE_AUX_LIMIT before any copy is built; d, the subset's shape
@@ -376,21 +377,23 @@ def factor_vnp(
     if m * k > BRUTE_FORCE_AUX_LIMIT:
         raise BudgetExceeded("terms", f"2^{m * k} auxiliary assignments")
 
-    # one interpolation of the lifted verifier for the subset: root after
-    # root, output pos * d + i - 1 is the degree-i part of the member of
-    # order orders[pos]; a root with no generators needs no copies
+    # one interpolation of the lifted verifier for the subset, holding only
+    # the components (g, i) the sum reads, generator g counting every
+    # root's members in turn; a root with no generators needs no copies
+    scaled = DensePoly(field, B.n, {e: field.mul(c, _inv_pow2(field, m * (k - sum(e[1:]))))
+                                    for e, c in B.terms.items()})
+    terms = composition_terms(scaled, 1, dS)
+    reads = sorted(composition_reads(terms))
     gsets = [g for g in (fr.bundle.states[i].gens for i in fr.subset) if g.orders]
     b = CircuitBuilder(field, nx + m * k)
     blocks = []
     if k:
         comps = root_components(fr.to_lifted(E.verifier), range(z), z,
-                                [(g.alpha, g.orders, None) for g in gsets], d)
+                                [(g.alpha, g.orders, None) for g in gsets], d, reads)
         for t in range(k):
             aux = {nx + q: b.inp(nx + t * m + q) for q in range(m)}
-            blocks.append(b.import_circuit(comps, var_bindings=aux))
-    scaled = DensePoly(field, B.n, {e: field.mul(c, _inv_pow2(field, m * (k - sum(e[1:]))))
-                                    for e, c in B.terms.items()})
-    composed = b.finish(composition_sum(b, scaled, [b.inp(z)], blocks, d, dS))
+            blocks.append(dict(zip(reads, b.import_circuit(comps, var_bindings=aux))))
+    composed = b.finish(composition_sum(b, terms, [b.inp(z)], blocks))
     out = ExpSumPoly(fr.from_lifted(composed, fr.unit_inv), tuple(range(nx, nx + m * k)))
     if exp_sum_expand(out, budget) != fr.factor_dense:
         raise InvariantViolated("exp-sum factor disagrees with the screened candidate")

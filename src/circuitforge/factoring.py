@@ -10,9 +10,10 @@ screened by exact divisibility against P. extract_factor emits the first
 accepted B as a flat composition sum of the generator components (depth(P) +
 2 on criterion 7), checked to expand to the screened candidate - never
 sampled, so no non-factor is mislabeled; expsum.factor_vnp emits it over an
-exp-sum's verifier and builds no circuit factor. Both read the components of
-all the subset's roots from one interpolation at its first root, shifted to
-the others by Taylor's formula (transforms.root_components).
+exp-sum's verifier and builds no circuit factor. Both read the components
+that B reads, of all the subset's roots, from one interpolation at its first
+root, shifted to the others by Taylor's formula, built only at the node
+copies those components weight (transforms.root_component_gates).
 
 Only factors genuinely involving y are reported: a candidate whose
 un-shifted form loses all y-dependence is rejected, and a polynomial free
@@ -50,14 +51,22 @@ from .errors import (
     check_int,
 )
 from .fields import _shift_candidates
-from .lifting import _slices, _stage, build_A_recurrence, composition_sum
+from .lifting import (
+    _slices,
+    _stage,
+    build_A_recurrence,
+    composition_reads,
+    composition_sum,
+    composition_terms,
+)
 from .transforms import (
     MonicForm,
     _check_lift_degree,
     affine,
     hasse_derivative_circuit,
     make_monic,
-    root_components,
+    root_component_gates,
+    vanishing_components,
 )
 
 SHIFT_TRIALS = 32
@@ -212,12 +221,12 @@ def combiner_dense(bundle: RootBundle, subset, k: int) -> DensePoly:
 def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     """Circuit for H_{<=d}[prod_{i in subset} (y - q_i)], truncation over
     total (x, y)-degree: `combiner_dense` emitted by `composition_sum` over
-    y and every root's generator components. When one root of the subset
-    has generators, they are its GeneratorSet.components; two or more read
-    theirs from one interpolation of the source at the first of them
-    (transforms.root_components), so they share one set of node copies.
-    The subset names distinct lifted roots, and d may not exceed the lift
-    order bundle.d, above which no component exists."""
+    y and the generator components it reads, in one builder. The components
+    of every root of the subset that has generators come from one
+    interpolation of the source at the first of them
+    (transforms.root_component_gates), which builds only the node copies
+    they weight. The subset names distinct lifted roots, and d may not
+    exceed the lift order bundle.d, above which no component exists."""
     subset, count = tuple(subset), len(bundle.alphas)
     if not (subset and all(type(i) is int and 0 <= i < count for i in subset)
             and len(set(subset)) == len(subset)):
@@ -227,29 +236,29 @@ def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
         raise ParameterViolation(f"truncation order {d} outside 0..{bundle.d}")
     B = combiner_dense(bundle, subset, d)
     src, y = bundle.source, bundle.y_var
-    gsets = [gens for gens in (bundle.states[i].gens for i in subset) if gens.orders]
+    roots = [r for i in subset for r in bundle.states[i].gens.roots if r[1]]
+    terms = composition_terms(B, 1, d, vanishing_components(roots, bundle.d))
+    xs = [v for v in range(src.num_vars) if v != y]
     b = CircuitBuilder(src.field, src.num_vars)
-    comp = []
-    if len(gsets) == 1:
-        comp = b.import_circuit(gsets[0].components)
-    elif gsets:
-        xs = [v for v in range(src.num_vars) if v != y]
-        roots = [(g.alpha, g.orders, g.lives) for g in gsets]
-        comp = b.import_circuit(root_components(src, xs, y, roots, bundle.d))
-    return b.finish(composition_sum(b, B, [b.inp(y)], [comp] * d, bundle.d, d))
+    comp = root_component_gates(b, src, xs, y, roots, bundle.d, composition_reads(terms))
+    return b.finish(composition_sum(b, terms, [b.inp(y)], [comp] * d))
 
 
 def _combine_dense(bundle: RootBundle, subset, d: int, budget: ExpansionBudget) -> DensePoly:
     """H_{<=d}[prod_{i in subset} (y - q_i)] in source's variable space: B
     composed with y and each root's dense generator members (capped
-    derivatives less their constant terms, so the composition is exact)."""
+    derivatives less their constant terms, so the composition is exact).
+    The member of order j is cut to x-degree <= d - j: it stands for z_j,
+    which B holds only in monomials of degree >= j + 1, so the cap drops
+    every higher term of it."""
     fld, nv = bundle.source.field, bundle.source.num_vars
     values = [DensePoly.variable(fld, nv, bundle.y_var)]
     for i in subset:
         gens = bundle.states[i].gens
         for j in gens.orders:
             low = gens.derivs_dense[j].terms
-            values.append(DensePoly(fld, nv, {e: c for e, c in low.items() if any(e)}))
+            cut = {e: c for e, c in low.items() if 0 < sum(e) <= d - j}
+            values.append(DensePoly(fld, nv, cut))
     return compose(combiner_dense(bundle, subset, d), values, cap=d, budget=budget)
 
 

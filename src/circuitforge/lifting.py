@@ -46,6 +46,7 @@ from .transforms import (
     generator_set,
     hasse_derivative_circuit,
     truncate_deg,
+    vanishing_components,
 )
 
 A_STEP_WIRE_LAW = 10  # size(A_i) - size(A_{i-1}) <= 10 * d^2, so size(A_d) <= 10 * d^3
@@ -173,8 +174,9 @@ def compose_root(state: LiftState, k: int | None = None, shift=()) -> Circuit:
     shift, y), over P's variable space with the y slot unused; k defaults to
     d. The root is the `composition_sum` of A_k (depth at most depth(P) + 3
     on the criterion-1 family); with no generators A_k is a constant. One
-    builder writes x_i - shift_i (in affine's order), the lifted P's node
-    copies at a * (x_i - shift_i), the components and the sum.
+    builder writes x_i - shift_i (in affine's order), then only the node
+    copies of the lifted P at a * (x_i - shift_i) that the components the
+    sum reads weight, those components and the sum.
     """
     d = state.d
     k = d if k is None else k
@@ -184,32 +186,52 @@ def compose_root(state: LiftState, k: int | None = None, shift=()) -> Circuit:
     b = CircuitBuilder(fld, gens.num_vars)
     xs = [v for v in range(gens.num_vars) if v != gens.y_var]
     inputs = {v: b.add(b.inp(v), b.const(fld.neg(c))) for v, c in zip(xs, shift) if c != fld.zero}
-    comp = gens.component_gates(*gens.interpolate(b, inputs)) if gens.orders else []
-    return b.finish(composition_sum(b, state.low(k), [], [comp] * k, d, k))
+    terms = composition_terms(state.low(k), 0, k, vanishing_components(gens.roots, d))
+    comp = gens.component_gates(b, composition_reads(terms), inputs)
+    return b.finish(composition_sum(b, terms, [], [comp] * k))
 
 
-def composition_sum(b: CircuitBuilder, poly, plain: list, comp: list, d: int, k: int) -> int:
-    """Gate for H_{<=k}[poly(plain, g)], flat under one sum (k <= d).
-
-    The dense poly's first len(plain) variables are the degree-1 gates in
-    plain (y); variable len(plain) + j is generator g_j, whose degree-i part
-    as a monomial's t-th generator factor is comp[t][j * d + i - 1]. Since
-    generators have no constant term, c * y^a * z^e is emitted, with nothing
-    truncated after the fact, as c times the sum, over |e| <= i <= k - a and
-    the compositions of i into |e| positive parts, of y^a * prod_t H_{i_t}[g_{j_t}].
-    """
-    n_plain = len(plain)
+def composition_terms(poly, n_plain: int, k: int, vanishing=frozenset()) -> list:
+    """The products composition_sum emits for H_{<=k}[poly(plain, g)] (k <=
+    d), one (c, ys, parts) per monomial c * y^a * z^e of the dense poly, in
+    sorted order. Its first n_plain variables are the degree-1 plain gates
+    (y), ys lists the plain variable of each y factor; variable n_plain + g
+    is generator g. Since generators have no constant term, the monomial
+    is, with nothing truncated after the fact, the sum over |e| <= i <= k - a
+    and the compositions of i into |e| positive parts of y^a * prod_t
+    H_{i_t}[g_{j_t}]: parts lists, per composition, the component (j_t,
+    i_t) read at each factor position t. A product with a factor in
+    vanishing, the components known to be 0
+    (transforms.vanishing_components), is 0 and is left out."""
     terms = []
     for e in sorted(poly.terms):
-        ys = [plain[v] for v in range(n_plain) for _ in range(e[v])]
-        js = [pos for pos, mult in enumerate(e[n_plain:]) for _ in range(mult)]
-        parts = [
-            b.mul(*ys, *(comp[t][j * d + it - 1] for t, (j, it) in enumerate(zip(js, split))))
-            for i in range(len(js), k - len(ys) + 1)
-            for split in _compositions(i, len(js))
-        ]
-        terms.append(b.mul(b.const(poly.terms[e]), b.add(*parts)))
-    return b.add(*terms)
+        ys = [v for v in range(n_plain) for _ in range(e[v])]
+        js = [g for g, mult in enumerate(e[n_plain:]) for _ in range(mult)]
+        parts = [part for i in range(len(js), k - len(ys) + 1)
+                 for part in (tuple(zip(js, split)) for split in _compositions(i, len(js)))
+                 if vanishing.isdisjoint(part)]
+        terms.append((poly.terms[e], ys, parts))
+    return terms
+
+
+def composition_reads(terms) -> set:
+    """The generator components (g, i) that composition_sum reads from
+    terms, at any factor position. For A_k, and for each root's block of
+    the factor combiner, these have i + j <= k, j the order of generator
+    g: its variable appears only in monomials of degree >= j + 1."""
+    return {read for _, _, parts in terms for part in parts for read in part}
+
+
+def composition_sum(b: CircuitBuilder, terms, plain: list, comp: list) -> int:
+    """Gate for the sum that composition_terms lists, flat under one sum:
+    plain[v] is the gate of plain variable v, and comp[t][(g, i)] the
+    degree-i part of generator g as a monomial's t-th generator factor."""
+    sums = []
+    for c, ys, parts in terms:
+        ys = [plain[v] for v in ys]
+        products = [b.mul(*ys, *(comp[t][read] for t, read in enumerate(part))) for part in parts]
+        sums.append(b.mul(b.const(c), b.add(*products)))
+    return b.add(*sums)
 
 
 def _compositions(i: int, m: int):
@@ -276,12 +298,10 @@ def lift_root(
             mode = _residual_check(P, y, f_cand, seed, budget)
             if mode is None:
                 continue
-            stages = (("input", P), ("translated", Pc), ("multiplicity-reduced", P_try),
-                      ("A_d", state.A[-1]), ("composed-truncated", f_cand))
-            # measured first, so the projection copies f_cand's metrics
-            chain = [_stage(name, circ) for name, circ in stages]
             root_circ = drop_unused_vars(f_cand, x_vars)
-            chain.append(_stage("root", root_circ))
+            stages = (("input", P), ("translated", Pc), ("multiplicity-reduced", P_try),
+                      ("A_d", state.A[-1]), ("root", root_circ))
+            chain = [_stage(name, circ) for name, circ in stages]
             return RootCertificate(
                 root=root_circ,
                 alpha=root_val,

@@ -119,31 +119,35 @@ def _shifted_weights(fld, shape: tuple, monomials, delta) -> tuple:
     return tuple((n, c) for n, c in w if c != fld.zero)
 
 
-def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple, b=None, inputs=None):
+def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple, b=None, inputs=None, nodes=None):
     """A copy of the single-output circ in b (a fresh builder when None) at
-    each node (a, s) of _lower_set(shape): every variable i in `scale` bound
-    to a * inputs.get(i, x_i), in scale's order before the import, and y,
-    unless None, to alpha + s.
+    each node (a, s) of _lower_set(shape), or at those whose index is in
+    nodes: every variable i in `scale` bound to a * inputs.get(i, x_i), in
+    scale's order before the import, and y, unless None, to alpha + s.
     Returns (builder, coeff); coeff(monomials, delta) emits the one weighted
     sum of the copies that computes the sum of the t^k s^j coefficients, (k,
     j) in monomials, of circ(t * x, alpha + delta + s), delta 0 by default,
-    depth-neutrally on its top sum.
+    depth-neutrally on its top sum; coeff(weights=w) emits the sum for
+    weights (n, c) already found by _shifted_weights.
     The nodes run scale-major, so consecutive copies of one scale differ
     only in y's binding, and the builder re-canonicalizes only the gates of
     each such copy that read y (CircuitBuilder.import_circuit)."""
     fld, inputs = circ.field, inputs or {}
     b = CircuitBuilder(fld, circ.num_vars) if b is None else b
-    copies = []
-    for a, s in _lower_set(fld, shape):
+    copies = {}
+    for n, (a, s) in enumerate(_lower_set(fld, shape)):
+        if nodes is not None and n not in nodes:
+            continue
         node = b.const(fld.embed(a))  # at a = 0 a scaled copy folds to a constant
         bindings = {i: b.mul(node, inputs[i] if i in inputs else b.inp(i)) for i in scale}
         if y is not None:
             bindings[y] = b.const(fld.add(alpha, fld.embed(s)))
-        copies.append(b.import_circuit(circ, var_bindings=bindings)[0])
+        copies[n] = b.import_circuit(circ, var_bindings=bindings)[0]
 
-    def coeff(monomials, delta=fld.zero) -> int:
-        parts = [b.mul(b.const(c), copies[n])
-                 for n, c in _shifted_weights(fld, shape, monomials, delta)]
+    def coeff(monomials=(), delta=fld.zero, weights=None) -> int:
+        if weights is None:
+            weights = _shifted_weights(fld, shape, monomials, delta)
+        parts = [b.mul(b.const(c), copies[n]) for n, c in weights]
         return b.add(*parts) if parts else b.const(fld.zero)
 
     return b, coeff
@@ -450,8 +454,11 @@ class GeneratorSet:
     P(t*x, alpha + s), for i in 1..d (None when there are no members), the
     one-root case of root_components. lives[pos] holds the degrees i whose
     component is not known to vanish; the others are emitted as 0.
-    component_gates emits them in any interpolation (b, coeff), such as the
-    one interpolate(b, inputs) lays in a caller's builder b (compose_root).
+    component_gates(b, reads, inputs) emits only the components a caller
+    reads, in its own builder b, from only the node copies they weight
+    (_emit_components; compose_root); roots is the set as the one root
+    (alpha, orders, lives) that root_components and vanishing_components
+    take.
     members holds the (j, circuit) pairs over the same space, read from
     by_order() (the member of every order 0..d, each finished on its own);
     their gates follow the components' in the builder whichever is read
@@ -473,18 +480,24 @@ class GeneratorSet:
     derivs_dense: list | None = dc_field(default=None, repr=False)
     by_order: Callable | None = dc_field(default=None, repr=False)
     interpolation: Callable | None = dc_field(default=None, repr=False)  # the set's own
-    interpolate: Callable | None = dc_field(default=None, repr=False)  # into a caller's b
+    emit: Callable | None = dc_field(default=None, repr=False)  # into a caller's b
 
     @cached_property
     def components(self) -> Circuit | None:
         if not self.orders:
             return None
         b, coeff = self.interpolation()
-        return b.finish(self.component_gates(b, coeff))
+        return b.finish(_component_gates(b, coeff, self.alpha, self.roots, self.d))
 
-    def component_gates(self, b: CircuitBuilder, coeff) -> list:
-        return _component_gates(b, coeff, self.alpha, [(self.alpha, self.orders, self.lives)],
-                                self.d)
+    @property
+    def roots(self) -> list:
+        return [(self.alpha, self.orders, self.lives)]
+
+    def component_gates(self, b: CircuitBuilder, reads, inputs=None) -> dict:
+        """{(pos, i): gate} for each (pos, i) in reads, H_i of the member
+        of order orders[pos], emitted in b; each scaled variable v is bound
+        to a times inputs.get(v, x_v)."""
+        return self.emit(b, self.roots, self.d, reads, inputs)
 
     @cached_property
     def members(self) -> list:
@@ -542,8 +555,7 @@ def generator_set(
     _lower_set(fld, shape)  # the refusals the copies would raise, before any work
     fld.check(alpha)
 
-    interpolate = partial(_interpolate, P, xs, y, alpha, shape)
-    interpolation = cache(interpolate)  # the set's own builder
+    interpolation = cache(partial(_interpolate, P, xs, y, alpha, shape))  # the set's own builder
 
     @cache
     def by_order():
@@ -583,7 +595,7 @@ def generator_set(
         derivs_dense=denses,
         by_order=by_order,
         interpolation=interpolation,
-        interpolate=interpolate,
+        emit=partial(_emit_components, P, xs, y, alpha, shape),
     )
 
 
@@ -602,22 +614,69 @@ def _component_gates(b: CircuitBuilder, coeff, alpha, roots, d: int) -> list:
             for i in range(1, d + 1)]
 
 
-def root_components(P: Circuit, xs, y: int, roots, d: int) -> Circuit:
-    """One multi-output circuit over P's variable space holding the
-    generator components of every root (alpha_i, orders, lives) in roots,
-    in _component_gates' order, from one interpolation of P(t*x, alpha + s)
-    taken at the first root's alpha, xs the scaled variables. The t^k s^j
-    coefficient at alpha_i is the sum over m >= j of
-    C(m, j) * (alpha_i - alpha)^(m - j) times the t^k s^m coefficient at
-    alpha, still one weighted sum of the same copies, so depth does not
-    grow and the roots share one set of node copies. With one root it is what GeneratorSet.components emits for it.
-    Variables outside xs and y, such as an exp-sum's auxiliaries, are
-    neither scaled nor bound."""
+def vanishing_components(roots, d: int) -> set:
+    """The generator components (g, i), i in 1..d, of roots (alpha_i,
+    orders, lives), g counting every root's members in turn, known to be 0:
+    i is outside the member's entry of lives (None: none known)."""
+    lives = [live for _, orders, lives in roots for live in lives or [None] * len(orders)]
+    return {(g, i) for g, live in enumerate(lives) if live is not None
+            for i in range(1, d + 1) if i not in live}
+
+
+def _emit_components(P: Circuit, xs, y: int, alpha, shape: tuple, b: CircuitBuilder,
+                     roots, d: int, reads, inputs=None) -> dict:
+    """{(g, i): gate} in b for each (g, i) in reads: H_i of generator g, the
+    g-th member of roots (alpha_i, orders, lives), root after root, as
+    _component_gates reads it from one interpolation of P at y = alpha. The
+    listed components' weights come first, then only the node copies some
+    listed component weights are built, in lower-set order (the copies of
+    one scale stay consecutive, so each re-import rebuilds only the gates
+    that read y), then the components in _component_gates order. A component
+    outside lives is the constant 0 and weights no copy; no reads, no
+    interpolation."""
+    if not reads:
+        return {}
+    fld = P.field
+    gens = [(fld.sub(a, alpha), j, live) for a, orders, lives in roots
+            for j, live in zip(orders, lives or [None] * len(orders))]
+    rows = {}
+    for g, i in sorted(reads):
+        delta, j, live = gens[g]
+        live = live is None or i in live
+        rows[g, i] = _shifted_weights(fld, shape, [(i, j)], delta) if live else ()
+    nodes = {n for weights in rows.values() for n, _ in weights}
+    b, coeff = _interpolate(P, xs, y, alpha, shape, b, inputs, nodes)
+    return {key: coeff(weights=weights) for key, weights in rows.items()}
+
+
+def root_component_gates(b: CircuitBuilder, P: Circuit, xs, y: int, roots, d: int,
+                         reads) -> dict:
+    """{(g, i): gate} in b for the generator components (g, i) in reads of
+    the roots (alpha_i, orders, lives), g counting the members of every
+    root in turn: one interpolation of P(t*x, alpha + s) at the first
+    root's alpha, xs the scaled variables. The t^k s^j coefficient at
+    alpha_i is the sum over m >= j of C(m, j) * (alpha_i - alpha)^(m - j)
+    times the t^k s^m coefficient at alpha, still one weighted sum of the
+    same copies, so depth does not grow and the roots share one set of node
+    copies, built only where a listed component weights them
+    (_emit_components). Variables outside xs and y, such as an exp-sum's
+    auxiliaries, are neither scaled nor bound. No reads (roots may then be
+    empty), no interpolation."""
+    if not reads:
+        return {}
     xs = list(xs)
     shape = (formal_degree_in(P, xs), formal_degree_in(P, y), formal_degree_in(P, xs + [y]))
-    alpha = roots[0][0]
-    b, coeff = _interpolate(P, xs, y, alpha, shape)
-    return b.finish(_component_gates(b, coeff, alpha, roots, d))
+    return _emit_components(P, xs, y, roots[0][0], shape, b, roots, d, reads)
+
+
+def root_components(P: Circuit, xs, y: int, roots, d: int, reads) -> Circuit:
+    """One multi-output circuit over P's variable space holding the
+    generator components (g, i) in reads, in _component_gates' order
+    (root_component_gates); with one root and every component these are
+    the polynomials GeneratorSet.components computes."""
+    b = CircuitBuilder(P.field, P.num_vars)
+    comps = root_component_gates(b, P, xs, y, roots, d, reads)
+    return b.finish([comps[key] for key in sorted(reads)])
 
 
 def _derivatives_at(P: Circuit, y: int, alpha, d: int, deg_y: int,

@@ -6,6 +6,9 @@ certificate's bytes depend only on the command, its inputs and the seed.
 A change that must keep the command line's behaviour keeps every hash; one
 that alters it on purpose re-pins them: `PYTHONPATH=src python
 tests/test_cli_golden.py` prints the table to paste over CERT_GOLDEN.
+`--dump DIR` writes each invocation's certificate, the files it wrote and
+its standard output, and `--compare OLD NEW` lists the invocations whose
+bytes moved between two dumps (tests/golden_tools.py).
 """
 
 import hashlib
@@ -20,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from circuitforge.cli import main  # noqa: E402
 
+import golden_tools  # noqa: E402
 from test_cli import FUZZ_ESUM, FUZZ_TABLE, LIFT_INPUT  # noqa: E402
 
 FACTOR_INPUT = """field rationals
@@ -80,10 +84,10 @@ CERT_GOLDEN = {
     "monic": "c2ad1ac8ee3ef5a5139d3147007382d984fcf99feefd4d5ac02290ebae4a29d6",
     "monic/appended-y": "8665e7dfd1804af4c2e8cf8b385c171e3611ea4a43ebeca744abfd62e15497e5",
     "genset": "ce2732a1fdf24133502fd37e13f5ffde2b4b7565788a29ad381c76b4ca8844ef",
-    "lift-root": "09968cdab22145e886d490ec2742c771d999b2acd457f09d6d1ab024f65ff514",
-    "lift-root/alpha": "869581120e325175dc3839489e817db44ef521eadccf63ec0a3dc02cd1b344cc",
-    "factor/search": "e7b7c19b104c2582d8dff7d68e01ecfd9f5890ba8958e4f3bda03957106f146b",
-    "factor/given": "2c2c587ac5bcf033d2c3bb27fc15cef1e6633137c9c93f74e0a7f54cecfb200f",
+    "lift-root": "b6ec30bb2223ba790f7e40dd97b52b8ae60f1f008a5734c54d5ec1fd8048a3aa",
+    "lift-root/alpha": "8ef663036a0e95bc1b28630769bac831ec27a7c6cb296ce5d723d17c00fb4c21",
+    "factor/search": "610e03243685254470e386dc552c2e26850d8c8233ea0fd9fa2c49d7d3eaa08f",
+    "factor/given": "1ba675912ff1570fb9cd178fdf1a383b6215b0fac6bf3902fcd61c9c5efb7e14",
     "design": "285754c69a9bc4bbc53d0d9919c332ff3c0d45b2eee3ab781634da16a9945113",
     "hitset": "6c5641b0dfa94c8221bcd5432a45b5d142f3322dcba5e37447fafbd683346b69",
     "pit/hitset": "e3e068a3ce99a3aa3f14f4ae3e56e9279832fb08262efaddb6b78ed1b7ae3c3e",
@@ -95,7 +99,10 @@ CERT_GOLDEN = {
 }
 
 
-def certificate_hashes() -> dict:
+def invocation_outputs() -> dict:
+    """{name: {file: bytes}} per invocation: its certificate as cert.json,
+    every file it wrote or changed, and its standard output as stdout.txt
+    when it printed any."""
     got = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -104,13 +111,26 @@ def certificate_hashes() -> dict:
             for name, text in FILES.items():
                 Path(name).write_text(text)
             for k, (name, argv) in enumerate(INVOCATIONS.items()):
-                cert = f"cert{k}.json"
-                with redirect_stdout(io.StringIO()):
+                before = _files()
+                cert, printed = f"cert{k}.json", io.StringIO()
+                with redirect_stdout(printed):
                     assert main(argv + ["--cert", cert]) == 0, name
-                got[name] = hashlib.sha256(Path(cert).read_bytes()).hexdigest()
+                wrote = {f: body for f, body in _files().items() if before.get(f) != body}
+                got[name] = {("cert.json" if f == cert else f): body for f, body in wrote.items()}
+                if printed.getvalue():
+                    got[name]["stdout.txt"] = printed.getvalue().encode()
         finally:
             os.chdir(cwd)
     return got
+
+
+def _files() -> dict:
+    return {str(p): p.read_bytes() for p in Path(".").rglob("*") if p.is_file()}
+
+
+def certificate_hashes() -> dict:
+    return {name: hashlib.sha256(files["cert.json"]).hexdigest()
+            for name, files in invocation_outputs().items()}
 
 
 def test_certificates_match_golden_hashes():
@@ -120,8 +140,12 @@ def test_certificates_match_golden_hashes():
     assert not changed, f"certificate bytes changed for {changed}"
 
 
-if __name__ == "__main__":
+def _print_table():
     print("CERT_GOLDEN = {")
     for key, value in certificate_hashes().items():
         print(f'    "{key}": "{value}",')
     print("}")
+
+
+if __name__ == "__main__":
+    sys.exit(golden_tools.main(invocation_outputs, _print_table))

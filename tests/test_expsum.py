@@ -447,9 +447,9 @@ def _record_interpolations(monkeypatch) -> list:
         imports.append((self, sorted(var_bindings or {})))
         return real_import(self, circ, var_bindings)
 
-    def spy(circ, scale, y, alpha, shape):
+    def spy(circ, scale, y, alpha, shape, *rest):
         start = len(imports)
-        b, coeff = real(circ, scale, y, alpha, shape)
+        b, coeff = real(circ, scale, y, alpha, shape, *rest)
         bound = [keys for owner, keys in imports[start:] if owner is b]
         calls.append((circ, scale, y, shape, bound))
         return b, coeff
@@ -478,9 +478,10 @@ def test_factor_vnp_interpolates_by_x_degree(QQ, monkeypatch):
 
 
 def test_factor_vnp_interpolates_the_verifier_once_per_subset(QQ, monkeypatch):
-    # every member of every root's orders is read from one interpolation of
-    # the verifier for the whole subset: one copy per node of its lower set,
-    # x1 scaled, z shifted, and no copy of any verifier-level interpolation
+    # every component the combiner reads, of every root, comes from one
+    # interpolation of the verifier for the whole subset: one copy per node
+    # that such a component weights, fewer than the lower set's nodes, x1
+    # scaled, z shifted, and no copy of any verifier-level interpolation
     # binds an auxiliary
     calls = _record_interpolations(monkeypatch)
     for field in (QQ, PrimeField(1_000_003)):
@@ -490,13 +491,23 @@ def test_factor_vnp_interpolates_the_verifier_once_per_subset(QQ, monkeypatch):
         assert exp_sum_expand(out) == _aux_cubic_factor(field)
         verifier_level = [c for c in calls if c[0].num_vars == e.nx + e.m]
         members = [c for c in verifier_level if c[1] and c[2] is not None]
-        roots = [i for i in fr.subset if fr.bundle.states[i].gens.orders]
-        assert len(roots) == 2 and len(members) == 1
+        gsets = [fr.bundle.states[i].gens for i in fr.subset]
+        assert all(g.orders for g in gsets) and len(gsets) == 2 and len(members) == 1
+        # generator g (alpha, order j) is read at degree i when a monomial of
+        # B holding it has degree <= k + 1 - i, so only where i + j <= k
+        k = len(fr.subset)
+        gens = [(g.alpha, j) for g in gsets for j in g.orders]
+        B = combiner_dense(fr.bundle, fr.subset, k)
+        reads = {(g, i) for e in B.terms for g, mult in enumerate(e[1:]) if mult
+                 for i in range(1, k + 2 - sum(e))}
+        assert all(i + gens[g][1] <= k for g, i in reads)
         for circ, scale, y, shape, bound in members:
             assert (scale, y) == ([0], 1)
             assert shape == (formal_degree_in(circ, [0]), formal_degree_in(circ, 1),
                              formal_degree_in(circ, [0, 1]))
-            assert len(bound) == len(transforms._lower_set(field, shape))
+            weighted = {n for g, i in reads for n, _ in transforms._shifted_weights(
+                field, shape, [(i, gens[g][1])], field.sub(gens[g][0], gens[0][0]))}
+            assert len(bound) == len(weighted) < len(transforms._lower_set(field, shape))
             assert all(keys == [0, 1] for keys in bound)
         for *_, bound in verifier_level:
             assert bound and all(not set(keys) & set(e.aux) for keys in bound)

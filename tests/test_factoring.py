@@ -519,14 +519,16 @@ def test_subset_search_on_linear_factors_lifts_one_root(QQ, monkeypatch):
 def test_subset_search_builds_components_only_for_the_accepted_roots(QQ, monkeypatch):
     # (y^2 - x1 - 4)(y - x1 - 3): the slice roots -2 and 2 lift to power
     # series, so the singletons (0,) and (1,) are screened and rejected
-    # before (2,); only the accepted root's generator set builds its copies
+    # before (2,); the one interpolation is of the lifted source at the
+    # accepted root, in the factor's own builder, and no generator set
+    # builds its own components
     from circuitforge import transforms
 
     built = record_generator_sets(monkeypatch)
     interpolated = []
     real = transforms._interpolate
     monkeypatch.setattr(transforms, "_interpolate",
-                        lambda *args: interpolated.append(args[0]) or real(*args))
+                        lambda *args: interpolated.append(args) or real(*args))
     b = CircuitBuilder(QQ, 2)
     x, y = b.inp(0), b.inp(1)
     P = b.finish(b.mul(b.sub(b.mul(y, y), b.add(x, b.const(Fraction(4)))),
@@ -537,8 +539,9 @@ def test_subset_search_builds_components_only_for_the_accepted_roots(QQ, monkeyp
     assert expand(res.factor) == Y - X - DensePoly.const(QQ, 2, Fraction(3))
     states = res.bundle.states
     assert all(st is not None for st in states)  # every root was lifted
-    read = [gens for gens in built if "components" in gens.__dict__]
-    assert read == [states[2].gens] and len(interpolated) == 1
+    assert len(built) == 3 and not [gens for gens in built if "components" in gens.__dict__]
+    ((circ, _, y, alpha, *_),) = interpolated
+    assert circ is res.bundle.source and (y, alpha) == (1, states[2].alpha)
 
 
 def test_lazy_roots_emit_the_bytes_of_eager_roots(QQ):
@@ -682,7 +685,10 @@ def test_shared_interpolation_gives_each_root_its_own_components(field):
     for src, y, d, gsets in cases:
         assert len(gsets) > 1 and all(g.orders for g in gsets)
         xs = [v for v in range(src.num_vars) if v != y]
-        shared = root_components(src, xs, y, [(g.alpha, g.orders, g.lives) for g in gsets], d)
+        every = [(g, i) for g in range(sum(len(gens.orders) for gens in gsets))
+                 for i in range(1, d + 1)]
+        shared = root_components(src, xs, y, [(g.alpha, g.orders, g.lives) for g in gsets], d,
+                                 every)
         pos = 0
         for g in gsets:
             own, end = g.components, pos + len(g.components.outputs)
@@ -752,3 +758,161 @@ def test_given_multi_root_subset_interpolates_once(QQ, monkeypatch):
         assert res.deriv_level == 0 and len(res.subset) in (2, 3)
         assert len(calls) == 1 and calls[0][0] is res.bundle.source
         assert divides(expand(res.factor), expand(P)) >= 1
+
+
+# -- emission: only the components a composition reads -------------------------
+
+def _record_component_emission(monkeypatch) -> dict:
+    """Every generator-component interpolation (scaled x and a bound y) as
+    (builder, node copies, components), every finish as (builder, outputs,
+    circuit) and every import as (builder, circuit, gates), recorded through
+    a patched transforms._interpolate and CircuitBuilder."""
+    from circuitforge import transforms
+
+    seen = {"interpolations": [], "finishes": [], "imports": []}
+    real = transforms._interpolate
+    real_import, real_finish = CircuitBuilder.import_circuit, CircuitBuilder.finish
+
+    def importing(self, circ, var_bindings=None):
+        gates = real_import(self, circ, var_bindings)
+        seen["imports"].append((self, circ, gates))
+        return gates
+
+    def finishing(self, outputs):
+        circ = real_finish(self, outputs)
+        outputs = [outputs] if isinstance(outputs, int) else list(outputs)
+        seen["finishes"].append((self, outputs, circ))
+        return circ
+
+    def interpolating(circ, scale, y, *rest):
+        start = len(seen["imports"])
+        b, coeff = real(circ, scale, y, *rest)
+        if not scale or y is None:
+            return b, coeff
+        copies = [gates[0] for owner, src, gates in seen["imports"][start:]
+                  if owner is b and src is circ]
+        record = (b, copies, [])
+        seen["interpolations"].append(record)
+
+        def counted(*args, **kwargs):
+            record[2].append(coeff(*args, **kwargs))
+            return record[2][-1]
+        return b, counted
+
+    monkeypatch.setattr(CircuitBuilder, "import_circuit", importing)
+    monkeypatch.setattr(CircuitBuilder, "finish", finishing)
+    monkeypatch.setattr(transforms, "_interpolate", interpolating)
+    return seen
+
+
+def _unreached(seen) -> tuple:
+    """(copies, components, emitted) counts: the node copies and
+    components no finished output reaches, and all those emitted. A
+    component circuit that another builder imports (factor_vnp's blocks)
+    counts as reached only through an output of that builder. Constant
+    gates are not counted: a copy at scale 0 folds to its value, which the
+    builder adds into the constant term of the sums that weight it."""
+    from circuitforge.circuit import _reach
+
+    def reached(b):
+        return set().union(*(_reach(b._gates, outs) for owner, outs, _ in seen["finishes"]
+                             if owner is b))
+
+    copies = components = emitted = 0
+    for b, built, comps in seen["interpolations"]:
+        live = reached(b)
+        built, comps = ([g for g in gates if b._gates[g][0] != "const"]
+                        for gates in (built, comps))
+        copies += sum(g not in live for g in built)
+        components += sum(g not in live for g in comps)
+        emitted += len(built) + len(comps)
+        for owner, _, circ in seen["finishes"]:
+            imports = [(into, gates) for into, src, gates in seen["imports"] if src is circ]
+            if owner is not b or not imports:
+                continue
+            used = set()
+            for into, gates in imports:
+                used |= {pos for pos, g in enumerate(gates) if g in reached(into)}
+            components += len(circ.outputs) - len(used)
+    return copies, components, emitted
+
+
+def test_emitters_build_only_the_components_and_copies_their_output_reads(monkeypatch):
+    # on the golden inputs of compose_root (lift-root), combine_roots
+    # (factor) and factor_vnp (vnp-factor), every generator component and
+    # node copy an emitter builds is reachable from its finished output
+    from test_golden import factor_runs, vnp_runs
+
+    seen, counts = _record_component_emission(monkeypatch), {}
+    for runs in (factor_runs, vnp_runs):
+        seen["interpolations"].clear()
+        runs()
+        counts[runs.__name__] = _unreached(seen)
+    assert all(emitted > 100 for _, _, emitted in counts.values()), counts
+    assert all(count[:2] == (0, 0) for count in counts.values()), counts
+
+
+def _c7_cases():
+    """(P, y, d, subset, seed) of the criterion-7 golden instances, over Q
+    and F_{2^62-57}."""
+    from test_golden import FACTOR_CASES, _factor_shape
+    from test_acceptance import QQ, FP62, SESSION_SEED, _plant_factor_instance, _rng
+
+    for i in FACTOR_CASES:
+        kf, kg = _factor_shape(i)
+        n = 2 if (i % 4 == 0 or kf >= 3) else 3
+        P, _, subset = _plant_factor_instance(QQ if i % 3 == 0 else FP62, _rng("c7", str(i)),
+                                              n, kf, kg)
+        yield P, n, kf, subset, SESSION_SEED + i
+
+
+def test_dense_screen_cut_members_give_the_uncut_candidate(monkeypatch):
+    # the screen composes the order-j member cut to x-degree <= k - j; the
+    # whole members give the same candidate, on the criterion-7 family over
+    # both of its fields
+    from circuitforge import factoring
+    from circuitforge.factoring import combiner_dense
+
+    real, fields, cut = factoring._combine_dense, set(), 0
+
+    def uncut(bundle, subset, k, budget):
+        fld, nv = bundle.source.field, bundle.source.num_vars
+        values = [DensePoly.variable(fld, nv, bundle.y_var)]
+        for i in subset:
+            gens = bundle.states[i].gens
+            for j in gens.orders:
+                h0 = DensePoly.const(fld, nv, gens.deriv_constants[j])
+                values.append(gens.derivs_dense[j] - h0)
+        return compose(combiner_dense(bundle, subset, k), values, cap=k, budget=budget)
+
+    def spy(bundle, subset, k, budget):
+        nonlocal cut
+        got = real(bundle, subset, k, budget)
+        assert got == uncut(bundle, subset, k, budget)
+        fields.add(bundle.source.field)
+        cut += any(sum(e) > k - j for i in subset for j in bundle.states[i].gens.orders
+                   for e in bundle.states[i].gens.derivs_dense[j].terms)
+        return got
+
+    monkeypatch.setattr(factoring, "_combine_dense", spy)
+    for P, y, d, subset, seed in _c7_cases():
+        for given in (subset, None):
+            res = extract_factor(P, y=y, d=d, subset=given, seed=seed)
+            assert divides(expand(res.factor), expand(P)) >= 1
+    assert len(fields) == 2 and cut > 10
+
+
+def test_factor_of_a_root_with_no_generators_reads_no_components(QQ):
+    # (y - 1)(y - 3) over (x1, y): every derivative at a root is constant in
+    # x1, so no root has generators and the factor is B alone, built with no
+    # interpolation
+    b = CircuitBuilder(QQ, 2)
+    y = b.inp(1)
+    P = b.finish(b.mul(b.sub(y, b.const(Fraction(1))), b.sub(y, b.const(Fraction(3)))))
+    Y = DensePoly.variable(QQ, 2, 1)
+    for subset in ((0,), None):
+        res = extract_factor(P, y=1, d=1, subset=subset, seed=0)
+        (i,) = res.subset
+        assert not res.bundle.states[i].gens.orders
+        root = DensePoly.const(QQ, 2, res.bundle.alphas[i])
+        assert expand(res.factor) == Y - root

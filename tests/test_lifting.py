@@ -40,8 +40,10 @@ from conftest import plant_linear_product, random_sparse_poly, record_generator_
 
 
 # sha256 of the root and certificate that lift-root writes for x1*x2*(y - 1 -
-# x1 - x1*x2)(y - 3) at seed 5, pinned before the unit shifts were tried
-FIRST_DRAW_DIGEST = "0e1dfcb1f711753c8e9969c3f9b77905d99b8823507bf99cfb0c40018007ee9d"
+# x1 - x1*x2)(y - 3) at seed 5, pinned before the unit shifts were tried and
+# re-pinned when the certificate's stages lost "composed-truncated" (the root
+# bytes kept)
+FIRST_DRAW_DIGEST = "de287b473653a9c26d2cbd1df56e192279c7ae0ebc58ed74d7ef9ad14a5a7995"
 
 
 def _y2_minus_1px_squared(QQ):
@@ -502,3 +504,61 @@ def test_rootless_lift_root_expands_at_most_every_candidate_slice(QQ, monkeypatc
     with pytest.raises(NoRationalRoot):
         lift_root(P, y=2, d=2, seed=0)
     assert len(expanded) == 1 + 2 + lifting.TRANSLATE_TRIALS
+
+
+# -- where the generators sit in A_k and in the combiner ----------------------------
+
+def _generators_sit_above_their_order(poly, orders, offset=0) -> bool:
+    """True when every monomial of poly holding z_j, j = orders[pos] at
+    variable offset + pos, has degree >= j + 1 in the block of z variables
+    offset..offset + len(orders) - 1."""
+    for e in poly.terms:
+        block = e[offset:offset + len(orders)]
+        if any(mult and sum(block) < j + 1 for mult, j in zip(block, orders)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("field", FIELDS[:2], ids=["qq", "f1000003"])
+def test_generator_of_order_j_sits_in_monomials_of_degree_above_j(field):
+    # the rule behind reading H_i[g_j] only where i + j <= k: in A_k, z_j
+    # appears only in monomials of degree >= j + 1, on criterion 1's lift
+    # states and on planted products, and so does each root's block of the
+    # factor combiner B
+    from circuitforge.factoring import combiner_dense
+    from test_acceptance import FP62, QQ, SESSION_SEED, _plant_root_instance, _rng
+
+    states, combiners = [], []
+    if field == FIELDS[0]:  # criterion 1's plans, over Q and F_{2^62-57}
+        degs = {"qq": [1] * 12 + [2] * 14 + [3] * 14 + [4] * 6 + [5] * 4,
+                "fp62": [1] * 6 + [2] * 10 + [3] * 10 + [4] * 12 + [5] * 12}
+        for tag, c1_field in (("qq", QQ), ("fp62", FP62)):
+            for i in range(0, 50, 3):
+                n, shape = 1 + i % 3, "multi" if i % 10 in (3, 7, 9) else "yfree"
+                P, _, alpha = _plant_root_instance(c1_field, _rng("c1", tag, str(i)), n,
+                                                   degs[tag][i], shape)
+                states.append(lift_root(P, y=n, d=degs[tag][i], seed=SESSION_SEED + i,
+                                        alpha=alpha).state)
+    rng = rng_for("generator-degrees", FIELDS.index(field))
+    for d in range(1, 6):
+        for shape in ("yfree", "multi"):
+            P, _, alpha = _plant_root_instance(field, rng, 2, d, shape)
+            states.append(lift_root(P, y=2, d=d, seed=0, alpha=alpha).state)
+        start = rng.randint(-9, 9)
+        consts = [field.embed(start + 2 * c) for c in range(d + 1)]
+        P, _ = plant_linear_product(field, rng, 2, 2, consts)
+        res = extract_factor(P, y=2, d=d, subset=tuple(range(d)), seed=0)
+        combiners.append((res.bundle, res.subset))
+        states += [res.bundle.states[i] for i in res.subset]
+    assert {st.d for st in states} == set(range(1, 6))
+    assert any(max(st.gens.orders, default=0) >= 2 for st in states)
+    for st in states:
+        for k in range(1, st.d + 1):
+            assert _generators_sit_above_their_order(st.low(k), st.gens.orders), (st.d, k)
+    for bundle, subset in combiners:
+        B, offset = combiner_dense(bundle, subset, len(subset)), 1
+        for i in subset:
+            orders = bundle.states[i].gens.orders
+            assert _generators_sit_above_their_order(B, orders, offset)
+            offset += len(orders)
+        assert offset == B.n
