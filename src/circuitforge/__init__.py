@@ -39,7 +39,7 @@ from .expsum import (
 )
 from .factoring import FactorResult, RootBundle, combine_roots, extract_factor, separating_shift
 from .fields import PrimeField, Rationals, sample_grid, SIXTY_TWO_BIT_PRIME
-from .lifting import LiftState, RootCertificate, build_A_recurrence, lift_root, lift_step
+from .lifting import LiftState, RootCertificate, build_A_recurrence, lift_root
 from .pit import ExplicitPoly, HittingSet, hybrid_locate, pit_hitset, pit_sz
 from .transforms import (
     GeneratorSet,

@@ -76,8 +76,8 @@ class ExpansionBudget:
     max_degree: int = 64
 
     def __post_init__(self):
-        if self.max_terms <= 0 or self.max_degree <= 0:
-            raise ParameterViolation("budget bounds must be positive")
+        check_int("budget bounds", self.max_terms, 1)
+        check_int("budget bounds", self.max_degree, 1)
 
 
 DEFAULT_BUDGET = ExpansionBudget()

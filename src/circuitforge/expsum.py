@@ -53,9 +53,9 @@ from .fields import Field, Rationals, same_field
 from .lifting import composition_reads, composition_sum, composition_terms
 from .transforms import (
     _check_lift_degree,
+    component_gates,
     extract_y_coeffs,
     homog_component_interp,
-    root_components,
     truncate_deg,
 )
 
@@ -350,14 +350,15 @@ def factor_vnp(
     verifier V in the lifted coordinates, at the subset's first root with
     generators, gives the components that B reads, the t^i s^j coefficients
     of V(t * x, alpha + s, aux) at each root's alpha, from only the node
-    copies they weight (transforms.root_components). That circuit is
-    imported once per auxiliary block: factor position t of a monomial of B
-    reads its copy of them on block t, and a monomial reading u
-    of the k blocks is scaled by 2^-(m * (k - u)). The m * k auxiliaries
-    (k <= |S| the largest generator degree in B) are refused over
-    BRUTE_FORCE_AUX_LIMIT before any copy is built; d, the subset's shape
-    and nx >= 1 are checked before E is expanded. The result is certified
-    by exp_sum_expand equality with the screened candidate fr.factor_dense.
+    copies they weight (transforms.component_gates), finished as one
+    circuit. That circuit is imported once per auxiliary block: factor
+    position t of a monomial of B reads its copy of them on block t, and a
+    monomial reading u of the k blocks is scaled by 2^-(m * (k - u)). The
+    m * k auxiliaries (k <= |S| the largest generator degree in B) are
+    refused over BRUTE_FORCE_AUX_LIMIT before any copy is built; d, the
+    subset's shape and nx >= 1 are checked before E is expanded. The result
+    is certified by exp_sum_expand equality with the screened candidate
+    fr.factor_dense.
     Returns (exp_sum, fr).
     """
     field, nx, m = E.field, E.nx, E.m
@@ -388,8 +389,11 @@ def factor_vnp(
     b = CircuitBuilder(field, nx + m * k)
     blocks = []
     if k:
-        comps = root_components(fr.to_lifted(E.verifier), range(z), z,
-                                [(g.alpha, g.orders, None) for g in gsets], d, reads)
+        V = fr.to_lifted(E.verifier)
+        vb = CircuitBuilder(field, V.num_vars)
+        roots = [(g.alpha, g.orders, None) for g in gsets]
+        gates = component_gates(vb, V, range(z), z, roots, reads)
+        comps = vb.finish([gates[read] for read in reads])
         for t in range(k):
             aux = {nx + q: b.inp(nx + t * m + q) for q in range(m)}
             blocks.append(dict(zip(reads, b.import_circuit(comps, var_bindings=aux))))

@@ -13,7 +13,7 @@ sampled, so no non-factor is mislabeled; expsum.factor_vnp emits it over an
 exp-sum's verifier and builds no circuit factor. Both read the components
 that B reads, of all the subset's roots, from one interpolation at its first
 root, shifted to the others by Taylor's formula, built only at the node
-copies those components weight (transforms.root_component_gates).
+copies those components weight (transforms.component_gates).
 
 Only factors genuinely involving y are reported: a candidate whose
 un-shifted form loses all y-dependence is rejected, and a polynomial free
@@ -63,9 +63,9 @@ from .transforms import (
     MonicForm,
     _check_lift_degree,
     affine,
+    component_gates,
     hasse_derivative_circuit,
     make_monic,
-    root_component_gates,
     vanishing_components,
 )
 
@@ -224,7 +224,7 @@ def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     y and the generator components it reads, in one builder. The components
     of every root of the subset that has generators come from one
     interpolation of the source at the first of them
-    (transforms.root_component_gates), which builds only the node copies
+    (transforms.component_gates), which builds only the node copies
     they weight. The subset names distinct lifted roots, and d may not
     exceed the lift order bundle.d, above which no component exists."""
     subset, count = tuple(subset), len(bundle.alphas)
@@ -240,7 +240,7 @@ def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     terms = composition_terms(B, 1, d, vanishing_components(roots, bundle.d))
     xs = [v for v in range(src.num_vars) if v != y]
     b = CircuitBuilder(src.field, src.num_vars)
-    comp = root_component_gates(b, src, xs, y, roots, bundle.d, composition_reads(terms))
+    comp = component_gates(b, src, xs, y, roots, composition_reads(terms))
     return b.finish(composition_sum(b, terms, [b.inp(y)], [comp] * d))
 
 

@@ -1,8 +1,7 @@
 """Hensel lifting of low-degree roots.
 
-The engine has three layers:
+The engine has two layers:
 
-  - lift_step: one refinement h -> H_{<=i}[h - P(x,h)/delta], as a circuit.
   - build_A_recurrence: the small circuits A_1..A_d over generator
     variables with H_{<=i}[f] = H_{<=i}[A_i(g_0..g_d)]; the recurrence adds
     at most 10*d^2 wires per step (hard law, checked on every build).
@@ -35,7 +34,6 @@ from .errors import (
     NotASimpleRoot,
     ParameterViolation,
     ResidualNonzero,
-    ZeroDelta,
     ZeroPolynomial,
 )
 from .fields import _shift_candidates
@@ -43,9 +41,9 @@ from .transforms import (
     GeneratorSet,
     _check_lift_degree,
     affine,
+    component_gates,
     generator_set,
     hasse_derivative_circuit,
-    truncate_deg,
     vanishing_components,
 )
 
@@ -92,24 +90,6 @@ class RootCertificate:
     residual_mode: str  # "oracle" | "sz"
     metrics_chain: list
     state: LiftState
-
-
-def lift_step(P: Circuit, h: Circuit, i: int, delta, y: int) -> Circuit:
-    """One Hensel step: circuit for H_{<=i}[h - P(x, h)/delta].
-
-    h must be a circuit over P's variable space that does not read y. The
-    construction is exact circuit composition; nothing is expanded.
-    """
-    if delta == P.field.zero:
-        raise ZeroDelta("lifting needs a nonzero delta")
-    fld = P.field
-    comp = substitute(P, {y: h}, num_vars=P.num_vars)
-    b = CircuitBuilder(fld, P.num_vars)
-    h_id = b.import_circuit(h)[0]
-    c_id = b.import_circuit(comp)[0]
-    out = b.add(h_id, b.mul(b.const(fld.neg(fld.inv(delta))), c_id))
-    raw = b.finish(out)
-    return truncate_deg(raw, i)
 
 
 def build_A_recurrence(
@@ -187,7 +167,8 @@ def compose_root(state: LiftState, k: int | None = None, shift=()) -> Circuit:
     xs = [v for v in range(gens.num_vars) if v != gens.y_var]
     inputs = {v: b.add(b.inp(v), b.const(fld.neg(c))) for v, c in zip(xs, shift) if c != fld.zero}
     terms = composition_terms(state.low(k), 0, k, vanishing_components(gens.roots, d))
-    comp = gens.component_gates(b, composition_reads(terms), inputs)
+    reads = composition_reads(terms)
+    comp = component_gates(b, gens.P, xs, gens.y_var, gens.roots, reads, inputs)
     return b.finish(composition_sum(b, terms, [], [comp] * k))
 
 

@@ -20,9 +20,8 @@ Two conventions keep the stated depth bounds true:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 from .circuit import ADD, Circuit, CircuitBuilder, _check_var, formal_degree_in
 from .circuit import const_circuit, evaluate_batch, remap_vars, sz_is_zero
@@ -124,11 +123,11 @@ def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple, b=None, inputs=No
     each node (a, s) of _lower_set(shape), or at those whose index is in
     nodes: every variable i in `scale` bound to a * inputs.get(i, x_i), in
     scale's order before the import, and y, unless None, to alpha + s.
-    Returns (builder, coeff); coeff(monomials, delta) emits the one weighted
-    sum of the copies that computes the sum of the t^k s^j coefficients, (k,
-    j) in monomials, of circ(t * x, alpha + delta + s), delta 0 by default,
-    depth-neutrally on its top sum; coeff(weights=w) emits the sum for
-    weights (n, c) already found by _shifted_weights.
+    Returns (builder, coeff); coeff(monomials) emits the one weighted sum of
+    the copies that computes the sum of the t^k s^j coefficients, (k, j) in
+    monomials, of circ(t * x, alpha + s), depth-neutrally on its top sum;
+    coeff(weights=w) emits the sum for weights (n, c) already found by
+    _shifted_weights.
     The nodes run scale-major, so consecutive copies of one scale differ
     only in y's binding, and the builder re-canonicalizes only the gates of
     each such copy that read y (CircuitBuilder.import_circuit)."""
@@ -144,9 +143,9 @@ def _interpolate(circ: Circuit, scale, y, alpha, shape: tuple, b=None, inputs=No
             bindings[y] = b.const(fld.add(alpha, fld.embed(s)))
         copies[n] = b.import_circuit(circ, var_bindings=bindings)[0]
 
-    def coeff(monomials=(), delta=fld.zero, weights=None) -> int:
+    def coeff(monomials=(), weights=None) -> int:
         if weights is None:
-            weights = _shifted_weights(fld, shape, monomials, delta)
+            weights = _lower_set_weights(fld, shape, tuple(monomials))
         parts = [b.mul(b.const(c), copies[n]) for n, c in weights]
         return b.add(*parts) if parts else b.const(fld.zero)
 
@@ -444,25 +443,16 @@ class GeneratorSet:
 
     orders lists the derivative orders j of the members, ascending; the
     member of order j is H_{<=d} of the order-j Hasse derivative of P at
-    y = alpha, minus its constant term. Every circuit here is finished
-    from the one builder of generator_set's interpolation, which holds the
-    node copies of P and is built on the first read of components or
-    members, so a caller that reads neither (factor_vnp's search) builds no
-    copy. components is one multi-output circuit over P's variable space
-    with the y slot unused: output pos * d + (i - 1) computes H_i of the
-    member of order j = orders[pos], the t^i s^j coefficient of
-    P(t*x, alpha + s), for i in 1..d (None when there are no members), the
-    one-root case of root_components. lives[pos] holds the degrees i whose
-    component is not known to vanish; the others are emitted as 0.
-    component_gates(b, reads, inputs) emits only the components a caller
-    reads, in its own builder b, from only the node copies they weight
-    (_emit_components; compose_root); roots is the set as the one root
-    (alpha, orders, lives) that root_components and vanishing_components
-    take.
-    members holds the (j, circuit) pairs over the same space, read from
-    by_order() (the member of every order 0..d, each finished on its own);
-    their gates follow the components' in the builder whichever is read
-    first, so the bytes do not depend on the order of the reads.
+    y = alpha, minus its constant term. P is kept as data: a caller emits
+    the members' homogeneous components H_i, i in 1..d, that it reads with
+    component_gates(b, P, xs, y_var, roots, reads), roots being the set
+    as the one root (alpha, orders, lives). lives[pos] holds the degrees i
+    whose component of the member of order orders[pos] is not known to
+    vanish (vanishing_components).
+    members holds the (j, circuit) pairs over P's variable space with the
+    y slot unused, each finished on its own from one interpolation of P
+    built on their first read, so a caller that never reads them (the lift,
+    the factor pipelines) builds no copy for them.
     derivs_dense[j] is H_{<=d} of the order-j derivative at alpha, j = 0..d
     (the dense member of order j, plus its constant term), in P's variable
     space with the y slot unused: the s^j terms of x-degree <= d of the zero
@@ -474,41 +464,32 @@ class GeneratorSet:
     d: int
     y_var: int
     num_vars: int
+    P: Circuit = dc_field(repr=False)
     orders: list = dc_field(default_factory=list)
     lives: list = dc_field(default_factory=list)
     deriv_constants: list = dc_field(default_factory=list)  # H_0 per order j
     derivs_dense: list | None = dc_field(default=None, repr=False)
-    by_order: Callable | None = dc_field(default=None, repr=False)
-    interpolation: Callable | None = dc_field(default=None, repr=False)  # the set's own
-    emit: Callable | None = dc_field(default=None, repr=False)  # into a caller's b
-
-    @cached_property
-    def components(self) -> Circuit | None:
-        if not self.orders:
-            return None
-        b, coeff = self.interpolation()
-        return b.finish(_component_gates(b, coeff, self.alpha, self.roots, self.d))
 
     @property
     def roots(self) -> list:
         return [(self.alpha, self.orders, self.lives)]
 
-    def component_gates(self, b: CircuitBuilder, reads, inputs=None) -> dict:
-        """{(pos, i): gate} for each (pos, i) in reads, H_i of the member
-        of order orders[pos], emitted in b; each scaled variable v is bound
-        to a times inputs.get(v, x_v)."""
-        return self.emit(b, self.roots, self.d, reads, inputs)
-
     @cached_property
     def members(self) -> list:
         if not self.orders:
             return []
-        self.components  # the component gates come first in the one builder
-        by_order = self.by_order()
-        return [(j, by_order[j]) for j in self.orders]
+        xs = [v for v in range(self.num_vars) if v != self.y_var]
+        b, coeff = _interpolate(self.P, xs, self.y_var, self.alpha, _shape(self.P, xs, self.y_var))
+        return [(j, b.finish(coeff((k, j) for k in range(1, self.d + 1)))) for j in self.orders]
 
     def z_index(self, j: int) -> int | None:
         return self.orders.index(j) if j in self.orders else None
+
+
+def _shape(P: Circuit, xs, y: int) -> tuple:
+    """The lower set's shape (ax, by, tot) for interpolating P(t*x, alpha +
+    s): P's formal degrees in xs, in y and in both."""
+    return formal_degree_in(P, xs), formal_degree_in(P, y), formal_degree_in(P, [*xs, y])
 
 
 def generator_set(
@@ -526,9 +507,9 @@ def generator_set(
     t^k s^j coefficient, (k, j) in the lower set bounded by P's formal
     degrees in x, in y and in all. One interpolation on that set's nodes
     (a, b) makes each coefficient a weighted sum of the copies of P there (x
-    scaled by a, y bound to alpha + b), so depth does not grow. The copies,
-    the components and the members are built when components or members are
-    first read (GeneratorSet).
+    scaled by a, y bound to alpha + b), so depth does not grow. No copy is
+    built here on the oracle path: the members are built when first read,
+    the components by component_gates.
 
     The zero test is one expansion of P with y bound to alpha + s (s in y's
     slot), capped at total degree d + min(d, deg_y P): the s^j terms of
@@ -549,134 +530,75 @@ def generator_set(
     _check_lift_degree(d, budget)
     fld, nv, zero = P.field, P.num_vars, P.field.zero
     xs = [i for i in range(nv) if i != y]
-    shape = (formal_degree_in(P, xs), formal_degree_in(P, y), P.formal_degree())
+    shape = _shape(P, xs, y)
     if max(shape[:2]) > budget.max_degree:
         raise BudgetExceeded("degree", f"formal degree {max(shape[:2])} > {budget.max_degree}")
     _lower_set(fld, shape)  # the refusals the copies would raise, before any work
     fld.check(alpha)
-
-    interpolation = cache(partial(_interpolate, P, xs, y, alpha, shape))  # the set's own builder
-
-    @cache
-    def by_order():
-        b, coeff = interpolation()
-        return [b.finish(coeff((k, j) for k in range(1, d + 1))) for j in range(d + 1)]
 
     try:  # H_{<=d} of each derivative: member j is denses[j] less its constant term
         denses = _derivatives_at(P, y, alpha, d, shape[1], budget)
         h0 = [dense.constant_term() for dense in denses]
     except BudgetExceeded:  # the derivatives at alpha, evaluated at 0
         denses = None
-        b, coeff = interpolation()
+        b, coeff = _interpolate(P, xs, y, alpha, shape)
         derivs = b.finish([coeff((k, j) for k in range(shape[0] + 1)) for j in range(d + 1)])
         h0 = derivs.evaluate([zero] * nv)
+        lows = [b.finish(coeff((k, j) for k in range(1, d + 1))) for j in range(d + 1)]
     orders, lives = [], []
     for j in range(d + 1):
         if denses is not None:
-            # a component the oracle shows to vanish is emitted as 0
             live = {sum(e) for e in denses[j].terms} - {0}
             if not live:
                 continue
-        elif sz_is_zero(by_order()[j], 2 * d, 0, "genset-sz", str(j)):
+        elif sz_is_zero(lows[j], 2 * d, 0, "genset-sz", str(j)):
             continue
         else:
             live = range(1, d + 1)
         orders.append(j)
         lives.append(live)
 
-    return GeneratorSet(
-        alpha=alpha,
-        d=d,
-        y_var=y,
-        num_vars=nv,
-        orders=orders,
-        lives=lives,
-        deriv_constants=list(h0),
-        derivs_dense=denses,
-        by_order=by_order,
-        interpolation=interpolation,
-        emit=partial(_emit_components, P, xs, y, alpha, shape),
-    )
-
-
-def _component_gates(b: CircuitBuilder, coeff, alpha, roots, d: int) -> list:
-    """The generator components of each root (alpha_i, orders, lives) in
-    roots, root after root, read from one interpolation (b, coeff) of P at
-    y = alpha: for j in orders and i in 1..d, H_i of the member of order j
-    at alpha_i, the t^i s^j coefficient of P(t*x, alpha + (alpha_i - alpha)
-    + s), or the constant 0 where i is not in that order's entry of lives
-    (GeneratorSet.lives; None: every i of every order)."""
-    fld = b.field
-    zero_id = b.const(fld.zero)
-    return [coeff([(i, j)], fld.sub(a, alpha)) if live is None or i in live else zero_id
-            for a, orders, lives in roots
-            for j, live in zip(orders, lives or [None] * len(orders))
-            for i in range(1, d + 1)]
+    return GeneratorSet(alpha=alpha, d=d, y_var=y, num_vars=nv, P=P, orders=orders, lives=lives,
+                        deriv_constants=list(h0), derivs_dense=denses)
 
 
 def vanishing_components(roots, d: int) -> set:
     """The generator components (g, i), i in 1..d, of roots (alpha_i,
     orders, lives), g counting every root's members in turn, known to be 0:
-    i is outside the member's entry of lives (None: none known)."""
+    i is outside the member's entry of lives (None: none known). A
+    composition leaves them out (lifting.composition_terms), so
+    component_gates is never asked for one."""
     lives = [live for _, orders, lives in roots for live in lives or [None] * len(orders)]
     return {(g, i) for g, live in enumerate(lives) if live is not None
             for i in range(1, d + 1) if i not in live}
 
 
-def _emit_components(P: Circuit, xs, y: int, alpha, shape: tuple, b: CircuitBuilder,
-                     roots, d: int, reads, inputs=None) -> dict:
-    """{(g, i): gate} in b for each (g, i) in reads: H_i of generator g, the
-    g-th member of roots (alpha_i, orders, lives), root after root, as
-    _component_gates reads it from one interpolation of P at y = alpha. The
-    listed components' weights come first, then only the node copies some
-    listed component weights are built, in lower-set order (the copies of
-    one scale stay consecutive, so each re-import rebuilds only the gates
-    that read y), then the components in _component_gates order. A component
-    outside lives is the constant 0 and weights no copy; no reads, no
-    interpolation."""
+def component_gates(b: CircuitBuilder, P: Circuit, xs, y: int, roots, reads,
+                    inputs=None) -> dict:
+    """{(g, i): gate} in b for each generator component (g, i) in reads:
+    H_i of generator g, g counting the members of every root (alpha_i,
+    orders, lives) in turn, the t^i s^j coefficient of P(t*x, alpha_i + s)
+    for the member's order j, xs the scaled variables. One interpolation of
+    P at the first root's alpha serves every root: the coefficient at
+    alpha_i is the sum over m >= j of C(m, j) * (alpha_i - alpha)^(m - j)
+    times the t^i s^m one at alpha, still one weighted sum of the same
+    copies, so depth does not grow. The listed components' weights come
+    first, then only the node copies they weight, in lower-set order (the
+    copies of one scale stay consecutive, so each re-import rebuilds only
+    the gates that read y), each scaled variable v bound to a times
+    inputs.get(v, x_v), then the components in sorted order. Variables
+    outside xs and y, such as an exp-sum's auxiliaries, are neither scaled
+    nor bound. No reads (roots may then be empty), no interpolation."""
     if not reads:
         return {}
-    fld = P.field
-    gens = [(fld.sub(a, alpha), j, live) for a, orders, lives in roots
-            for j, live in zip(orders, lives or [None] * len(orders))]
-    rows = {}
-    for g, i in sorted(reads):
-        delta, j, live = gens[g]
-        live = live is None or i in live
-        rows[g, i] = _shifted_weights(fld, shape, [(i, j)], delta) if live else ()
+    fld, xs, alpha = P.field, list(xs), roots[0][0]
+    shape = _shape(P, xs, y)
+    gens = [(fld.sub(a, alpha), j) for a, orders, _ in roots for j in orders]
+    rows = {(g, i): _shifted_weights(fld, shape, [(i, gens[g][1])], gens[g][0])
+            for g, i in sorted(reads)}
     nodes = {n for weights in rows.values() for n, _ in weights}
     b, coeff = _interpolate(P, xs, y, alpha, shape, b, inputs, nodes)
     return {key: coeff(weights=weights) for key, weights in rows.items()}
-
-
-def root_component_gates(b: CircuitBuilder, P: Circuit, xs, y: int, roots, d: int,
-                         reads) -> dict:
-    """{(g, i): gate} in b for the generator components (g, i) in reads of
-    the roots (alpha_i, orders, lives), g counting the members of every
-    root in turn: one interpolation of P(t*x, alpha + s) at the first
-    root's alpha, xs the scaled variables. The t^k s^j coefficient at
-    alpha_i is the sum over m >= j of C(m, j) * (alpha_i - alpha)^(m - j)
-    times the t^k s^m coefficient at alpha, still one weighted sum of the
-    same copies, so depth does not grow and the roots share one set of node
-    copies, built only where a listed component weights them
-    (_emit_components). Variables outside xs and y, such as an exp-sum's
-    auxiliaries, are neither scaled nor bound. No reads (roots may then be
-    empty), no interpolation."""
-    if not reads:
-        return {}
-    xs = list(xs)
-    shape = (formal_degree_in(P, xs), formal_degree_in(P, y), formal_degree_in(P, xs + [y]))
-    return _emit_components(P, xs, y, roots[0][0], shape, b, roots, d, reads)
-
-
-def root_components(P: Circuit, xs, y: int, roots, d: int, reads) -> Circuit:
-    """One multi-output circuit over P's variable space holding the
-    generator components (g, i) in reads, in _component_gates' order
-    (root_component_gates); with one root and every component these are
-    the polynomials GeneratorSet.components computes."""
-    b = CircuitBuilder(P.field, P.num_vars)
-    comps = root_component_gates(b, P, xs, y, roots, d, reads)
-    return b.finish([comps[key] for key in sorted(reads)])
 
 
 def _derivatives_at(P: Circuit, y: int, alpha, d: int, deg_y: int,

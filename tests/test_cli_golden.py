@@ -83,7 +83,7 @@ CERT_GOLDEN = {
     "deriv": "a4fa82a7b425d2d5e838e550c70a8be5157e0e47739c3173d77e0d3a5c02f51f",
     "monic": "c2ad1ac8ee3ef5a5139d3147007382d984fcf99feefd4d5ac02290ebae4a29d6",
     "monic/appended-y": "8665e7dfd1804af4c2e8cf8b385c171e3611ea4a43ebeca744abfd62e15497e5",
-    "genset": "ce2732a1fdf24133502fd37e13f5ffde2b4b7565788a29ad381c76b4ca8844ef",
+    "genset": "6f16e8176abc3e01fb8d8d3f93548637248dee4cf7fee6bb278d55ad258a105d",
     "lift-root": "b6ec30bb2223ba790f7e40dd97b52b8ae60f1f008a5734c54d5ec1fd8048a3aa",
     "lift-root/alpha": "8ef663036a0e95bc1b28630769bac831ec27a7c6cb296ce5d723d17c00fb4c21",
     "factor/search": "610e03243685254470e386dc552c2e26850d8c8233ea0fd9fa2c49d7d3eaa08f",

@@ -437,7 +437,7 @@ def _aux_cubic_factor(field):
 
 def _record_interpolations(monkeypatch) -> list:
     """Every call of the one interpolation engine, transforms._interpolate
-    (expsum reaches it through transforms.root_components), as
+    (expsum reaches it through transforms.component_gates), as
     (circ, scale, y, shape, bound): bound lists, for each copy that the
     call imports into its builder, the variables bound in that copy."""
     calls, imports = [], []
@@ -661,7 +661,7 @@ def test_factor_vnp_emits_through_one_composition_sum(QQ, monkeypatch):
     # the factor is one composition_sum over the auxiliary blocks: no
     # formula conversion, leaf substitution or truncation of a circuit that
     # carries E's auxiliaries
-    from circuitforge import expsum, lifting
+    from circuitforge import expsum
 
     seen = {"composition_sum": [], "leaf_substitute": [], "truncate_deg": []}
 
@@ -675,7 +675,7 @@ def test_factor_vnp_emits_through_one_composition_sum(QQ, monkeypatch):
 
     for name in ("composition_sum", "leaf_substitute"):
         spy(name, expsum)
-    for module in (transforms, lifting, expsum):
+    for module in (transforms, expsum):
         spy("truncate_deg", module)
     e = _planted_aux_cubic(QQ)
     out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)

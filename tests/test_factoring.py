@@ -521,7 +521,7 @@ def test_subset_search_builds_components_only_for_the_accepted_roots(QQ, monkeyp
     # series, so the singletons (0,) and (1,) are screened and rejected
     # before (2,); the one interpolation is of the lifted source at the
     # accepted root, in the factor's own builder, and no generator set
-    # builds its own components
+    # builds its members
     from circuitforge import transforms
 
     built = record_generator_sets(monkeypatch)
@@ -539,7 +539,7 @@ def test_subset_search_builds_components_only_for_the_accepted_roots(QQ, monkeyp
     assert expand(res.factor) == Y - X - DensePoly.const(QQ, 2, Fraction(3))
     states = res.bundle.states
     assert all(st is not None for st in states)  # every root was lifted
-    assert len(built) == 3 and not [gens for gens in built if "components" in gens.__dict__]
+    assert len(built) == 3 and not [gens for gens in built if "members" in gens.__dict__]
     ((circ, _, y, alpha, *_),) = interpolated
     assert circ is res.bundle.source and (y, alpha) == (1, states[2].alpha)
 
@@ -654,51 +654,93 @@ def _multi_root_factor_runs(field):
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(1_000_003), PrimeField(2**62 - 57)],
                          ids=["QQ", "F1000003", "F2^62-57"])
-def test_shared_interpolation_gives_each_root_its_own_components(field):
+def test_shared_interpolation_gives_each_root_its_own_components(field, monkeypatch):
     # one interpolation at the first root, Taylor-shifted to each other
-    # root, expands output for output to each root's own one-root
-    # GeneratorSet.components, and emits the same oracle-zero components
-    # as the constant 0
-    from circuitforge.transforms import generator_set, root_components
+    # root, expands output for output to each root emitted alone, at the
+    # same depth; vanishing_components names exactly the components the
+    # oracle shows to be 0, and neither compose_root nor combine_roots
+    # reads one
+    from circuitforge import factoring, lifting
+    from circuitforge.dense import homog_component_dense
+    from circuitforge.transforms import component_gates, vanishing_components
+
+    def emitted(src, y, roots, d):
+        xs = [v for v in range(src.num_vars) if v != y]
+        reads = [(g, i) for g in range(sum(len(orders) for _, orders, _ in roots))
+                 for i in range(1, d + 1)]
+        b = CircuitBuilder(src.field, src.num_vars)
+        comps = component_gates(b, src, xs, y, roots, reads)
+        return b.finish([comps[read] for read in reads])
 
     def outputs(circ):
         return [expand(Circuit(circ.field, circ.num_vars, circ.gates, [o])) for o in circ.outputs]
 
-    def zeros(circ):
-        return [circ.gates[o] == ("const", circ.field.zero) for o in circ.outputs]
+    def oracle_zeros(gsets, d):
+        zeros = [homog_component_dense(g.derivs_dense[j], i).is_zero()
+                 for g in gsets for j in g.orders for i in range(1, d + 1)]
+        return {(n // d, n % d + 1) for n, zero in enumerate(zeros) if zero}
 
-    def oracle_zeros(g, d):
-        return [i not in live for live in g.lives for i in range(1, d + 1)]
+    read = []  # (module, roots, reads) of every emission the pipelines make
 
-    cases = []
+    def spy(module):
+        real = module.component_gates
+
+        def record(b, P, xs, y, roots, reads, *rest):
+            read.append((module.__name__, roots, set(reads)))
+            return real(b, P, xs, y, roots, reads, *rest)
+        monkeypatch.setattr(module, "component_gates", record)
+
+    bundles = []
     for P, y, d, subset in _multi_root_factor_runs(field):
         res = extract_factor(P, y=y, d=d, subset=subset, seed=0)
-        cases.append((res.bundle.source, y, d, [res.bundle.states[i].gens for i in res.subset]))
-    # (y^2 - x1^2)(y - 1)(y - 2): at its roots 1 and 2 the order-1 member
-    # has H_1 = 0, a monomial inside the lower set
+        bundles.append((res.bundle, res.subset))
+    # (y^2 - x1^2)(y - 1)(y - 2) and (y - 1 - x1^2)(y - 2 - x1^2): at their
+    # roots 1 and 2 a member has H_1 = 0, a monomial inside the lower set,
+    # which the second's roots would read
+    one, two = field.one, field.embed(2)
     b = CircuitBuilder(field, 2)
     x, y = b.inp(0), b.inp(1)
-    P = b.finish(b.mul(b.sub(b.mul(y, y), b.mul(x, x)), b.sub(y, b.const(field.one)),
-                       b.sub(y, b.const(field.embed(2)))))
-    cases.append((P, 1, 2, [generator_set(P, 1, field.embed(a), 2) for a in (1, 2)]))
+    x2 = b.mul(x, x)
+    for P in (b.finish(b.mul(b.sub(b.mul(y, y), x2), b.sub(y, b.const(one)),
+                             b.sub(y, b.const(two)))),
+              b.finish(b.mul(b.sub(y, b.add(b.const(one), x2)),
+                             b.sub(y, b.add(b.const(two), x2))))):
+        bundle = RootBundle((field.zero,), [one, two], 2, 1, P)
+        bundle.lift([0, 1])
+        bundles.append((bundle, (0, 1)))
+    spy(lifting)
+    spy(factoring)
     vanishing = False  # a shifted root with an oracle-zero component
-    for src, y, d, gsets in cases:
+    dropped = set()
+    for bundle, subset in bundles:
+        src, y, d = bundle.source, bundle.y_var, bundle.d
+        gsets = [bundle.states[i].gens for i in subset]
         assert len(gsets) > 1 and all(g.orders for g in gsets)
-        xs = [v for v in range(src.num_vars) if v != y]
-        every = [(g, i) for g in range(sum(len(gens.orders) for gens in gsets))
-                 for i in range(1, d + 1)]
-        shared = root_components(src, xs, y, [(g.alpha, g.orders, g.lives) for g in gsets], d,
-                                 every)
+        roots = [root for g in gsets for root in g.roots]
+        shared = emitted(src, y, roots, d)
         pos = 0
         for g in gsets:
-            own, end = g.components, pos + len(g.components.outputs)
+            own = emitted(src, y, g.roots, d)
+            end = pos + len(own.outputs)
             assert outputs(shared)[pos:end] == outputs(own)
-            assert zeros(shared)[pos:end] == zeros(own) == oracle_zeros(g, d)
+            assert vanishing_components(g.roots, d) == oracle_zeros([g], d)
             pos = end
         assert pos == len(shared.outputs)
-        assert shared.depth() == max(g.components.depth() for g in gsets)
+        assert shared.depth() == max(emitted(src, y, g.roots, d).depth() for g in gsets)
+        assert vanishing_components(roots, d) == oracle_zeros(gsets, d)
         vanishing |= any(set(live) != set(range(1, d + 1)) for g in gsets[1:] for live in g.lives)
+        start = len(read)
+        for i in subset:
+            compose_root(bundle.states[i])
+        combine_roots(bundle, subset, d)
+        for module, roots, reads in read[start:]:
+            zero = vanishing_components(roots, d)
+            assert reads.isdisjoint(zero)
+            if {g for g, _ in zero} & {g for g, _ in reads}:
+                dropped.add(module)
     assert vanishing
+    # each pipeline dropped a read: it reads another degree of the same generator
+    assert dropped == {"circuitforge.lifting", "circuitforge.factoring"}
 
 
 def _field_shifted_weights(fld, shape, monomials, delta):

@@ -63,6 +63,10 @@ CALLS = [
     ("const_circuit", (Fraction(1, 2),), lambda v: cf.const_circuit(FP, v, 2)),
     ("const_circuit", (-1, 0.5), lambda v: cf.const_circuit(QQ, QQ.one, v)),
     ("CircuitBuilder.__init__", (-1, 0.5, True), lambda v: CircuitBuilder(QQ, v)),
+    ("ExpansionBudget.__init__", DEGREES + (0, "5", None),
+     lambda v: cf.ExpansionBudget(max_terms=v)),
+    ("ExpansionBudget.__init__", DEGREES + (0, "5", None),
+     lambda v: cf.ExpansionBudget(max_degree=v)),
     ("divides", (DENSE_FP, DensePoly.variable(QQ, 3, 2)),
      lambda v: cf.divides(v, DENSE)),
     ("expand", DEGREES, lambda v: cf.expand(P, cap=v)),
@@ -92,9 +96,6 @@ CALLS = [
     ("lift_root", VARS, lambda v: cf.lift_root(P, v, 1, 0)),
     ("lift_root", DEGREES, lambda v: cf.lift_root(P, 1, v, 0)),
     ("lift_root", (Fraction(1, 2),), lambda v: cf.lift_root(P_FP, 1, 1, 0, alpha=v)),
-    ("lift_step", VARS, lambda v: cf.lift_step(P, P, 1, QQ.one, v)),
-    ("lift_step", DEGREES, lambda v: cf.lift_step(P, P, v, QQ.one, 1)),
-    ("lift_step", CIRCUITS_ELSEWHERE, lambda v: cf.lift_step(P, v, 1, QQ.one, 1)),
     ("make_monic", DEGREES, lambda v: cf.make_monic(P, v, 0, y_var=1)),
     ("make_monic", VARS, lambda v: cf.make_monic(P, 2, 0, y_var=v)),
     ("nw_design", DEGREES, lambda v: cf.nw_design(v, 3)),

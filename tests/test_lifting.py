@@ -17,7 +17,6 @@ from circuitforge import (
     extract_factor,
     hasse_derivative_circuit,
     lift_root,
-    lift_step,
     truncate_dense,
     univariate_roots,
 )
@@ -30,7 +29,6 @@ from circuitforge.errors import (
     NotASimpleRoot,
     ParameterViolation,
     ResidualNonzero,
-    ZeroDelta,
     ZeroPolynomial,
 )
 from circuitforge.fields import SIXTY_TWO_BIT_PRIME, _shift_candidates
@@ -52,50 +50,6 @@ def _y2_minus_1px_squared(QQ):
     x, y = b.inp(0), b.inp(1)
     f = b.add(b.const(Fraction(1)), x)
     return b.finish(b.sub(b.mul(y, y), b.mul(f, f)))
-
-
-def test_lift_step_example(QQ):
-    P = _y2_minus_1px_squared(QQ)
-    b = CircuitBuilder(QQ, 2)
-    h = b.finish(b.const(Fraction(1)))
-    out = lift_step(P, h, 1, Fraction(2), y=1)
-    assert expand(out) == DensePoly(QQ, 2, {(0, 0): Fraction(1), (1, 0): Fraction(1)})
-
-
-def test_lift_step_exact_root_fixed_point(QQ):
-    P = _y2_minus_1px_squared(QQ)
-    b = CircuitBuilder(QQ, 2)
-    root = b.finish(b.add(b.const(Fraction(1)), b.inp(0)))  # 1 + x
-    for i in (1, 2, 3):
-        out = lift_step(P, root, i, Fraction(2), y=1)
-        assert expand(out) == truncate_dense(expand(root), i)
-
-
-def test_lift_step_zero_delta(QQ):
-    P = _y2_minus_1px_squared(QQ)
-    b = CircuitBuilder(QQ, 2)
-    h = b.finish(b.const(Fraction(1)))
-    with pytest.raises(ZeroDelta):
-        lift_step(P, h, 1, Fraction(0), y=1)
-
-
-def test_lift_step_iterates_to_planted_root(QQ):
-    # P = (y - f) * g with a planted cubic f; iterate i = 1..3
-    rng = rng_for("lift-step-iter")
-    f = random_sparse_poly(QQ, rng, 2, 3, 4)
-    f = f - DensePoly.const(QQ, 2, f.constant_term())  # make f(0) = 0 so h0 = 0 works
-    fd = f.with_vars(3)
-    b = CircuitBuilder(QQ, 3)
-    fc = b.import_circuit(circuit_from_dense(fd))[0]
-    y = b.inp(2)
-    g = b.add(y, b.const(Fraction(1)))  # y + 1; g(0,0) = 1 != 0 keeps the root simple
-    P = b.finish(b.mul(b.sub(y, fc), g))
-    delta = Fraction(1)  # dP/dy(x, f) = (f + 1) -> H_0 = 1
-    hb = CircuitBuilder(QQ, 3)
-    h = hb.finish(hb.const(Fraction(0)))
-    for i in (1, 2, 3):
-        h = lift_step(P, h, i, delta, y=2)
-        assert expand(h) == truncate_dense(fd, i)
 
 
 def test_recurrence_example_composition(QQ):
@@ -438,8 +392,8 @@ def test_one_pass_root_is_the_two_pass_root_translated_back(field):
 
 def test_translated_lift_root_composes_once_in_P_coordinates(QQ, Fp, monkeypatch):
     # affine moves P to the slice and nothing else: the root is written in
-    # P's coordinates from its own node copies, never from
-    # GeneratorSet.components
+    # P's coordinates from its own node copies, and no generator set builds
+    # its members
     moved = []
     real_affine = lifting.affine
     monkeypatch.setattr(lifting, "affine", lambda circ, *a, **k: moved.append(circ)
@@ -454,7 +408,7 @@ def test_translated_lift_root_composes_once_in_P_coordinates(QQ, Fp, monkeypatch
             assert any(v != field.zero for v in cert.shift)
             assert moved and all(circ is P for circ in moved)
             assert cert.multiplicity == m and expand(cert.root) == f
-    assert built and all("components" not in gens.__dict__ for gens in built)
+    assert built and all("members" not in gens.__dict__ for gens in built)
 
 
 # -- the translation search order -------------------------------------------------

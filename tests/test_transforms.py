@@ -34,6 +34,7 @@ from circuitforge.transforms import (
     HOMOGENIZE_SIZE_FACTOR,
     _interpolate,
     affine,
+    component_gates,
     homog_component_interp,
 )
 
@@ -426,6 +427,18 @@ def test_generator_set_laws(QQ, Fp):
                 assert member.size() <= GENSET_SIZE_FACTOR * max(1, P.size()) * r**5
 
 
+def _components(gens):
+    """Every generator component (g, i) of gens, in sorted order, as one
+    circuit from component_gates; None when gens has no members."""
+    if not gens.orders:
+        return None
+    b = CircuitBuilder(gens.P.field, gens.num_vars)
+    xs = [v for v in range(gens.num_vars) if v != gens.y_var]
+    reads = [(g, i) for g in range(len(gens.orders)) for i in range(1, gens.d + 1)]
+    comps = component_gates(b, gens.P, xs, gens.y_var, gens.roots, reads)
+    return b.finish([comps[read] for read in reads])
+
+
 def test_generator_set_schwartz_zippel_fallback_keeps_the_oracle_result(QQ, Fp, monkeypatch):
     # a one-term budget overflows the oracle, so every candidate member is
     # kept or dropped by the Schwartz-Zippel check instead
@@ -450,7 +463,7 @@ def test_generator_set_schwartz_zippel_fallback_keeps_the_oracle_result(QQ, Fp, 
             assert sz.deriv_constants == oracle.deriv_constants
             for (_, m_sz), (_, m_or) in zip(sz.members, oracle.members):
                 assert oracle_equal(m_sz, m_or)
-            assert expand_outputs(sz.components) == expand_outputs(oracle.components)
+            assert expand_outputs(_components(sz)) == expand_outputs(_components(oracle))
 
 
 def test_generator_set_constants_come_from_the_zero_test(QQ, monkeypatch):
@@ -528,7 +541,7 @@ def test_generator_set_zero_test_matches_the_dense_reference(QQ):
             lows = [ref - DensePoly.const(field, 3, ref.constant_term()) for ref in refs]
             assert gens.orders == [j for j, low in enumerate(lows) if not low.is_zero()]
             assert gens.deriv_constants == [ref.constant_term() for ref in refs]
-            comps = expand_outputs(gens.components) if gens.orders else []
+            comps = expand_outputs(_components(gens)) if gens.orders else []
             for pos, j in enumerate(gens.orders):
                 for i in range(1, d + 1):
                     assert comps[pos * d + i - 1] == homog_component_dense(refs[j], i)
@@ -549,36 +562,7 @@ def test_generator_set_over_the_full_expansion_budget_still_uses_the_oracle(QQ, 
     small = generator_set(P, 2, Fraction(2), 2, budget=budget)
     full = generator_set(P, 2, Fraction(2), 2)
     assert small.orders == full.orders == [1, 2]
-    assert emit_circuit(small.components) == emit_circuit(full.components)
-
-
-def _genset_bytes(gens, members_first):
-    """orders, constants, components and members of gens as emitted text,
-    members read before components or after."""
-    reads = ("members", "components") if members_first else ("components", "members")
-    got = {name: getattr(gens, name) for name in reads}
-    comp = got["components"] and emit_circuit(got["components"])
-    return gens.orders, gens.deriv_constants, comp, [(j, emit_circuit(m)) for j, m in got["members"]]
-
-
-def test_generator_set_bytes_do_not_depend_on_which_part_is_read_first(QQ, Fp):
-    # the components and members are built on first read, and the component
-    # gates precede the member gates in the one builder on the oracle path
-    # (the SZ path emits the members first, for its zero test)
-    paths = set()
-    for field, name in ((QQ, "qq"), (Fp, "fp")):
-        rng = rng_for("genset-read-order-" + name)
-        for t in range(6):
-            consts = [field.embed(c) for c in (1 + t, -2, 3 + 2 * t)]
-            P, _ = plant_linear_product(field, rng, 2, 2, consts)
-            for budget in (ExpansionBudget(), ExpansionBudget(max_terms=1)):
-                d = 1 + t % 3
-                after = generator_set(P, 2, consts[0], d, budget=budget)
-                before = generator_set(P, 2, consts[0], d, budget=budget)
-                assert after.orders
-                assert _genset_bytes(before, True) == _genset_bytes(after, False)
-                paths.add(after.derivs_dense is None)
-    assert paths == {False, True}
+    assert emit_circuit(_components(small)) == emit_circuit(_components(full))
 
 
 def test_generator_set_refuses_before_any_interpolation(QQ, monkeypatch):
@@ -616,9 +600,9 @@ def _scaled_copy_engine(real):
     """An _interpolate that interpolates over a scaling alone by a scaled
     copy of the circuit, then over its scaling variable t: the t^k
     coefficient is the s^k one of the copy's y-axis interpolation."""
-    def engine(circ, scale, y, alpha, shape):
+    def engine(circ, scale, y, alpha, shape, *rest):
         if not scale or y is not None:
-            return real(circ, scale, y, alpha, shape)
+            return real(circ, scale, y, alpha, shape, *rest)
         b, coeff = real(_scaled_copy(circ, scale), (), circ.num_vars, circ.field.zero,
                         (0, shape[0], shape[2]))
         return b, lambda monomials: coeff((0, k) for k, _ in monomials)
@@ -685,7 +669,8 @@ def test_direct_scaling_matches_a_scaled_copy(QQ, monkeypatch):
             b, coeff = transforms._interpolate(P, over, None, None, (dmax, 0, dmax))
             out.append(seen(b.finish([coeff([(k, 0)]) for k in range(min(d, dmax) + 1)]), P))
             gens = generator_set(P, y, alpha, 1 + d % 3)
-            out.append(gens.components and seen(gens.components, P))
+            comps = _components(gens)
+            out.append(comps and seen(comps, P))
             out += [seen(m, P) for _, m in gens.members]
         return out
 
@@ -723,7 +708,7 @@ def test_generator_set_interpolates_on_a_lower_set_of_nodes(QQ):
         P = b.finish(b.mul(*factors))
         assert (formal_degree_in(P, [0, 1]), formal_degree_in(P, 2), P.formal_degree()) == (k, k, k)
         gens = generator_set(P, 2, Fraction(-1), k)
-        assert len(_weighted_cores(gens.components)) == k * (k + 1) // 2
+        assert len(_weighted_cores(_components(gens))) == k * (k + 1) // 2
         refs = _reference_members(P, 2, Fraction(-1), k)
         lows = [ref - DensePoly.const(QQ, 3, ref.constant_term()) for ref in refs]
         assert gens.orders == [j for j, low in enumerate(lows) if not low.is_zero()]
