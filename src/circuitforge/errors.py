@@ -97,10 +97,6 @@ class SearchExhausted(VerificationFailure):
 
 # --- lifting errors ---
 
-class ZeroDelta(VerificationFailure):
-    pass
-
-
 class NotASimpleRoot(VerificationFailure):
     pass
 

@@ -8,7 +8,7 @@ brute-force checkable while the auxiliary count stays small.
 leaf_substitute gives each use site a fresh copy of the auxiliary block, so
 it requires a tree-shaped combinator: substituting a shared sub-circuit twice
 would sum squares instead of squaring the sum. factor_vnp reads one block per
-factor position of its combiner's monomials instead (lifting.composition_sum).
+factor position of its combiner's monomials instead (lifting.emit_composition).
 
 Sum composition normalizes: summing S1(x,y) + S2(x,z) over the joint cube
 overcounts each side by the other's cube size, so the verifiers are scaled
@@ -50,10 +50,9 @@ from .errors import (
 )
 from .factoring import _check_subset_shape, _search, combiner_dense
 from .fields import Field, Rationals, same_field
-from .lifting import composition_reads, composition_sum, composition_terms
+from .lifting import emit_composition
 from .transforms import (
     _check_lift_degree,
-    component_gates,
     extract_y_coeffs,
     homog_component_interp,
     truncate_deg,
@@ -346,16 +345,15 @@ def factor_vnp(
     desk-scale expansion, which it hands to the search so that P is not
     expanded again; the search reads no generator components, so it builds
     no node copy. Builds no circuit factor (fr.factor is None) and emits B
-    as combine_roots does, at the verifier level: one interpolation of the
-    verifier V in the lifted coordinates, at the subset's first root with
-    generators, gives the components that B reads, the t^i s^j coefficients
-    of V(t * x, alpha + s, aux) at each root's alpha, from only the node
-    copies they weight (transforms.component_gates), finished as one
-    circuit. That circuit is imported once per auxiliary block: factor
-    position t of a monomial of B reads its copy of them on block t, and a
-    monomial reading u of the k blocks is scaled by 2^-(m * (k - u)). The
-    m * k auxiliaries (k <= |S| the largest generator degree in B) are
-    refused over BRUTE_FORCE_AUX_LIMIT before any copy is built; d, the
+    as combine_roots does, through lifting.emit_composition, at the verifier
+    level: one interpolation of the verifier V in the lifted coordinates, at
+    the subset's first root with generators, gives the components that B
+    reads, the t^i s^j coefficients of V(t * x, alpha + s, aux) at each
+    root's alpha, from only the node copies they weight. Factor position t
+    of a monomial of B reads them on auxiliary block t (position 0 on V's
+    own), and a monomial reading u of the k blocks is scaled by 2^-(m * (k
+    - u)). The m * k auxiliaries (k <= |S| the largest generator degree in
+    B) are refused over BRUTE_FORCE_AUX_LIMIT before any copy is built; d, the
     subset's shape and nx >= 1 are checked before E is expanded. The result
     is certified by exp_sum_expand equality with the screened candidate
     fr.factor_dense.
@@ -378,26 +376,13 @@ def factor_vnp(
     if m * k > BRUTE_FORCE_AUX_LIMIT:
         raise BudgetExceeded("terms", f"2^{m * k} auxiliary assignments")
 
-    # one interpolation of the lifted verifier for the subset, holding only
-    # the components (g, i) the sum reads, generator g counting every
-    # root's members in turn; a root with no generators needs no copies
+    # a monomial reading u of the k auxiliary blocks is scaled by 2^-(m * (k - u))
     scaled = DensePoly(field, B.n, {e: field.mul(c, _inv_pow2(field, m * (k - sum(e[1:]))))
                                     for e, c in B.terms.items()})
-    terms = composition_terms(scaled, 1, dS)
-    reads = sorted(composition_reads(terms))
-    gsets = [g for g in (fr.bundle.states[i].gens for i in fr.subset) if g.orders]
+    roots = [(g.alpha, g.orders, None) for g in (fr.bundle.states[i].gens for i in fr.subset)]
     b = CircuitBuilder(field, nx + m * k)
-    blocks = []
-    if k:
-        V = fr.to_lifted(E.verifier)
-        vb = CircuitBuilder(field, V.num_vars)
-        roots = [(g.alpha, g.orders, None) for g in gsets]
-        gates = component_gates(vb, V, range(z), z, roots, reads)
-        comps = vb.finish([gates[read] for read in reads])
-        for t in range(k):
-            aux = {nx + q: b.inp(nx + t * m + q) for q in range(m)}
-            blocks.append(dict(zip(reads, b.import_circuit(comps, var_bindings=aux))))
-    composed = b.finish(composition_sum(b, terms, [b.inp(z)], blocks))
+    V = fr.to_lifted(E.verifier) if k else E.verifier  # k = 0: B reads no component
+    composed = b.finish(emit_composition(b, scaled, [z], dS, V, range(z), z, roots))
     out = ExpSumPoly(fr.from_lifted(composed, fr.unit_inv), tuple(range(nx, nx + m * k)))
     if exp_sum_expand(out, budget) != fr.factor_dense:
         raise InvariantViolated("exp-sum factor disagrees with the screened candidate")

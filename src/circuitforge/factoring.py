@@ -13,7 +13,7 @@ sampled, so no non-factor is mislabeled; expsum.factor_vnp emits it over an
 exp-sum's verifier and builds no circuit factor. Both read the components
 that B reads, of all the subset's roots, from one interpolation at its first
 root, shifted to the others by Taylor's formula, built only at the node
-copies those components weight (transforms.component_gates).
+copies those components weight (lifting.emit_composition).
 
 Only factors genuinely involving y are reported: a candidate whose
 un-shifted form loses all y-dependence is rejected, and a polynomial free
@@ -55,18 +55,14 @@ from .lifting import (
     _slices,
     _stage,
     build_A_recurrence,
-    composition_reads,
-    composition_sum,
-    composition_terms,
+    emit_composition,
 )
 from .transforms import (
     MonicForm,
     _check_lift_degree,
     affine,
-    component_gates,
     hasse_derivative_circuit,
     make_monic,
-    vanishing_components,
 )
 
 SHIFT_TRIALS = 32
@@ -220,13 +216,12 @@ def combiner_dense(bundle: RootBundle, subset, k: int) -> DensePoly:
 
 def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
     """Circuit for H_{<=d}[prod_{i in subset} (y - q_i)], truncation over
-    total (x, y)-degree: `combiner_dense` emitted by `composition_sum` over
-    y and the generator components it reads, in one builder. The components
-    of every root of the subset that has generators come from one
-    interpolation of the source at the first of them
-    (transforms.component_gates), which builds only the node copies
-    they weight. The subset names distinct lifted roots, and d may not
-    exceed the lift order bundle.d, above which no component exists."""
+    total (x, y)-degree: `combiner_dense` emitted over y and the generator
+    components it reads by `lifting.emit_composition`, in one builder. The
+    components of every root of the subset come from one interpolation of
+    the source at the first of them with generators, which builds only the
+    node copies they weight. The subset names distinct lifted roots, and d
+    may not exceed the lift order bundle.d, above which no component exists."""
     subset, count = tuple(subset), len(bundle.alphas)
     if not (subset and all(type(i) is int and 0 <= i < count for i in subset)
             and len(set(subset)) == len(subset)):
@@ -236,12 +231,10 @@ def combine_roots(bundle: RootBundle, subset, d: int) -> Circuit:
         raise ParameterViolation(f"truncation order {d} outside 0..{bundle.d}")
     B = combiner_dense(bundle, subset, d)
     src, y = bundle.source, bundle.y_var
-    roots = [r for i in subset for r in bundle.states[i].gens.roots if r[1]]
-    terms = composition_terms(B, 1, d, vanishing_components(roots, bundle.d))
+    roots = [r for i in subset for r in bundle.states[i].gens.roots]
     xs = [v for v in range(src.num_vars) if v != y]
     b = CircuitBuilder(src.field, src.num_vars)
-    comp = component_gates(b, src, xs, y, roots, composition_reads(terms))
-    return b.finish(composition_sum(b, terms, [b.inp(y)], [comp] * d))
+    return b.finish(emit_composition(b, B, [y], d, src, xs, y, roots))
 
 
 def _combine_dense(bundle: RootBundle, subset, d: int, budget: ExpansionBudget) -> DensePoly:

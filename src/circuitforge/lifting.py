@@ -44,7 +44,6 @@ from .transforms import (
     component_gates,
     generator_set,
     hasse_derivative_circuit,
-    vanishing_components,
 )
 
 A_STEP_WIRE_LAW = 10  # size(A_i) - size(A_{i-1}) <= 10 * d^2, so size(A_d) <= 10 * d^3
@@ -152,65 +151,68 @@ def build_A_recurrence(
 def compose_root(state: LiftState, k: int | None = None, shift=()) -> Circuit:
     """H_{<=k}[A_k(g_0..g_d)] at x - shift, for a state lifted from P(x +
     shift, y), over P's variable space with the y slot unused; k defaults to
-    d. The root is the `composition_sum` of A_k (depth at most depth(P) + 3
+    d. The root is the `emit_composition` of A_k (depth at most depth(P) + 3
     on the criterion-1 family); with no generators A_k is a constant. One
     builder writes x_i - shift_i (in affine's order), then only the node
     copies of the lifted P at a * (x_i - shift_i) that the components the
-    sum reads weight, those components and the sum.
+    composition reads weight, those components and the sum.
     """
     d = state.d
     k = d if k is None else k
     if not 1 <= k <= d:
         raise ParameterViolation(f"truncation order {k} outside 1..{d}")
     gens, fld = state.gens, state.A[-1].field
-    b = CircuitBuilder(fld, gens.num_vars)
-    xs = [v for v in range(gens.num_vars) if v != gens.y_var]
+    P, y = gens.P, gens.y_var
+    b = CircuitBuilder(fld, P.num_vars)
+    xs = [v for v in range(P.num_vars) if v != y]
     inputs = {v: b.add(b.inp(v), b.const(fld.neg(c))) for v, c in zip(xs, shift) if c != fld.zero}
-    terms = composition_terms(state.low(k), 0, k, vanishing_components(gens.roots, d))
-    reads = composition_reads(terms)
-    comp = component_gates(b, gens.P, xs, gens.y_var, gens.roots, reads, inputs)
-    return b.finish(composition_sum(b, terms, [], [comp] * k))
+    return b.finish(emit_composition(b, state.low(k), [], k, P, xs, y, gens.roots, inputs))
 
 
-def composition_terms(poly, n_plain: int, k: int, vanishing=frozenset()) -> list:
-    """The products composition_sum emits for H_{<=k}[poly(plain, g)] (k <=
-    d), one (c, ys, parts) per monomial c * y^a * z^e of the dense poly, in
-    sorted order. Its first n_plain variables are the degree-1 plain gates
-    (y), ys lists the plain variable of each y factor; variable n_plain + g
-    is generator g. Since generators have no constant term, the monomial
-    is, with nothing truncated after the fact, the sum over |e| <= i <= k - a
-    and the compositions of i into |e| positive parts of y^a * prod_t
-    H_{i_t}[g_{j_t}]: parts lists, per composition, the component (j_t,
-    i_t) read at each factor position t. A product with a factor in
-    vanishing, the components known to be 0
-    (transforms.vanishing_components), is 0 and is left out."""
-    terms = []
+def emit_composition(b: CircuitBuilder, poly, plain, k: int, P: Circuit, xs, y: int, roots,
+                     inputs=None) -> int:
+    """Gate in b for H_{<=k}[poly(plain, g)], flat under one sum: the dense
+    poly's first len(plain) variables stand for b's inputs plain, its
+    variable len(plain) + g for generator g, g counting the members of
+    every root (alpha_i, orders, lives) in turn. Generators have no constant
+    term, so a monomial c * y^a * z^e is, with nothing truncated after the
+    fact, c * y^a times the sum over |e| <= i <= k - a and the compositions
+    of i into |e| positive parts of prod_t H_{i_t}[g_{j_t}]: factor position
+    t reads component (j_t, i_t), and in A_k and the combiner B, i_t plus
+    g_{j_t}'s order is <= k. A product that reads a degree outside its
+    member's lives (None: none known to vanish) is 0 and left out. The
+    components read come first (transforms.component_gates: one
+    interpolation of P, the scaled xs bound through inputs), then the plain
+    inputs, then the sum.
+    The m variables of P outside xs and y (an exp-sum verifier's) are
+    auxiliaries, and position t reads block t of b's inputs from P's
+    first auxiliary on: position 0 reads P's own, and with m > 0 each later
+    one imports one circuit, finished from b, of the components read past
+    position 0, its auxiliaries rebound to block t."""
+    lives = [live for _, orders, lives in roots for live in lives or [None] * len(orders)]
+    n, terms = len(plain), []
     for e in sorted(poly.terms):
-        ys = [v for v in range(n_plain) for _ in range(e[v])]
-        js = [g for g, mult in enumerate(e[n_plain:]) for _ in range(mult)]
+        ys = [v for v in range(n) for _ in range(e[v])]
+        js = [g for g, mult in enumerate(e[n:]) for _ in range(mult)]
         parts = [part for i in range(len(js), k - len(ys) + 1)
                  for part in (tuple(zip(js, split)) for split in _compositions(i, len(js)))
-                 if vanishing.isdisjoint(part)]
+                 if all(lives[g] is None or deg in lives[g] for g, deg in part)]
         terms.append((poly.terms[e], ys, parts))
-    return terms
-
-
-def composition_reads(terms) -> set:
-    """The generator components (g, i) that composition_sum reads from
-    terms, at any factor position. For A_k, and for each root's block of
-    the factor combiner, these have i + j <= k, j the order of generator
-    g: its variable appears only in monomials of degree >= j + 1."""
-    return {read for _, _, parts in terms for part in parts for read in part}
-
-
-def composition_sum(b: CircuitBuilder, terms, plain: list, comp: list) -> int:
-    """Gate for the sum that composition_terms lists, flat under one sum:
-    plain[v] is the gate of plain variable v, and comp[t][(g, i)] the
-    degree-i part of generator g as a monomial's t-th generator factor."""
+    parts = [part for _, _, ps in terms for part in ps]
+    reads = {read for part in parts for read in part}
+    comp = [component_gates(b, P, xs, y, roots, reads, inputs)] * max(map(len, parts), default=0)
+    base, later = len(xs) + 1, sorted({read for part in parts for read in part[1:]})
+    m = P.num_vars - base
+    if m and later:
+        circ = b.finish([comp[0][read] for read in later])
+        for t in range(1, len(comp)):
+            aux = {base + q: b.inp(base + t * m + q) for q in range(m)}
+            comp[t] = dict(zip(later, b.import_circuit(circ, var_bindings=aux)))
+    plain = [b.inp(v) for v in plain]
     sums = []
-    for c, ys, parts in terms:
+    for c, ys, ps in terms:
         ys = [plain[v] for v in ys]
-        products = [b.mul(*ys, *(comp[t][read] for t, read in enumerate(part))) for part in parts]
+        products = [b.mul(*ys, *(comp[t][read] for t, read in enumerate(part))) for part in ps]
         sums.append(b.mul(b.const(c), b.add(*products)))
     return b.add(*sums)
 

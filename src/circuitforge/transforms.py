@@ -443,16 +443,17 @@ class GeneratorSet:
 
     orders lists the derivative orders j of the members, ascending; the
     member of order j is H_{<=d} of the order-j Hasse derivative of P at
-    y = alpha, minus its constant term. P is kept as data: a caller emits
-    the members' homogeneous components H_i, i in 1..d, that it reads with
-    component_gates(b, P, xs, y_var, roots, reads), roots being the set
+    y = alpha, minus its constant term. P is kept as data: a composition
+    (lifting.emit_composition) emits the members' homogeneous components
+    H_i, i in 1..d, that it reads with component_gates, roots being the set
     as the one root (alpha, orders, lives). lives[pos] holds the degrees i
     whose component of the member of order orders[pos] is not known to
-    vanish (vanishing_components).
+    vanish; a composition leaves out every product that reads another.
     members holds the (j, circuit) pairs over P's variable space with the
-    y slot unused, each finished on its own from one interpolation of P
-    built on their first read, so a caller that never reads them (the lift,
-    the factor pipelines) builds no copy for them.
+    y slot unused, each finished on its own from one interpolation of P:
+    the Schwartz-Zippel fallback's, or one built on their first read, so a
+    caller that never reads them (the lift, the factor pipelines) builds no
+    copy for them.
     derivs_dense[j] is H_{<=d} of the order-j derivative at alpha, j = 0..d
     (the dense member of order j, plus its constant term), in P's variable
     space with the y slot unused: the s^j terms of x-degree <= d of the zero
@@ -463,7 +464,6 @@ class GeneratorSet:
     alpha: object
     d: int
     y_var: int
-    num_vars: int
     P: Circuit = dc_field(repr=False)
     orders: list = dc_field(default_factory=list)
     lives: list = dc_field(default_factory=list)
@@ -478,7 +478,7 @@ class GeneratorSet:
     def members(self) -> list:
         if not self.orders:
             return []
-        xs = [v for v in range(self.num_vars) if v != self.y_var]
+        xs = [v for v in range(self.P.num_vars) if v != self.y_var]
         b, coeff = _interpolate(self.P, xs, self.y_var, self.alpha, _shape(self.P, xs, self.y_var))
         return [(j, b.finish(coeff((k, j) for k in range(1, self.d + 1)))) for j in self.orders]
 
@@ -519,11 +519,12 @@ def generator_set(
     terms. Only when the expansion overflows are the copies built at once:
     the builder emits the derivatives' coefficient gates, finished and
     evaluated at 0 for the constants, and members are tested by
-    Schwartz-Zippel on 64 points over a grid of size 2*d, drawn on seed 0. A
-    false keep is harmless downstream; a false drop is what the point count
-    makes improbable. A d above the budget's degree bound, a lower set wider
-    than it on an axis or than the field, and an alpha outside P's field are
-    refused before any work.
+    Schwartz-Zippel on 64 points over a grid of size 2*d, drawn on seed 0;
+    the circuits kept are the set's members. A false keep is harmless
+    downstream; a false drop is what the point count makes improbable. A d
+    above the budget's degree bound, a lower set wider than it on an axis
+    or than the field, and an alpha outside P's field are refused before
+    any work.
     """
     P.output()
     _check_var(P, y)
@@ -558,19 +559,11 @@ def generator_set(
         orders.append(j)
         lives.append(live)
 
-    return GeneratorSet(alpha=alpha, d=d, y_var=y, num_vars=nv, P=P, orders=orders, lives=lives,
+    gens = GeneratorSet(alpha=alpha, d=d, y_var=y, P=P, orders=orders, lives=lives,
                         deriv_constants=list(h0), derivs_dense=denses)
-
-
-def vanishing_components(roots, d: int) -> set:
-    """The generator components (g, i), i in 1..d, of roots (alpha_i,
-    orders, lives), g counting every root's members in turn, known to be 0:
-    i is outside the member's entry of lives (None: none known). A
-    composition leaves them out (lifting.composition_terms), so
-    component_gates is never asked for one."""
-    lives = [live for _, orders, lives in roots for live in lives or [None] * len(orders)]
-    return {(g, i) for g, live in enumerate(lives) if live is not None
-            for i in range(1, d + 1) if i not in live}
+    if denses is None:  # set before members is first read, so it builds no second copy
+        gens.members = [(j, lows[j]) for j in orders]
+    return gens
 
 
 def component_gates(b: CircuitBuilder, P: Circuit, xs, y: int, roots, reads,
@@ -579,10 +572,10 @@ def component_gates(b: CircuitBuilder, P: Circuit, xs, y: int, roots, reads,
     H_i of generator g, g counting the members of every root (alpha_i,
     orders, lives) in turn, the t^i s^j coefficient of P(t*x, alpha_i + s)
     for the member's order j, xs the scaled variables. One interpolation of
-    P at the first root's alpha serves every root: the coefficient at
-    alpha_i is the sum over m >= j of C(m, j) * (alpha_i - alpha)^(m - j)
-    times the t^i s^m one at alpha, still one weighted sum of the same
-    copies, so depth does not grow. The listed components' weights come
+    P at the alpha of the first root with members serves every root: the
+    coefficient at alpha_i is the sum over m >= j of C(m, j) * (alpha_i -
+    alpha)^(m - j) times the t^i s^m one at alpha, still one weighted sum
+    of the same copies, so depth does not grow. The listed components' weights come
     first, then only the node copies they weight, in lower-set order (the
     copies of one scale stay consecutive, so each re-import rebuilds only
     the gates that read y), each scaled variable v bound to a times
@@ -591,7 +584,8 @@ def component_gates(b: CircuitBuilder, P: Circuit, xs, y: int, roots, reads,
     nor bound. No reads (roots may then be empty), no interpolation."""
     if not reads:
         return {}
-    fld, xs, alpha = P.field, list(xs), roots[0][0]
+    fld, xs = P.field, list(xs)
+    alpha = next(a for a, orders, _ in roots if orders)
     shape = _shape(P, xs, y)
     gens = [(fld.sub(a, alpha), j) for a, orders, _ in roots for j in orders]
     rows = {(g, i): _shifted_weights(fld, shape, [(i, gens[g][1])], gens[g][0])

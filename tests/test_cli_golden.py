@@ -95,7 +95,7 @@ CERT_GOLDEN = {
     "pit/exhaustive": "d2c3b39fd1a282ea23595fa9cdc2cb22b5571ed5e2e0ea2d3175c361fd85a98c",
     "vnp-sum/expand": "0ba782def21cc97ddc11cd7ac61f1f4c78ac2d34f061f8b86f81f035f0909838",
     "vnp-sum/eval": "d32118d20e7d3590904aa4ade9a565ee2d41dcccce3857b54e90be5b94d7d56c",
-    "vnp-factor": "5847d0b0f38e31138a9ce3a6fce9b16a66f20710d8dfd8ad838f198fc35b5101",
+    "vnp-factor": "19cdcddcbefe65ac863de85d533c8bc7ff6bd2294422c387df39d30971b6ee0f",
 }
 
 

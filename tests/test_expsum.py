@@ -437,7 +437,7 @@ def _aux_cubic_factor(field):
 
 def _record_interpolations(monkeypatch) -> list:
     """Every call of the one interpolation engine, transforms._interpolate
-    (expsum reaches it through transforms.component_gates), as
+    (expsum reaches it through lifting.emit_composition), as
     (circ, scale, y, shape, bound): bound lists, for each copy that the
     call imports into its builder, the variables bound in that copy."""
     calls, imports = [], []
@@ -658,28 +658,52 @@ def test_factor_vnp_refuses_its_parameters_before_expanding(QQ, monkeypatch):
 
 
 def test_factor_vnp_emits_through_one_composition_sum(QQ, monkeypatch):
-    # the factor is one composition_sum over the auxiliary blocks: no
-    # formula conversion, leaf substitution or truncation of a circuit that
-    # carries E's auxiliaries
+    # the factor is one emit_composition over the auxiliary blocks, E's m
+    # auxiliaries per block: no formula conversion, leaf substitution or
+    # truncation of a circuit that carries E's auxiliaries
     from circuitforge import expsum
 
-    seen = {"composition_sum": [], "leaf_substitute": [], "truncate_deg": []}
+    seen = {"emit_composition": [], "leaf_substitute": [], "truncate_deg": []}
 
     def spy(name, module):
         real = getattr(module, name)
 
         def call(first, *args, **kwargs):
-            seen[name].append(first.num_vars)
+            seen[name].append((first.num_vars, args))
             return real(first, *args, **kwargs)
         monkeypatch.setattr(module, name, call)
 
-    for name in ("composition_sum", "leaf_substitute"):
+    for name in ("emit_composition", "leaf_substitute"):
         spy(name, expsum)
     for module in (transforms, expsum):
         spy("truncate_deg", module)
     e = _planted_aux_cubic(QQ)
     out, fr = factor_vnp(e, 2, subset=(0, 1), seed=0)
     assert exp_sum_expand(out) == _aux_cubic_factor(QQ)
-    assert seen["composition_sum"] == [out.verifier.num_vars] == [e.nx + out.m]
+    assert out.verifier.num_vars == e.nx + out.m and out.m > e.m and out.m % e.m == 0
+    # one call, on the output's builder, from the verifier: its variables
+    # past xs and y are E's m auxiliaries, block 0 of the output's
+    ((nv, (_, _, _, V, xs, y, _)),) = seen["emit_composition"]
+    assert nv == e.nx + out.m and V.num_vars - len(xs) - 1 == e.m and y == len(xs)
     assert not seen["leaf_substitute"]
-    assert all(nv <= e.nx for nv in seen["truncate_deg"])
+    assert all(nv <= e.nx for nv, _ in seen["truncate_deg"])
+
+
+def test_factor_vnp_of_a_combiner_free_of_generators_neither_lifts_nor_copies_the_verifier(QQ, monkeypatch):
+    # (y - 1)^2 and (y - 1)(y - 3) over (x1, y), summed over one auxiliary:
+    # no root has generators, so B reads no component, and the verifier is
+    # neither lifted (for (y - 1)^2, through an order-1 Hasse derivative)
+    # nor interpolated; only the search's source for (y - 1)^2, the Hasse
+    # derivative of the expansion, is
+    calls = _record_interpolations(monkeypatch)
+    for double, root in ((True, 1), (False, 1)):
+        calls.clear()
+        b = CircuitBuilder(QQ, 3)
+        y, a = b.inp(1), b.inp(2)
+        factors = [b.sub(y, b.const(Fraction(c))) for c in (1, 1 if double else 3)]
+        e = ExpSumPoly(b.finish(b.mul(a, *factors)), (2,))
+        out, fr = factor_vnp(e, 1, subset=(0,), seed=0)
+        assert fr.deriv_level == double and out.m == 0
+        Y = DensePoly.variable(QQ, 2, 1)
+        assert exp_sum_expand(out) == Y - DensePoly.const(QQ, 2, Fraction(root))
+        assert [circ.num_vars for circ, *_ in calls] == [e.nx] * double

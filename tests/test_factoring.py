@@ -657,12 +657,12 @@ def _multi_root_factor_runs(field):
 def test_shared_interpolation_gives_each_root_its_own_components(field, monkeypatch):
     # one interpolation at the first root, Taylor-shifted to each other
     # root, expands output for output to each root emitted alone, at the
-    # same depth; vanishing_components names exactly the components the
-    # oracle shows to be 0, and neither compose_root nor combine_roots
+    # same depth; lives leaves out exactly the components the oracle shows
+    # to be 0, and no composition that compose_root or combine_roots emits
     # reads one
     from circuitforge import factoring, lifting
     from circuitforge.dense import homog_component_dense
-    from circuitforge.transforms import component_gates, vanishing_components
+    from circuitforge.transforms import component_gates
 
     def emitted(src, y, roots, d):
         xs = [v for v in range(src.num_vars) if v != y]
@@ -680,15 +680,26 @@ def test_shared_interpolation_gives_each_root_its_own_components(field, monkeypa
                  for g in gsets for j in g.orders for i in range(1, d + 1)]
         return {(n // d, n % d + 1) for n, zero in enumerate(zeros) if zero}
 
+    def lives_zeros(roots, d):
+        lives = [live for _, _, lives in roots for live in lives]
+        return {(g, i) for g, live in enumerate(lives) for i in range(1, d + 1) if i not in live}
+
     read = []  # (module, roots, reads) of every emission the pipelines make
+    caller = [None]  # the module whose emit_composition call is running
+    real_gates = lifting.component_gates
+
+    def gates(b, P, xs, y, roots, reads, *rest):
+        read.append((caller[0], roots, set(reads)))
+        return real_gates(b, P, xs, y, roots, reads, *rest)
+    monkeypatch.setattr(lifting, "component_gates", gates)
 
     def spy(module):
-        real = module.component_gates
+        real = module.emit_composition
 
-        def record(b, P, xs, y, roots, reads, *rest):
-            read.append((module.__name__, roots, set(reads)))
-            return real(b, P, xs, y, roots, reads, *rest)
-        monkeypatch.setattr(module, "component_gates", record)
+        def record(*args, **kwargs):
+            caller[0] = module.__name__
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "emit_composition", record)
 
     bundles = []
     for P, y, d, subset in _multi_root_factor_runs(field):
@@ -723,18 +734,18 @@ def test_shared_interpolation_gives_each_root_its_own_components(field, monkeypa
             own = emitted(src, y, g.roots, d)
             end = pos + len(own.outputs)
             assert outputs(shared)[pos:end] == outputs(own)
-            assert vanishing_components(g.roots, d) == oracle_zeros([g], d)
+            assert lives_zeros(g.roots, d) == oracle_zeros([g], d)
             pos = end
         assert pos == len(shared.outputs)
         assert shared.depth() == max(emitted(src, y, g.roots, d).depth() for g in gsets)
-        assert vanishing_components(roots, d) == oracle_zeros(gsets, d)
+        assert lives_zeros(roots, d) == oracle_zeros(gsets, d)
         vanishing |= any(set(live) != set(range(1, d + 1)) for g in gsets[1:] for live in g.lives)
         start = len(read)
         for i in subset:
             compose_root(bundle.states[i])
         combine_roots(bundle, subset, d)
         for module, roots, reads in read[start:]:
-            zero = vanishing_components(roots, d)
+            zero = lives_zeros(roots, d)
             assert reads.isdisjoint(zero)
             if {g for g, _ in zero} & {g for g, _ in reads}:
                 dropped.add(module)

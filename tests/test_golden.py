@@ -118,26 +118,26 @@ VNP_CASES = (("qq/d1", QQ, 1, None), ("qq/d2", QQ, 2, [0, 1]),
              ("fp62/d1", FP62, 1, None), ("fp62/d2", FP62, 2, [0, 1]))
 
 VNP_GOLDEN = {
-    "vnp/qq/d1": "6092ab59b2f9995887051b56637870008cd7ae349958f5bc8c02a9c82a7987c4",
-    "vnp/qq/d2": "8550fbce099e811fb9b9b2e224638d90b63a63eba6af001fe60e03f4c233e8f6",
-    "vnp/fp62/d1": "c78382cc710ff5d8c0579c64027ba141a141dec2c1fb6b828b4af033d39a3b1f",
-    "vnp/fp62/d2": "ad0bb3e7fc6d6ca2bb51645eb8f706839226ea0281e7b0c1335ccdf4b58919b4",
-    "vnp/coord/qq/sq-x/0": "53926cceb066a9f61148ce8669106218edd9c07b614ba16e41d1532685c33b47",
-    "vnp/coord/qq/sq/0": "439e102900a7ffc9725fcce1d2b5a0cce3dfd6a1dba6b7140cfa18e350fbd10a",
-    "vnp/coord/qq/two/0": "5e364ff528bea18bade69f9cd34edc52f6c36009e657b1d1dfd4814176141b51",
-    "vnp/coord/qq/two-pair/0": "c2d5bb34c44736608de40a808f93bd9b5ff2885f1868ef710b89b5d69039a6df",
-    "vnp/coord/qq/sq-x/2": "6c5bd41b8cc6a83bc5a43c903190a22755ba099efa69d30ca2108e62eeb38e11",
-    "vnp/coord/qq/sq/2": "439e102900a7ffc9725fcce1d2b5a0cce3dfd6a1dba6b7140cfa18e350fbd10a",
-    "vnp/coord/qq/two/2": "3c042b19e5591ff99fad90ec90387bbef17d1f96af59dce620e44c7a8f53d8d3",
-    "vnp/coord/qq/two-pair/2": "96a1cfb48b4b63fa92f2ff8fafbc72bcb6f75837581e5e923922d3a9357a3f0a",
-    "vnp/coord/fp62/sq-x/0": "d865bc45c940188dff49a6ec1134563b88bd279c8454142a036eee88647845ff",
-    "vnp/coord/fp62/sq/0": "915bd9f7da20839ac5674a3038086735a06bea01860353fb5fedf117522fb0c2",
-    "vnp/coord/fp62/two/0": "0f3da158d1a2cfc6429d6087e423d1497ac2a9a23d5030f3cd93e2902ae6e476",
-    "vnp/coord/fp62/two-pair/0": "b031b7db0966a6d0fb2b58637f3799cde6380de93589d0ee74af1800f8d218cb",
-    "vnp/coord/fp62/sq-x/2": "06ca1471f109ccc1eb06ca82aa1a3309418c5fb84908d1963e57aa994fa004fa",
-    "vnp/coord/fp62/sq/2": "915bd9f7da20839ac5674a3038086735a06bea01860353fb5fedf117522fb0c2",
-    "vnp/coord/fp62/two/2": "d2b5b2ab6311416ed39896f3fb0c20742bcf65bd18f609f88a322ae0174199ef",
-    "vnp/coord/fp62/two-pair/2": "090ef892ee484d348e06e599b812cfd847206a0e9de0c35908b087494638bd15",
+    "vnp/qq/d1": "f18f1b49f2037b2a1183b1558c79336aae878fd1fef66b437c1fc820a820f505",
+    "vnp/qq/d2": "f658899dbd4cf50a100b81c560a80d0b2725d822aa41104da5645dac4e27a9d1",
+    "vnp/fp62/d1": "959c89a9a622f7639476a6af94c86124f2ec8c1f5f6ee7ba241a37cbc67470ed",
+    "vnp/fp62/d2": "512978b842441ff29fff0b74bbc56020774844cc199fd167e1f22451afd9df38",
+    "vnp/coord/qq/sq-x/0": "771e26a2ab8e77b986c612eee8b1a627565ce4453d19ee3293e87f2ecc95eb30",
+    "vnp/coord/qq/sq/0": "8da7b70fa478db179268a97c92614dc0124bd827db8d5ba714eac1f822e157d8",
+    "vnp/coord/qq/two/0": "184747fefd716b5e4b298aba17f2fca3182336a17ad863ccc792879e2747e4eb",
+    "vnp/coord/qq/two-pair/0": "a13ede718903f8fd9bdd715d689aa3667021ad852fa86c9853309cba6ebb461b",
+    "vnp/coord/qq/sq-x/2": "831aeac7e0ca1cc0ba66a03fb40a2b6a2f5c86c50fc67e805f6de7bf159f3093",
+    "vnp/coord/qq/sq/2": "8da7b70fa478db179268a97c92614dc0124bd827db8d5ba714eac1f822e157d8",
+    "vnp/coord/qq/two/2": "a2d6ffe0e3bb273a715ea9f5b7a6b5acbe38b34b3b12658f8a0d582f75ce26da",
+    "vnp/coord/qq/two-pair/2": "71d46a3efb42d93ed3fc0e003ce032737e2dc90a90996898e06a845d0647e08f",
+    "vnp/coord/fp62/sq-x/0": "f9fb56c42c741c2c263c5233060419d8ea741efde7eed238c4da3a2edb117f5d",
+    "vnp/coord/fp62/sq/0": "0771095fa92268ef7659c8946556efb7bb07d71b49d02140011281360b12c249",
+    "vnp/coord/fp62/two/0": "64545d189366052f836a2b732ecc2c3d4f9dd3d24ed51f8372f58b4d3988d69d",
+    "vnp/coord/fp62/two-pair/0": "da1006853eb84d8dcaefd3699ce05e1f9c3e08b40bb6dec420dd9abc8f681223",
+    "vnp/coord/fp62/sq-x/2": "1b81e63199e8e5a1fe6eecbb51c4fe2bcab48ff60ecef0ea9dc85053a9de63d4",
+    "vnp/coord/fp62/sq/2": "0771095fa92268ef7659c8946556efb7bb07d71b49d02140011281360b12c249",
+    "vnp/coord/fp62/two/2": "4f4cedcc8924ac1efebf4e8fa9bc1b14aea982d78bbdab3b4716d3850e556750",
+    "vnp/coord/fp62/two-pair/2": "d956cc3575d3c622f517f424ebeec5180a44e79e9f6e8512fb76505572c9b098",
 }
 
 

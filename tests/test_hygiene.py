@@ -13,7 +13,8 @@ which pack monomials with one key function, nor the builder's
 canonicalizing `add`, `mul` and `import_circuit`, its `finish`, the
 reachability sweep and the metrics walk, nor the grid batcher, the table
 fold and the identity tests that read them.
-Only circuit.py constructs a Circuit or reads its canonical mark. The
+Only circuit.py constructs a Circuit or reads its canonical mark, and
+only lifting.emit_composition calls transforms.component_gates. The
 README's key documented size and depth constants are the ones the suite
 asserts."""
 
@@ -234,6 +235,21 @@ def test_only_circuit_py_constructs_circuits():
             and node.func.id == "Circuit")
         or (isinstance(node, ast.Attribute) and node.attr == "_canonical"))
     assert not sites, f"circuits made or marked outside circuit.py: {sites}"
+
+
+def test_only_emit_composition_calls_component_gates():
+    """transforms.component_gates, the one emitter of generator components,
+    has one caller in the package: lifting.emit_composition, the one
+    composition that every root and every factor is written through."""
+    def calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and "component_gates" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))]
+    sites = sorted(f"{name}:{fn.name}" for name, tree in TREES.items()
+                   for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for _ in calls(fn))
+    total = sum(len(calls(tree)) for tree in TREES.values())
+    assert sites == ["lifting.py:emit_composition"] and total == 1, sites
 
 
 def test_univariate_kernel_calls_no_field_method():

@@ -432,8 +432,8 @@ def _components(gens):
     circuit from component_gates; None when gens has no members."""
     if not gens.orders:
         return None
-    b = CircuitBuilder(gens.P.field, gens.num_vars)
-    xs = [v for v in range(gens.num_vars) if v != gens.y_var]
+    b = CircuitBuilder(gens.P.field, gens.P.num_vars)
+    xs = [v for v in range(gens.P.num_vars) if v != gens.y_var]
     reads = [(g, i) for g in range(len(gens.orders)) for i in range(1, gens.d + 1)]
     comps = component_gates(b, gens.P, xs, gens.y_var, gens.roots, reads)
     return b.finish([comps[read] for read in reads])
@@ -464,6 +464,31 @@ def test_generator_set_schwartz_zippel_fallback_keeps_the_oracle_result(QQ, Fp, 
             for (_, m_sz), (_, m_or) in zip(sz.members, oracle.members):
                 assert oracle_equal(m_sz, m_or)
             assert expand_outputs(_components(sz)) == expand_outputs(_components(oracle))
+
+
+def test_generator_set_schwartz_zippel_fallback_builds_one_interpolation(QQ, monkeypatch):
+    # the fallback's zero test already finishes every member circuit, so
+    # reading members afterwards builds no second set of node copies
+    b = CircuitBuilder(QQ, 3)
+    x1, x2, y = b.inp(0), b.inp(1), b.inp(2)
+    P = b.finish(b.mul(b.sub(y, b.add(x1, b.mul(x2, x2), b.const(QQ.one))),
+                       b.sub(y, b.add(x2, b.const(QQ.embed(3))))))
+    oracle = generator_set(P, 2, QQ.one, 3)
+    calls = []
+    real = transforms._interpolate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "_interpolate", counting)
+    sz = generator_set(P, 2, QQ.one, 3, budget=ExpansionBudget(max_terms=1))
+    assert sz.derivs_dense is None and sz.orders
+    members = sz.members
+    assert len(calls) == 1
+    assert [j for j, _ in members] == [j for j, _ in oracle.members]
+    for (_, m_sz), (_, m_or) in zip(members, oracle.members):
+        assert expand(m_sz) == expand(m_or)
 
 
 def test_generator_set_constants_come_from_the_zero_test(QQ, monkeypatch):
